@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     TrainingAbort,
 )
-from .losses import LossConfig
+from .losses import MODES, SIMILARITIES, LossConfig
 from .metrics import export_profile
 from .pipeline import (
     CompareConfig,
@@ -90,7 +90,7 @@ _DEFAULTS: dict[str, dict] = {
         **_TABLE_DEFAULTS,
         "finetune_epochs": 100,
         "seeds": [0, 1, 2, 3, 4],
-        "modes": ["mse", "mse+cl", "mse+wcl"],
+        "modes": list(MODES),
         "sim": "cos",
         "alpha": 1.0,
         "eps": 1e-2,
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pooling", choices=("mean", "last"))
 
     def add_loss_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sim", choices=("cos", "l2"), help="similarity kind")
+        p.add_argument("--sim", choices=SIMILARITIES, help="similarity kind")
         p.add_argument("--alpha", type=float, help="contrastive term weight")
         p.add_argument("--eps", type=float, help="label-distance weight offset")
 
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--loss", choices=("mse", "mse+cl", "mse+wcl"))
+    p.add_argument("--loss", choices=MODES)
     add_loss_flags(p)
     add_train_flags(p)
     add_model_flags(p)

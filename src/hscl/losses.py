@@ -8,8 +8,17 @@ term sums log-similarities so that minimizing it pulls positives together and
 pushes negatives apart; the weighted variant scales each pair's term by its
 label distance.
 
-Similarities are remapped into (0, 1] and clamped to a small floor before the
-log, which keeps both loss branches finite for antipodal or distant pairs.
+Both contrastive losses are computed over the whole batch at once:
+
+- one (B, B) similarity matrix ``S`` of the embeddings, remapped into (0, 1]
+  and clamped to ``[sim_floor, 1]`` before the log, which keeps both loss
+  branches finite for antipodal or distant pairs (and, as everywhere in the
+  tensor core, gives zero gradient at the clamp boundaries);
+- one constant (B, B) coefficient matrix ``K`` built from the mining result:
+  +1 for a negative pair, -1 (cl) or -1/(d_ij + eps) (wcl) for a positive
+  pair, 0 elsewhere, so the loss is ``sum(K * log S)``;
+- for wcl, the constant ``sum over negatives of log(d_ij + eps)``, because a
+  negative pair contributes ``log(S_ij * (d_ij + eps))``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, backward, dot, softmax_last, zero_grads
+from .tensor import Tensor, backward, dot, pairwise_similarity, softmax_last, zero_grads
 
 MODES = ("mse", "mse+cl", "mse+wcl")
 SIMILARITIES = ("cos", "l2")
@@ -83,12 +92,13 @@ def mine_batch(hs) -> MiningResult:
         raise ConfigError(f"mine_batch: need at least 3 scores for a positive/negative split, got {b}")
     distances = np.abs(scores[:, None] - scores[None, :])
     k = (b - 1) // 2
-    positives, negatives = [], []
-    for i in range(b):
-        others = sorted((j for j in range(b) if j != i), key=lambda j: (distances[i, j], j))
-        positives.append(others[:k])
-        negatives.append(others[len(others) - k:])
-    return MiningResult(positives, negatives, distances, k)
+    # row i lists the candidates j != i in ascending j; a stable sort by
+    # distance then orders them by (distance, j)
+    slots = np.arange(b - 1)
+    candidates = slots[None, :] + (slots[None, :] >= np.arange(b)[:, None])
+    order = np.argsort(np.take_along_axis(distances, candidates, axis=1), axis=1, kind="stable")
+    ranked = np.take_along_axis(candidates, order, axis=1)
+    return MiningResult(ranked[:, :k].tolist(), ranked[:, b - 1 - k:].tolist(), distances, k)
 
 
 def similarity(u_i: Tensor, u_j: Tensor, kind: str, sim_floor: float = 1e-6) -> Tensor:
@@ -123,17 +133,28 @@ def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
         )
 
 
+def _pair_masks(mining: MiningResult) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) boolean (B, B) masks of the mined pairs."""
+    b = mining.batch_size
+    rows = np.arange(b)[:, None]
+    pos = np.zeros((b, b), dtype=bool)
+    neg = np.zeros((b, b), dtype=bool)
+    pos[rows, np.asarray(mining.positives, dtype=np.int64)] = True
+    neg[rows, np.asarray(mining.negatives, dtype=np.int64)] = True
+    return pos, neg
+
+
+def _log_similarity_sum(embeddings: Tensor, coefficients: np.ndarray, config: LossConfig) -> Tensor:
+    """sum(K * log S) over the clamped (B, B) similarity matrix S."""
+    sims = pairwise_similarity(embeddings, config.similarity).clamp(config.sim_floor, 1.0)
+    return (sims.log() * Tensor(coefficients)).sum()
+
+
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
     """Unweighted contrastive loss over the mined pairs."""
     _check_mining("cl_loss", embeddings, mining)
-    rows = [embeddings.row(i) for i in range(mining.batch_size)]
-    total = Tensor(0.0)
-    for i in range(mining.batch_size):
-        for j in mining.negatives[i]:
-            total = total + similarity(rows[i], rows[j], config.similarity, config.sim_floor).log()
-        for j in mining.positives[i]:
-            total = total - similarity(rows[i], rows[j], config.similarity, config.sim_floor).log()
-    return total
+    pos, neg = _pair_masks(mining)
+    return _log_similarity_sum(embeddings, neg.astype(np.float64) - pos, config)
 
 
 def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> Tensor:
@@ -147,18 +168,11 @@ def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -
     scores = np.asarray(hs, dtype=np.float64).reshape(-1)
     if scores.shape[0] != mining.batch_size:
         raise ShapeError(f"wcl_loss: got {scores.shape[0]} scores for batch {mining.batch_size}")
-    rows = [embeddings.row(i) for i in range(mining.batch_size)]
-    total = Tensor(0.0)
-    for i in range(mining.batch_size):
-        for j in mining.negatives[i]:
-            sim = similarity(rows[i], rows[j], config.similarity, config.sim_floor)
-            weight = abs(scores[i] - scores[j]) + config.eps
-            total = total + (sim * weight).log()
-        for j in mining.positives[i]:
-            sim = similarity(rows[i], rows[j], config.similarity, config.sim_floor)
-            weight = abs(scores[i] - scores[j]) + config.eps
-            total = total - sim.log() * (1.0 / weight)
-    return total
+    weights = np.abs(scores[:, None] - scores[None, :]) + config.eps
+    pos, neg = _pair_masks(mining)
+    coefficients = neg - pos / weights
+    constant = Tensor(np.log(weights[neg]).sum())
+    return _log_similarity_sum(embeddings, coefficients, config) + constant
 
 
 def combined_loss_terms(

@@ -26,6 +26,7 @@ from .data import (
     regression_arrays,
 )
 from .errors import ConfigError
+from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
 from .model import classify_pairs, encode, predict_classes
 from .training import (
@@ -40,7 +41,6 @@ from .training import (
     save_checkpoint,
 )
 
-MODES = ("mse", "mse+cl", "mse+wcl")
 SPLITS = ("train", "val", "test")
 
 

@@ -8,7 +8,8 @@ graphs always produce bit-identical values and gradients.
 
 Subgradient conventions (relevant when checking gradients near kinks):
 relu'(0) = 0, clamp' is zero outside the interval *and at its boundaries*,
-and the L2 norm has gradient 0 at the origin.
+and the L2 norm has gradient 0 at the origin (likewise a pairwise L2
+distance has gradient 0 where the distance is 0).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GraphStateError, ShapeError
+from .errors import ConfigError, DomainError, GraphStateError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -27,6 +28,7 @@ __all__ = [
     "dot",
     "grad_check",
     "matmul",
+    "pairwise_similarity",
     "softmax_last",
     "zero_grads",
 ]
@@ -311,6 +313,45 @@ def dot(u: Tensor, v: Tensor) -> Tensor:
             _accumulate(v, float(g) * u.data)
         out._backward = back
     return out
+
+
+def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:
+    """Unclamped (B, B) similarity between every pair of rows of a (B, D) tensor.
+
+    ``cos`` is the shifted cosine ``(E E^T / (n n^T) + 1) / 2`` with ``n`` the
+    row norms, and raises ``DomainError`` when any row has zero norm. ``l2`` is
+    ``1 / (||e_i - e_j|| + 1)``; its gradient is 0 where the distance is 0.
+    """
+    if embeddings.data.ndim != 2:
+        raise ShapeError(f"pairwise_similarity: expected (B, D) embeddings, got shape {embeddings.shape}")
+    e = embeddings.data
+    if kind == "cos":
+        norms = np.sqrt((e * e).sum(axis=1))
+        if np.any(norms == 0.0):
+            raise DomainError("pairwise_similarity: cosine undefined for a zero vector")
+        out = _node(((e @ e.T) / np.outer(norms, norms) + 1.0) * 0.5, (embeddings,))
+        if out._parents:
+            unit = e / norms[:, None]
+            def back(g: np.ndarray) -> None:
+                g_unit = (0.5 * (g + g.T)) @ unit
+                radial = (g_unit * unit).sum(axis=1, keepdims=True)
+                _accumulate(embeddings, (g_unit - radial * unit) / norms[:, None])
+            out._backward = back
+        return out
+    if kind == "l2":
+        diff = e[:, None, :] - e[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        sim = 1.0 / (dist + 1.0)
+        out = _node(sim, (embeddings,))
+        if out._parents:
+            def back(g: np.ndarray) -> None:
+                # d sim / d dist = -sim^2; d dist_ij / d e_i = (e_i - e_j) / dist_ij
+                w = np.divide(-g * sim * sim, dist, out=np.zeros_like(dist), where=dist > 0.0)
+                w = w + w.T
+                _accumulate(embeddings, w.sum(axis=1)[:, None] * e - w @ e)
+            out._backward = back
+        return out
+    raise ConfigError(f"pairwise_similarity: unknown kind {kind!r}")
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:

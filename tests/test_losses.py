@@ -17,7 +17,7 @@ from hscl.losses import (
     similarity,
     wcl_loss,
 )
-from hscl.tensor import Tensor, grad_check
+from hscl.tensor import Tensor, backward, grad_check
 
 from oracles import cl_ref, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
 
@@ -174,6 +174,58 @@ def test_cl_loss_matches_double_loop_oracle(kind):
         got = cl_loss(Tensor(u), mining, cfg).item()
         want = cl_ref(u, mining.positives, mining.negatives, kind)
         assert abs(got - want) < 1e-10
+
+
+@pytest.mark.parametrize("row", [0, 3, 5])
+def test_contrastive_losses_reject_a_zero_row_anywhere_with_cosine(row):
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(6, 3))
+    u[row] = 0.0
+    hs = rng.uniform(0, 1, size=6)
+    mining = mine_batch(hs)
+    with pytest.raises(DomainError, match="zero"):
+        cl_loss(Tensor(u), mining, CL_CFG)
+    with pytest.raises(DomainError, match="zero"):
+        wcl_loss(Tensor(u), mining, hs, WCL_CFG)
+
+
+def test_saturated_batch_has_zero_embedding_gradient():
+    # every positive pair sits at sim 1 and every negative at the floor, so
+    # the clamp passes no gradient through any mined pair
+    u = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+    hs = np.array([0.0, 0.0, 1.0, 1.0])
+    mining = mine_batch(hs)
+    for loss in (
+        lambda e: cl_loss(e, mining, CL_CFG),
+        lambda e: wcl_loss(e, mining, hs, WCL_CFG),
+    ):
+        e = Tensor(u.copy(), requires_grad=True)
+        backward(loss(e))
+        assert np.array_equal(e.grad, np.zeros_like(u))
+
+
+def _graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind", ["cos", "l2"])
+def test_contrastive_graph_size_does_not_grow_with_batch(kind):
+    rng = np.random.default_rng(13)
+    sizes = {}
+    for b in (8, 16):
+        e = Tensor(rng.normal(size=(b, 4)), requires_grad=True)
+        hs = rng.uniform(0, 1, size=b)
+        mining = mine_batch(hs)
+        cl_cfg = LossConfig(mode="mse+cl", similarity=kind)
+        wcl_cfg = LossConfig(mode="mse+wcl", similarity=kind)
+        sizes[b] = (_graph_size(cl_loss(e, mining, cl_cfg)), _graph_size(wcl_loss(e, mining, hs, wcl_cfg)))
+    assert sizes[8] == sizes[16]
 
 
 def test_wcl_loss_identical_embeddings_value():

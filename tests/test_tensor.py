@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hscl.errors import DomainError, GraphStateError, ShapeError
+from hscl.errors import ConfigError, DomainError, GraphStateError, ShapeError
 from hscl.tensor import (
     Tensor,
     affine,
@@ -12,9 +12,12 @@ from hscl.tensor import (
     dot,
     grad_check,
     matmul,
+    pairwise_similarity,
     softmax_last,
     zero_grads,
 )
+
+from oracles import sim_ref
 
 
 def test_affine_identity():
@@ -143,6 +146,51 @@ def test_row_and_segment_backward():
     v = Tensor(np.arange(5.0), requires_grad=True)
     backward(v.segment(1, 4).sum())
     assert np.array_equal(v.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["cos", "l2"])
+def test_pairwise_similarity_matches_pair_oracle(kind):
+    rng = np.random.default_rng(12)
+    e = rng.normal(size=(6, 4))
+    s = pairwise_similarity(Tensor(e), kind).data
+    assert s.shape == (6, 6)
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                assert abs(s[i, j] - sim_ref(e[i], e[j], kind, floor=0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["cos", "l2"])
+def test_pairwise_similarity_gradient_at_interior_points(kind):
+    rng = np.random.default_rng(13)
+    b, d = 5, 3
+    for _ in range(5):
+        weights = Tensor(rng.normal(size=(b, b)))
+
+        def f(t):
+            return (pairwise_similarity(t.reshape((b, d)), kind) * weights).sum()
+
+        assert grad_check(f, Tensor(rng.normal(size=b * d)), 1e-6) < 1e-5
+
+
+def test_pairwise_similarity_cosine_rejects_any_zero_row():
+    e = np.ones((4, 3))
+    e[2] = 0.0
+    with pytest.raises(DomainError, match="zero"):
+        pairwise_similarity(Tensor(e), "cos")
+
+
+def test_pairwise_l2_gradient_zero_where_distance_is_zero():
+    e = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
+    backward(pairwise_similarity(e, "l2").sum())
+    assert np.array_equal(e.grad, np.zeros((2, 2)))
+
+
+def test_pairwise_similarity_rejects_bad_shape_and_kind():
+    with pytest.raises(ShapeError, match="pairwise_similarity"):
+        pairwise_similarity(Tensor(np.ones(3)), "cos")
+    with pytest.raises(ConfigError, match="kind"):
+        pairwise_similarity(Tensor(np.ones((3, 2))), "dot")
 
 
 def test_mean_axis_backward():

@@ -28,7 +28,6 @@ from .losses import (
     cross_entropy,
     mine_batch,
     mse_loss,
-    similarity,
     wcl_loss,
 )
 from .metrics import (
@@ -51,7 +50,7 @@ from .model import (
     init_regression_head,
     predict_hs,
 )
-from .tensor import Tensor, affine, backward, dot, grad_check, matmul
+from .tensor import Tensor, affine, backward, grad_check, matmul
 from .training import (
     AdamState,
     Checkpoint,

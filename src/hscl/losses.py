@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, backward, dot, pairwise_similarity, softmax_last, zero_grads
+from .tensor import Tensor, backward, pairwise_similarity, softmax_last
 
 MODES = ("mse", "mse+cl", "mse+wcl")
 SIMILARITIES = ("cos", "l2")
@@ -99,19 +99,6 @@ def mine_batch(hs) -> MiningResult:
     order = np.argsort(np.take_along_axis(distances, candidates, axis=1), axis=1, kind="stable")
     ranked = np.take_along_axis(candidates, order, axis=1)
     return MiningResult(ranked[:, :k].tolist(), ranked[:, b - 1 - k:].tolist(), distances, k)
-
-
-def similarity(u_i: Tensor, u_j: Tensor, kind: str, sim_floor: float = 1e-6) -> Tensor:
-    """Pair similarity in (0, 1]: shifted cosine or inverse L2 distance, clamped."""
-    if kind == "cos":
-        ni, nj = u_i.norm(), u_j.norm()
-        if ni.item() == 0.0 or nj.item() == 0.0:
-            raise DomainError("similarity: cosine undefined for a zero vector")
-        cos = dot(u_i, u_j) * (ni * nj).reciprocal()
-        return ((cos + 1.0) * 0.5).clamp(sim_floor, 1.0)
-    if kind == "l2":
-        return ((u_i - u_j).norm() + 1.0).reciprocal().clamp(sim_floor, 1.0)
-    raise ConfigError(f"similarity: unknown kind {kind!r}")
 
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
@@ -221,8 +208,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return picked.clamp(_PROB_FLOOR, 1.0).log().mean() * -1.0
 
 
-def loss_gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
-    """Backward convenience: zero param grads, backprop, return grad copies."""
-    zero_grads(params)
+def loss_gradients(
+    loss: Tensor, params: list[Tensor], grad: np.ndarray, views: list[np.ndarray]
+) -> np.ndarray:
+    """Backprop ``loss`` into the flat gradient buffer ``grad`` and return it.
+
+    ``views[k]`` is the slice of ``grad`` shaped like ``params[k]``. The
+    buffer is zeroed once and each param's ``grad`` points at its view, so
+    backward accumulates in place; a param the loss does not reach keeps a
+    zero gradient.
+    """
+    grad.fill(0.0)
+    for p, view in zip(params, views):
+        p.grad = view
     backward(loss)
-    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    return grad

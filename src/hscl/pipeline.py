@@ -25,7 +25,7 @@ from .data import (
     records_of,
     regression_arrays,
 )
-from .errors import ConfigError
+from .errors import ConfigError, HsclError
 from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
 from .model import classify_pairs, encode, predict_classes
@@ -192,9 +192,11 @@ def run_comparison(
 ) -> dict:
     """Pretrain/finetune/evaluate each loss mode for each seed.
 
-    A stage failure aborts that seed (the reason is recorded) and the sweep
-    continues. Returns the report dict; when ``out_dir`` is given, writes
-    report.json, report.txt, and per-run checkpoints beneath it.
+    A stage failure the library reports (an ``HsclError``: bad input, a
+    diverged run, a checkpoint error) aborts that seed, the reason is
+    recorded and the sweep continues; any other exception is a programming
+    error and propagates. Returns the report dict; when ``out_dir`` is given,
+    writes report.json, report.txt, and per-run checkpoints beneath it.
     """
     for mode in compare.modes:
         if mode not in MODES:
@@ -208,7 +210,7 @@ def run_comparison(
             per_seed[str(seed)] = _run_one_seed(
                 collection, seed, compare, dcfg, model, pretrain_cfg, finetune_cfg, out_dir
             )
-        except Exception as exc:  # record the reason, keep the sweep going
+        except HsclError as exc:  # record the reason, keep the sweep going
             per_seed[str(seed)] = {"error": f"{type(exc).__name__}: {exc}"}
 
     medians: dict[str, dict] = {}

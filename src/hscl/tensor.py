@@ -8,8 +8,7 @@ graphs always produce bit-identical values and gradients.
 
 Subgradient conventions (relevant when checking gradients near kinks):
 relu'(0) = 0, clamp' is zero outside the interval *and at its boundaries*,
-and the L2 norm has gradient 0 at the origin (likewise a pairwise L2
-distance has gradient 0 where the distance is 0).
+and a pairwise L2 distance has gradient 0 where the distance is 0.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "affine",
     "backward",
     "concat_last",
-    "dot",
     "grad_check",
     "matmul",
     "pairwise_similarity",
@@ -196,21 +194,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def norm(self) -> "Tensor":
-        """Euclidean norm of a 1-D vector (scalar output)."""
-        if self.data.ndim != 1:
-            raise ShapeError(f"norm: expected a 1-D vector, got shape {self.shape}")
-        value = float(np.sqrt(np.dot(self.data, self.data)))
-        out = _node(np.asarray(value), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                if value == 0.0:
-                    _accumulate(self, np.zeros_like(self.data))
-                else:
-                    _accumulate(self, (float(g) / value) * self.data)
-            out._backward = back
-        return out
-
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         shape = tuple(int(s) for s in shape)
         if int(np.prod(shape, dtype=np.int64)) != self.data.size:
@@ -218,21 +201,6 @@ class Tensor:
         out = _node(self.data.reshape(shape), (self,))
         if out._parents:
             out._backward = lambda g: _accumulate(self, g.reshape(self.shape))
-        return out
-
-    def row(self, i: int) -> "Tensor":
-        """Select row ``i`` of a 2-D tensor as a 1-D vector."""
-        if self.data.ndim != 2:
-            raise ShapeError(f"row: expected a 2-D tensor, got shape {self.shape}")
-        if not 0 <= i < self.shape[0]:
-            raise ShapeError(f"row: index {i} out of range for {self.shape[0]} rows")
-        out = _node(self.data[i].copy(), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                full = np.zeros_like(self.data)
-                full[i] = g
-                _accumulate(self, full)
-            out._backward = back
         return out
 
     def frame(self, t: int) -> "Tensor":
@@ -298,19 +266,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(x, g @ w.data.T)
             _accumulate(w, x.data.T @ g)
             _accumulate(b, g.sum(axis=0))
-        out._backward = back
-    return out
-
-
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    """Inner product of two equal-length 1-D vectors (scalar output)."""
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"dot: expected equal-length vectors, got {u.shape} and {v.shape}")
-    out = _node(np.asarray(float(np.dot(u.data, v.data))), (u, v))
-    if out._parents:
-        def back(g: np.ndarray) -> None:
-            _accumulate(u, float(g) * v.data)
-            _accumulate(v, float(g) * u.data)
         out._backward = back
     return out
 

@@ -78,43 +78,63 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam over one flat float64 buffer that holds every trained parameter.
+
+    ``for_params`` copies the tensors into ``flat`` and rebinds each
+    ``p.data`` to its reshaped view of it, so one whole-buffer update moves
+    them all. ``grad``, ``m`` and ``v`` are laid out like ``flat``; ``grads``
+    are the per-parameter views of ``grad`` that backward accumulates into.
+    """
+
+    params: list[Tensor]
+    flat: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+    grads: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.grads = self.views(self.grad)
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        flat = np.concatenate([p.data.reshape(-1) for p in params]) if params else np.zeros(0)
+        state = cls(params, flat, np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat))
+        for p, view in zip(params, state.views(flat)):
+            p.data = view
+        return state
+
+    def views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a buffer laid out like ``flat``."""
+        out, offset = [], 0
+        for p in self.params:
+            size = p.data.size
+            out.append(buffer[offset : offset + size].reshape(p.data.shape))
+            offset += size
+        return out
 
 
 def adam_step(
-    params: list[Tensor],
-    grads: list[np.ndarray],
     state: AdamState,
+    grad: np.ndarray,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on ``params`` and ``state``."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise ShapeError(
-            f"adam_step: got {len(params)} params, {len(grads)} grads, {len(state.m)} moment slots"
-        )
+    """One bias-corrected Adam update of the whole flat buffer, in place on ``state``."""
+    if grad.shape != state.flat.shape:
+        raise ShapeError(f"adam_step: gradient shape {grad.shape} vs parameter buffer {state.flat.shape}")
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape or m.shape != p.data.shape:
-            raise ShapeError(f"adam_step: shape mismatch {g.shape} vs param {p.data.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    state.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return state
 
 
@@ -290,7 +310,7 @@ def _snapshot(
     meta: dict,
 ) -> Checkpoint:
     tensors = {name: t.data.copy() for name, t in all_named}
-    for (name, _), m, v in zip(trained_named, state.m, state.v):
+    for (name, _), m, v in zip(trained_named, state.views(state.m), state.views(state.v)):
         tensors[f"adam.m.{name}"] = m.copy()
         tensors[f"adam.v.{name}"] = v.copy()
     return Checkpoint(tensors, meta)
@@ -425,8 +445,8 @@ def pretrain(
                     f"pretrain: non-finite loss at epoch {epoch} batch {n_batches}: "
                     f"loss={loss_val} mse={mse_val} contrast={con_val}"
                 )
-            grads = loss_gradients(total, params)
-            adam_step(params, grads, state, lr, config.beta1, config.beta2, config.adam_eps)
+            grad = loss_gradients(total, params, state.grad, state.grads)
+            adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             sums["loss"] += loss_val
             sums["mse"] += mse_val
             sums["contrast"] += con_val
@@ -577,8 +597,8 @@ def finetune(
                 raise TrainingAbort(
                     f"finetune: non-finite loss at epoch {epoch} batch {n_batches}: ce={ce_val}"
                 )
-            grads = loss_gradients(ce, params)
-            adam_step(params, grads, state, lr, config.beta1, config.beta2, config.adam_eps)
+            grad = loss_gradients(ce, params, state.grad, state.grads)
+            adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             ce_sum += ce_val
             n_batches += 1
 

@@ -106,6 +106,28 @@ def adam_ref(values, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return x
 
 
+def adam_per_tensor_ref(values, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one numpy update per parameter tensor, in the library's operation order.
+
+    ``values`` is a list of arrays and ``grad_seq`` a list of per-step lists of
+    gradients shaped like them. Returns the final (values, m, v) lists, which
+    a flat whole-buffer update must reproduce bit for bit.
+    """
+    params = [np.array(v, dtype=np.float64) for v in values]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_seq, start=1):
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return params, ms, vs
+
+
 def metrics_ref(predictions, labels, n_classes=3):
     """Brute-force tally: returns (accuracy_percent, macro_f1, confusion)."""
     preds = [int(p) for p in predictions]

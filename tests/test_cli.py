@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hscl.cli import main
-from hscl.training import load_checkpoint, parse_trace
+from hscl.data import load_dataset
+from hscl.errors import TrainingAbort
+from hscl.training import TrainConfig, load_checkpoint, parse_trace
 
+import hscl.errors
 import hscl.pipeline
 
 
@@ -252,7 +259,7 @@ def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monke
 
     def flaky(prepared, model, config):
         if config.seed == 1:
-            raise RuntimeError("injected failure")
+            raise TrainingAbort("injected failure")
         return real(prepared, model, config)
 
     monkeypatch.setattr(hscl.pipeline, "run_pretrain", flaky)
@@ -274,6 +281,68 @@ def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monke
     assert "injected failure" in report["per_seed"]["1"]["error"]
     assert "mse" in report["per_seed"]["0"]
     assert "failed seeds:" in (out / "report.txt").read_text()
+    assert report["per_seed"]["1"]["error"] == "TrainingAbort: injected failure"
+
+
+def test_every_error_type_derives_from_hscl_error():
+    types = [
+        obj
+        for obj in vars(hscl.errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj is not hscl.errors.HsclError
+    ]
+    assert len(types) >= 9
+    assert all(issubclass(t, hscl.errors.HsclError) for t in types)
+
+
+def test_programming_error_in_a_seed_propagates_out_of_run_comparison(tiny_dataset, monkeypatch):
+    def broken(prepared, model, config):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        hscl.pipeline.run_comparison(
+            load_dataset(tiny_dataset),
+            hscl.pipeline.CompareConfig(seeds=(0, 1), modes=("mse",)),
+            hscl.pipeline.DataConfig(),
+            hscl.pipeline.ModelSpec(hidden=(8, 4)),
+            TrainConfig(epochs=1),
+            TrainConfig(epochs=1),
+        )
+
+
+def test_compare_exits_nonzero_on_a_programming_error(tiny_dataset, tmp_path):
+    script = (
+        "import sys\n"
+        "import hscl.pipeline\n"
+        "def broken(prepared, model, config):\n"
+        "    raise TypeError('injected bug')\n"
+        "hscl.pipeline.run_pretrain = broken\n"
+        "from hscl.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(hscl.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "cmp4"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", script,
+            "compare",
+            "--data", str(tiny_dataset),
+            "--out", str(out),
+            "--seeds", "0",
+            "--modes", "mse",
+            "--epochs", "1",
+            "--finetune-epochs", "1",
+            "--hidden", "8,4",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "TypeError: injected bug" in proc.stderr
+    assert not (out / "report.json").exists()
 
 
 def test_config_file_precedence(tiny_dataset, tmp_path):

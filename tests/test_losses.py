@@ -12,12 +12,12 @@ from hscl.losses import (
     combined_loss,
     combined_loss_terms,
     cross_entropy,
+    loss_gradients,
     mine_batch,
     mse_loss,
-    similarity,
     wcl_loss,
 )
-from hscl.tensor import Tensor, backward, grad_check
+from hscl.tensor import Tensor, affine, backward, grad_check, pairwise_similarity
 
 from oracles import cl_ref, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
 
@@ -58,33 +58,42 @@ def test_mse_gradient_is_tight():
 
 
 def test_cosine_similarity_of_self_is_one():
-    u = Tensor([0.3, -1.2, 0.7])
-    assert similarity(u, u, "cos").item() == pytest.approx(1.0, abs=1e-12)
+    e = np.array([[0.3, -1.2, 0.7], [1.0, 0.5, -0.2]])
+    s = pairwise_similarity(Tensor(e), "cos").data
+    assert np.allclose(np.diag(s), 1.0, rtol=0.0, atol=1e-12)
+    assert sim_ref(e[0], e[0], "cos") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_similarity_antipodal_hits_floor():
-    s = similarity(Tensor([1.0, 0.0]), Tensor([-1.0, 0.0]), "cos", sim_floor=1e-6)
-    assert s.item() == 1e-6
+    e = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    s = pairwise_similarity(Tensor(e), "cos").clamp(1e-6, 1.0).data
+    assert s[0, 1] == s[1, 0] == 1e-6
+    assert sim_ref(e[0], e[1], "cos", 1e-6) == 1e-6
 
 
 def test_l2_similarity_value():
-    s = similarity(Tensor([0.0, 0.0]), Tensor([3.0, 4.0]), "l2")
-    assert s.item() == pytest.approx(1.0 / 6.0, abs=1e-12)
+    e = np.array([[0.0, 0.0], [3.0, 4.0]])
+    s = pairwise_similarity(Tensor(e), "l2").data
+    assert s[0, 1] == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert s[0, 1] == pytest.approx(sim_ref(e[0], e[1], "l2"), abs=1e-12)
 
 
 def test_cosine_rejects_zero_vector():
     with pytest.raises(DomainError, match="zero"):
-        similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]), "cos")
+        pairwise_similarity(Tensor([[0.0, 0.0], [1.0, 0.0]]), "cos")
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_similarity_range(seed):
     rng = np.random.default_rng(seed)
-    u, v = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    e = rng.normal(size=(4, 4))
     for kind in ("cos", "l2"):
-        value = similarity(u, v, kind).item()
-        assert 0.0 < value <= 1.0
+        s = pairwise_similarity(Tensor(e), kind).clamp(1e-6, 1.0).data
+        assert np.all((s > 0.0) & (s <= 1.0))
+        for i in range(4):
+            for j in range(4):
+                assert s[i, j] == pytest.approx(sim_ref(e[i], e[j], kind), abs=1e-12)
 
 
 # -- mining -----------------------------------------------------------------------
@@ -451,3 +460,31 @@ def test_contrastive_gradients_match_finite_differences(mode, kind):
         return cl_loss(emb, mining, cfg)
 
     assert grad_check(f, Tensor(u.reshape(-1)), 1e-6) < 1e-4
+
+
+# -- loss_gradients -----------------------------------------------------------------
+
+
+def test_loss_gradients_backprop_into_one_flat_buffer():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(5, 3)))
+    w, b = rng.normal(size=(3, 2)), rng.normal(size=2)
+
+    ref_w, ref_b = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    backward(affine(x, ref_w, ref_b).square().sum())
+
+    params = [
+        Tensor(w.copy(), requires_grad=True),
+        Tensor(b.copy(), requires_grad=True),
+        Tensor(np.ones(4), requires_grad=True),  # not reached by the loss
+    ]
+    grad = np.full(6 + 2 + 4, 7.0)  # stale values must be cleared
+    views = [grad[0:6].reshape(3, 2), grad[6:8], grad[8:12]]
+    for _ in range(2):  # a second call starts from zero again, no accumulation
+        loss = affine(x, params[0], params[1]).square().sum()
+        out = loss_gradients(loss, params, grad, views)
+        assert out is grad
+        assert np.array_equal(views[0], ref_w.grad)
+        assert np.array_equal(views[1], ref_b.grad)
+        assert np.array_equal(views[2], np.zeros(4))
+        assert all(p.grad is view for p, view in zip(params, views))

@@ -8,6 +8,7 @@ from hscl.errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
     ConfigError,
+    ShapeError,
     TrainingAbort,
 )
 from hscl.losses import LossConfig
@@ -29,7 +30,7 @@ from hscl.training import (
     save_checkpoint,
 )
 
-from oracles import adam_ref
+from oracles import adam_per_tensor_ref, adam_ref
 
 
 # -- Adam --------------------------------------------------------------------------
@@ -38,7 +39,7 @@ from oracles import adam_ref
 def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.0, -2.0], requires_grad=True)
     state = AdamState.for_params([p])
-    adam_step([p], [np.zeros(2)], state, lr=0.1)
+    adam_step(state, np.zeros(2), lr=0.1)
     assert np.array_equal(p.data, [1.0, -2.0])
 
 
@@ -50,7 +51,7 @@ def test_adam_matches_scalar_reference():
     p = Tensor(values.copy(), requires_grad=True)
     state = AdamState.for_params([p])
     for g in grad_seq:
-        adam_step([p], [g], state, lr=0.01)
+        adam_step(state, g, lr=0.01)
 
     expected = adam_ref(values, grad_seq, lr=0.01)
     assert np.max(np.abs(p.data - expected)) < 1e-12
@@ -60,14 +61,14 @@ def test_adam_first_step_direction():
     # with zero moments, step one moves each coordinate by ~lr * sign(g)
     p = Tensor([0.0, 0.0], requires_grad=True)
     state = AdamState.for_params([p])
-    adam_step([p], [np.array([0.5, -2.0])], state, lr=0.01)
+    adam_step(state, np.array([0.5, -2.0]), lr=0.01)
     assert np.allclose(p.data, [-0.01, 0.01], atol=1e-6)
 
 
 def test_adam_lr_zero_is_identity():
     p = Tensor([3.0], requires_grad=True)
     state = AdamState.for_params([p])
-    adam_step([p], [np.array([1.0])], state, lr=0.0)
+    adam_step(state, np.array([1.0]), lr=0.0)
     assert p.data[0] == 3.0
 
 
@@ -77,10 +78,53 @@ def test_adam_deterministic_trajectories():
         p = Tensor(rng.normal(size=3), requires_grad=True)
         state = AdamState.for_params([p])
         for _ in range(5):
-            adam_step([p], [rng.normal(size=3)], state, lr=0.05)
+            adam_step(state, rng.normal(size=3), lr=0.05)
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def _mixed_params(rng) -> list[Tensor]:
+    shapes = [(5, 4), (4,), (4, 3), (3,), (3, 1), (1,)]
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def test_adam_flat_step_matches_per_tensor_loop_bitwise():
+    rng = np.random.default_rng(8)
+    params = _mixed_params(rng)
+    values = [p.data.copy() for p in params]
+    grad_seq = [[rng.normal(size=p.shape) for p in params] for _ in range(50)]
+
+    state = AdamState.for_params(params)
+    for grads in grad_seq:
+        for view, g in zip(state.grads, grads):
+            view[...] = g
+        adam_step(state, state.grad, lr=0.01)
+
+    expected, ms, vs = adam_per_tensor_ref(values, grad_seq, lr=0.01)
+    for p, want in zip(params, expected):
+        assert np.array_equal(p.data, want)
+    for got, want in zip(state.views(state.m), ms):
+        assert np.array_equal(got, want)
+    for got, want in zip(state.views(state.v), vs):
+        assert np.array_equal(got, want)
+
+
+def test_adam_state_packs_every_param_into_one_buffer():
+    params = _mixed_params(np.random.default_rng(9))
+    originals = [p.data.copy() for p in params]
+    state = AdamState.for_params(params)
+    assert state.flat.shape == (sum(o.size for o in originals),)
+    for p, original, g in zip(params, originals, state.grads):
+        assert np.shares_memory(p.data, state.flat)
+        assert np.array_equal(p.data, original)
+        assert np.shares_memory(g, state.grad) and g.shape == p.data.shape
+
+
+def test_adam_step_rejects_a_gradient_of_the_wrong_size():
+    state = AdamState.for_params([Tensor(np.zeros((2, 2)), requires_grad=True)])
+    with pytest.raises(ShapeError, match="adam_step"):
+        adam_step(state, np.zeros(3), lr=0.1)
 
 
 # -- cosine schedule -------------------------------------------------------------------

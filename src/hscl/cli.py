@@ -1,27 +1,23 @@
 """Command-line surface: gen-data, pretrain, finetune, eval, analyze, compare.
 
 Exit codes: 0 success, 2 usage/config errors, 1 runtime failures. Results go
-to stdout, diagnostics to stderr. Every numeric default matches the standard
-training recipe (batch 8, initial LR 0.001, Adam, 100 epochs, cosine
-annealing); a JSON config file may override defaults, and explicit flags win
-over both.
+to stdout, diagnostics to stderr. Every option defaults to the library
+setting it names: a field of ``TrainConfig``, ``LossConfig``, ``ModelSpec``,
+``DataConfig``, ``SyntheticSpec`` or ``CompareConfig``, or a parameter of
+the function the command calls. A JSON config file may override defaults,
+and explicit flags win over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
 
-from .data import (
-    DEFAULT_FRACTIONS,
-    DEFAULT_TAU,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-    save_dataset,
-)
+from .data import LABEL_MODES, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -32,7 +28,9 @@ from .errors import (
 )
 from .losses import MODES, SIMILARITIES, LossConfig
 from .metrics import export_profile
+from .model import ACTIVATIONS
 from .pipeline import (
+    SPLITS,
     CompareConfig,
     DataConfig,
     ModelSpec,
@@ -53,83 +51,86 @@ from .training import (
     write_trace,
 )
 
-_TABLE_DEFAULTS = {"batch_size": 8, "lr": 0.001, "epochs": 100, "eta_min": 0.0}
-
-_DEFAULTS: dict[str, dict] = {
-    "gen-data": {
-        "patients": 100,
-        "scans_per_patient": 4,
-        "features": 12,
-        "latent_dim": 3,
-        "noise": 0.3,
-        "seed": 0,
-    },
-    "pretrain": {
-        **_TABLE_DEFAULTS,
-        "loss": "mse",
-        "sim": "cos",
-        "alpha": 1.0,
-        "eps": 1e-2,
-        "seed": 0,
-        "hidden": [64, 32, 16],
-        "activation": "tanh",
-        "pooling": "mean",
-        "fractions": list(DEFAULT_FRACTIONS),
-        "label_mode": "threshold",
-        "tau": DEFAULT_TAU,
-    },
-    "finetune": {
-        **_TABLE_DEFAULTS,
-        "seed": 0,
-        "freeze_encoder": True,
-        "cls_hidden": [32],
-    },
-    "eval": {"split": "test"},
-    "analyze": {"sample_size": 2000, "seed": 0, "split": "test"},
-    "compare": {
-        **_TABLE_DEFAULTS,
-        "finetune_epochs": 100,
-        "seeds": [0, 1, 2, 3, 4],
-        "modes": list(MODES),
-        "sim": "cos",
-        "alpha": 1.0,
-        "eps": 1e-2,
-        "freeze_encoder": True,
-        "hidden": [64, 32, 16],
-        "activation": "tanh",
-        "pooling": "mean",
-        "cls_hidden": [32],
-        "fractions": list(DEFAULT_FRACTIONS),
-        "label_mode": "threshold",
-        "tau": DEFAULT_TAU,
-        "sample_size": 2000,
-        "spread_split": "test",
-    },
+# Where each subcommand's option defaults live.
+_DEFAULT_SOURCES = {
+    "gen-data": (SyntheticSpec,),
+    "pretrain": (TrainConfig, LossConfig, ModelSpec, DataConfig),
+    "finetune": (TrainConfig, ModelSpec),
+    "eval": (evaluate_checkpoint,),
+    "analyze": (spread_for_checkpoint, CompareConfig),
+    "compare": (TrainConfig, LossConfig, ModelSpec, DataConfig, CompareConfig),
 }
+
+# Options named differently from the field or parameter they set.
+_FIELD_NAMES = {
+    "patients": "n_patients",
+    "features": "n_features",
+    "loss": "mode",
+    "sim": "similarity",
+    "finetune_epochs": "epochs",  # of compare's fine-tuning TrainConfig
+}
+
+# Arguments that name files; they are never config-file keys.
+_PATH_ARGS = ("config", "data", "out", "checkpoint")
 
 
 def _int_list(text) -> list[int]:
-    if isinstance(text, list):
+    if isinstance(text, (list, tuple)):
         return [int(v) for v in text]
     return [int(v) for v in str(text).split(",") if v.strip() != ""]
 
 
 def _float_list(text) -> list[float]:
-    if isinstance(text, list):
+    if isinstance(text, (list, tuple)):
         return [float(v) for v in text]
     return [float(v) for v in str(text).split(",") if v.strip() != ""]
 
 
 def _str_list(text) -> list[str]:
-    if isinstance(text, list):
+    if isinstance(text, (list, tuple)):
         return [str(v) for v in text]
     return [v.strip() for v in str(text).split(",") if v.strip() != ""]
 
 
-def _merge(command: str, args: argparse.Namespace) -> dict:
-    """Built-in defaults, overlaid by the config file, overlaid by flags."""
-    merged = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
+def _fractions(text) -> list[float]:
+    fractions = _float_list(text)
+    if len(fractions) != 3:
+        raise ConfigError(f"fractions needs exactly 3 values, got {fractions}")
+    return fractions
+
+
+_LIST_OPTIONS = {
+    "hidden": _int_list,
+    "cls_hidden": _int_list,
+    "seeds": _int_list,
+    "modes": _str_list,
+    "fractions": _fractions,
+}
+
+
+def _library_defaults(source) -> dict:
+    """Field defaults of a config dataclass, or parameter defaults of a function."""
+    if dataclasses.is_dataclass(source):
+        instance = source()
+        return {f.name: getattr(instance, f.name) for f in dataclasses.fields(source)}
+    return {
+        name: param.default
+        for name, param in inspect.signature(source).parameters.items()
+        if param.default is not param.empty
+    }
+
+
+def _merge(args: argparse.Namespace) -> dict:
+    """Library defaults, overlaid by the config file, overlaid by flags."""
+    defaults: dict = {}
+    for source in reversed(_DEFAULT_SOURCES[args.command]):  # earlier sources win
+        defaults.update(_library_defaults(source))
+    merged = {
+        key: defaults[_FIELD_NAMES.get(key, key)]
+        for key in vars(args)
+        if key not in ("command", "func", *_PATH_ARGS)
+    }
+    config_path = args.config
     if config_path:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
@@ -145,10 +146,27 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {config_path}: unknown keys {unknown}")
         merged.update(loaded)
     for key in merged:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _build(cls, opts: dict, **given):
+    """A ``cls`` with the ``given`` fields, the others set from the options that name them."""
+    defaults = _library_defaults(cls)
+    kwargs = {}
+    for key, value in opts.items():
+        name = _FIELD_NAMES.get(key, key)
+        if name not in defaults or name in given:
+            continue
+        default = defaults[name]
+        if key in _LIST_OPTIONS:
+            value = tuple(_LIST_OPTIONS[key](value))
+        elif not isinstance(default, str):
+            value = type(default)(value)
+        kwargs[name] = value
+    return cls(**kwargs, **given)
 
 
 def _require_file(path, what: str) -> str:
@@ -159,59 +177,11 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _loss_config(opts: dict, mode: str | None = None) -> LossConfig:
-    return LossConfig(
-        mode=mode if mode is not None else opts["loss"],
-        similarity=opts["sim"],
-        eps=float(opts["eps"]),
-        alpha=float(opts["alpha"]),
-    )
-
-
-def _data_config(opts: dict) -> DataConfig:
-    fractions = _float_list(opts["fractions"])
-    if len(fractions) != 3:
-        raise ConfigError(f"fractions needs exactly 3 values, got {fractions}")
-    return DataConfig(
-        fractions=tuple(fractions), label_mode=opts["label_mode"], tau=float(opts["tau"])
-    )
-
-
-def _model_spec(opts: dict) -> ModelSpec:
-    return ModelSpec(
-        hidden=tuple(_int_list(opts["hidden"])),
-        activation=opts["activation"],
-        pooling=opts["pooling"],
-        cls_hidden=tuple(_int_list(opts.get("cls_hidden", [32]))),
-    )
-
-
-def _train_config(opts: dict, loss: LossConfig, epochs_key: str = "epochs") -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(opts["batch_size"]),
-        lr=float(opts["lr"]),
-        epochs=int(opts[epochs_key]),
-        eta_min=float(opts["eta_min"]),
-        seed=int(opts["seed"]) if "seed" in opts else 0,
-        loss=loss,
-        freeze_encoder=bool(opts.get("freeze_encoder", True)),
-    )
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    opts = _merge("gen-data", args)
-    spec = SyntheticSpec(
-        n_patients=int(opts["patients"]),
-        scans_per_patient=int(opts["scans_per_patient"]),
-        n_features=int(opts["features"]),
-        latent_dim=int(opts["latent_dim"]),
-        noise=float(opts["noise"]),
-        seed=int(opts["seed"]),
-    )
-    collection = generate_synthetic(spec)
+    collection = generate_synthetic(_build(SyntheticSpec, _merge(args)))
     save_dataset(collection, args.out)
     n_records = sum(len(s.records) for s in collection)
     n_pairs = sum(len(s.records) - 1 for s in collection)
@@ -221,12 +191,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    opts = _merge("pretrain", args)
+    opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
     collection = load_dataset(data_path)
-    prepared = prepare(collection, int(opts["seed"]), _data_config(opts))
-    config = _train_config(opts, _loss_config(opts))
-    result = run_pretrain(prepared, _model_spec(opts), config)
+    prepared = prepare(collection, int(opts["seed"]), _build(DataConfig, opts))
+    config = _build(TrainConfig, opts, loss=_build(LossConfig, opts))
+    result = run_pretrain(prepared, _build(ModelSpec, opts), config)
 
     os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "pretrain_final.ckpt")
@@ -247,7 +217,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    opts = _merge("finetune", args)
+    opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     pretrained = load_checkpoint(ckpt_path)
@@ -258,9 +228,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         )
     collection = load_dataset(data_path)
     prepared = prepared_from_meta(collection, pretrained.meta["data"])
-    config = _train_config(opts, LossConfig())
-    model = ModelSpec(cls_hidden=tuple(_int_list(opts["cls_hidden"])))
-    result = run_finetune(prepared, pretrained, config, model)
+    result = run_finetune(prepared, pretrained, _build(TrainConfig, opts), _build(ModelSpec, opts))
 
     os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "finetune_final.ckpt")
@@ -281,7 +249,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _merge("eval", args)
+    opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ckpt_path)
@@ -300,7 +268,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _merge("analyze", args)
+    opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ckpt_path)
@@ -329,23 +297,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    opts = _merge("compare", args)
+    opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
     collection = load_dataset(data_path)
-    compare = CompareConfig(
-        seeds=tuple(_int_list(opts["seeds"])),
-        modes=tuple(_str_list(opts["modes"])),
-        sample_size=int(opts["sample_size"]),
-        spread_split=opts["spread_split"],
+    pre_cfg = _build(
+        TrainConfig, opts, epochs=int(opts["epochs"]), loss=_build(LossConfig, opts, mode="mse")
     )
-    base_opts = dict(opts, seed=0)
-    pre_cfg = _train_config(base_opts, _loss_config(opts, mode="mse"))
-    fine_cfg = _train_config(base_opts, LossConfig(), epochs_key="finetune_epochs")
+    fine_cfg = dataclasses.replace(pre_cfg, epochs=int(opts["finetune_epochs"]), loss=LossConfig())
     report = run_comparison(
         collection,
-        compare,
-        _data_config(opts),
-        _model_spec(opts),
+        _build(CompareConfig, opts),
+        _build(DataConfig, opts),
+        _build(ModelSpec, opts),
         pre_cfg,
         fine_cfg,
         out_dir=args.out,
@@ -377,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help="master seed for all randomness (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, help="master seed for all randomness")
 
     p = sub.add_parser("gen-data", help="write a synthetic longitudinal dataset")
     add_common(p)
@@ -398,14 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-min", dest="eta_min", type=float)
 
     def add_data_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fractions", help="train,val,test fractions (default 0.543,0.247,0.210)")
-        p.add_argument("--label-mode", dest="label_mode", choices=("bin", "threshold"))
+        p.add_argument("--fractions", help="comma-separated train,val,test fractions")
+        p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
         p.add_argument("--tau", type=float, help="threshold-mode same band, normalized units")
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--hidden", help="encoder hidden widths, e.g. 64,32,16")
-        p.add_argument("--activation", choices=("relu", "tanh"))
-        p.add_argument("--pooling", choices=("mean", "last"))
+        p.add_argument("--hidden", help="comma-separated encoder hidden widths")
+        p.add_argument("--activation", choices=ACTIVATIONS)
 
     def add_loss_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sim", choices=SIMILARITIES, help="similarity kind")
@@ -429,16 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--freeze-encoder", dest="freeze_encoder", action=argparse.BooleanOptionalAction)
-    p.add_argument("--cls-hidden", dest="cls_hidden", help="classifier hidden widths, e.g. 32")
+    p.add_argument("--cls-hidden", dest="cls_hidden", help="comma-separated classifier hidden widths")
     add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a finetuned checkpoint on a split")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="finetune checkpoint")
     p.add_argument("--out", required=True, help="output directory for metrics files")
-    p.add_argument("--split", choices=("train", "val", "test"))
+    p.add_argument("--split", choices=SPLITS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="export the embedding-spread profile")
@@ -447,20 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="profile output path (TSV)")
     p.add_argument("--sample-size", dest="sample_size", type=int)
-    p.add_argument("--split", choices=("train", "val", "test"))
+    p.add_argument("--split", choices=SPLITS)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compare", help="pretrain/finetune/eval each loss mode per seed")
-    add_common(p)
+    # no prefix matching: compare takes no --seed, and one must not be read as --seeds
+    p = sub.add_parser(
+        "compare", help="pretrain/finetune/eval each loss mode per seed", allow_abbrev=False
+    )
+    add_common(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
-    p.add_argument("--modes", help="comma-separated loss modes (default all three)")
+    p.add_argument("--seeds", help="comma-separated seeds")
+    p.add_argument("--modes", help="comma-separated loss modes")
     p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int)
     p.add_argument("--freeze-encoder", dest="freeze_encoder", action=argparse.BooleanOptionalAction)
     p.add_argument("--cls-hidden", dest="cls_hidden")
     p.add_argument("--sample-size", dest="sample_size", type=int)
-    p.add_argument("--spread-split", dest="spread_split", choices=("train", "val", "test"))
+    p.add_argument("--spread-split", dest="spread_split", choices=SPLITS)
     add_loss_flags(p)
     add_train_flags(p)
     add_model_flags(p)

@@ -16,9 +16,7 @@ import numpy as np
 
 from .data import LABEL_NAMES
 from .errors import ConfigError, ShapeError
-from .model import EncoderParams, encode
-
-N_CLASSES = 3
+from .model import N_CLASSES, EncoderParams, encode
 
 
 @dataclass

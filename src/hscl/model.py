@@ -1,10 +1,9 @@
 """Feature-vector encoder and its two task heads.
 
-The encoder is an MLP applied per scan; sequence inputs (batch, time, feature)
-are encoded per time step and the embeddings pooled (mean or last). The
-regression head predicts the scalar health score during pre-training; the
-classifier head maps a concatenated pair of embeddings [u_prev ; u_next] to
-three change logits (improved / same / deteriorated).
+The encoder is an MLP that maps each scan's (batch, feature) row to an
+embedding. The regression head predicts the scalar health score during
+pre-training; the classifier head maps a concatenated pair of embeddings
+[u_prev ; u_next] to three change logits (improved / same / deteriorated).
 """
 
 from __future__ import annotations
@@ -17,10 +16,13 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor, affine, concat_last
 
 ACTIVATIONS = ("relu", "tanh")
-POOLINGS = ("mean", "last")
 
 DEFAULT_HIDDEN = (64, 32, 16)
+# tanh keeps embeddings away from the exact-zero vectors a relu stack can
+# emit, which the cosine similarity rejects
+DEFAULT_ACTIVATION = "tanh"
 DEFAULT_CLS_HIDDEN = (32,)
+CLS_ACTIVATION = "relu"
 N_CLASSES = 3
 
 
@@ -30,7 +32,6 @@ class EncoderParams:
 
     widths: list[int]
     activation: str
-    pooling: str
     weights: list[Tensor] = field(repr=False)
     biases: list[Tensor] = field(repr=False)
 
@@ -74,10 +75,7 @@ def _glorot_layers(widths: list[int], rng: np.random.Generator):
 
 
 def init_encoder(
-    widths: list[int],
-    seed: int,
-    activation: str = "tanh",
-    pooling: str = "mean",
+    widths: list[int], seed: int, activation: str = DEFAULT_ACTIVATION
 ) -> EncoderParams:
     """Glorot-uniform weights, zero biases, reproducible per seed."""
     if len(widths) < 2:
@@ -86,10 +84,8 @@ def init_encoder(
         raise ConfigError(f"init_encoder: widths must be positive, got {widths}")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"init_encoder: unknown activation {activation!r}")
-    if pooling not in POOLINGS:
-        raise ConfigError(f"init_encoder: unknown pooling {pooling!r}")
     weights, biases = _glorot_layers(list(widths), np.random.default_rng(seed))
-    return EncoderParams(list(widths), activation, pooling, weights, biases)
+    return EncoderParams(list(widths), activation, weights, biases)
 
 
 def init_regression_head(embedding_dim: int, seed: int) -> RegressionHead:
@@ -108,14 +104,18 @@ def init_classifier_head(
 ) -> ClassifierHead:
     widths = [2 * embedding_dim, *hidden, N_CLASSES]
     weights, biases = _glorot_layers(widths, np.random.default_rng(seed))
-    return ClassifierHead(widths, "relu", weights, biases)
+    return ClassifierHead(widths, CLS_ACTIVATION, weights, biases)
 
 
 def _activate(x: Tensor, kind: str) -> Tensor:
     return x.relu() if kind == "relu" else x.tanh()
 
 
-def _encode_2d(params: EncoderParams, x: Tensor) -> Tensor:
+def encode(params: EncoderParams, batch) -> Tensor:
+    """Map a (B, F) batch to (B, embedding_dim) embeddings."""
+    x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
+    if x.data.ndim != 2:
+        raise ShapeError(f"encode: expected a 2-D (batch, feature) input, got shape {x.shape}")
     if x.shape[1] != params.widths[0]:
         raise ShapeError(
             f"encode: feature width {x.shape[1]} != encoder input width {params.widths[0]}"
@@ -123,27 +123,6 @@ def _encode_2d(params: EncoderParams, x: Tensor) -> Tensor:
     for w, b in zip(params.weights, params.biases):
         x = _activate(affine(x, w, b), params.activation)
     return x
-
-
-def encode(params: EncoderParams, batch) -> Tensor:
-    """Map a (B, F) or (B, T, F) batch to (B, embedding_dim) embeddings.
-
-    Sequence inputs are encoded per time step and pooled afterwards.
-    """
-    x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
-    if x.data.ndim == 2:
-        return _encode_2d(params, x)
-    if x.data.ndim == 3:
-        n_steps = x.shape[1]
-        if n_steps < 1:
-            raise ShapeError("encode: sequence input needs at least one time step")
-        if params.pooling == "last":
-            return _encode_2d(params, x.frame(n_steps - 1))
-        pooled = _encode_2d(params, x.frame(0))
-        for t in range(1, n_steps):
-            pooled = pooled + _encode_2d(params, x.frame(t))
-        return pooled * (1.0 / n_steps)
-    raise ShapeError(f"encode: expected 2-D or 3-D input, got shape {x.shape}")
 
 
 def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:

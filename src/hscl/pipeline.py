@@ -28,7 +28,14 @@ from .data import (
 from .errors import ConfigError, HsclError
 from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
-from .model import classify_pairs, encode, predict_classes
+from .model import (
+    DEFAULT_ACTIVATION,
+    DEFAULT_CLS_HIDDEN,
+    DEFAULT_HIDDEN,
+    classify_pairs,
+    encode,
+    predict_classes,
+)
 from .training import (
     Checkpoint,
     FinetuneResult,
@@ -54,12 +61,9 @@ class DataConfig:
 
 @dataclass
 class ModelSpec:
-    # tanh keeps embeddings away from the exact-zero vectors a relu stack can
-    # emit, which the cosine similarity rejects
-    hidden: tuple[int, ...] = (64, 32, 16)
-    activation: str = "tanh"
-    pooling: str = "mean"
-    cls_hidden: tuple[int, ...] = (32,)
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
+    activation: str = DEFAULT_ACTIVATION
+    cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN
 
 
 @dataclass
@@ -129,7 +133,6 @@ def run_pretrain(prepared: Prepared, model: ModelSpec, config: TrainConfig) -> P
         config,
         hidden=model.hidden,
         activation=model.activation,
-        pooling=model.pooling,
         data_meta=prepared.data_meta,
     )
 

@@ -28,7 +28,6 @@ __all__ = [
     "matmul",
     "pairwise_similarity",
     "softmax_last",
-    "zero_grads",
 ]
 
 
@@ -203,21 +202,6 @@ class Tensor:
             out._backward = lambda g: _accumulate(self, g.reshape(self.shape))
         return out
 
-    def frame(self, t: int) -> "Tensor":
-        """Select time step ``t`` of a 3-D (batch, time, feature) tensor."""
-        if self.data.ndim != 3:
-            raise ShapeError(f"frame: expected a 3-D tensor, got shape {self.shape}")
-        if not 0 <= t < self.shape[1]:
-            raise ShapeError(f"frame: index {t} out of range for {self.shape[1]} steps")
-        out = _node(self.data[:, t, :].copy(), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                full = np.zeros_like(self.data)
-                full[:, t, :] = g
-                _accumulate(self, full)
-            out._backward = back
-        return out
-
     def segment(self, start: int, stop: int) -> "Tensor":
         """Contiguous slice [start, stop) of a 1-D vector."""
         if self.data.ndim != 1:
@@ -352,7 +336,8 @@ def backward(root: Tensor) -> None:
 
     Each graph may be walked once; a second call on the same root raises
     ``GraphStateError``. Leaves are reusable across graphs, and their grads
-    accumulate until cleared (see ``zero_grads``).
+    accumulate until the caller resets ``grad`` (as
+    ``losses.loss_gradients`` does before each step).
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
@@ -381,11 +366,6 @@ def backward(root: Tensor) -> None:
             node._backward(node.grad)
             node._spent = True
     root._spent = True
-
-
-def zero_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # -- numerical gradient checking -----------------------------------------------

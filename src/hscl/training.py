@@ -31,6 +31,10 @@ from .errors import (
 from .losses import LossConfig, combined_loss_terms, cross_entropy, loss_gradients, mine_batch
 from .metrics import compute_metrics
 from .model import (
+    CLS_ACTIVATION,
+    DEFAULT_ACTIVATION,
+    DEFAULT_CLS_HIDDEN,
+    DEFAULT_HIDDEN,
     ClassifierHead,
     EncoderParams,
     RegressionHead,
@@ -262,7 +266,9 @@ def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
             )
         weights.append(Tensor(w.copy(), requires_grad=True))
         biases.append(Tensor(b.copy(), requires_grad=True))
-    return EncoderParams(widths, model["activation"], model["pooling"], weights, biases)
+    # older version-1 checkpoints also carry a "pooling" key from a sequence
+    # path that 2-D input never reached; it is ignored
+    return EncoderParams(widths, model["activation"], weights, biases)
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
@@ -280,7 +286,7 @@ def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
             raise CheckpointIntegrityError(f"checkpoint missing tensor {exc}") from None
         weights.append(Tensor(w.copy(), requires_grad=True))
         biases.append(Tensor(b.copy(), requires_grad=True))
-    return ClassifierHead(widths, model.get("cls_activation", "relu"), weights, biases)
+    return ClassifierHead(widths, model.get("cls_activation", CLS_ACTIVATION), weights, biases)
 
 
 def _named_params(
@@ -376,9 +382,8 @@ def pretrain(
     x_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
-    hidden: tuple[int, ...] = (64, 32, 16),
-    activation: str = "tanh",
-    pooling: str = "mean",
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
+    activation: str = DEFAULT_ACTIVATION,
     data_meta: dict | None = None,
 ) -> PretrainResult:
     """Regression pre-training with optional contrastive augmentation.
@@ -399,7 +404,7 @@ def pretrain(
 
     n_features = x_train.shape[-1]
     widths = [int(n_features), *hidden]
-    encoder = init_encoder(widths, _sub_seed(config.seed, _STREAM_ENCODER), activation, pooling)
+    encoder = init_encoder(widths, _sub_seed(config.seed, _STREAM_ENCODER), activation)
     reg = init_regression_head(encoder.embedding_dim, _sub_seed(config.seed, _STREAM_REG_HEAD))
 
     named = _named_params(encoder, reg)
@@ -412,7 +417,7 @@ def pretrain(
             "stage": "pretrain",
             "epoch": epoch,
             "adam_step": state.step,
-            "model": {"widths": widths, "activation": activation, "pooling": pooling},
+            "model": {"widths": widths, "activation": activation},
             "train": asdict(config),
             "data": data_meta or {},
         }
@@ -511,7 +516,7 @@ def finetune(
     xn_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
-    cls_hidden: tuple[int, ...] = (32,),
+    cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN,
 ) -> FinetuneResult:
     """Train the 3-way change classifier on top of a pre-trained encoder.
 
@@ -563,7 +568,6 @@ def finetune(
             "model": {
                 "widths": encoder.widths,
                 "activation": encoder.activation,
-                "pooling": encoder.pooling,
                 "cls_widths": cls.widths,
                 "cls_activation": cls.activation,
             },

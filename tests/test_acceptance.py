@@ -145,7 +145,6 @@ def test_criterion_1_gradient_correctness():
                 enc = type(encoder)(
                     encoder.widths,
                     encoder.activation,
-                    encoder.pooling,
                     pieces[:n_layers],
                     pieces[n_layers : 2 * n_layers],
                 )

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,7 +11,16 @@ import pytest
 from hscl.cli import main
 from hscl.data import load_dataset
 from hscl.errors import TrainingAbort
-from hscl.training import TrainConfig, load_checkpoint, parse_trace
+from hscl.model import classify_pairs, encode
+from hscl.training import (
+    Checkpoint,
+    TrainConfig,
+    classifier_from_checkpoint,
+    encoder_from_checkpoint,
+    load_checkpoint,
+    parse_trace,
+    save_checkpoint,
+)
 
 import hscl.errors
 import hscl.pipeline
@@ -42,6 +52,21 @@ def test_gen_data_invalid_spec_exits_2(tmp_path, capsys):
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-data"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--seed", "1", "--data", "d.csv", "--checkpoint", "c.ckpt", "--out", "o"],
+        ["compare", "--seed", "1", "--data", "d.csv", "--out", "o"],
+        ["pretrain", "--pooling", "mean", "--data", "d.csv", "--out", "o"],
+    ],
+    ids=["eval-seed", "compare-seed", "pretrain-pooling"],
+)
+def test_removed_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -378,3 +403,34 @@ def test_config_file_unknown_key_rejected(tiny_dataset, tmp_path, capsys):
     )
     assert rc == 2
     assert "epochz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pooling", ["mean", "last"])
+def test_checkpoint_with_old_pooling_key_evaluates_identically(
+    tiny_dataset, tiny_finetuned, tmp_path, pooling
+):
+    """Checkpoints from before the sequence path was removed carry meta.model.pooling."""
+    plain_path = tiny_finetuned / "finetune_best.ckpt"
+    plain = load_checkpoint(plain_path)
+    assert "pooling" not in plain.meta["model"]
+    meta = copy.deepcopy(plain.meta)
+    meta["model"]["pooling"] = pooling
+    old_path = tmp_path / "old.ckpt"
+    save_checkpoint(Checkpoint(plain.tensors, meta, plain.version), old_path)
+    old = load_checkpoint(old_path)
+    assert old.meta["model"]["pooling"] == pooling
+
+    prepared = hscl.pipeline.prepared_from_meta(load_dataset(tiny_dataset), plain.meta["data"])
+    xp, xn, _ = prepared.pairs["test"]
+    logits = []
+    for ck in (plain, old):
+        encoder, cls = encoder_from_checkpoint(ck), classifier_from_checkpoint(ck)
+        logits.append(classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data)
+    assert np.array_equal(logits[0], logits[1])
+
+    metrics = []
+    for name, path in (("plain", plain_path), ("old", old_path)):
+        out = tmp_path / name
+        assert main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]) == 0
+        metrics.append(((out / "metrics.json").read_bytes(), (out / "metrics.txt").read_bytes()))
+    assert metrics[0] == metrics[1]

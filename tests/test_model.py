@@ -57,17 +57,16 @@ def test_encode_identity_layer():
     assert np.array_equal(encode(params, x).data, x)
 
 
-def test_encode_sequence_mean_of_constant_frames():
-    params = init_encoder([4, 6, 3], seed=1)
-    x2d = np.random.default_rng(0).normal(size=(5, 4))
-    x3d = np.repeat(x2d[:, None, :], 3, axis=1)
-    assert np.allclose(encode(params, x3d).data, encode(params, x2d).data, atol=1e-12)
+def test_encode_rejects_sequence_input():
+    params = init_encoder([4, 3], seed=1)
+    with pytest.raises(ShapeError, match="2-D"):
+        encode(params, np.ones((5, 3, 4)))
 
 
-def test_encode_sequence_last_pooling():
-    params = init_encoder([4, 3], seed=1, pooling="last")
-    x3d = np.random.default_rng(1).normal(size=(5, 3, 4))
-    assert np.array_equal(encode(params, x3d).data, encode(params, x3d[:, -1, :]).data)
+def test_encode_rejects_vector_input():
+    params = init_encoder([4, 3], seed=1)
+    with pytest.raises(ShapeError, match="2-D"):
+        encode(params, np.ones(4))
 
 
 def test_encode_matches_numpy_reference():
@@ -174,7 +173,7 @@ def test_mean_prediction_gradient_through_encoder():
         pieces = unpack_flat(flat_t, shapes)
         n_layers = len(params.weights)
         rebuilt = type(params)(
-            params.widths, params.activation, params.pooling,
+            params.widths, params.activation,
             pieces[:n_layers], pieces[n_layers : 2 * n_layers],
         )
         rebuilt_head = type(head)(weight=pieces[-2], bias=pieces[-1])

@@ -1,13 +1,34 @@
-"""The benchmark's tracer (perfbench/tracing.py) must still find every hscl name it wraps.
+"""Guards that keep tooling and the CLI in step with the library.
 
-The tracer replaces functions at the module bindings listed in
-``tracing.BINDINGS``; a library rename that drops one of them would
-silently leave that layer out of a traced run.
+The benchmark's tracer (perfbench/tracing.py) replaces functions at the
+module bindings listed in ``tracing.BINDINGS``; a library rename that drops
+one of them would silently leave that layer out of a traced run.
+
+The CLI takes every option default from the library's config dataclasses
+(or the parameters of the function a command calls) instead of restating
+them, and accepts exactly its options as config-file keys.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
+
+import pytest
+
+from hscl import cli
+from hscl.data import SyntheticSpec
+from hscl.errors import ConfigError
+from hscl.losses import LossConfig
+from hscl.pipeline import (
+    CompareConfig,
+    DataConfig,
+    ModelSpec,
+    evaluate_checkpoint,
+    spread_for_checkpoint,
+)
+from hscl.training import TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +49,78 @@ def test_every_traced_binding_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(f"hscl.{module_name}"), attr, None))
     ]
     assert missing == []
+
+
+PATH_ARGS = {"config", "data", "out", "checkpoint"}
+
+# The library configs each subcommand builds from its options.
+CONFIGS = {
+    "gen-data": (SyntheticSpec,),
+    "pretrain": (TrainConfig, LossConfig, ModelSpec, DataConfig),
+    "finetune": (TrainConfig, ModelSpec),
+    "eval": (),
+    "analyze": (CompareConfig,),
+    "compare": (TrainConfig, LossConfig, ModelSpec, DataConfig, CompareConfig),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return parser, action.choices
+
+
+def _option_dests(sub) -> set[str]:
+    return {a.dest for a in sub._actions if a.dest != "help"} - PATH_ARGS
+
+
+def _no_flag_args(parser, command, sub, config=None):
+    argv = [command]
+    for action in sub._actions:
+        if action.required:
+            argv += [action.option_strings[0], "unused"]
+    if config is not None:
+        argv += ["--config", str(config)]
+    return parser.parse_args(argv)
+
+
+def test_every_subcommand_is_covered():
+    _, subs = _subparsers()
+    assert set(subs) == set(CONFIGS)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_config_file_keys_are_the_option_dests(command, tmp_path):
+    parser, subs = _subparsers()
+    dests = _option_dests(subs[command])
+    opts = cli._merge(_no_flag_args(parser, command, subs[command]))
+    assert set(opts) == dests
+
+    every_key = tmp_path / "every_key.json"
+    every_key.write_text(json.dumps({key: list(v) if isinstance(v, tuple) else v for key, v in opts.items()}))
+    assert cli._merge(_no_flag_args(parser, command, subs[command], every_key)).keys() == opts.keys()
+
+    for key in sorted(PATH_ARGS | {"pooling", "seed"} - dests):
+        extra = tmp_path / f"{key}.json"
+        extra.write_text(json.dumps({key: 1}))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            cli._merge(_no_flag_args(parser, command, subs[command], extra))
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_no_flag_options_build_the_default_configs(command):
+    parser, subs = _subparsers()
+    opts = cli._merge(_no_flag_args(parser, command, subs[command]))
+    for config_cls in CONFIGS[command]:
+        assert cli._build(config_cls, opts) == config_cls()
+
+
+def test_eval_and_analyze_defaults_are_the_called_functions_defaults():
+    parser, subs = _subparsers()
+    for command, function in (("eval", evaluate_checkpoint), ("analyze", spread_for_checkpoint)):
+        opts = cli._merge(_no_flag_args(parser, command, subs[command]))
+        params = inspect.signature(function).parameters
+        with_default = {name for name, p in params.items() if p.default is not p.empty}
+        assert set(opts) & with_default
+        for key in set(opts) & with_default:
+            assert opts[key] == params[key].default, (command, key)

@@ -50,7 +50,7 @@ from .model import (
     init_regression_head,
     predict_hs,
 )
-from .tensor import Tensor, affine, backward, grad_check, matmul
+from .tensor import Tensor, backward, dense, grad_check, matmul
 from .training import (
     AdamState,
     Checkpoint,

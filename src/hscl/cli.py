@@ -74,38 +74,44 @@ _FIELD_NAMES = {
 _PATH_ARGS = ("config", "data", "out", "checkpoint")
 
 
-def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v.strip() != ""]
+# Comma-separated list options and the type of their items.
+_LIST_ITEMS = {"hidden": int, "cls_hidden": int, "seeds": int, "modes": str, "fractions": float}
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip() != ""]
+def _fits(value, kind: type) -> bool:
+    """Whether ``value`` may set an option whose default is of type ``kind``.
+
+    A bool fits only a bool, an integer fits an int or a float, a float fits
+    only a float, and a string only a string.
+    """
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
-def _str_list(text) -> list[str]:
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
-    return [v.strip() for v in str(text).split(",") if v.strip() != ""]
+def _checked(key: str, value, default):
+    """``value`` as the type of ``default``; ``ConfigError`` when it does not fit.
 
-
-def _fractions(text) -> list[float]:
-    fractions = _float_list(text)
-    if len(fractions) != 3:
-        raise ConfigError(f"fractions needs exactly 3 values, got {fractions}")
-    return fractions
-
-
-_LIST_OPTIONS = {
-    "hidden": _int_list,
-    "cls_hidden": _int_list,
-    "seeds": _int_list,
-    "modes": _str_list,
-    "fractions": _fractions,
-}
+    A list option takes a comma-separated string (as its flag does) or a
+    list, and becomes a tuple.
+    """
+    if key in _LIST_ITEMS:
+        kind = _LIST_ITEMS[key]
+        if isinstance(value, str):
+            items = [v.strip() for v in value.split(",") if v.strip() != ""]
+            try:
+                return tuple(kind(v) for v in items)
+            except ValueError:
+                raise ConfigError(f"{key}: cannot read {value!r} as a list of {kind.__name__}") from None
+        if isinstance(value, (list, tuple)) and all(_fits(v, kind) for v in value):
+            return tuple(kind(v) for v in value)
+        raise ConfigError(f"{key}: expected a list of {kind.__name__}, got {value!r}")
+    kind = type(default)
+    if not _fits(value, kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _library_defaults(source) -> dict:
@@ -149,23 +155,23 @@ def _merge(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    return merged
+    return {
+        key: _checked(key, value, defaults[_FIELD_NAMES.get(key, key)])
+        for key, value in merged.items()
+    }
 
 
 def _build(cls, opts: dict, **given):
-    """A ``cls`` with the ``given`` fields, the others set from the options that name them."""
-    defaults = _library_defaults(cls)
+    """A ``cls`` with the ``given`` fields, the others set from the options that name them.
+
+    ``opts`` comes from ``_merge``, which has already checked each value's type.
+    """
+    fields = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in opts.items():
         name = _FIELD_NAMES.get(key, key)
-        if name not in defaults or name in given:
-            continue
-        default = defaults[name]
-        if key in _LIST_OPTIONS:
-            value = tuple(_LIST_OPTIONS[key](value))
-        elif not isinstance(default, str):
-            value = type(default)(value)
-        kwargs[name] = value
+        if name in fields and name not in given:
+            kwargs[name] = value
     return cls(**kwargs, **given)
 
 
@@ -340,12 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        # no prefix matching: adding or removing a flag must never change what
+        # an abbreviation means (compare's --seed would otherwise read as --seeds)
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override its keys")
         if seed:
             p.add_argument("--seed", type=int, help="master seed for all randomness")
 
-    p = sub.add_parser("gen-data", help="write a synthetic longitudinal dataset")
+    p = add_parser("gen-data", help="write a synthetic longitudinal dataset")
     add_common(p)
     p.add_argument("--patients", type=int)
     p.add_argument("--scans-per-patient", dest="scans_per_patient", type=int)
@@ -375,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="contrastive term weight")
         p.add_argument("--eps", type=float, help="label-distance weight offset")
 
-    p = sub.add_parser("pretrain", help="regression (+ contrastive) pre-training")
+    p = add_parser("pretrain", help="regression (+ contrastive) pre-training")
     add_common(p)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output directory")
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="train the 3-way change classifier")
+    p = add_parser("finetune", help="train the 3-way change classifier")
     add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("eval", help="evaluate a finetuned checkpoint on a split")
+    p = add_parser("eval", help="evaluate a finetuned checkpoint on a split")
     add_common(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="finetune checkpoint")
@@ -404,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", help="export the embedding-spread profile")
+    p = add_parser("analyze", help="export the embedding-spread profile")
     add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -413,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS)
     p.set_defaults(func=cmd_analyze)
 
-    # no prefix matching: compare takes no --seed, and one must not be read as --seeds
-    p = sub.add_parser(
-        "compare", help="pretrain/finetune/eval each loss mode per seed", allow_abbrev=False
-    )
+    p = add_parser("compare", help="pretrain/finetune/eval each loss mode per seed")
     add_common(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")

@@ -292,16 +292,21 @@ def load_dataset(path) -> list[PatientSeries]:
     ]
 
 
+def check_fractions(fractions, where: str) -> None:
+    """Raise ``ConfigError`` unless there are 3 non-negative fractions summing to 1."""
+    if len(fractions) != 3 or any(f < 0 for f in fractions):
+        raise ConfigError(f"{where}: need 3 non-negative fractions, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"{where}: fractions must sum to 1, got {sum(fractions)}")
+
+
 def split_patients(
     collection: list[PatientSeries],
     fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
     seed: int = 0,
 ) -> tuple[list[PatientSeries], list[PatientSeries], list[PatientSeries]]:
     """Patient-level train/val/test split with largest-remainder rounding."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ConfigError(f"split_patients: need 3 non-negative fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split_patients: fractions must sum to 1, got {sum(fractions)}")
+    check_fractions(fractions, "split_patients")
     n = len(collection)
     raw = [n * f for f in fractions]
     counts = [int(math.floor(r)) for r in raw]

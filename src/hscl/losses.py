@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, backward, pairwise_similarity, softmax_last
+from .tensor import (
+    Tensor,
+    backward,
+    pairwise_similarity,
+    softmax_cross_entropy,
+    squared_error_sum,
+    weighted_log_sum,
+)
 
 MODES = ("mse", "mse+cl", "mse+wcl")
 SIMILARITIES = ("cos", "l2")
@@ -108,7 +115,7 @@ def mse_loss(y, y_pred: Tensor) -> Tensor:
         raise ShapeError(f"mse_loss: target length {target.shape[0]} != prediction shape {y_pred.shape}")
     if target.shape[0] < 1:
         raise ShapeError("mse_loss: need at least one element")
-    return (Tensor(target) - y_pred).square().sum()
+    return squared_error_sum(target, y_pred)
 
 
 def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
@@ -133,8 +140,8 @@ def _pair_masks(mining: MiningResult) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_similarity_sum(embeddings: Tensor, coefficients: np.ndarray, config: LossConfig) -> Tensor:
     """sum(K * log S) over the clamped (B, B) similarity matrix S."""
-    sims = pairwise_similarity(embeddings, config.similarity).clamp(config.sim_floor, 1.0)
-    return (sims.log() * Tensor(coefficients)).sum()
+    sims = pairwise_similarity(embeddings, config.similarity)
+    return weighted_log_sum(sims, coefficients, config.sim_floor)
 
 
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
@@ -204,8 +211,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DomainError(f"cross_entropy: labels must lie in [0, {c}), got {sorted(set(target.tolist()))}")
     mask = np.zeros((n, c))
     mask[np.arange(n), target.astype(int)] = 1.0
-    picked = (softmax_last(logits) * Tensor(mask)).sum(axis=-1)
-    return picked.clamp(_PROB_FLOOR, 1.0).log().mean() * -1.0
+    return softmax_cross_entropy(logits, mask, _PROB_FLOOR)
 
 
 def loss_gradients(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LABEL_NAMES
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .model import N_CLASSES, EncoderParams, encode
 
 
@@ -65,9 +65,8 @@ def compute_metrics(predictions, labels) -> MetricsReport:
         if arr.min() < 0 or arr.max() >= N_CLASSES:
             raise ConfigError(f"compute_metrics: {name} must lie in [0, {N_CLASSES})")
 
-    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for t, p in zip(true.astype(int), pred.astype(int)):
-        confusion[t, p] += 1
+    cells = true.astype(np.int64) * N_CLASSES + pred.astype(np.int64)
+    confusion = np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
     per_class = []
     f1_sum = 0.0
@@ -157,7 +156,9 @@ def embedding_spread(
     """Pairwise embedding-distance profile against normalized label distance.
 
     Samples up to ``sample_size`` scan pairs uniformly without replacement.
-    Pairs where either embedding has zero norm contribute distance 0.
+    Cosine distance is undefined for a zero vector, so, as in the cosine
+    contrastive loss, a sampled pair with a zero-norm embedding raises
+    ``DomainError``.
     """
     x = np.asarray(features, dtype=np.float64)
     scores = np.asarray(hs_norm, dtype=np.float64).reshape(-1)
@@ -180,9 +181,9 @@ def embedding_spread(
     norms = np.linalg.norm(embeddings, axis=1)
     dots = (embeddings[iu] * embeddings[ju]).sum(axis=1)
     denom = norms[iu] * norms[ju]
-    safe = np.where(denom > 0.0, denom, 1.0)
-    cos = np.where(denom > 0.0, np.clip(dots / safe, -1.0, 1.0), 1.0)
-    distance = 1.0 - cos
+    if np.any(denom == 0.0):
+        raise DomainError("embedding_spread: cosine distance undefined for a zero vector")
+    distance = 1.0 - np.clip(dots / denom, -1.0, 1.0)
     delta = np.abs(scores[iu] - scores[ju])
 
     rho, degenerate = spearman_rho(delta, distance)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, affine, concat_last
+from .tensor import Tensor, concat_last, dense
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -107,10 +107,6 @@ def init_classifier_head(
     return ClassifierHead(widths, CLS_ACTIVATION, weights, biases)
 
 
-def _activate(x: Tensor, kind: str) -> Tensor:
-    return x.relu() if kind == "relu" else x.tanh()
-
-
 def encode(params: EncoderParams, batch) -> Tensor:
     """Map a (B, F) batch to (B, embedding_dim) embeddings."""
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
@@ -121,7 +117,7 @@ def encode(params: EncoderParams, batch) -> Tensor:
             f"encode: feature width {x.shape[1]} != encoder input width {params.widths[0]}"
         )
     for w, b in zip(params.weights, params.biases):
-        x = _activate(affine(x, w, b), params.activation)
+        x = dense(x, w, b, params.activation)
     return x
 
 
@@ -131,7 +127,7 @@ def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:
         raise ShapeError(
             f"predict_hs: embedding width {embeddings.shape[1]} != head width {head.weight.shape[0]}"
         )
-    return affine(embeddings, head.weight, head.bias).reshape((embeddings.shape[0],))
+    return dense(embeddings, head.weight, head.bias).reshape((embeddings.shape[0],))
 
 
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
@@ -147,9 +143,7 @@ def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
         )
     last = len(head.weights) - 1
     for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        x = affine(x, w, b)
-        if i < last:
-            x = _activate(x, head.activation)
+        x = dense(x, w, b, head.activation if i < last else None)
     return x
 
 

@@ -19,6 +19,7 @@ from .data import (
     DEFAULT_TAU,
     NormalizationStats,
     PatientSeries,
+    check_fractions,
     fit_normalization,
     make_pairs,
     pair_arrays,
@@ -57,6 +58,10 @@ class DataConfig:
     label_mode: str = "threshold"
     tau: float = DEFAULT_TAU
     higher_is_better: bool = True
+
+    def __post_init__(self) -> None:
+        # checked here too, so a bad split fails before any seed of a sweep runs
+        check_fractions(self.fractions, "fractions")
 
 
 @dataclass

@@ -6,6 +6,19 @@ losses built on top of them. Everything is float64 and single-threaded;
 gradients accumulate in a fixed reverse-topological order, so identical
 graphs always produce bit-identical values and gradients.
 
+Each MLP layer and each loss is one graph node, because walking a node costs
+more Python time than the small numpy arrays it carries:
+
+- ``dense`` is a whole MLP layer, ``act(x @ w + b)``;
+- ``squared_error_sum`` is ``sum((target - pred)^2)``;
+- ``softmax_cross_entropy`` is ``-mean(log clamp(sum(softmax(z) * onehot)))``;
+- ``weighted_log_sum`` is ``sum(K * log clamp(s))``.
+
+Each fused forward and backward runs the same numpy operations, in the same
+order, as the equivalent chain of elementary ops (affine, activation,
+softmax, clamp, log, ...), so values and gradients are bit-identical to that
+chain; the tests hold the chains as oracles.
+
 Subgradient conventions (relevant when checking gradients near kinks):
 relu'(0) = 0, clamp' is zero outside the interval *and at its boundaries*,
 and a pairwise L2 distance has gradient 0 where the distance is 0.
@@ -21,13 +34,15 @@ from .errors import ConfigError, DomainError, GraphStateError, ShapeError
 
 __all__ = [
     "Tensor",
-    "affine",
     "backward",
     "concat_last",
+    "dense",
     "grad_check",
     "matmul",
     "pairwise_similarity",
-    "softmax_last",
+    "softmax_cross_entropy",
+    "squared_error_sum",
+    "weighted_log_sum",
 ]
 
 
@@ -117,20 +132,6 @@ class Tensor:
         return self * -1.0
 
     # -- elementwise --------------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        out = _node(np.maximum(self.data, 0.0), (self,))
-        if out._parents:
-            mask = self.data > 0.0
-            out._backward = lambda g: _accumulate(self, g * mask)
-        return out
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = _node(y, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g * (1.0 - y * y))
-        return out
 
     def square(self) -> "Tensor":
         out = _node(self.data * self.data, (self,))
@@ -236,17 +237,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias broadcast across rows."""
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """One MLP layer ``act(x @ w + b)``, the bias broadcast across rows.
+
+    ``activation`` is ``"tanh"``, ``"relu"`` or ``None`` (the affine map).
+    """
     if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"affine: expected 2-D input/weight, got {x.shape} and {w.shape}")
+        raise ShapeError(f"dense: expected 2-D input/weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: input width {x.shape[1]} != weight rows {w.shape[0]}")
+        raise ShapeError(f"dense: input width {x.shape[1]} != weight rows {w.shape[0]}")
     if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
-        raise ShapeError(f"affine: bias shape {b.shape} != output width ({w.shape[1]},)")
-    out = _node(x.data @ w.data + b.data, (x, w, b))
+        raise ShapeError(f"dense: bias shape {b.shape} != output width ({w.shape[1]},)")
+    if activation not in ("tanh", "relu", None):
+        raise ConfigError(f"dense: unknown activation {activation!r}")
+    z = x.data @ w.data + b.data
+    if activation == "tanh":
+        y = np.tanh(z)
+    elif activation == "relu":
+        y = np.maximum(z, 0.0)
+    else:
+        y = z
+    out = _node(y, (x, w, b))
     if out._parents:
         def back(g: np.ndarray) -> None:
+            if activation == "tanh":
+                g = g * (1.0 - y * y)
+            elif activation == "relu":
+                g = g * (z > 0.0)
             _accumulate(x, g @ w.data.T)
             _accumulate(w, x.data.T @ g)
             _accumulate(b, g.sum(axis=0))
@@ -314,16 +331,64 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def softmax_last(t: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with the usual max-shift."""
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = _node(s, (t,))
+def squared_error_sum(target: np.ndarray, pred: Tensor) -> Tensor:
+    """``sum((target - pred)^2)`` for a constant ``target`` shaped like ``pred``."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ShapeError(f"squared_error_sum: target shape {target.shape} != prediction shape {pred.shape}")
+    diff = target - pred.data
+    out = _node((diff * diff).sum(), (pred,))
     if out._parents:
         def back(g: np.ndarray) -> None:
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(t, s * (g - inner))
+            _accumulate(pred, -(np.broadcast_to(g, diff.shape) * 2.0 * diff))
+        out._backward = back
+    return out
+
+
+def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> Tensor:
+    """Mean over rows of ``-log clamp(p, floor, 1)``, ``p`` the softmax mass on ``onehot``.
+
+    The softmax over the last axis uses the usual max-shift. As with
+    ``clamp``, a probability at or beyond the clamp edges passes no gradient.
+    """
+    if logits.data.ndim != 2 or onehot.shape != logits.shape:
+        raise ShapeError(
+            f"softmax_cross_entropy: expected (B, C) logits and a matching mask, "
+            f"got {logits.shape} and {onehot.shape}"
+        )
+    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    picked = (s * onehot).sum(axis=-1)
+    clamped = np.clip(picked, floor, 1.0)
+    out = _node(np.log(clamped).mean() * -1.0, (logits,))
+    if out._parents:
+        inside = (picked > floor) & (picked < 1.0)
+        n = picked.shape[0]
+        def back(g: np.ndarray) -> None:
+            g_log = np.broadcast_to(g * -1.0, picked.shape) / n
+            g_picked = g_log / clamped * inside
+            g_s = np.broadcast_to(np.expand_dims(g_picked, -1), s.shape) * onehot
+            inner = (g_s * s).sum(axis=-1, keepdims=True)
+            _accumulate(logits, s * (g_s - inner))
+        out._backward = back
+    return out
+
+
+def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tensor:
+    """``sum(K * log clamp(x, floor, 1))`` for a constant coefficient array ``K``.
+
+    As with ``clamp``, an entry at or beyond the clamp edges passes no gradient.
+    """
+    if coefficients.shape != x.shape:
+        raise ShapeError(f"weighted_log_sum: coefficients {coefficients.shape} != input {x.shape}")
+    if not 0.0 < floor < 1.0:
+        raise DomainError(f"weighted_log_sum: floor {floor} must lie in (0, 1)")
+    clamped = np.clip(x.data, floor, 1.0)
+    out = _node((np.log(clamped) * coefficients).sum(), (x,))
+    if out._parents:
+        inside = (x.data > floor) & (x.data < 1.0)
+        def back(g: np.ndarray) -> None:
+            _accumulate(x, np.broadcast_to(g, x.shape) * coefficients / clamped * inside)
         out._backward = back
     return out
 

@@ -1,8 +1,15 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written as plain-Python scalar loops (or
+Most of this is deliberately written as plain-Python scalar loops (or
 selection-style algorithms) so it shares no code path with the library
 implementations it checks.
+
+The ``*_chain`` functions are the exception: each takes the arguments of a
+fused op in ``hscl.tensor`` (``dense``, ``squared_error_sum``,
+``softmax_cross_entropy``, ``weighted_log_sum``) and rebuilds the chain of
+elementary ops it replaces (affine, activation, softmax, clamp, log, ...),
+one graph node per op as the library used to, so tests can require the fused
+ops to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from hscl.tensor import Tensor, _accumulate, _node
 
 
 def mse_ref(y, y_pred) -> float:
@@ -184,3 +193,69 @@ def unpack_flat(flat_tensor, shapes):
         pieces.append(flat_tensor.segment(offset, offset + size).reshape(shape))
         offset += size
     return pieces
+
+
+# -- elementary-op chains that the fused ops replace --------------------------------
+
+
+def affine_chain(x, w, b):
+    """x @ w + b as one node."""
+    out = _node(x.data @ w.data + b.data, (x, w, b))
+    if out._parents:
+        def back(g):
+            _accumulate(x, g @ w.data.T)
+            _accumulate(w, x.data.T @ g)
+            _accumulate(b, g.sum(axis=0))
+        out._backward = back
+    return out
+
+
+def relu_chain(t):
+    out = _node(np.maximum(t.data, 0.0), (t,))
+    if out._parents:
+        mask = t.data > 0.0
+        out._backward = lambda g: _accumulate(t, g * mask)
+    return out
+
+
+def tanh_chain(t):
+    y = np.tanh(t.data)
+    out = _node(y, (t,))
+    if out._parents:
+        out._backward = lambda g: _accumulate(t, g * (1.0 - y * y))
+    return out
+
+
+def softmax_chain(t):
+    """Softmax over the last axis with the max-shift, as one node."""
+    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = _node(s, (t,))
+    if out._parents:
+        def back(g):
+            inner = (g * s).sum(axis=-1, keepdims=True)
+            _accumulate(t, s * (g - inner))
+        out._backward = back
+    return out
+
+
+def dense_chain(x, w, b, activation=None):
+    z = affine_chain(x, w, b)
+    if activation == "tanh":
+        return tanh_chain(z)
+    if activation == "relu":
+        return relu_chain(z)
+    return z
+
+
+def squared_error_sum_chain(target, pred):
+    return (Tensor(target) - pred).square().sum()
+
+
+def softmax_cross_entropy_chain(logits, onehot, floor):
+    picked = (softmax_chain(logits) * Tensor(onehot)).sum(axis=-1)
+    return picked.clamp(floor, 1.0).log().mean() * -1.0
+
+
+def weighted_log_sum_chain(x, coefficients, floor):
+    return (x.clamp(floor, 1.0).log() * Tensor(coefficients)).sum()

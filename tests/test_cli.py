@@ -61,8 +61,25 @@ def test_missing_required_flag_exits_2():
         ["eval", "--seed", "1", "--data", "d.csv", "--checkpoint", "c.ckpt", "--out", "o"],
         ["compare", "--seed", "1", "--data", "d.csv", "--out", "o"],
         ["pretrain", "--pooling", "mean", "--data", "d.csv", "--out", "o"],
+        # abbreviations of existing flags
+        ["gen-data", "--pat", "5", "--out", "d.csv"],
+        ["pretrain", "--hid", "8,4", "--data", "d.csv", "--out", "o"],
+        ["finetune", "--cls", "8", "--data", "d.csv", "--checkpoint", "c", "--out", "o"],
+        ["eval", "--spl", "val", "--data", "d.csv", "--checkpoint", "c", "--out", "o"],
+        ["analyze", "--sample", "10", "--data", "d.csv", "--checkpoint", "c", "--out", "o"],
+        ["compare", "--finetune", "2", "--data", "d.csv", "--out", "o"],
     ],
-    ids=["eval-seed", "compare-seed", "pretrain-pooling"],
+    ids=[
+        "eval-seed",
+        "compare-seed",
+        "pretrain-pooling",
+        "gen-data-pat",
+        "pretrain-hid",
+        "finetune-cls",
+        "eval-spl",
+        "analyze-sample",
+        "compare-finetune",
+    ],
 )
 def test_removed_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -403,6 +420,79 @@ def test_config_file_unknown_key_rejected(tiny_dataset, tmp_path, capsys):
     )
     assert rc == 2
     assert "epochz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("finetune", {"freeze_encoder": "false"}),
+        ("finetune", {"epochs": 2.9}),
+        ("finetune", {"epochs": True}),
+        ("finetune", {"lr": "0.01"}),
+        ("finetune", {"cls_hidden": [8.5]}),
+        ("pretrain", {"loss": 1}),
+        ("pretrain", {"hidden": "8,a"}),
+        ("pretrain", {"fractions": None}),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2(
+    tiny_dataset, tiny_pretrained, tmp_path, capsys, command, values
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    argv = [command, "--data", str(tiny_dataset), "--out", str(tmp_path / "o"), "--config", str(config)]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tiny_pretrained / "pretrain_best.ckpt")]
+    assert main(argv) == 2
+    (key,) = values
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_values_of_a_fitting_type_are_taken(tiny_dataset, tiny_pretrained, tmp_path):
+    config = tmp_path / "cfg.json"
+    # an integer sets a float option; a list option takes a list or a comma-separated string
+    config.write_text(json.dumps({"freeze_encoder": False, "epochs": 2, "lr": 1, "cls_hidden": "6"}))
+    out = tmp_path / "run"
+    rc = main(
+        [
+            "finetune",
+            "--data", str(tiny_dataset),
+            "--checkpoint", str(tiny_pretrained / "pretrain_best.ckpt"),
+            "--out", str(out),
+            "--config", str(config),
+        ]
+    )
+    assert rc == 0
+    meta = load_checkpoint(out / "finetune_final.ckpt").meta
+    assert meta["train"]["freeze_encoder"] is False
+    assert meta["train"]["epochs"] == 2
+    assert meta["train"]["lr"] == 1.0
+    assert meta["model"]["cls_widths"][1:-1] == [6]
+
+
+def test_compare_with_bad_fractions_exits_2_before_any_seed(tiny_dataset, tmp_path):
+    src = str(Path(hscl.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "cmp"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "hscl.cli",
+            "compare",
+            "--data", str(tiny_dataset),
+            "--out", str(out),
+            "--seeds", "0,1",
+            "--fractions", "0.5,0.3,0.3",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "fractions must sum to 1" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pooling", ["mean", "last"])

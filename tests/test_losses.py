@@ -17,7 +17,8 @@ from hscl.losses import (
     mse_loss,
     wcl_loss,
 )
-from hscl.tensor import Tensor, affine, backward, grad_check, pairwise_similarity
+from hscl.model import classify_pairs, init_classifier_head
+from hscl.tensor import Tensor, backward, dense, grad_check, pairwise_similarity
 
 from oracles import cl_ref, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
 
@@ -234,6 +235,16 @@ def test_contrastive_graph_size_does_not_grow_with_batch(kind):
         cl_cfg = LossConfig(mode="mse+cl", similarity=kind)
         wcl_cfg = LossConfig(mode="mse+wcl", similarity=kind)
         sizes[b] = (_graph_size(cl_loss(e, mining, cl_cfg)), _graph_size(wcl_loss(e, mining, hs, wcl_cfg)))
+    assert sizes[8] == sizes[16]
+
+
+def test_frozen_finetune_step_graph_size_does_not_grow_with_batch():
+    rng = np.random.default_rng(14)
+    cls = init_classifier_head(4, seed=0)
+    sizes = {}
+    for b in (8, 16):
+        logits = classify_pairs(cls, rng.normal(size=(b, 4)), rng.normal(size=(b, 4)))
+        sizes[b] = _graph_size(cross_entropy(logits, rng.integers(0, 3, size=b)))
     assert sizes[8] == sizes[16]
 
 
@@ -471,7 +482,7 @@ def test_loss_gradients_backprop_into_one_flat_buffer():
     w, b = rng.normal(size=(3, 2)), rng.normal(size=2)
 
     ref_w, ref_b = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-    backward(affine(x, ref_w, ref_b).square().sum())
+    backward(dense(x, ref_w, ref_b).square().sum())
 
     params = [
         Tensor(w.copy(), requires_grad=True),
@@ -481,7 +492,7 @@ def test_loss_gradients_backprop_into_one_flat_buffer():
     grad = np.full(6 + 2 + 4, 7.0)  # stale values must be cleared
     views = [grad[0:6].reshape(3, 2), grad[6:8], grad[8:12]]
     for _ in range(2):  # a second call starts from zero again, no accumulation
-        loss = affine(x, params[0], params[1]).square().sum()
+        loss = dense(x, params[0], params[1]).square().sum()
         out = loss_gradients(loss, params, grad, views)
         assert out is grad
         assert np.array_equal(views[0], ref_w.grad)

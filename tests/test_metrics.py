@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hscl.errors import ConfigError, ShapeError
+from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.metrics import (
     SpreadProfile,
     average_ranks,
@@ -43,6 +43,20 @@ def test_matches_brute_force_tally():
     assert abs(report.accuracy - acc_ref) < 1e-12
     assert abs(report.macro_f1 - f1_ref) < 1e-12
     assert report.confusion.tolist() == conf_ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_confusion_matrix_matches_brute_force_tally_on_random_labels(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        preds = rng.integers(0, 3, size=n)
+        labels = rng.integers(0, 3, size=n)
+        report = compute_metrics(preds, labels)
+        acc_ref, f1_ref, conf_ref = metrics_ref(preds, labels)
+        assert report.confusion.shape == (3, 3)
+        assert report.confusion.tolist() == conf_ref
+        assert abs(report.accuracy - acc_ref) < 1e-12
+        assert abs(report.macro_f1 - f1_ref) < 1e-12
 
 
 def test_confusion_row_sums_equal_supports():
@@ -146,14 +160,24 @@ def _identity_encoder(width):
 
 
 def test_spread_constant_embeddings_degenerate():
-    params = init_encoder([4, 3], seed=0)
-    params.weights[0].data[:] = 0.0  # every scan maps to the zero embedding
+    params = init_encoder([4, 3], seed=0, activation="relu")
+    params.weights[0].data[:] = 0.0
+    params.biases[0].data[:] = [1.0, 0.0, 0.0]  # every scan maps to the same unit embedding
     x = np.random.default_rng(0).normal(size=(10, 4))
     hs = np.random.default_rng(1).uniform(0, 1, size=10)
     profile = embedding_spread(params, x, hs, sample_size=1000, seed=0)
     assert np.all(profile.cos_distance == 0.0)
     assert profile.std_dev == 0.0
     assert profile.rho == 0.0 and profile.degenerate
+
+
+def test_spread_rejects_a_pair_with_a_zero_embedding():
+    # the same rule as the cosine contrastive loss: no cosine for a zero vector
+    x = np.random.default_rng(0).uniform(0.5, 1.0, size=(10, 2))
+    x[4] = [-1.0, -2.0]  # the relu identity encoder maps this scan to the zero vector
+    hs = np.random.default_rng(1).uniform(0, 1, size=10)
+    with pytest.raises(DomainError, match="zero vector"):
+        embedding_spread(_identity_encoder(2), x, hs, sample_size=1000, seed=0)
 
 
 def test_spread_monotone_angle_embedding_has_rho_one():

@@ -6,23 +6,31 @@ import pytest
 from hscl.errors import ConfigError, DomainError, GraphStateError, ShapeError
 from hscl.tensor import (
     Tensor,
-    affine,
     backward,
     concat_last,
+    dense,
     grad_check,
     matmul,
     pairwise_similarity,
-    softmax_last,
+    softmax_cross_entropy,
+    squared_error_sum,
+    weighted_log_sum,
 )
 
-from oracles import sim_ref
+from oracles import (
+    dense_chain,
+    sim_ref,
+    softmax_cross_entropy_chain,
+    squared_error_sum_chain,
+    weighted_log_sum_chain,
+)
 
 
 def test_affine_identity():
     x = Tensor([[1.0, 0.0]])
     w = Tensor(np.eye(2))
     b = Tensor(np.zeros(2))
-    out = affine(x, w, b)
+    out = dense(x, w, b)
     assert np.array_equal(out.data, [[1.0, 0.0]])
 
 
@@ -86,8 +94,10 @@ def test_shape_errors_name_op_and_shapes():
         Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
     with pytest.raises(ShapeError, match="matmul"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    with pytest.raises(ShapeError, match="affine"):
-        affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="dense"):
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="dense"):
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(3)))
 
 
 def test_log_domain_error():
@@ -100,9 +110,9 @@ def test_log_domain_error():
 
 
 def test_relu_subgradient_zero_at_kink():
-    x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
-    backward(x.relu().sum())
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+    x = Tensor([[0.0, -1.0, 2.0]], requires_grad=True)
+    backward(dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu").sum())
+    assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_clamp_gradient_zero_at_boundaries_and_outside():
@@ -112,12 +122,12 @@ def test_clamp_gradient_zero_at_boundaries_and_outside():
 
 
 def test_softmax_forward_and_shift_invariance():
-    logits = Tensor([[1.0, 2.0, 3.0]])
-    s = softmax_last(logits).data
+    onehot = np.array([[0.0, 1.0, 0.0]])
+    loss = softmax_cross_entropy(Tensor([[1.0, 2.0, 3.0]]), onehot, 1e-12).item()
     e = np.exp([1.0, 2.0, 3.0])
-    assert np.allclose(s, e / e.sum())
-    shifted = softmax_last(Tensor([[101.0, 102.0, 103.0]])).data
-    assert np.allclose(s, shifted)
+    assert loss == pytest.approx(-math.log(e[1] / e.sum()), abs=1e-14)
+    shifted = softmax_cross_entropy(Tensor([[101.0, 102.0, 103.0]]), onehot, 1e-12).item()
+    assert shifted == pytest.approx(loss, abs=1e-14)
 
 
 def test_concat_last_forward_and_backward():
@@ -220,12 +230,19 @@ def _op_cases(rng):
     sim_weights = Tensor(rng.normal(size=(2, 2)))
     aff_w, aff_b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))
     mm_const = Tensor(rng.normal(size=(2, 2)))
+    eye5, zeros5 = Tensor(np.eye(5)), Tensor(np.zeros(5))
+    onehot = np.eye(3)[rng.integers(0, 3, size=2)]
+    target = rng.normal(size=5)
+    log_weights = rng.normal(size=(2, 3))
     return [
         (lambda t: (t * 0.7 + t.square()).sum(), rng.normal(size=6)),
         (lambda t: (t - Tensor(np.ones(5))).square().mean(), rng.normal(size=5)),
         (lambda t: (t * mul_const).sum(), rng.normal(size=4)),
-        (lambda t: t.tanh().sum(), rng.normal(size=5)),
-        (lambda t: t.relu().sum(), away_from_zero(rng.normal(size=5))),
+        (lambda t: dense(t.reshape((1, 5)), eye5, zeros5, "tanh").sum(), rng.normal(size=5)),
+        (
+            lambda t: dense(t.reshape((1, 5)), eye5, zeros5, "relu").sum(),
+            away_from_zero(rng.normal(size=5)),
+        ),
         (lambda t: (t.square() + Tensor(np.full(4, 0.5))).sqrt().sum(), rng.normal(size=4)),
         (lambda t: (t.square() + Tensor(np.full(4, 0.5))).log().sum(), rng.normal(size=4)),
         (lambda t: (t.square() + Tensor(np.full(3, 0.5))).reciprocal().sum(), rng.normal(size=3)),
@@ -238,9 +255,15 @@ def _op_cases(rng):
             lambda t: (pairwise_similarity(t.reshape((2, 2)), "l2") * sim_weights).sum(),
             rng.normal(size=4),
         ),
-        (lambda t: affine(t.reshape((2, 3)), aff_w, aff_b).sum(), rng.normal(size=6)),
+        (lambda t: dense(t.reshape((2, 3)), aff_w, aff_b).square().sum(), rng.normal(size=6)),
+        (lambda t: dense(t.reshape((2, 3)), aff_w, aff_b, "tanh").sum(), rng.normal(size=6)),
         (lambda t: matmul(t.reshape((2, 2)), mm_const).square().sum(), rng.normal(size=4)),
-        (lambda t: softmax_last(t.reshape((2, 3))).square().sum(), rng.normal(size=6)),
+        (lambda t: softmax_cross_entropy(t.reshape((2, 3)), onehot, 1e-12), rng.normal(size=6)),
+        (lambda t: squared_error_sum(target, t), rng.normal(size=5)),
+        (
+            lambda t: weighted_log_sum(t.reshape((2, 3)), log_weights, 1e-6),
+            rng.uniform(0.1, 0.9, size=6),
+        ),
         (
             lambda t: concat_last([t.reshape((2, 2)), t.reshape((2, 2)) * 2.0]).square().sum(),
             rng.normal(size=4),
@@ -273,7 +296,7 @@ def test_backward_linearity():
         return t.square().sum()
 
     def g(t):
-        return t.tanh().sum()
+        return dense(t.reshape((1, 6)), Tensor(np.eye(6)), Tensor(np.zeros(6)), "tanh").sum()
 
     x1 = Tensor(point.copy(), requires_grad=True)
     backward(f(x1))
@@ -292,7 +315,8 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        loss = softmax_last(matmul(x, w)).square().sum()
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        loss = softmax_cross_entropy(dense(x, w, b, "tanh"), np.eye(2)[[0, 1, 1, 0]], 1e-12)
         backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -302,3 +326,101 @@ def test_determinism_bitwise():
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
 
+
+# -- fused ops: bit for bit against the elementary-op chains they replace ------------
+
+
+def _value_and_grads(build, arrays):
+    """Loss value and the gradient of each input array, from a fresh graph."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    loss = build(*leaves)
+    backward(loss)
+    return loss.data, [t.grad for t in leaves]
+
+
+def _assert_bitwise_equal(fused, chain):
+    (value, grads), (want_value, want_grads) = fused, chain
+    assert np.array_equal(value, want_value)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", None])
+def test_dense_matches_the_affine_activation_chain_bitwise(activation):
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        arrays = [rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)]
+        upstream = Tensor(rng.normal(size=(7, 4)))
+        _assert_bitwise_equal(
+            _value_and_grads(lambda x, w, b: (dense(x, w, b, activation) * upstream).sum(), arrays),
+            _value_and_grads(lambda x, w, b: (dense_chain(x, w, b, activation) * upstream).sum(), arrays),
+        )
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", None])
+def test_dense_gradient_matches_finite_differences(activation):
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+        while np.any(np.abs(x @ w + b) < 0.1):  # keep relu away from its kink
+            b = rng.normal(size=2)
+        upstream = Tensor(rng.normal(size=(3, 2)))
+        for at, point in (
+            (lambda t: dense(t.reshape((3, 4)), Tensor(w), Tensor(b), activation), x),
+            (lambda t: dense(Tensor(x), t.reshape((4, 2)), Tensor(b), activation), w),
+            (lambda t: dense(Tensor(x), Tensor(w), t, activation), b),
+        ):
+            assert grad_check(lambda t: (at(t) * upstream).sum(), Tensor(point.reshape(-1)), 1e-6) < 1e-5
+
+
+def test_dense_rejects_an_unknown_activation():
+    with pytest.raises(ConfigError, match="activation"):
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), "sigmoid")
+
+
+@pytest.mark.parametrize("kind", ["cos", "l2"])
+def test_weighted_log_sum_matches_the_clamp_log_chain_bitwise(kind):
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        e = rng.normal(size=(6, 3))
+        if trial % 4 == 0:
+            e[1] = e[0]  # similarity 1: at the clamp edge
+            e[2] = -e[0] * 3.0  # cosine floor for cos
+        k = rng.normal(size=(6, 6))
+        _assert_bitwise_equal(
+            _value_and_grads(lambda t: weighted_log_sum(pairwise_similarity(t, kind), k, 1e-3) * 0.37, [e]),
+            _value_and_grads(
+                lambda t: weighted_log_sum_chain(pairwise_similarity(t, kind), k, 1e-3) * 0.37, [e]
+            ),
+        )
+
+
+def test_squared_error_sum_matches_the_sub_square_chain_bitwise():
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        target, pred = rng.normal(size=9), rng.normal(size=9)
+        _assert_bitwise_equal(
+            _value_and_grads(lambda t: squared_error_sum(target, t) * 0.37, [pred]),
+            _value_and_grads(lambda t: squared_error_sum_chain(target, t) * 0.37, [pred]),
+        )
+
+
+def test_softmax_cross_entropy_matches_the_softmax_clamp_log_chain_bitwise():
+    rng = np.random.default_rng(26)
+    for trial in range(20):
+        logits = rng.normal(size=(7, 3)) * (1.0 if trial % 2 else 40.0)  # large logits saturate
+        onehot = np.eye(3)[rng.integers(0, 3, size=7)]
+        _assert_bitwise_equal(
+            _value_and_grads(lambda t: softmax_cross_entropy(t, onehot, 1e-12) * 0.37, [logits]),
+            _value_and_grads(lambda t: softmax_cross_entropy_chain(t, onehot, 1e-12) * 0.37, [logits]),
+        )
+
+
+def test_weighted_log_sum_gradient_zero_at_and_beyond_the_clamp_edges():
+    x = Tensor([0.0, 1e-6, 0.5, 1.0, 2.0], requires_grad=True)
+    backward(weighted_log_sum(x, np.ones(5), 1e-6))
+    assert np.array_equal(x.grad, [0.0, 0.0, 2.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="floor"):
+        weighted_log_sum(x, np.ones(5), 0.0)
+    with pytest.raises(ShapeError, match="coefficients"):
+        weighted_log_sum(x, np.ones(4), 1e-6)

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from hscl import losses, model
 from hscl.data import SyntheticSpec, generate_synthetic
 from hscl.errors import (
     CheckpointIntegrityError,
@@ -30,7 +31,14 @@ from hscl.training import (
     save_checkpoint,
 )
 
-from oracles import adam_per_tensor_ref, adam_ref
+from oracles import (
+    adam_per_tensor_ref,
+    adam_ref,
+    dense_chain,
+    softmax_cross_entropy_chain,
+    squared_error_sum_chain,
+    weighted_log_sum_chain,
+)
 
 
 # -- Adam --------------------------------------------------------------------------
@@ -373,6 +381,37 @@ def test_untrained_classifier_near_chance_on_balanced_pairs():
     logits = classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
     report = compute_metrics(predict_classes(logits), labels)
     assert abs(report.accuracy - 100.0 / 3.0) <= 5.0
+
+
+# -- fused ops vs the elementary-op chains, end to end ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mode, sim, activation",
+    [(m, s, "tanh") for m in losses.MODES for s in losses.SIMILARITIES] + [("mse+wcl", "l2", "relu")],
+)
+def test_training_with_fused_ops_matches_the_op_chains_bitwise(mode, sim, activation, monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = _noiseless_regression(n=40, f=5, seed=8)
+    xp, xn = rng.normal(size=(30, 5)), rng.normal(size=(30, 5))
+    labels = rng.integers(0, 3, size=30)
+
+    def run():
+        cfg = TrainConfig(epochs=3, seed=4, loss=LossConfig(mode=mode, similarity=sim, alpha=0.7))
+        pre = pretrain(x, y, x[:8], y[:8], cfg, hidden=(8, 4), activation=activation)
+        outputs = [pre.trace, checkpoint_bytes(pre.final), checkpoint_bytes(pre.best)]
+        for freeze in (True, False):
+            fine_cfg = TrainConfig(epochs=3, seed=5, freeze_encoder=freeze)
+            fine = finetune(pre.best, xp, xn, labels, xp[:9], xn[:9], labels[:9], fine_cfg)
+            outputs += [fine.history, checkpoint_bytes(fine.final), checkpoint_bytes(fine.best)]
+        return outputs
+
+    fused = run()
+    monkeypatch.setattr(model, "dense", dense_chain)
+    monkeypatch.setattr(losses, "squared_error_sum", squared_error_sum_chain)
+    monkeypatch.setattr(losses, "softmax_cross_entropy", softmax_cross_entropy_chain)
+    monkeypatch.setattr(losses, "weighted_log_sum", weighted_log_sum_chain)
+    assert run() == fused
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

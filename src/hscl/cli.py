@@ -234,6 +234,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         )
     collection = load_dataset(data_path)
     prepared = prepared_from_meta(collection, pretrained.meta["data"])
+    for split in ("train", "val"):  # before training: it selects on and reports val metrics
+        if len(prepared.pairs[split][2]) == 0:
+            raise ConfigError(f"finetune: split {split!r} has no pairs")
     result = run_finetune(prepared, pretrained, _build(TrainConfig, opts), _build(ModelSpec, opts))
 
     os.makedirs(args.out, exist_ok=True)
@@ -286,7 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     n = x.shape[0]
     available = n * (n - 1) // 2
     sample_size = int(opts["sample_size"])
-    if sample_size > available:
+    if sample_size > available > 0:  # fewer than 2 scans is an error, raised below
         print(
             f"warning: sample size {sample_size} exceeds the {available} available pairs; capping",
             file=sys.stderr,

@@ -342,20 +342,27 @@ def make_pairs(
     return pairs
 
 
+def _feature_matrix(rows: list[np.ndarray], n_features: int) -> np.ndarray:
+    """(N, n_features) float64 stack of N feature vectors; (0, n_features) when N is 0."""
+    if not rows:
+        return np.zeros((0, n_features))
+    return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
+
+
 def regression_arrays(
-    records: list[ScanRecord], stats: NormalizationStats
+    records: list[ScanRecord], stats: NormalizationStats, n_features: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and normalized score vector for pre-training."""
-    x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
-    y = np.array([stats.normalize(r.health_score) for r in records])
+    """Feature matrix and normalized score vector for pre-training; empty for no records."""
+    x = _feature_matrix([r.features for r in records], n_features)
+    y = np.array([stats.normalize(r.health_score) for r in records], dtype=np.float64)
     return x, y
 
 
 def pair_arrays(
-    pairs: list[PairExample],
+    pairs: list[PairExample], n_features: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prev features, next features, labels) for the downstream task."""
-    xp = np.stack([np.asarray(p.prev.features, dtype=np.float64) for p in pairs])
-    xn = np.stack([np.asarray(p.next.features, dtype=np.float64) for p in pairs])
+    """(prev features, next features, labels) for the downstream task; empty for no pairs."""
+    xp = _feature_matrix([p.prev.features for p in pairs], n_features)
+    xn = _feature_matrix([p.next.features for p in pairs], n_features)
     labels = np.array([p.label for p in pairs], dtype=np.int64)
     return xp, xn, labels

@@ -14,7 +14,7 @@ Both contrastive losses are computed over the whole batch at once:
   and clamped to ``[sim_floor, 1]`` before the log, which keeps both loss
   branches finite for antipodal or distant pairs (and, as everywhere in the
   tensor core, gives zero gradient at the clamp boundaries);
-- one constant (B, B) coefficient matrix ``K`` built from the mining result:
+- one constant (B, B) coefficient matrix ``K`` built from the mining masks:
   +1 for a negative pair, -1 (cl) or -1/(d_ij + eps) (wcl) for a positive
   pair, 0 elsewhere, so the loss is ``sum(K * log S)``;
 - for wcl, the constant ``sum over negatives of log(d_ij + eps)``, because a
@@ -74,22 +74,32 @@ class LossConfig:
 
 @dataclass
 class MiningResult:
-    """Per-anchor positive/negative index sets plus all pairwise label distances."""
+    """Mined pairs as (B, B) boolean masks (row = anchor) plus all pairwise label distances."""
 
-    positives: list[list[int]]
-    negatives: list[list[int]]
+    positive: np.ndarray = field(repr=False)
+    negative: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)  # (B, B), |hs_i - hs_j|
     per_side: int
 
     @property
     def batch_size(self) -> int:
-        return len(self.positives)
+        return self.positive.shape[0]
+
+    @property
+    def positives(self) -> list[list[int]]:
+        """Per-anchor positive indices, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self.positive]
+
+    @property
+    def negatives(self) -> list[list[int]]:
+        """Per-anchor negative indices, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self.negative]
 
 
 def mine_batch(hs) -> MiningResult:
     """Select label-nearest positives and label-farthest negatives per anchor.
 
-    Candidates j != i are sorted by (|hs_i - hs_j| ascending, j ascending);
+    Candidates j != i are ranked by (|hs_i - hs_j| ascending, j ascending);
     the first floor((B-1)/2) become positives, the last floor((B-1)/2)
     negatives. When B is even the single middle candidate is unused.
     """
@@ -99,13 +109,17 @@ def mine_batch(hs) -> MiningResult:
         raise ConfigError(f"mine_batch: need at least 3 scores for a positive/negative split, got {b}")
     distances = np.abs(scores[:, None] - scores[None, :])
     k = (b - 1) // 2
-    # row i lists the candidates j != i in ascending j; a stable sort by
-    # distance then orders them by (distance, j)
-    slots = np.arange(b - 1)
-    candidates = slots[None, :] + (slots[None, :] >= np.arange(b)[:, None])
-    order = np.argsort(np.take_along_axis(distances, candidates, axis=1), axis=1, kind="stable")
-    ranked = np.take_along_axis(candidates, order, axis=1)
-    return MiningResult(ranked[:, :k].tolist(), ranked[:, b - 1 - k:].tolist(), distances, k)
+    # a stable sort orders row i by (distance, j); the key -1 on the diagonal
+    # ranks the anchor itself first, so its candidates hold ranks 1..B-1
+    keys = distances.copy()
+    np.fill_diagonal(keys, -1.0)
+    order = np.argsort(keys, axis=1, kind="stable")
+    rows = np.arange(b)[:, None]
+    positive = np.zeros((b, b), dtype=bool)
+    negative = np.zeros((b, b), dtype=bool)
+    positive[rows, order[:, 1 : k + 1]] = True
+    negative[rows, order[:, b - k :]] = True
+    return MiningResult(positive, negative, distances, k)
 
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
@@ -127,17 +141,6 @@ def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
         )
 
 
-def _pair_masks(mining: MiningResult) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) boolean (B, B) masks of the mined pairs."""
-    b = mining.batch_size
-    rows = np.arange(b)[:, None]
-    pos = np.zeros((b, b), dtype=bool)
-    neg = np.zeros((b, b), dtype=bool)
-    pos[rows, np.asarray(mining.positives, dtype=np.int64)] = True
-    neg[rows, np.asarray(mining.negatives, dtype=np.int64)] = True
-    return pos, neg
-
-
 def _log_similarity_sum(embeddings: Tensor, coefficients: np.ndarray, config: LossConfig) -> Tensor:
     """sum(K * log S) over the clamped (B, B) similarity matrix S."""
     sims = pairwise_similarity(embeddings, config.similarity)
@@ -147,8 +150,7 @@ def _log_similarity_sum(embeddings: Tensor, coefficients: np.ndarray, config: Lo
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
     """Unweighted contrastive loss over the mined pairs."""
     _check_mining("cl_loss", embeddings, mining)
-    pos, neg = _pair_masks(mining)
-    return _log_similarity_sum(embeddings, neg.astype(np.float64) - pos, config)
+    return _log_similarity_sum(embeddings, mining.negative.astype(np.float64) - mining.positive, config)
 
 
 def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> Tensor:
@@ -163,7 +165,7 @@ def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -
     if scores.shape[0] != mining.batch_size:
         raise ShapeError(f"wcl_loss: got {scores.shape[0]} scores for batch {mining.batch_size}")
     weights = np.abs(scores[:, None] - scores[None, :]) + config.eps
-    pos, neg = _pair_masks(mining)
+    pos, neg = mining.positive, mining.negative
     coefficients = neg - pos / weights
     constant = Tensor(np.log(weights[neg]).sum())
     return _log_similarity_sum(embeddings, coefficients, config) + constant
@@ -207,11 +209,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape
     if target.ndim != 1 or target.shape[0] != n:
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
-    if target.size and (target.min() < 0 or target.max() >= c):
+    onehot = target[:, None] == np.arange(c)
+    if np.count_nonzero(onehot) != n:  # some label is not a class index
         raise DomainError(f"cross_entropy: labels must lie in [0, {c}), got {sorted(set(target.tolist()))}")
-    mask = np.zeros((n, c))
-    mask[np.arange(n), target.astype(int)] = 1.0
-    return softmax_cross_entropy(logits, mask, _PROB_FLOOR)
+    return softmax_cross_entropy(logits, onehot, _PROB_FLOOR)
 
 
 def loss_gradients(

@@ -86,15 +86,17 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
     from .data import split_patients  # local import keeps module init light
 
     train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
-    stats = fit_normalization(records_of(train_s), dcfg.higher_is_better)
+    train_records = records_of(train_s)
+    stats = fit_normalization(train_records, dcfg.higher_is_better)
+    n_features = len(train_records[0].features)
     series = {"train": train_s, "val": val_s, "test": test_s}
+    # an empty split or pair list gives (0, n_features) arrays
     regression = {
-        name: regression_arrays(records_of(split), stats) for name, split in series.items()
+        name: regression_arrays(records_of(split), stats, n_features)
+        for name, split in series.items()
     }
     pairs = {
-        name: pair_arrays(make_pairs(split, stats, dcfg.label_mode, dcfg.tau))
-        if split
-        else (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+        name: pair_arrays(make_pairs(split, stats, dcfg.label_mode, dcfg.tau), n_features)
         for name, split in series.items()
     }
     data_meta = {
@@ -175,6 +177,8 @@ def spread_for_checkpoint(
         raise ConfigError(f"spread_for_checkpoint: unknown split {split!r}")
     encoder = encoder_from_checkpoint(ck)
     x, y_norm = prepared.regression[split]
+    if len(x) == 0:
+        raise ConfigError(f"spread_for_checkpoint: split {split!r} has no scans")
     return embedding_spread(encoder, x, y_norm, sample_size, seed)
 
 

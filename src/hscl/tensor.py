@@ -17,7 +17,16 @@ more Python time than the small numpy arrays it carries:
 Each fused forward and backward runs the same numpy operations, in the same
 order, as the equivalent chain of elementary ops (affine, activation,
 softmax, clamp, log, ...), so values and gradients are bit-identical to that
-chain; the tests hold the chains as oracles.
+chain; the tests hold the chains as oracles. A fused backward computes only
+the products its requires-grad operands need.
+
+Gradients are written, not zero-filled and added: a node's first gradient
+contribution becomes its ``grad`` array, and later ones are added into it in
+place. So the first contribution must be an array the node owns. An op hands
+over a fresh array, or marks as ``shared`` (and the node then keeps a copy)
+one that other code may still write or read: a view, a broadcast, or the
+same array passed to two parents, as ``+`` does. A leaf whose ``grad`` is
+preset (the flat training buffer) always adds into it.
 
 Subgradient conventions (relevant when checking gradients near kinks):
 relu'(0) = 0, clamp' is zero outside the interval *and at its boundaries*,
@@ -85,7 +94,7 @@ class Tensor:
         out = _node(self.data + other.data, (self, other))
         if out._parents:
             def back(g: np.ndarray) -> None:
-                _accumulate(self, g)
+                _accumulate(self, g, shared=True)
                 _accumulate(other, g)
             out._backward = back
         return out
@@ -181,7 +190,7 @@ class Tensor:
         out = _node(self.data.sum(axis=axis), (self,))
         if out._parents:
             def back(g: np.ndarray) -> None:
-                _accumulate(self, _spread(g, self.shape, axis))
+                _accumulate(self, _spread(g, self.shape, axis), shared=True)
             out._backward = back
         return out
 
@@ -200,7 +209,7 @@ class Tensor:
             raise ShapeError(f"reshape: cannot view {self.shape} as {shape}")
         out = _node(self.data.reshape(shape), (self,))
         if out._parents:
-            out._backward = lambda g: _accumulate(self, g.reshape(self.shape))
+            out._backward = lambda g: _accumulate(self, g.reshape(self.shape), shared=True)
         return out
 
     def segment(self, start: int, stop: int) -> "Tensor":
@@ -264,9 +273,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
                 g = g * (1.0 - y * y)
             elif activation == "relu":
                 g = g * (z > 0.0)
-            _accumulate(x, g @ w.data.T)
-            _accumulate(w, x.data.T @ g)
-            _accumulate(b, g.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, g @ w.data.T)
+            if w.requires_grad:
+                _accumulate(w, x.data.T @ g)
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
         out._backward = back
     return out
 
@@ -326,7 +338,7 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         offsets = np.cumsum([0] + widths)
         def back(g: np.ndarray) -> None:
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accumulate(p, g[..., lo:hi])
+                _accumulate(p, g[..., lo:hi], shared=True)
         out._backward = back
     return out
 
@@ -340,7 +352,7 @@ def squared_error_sum(target: np.ndarray, pred: Tensor) -> Tensor:
     out = _node((diff * diff).sum(), (pred,))
     if out._parents:
         def back(g: np.ndarray) -> None:
-            _accumulate(pred, -(np.broadcast_to(g, diff.shape) * 2.0 * diff))
+            _accumulate(pred, -(g * 2.0 * diff))
         out._backward = back
     return out
 
@@ -359,15 +371,14 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
     e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     picked = (s * onehot).sum(axis=-1)
-    clamped = np.clip(picked, floor, 1.0)
-    out = _node(np.log(clamped).mean() * -1.0, (logits,))
+    clamped = np.minimum(np.maximum(picked, floor), 1.0)
+    n = picked.shape[0]
+    out = _node(np.log(clamped).sum() / n * -1.0, (logits,))
     if out._parents:
         inside = (picked > floor) & (picked < 1.0)
-        n = picked.shape[0]
         def back(g: np.ndarray) -> None:
-            g_log = np.broadcast_to(g * -1.0, picked.shape) / n
-            g_picked = g_log / clamped * inside
-            g_s = np.broadcast_to(np.expand_dims(g_picked, -1), s.shape) * onehot
+            g_picked = g * -1.0 / n / clamped * inside
+            g_s = g_picked[:, None] * onehot
             inner = (g_s * s).sum(axis=-1, keepdims=True)
             _accumulate(logits, s * (g_s - inner))
         out._backward = back
@@ -383,12 +394,12 @@ def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tenso
         raise ShapeError(f"weighted_log_sum: coefficients {coefficients.shape} != input {x.shape}")
     if not 0.0 < floor < 1.0:
         raise DomainError(f"weighted_log_sum: floor {floor} must lie in (0, 1)")
-    clamped = np.clip(x.data, floor, 1.0)
+    clamped = np.minimum(np.maximum(x.data, floor), 1.0)
     out = _node((np.log(clamped) * coefficients).sum(), (x,))
     if out._parents:
         inside = (x.data > floor) & (x.data < 1.0)
         def back(g: np.ndarray) -> None:
-            _accumulate(x, np.broadcast_to(g, x.shape) * coefficients / clamped * inside)
+            _accumulate(x, g * coefficients / clamped * inside)
         out._backward = back
     return out
 
@@ -488,12 +499,14 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; a first write keeps ``g`` itself, or a copy if ``shared``."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy() if shared else g
+    else:
+        t.grad += g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -87,7 +87,8 @@ class AdamState:
     ``for_params`` copies the tensors into ``flat`` and rebinds each
     ``p.data`` to its reshaped view of it, so one whole-buffer update moves
     them all. ``grad``, ``m`` and ``v`` are laid out like ``flat``; ``grads``
-    are the per-parameter views of ``grad`` that backward accumulates into.
+    are the per-parameter views of ``grad`` that backward accumulates into,
+    and ``scratch`` holds two buffers ``adam_step`` computes in.
     """
 
     params: list[Tensor]
@@ -97,9 +98,11 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     grads: list[np.ndarray] = field(init=False, repr=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.grads = self.views(self.grad)
+        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -127,18 +130,33 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update of the whole flat buffer, in place on ``state``."""
+    """One bias-corrected Adam update of the whole flat buffer, in place on ``state``.
+
+    Per element: ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
+    ``flat -= lr (m / c1) / (sqrt(v / c2) + eps)``, each product and quotient
+    computed in that order, in the two scratch buffers.
+    """
     if grad.shape != state.flat.shape:
         raise ShapeError(f"adam_step: gradient shape {grad.shape} vs parameter buffer {state.flat.shape}")
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
     m, v = state.m, state.v
+    a, b = state.scratch
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(grad, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
-    state.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    state.flat -= a
     return state
 
 
@@ -547,8 +565,8 @@ def finetune(
     if frozen:
         up_train = encode(encoder, xp_train).data
         un_train = encode(encoder, xn_train).data
-        up_val = encode(encoder, xp_val).data if len(xp_val) else np.zeros((0, encoder.embedding_dim))
-        un_val = encode(encoder, xn_val).data if len(xn_val) else np.zeros((0, encoder.embedding_dim))
+        up_val = encode(encoder, xp_val).data
+        un_val = encode(encoder, xn_val).data
 
     def val_metrics() -> tuple[float, float]:
         if len(y_val) == 0:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hscl.cli import main
-from hscl.data import load_dataset
+from hscl.data import PatientSeries, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from hscl.errors import TrainingAbort
 from hscl.model import classify_pairs, encode
 from hscl.training import (
@@ -471,28 +471,121 @@ def test_config_values_of_a_fitting_type_are_taken(tiny_dataset, tiny_pretrained
     assert meta["model"]["cls_widths"][1:-1] == [6]
 
 
-def test_compare_with_bad_fractions_exits_2_before_any_seed(tiny_dataset, tmp_path):
+def _run_cli(*argv) -> subprocess.CompletedProcess:
+    """``python -m hscl.cli *argv`` in a fresh interpreter, so exit codes are the real ones."""
     src = str(Path(hscl.pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "cmp"
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "hscl.cli",
-            "compare",
-            "--data", str(tiny_dataset),
-            "--out", str(out),
-            "--seeds", "0,1",
-            "--fractions", "0.5,0.3,0.3",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "hscl.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_compare_with_bad_fractions_exits_2_before_any_seed(tiny_dataset, tmp_path):
+    out = tmp_path / "cmp"
+    proc = _run_cli(
+        "compare",
+        "--data", tiny_dataset,
+        "--out", out,
+        "--seeds", "0,1",
+        "--fractions", "0.5,0.3,0.3",
+    )
     assert proc.returncode == 2
     assert "fractions must sum to 1" in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+# -- empty splits: (0, F) arrays, ConfigError (exit 2) where a stage needs data ----
+
+
+@pytest.fixture(scope="module")
+def single_scan_dataset(tmp_path_factory):
+    """Every patient has one scan, so no split has a consecutive pair."""
+    spec = SyntheticSpec(n_patients=30, scans_per_patient=2, n_features=5, seed=3)
+    path = tmp_path_factory.mktemp("single") / "single.csv"
+    save_dataset([PatientSeries(s.patient_id, s.records[:1]) for s in generate_synthetic(spec)], path)
+    return path
+
+
+def test_an_empty_test_split_trains_and_eval_or_analyze_of_it_exits_2(tiny_dataset, tmp_path):
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    common = ("--data", tiny_dataset, "--epochs", "2")
+    proc = _run_cli("pretrain", *common, "--out", pre, "--hidden", "8,4", "--fractions", "0.8,0.2,0")
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli("finetune", *common, "--out", fine, "--checkpoint", pre / "pretrain_best.ckpt")
+    assert proc.returncode == 0, proc.stderr
+
+    proc = _run_cli("eval", "--data", tiny_dataset, "--out", tmp_path / "eval", "--split", "test",
+                    "--checkpoint", fine / "finetune_best.ckpt")
+    assert proc.returncode == 2
+    assert "split 'test' has no pairs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "eval").exists()
+
+    proc = _run_cli("analyze", "--data", tiny_dataset, "--out", tmp_path / "a.tsv", "--split", "test",
+                    "--checkpoint", pre / "pretrain_best.ckpt")
+    assert proc.returncode == 2
+    assert "split 'test' has no scans" in proc.stderr
+    assert "capping" not in proc.stderr
+    assert not (tmp_path / "a.tsv").exists()
+
+
+def test_finetune_with_an_empty_val_split_exits_2_before_training(tiny_dataset, tmp_path):
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    common = ("--data", tiny_dataset, "--epochs", "2")
+    proc = _run_cli("pretrain", *common, "--out", pre, "--hidden", "8,4", "--fractions", "0.8,0,0.2")
+    assert proc.returncode == 0, proc.stderr
+    assert "best_val_mse: nan" in proc.stdout
+    proc = _run_cli("finetune", *common, "--out", fine, "--checkpoint", pre / "pretrain_best.ckpt")
+    assert proc.returncode == 2
+    assert "split 'val' has no pairs" in proc.stderr
+    assert not fine.exists()
+
+
+def test_a_train_split_smaller_than_the_batch_exits_2(tiny_dataset, tmp_path):
+    out = tmp_path / "pre"
+    proc = _run_cli("pretrain", "--data", tiny_dataset, "--out", out, "--batch-size", "64")
+    assert proc.returncode == 2
+    assert "smaller than batch size 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_a_cohort_without_pairs_pretrains_and_finetune_exits_2(single_scan_dataset, tmp_path):
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    common = ("--data", single_scan_dataset, "--epochs", "2")
+    proc = _run_cli("pretrain", *common, "--out", pre, "--hidden", "8,4")
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli("finetune", *common, "--out", fine, "--checkpoint", pre / "pretrain_best.ckpt")
+    assert proc.returncode == 2
+    assert "split 'train' has no pairs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not fine.exists()
+
+
+def test_compare_records_a_split_without_pairs_as_a_failed_seed(single_scan_dataset, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    rc = main(
+        [
+            "compare",
+            "--data", str(single_scan_dataset),
+            "--out", str(out),
+            "--seeds", "0,1",
+            "--modes", "mse",
+            "--epochs", "1",
+            "--finetune-epochs", "1",
+            "--hidden", "8,4",
+        ]
+    )
+    assert rc == 1
+    assert "every seed failed" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    for seed in ("0", "1"):
+        assert report["per_seed"][seed] == {"error": "ConfigError: finetune: no training pairs"}
 
 
 @pytest.mark.parametrize("pooling", ["mean", "last"])

@@ -18,11 +18,14 @@ from hscl.data import (
     load_dataset,
     make_pairs,
     normalize_hs,
+    pair_arrays,
     records_of,
+    regression_arrays,
     save_dataset,
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
+from hscl.pipeline import DataConfig, prepare
 
 
 # -- S/F binning --------------------------------------------------------------
@@ -315,3 +318,37 @@ def test_series_validates_ordering():
         PatientSeries("a", [_record("a", 1, 1.0), _record("a", 0, 2.0)])
     with pytest.raises(DatasetError, match="belongs to"):
         PatientSeries("a", [_record("b", 0, 1.0)])
+
+
+# -- arrays of empty splits ------------------------------------------------------------
+
+
+def test_no_records_or_pairs_give_zero_row_arrays_of_the_feature_width():
+    x, y = regression_arrays([], NormalizationStats(0.0, 1.0), 4)
+    assert x.shape == (0, 4) and x.dtype == np.float64
+    assert y.shape == (0,) and y.dtype == np.float64
+    xp, xn, labels = pair_arrays([], 4)
+    assert xp.shape == xn.shape == (0, 4) and xp.dtype == xn.dtype == np.float64
+    assert labels.shape == (0,) and labels.dtype == np.int64
+
+
+def test_prepare_gives_zero_row_arrays_for_an_empty_split():
+    collection = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=5, seed=3))
+    prepared = prepare(collection, 0, DataConfig(fractions=(0.8, 0.2, 0.0)))
+    assert prepared.series["test"] == []
+    x, y = prepared.regression["test"]
+    assert x.shape == (0, 5) and y.shape == (0,)
+    xp, xn, labels = prepared.pairs["test"]
+    assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)
+    assert prepared.pairs["val"][0].shape == (4, 5)
+
+
+def test_prepare_gives_zero_row_pair_arrays_for_single_scan_patients():
+    spec = SyntheticSpec(n_patients=30, scans_per_patient=2, n_features=5, seed=3)
+    single = [PatientSeries(s.patient_id, s.records[:1]) for s in generate_synthetic(spec)]
+    prepared = prepare(single, 0, DataConfig())
+    for split in ("train", "val", "test"):
+        x, _ = prepared.regression[split]
+        assert x.shape == (len(prepared.series[split]), 5)
+        xp, xn, labels = prepared.pairs[split]
+        assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)

@@ -134,6 +134,18 @@ def test_mine_batch_matches_selection_oracle():
         for i in range(b):
             assert sorted(result.positives[i]) == ref_pos[i]
             assert sorted(result.negatives[i]) == ref_neg[i]
+        _check_masks(result)
+
+
+def _check_masks(result):
+    """The (B, B) masks: no diagonal, disjoint, k per row, and the same pairs as the lists."""
+    b, k = result.batch_size, result.per_side
+    for mask, lists in ((result.positive, result.positives), (result.negative, result.negatives)):
+        assert mask.dtype == bool and mask.shape == (b, b)
+        assert not mask.diagonal().any()
+        assert np.array_equal(mask.sum(axis=1), np.full(b, k))
+        assert [np.flatnonzero(row).tolist() for row in mask] == [sorted(js) for js in lists]
+    assert not (result.positive & result.negative).any()
 
 
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=16))
@@ -151,6 +163,7 @@ def test_mine_batch_invariants(hs):
             max_pos = max(result.distances[i, j] for j in pos)
             min_neg = min(result.distances[i, j] for j in neg)
             assert max_pos <= min_neg
+    _check_masks(result)
 
 
 # -- contrastive losses --------------------------------------------------------------

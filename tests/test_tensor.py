@@ -89,6 +89,30 @@ def test_gradient_sums_over_uses():
     assert np.allclose(x.grad, [3.0 + 2.0 * 2.0])
 
 
+@pytest.mark.parametrize("sum_first", [True, False])
+def test_first_gradient_write_never_aliases_another_node(sum_first):
+    """``a + b`` passes one upstream array to both non-leaf parents, which then get more.
+
+    A first write keeps the array it is handed, so the add must give each
+    parent its own: if ``a`` and ``b`` shared one array, adding ``a``'s other
+    contribution would also land in ``b``'s gradient. The add hands its array
+    over only when it is walked before the other uses of ``a`` and ``b``, which
+    depends on the term order; both orders are run.
+    """
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([0.5, -1.0], requires_grad=True)
+    a, b = x * 2.0, y * 3.0
+    terms = [a + b, a * 5.0, b * 7.0]
+    if not sum_first:
+        terms.reverse()
+    backward((terms[0] + terms[1] + terms[2]).sum())
+    # dL/da = 1 + 5, dL/db = 1 + 7
+    assert np.array_equal(x.grad, [12.0, 12.0])
+    assert np.array_equal(y.grad, [24.0, 24.0])
+    assert np.array_equal(a.grad, [6.0, 6.0])
+    assert np.array_equal(b.grad, [8.0, 8.0])
+
+
 def test_shape_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match=r"add.*\(2,\).*\(3,\)"):
         Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])

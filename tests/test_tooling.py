@@ -2,7 +2,9 @@
 
 The benchmark's tracer (perfbench/tracing.py) replaces functions at the
 module bindings listed in ``tracing.BINDINGS``; a library rename that drops
-one of them would silently leave that layer out of a traced run.
+one of them would silently leave that layer out of a traced run. Its probes
+read library results (the mined pairs of a ``MiningResult``), so they are run
+on real ones here.
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
@@ -15,12 +17,13 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hscl import cli
 from hscl.data import SyntheticSpec
 from hscl.errors import ConfigError
-from hscl.losses import LossConfig
+from hscl.losses import LossConfig, mine_batch
 from hscl.pipeline import (
     CompareConfig,
     DataConfig,
@@ -28,6 +31,7 @@ from hscl.pipeline import (
     evaluate_checkpoint,
     spread_for_checkpoint,
 )
+from hscl.tensor import Tensor, pairwise_similarity
 from hscl.training import TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,6 +53,27 @@ def test_every_traced_binding_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(f"hscl.{module_name}"), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("similarity", ["cos", "l2"])
+def test_mining_probes_read_a_real_mining_result(similarity):
+    tracing = _load_tracing()
+    hs = np.array([0.1, 0.9, 0.4, 0.4, 0.7, 0.2, 0.8, 0.3])
+    rng = np.random.default_rng(5)
+    e = rng.normal(size=(8, 3))
+    e[3] = e[2]  # one identical pair: similarity 1.0, at the clamp
+    mining = mine_batch(hs)
+    pairs = int(mining.positive.sum() + mining.negative.sum())
+    assert pairs == 8 * 2 * mining.per_side
+    assert tracing._mining({"hs": hs}, mining) == {"pairs": pairs}
+
+    config = LossConfig(mode="mse+cl", similarity=similarity)
+    args = {"mining": mining, "config": config, "embeddings": Tensor(e)}
+    sims = pairwise_similarity(Tensor(e), similarity).data
+    mined = mining.positive | mining.negative
+    at_clamp = mined & ((sims <= config.sim_floor) | (sims >= 1.0))
+    assert at_clamp.sum() >= 2  # the identical pair, from both anchors
+    assert tracing._clamped(args, None) == {"mined": pairs, "clamped": int(at_clamp.sum())}
 
 
 PATH_ARGS = {"config", "data", "out", "checkpoint"}

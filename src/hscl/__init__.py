@@ -42,7 +42,6 @@ from .model import (
     ClassifierHead,
     EncoderParams,
     RegressionHead,
-    classify_pair,
     classify_pairs,
     encode,
     init_classifier_head,

@@ -202,11 +202,15 @@ def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tens
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log softmax probability of the true class."""
+    """Mean negative log softmax probability of the true class.
+
+    (S, B, C) logits of S runs sharing the B labels give an (S,) vector of
+    per-run losses.
+    """
     target = np.asarray(labels)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: expected (B, C) logits, got shape {logits.shape}")
-    n, c = logits.shape
+    if logits.data.ndim not in (2, 3):
+        raise ShapeError(f"cross_entropy: expected (B, C) or (S, B, C) logits, got shape {logits.shape}")
+    n, c = logits.shape[-2:]
     if target.ndim != 1 or target.shape[0] != n:
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
     onehot = target[:, None] == np.arange(c)

@@ -101,14 +101,12 @@ def average_ranks(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     n = v.size
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    # a tie run [i, j] of the sorted values starts where a value differs from its predecessor
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n) - 1
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -131,31 +131,26 @@ def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:
 
 
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
-    """Logits (B, 3) for a batch of embedding pairs."""
+    """Logits (B, 3) for a batch of embedding pairs.
+
+    The embeddings and the head's weights may carry a leading run axis:
+    (S, B, D) pairs through a head of (S, ...) weights give (S, B, 3).
+    """
     up = u_prev if isinstance(u_prev, Tensor) else Tensor(np.asarray(u_prev, dtype=np.float64))
     un = u_next if isinstance(u_next, Tensor) else Tensor(np.asarray(u_next, dtype=np.float64))
-    if up.shape != un.shape or up.data.ndim != 2:
-        raise ShapeError(f"classify_pairs: expected matching (B, D) inputs, got {up.shape} and {un.shape}")
-    x = concat_last([up, un])
-    if x.shape[1] != head.widths[0]:
+    if up.shape != un.shape or up.data.ndim not in (2, 3):
         raise ShapeError(
-            f"classify_pairs: pair width {x.shape[1]} != classifier input width {head.widths[0]}"
+            f"classify_pairs: expected matching (B, D) or (S, B, D) inputs, got {up.shape} and {un.shape}"
+        )
+    x = concat_last([up, un])
+    if x.shape[-1] != head.widths[0]:
+        raise ShapeError(
+            f"classify_pairs: pair width {x.shape[-1]} != classifier input width {head.widths[0]}"
         )
     last = len(head.weights) - 1
     for i, (w, b) in enumerate(zip(head.weights, head.biases)):
         x = dense(x, w, b, head.activation if i < last else None)
     return x
-
-
-def classify_pair(head: ClassifierHead, u_prev, u_next) -> Tensor:
-    """Logits (3,) for a single embedding pair."""
-    up = u_prev if isinstance(u_prev, Tensor) else Tensor(np.asarray(u_prev, dtype=np.float64))
-    un = u_next if isinstance(u_next, Tensor) else Tensor(np.asarray(u_next, dtype=np.float64))
-    if up.data.ndim != 1 or up.shape != un.shape:
-        raise ShapeError(f"classify_pair: expected matching vectors, got {up.shape} and {un.shape}")
-    d = up.shape[0]
-    logits = classify_pairs(head, up.reshape((1, d)), un.reshape((1, d)))
-    return logits.reshape((N_CLASSES,))
 
 
 def predict_classes(logits: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ from .training import (
     classifier_from_checkpoint,
     encoder_from_checkpoint,
     finetune,
+    finetune_runs,
     pretrain,
     save_checkpoint,
 )
@@ -213,6 +214,8 @@ def run_comparison(
     for mode in compare.modes:
         if mode not in MODES:
             raise ConfigError(f"run_comparison: unknown loss mode {mode!r}")
+    if not compare.modes:
+        raise ConfigError("run_comparison: need at least one loss mode")
     if not compare.seeds:
         raise ConfigError("run_comparison: need at least one seed")
 
@@ -259,15 +262,32 @@ def _run_one_seed(
     out_dir: str | None,
 ) -> dict:
     prepared = prepare(collection, seed, dcfg)
+    pairs_train, pairs_val = prepared.pairs["train"], prepared.pairs["val"]
+    if len(pairs_train[2]) == 0:  # checked before any mode spends a pre-training
+        raise ConfigError("finetune: no training pairs")
+    # only each run's best checkpoint and epoch are kept; finals and traces are let go
+    pres = [
+        (pre.best, pre.best_epoch)
+        for pre in (
+            run_pretrain(
+                prepared, model, replace(pretrain_cfg, seed=seed, loss=replace(pretrain_cfg.loss, mode=mode))
+            )
+            for mode in compare.modes
+        )
+    ]
+    # every mode shares the pairs, batch order and head init, so one stacked call fine-tunes all
+    f_cfg = replace(finetune_cfg, seed=seed)
+    fines = [
+        (fine.best, fine.best_epoch)
+        for fine in finetune_runs(
+            [best for best, _ in pres], *pairs_train, *pairs_val, f_cfg, cls_hidden=model.cls_hidden
+        )
+    ]
     results: dict[str, dict] = {}
-    for mode in compare.modes:
-        p_cfg = replace(pretrain_cfg, seed=seed, loss=replace(pretrain_cfg.loss, mode=mode))
-        f_cfg = replace(finetune_cfg, seed=seed)
-        pre = run_pretrain(prepared, model, p_cfg)
-        fine = run_finetune(prepared, pre.best, f_cfg, model)
-        report = evaluate_checkpoint(prepared, fine.best, split="test")
+    for mode, (pre_best, pre_epoch), (fine_best, fine_epoch) in zip(compare.modes, pres, fines):
+        report = evaluate_checkpoint(prepared, fine_best, split="test")
         spread = spread_for_checkpoint(
-            prepared, pre.best, compare.sample_size, seed, compare.spread_split
+            prepared, pre_best, compare.sample_size, seed, compare.spread_split
         )
         results[mode] = {
             "accuracy": float(report.accuracy),
@@ -275,14 +295,14 @@ def _run_one_seed(
             "spread_std": float(spread.std_dev),
             "spread_rho": float(spread.rho),
             "spread_degenerate": bool(spread.degenerate),
-            "pretrain_best_epoch": pre.best_epoch,
-            "finetune_best_epoch": fine.best_epoch,
+            "pretrain_best_epoch": pre_epoch,
+            "finetune_best_epoch": fine_epoch,
         }
         if out_dir is not None:
             run_dir = os.path.join(out_dir, f"seed{seed}", mode)
             os.makedirs(run_dir, exist_ok=True)
-            save_checkpoint(pre.best, os.path.join(run_dir, "pretrain_best.ckpt"))
-            save_checkpoint(fine.best, os.path.join(run_dir, "finetune_best.ckpt"))
+            save_checkpoint(pre_best, os.path.join(run_dir, "pretrain_best.ckpt"))
+            save_checkpoint(fine_best, os.path.join(run_dir, "finetune_best.ckpt"))
     return results
 
 

@@ -60,8 +60,8 @@ class Tensor:
 
     Leaves are built directly (``Tensor(data, requires_grad=True)`` for
     trainables); ops return derived tensors that remember their parents.
-    ``backward`` on a scalar result fills ``grad`` on every requires-grad
-    leaf reachable from it, summing over all uses.
+    ``backward`` on a result fills ``grad`` on every requires-grad leaf
+    reachable from it, summing over all uses.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
@@ -250,16 +250,29 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
     """One MLP layer ``act(x @ w + b)``, the bias broadcast across rows.
 
     ``activation`` is ``"tanh"``, ``"relu"`` or ``None`` (the affine map).
+    The weight (F, H) and bias (H,) may carry a leading run axis, (S, F, H)
+    and (S, H); the input is then either (S, B, F), one batch per run, or a
+    (B, F) batch shared by every run, which takes no gradient. Each run's
+    slice of the output is bit-identical to the 2-D call on its slices.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"dense: expected 2-D input/weight, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense: input width {x.shape[1]} != weight rows {w.shape[0]}")
-    if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
-        raise ShapeError(f"dense: bias shape {b.shape} != output width ({w.shape[1]},)")
+    xd, wd, bd = x.data, w.data, b.data
+    xs, ws = xd.shape, wd.shape
+    if len(xs) not in (2, 3) or len(ws) not in (2, 3):
+        raise ShapeError(f"dense: expected 2-D or 3-D input and weight, got {xs} and {ws}")
+    runs = ws[:-2]
+    if xs[-1] != ws[-2]:
+        raise ShapeError(f"dense: input width {xs[-1]} != weight rows {ws[-2]}")
+    if bd.shape != runs + ws[-1:]:
+        raise ShapeError(f"dense: bias shape {bd.shape} != {runs + ws[-1:]}")
+    if xs[:-2] != runs and (len(xs) == 3 or x.requires_grad):
+        raise ShapeError(
+            f"dense: input {xs} must carry the weight's runs {runs}, or be one batch "
+            f"shared by all runs that takes no gradient"
+        )
     if activation not in ("tanh", "relu", None):
         raise ConfigError(f"dense: unknown activation {activation!r}")
-    z = x.data @ w.data + b.data
+    z = xd @ wd
+    z += bd[:, None, :] if runs else bd
     if activation == "tanh":
         y = np.tanh(z)
     elif activation == "relu":
@@ -274,11 +287,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
             elif activation == "relu":
                 g = g * (z > 0.0)
             if x.requires_grad:
-                _accumulate(x, g @ w.data.T)
+                _accumulate(x, g @ wd.swapaxes(-1, -2))
             if w.requires_grad:
-                _accumulate(w, x.data.T @ g)
+                _accumulate(w, xd.swapaxes(-1, -2) @ g)
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
+                _accumulate(b, g.sum(axis=-2))
         out._backward = back
     return out
 
@@ -362,23 +375,26 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
 
     The softmax over the last axis uses the usual max-shift. As with
     ``clamp``, a probability at or beyond the clamp edges passes no gradient.
+    (S, B, C) logits of S runs sharing one (B, C) mask give an (S,) vector
+    of per-run losses; (B, C) logits give a scalar.
     """
-    if logits.data.ndim != 2 or onehot.shape != logits.shape:
+    z = logits.data
+    if z.ndim not in (2, 3) or onehot.shape != z.shape[-2:]:
         raise ShapeError(
-            f"softmax_cross_entropy: expected (B, C) logits and a matching mask, "
-            f"got {logits.shape} and {onehot.shape}"
+            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) mask, "
+            f"got {z.shape} and {onehot.shape}"
         )
-    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     picked = (s * onehot).sum(axis=-1)
     clamped = np.minimum(np.maximum(picked, floor), 1.0)
-    n = picked.shape[0]
-    out = _node(np.log(clamped).sum() / n * -1.0, (logits,))
+    n = picked.shape[-1]
+    out = _node(np.log(clamped).sum(axis=-1) / n * -1.0, (logits,))
     if out._parents:
         inside = (picked > floor) & (picked < 1.0)
         def back(g: np.ndarray) -> None:
-            g_picked = g * -1.0 / n / clamped * inside
-            g_s = g_picked[:, None] * onehot
+            g_picked = (g * -1.0 / n)[..., None] / clamped * inside
+            g_s = g_picked[..., None] * onehot
             inner = (g_s * s).sum(axis=-1, keepdims=True)
             _accumulate(logits, s * (g_s - inner))
         out._backward = back
@@ -408,15 +424,17 @@ def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tenso
 
 
 def backward(root: Tensor) -> None:
-    """Backpropagate from a scalar root, filling grads on requires-grad leaves.
+    """Backpropagate from a root, filling grads on requires-grad leaves.
+
+    The root's gradient is seeded with ones of its own shape. A scalar root
+    is one loss; an (S,) root holds the losses of S independent runs, so
+    each run's parameters get exactly their own run's gradient.
 
     Each graph may be walked once; a second call on the same root raises
     ``GraphStateError``. Leaves are reusable across graphs, and their grads
     accumulate until the caller resets ``grad`` (as
     ``losses.loss_gradients`` does before each step).
     """
-    if root.data.size != 1:
-        raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
     if root._spent:
         raise GraphStateError("backward: graph already consumed by a previous call")
 

@@ -3,8 +3,9 @@
 Pre-training runs the regression-plus-contrastive objective over seeded
 shuffled batches (last partial batch dropped, since mining needs a fixed
 batch size); fine-tuning trains the 3-way pair classifier on top of a loaded
-encoder, optionally frozen. Both loops are single-threaded and bit-for-bit
-deterministic given the same config and seed.
+encoder, optionally frozen, and can train the classifiers of several encoders
+in lock-step along a leading run axis. Both loops are single-threaded and
+bit-for-bit deterministic given the same config and seed.
 
 Checkpoints are a little-endian binary format: magic ``GCCK``, u32 version,
 length-prefixed JSON metadata, then name-sorted tensors (u32 name length,
@@ -266,6 +267,7 @@ def _encoder_entries(encoder: EncoderParams) -> dict[str, np.ndarray]:
 
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
+    """The checkpoint's encoder; its tensors take no gradient until a trainer marks them."""
     model = ck.meta.get("model")
     if not model:
         raise CheckpointIntegrityError("checkpoint has no model metadata")
@@ -282,14 +284,15 @@ def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
             raise ShapeError(
                 f"checkpoint encoder.w{i} has shape {w.shape}, expected {(widths[i], widths[i + 1])}"
             )
-        weights.append(Tensor(w.copy(), requires_grad=True))
-        biases.append(Tensor(b.copy(), requires_grad=True))
+        weights.append(Tensor(w.copy()))
+        biases.append(Tensor(b.copy()))
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
     return EncoderParams(widths, model["activation"], weights, biases)
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
+    """The checkpoint's classifier head; its tensors take no gradient."""
     model = ck.meta.get("model", {})
     widths = model.get("cls_widths")
     if not widths:
@@ -302,8 +305,8 @@ def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
             b = ck.tensors[f"cls.b{i}"]
         except KeyError as exc:
             raise CheckpointIntegrityError(f"checkpoint missing tensor {exc}") from None
-        weights.append(Tensor(w.copy(), requires_grad=True))
-        biases.append(Tensor(b.copy(), requires_grad=True))
+        weights.append(Tensor(w.copy()))
+        biases.append(Tensor(b.copy()))
     return ClassifierHead(widths, model.get("cls_activation", CLS_ACTIVATION), weights, biases)
 
 
@@ -332,11 +335,14 @@ def _snapshot(
     trained_named: list[tuple[str, Tensor]],
     state: AdamState,
     meta: dict,
+    run: int | None = None,
 ) -> Checkpoint:
-    tensors = {name: t.data.copy() for name, t in all_named}
+    """Checkpoint of the parameters and Adam moments; ``run`` picks one run of a stack."""
+    pick = (lambda a: a) if run is None else (lambda a: a[run])
+    tensors = {name: pick(t.data).copy() for name, t in all_named}
     for (name, _), m, v in zip(trained_named, state.views(state.m), state.views(state.v)):
-        tensors[f"adam.m.{name}"] = m.copy()
-        tensors[f"adam.v.{name}"] = v.copy()
+        tensors[f"adam.m.{name}"] = pick(m).copy()
+        tensors[f"adam.v.{name}"] = pick(v).copy()
     return Checkpoint(tensors, meta)
 
 
@@ -542,12 +548,51 @@ def finetune(
     pair embeddings are computed once up front. Model selection is by
     validation macro-F1.
     """
+    (result,) = finetune_runs(
+        [pretrained], xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden
+    )
+    return result
+
+
+def _stack(parts: list[Tensor]) -> Tensor:
+    return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+
+
+def finetune_runs(
+    pretrained: list[Checkpoint],
+    xp_train: np.ndarray,
+    xn_train: np.ndarray,
+    y_train: np.ndarray,
+    xp_val: np.ndarray,
+    xn_val: np.ndarray,
+    y_val: np.ndarray,
+    config: TrainConfig,
+    cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN,
+) -> list[FinetuneResult]:
+    """Fine-tune one classifier per pre-trained encoder, all runs in lock-step.
+
+    The runs share the pairs, the batch order and the head's initial
+    weights; only the encoders differ. With S > 1 runs every parameter is
+    stacked along a leading run axis and one step trains all of them, each
+    on its own (S,) loss entry, so every run's history and checkpoints are
+    bit-identical to fine-tuning it alone. One run carries no run axis. A
+    non-finite loss in any run raises ``TrainingAbort`` for all of them.
+    """
     if not (len(xp_train) == len(xn_train) == len(y_train)):
         raise ShapeError("finetune: prev/next/label lengths differ")
     if len(xp_train) == 0:
         raise ConfigError("finetune: no training pairs")
+    if not pretrained:
+        raise ConfigError("finetune: need at least one pre-trained checkpoint")
 
-    encoder = encoder_from_checkpoint(pretrained)
+    encoders = [encoder_from_checkpoint(ck) for ck in pretrained]
+    encoder = encoders[0]
+    for other in encoders[1:]:
+        if (other.widths, other.activation) != (encoder.widths, encoder.activation):
+            raise ShapeError(
+                f"finetune: runs need one encoder shape, got {encoder.widths} {encoder.activation} "
+                f"and {other.widths} {other.activation}"
+            )
     if xp_train.shape[-1] != encoder.widths[0]:
         raise ShapeError(
             f"finetune: pair feature width {xp_train.shape[-1]} != encoder input width {encoder.widths[0]}"
@@ -555,8 +600,26 @@ def finetune(
     cls = init_classifier_head(
         encoder.embedding_dim, _sub_seed(config.seed, _STREAM_CLS_HEAD), cls_hidden
     )
+    n_runs = len(pretrained)
+    stacked = n_runs > 1
+    if stacked:
+        encoder = EncoderParams(
+            encoder.widths,
+            encoder.activation,
+            [_stack(ws) for ws in zip(*(e.weights for e in encoders))],
+            [_stack(bs) for bs in zip(*(e.biases for e in encoders))],
+        )
+        cls = ClassifierHead(
+            cls.widths,
+            cls.activation,
+            [_stack([w] * n_runs) for w in cls.weights],
+            [_stack([b] * n_runs) for b in cls.biases],
+        )
 
     frozen = config.freeze_encoder
+    if not frozen:
+        for t in encoder.trainable():
+            t.requires_grad = True
     named_trained = _named_params(None, cls=cls) if frozen else _named_params(encoder, cls=cls)
     named_all = _named_params(encoder, cls=cls)
     params = [t for _, t in named_trained]
@@ -568,18 +631,21 @@ def finetune(
         up_val = encode(encoder, xp_val).data
         un_val = encode(encoder, xn_val).data
 
-    def val_metrics() -> tuple[float, float]:
+    def val_metrics() -> list[tuple[float, float]]:
         if len(y_val) == 0:
-            return float("nan"), float("nan")
+            return [(float("nan"), float("nan"))] * n_runs
         if frozen:
             logits = classify_pairs(cls, up_val, un_val).data
         else:
             logits = _pair_logits(encoder, cls, xp_val, xn_val)
-        report = compute_metrics(predict_classes(logits), y_val)
-        return report.accuracy, report.macro_f1
+        out = []
+        for s in range(n_runs):
+            report = compute_metrics(predict_classes(logits[s] if stacked else logits), y_val)
+            out.append((report.accuracy, report.macro_f1))
+        return out
 
-    def meta_for(epoch: int) -> dict:
-        return {
+    def snapshot(epoch: int, s: int) -> Checkpoint:
+        meta = {
             "stage": "finetune",
             "epoch": epoch,
             "adam_step": state.step,
@@ -590,65 +656,70 @@ def finetune(
                 "cls_activation": cls.activation,
             },
             "train": asdict(config),
-            "pretrain_train": pretrained.meta.get("train"),
-            "data": pretrained.meta.get("data", {}),
+            "pretrain_train": pretrained[s].meta.get("train"),
+            "data": pretrained[s].meta.get("data", {}),
         }
+        return _snapshot(named_all, named_trained, state, meta, s if stacked else None)
 
     n = len(y_train)
-    history: list[dict] = []
-    best: Checkpoint | None = None
-    best_epoch = -1
-    best_f1 = -math.inf
+    histories: list[list[dict]] = [[] for _ in range(n_runs)]
+    best: list[Checkpoint | None] = [None] * n_runs
+    best_epoch = [-1] * n_runs
+    best_f1 = [-math.inf] * n_runs
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
         order = _epoch_order(config.seed, epoch, n)
-        ce_sum = 0.0
+        ce_sums = [0.0] * n_runs
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if frozen:
-                logits = classify_pairs(cls, up_train[idx], un_train[idx])
+                logits = classify_pairs(cls, up_train.take(idx, axis=-2), un_train.take(idx, axis=-2))
             else:
                 logits = classify_pairs(
                     cls, encode(encoder, xp_train[idx]), encode(encoder, xn_train[idx])
                 )
             ce = cross_entropy(logits, y_train[idx])
-            ce_val = ce.item()
-            if not math.isfinite(ce_val):
-                raise TrainingAbort(
-                    f"finetune: non-finite loss at epoch {epoch} batch {n_batches}: ce={ce_val}"
-                )
+            for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
+                if not math.isfinite(ce_val):
+                    where = f" run {s}" if stacked else ""
+                    raise TrainingAbort(
+                        f"finetune{where}: non-finite loss at epoch {epoch} batch {n_batches}: ce={ce_val}"
+                    )
+                ce_sums[s] += ce_val
             grad = loss_gradients(ce, params, state.grad, state.grads)
             adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
-            ce_sum += ce_val
             n_batches += 1
 
-        accuracy, macro_f1 = val_metrics()
+        for s, (accuracy, macro_f1) in enumerate(val_metrics()):
+            histories[s].append(
+                {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "train_ce": ce_sums[s] / n_batches,
+                    "val_accuracy": accuracy,
+                    "val_macro_f1": macro_f1,
+                }
+            )
+            if macro_f1 > best_f1[s]:
+                best_f1[s] = macro_f1
+                best_epoch[s] = epoch
+                best[s] = snapshot(epoch, s)
+
+    results = []
+    for s, history in enumerate(histories):
         history.append(
             {
-                "epoch": epoch,
-                "lr": lr,
-                "train_ce": ce_sum / n_batches,
-                "val_accuracy": accuracy,
-                "val_macro_f1": macro_f1,
+                "epoch": config.epochs,
+                "lr": cosine_lr(config.epochs, config),
+                "train_ce": history[-1]["train_ce"],
+                "val_accuracy": history[-1]["val_accuracy"],
+                "val_macro_f1": history[-1]["val_macro_f1"],
             }
         )
-        if macro_f1 > best_f1:
-            best_f1 = macro_f1
-            best_epoch = epoch
-            best = _snapshot(named_all, named_trained, state, meta_for(epoch))
-
-    history.append(
-        {
-            "epoch": config.epochs,
-            "lr": cosine_lr(config.epochs, config),
-            "train_ce": history[-1]["train_ce"],
-            "val_accuracy": history[-1]["val_accuracy"],
-            "val_macro_f1": history[-1]["val_macro_f1"],
-        }
-    )
-    final = _snapshot(named_all, named_trained, state, meta_for(config.epochs - 1))
-    if best is None:
-        best, best_epoch = final, config.epochs - 1
-    return FinetuneResult(final=final, best=best, best_epoch=best_epoch, history=history)
+        final = snapshot(config.epochs - 1, s)
+        if best[s] is None:  # no finite validation macro-F1 ever observed
+            best[s], best_epoch[s] = final, config.epochs - 1
+        results.append(FinetuneResult(final, best[s], best_epoch[s], history))
+    return results

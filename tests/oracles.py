@@ -259,3 +259,19 @@ def softmax_cross_entropy_chain(logits, onehot, floor):
 
 def weighted_log_sum_chain(x, coefficients, floor):
     return (x.clamp(floor, 1.0).log() * Tensor(coefficients)).sum()
+
+
+def average_ranks_loop(values):
+    """1-based average ranks by walking each tie run of the stable sort in a Python loop."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

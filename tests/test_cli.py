@@ -326,6 +326,38 @@ def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monke
     assert report["per_seed"]["1"]["error"] == "TrainingAbort: injected failure"
 
 
+def test_compare_a_diverged_mode_aborts_its_seed_and_names_the_run(tiny_dataset, tmp_path, monkeypatch):
+    real = hscl.pipeline.run_pretrain
+
+    def poison_cl(prepared, model, config):
+        result = real(prepared, model, config)
+        if config.seed == 1 and config.loss.mode == "mse+cl":
+            result.best.tensors["encoder.w0"][:] = np.nan
+        return result
+
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain", poison_cl)
+    out = tmp_path / "cmp5"
+    rc = main(
+        [
+            "compare",
+            "--data", str(tiny_dataset),
+            "--out", str(out),
+            "--seeds", "0,1",
+            "--modes", "mse,mse+cl",
+            "--epochs", "1",
+            "--finetune-epochs", "1",
+            "--hidden", "8,4",
+        ]
+    )
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["per_seed"]["0"]) == {"mse", "mse+cl"}
+    assert report["per_seed"]["1"] == {
+        "error": "TrainingAbort: finetune run 1: non-finite loss at epoch 0 batch 0: ce=nan"
+    }
+    assert not (out / "seed1").exists()
+
+
 def test_every_error_type_derives_from_hscl_error():
     types = [
         obj
@@ -499,6 +531,14 @@ def test_compare_with_bad_fractions_exits_2_before_any_seed(tiny_dataset, tmp_pa
     assert not out.exists()
 
 
+def test_compare_with_no_loss_mode_exits_2_before_any_seed(tiny_dataset, tmp_path):
+    out = tmp_path / "cmp"
+    proc = _run_cli("compare", "--data", tiny_dataset, "--out", out, "--seeds", "0", "--modes", "")
+    assert proc.returncode == 2
+    assert "need at least one loss mode" in proc.stderr
+    assert not out.exists()
+
+
 # -- empty splits: (0, F) arrays, ConfigError (exit 2) where a stage needs data ----
 
 
@@ -567,7 +607,16 @@ def test_a_cohort_without_pairs_pretrains_and_finetune_exits_2(single_scan_datas
     assert not fine.exists()
 
 
-def test_compare_records_a_split_without_pairs_as_a_failed_seed(single_scan_dataset, tmp_path, capsys):
+def test_compare_records_a_split_without_pairs_as_a_failed_seed(
+    single_scan_dataset, tmp_path, capsys, monkeypatch
+):
+    real, calls = hscl.pipeline.run_pretrain, []
+
+    def counted(prepared, model, config):
+        calls.append(config.seed)
+        return real(prepared, model, config)
+
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain", counted)
     out = tmp_path / "cmp"
     rc = main(
         [
@@ -586,6 +635,7 @@ def test_compare_records_a_split_without_pairs_as_a_failed_seed(single_scan_data
     report = json.loads((out / "report.json").read_text())
     for seed in ("0", "1"):
         assert report["per_seed"][seed] == {"error": "ConfigError: finetune: no training pairs"}
+    assert calls == []  # the missing pairs are found before any pre-training
 
 
 @pytest.mark.parametrize("pooling", ["mean", "last"])

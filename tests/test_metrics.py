@@ -14,7 +14,7 @@ from hscl.metrics import (
 )
 from hscl.model import init_encoder
 
-from oracles import metrics_ref, spearman_ref
+from oracles import average_ranks_loop, metrics_ref, spearman_ref
 
 
 # -- classification metrics ------------------------------------------------------
@@ -108,6 +108,22 @@ def test_report_text_and_json():
 
 def test_average_ranks_with_ties():
     assert average_ranks([10.0, 20.0, 10.0, 30.0]).tolist() == [1.5, 3.0, 1.5, 4.0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(5).integers(0, 7, size=300).astype(float),  # many ties
+        np.full(50, 0.25),  # all tied
+        np.array([3.0]),
+        np.array([]),
+        np.array([0.0, -0.0, np.nan, 1.0, np.nan, 0.0]),
+        np.random.default_rng(6).normal(size=2000),
+        np.round(np.random.default_rng(7).normal(size=2000), 1),  # the spread's size, with ties
+    ],
+)
+def test_average_ranks_matches_the_tie_run_loop_bitwise(values):
+    assert np.array_equal(average_ranks(values), average_ranks_loop(values))
 
 
 def test_spearman_perfect_and_reversed():

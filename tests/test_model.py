@@ -3,7 +3,7 @@ import pytest
 
 from hscl.errors import ConfigError, ShapeError
 from hscl.model import (
-    classify_pair,
+    ClassifierHead,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -126,8 +126,8 @@ def test_classifier_is_order_sensitive():
     u, v = rng.normal(size=4), rng.normal(size=4)
     for seed in range(20):
         head = init_classifier_head(4, seed=seed)
-        a = classify_pair(head, u, v).data
-        b = classify_pair(head, v, u).data
+        a = classify_pairs(head, u[None, :], v[None, :]).data
+        b = classify_pairs(head, v[None, :], u[None, :]).data
         if not np.allclose(a, b):
             return
     raise AssertionError("no parameter draw distinguished swapped pair order")
@@ -153,12 +153,20 @@ def test_predict_classes_tie_breaks_low_index():
 
 
 def test_classify_pair_matches_batch_version():
-    head = init_classifier_head(3, seed=6)
+    """One (1, D) pair gives the same logits alone as in its run of a stacked batch."""
+    head, other = init_classifier_head(3, seed=6), init_classifier_head(3, seed=7)
+    stacked = ClassifierHead(
+        head.widths,
+        head.activation,
+        [Tensor(np.stack([a.data, b.data])) for a, b in zip(head.weights, other.weights)],
+        [Tensor(np.stack([a.data, b.data])) for a, b in zip(head.biases, other.biases)],
+    )
     rng = np.random.default_rng(9)
     u, v = rng.normal(size=3), rng.normal(size=3)
-    single = classify_pair(head, u, v).data
-    batched = classify_pairs(head, u[None, :], v[None, :]).data[0]
-    assert np.array_equal(single, batched)
+    single = classify_pairs(head, u[None, :], v[None, :]).data
+    batched = classify_pairs(stacked, np.stack([u, v])[:, None, :], np.stack([v, u])[:, None, :]).data
+    assert batched.shape == (2, 1, 3)
+    assert np.array_equal(single, batched[0])
 
 
 def test_mean_prediction_gradient_through_encoder():

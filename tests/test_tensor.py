@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -69,9 +70,14 @@ def test_backward_cosine_gradient():
     assert grad_check(f, Tensor([1.0, 0.0, 0.0, 1.0]), 1e-6) < 1e-6
 
 
-def test_backward_rejects_non_scalar_root():
-    with pytest.raises(ValueError, match="scalar"):
-        backward(Tensor([1.0, 2.0], requires_grad=True) * 2.0)
+def test_backward_seeds_a_non_scalar_root_with_ones():
+    """An (S,) root holds S runs' losses, and each run's leaves get only their own gradient."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    backward(x * 2.0)
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    runs = Tensor([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]], requires_grad=True)
+    backward(runs.square().sum(axis=1))
+    assert np.array_equal(runs.grad, 2.0 * runs.data)
 
 
 def test_backward_rejects_consumed_graph():
@@ -448,3 +454,69 @@ def test_weighted_log_sum_gradient_zero_at_and_beyond_the_clamp_edges():
         weighted_log_sum(x, np.ones(5), 0.0)
     with pytest.raises(ShapeError, match="coefficients"):
         weighted_log_sum(x, np.ones(4), 1e-6)
+
+
+# -- a leading run axis: each run's slice is bit-identical to its own 2-D call -----------
+
+
+def _assert_runs_match_their_own_calls(build, leaves, rng):
+    """Value and every gradient of one call on run stacks against each run's call on its slices.
+
+    ``leaves`` holds ``(array, stacked)`` pairs. A stacked array has the run
+    axis first and takes a gradient; any other is shared by every run and
+    takes none. The output is weighted by a random upstream array, so every
+    gradient entry is exercised.
+    """
+
+    def call(arrays):
+        tensors = [Tensor(a.copy(), requires_grad=stacked) for a, (_, stacked) in zip(arrays, leaves)]
+        return build(*tensors), tensors
+
+    out, tensors = call([a for a, _ in leaves])
+    upstream = rng.normal(size=out.shape)
+    backward(out * Tensor(upstream))
+    for r in range(out.shape[0]):
+        out_r, tensors_r = call([a[r] if stacked else a for a, stacked in leaves])
+        backward(out_r * Tensor(upstream[r]))
+        assert np.array_equal(out.data[r], out_r.data)
+        for t, t_r, (_, stacked) in zip(tensors, tensors_r, leaves):
+            if stacked:
+                assert np.array_equal(t.grad[r], t_r.grad)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu", None])
+def test_dense_with_a_run_axis_matches_each_runs_own_call_bitwise(activation, runs):
+    rng = np.random.default_rng(31)
+    # encoder, classifier-hidden and logit layer widths; 1 row is a partial last batch
+    for (f, h), rows in itertools.product([(12, 64), (32, 16), (8, 32), (32, 3)], [1, 2, 8]):
+        w, b = rng.normal(size=(runs, f, h)), rng.normal(size=(runs, h))
+        for x in ((rng.normal(size=(runs, rows, f)), True), (rng.normal(size=(rows, f)), False)):
+            _assert_runs_match_their_own_calls(
+                lambda x, w, b: dense(x, w, b, activation), [x, (w, True), (b, True)], rng
+            )
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3])
+def test_concat_last_and_cross_entropy_with_a_run_axis_match_each_runs_own_call_bitwise(runs):
+    rng = np.random.default_rng(32)
+    for trial, rows in enumerate([1, 2, 8, 8]):
+        a, b = rng.normal(size=(runs, rows, 4)), rng.normal(size=(runs, rows, 3))
+        _assert_runs_match_their_own_calls(lambda a, b: concat_last([a, b]), [(a, True), (b, True)], rng)
+        logits = rng.normal(size=(runs, rows, 3)) * (1.0 if trial % 2 else 40.0)  # large logits saturate
+        onehot = np.eye(3)[rng.integers(0, 3, size=rows)]
+        _assert_runs_match_their_own_calls(
+            lambda z: softmax_cross_entropy(z, onehot, 1e-12), [(logits, True)], rng
+        )
+
+
+def test_dense_rejects_mismatched_runs_and_a_shared_input_that_needs_a_gradient():
+    w, b = Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match="runs"):
+        dense(Tensor(np.ones((3, 5, 3))), w, b)
+    with pytest.raises(ShapeError, match="bias"):
+        dense(Tensor(np.ones((5, 3))), w, Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="takes no gradient"):
+        dense(Tensor(np.ones((5, 3)), requires_grad=True), w, b)
+    with pytest.raises(ShapeError, match="runs"):  # a run axis on the input needs one on the weight
+        dense(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))

@@ -26,6 +26,7 @@ from hscl.training import (
     cosine_lr,
     encoder_from_checkpoint,
     finetune,
+    finetune_runs,
     load_checkpoint,
     pretrain,
     save_checkpoint,
@@ -412,6 +413,56 @@ def test_training_with_fused_ops_matches_the_op_chains_bitwise(mode, sim, activa
     monkeypatch.setattr(losses, "softmax_cross_entropy", softmax_cross_entropy_chain)
     monkeypatch.setattr(losses, "weighted_log_sum", weighted_log_sum_chain)
     assert run() == fused
+
+
+# -- lock-step fine-tuning: S runs in one stack give each run's own results, bit for bit ---
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+@pytest.mark.parametrize("sim", losses.SIMILARITIES)
+def test_lockstep_finetune_matches_each_run_alone_bitwise(sim, freeze):
+    rng = np.random.default_rng(12)
+    x, y = _noiseless_regression(n=40, f=5, seed=12)
+    # 25 pairs: three full batches of 8 and a last batch of one row
+    xp, xn = rng.normal(size=(25, 5)), rng.normal(size=(25, 5))
+    labels = rng.integers(0, 3, size=25)
+    pres = [
+        pretrain(x, y, x[:8], y[:8], TrainConfig(epochs=2, seed=4, loss=LossConfig(mode, sim)), hidden=(8, 4)).best
+        for mode in losses.MODES
+    ]
+    args = (xp, xn, labels, xp[:9], xn[:9], labels[:9], TrainConfig(epochs=3, seed=5, freeze_encoder=freeze))
+
+    def outputs(result):
+        return [result.history, result.best_epoch, checkpoint_bytes(result.best), checkpoint_bytes(result.final)]
+
+    alone = [outputs(finetune(ck, *args)) for ck in pres]
+    assert len({a[3] for a in alone}) == len(pres)  # the runs really differ
+    for runs in (1, 2, 3):
+        for first in range(len(pres)):  # every mode at every stack size
+            picked = [(first + k) % len(pres) for k in range(runs)]
+            stacked = finetune_runs([pres[i] for i in picked], *args)
+            assert [outputs(r) for r in stacked] == [alone[i] for i in picked]
+
+
+def test_a_non_finite_run_aborts_the_stack_and_is_named_only_when_stacked():
+    pre = _pretrained_toy()
+    xp, xn, labels = _separable_pairs(pre.best, n=20)
+    poisoned = Checkpoint({**pre.best.tensors, "encoder.w0": np.full_like(pre.best.tensors["encoder.w0"], np.nan)},
+                          pre.best.meta)
+    args = (xp, xn, labels, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
+    with pytest.raises(TrainingAbort) as alone:
+        finetune(poisoned, *args)
+    assert str(alone.value) == "finetune: non-finite loss at epoch 0 batch 0: ce=nan"
+    with pytest.raises(TrainingAbort) as stacked:
+        finetune_runs([pre.best, poisoned, pre.best], *args)
+    assert str(stacked.value) == "finetune run 1: non-finite loss at epoch 0 batch 0: ce=nan"
+
+
+def test_lockstep_finetune_rejects_runs_with_different_encoder_shapes():
+    a, b = _pretrained_toy(hidden=(8, 4)), _pretrained_toy(hidden=(6, 4))
+    xp, xn, labels = _separable_pairs(a.best, n=12)
+    with pytest.raises(ShapeError, match="one encoder shape"):
+        finetune_runs([a.best, b.best], xp, xn, labels, xp, xn, labels, TrainConfig(epochs=1))
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

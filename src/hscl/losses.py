@@ -19,6 +19,10 @@ Both contrastive losses are computed over the whole batch at once:
   pair, 0 elsewhere, so the loss is ``sum(K * log S)``;
 - for wcl, the constant ``sum over negatives of log(d_ij + eps)``, because a
   negative pair contributes ``log(S_ij * (d_ij + eps))``.
+
+Mining and every loss also take a leading run axis of S independent runs:
+(S, B) scores give (S, B, B) masks, and the loss terms become (S,) vectors.
+A stack holds one loss mode, so an ``mse`` stack builds no contrastive term.
 """
 
 from __future__ import annotations
@@ -74,7 +78,10 @@ class LossConfig:
 
 @dataclass
 class MiningResult:
-    """Mined pairs as (B, B) boolean masks (row = anchor) plus all pairwise label distances."""
+    """Mined pairs as (B, B) boolean masks (row = anchor) plus all pairwise label distances.
+
+    The masks and distances of S runs mined at once are (S, B, B) stacks.
+    """
 
     positive: np.ndarray = field(repr=False)
     negative: np.ndarray = field(repr=False)
@@ -83,17 +90,23 @@ class MiningResult:
 
     @property
     def batch_size(self) -> int:
-        return self.positive.shape[0]
+        return self.positive.shape[-1]
 
     @property
     def positives(self) -> list[list[int]]:
         """Per-anchor positive indices, ascending."""
-        return [np.flatnonzero(row).tolist() for row in self.positive]
+        return _indices(self.positive)
 
     @property
     def negatives(self) -> list[list[int]]:
         """Per-anchor negative indices, ascending."""
-        return [np.flatnonzero(row).tolist() for row in self.negative]
+        return _indices(self.negative)
+
+
+def _indices(mask: np.ndarray) -> list[list[int]]:
+    if mask.ndim != 2:
+        raise ShapeError(f"mining: per-anchor indices need (B, B) masks, got a stack of shape {mask.shape}")
+    return [np.flatnonzero(row).tolist() for row in mask]
 
 
 def mine_batch(hs) -> MiningResult:
@@ -101,43 +114,49 @@ def mine_batch(hs) -> MiningResult:
 
     Candidates j != i are ranked by (|hs_i - hs_j| ascending, j ascending);
     the first floor((B-1)/2) become positives, the last floor((B-1)/2)
-    negatives. When B is even the single middle candidate is unused.
+    negatives. When B is even the single middle candidate is unused. An
+    (S, B) array holds the scores of S runs, mined each on its own into
+    (S, B, B) masks; any other input is one batch of scores.
     """
-    scores = np.asarray(hs, dtype=np.float64).reshape(-1)
-    b = scores.shape[0]
+    scores = np.asarray(hs, dtype=np.float64)
+    if scores.ndim != 2:
+        scores = scores.reshape(-1)
+    b = scores.shape[-1]
     if b < 3:
         raise ConfigError(f"mine_batch: need at least 3 scores for a positive/negative split, got {b}")
-    distances = np.abs(scores[:, None] - scores[None, :])
+    distances = np.abs(scores[..., :, None] - scores[..., None, :])
     k = (b - 1) // 2
     # a stable sort orders row i by (distance, j); the key -1 on the diagonal
     # ranks the anchor itself first, so its candidates hold ranks 1..B-1
     keys = distances.copy()
-    np.fill_diagonal(keys, -1.0)
-    order = np.argsort(keys, axis=1, kind="stable")
-    rows = np.arange(b)[:, None]
-    positive = np.zeros((b, b), dtype=bool)
-    negative = np.zeros((b, b), dtype=bool)
-    positive[rows, order[:, 1 : k + 1]] = True
-    negative[rows, order[:, b - k :]] = True
+    diagonal = np.arange(b)
+    keys[..., diagonal, diagonal] = -1.0
+    order = np.argsort(keys, axis=-1, kind="stable")
+    rank = order.argsort(axis=-1)  # candidate j's place in row i's order
+    positive = (rank >= 1) & (rank <= k)
+    negative = rank >= b - k
     return MiningResult(positive, negative, distances, k)
 
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
-    """Summed squared error (no mean normalization)."""
-    target = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y_pred.data.ndim != 1 or y_pred.shape[0] != target.shape[0]:
-        raise ShapeError(f"mse_loss: target length {target.shape[0]} != prediction shape {y_pred.shape}")
-    if target.shape[0] < 1:
+    """Summed squared error (no mean normalization); (S, B) predictions give (S,) sums."""
+    target = np.asarray(y, dtype=np.float64)
+    if y_pred.data.ndim == 1:
+        target = target.reshape(-1)
+    if y_pred.data.ndim not in (1, 2) or target.shape != y_pred.shape:
+        raise ShapeError(f"mse_loss: target shape {target.shape} != prediction shape {y_pred.shape}")
+    if target.shape[-1] < 1:
         raise ShapeError("mse_loss: need at least one element")
     return squared_error_sum(target, y_pred)
 
 
 def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
-    if embeddings.data.ndim != 2:
-        raise ShapeError(f"{name}: expected (B, D) embeddings, got shape {embeddings.shape}")
-    if mining.batch_size != embeddings.shape[0]:
+    if embeddings.data.ndim not in (2, 3):
+        raise ShapeError(f"{name}: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}")
+    rows = embeddings.shape[:-1]
+    if mining.positive.shape != rows + rows[-1:]:
         raise ShapeError(
-            f"{name}: mining built for batch {mining.batch_size}, embeddings have {embeddings.shape[0]} rows"
+            f"{name}: mining masks {mining.positive.shape} do not fit embeddings of shape {embeddings.shape}"
         )
 
 
@@ -161,13 +180,16 @@ def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -
     scale so that eps is comparable across datasets.
     """
     _check_mining("wcl_loss", embeddings, mining)
-    scores = np.asarray(hs, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != mining.batch_size:
-        raise ShapeError(f"wcl_loss: got {scores.shape[0]} scores for batch {mining.batch_size}")
-    weights = np.abs(scores[:, None] - scores[None, :]) + config.eps
+    scores = np.asarray(hs, dtype=np.float64)
+    if embeddings.data.ndim == 2:
+        scores = scores.reshape(-1)
+    if scores.shape != embeddings.shape[:-1]:
+        raise ShapeError(f"wcl_loss: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
+    weights = np.abs(scores[..., :, None] - scores[..., None, :]) + config.eps
     pos, neg = mining.positive, mining.negative
     coefficients = neg - pos / weights
-    constant = Tensor(np.log(weights[neg]).sum())
+    # every anchor has per_side negatives, so each run's terms are one row
+    constant = Tensor(np.log(weights[neg]).reshape(scores.shape[:-1] + (-1,)).sum(axis=-1))
     return _log_similarity_sum(embeddings, coefficients, config) + constant
 
 
@@ -204,18 +226,18 @@ def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tens
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax probability of the true class.
 
-    (S, B, C) logits of S runs sharing the B labels give an (S,) vector of
-    per-run losses.
+    (S, B, C) logits of S runs give an (S,) vector of per-run losses, with
+    (B,) labels shared by the runs or (S, B) labels per run.
     """
     target = np.asarray(labels)
     if logits.data.ndim not in (2, 3):
         raise ShapeError(f"cross_entropy: expected (B, C) or (S, B, C) logits, got shape {logits.shape}")
     n, c = logits.shape[-2:]
-    if target.ndim != 1 or target.shape[0] != n:
+    if target.shape not in ((n,), logits.shape[:-1]):
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
-    onehot = target[:, None] == np.arange(c)
-    if np.count_nonzero(onehot) != n:  # some label is not a class index
-        raise DomainError(f"cross_entropy: labels must lie in [0, {c}), got {sorted(set(target.tolist()))}")
+    onehot = target[..., None] == np.arange(c)
+    if np.count_nonzero(onehot) != target.size:  # some label is not a class index
+        raise DomainError(f"cross_entropy: labels must lie in [0, {c}), got {sorted(set(target.ravel().tolist()))}")
     return softmax_cross_entropy(logits, onehot, _PROB_FLOOR)
 
 

@@ -108,13 +108,21 @@ def init_classifier_head(
 
 
 def encode(params: EncoderParams, batch) -> Tensor:
-    """Map a (B, F) batch to (B, embedding_dim) embeddings."""
+    """Map a (B, F) batch to (B, embedding_dim) embeddings.
+
+    An encoder whose weights carry a leading run axis of S runs also takes
+    an (S, B, F) stack, one batch per run, and gives (S, B, embedding_dim).
+    """
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
-    if x.data.ndim != 2:
-        raise ShapeError(f"encode: expected a 2-D (batch, feature) input, got shape {x.shape}")
-    if x.shape[1] != params.widths[0]:
+    stacked = params.weights[0].data.ndim == 3
+    if x.data.ndim != 2 and not (stacked and x.data.ndim == 3):
         raise ShapeError(
-            f"encode: feature width {x.shape[1]} != encoder input width {params.widths[0]}"
+            f"encode: expected a 2-D (batch, feature) input, or (S, B, F) for an encoder of S runs, "
+            f"got shape {x.shape}"
+        )
+    if x.shape[-1] != params.widths[0]:
+        raise ShapeError(
+            f"encode: feature width {x.shape[-1]} != encoder input width {params.widths[0]}"
         )
     for w, b in zip(params.weights, params.biases):
         x = dense(x, w, b, params.activation)
@@ -122,12 +130,12 @@ def encode(params: EncoderParams, batch) -> Tensor:
 
 
 def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:
-    """Scalar health-score prediction per row, returned as a length-B vector."""
-    if embeddings.shape[1] != head.weight.shape[0]:
+    """Scalar health-score prediction per row: a length-B vector, or (S, B) for S runs."""
+    if embeddings.shape[-1] != head.weight.shape[-2]:
         raise ShapeError(
-            f"predict_hs: embedding width {embeddings.shape[1]} != head width {head.weight.shape[0]}"
+            f"predict_hs: embedding width {embeddings.shape[-1]} != head width {head.weight.shape[-2]}"
         )
-    return dense(embeddings, head.weight, head.bias).reshape((embeddings.shape[0],))
+    return dense(embeddings, head.weight, head.bias).reshape(embeddings.shape[:-1])
 
 
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:

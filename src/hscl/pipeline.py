@@ -47,6 +47,7 @@ from .training import (
     finetune,
     finetune_runs,
     pretrain,
+    pretrain_runs,
     save_checkpoint,
 )
 
@@ -145,6 +146,30 @@ def run_pretrain(prepared: Prepared, model: ModelSpec, config: TrainConfig) -> P
     )
 
 
+def run_pretrain_runs(
+    prepareds: list[Prepared], model: ModelSpec, config: TrainConfig, seeds: list[int]
+) -> list[PretrainResult]:
+    """Pre-train one run per prepared split in lock-step: run k on split k with seed ``seeds[k]``.
+
+    The splits must have equal sizes; see ``training.pretrain_runs``.
+    """
+
+    def per_run(split: str, k: int) -> np.ndarray:
+        return np.stack([p.regression[split][k] for p in prepareds])
+
+    return pretrain_runs(
+        per_run("train", 0),
+        per_run("train", 1),
+        per_run("val", 0),
+        per_run("val", 1),
+        config,
+        hidden=model.hidden,
+        activation=model.activation,
+        data_metas=[p.data_meta for p in prepareds],
+        seeds=seeds,
+    )
+
+
 def run_finetune(
     prepared: Prepared, pretrained: Checkpoint, config: TrainConfig, model: ModelSpec
 ) -> FinetuneResult:
@@ -205,11 +230,21 @@ def run_comparison(
 ) -> dict:
     """Pretrain/finetune/evaluate each loss mode for each seed.
 
+    Every seed is prepared first. Seeds whose splits have equal sizes (train
+    and val scans, train and val pairs) form a group, trained in lock-step:
+    one pre-training stack per loss mode over the group's seeds, then one
+    fine-tuning stack of all its (seed, mode) runs. Each run's outputs are
+    bit-identical to training it alone. Evaluation, the spread analysis and
+    checkpoint writes then run seed by seed, in seed order.
+
     A stage failure the library reports (an ``HsclError``: bad input, a
     diverged run, a checkpoint error) aborts that seed, the reason is
-    recorded and the sweep continues; any other exception is a programming
-    error and propagates. Returns the report dict; when ``out_dir`` is given,
-    writes report.json, report.txt, and per-run checkpoints beneath it.
+    recorded and the sweep continues. When a group of several seeds fails,
+    each of its seeds is retrained as a group of one, so only the failing
+    seed is lost and its row reads as if it had run alone. Any other
+    exception is a programming error and propagates. Returns the report
+    dict; when ``out_dir`` is given, writes report.json, report.txt, and
+    per-run checkpoints beneath it.
     """
     for mode in compare.modes:
         if mode not in MODES:
@@ -218,15 +253,45 @@ def run_comparison(
         raise ConfigError("run_comparison: need at least one loss mode")
     if not compare.seeds:
         raise ConfigError("run_comparison: need at least one seed")
+    for what, values in (("seed", compare.seeds), ("loss mode", compare.modes)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
+
+    errors: dict[int, str] = {}
+    prepared: dict[int, Prepared] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for seed in compare.seeds:
+        try:
+            prepared[seed] = _prepare_seed(collection, seed, dcfg)
+        except HsclError as exc:
+            errors[seed] = _error_text(exc)
+            continue
+        groups.setdefault(_split_sizes(prepared[seed]), []).append(seed)
+
+    trained: dict[int, list[tuple]] = {}
+    for group in groups.values():
+        try:
+            trained.update(_train_group(group, prepared, compare, model, pretrain_cfg, finetune_cfg))
+        except HsclError as exc:
+            if len(group) == 1:
+                errors[group[0]] = _error_text(exc)
+                continue
+            for seed in group:  # retrain alone, so no seed can abort another
+                try:
+                    trained.update(_train_group([seed], prepared, compare, model, pretrain_cfg, finetune_cfg))
+                except HsclError as exc:
+                    errors[seed] = _error_text(exc)
 
     per_seed: dict[str, dict] = {}
     for seed in compare.seeds:
+        if seed in errors:
+            per_seed[str(seed)] = {"error": errors[seed]}
+            continue
         try:
-            per_seed[str(seed)] = _run_one_seed(
-                collection, seed, compare, dcfg, model, pretrain_cfg, finetune_cfg, out_dir
-            )
+            per_seed[str(seed)] = _evaluate_seed(prepared[seed], seed, trained[seed], compare, out_dir)
         except HsclError as exc:  # record the reason, keep the sweep going
-            per_seed[str(seed)] = {"error": f"{type(exc).__name__}: {exc}"}
+            per_seed[str(seed)] = {"error": _error_text(exc)}
 
     medians: dict[str, dict] = {}
     for mode in compare.modes:
@@ -251,40 +316,74 @@ def run_comparison(
     return report
 
 
-def _run_one_seed(
-    collection: list[PatientSeries],
-    seed: int,
+def _error_text(exc: HsclError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _prepare_seed(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Prepared:
+    prepared = prepare(collection, seed, dcfg)
+    if len(prepared.pairs["train"][2]) == 0:  # checked before any mode spends a pre-training
+        raise ConfigError("finetune: no training pairs")
+    return prepared
+
+
+def _split_sizes(prepared: Prepared) -> tuple[int, ...]:
+    """What seeds must share to train in one stack: train/val scan and pair counts."""
+    return (
+        len(prepared.regression["train"][1]),
+        len(prepared.regression["val"][1]),
+        len(prepared.pairs["train"][2]),
+        len(prepared.pairs["val"][2]),
+    )
+
+
+def _train_group(
+    seeds: list[int],
+    prepared: dict[int, Prepared],
     compare: CompareConfig,
-    dcfg: DataConfig,
     model: ModelSpec,
     pretrain_cfg: TrainConfig,
     finetune_cfg: TrainConfig,
-    out_dir: str | None,
-) -> dict:
-    prepared = prepare(collection, seed, dcfg)
-    pairs_train, pairs_val = prepared.pairs["train"], prepared.pairs["val"]
-    if len(pairs_train[2]) == 0:  # checked before any mode spends a pre-training
-        raise ConfigError("finetune: no training pairs")
-    # only each run's best checkpoint and epoch are kept; finals and traces are let go
+) -> dict[int, list[tuple]]:
+    """Train every (seed, mode) run of a group of equal-size seeds.
+
+    Returns, per seed, one ``(pre best, pre best epoch, fine best, fine best
+    epoch)`` tuple per mode; finals and traces are let go.
+    """
+    prepareds = [prepared[seed] for seed in seeds]
     pres = [
-        (pre.best, pre.best_epoch)
-        for pre in (
-            run_pretrain(
-                prepared, model, replace(pretrain_cfg, seed=seed, loss=replace(pretrain_cfg.loss, mode=mode))
+        [
+            (pre.best, pre.best_epoch)
+            for pre in run_pretrain_runs(
+                prepareds, model, replace(pretrain_cfg, loss=replace(pretrain_cfg.loss, mode=mode)), seeds
             )
-            for mode in compare.modes
-        )
+        ]
+        for mode in compare.modes
     ]
-    # every mode shares the pairs, batch order and head init, so one stacked call fine-tunes all
-    f_cfg = replace(finetune_cfg, seed=seed)
-    fines = [
-        (fine.best, fine.best_epoch)
-        for fine in finetune_runs(
-            [best for best, _ in pres], *pairs_train, *pairs_val, f_cfg, cls_hidden=model.cls_hidden
-        )
-    ]
+    # one fine-tuning stack of every run, seed-major: run (k, m) starts from pres[m][k]
+    runs = [(k, m) for k in range(len(seeds)) for m in range(len(compare.modes))]
+
+    def per_run(split: str, j: int) -> np.ndarray:
+        return np.stack([prepareds[k].pairs[split][j] for k, _ in runs])
+
+    fines = finetune_runs(
+        [pres[m][k][0] for k, m in runs],
+        *(per_run(split, j) for split in ("train", "val") for j in range(3)),
+        finetune_cfg,
+        cls_hidden=model.cls_hidden,
+        seeds=[seeds[k] for k, _ in runs],
+    )
+    out: dict[int, list[tuple]] = {seed: [] for seed in seeds}
+    for (k, m), fine in zip(runs, fines):
+        out[seeds[k]].append((*pres[m][k], fine.best, fine.best_epoch))
+    return out
+
+
+def _evaluate_seed(
+    prepared: Prepared, seed: int, runs: list[tuple], compare: CompareConfig, out_dir: str | None
+) -> dict:
     results: dict[str, dict] = {}
-    for mode, (pre_best, pre_epoch), (fine_best, fine_epoch) in zip(compare.modes, pres, fines):
+    for mode, (pre_best, pre_epoch, fine_best, fine_epoch) in zip(compare.modes, runs):
         report = evaluate_checkpoint(prepared, fine_best, split="test")
         spread = spread_for_checkpoint(
             prepared, pre_best, compare.sample_size, seed, compare.spread_split

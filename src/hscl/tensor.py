@@ -20,6 +20,11 @@ softmax, clamp, log, ...), so values and gradients are bit-identical to that
 chain; the tests hold the chains as oracles. A fused backward computes only
 the products its requires-grad operands need.
 
+The fused ops and ``pairwise_similarity`` also take a leading run axis that
+stacks S independent runs, and then give per-run results: an (S,) loss, an
+(S, B, B) similarity. Each run's slice is computed by the same numpy
+operations on the same shapes as its own call, so it is bit-identical to it.
+
 Gradients are written, not zero-filled and added: a node's first gradient
 contribution becomes its ``grad`` array, and later ones are added into it in
 place. So the first contribution must be an array the node owns. An op hands
@@ -302,34 +307,38 @@ def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:
     ``cos`` is the shifted cosine ``(E E^T / (n n^T) + 1) / 2`` with ``n`` the
     row norms, and raises ``DomainError`` when any row has zero norm. ``l2`` is
     ``1 / (||e_i - e_j|| + 1)``; its gradient is 0 where the distance is 0.
+    (S, B, D) embeddings of S runs give an (S, B, B) stack.
     """
-    if embeddings.data.ndim != 2:
-        raise ShapeError(f"pairwise_similarity: expected (B, D) embeddings, got shape {embeddings.shape}")
+    if embeddings.data.ndim not in (2, 3):
+        raise ShapeError(
+            f"pairwise_similarity: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}"
+        )
     e = embeddings.data
     if kind == "cos":
-        norms = np.sqrt((e * e).sum(axis=1))
+        norms = np.sqrt((e * e).sum(axis=-1))
         if np.any(norms == 0.0):
             raise DomainError("pairwise_similarity: cosine undefined for a zero vector")
-        out = _node(((e @ e.T) / np.outer(norms, norms) + 1.0) * 0.5, (embeddings,))
+        outer = norms[..., :, None] * norms[..., None, :]
+        out = _node(((e @ e.swapaxes(-1, -2)) / outer + 1.0) * 0.5, (embeddings,))
         if out._parents:
-            unit = e / norms[:, None]
+            unit = e / norms[..., None]
             def back(g: np.ndarray) -> None:
-                g_unit = (0.5 * (g + g.T)) @ unit
-                radial = (g_unit * unit).sum(axis=1, keepdims=True)
-                _accumulate(embeddings, (g_unit - radial * unit) / norms[:, None])
+                g_unit = (0.5 * (g + g.swapaxes(-1, -2))) @ unit
+                radial = (g_unit * unit).sum(axis=-1, keepdims=True)
+                _accumulate(embeddings, (g_unit - radial * unit) / norms[..., None])
             out._backward = back
         return out
     if kind == "l2":
-        diff = e[:, None, :] - e[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        diff = e[..., :, None, :] - e[..., None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
         sim = 1.0 / (dist + 1.0)
         out = _node(sim, (embeddings,))
         if out._parents:
             def back(g: np.ndarray) -> None:
                 # d sim / d dist = -sim^2; d dist_ij / d e_i = (e_i - e_j) / dist_ij
                 w = np.divide(-g * sim * sim, dist, out=np.zeros_like(dist), where=dist > 0.0)
-                w = w + w.T
-                _accumulate(embeddings, w.sum(axis=1)[:, None] * e - w @ e)
+                w = w + w.swapaxes(-1, -2)
+                _accumulate(embeddings, w.sum(axis=-1)[..., None] * e - w @ e)
             out._backward = back
         return out
     raise ConfigError(f"pairwise_similarity: unknown kind {kind!r}")
@@ -357,15 +366,22 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
 
 
 def squared_error_sum(target: np.ndarray, pred: Tensor) -> Tensor:
-    """``sum((target - pred)^2)`` for a constant ``target`` shaped like ``pred``."""
+    """``sum((target - pred)^2)`` for a constant ``target`` shaped like ``pred``.
+
+    A (B,) prediction gives a scalar; an (S, B) stack of S runs gives the
+    (S,) per-run sums.
+    """
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != pred.shape:
-        raise ShapeError(f"squared_error_sum: target shape {target.shape} != prediction shape {pred.shape}")
+    if target.shape != pred.shape or pred.data.ndim not in (1, 2):
+        raise ShapeError(
+            f"squared_error_sum: expected a (B,) or (S, B) prediction and a target of its shape, "
+            f"got {pred.shape} and {target.shape}"
+        )
     diff = target - pred.data
-    out = _node((diff * diff).sum(), (pred,))
+    out = _node((diff * diff).sum(axis=-1), (pred,))
     if out._parents:
         def back(g: np.ndarray) -> None:
-            _accumulate(pred, -(g * 2.0 * diff))
+            _accumulate(pred, -(g[..., None] * 2.0 * diff))
         out._backward = back
     return out
 
@@ -375,13 +391,14 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
 
     The softmax over the last axis uses the usual max-shift. As with
     ``clamp``, a probability at or beyond the clamp edges passes no gradient.
-    (S, B, C) logits of S runs sharing one (B, C) mask give an (S,) vector
-    of per-run losses; (B, C) logits give a scalar.
+    (S, B, C) logits of S runs give an (S,) vector of per-run losses, with
+    one (B, C) mask shared by the runs or an (S, B, C) mask per run; (B, C)
+    logits give a scalar.
     """
     z = logits.data
-    if z.ndim not in (2, 3) or onehot.shape != z.shape[-2:]:
+    if z.ndim not in (2, 3) or onehot.shape not in (z.shape[-2:], z.shape):
         raise ShapeError(
-            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) mask, "
+            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) or per-run mask, "
             f"got {z.shape} and {onehot.shape}"
         )
     e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -405,17 +422,20 @@ def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tenso
     """``sum(K * log clamp(x, floor, 1))`` for a constant coefficient array ``K``.
 
     As with ``clamp``, an entry at or beyond the clamp edges passes no gradient.
+    An (S, B, B) stack of S runs' matrices gives the (S,) per-run sums; any
+    other shape is summed whole.
     """
     if coefficients.shape != x.shape:
         raise ShapeError(f"weighted_log_sum: coefficients {coefficients.shape} != input {x.shape}")
     if not 0.0 < floor < 1.0:
         raise DomainError(f"weighted_log_sum: floor {floor} must lie in (0, 1)")
+    stacked = x.data.ndim == 3
     clamped = np.minimum(np.maximum(x.data, floor), 1.0)
-    out = _node((np.log(clamped) * coefficients).sum(), (x,))
+    out = _node((np.log(clamped) * coefficients).sum(axis=(-2, -1) if stacked else None), (x,))
     if out._parents:
         inside = (x.data > floor) & (x.data < 1.0)
         def back(g: np.ndarray) -> None:
-            _accumulate(x, g * coefficients / clamped * inside)
+            _accumulate(x, (g[:, None, None] if stacked else g) * coefficients / clamped * inside)
         out._backward = back
     return out
 

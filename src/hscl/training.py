@@ -3,9 +3,10 @@
 Pre-training runs the regression-plus-contrastive objective over seeded
 shuffled batches (last partial batch dropped, since mining needs a fixed
 batch size); fine-tuning trains the 3-way pair classifier on top of a loaded
-encoder, optionally frozen, and can train the classifiers of several encoders
-in lock-step along a leading run axis. Both loops are single-threaded and
-bit-for-bit deterministic given the same config and seed.
+encoder, optionally frozen. Each loop can train several independent runs,
+each with its own seed and data, in lock-step along a leading run axis. Both
+loops are single-threaded and bit-for-bit deterministic given the same
+config and seed.
 
 Checkpoints are a little-endian binary format: magic ``GCCK``, u32 version,
 length-prefixed JSON metadata, then name-sorted tensors (u32 name length,
@@ -18,7 +19,8 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -355,6 +357,66 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+# -- lock-step runs ---------------------------------------------------------------
+#
+# Both loops train S independent runs at once. Every parameter is stacked
+# along a leading run axis, one flat AdamState holds the S x N trained
+# elements, and one step trains all runs, each on its own (S,) loss entry.
+# Stacked matmuls, row reductions and elementwise ops give each run's slice
+# the same bits as the run's own 2-D call, so each run's trace, history and
+# checkpoints are bit-identical to training it alone. One run carries no run
+# axis at all.
+
+
+def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
+    """``a`` with one slice per run along a leading axis, or unstacked for one run.
+
+    ``a`` is either shared by every run (``ndim`` dimensions) or already holds
+    one array per run (``ndim + 1``); a shared array is broadcast, not copied.
+    """
+    a = np.asarray(a)
+    if a.ndim == ndim + 1:
+        if a.shape[0] != n_runs:
+            raise ShapeError(f"{what}: {a.shape[0]} per-run arrays for {n_runs} runs")
+        return a if n_runs > 1 else a[0]
+    if a.ndim != ndim:
+        raise ShapeError(
+            f"{what}: expected a {ndim}-D array shared by the runs or a {ndim + 1}-D one per run, "
+            f"got shape {a.shape}"
+        )
+    return np.broadcast_to(a, (n_runs, *a.shape)) if n_runs > 1 else a
+
+
+def _epoch_rows(seeds: list[int], epoch: int, n: int) -> np.ndarray:
+    """Each run's batch order for ``epoch``, as rows of its arrays in ``_flat_rows`` form.
+
+    One run gets its (n,) order. S runs get an (S, n) stack, run k's order
+    offset by k * n, so a slice of it gathers every run's batch with one
+    ``take``.
+    """
+    if len(seeds) == 1:
+        return _epoch_order(seeds[0], epoch, n)
+    by_seed = {s: _epoch_order(s, epoch, n) for s in dict.fromkeys(seeds)}
+    return np.stack([by_seed[s] for s in seeds]) + np.arange(len(seeds))[:, None] * n
+
+
+def _flat_rows(a: np.ndarray, n_runs: int) -> np.ndarray:
+    """A per-run (S, N, ...) array as (S * N, ...) rows, run by run; one run's array as is."""
+    return a.reshape(-1, *a.shape[2:]) if n_runs > 1 else a
+
+
+def _stack(parts: list[Tensor]) -> Tensor:
+    return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+
+
+def _stack_layers(runs: list) -> tuple[list[Tensor], list[Tensor]]:
+    """The per-layer weights and biases of ``runs`` (encoders or heads), stacked along the run axis."""
+    return (
+        [_stack(list(ws)) for ws in zip(*(r.weights for r in runs))],
+        [_stack(list(bs)) for bs in zip(*(r.biases for r in runs))],
+    )
+
+
 def format_trace_line(entry: dict, keys=TRACE_KEYS) -> str:
     parts = []
     for key in keys:
@@ -393,11 +455,17 @@ class PretrainResult:
     trace: list[dict]
 
 
-def _val_mse(encoder: EncoderParams, reg: RegressionHead, x_val, y_val) -> float:
-    if len(x_val) == 0:
-        return float("nan")
+def _val_mse(
+    encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_val: np.ndarray, n_runs: int
+) -> list[float]:
+    """Each run's validation MSE; NaN for an empty split."""
+    if x_val.shape[-2] == 0:
+        return [float("nan")] * n_runs
     pred = predict_hs(reg, encode(encoder, x_val)).data
-    return float(np.mean((pred - y_val) ** 2))
+    return [
+        float(np.mean((p - y) ** 2))
+        for p, y in zip(pred.reshape(n_runs, -1), np.reshape(y_val, (n_runs, -1)))
+    ]
 
 
 def pretrain(
@@ -418,100 +486,150 @@ def pretrain(
     validation-MSE checkpoint, and the per-epoch trace (the trace carries a
     terminal entry at epoch == epochs showing the fully annealed rate).
     """
-    n = len(x_train)
+    (result,) = pretrain_runs(
+        x_train, y_train, x_val, y_val, config, hidden, activation, data_metas=[data_meta]
+    )
+    return result
+
+
+def pretrain_runs(
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
+    config: TrainConfig,
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
+    activation: str = DEFAULT_ACTIVATION,
+    data_metas: Sequence[dict | None] | None = None,
+    seeds: Sequence[int] | None = None,
+) -> list[PretrainResult]:
+    """Pre-train S runs in lock-step, run k with seed ``seeds[k]`` on its own data.
+
+    ``seeds`` defaults to ``config.seed`` alone. A run's seed fixes its
+    initial weights and batch order; the rest of ``config`` is shared, so a
+    stack holds one loss mode. Each array is shared by every run or holds one
+    per run along a leading axis: (S, N, F) features, (S, N) targets; each
+    step gathers every run's batch with one ``take``. ``data_metas[k]``
+    goes into run k's checkpoints. A non-finite loss in any run raises
+    ``TrainingAbort`` for all of them, naming the run when S > 1.
+    """
+    seeds = [config.seed] if seeds is None else [int(s) for s in seeds]
+    n_runs = len(seeds)
+    if n_runs == 0:
+        raise ConfigError("pretrain: need at least one run")
+    stacked = n_runs > 1
+    data_metas = [None] * n_runs if data_metas is None else list(data_metas)
+    if len(data_metas) != n_runs:
+        raise ConfigError(f"pretrain: {len(data_metas)} data metadata entries for {n_runs} runs")
+    x_train, x_val = (_per_run(a, n_runs, 2, "pretrain") for a in (x_train, x_val))
+    y_train, y_val = (_per_run(a, n_runs, 1, "pretrain") for a in (y_train, y_val))
+    n = x_train.shape[-2]
     if n < config.batch_size:
         raise ConfigError(
             f"pretrain: training split has {n} records, smaller than batch size {config.batch_size}"
         )
-    if len(x_train) != len(y_train):
-        raise ShapeError(f"pretrain: {len(x_train)} feature rows vs {len(y_train)} targets")
+    if y_train.shape[-1] != n:
+        raise ShapeError(f"pretrain: {n} feature rows vs {y_train.shape[-1]} targets")
 
-    n_features = x_train.shape[-1]
-    widths = [int(n_features), *hidden]
-    encoder = init_encoder(widths, _sub_seed(config.seed, _STREAM_ENCODER), activation)
-    reg = init_regression_head(encoder.embedding_dim, _sub_seed(config.seed, _STREAM_REG_HEAD))
+    widths = [int(x_train.shape[-1]), *hidden]
+    encoders = [init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds]
+    regs = [init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds]
+    encoder, reg = encoders[0], regs[0]
+    if stacked:
+        encoder = EncoderParams(widths, activation, *_stack_layers(encoders))
+        reg = RegressionHead(_stack([r.weight for r in regs]), _stack([r.bias for r in regs]))
 
     named = _named_params(encoder, reg)
     params = [t for _, t in named]
     state = AdamState.for_params(params)
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
+    train_meta = [asdict(replace(config, seed=s)) for s in seeds]
+    x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
 
-    def meta_for(epoch: int) -> dict:
-        return {
+    def snapshot(epoch: int, s: int) -> Checkpoint:
+        meta = {
             "stage": "pretrain",
             "epoch": epoch,
             "adam_step": state.step,
             "model": {"widths": widths, "activation": activation},
-            "train": asdict(config),
-            "data": data_meta or {},
+            "train": train_meta[s],
+            "data": data_metas[s] or {},
         }
+        return _snapshot(named, named, state, meta, s if stacked else None)
 
-    trace: list[dict] = []
-    best: Checkpoint | None = None
-    best_epoch = -1
-    best_val = math.inf
-    sums = {"loss": 0.0, "mse": 0.0, "contrast": 0.0}
+    traces: list[list[dict]] = [[] for _ in range(n_runs)]
+    best: list[Checkpoint | None] = [None] * n_runs
+    best_epoch = [-1] * n_runs
+    best_val = [math.inf] * n_runs
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
-        order = _epoch_order(config.seed, epoch, n)
-        sums = {"loss": 0.0, "mse": 0.0, "contrast": 0.0}
+        orders = _epoch_rows(seeds, epoch, n)
+        sums = [{"loss": 0.0, "mse": 0.0, "contrast": 0.0} for _ in range(n_runs)]
         n_batches = 0
         for start in range(0, n - config.batch_size + 1, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            idx = orders[..., start : start + config.batch_size]
+            xb, yb = x_rows.take(idx, axis=0), y_rows.take(idx, axis=0)
             embeddings = encode(encoder, xb)
             y_hat = predict_hs(reg, embeddings)
             mining = mine_batch(yb) if needs_mining else None
             total, mse_term, con_term = combined_loss_terms(
                 yb, y_hat, embeddings, mining, yb, config.loss
             )
-            loss_val = total.item()
-            mse_val = mse_term.item()
-            con_val = con_term.item() if con_term is not None else 0.0
-            if not math.isfinite(loss_val):
-                raise TrainingAbort(
-                    f"pretrain: non-finite loss at epoch {epoch} batch {n_batches}: "
-                    f"loss={loss_val} mse={mse_val} contrast={con_val}"
-                )
+            terms = zip(
+                total.data.reshape(-1).tolist(),
+                mse_term.data.reshape(-1).tolist(),
+                con_term.data.reshape(-1).tolist() if con_term is not None else [0.0] * n_runs,
+            )
+            for s, (loss_val, mse_val, con_val) in enumerate(terms):
+                if not math.isfinite(loss_val):
+                    where = f" run {s}" if stacked else ""
+                    raise TrainingAbort(
+                        f"pretrain{where}: non-finite loss at epoch {epoch} batch {n_batches}: "
+                        f"loss={loss_val} mse={mse_val} contrast={con_val}"
+                    )
+                run_sums = sums[s]
+                run_sums["loss"] += loss_val
+                run_sums["mse"] += mse_val
+                run_sums["contrast"] += con_val
             grad = loss_gradients(total, params, state.grad, state.grads)
             adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
-            sums["loss"] += loss_val
-            sums["mse"] += mse_val
-            sums["contrast"] += con_val
             n_batches += 1
 
-        val_mse = _val_mse(encoder, reg, x_val, y_val)
+        for s, val_mse in enumerate(_val_mse(encoder, reg, x_val, y_val, n_runs)):
+            traces[s].append(
+                {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "loss": sums[s]["loss"] / n_batches,
+                    "mse": sums[s]["mse"] / n_batches,
+                    "contrast": sums[s]["contrast"] / n_batches,
+                    "val_mse": val_mse,
+                }
+            )
+            if val_mse < best_val[s]:
+                best_val[s] = val_mse
+                best_epoch[s] = epoch
+                best[s] = snapshot(epoch, s)
+
+    results = []
+    for s, trace in enumerate(traces):
+        last = trace[-1]
         trace.append(
             {
-                "epoch": epoch,
-                "lr": lr,
-                "loss": sums["loss"] / n_batches,
-                "mse": sums["mse"] / n_batches,
-                "contrast": sums["contrast"] / n_batches,
-                "val_mse": val_mse,
+                "epoch": config.epochs,
+                "lr": cosine_lr(config.epochs, config),
+                "loss": last["loss"],
+                "mse": last["mse"],
+                "contrast": last["contrast"],
+                "val_mse": last["val_mse"],
             }
         )
-        if val_mse < best_val:
-            best_val = val_mse
-            best_epoch = epoch
-            best = _snapshot(named, named, state, meta_for(epoch))
-
-    final_val = trace[-1]["val_mse"]
-    trace.append(
-        {
-            "epoch": config.epochs,
-            "lr": cosine_lr(config.epochs, config),
-            "loss": trace[-1]["loss"],
-            "mse": trace[-1]["mse"],
-            "contrast": trace[-1]["contrast"],
-            "val_mse": final_val,
-        }
-    )
-    final = _snapshot(named, named, state, meta_for(config.epochs - 1))
-    if best is None:  # no finite validation MSE ever observed
-        best, best_epoch = final, config.epochs - 1
-    return PretrainResult(final=final, best=best, best_epoch=best_epoch, trace=trace)
+        final = snapshot(config.epochs - 1, s)
+        if best[s] is None:  # no finite validation MSE ever observed
+            best[s], best_epoch[s] = final, config.epochs - 1
+        results.append(PretrainResult(final=final, best=best[s], best_epoch=best_epoch[s], trace=trace))
+    return results
 
 
 # -- fine-tuning loop --------------------------------------------------------------
@@ -554,10 +672,6 @@ def finetune(
     return result
 
 
-def _stack(parts: list[Tensor]) -> Tensor:
-    return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
-
-
 def finetune_runs(
     pretrained: list[Checkpoint],
     xp_train: np.ndarray,
@@ -568,22 +682,33 @@ def finetune_runs(
     y_val: np.ndarray,
     config: TrainConfig,
     cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN,
+    seeds: Sequence[int] | None = None,
 ) -> list[FinetuneResult]:
     """Fine-tune one classifier per pre-trained encoder, all runs in lock-step.
 
-    The runs share the pairs, the batch order and the head's initial
-    weights; only the encoders differ. With S > 1 runs every parameter is
-    stacked along a leading run axis and one step trains all of them, each
-    on its own (S,) loss entry, so every run's history and checkpoints are
-    bit-identical to fine-tuning it alone. One run carries no run axis. A
-    non-finite loss in any run raises ``TrainingAbort`` for all of them.
+    Run k starts from ``pretrained[k]`` with seed ``seeds[k]`` (default
+    ``config.seed`` for every run), which fixes its head's initial weights
+    and its batch order; the rest of ``config`` is shared. Each pair array is
+    shared by every run or holds one per run along a leading axis: (S, N, F)
+    features, (S, N) labels. A non-finite loss in any run raises
+    ``TrainingAbort`` for all of them, naming the run when S > 1.
     """
-    if not (len(xp_train) == len(xn_train) == len(y_train)):
+    n = np.shape(y_train)[-1]
+    if not (np.shape(xp_train)[-2] == np.shape(xn_train)[-2] == n):
         raise ShapeError("finetune: prev/next/label lengths differ")
-    if len(xp_train) == 0:
+    if n == 0:
         raise ConfigError("finetune: no training pairs")
     if not pretrained:
         raise ConfigError("finetune: need at least one pre-trained checkpoint")
+    n_runs = len(pretrained)
+    seeds = [config.seed] * n_runs if seeds is None else [int(s) for s in seeds]
+    if len(seeds) != n_runs:
+        raise ConfigError(f"finetune: {len(seeds)} seeds for {n_runs} runs")
+    stacked = n_runs > 1
+    xp_train, xn_train, xp_val, xn_val = (
+        _per_run(a, n_runs, 2, "finetune") for a in (xp_train, xn_train, xp_val, xn_val)
+    )
+    y_train, y_val = (_per_run(a, n_runs, 1, "finetune") for a in (y_train, y_val))
 
     encoders = [encoder_from_checkpoint(ck) for ck in pretrained]
     encoder = encoders[0]
@@ -597,24 +722,14 @@ def finetune_runs(
         raise ShapeError(
             f"finetune: pair feature width {xp_train.shape[-1]} != encoder input width {encoder.widths[0]}"
         )
-    cls = init_classifier_head(
-        encoder.embedding_dim, _sub_seed(config.seed, _STREAM_CLS_HEAD), cls_hidden
-    )
-    n_runs = len(pretrained)
-    stacked = n_runs > 1
+    heads = {
+        s: init_classifier_head(encoder.embedding_dim, _sub_seed(s, _STREAM_CLS_HEAD), cls_hidden)
+        for s in dict.fromkeys(seeds)
+    }
+    cls = heads[seeds[0]]
     if stacked:
-        encoder = EncoderParams(
-            encoder.widths,
-            encoder.activation,
-            [_stack(ws) for ws in zip(*(e.weights for e in encoders))],
-            [_stack(bs) for bs in zip(*(e.biases for e in encoders))],
-        )
-        cls = ClassifierHead(
-            cls.widths,
-            cls.activation,
-            [_stack([w] * n_runs) for w in cls.weights],
-            [_stack([b] * n_runs) for b in cls.biases],
-        )
+        encoder = EncoderParams(encoder.widths, encoder.activation, *_stack_layers(encoders))
+        cls = ClassifierHead(cls.widths, cls.activation, *_stack_layers([heads[s] for s in seeds]))
 
     frozen = config.freeze_encoder
     if not frozen:
@@ -624,23 +739,29 @@ def finetune_runs(
     named_all = _named_params(encoder, cls=cls)
     params = [t for _, t in named_trained]
     state = AdamState.for_params(params)
-
+    train_meta = [asdict(replace(config, seed=s)) for s in seeds]
+    y_rows = _flat_rows(y_train, n_runs)
     if frozen:
-        up_train = encode(encoder, xp_train).data
-        un_train = encode(encoder, xn_train).data
+        # the pair embeddings, once; each step gathers its rows
+        xp_rows = _flat_rows(encode(encoder, xp_train).data, n_runs)
+        xn_rows = _flat_rows(encode(encoder, xn_train).data, n_runs)
         up_val = encode(encoder, xp_val).data
         un_val = encode(encoder, xn_val).data
+    else:
+        xp_rows, xn_rows = _flat_rows(xp_train, n_runs), _flat_rows(xn_train, n_runs)
 
     def val_metrics() -> list[tuple[float, float]]:
-        if len(y_val) == 0:
+        if y_val.shape[-1] == 0:
             return [(float("nan"), float("nan"))] * n_runs
         if frozen:
             logits = classify_pairs(cls, up_val, un_val).data
         else:
             logits = _pair_logits(encoder, cls, xp_val, xn_val)
         out = []
-        for s in range(n_runs):
-            report = compute_metrics(predict_classes(logits[s] if stacked else logits), y_val)
+        for run_logits, labels in zip(
+            logits.reshape(n_runs, -1, logits.shape[-1]), np.reshape(y_val, (n_runs, -1))
+        ):
+            report = compute_metrics(predict_classes(run_logits), labels)
             out.append((report.accuracy, report.macro_f1))
         return out
 
@@ -655,13 +776,12 @@ def finetune_runs(
                 "cls_widths": cls.widths,
                 "cls_activation": cls.activation,
             },
-            "train": asdict(config),
+            "train": train_meta[s],
             "pretrain_train": pretrained[s].meta.get("train"),
             "data": pretrained[s].meta.get("data", {}),
         }
         return _snapshot(named_all, named_trained, state, meta, s if stacked else None)
 
-    n = len(y_train)
     histories: list[list[dict]] = [[] for _ in range(n_runs)]
     best: list[Checkpoint | None] = [None] * n_runs
     best_epoch = [-1] * n_runs
@@ -669,18 +789,17 @@ def finetune_runs(
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
-        order = _epoch_order(config.seed, epoch, n)
+        orders = _epoch_rows(seeds, epoch, n)
         ce_sums = [0.0] * n_runs
         n_batches = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+            idx = orders[..., start : start + config.batch_size]
+            xp, xn = xp_rows.take(idx, axis=0), xn_rows.take(idx, axis=0)
             if frozen:
-                logits = classify_pairs(cls, up_train.take(idx, axis=-2), un_train.take(idx, axis=-2))
+                logits = classify_pairs(cls, xp, xn)
             else:
-                logits = classify_pairs(
-                    cls, encode(encoder, xp_train[idx]), encode(encoder, xn_train[idx])
-                )
-            ce = cross_entropy(logits, y_train[idx])
+                logits = classify_pairs(cls, encode(encoder, xp), encode(encoder, xn))
+            ce = cross_entropy(logits, y_rows.take(idx, axis=0))
             for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
                 if not math.isfinite(ce_val):
                     where = f" run {s}" if stacked else ""

@@ -297,14 +297,14 @@ def test_compare_median_even_count_rule(tiny_dataset, tmp_path):
 
 
 def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monkeypatch):
-    real = hscl.pipeline.run_pretrain
+    real = hscl.pipeline.run_pretrain_runs
 
-    def flaky(prepared, model, config):
-        if config.seed == 1:
+    def flaky(prepareds, model, config, seeds):
+        if 1 in seeds:
             raise TrainingAbort("injected failure")
-        return real(prepared, model, config)
+        return real(prepareds, model, config, seeds)
 
-    monkeypatch.setattr(hscl.pipeline, "run_pretrain", flaky)
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", flaky)
     out = tmp_path / "cmp3"
     rc = main(
         [
@@ -327,15 +327,16 @@ def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monke
 
 
 def test_compare_a_diverged_mode_aborts_its_seed_and_names_the_run(tiny_dataset, tmp_path, monkeypatch):
-    real = hscl.pipeline.run_pretrain
+    real = hscl.pipeline.run_pretrain_runs
 
-    def poison_cl(prepared, model, config):
-        result = real(prepared, model, config)
-        if config.seed == 1 and config.loss.mode == "mse+cl":
-            result.best.tensors["encoder.w0"][:] = np.nan
-        return result
+    def poison_cl(prepareds, model, config, seeds):
+        results = real(prepareds, model, config, seeds)
+        for seed, result in zip(seeds, results):
+            if seed == 1 and config.loss.mode == "mse+cl":
+                result.best.tensors["encoder.w0"][:] = np.nan
+        return results
 
-    monkeypatch.setattr(hscl.pipeline, "run_pretrain", poison_cl)
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", poison_cl)
     out = tmp_path / "cmp5"
     rc = main(
         [
@@ -369,10 +370,10 @@ def test_every_error_type_derives_from_hscl_error():
 
 
 def test_programming_error_in_a_seed_propagates_out_of_run_comparison(tiny_dataset, monkeypatch):
-    def broken(prepared, model, config):
+    def broken(prepareds, model, config, seeds):
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(hscl.pipeline, "run_pretrain", broken)
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", broken)
     with pytest.raises(TypeError, match="injected bug"):
         hscl.pipeline.run_comparison(
             load_dataset(tiny_dataset),
@@ -388,9 +389,9 @@ def test_compare_exits_nonzero_on_a_programming_error(tiny_dataset, tmp_path):
     script = (
         "import sys\n"
         "import hscl.pipeline\n"
-        "def broken(prepared, model, config):\n"
+        "def broken(prepareds, model, config, seeds):\n"
         "    raise TypeError('injected bug')\n"
-        "hscl.pipeline.run_pretrain = broken\n"
+        "hscl.pipeline.run_pretrain_runs = broken\n"
         "from hscl.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -539,6 +540,117 @@ def test_compare_with_no_loss_mode_exits_2_before_any_seed(tiny_dataset, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, what", [("--seeds", "1,1", "seed"), ("--modes", "mse,mse", "loss mode")])
+def test_compare_with_a_repeated_seed_or_mode_exits_2_before_any_seed(tiny_dataset, tmp_path, flag, value, what):
+    out = tmp_path / "cmp"
+    proc = _run_cli("compare", "--data", tiny_dataset, "--out", out, flag, value, "--epochs", "1")
+    assert proc.returncode == 2
+    assert f"each {what} may appear once" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+# -- seeds of equal split sizes train in one stack; each run as if it ran alone ----------
+
+
+def _compare_small(data, out, seeds: str, modes: str = "mse,mse+cl") -> int:
+    return main(
+        [
+            "compare",
+            "--data", str(data),
+            "--out", str(out),
+            "--seeds", seeds,
+            "--modes", modes,
+            "--epochs", "2",
+            "--finetune-epochs", "2",
+            "--hidden", "8,4",
+        ]
+    )
+
+
+def _checkpoints(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.ckpt"))}
+
+
+def _record_pretrain_stacks(monkeypatch, poisoned_seed=None) -> list[list[int]]:
+    """Record the seeds of every pre-training stack; NaN the encoders ``poisoned_seed`` gets."""
+    real, stacks = hscl.pipeline.run_pretrain_runs, []
+
+    def recorded(prepareds, model, config, seeds):
+        stacks.append(list(seeds))
+        results = real(prepareds, model, config, seeds)
+        for seed, result in zip(seeds, results):
+            if seed == poisoned_seed:
+                result.best.tensors["encoder.w0"][:] = np.nan
+        return results
+
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", recorded)
+    return stacks
+
+
+def test_a_diverged_seed_in_a_stack_fails_alone_and_spares_the_others(tiny_dataset, tmp_path, monkeypatch):
+    stacks = _record_pretrain_stacks(monkeypatch, poisoned_seed=1)
+    assert _compare_small(tiny_dataset, tmp_path / "sweep", "0,1,2") == 0
+    # the group's stacks fail, then each seed is retrained as a group of one
+    assert stacks == [[0, 1, 2], [0, 1, 2], [0], [0], [1], [1], [2], [2]]
+    assert _compare_small(tiny_dataset, tmp_path / "alone", "1") == 1
+    assert _compare_small(tiny_dataset, tmp_path / "without", "0,2") == 0
+
+    sweep, alone, without = (
+        json.loads((tmp_path / name / "report.json").read_text()) for name in ("sweep", "alone", "without")
+    )
+    assert [seed for seed, row in sweep["per_seed"].items() if "error" in row] == ["1"]
+    assert sweep["per_seed"]["1"] == alone["per_seed"]["1"]
+    assert sweep["per_seed"]["1"]["error"].startswith("TrainingAbort: finetune run 0: non-finite loss")
+    failure = "  seed 1: " + sweep["per_seed"]["1"]["error"]
+    assert failure in (tmp_path / "sweep" / "report.txt").read_text().splitlines()
+    assert failure in (tmp_path / "alone" / "report.txt").read_text().splitlines()
+    for seed in ("0", "2"):
+        assert sweep["per_seed"][seed] == without["per_seed"][seed]
+    assert _checkpoints(tmp_path / "sweep") == _checkpoints(tmp_path / "without")
+    assert len(_checkpoints(tmp_path / "sweep")) == 8
+
+
+@pytest.fixture(scope="module")
+def uneven_dataset(tmp_path_factory):
+    """Patients with 3 or 4 scans, so different seeds split into different sizes."""
+    spec = SyntheticSpec(n_patients=12, scans_per_patient=4, n_features=5, seed=3)
+    collection = [
+        PatientSeries(s.patient_id, s.records[: 4 if k % 2 else 3])
+        for k, s in enumerate(generate_synthetic(spec))
+    ]
+    path = tmp_path_factory.mktemp("uneven") / "uneven.csv"
+    save_dataset(collection, path)
+    return path
+
+
+def test_compare_stacks_seeds_of_equal_split_sizes_and_matches_every_seed_alone(
+    uneven_dataset, tmp_path, monkeypatch
+):
+    collection = load_dataset(uneven_dataset)
+    groups: dict[tuple, list[int]] = {}
+    for seed in range(6):
+        prepared = hscl.pipeline.prepare(collection, seed, hscl.pipeline.DataConfig())
+        groups.setdefault(hscl.pipeline._split_sizes(prepared), []).append(seed)
+    assert list(groups.values()) == [[0, 5], [1, 2], [3], [4]]
+
+    stacks = _record_pretrain_stacks(monkeypatch)
+    assert _compare_small(uneven_dataset, tmp_path / "grouped", "0,1,2,3,4,5", "mse,mse+wcl") == 0
+    assert stacks == [[0, 5], [0, 5], [1, 2], [1, 2], [3], [3], [4], [4]]
+
+    # give every seed a group of its own: the sweep as it ran before stacking
+    monkeypatch.setattr(hscl.pipeline, "_split_sizes", lambda prepared: prepared.data_meta["split_seed"])
+    del stacks[:]
+    assert _compare_small(uneven_dataset, tmp_path / "alone", "0,1,2,3,4,5", "mse,mse+wcl") == 0
+    assert stacks == [[seed] for seed in range(6) for _ in range(2)]
+
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    grouped = _checkpoints(tmp_path / "grouped")
+    assert len(grouped) == 24
+    assert grouped == _checkpoints(tmp_path / "alone")
+
+
 # -- empty splits: (0, F) arrays, ConfigError (exit 2) where a stage needs data ----
 
 
@@ -610,13 +722,13 @@ def test_a_cohort_without_pairs_pretrains_and_finetune_exits_2(single_scan_datas
 def test_compare_records_a_split_without_pairs_as_a_failed_seed(
     single_scan_dataset, tmp_path, capsys, monkeypatch
 ):
-    real, calls = hscl.pipeline.run_pretrain, []
+    real, calls = hscl.pipeline.run_pretrain_runs, []
 
-    def counted(prepared, model, config):
-        calls.append(config.seed)
-        return real(prepared, model, config)
+    def counted(prepareds, model, config, seeds):
+        calls.extend(seeds)
+        return real(prepareds, model, config, seeds)
 
-    monkeypatch.setattr(hscl.pipeline, "run_pretrain", counted)
+    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", counted)
     out = tmp_path / "cmp"
     rc = main(
         [

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.losses import (
+    MODES,
+    SIMILARITIES,
     LossConfig,
     cl_loss,
     combined_loss,
@@ -512,3 +514,73 @@ def test_loss_gradients_backprop_into_one_flat_buffer():
         assert np.array_equal(views[1], ref_b.grad)
         assert np.array_equal(views[2], np.zeros(4))
         assert all(p.grad is view for p, view in zip(params, views))
+
+
+# -- a leading run axis: S runs mined and scored at once, each bit-identical to its own call --
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+def test_mine_batch_with_a_run_axis_matches_each_runs_own_mining(runs):
+    rng = np.random.default_rng(40)
+    for b in (3, 8, 9):
+        hs = rng.normal(size=(runs, b))
+        hs[0] = rng.integers(0, 2, size=b)  # heavy ties, broken by index
+        stacked = mine_batch(hs)
+        assert stacked.positive.shape == stacked.negative.shape == stacked.distances.shape == (runs, b, b)
+        assert (stacked.batch_size, stacked.per_side) == (b, (b - 1) // 2)
+        for r in range(runs):
+            alone = mine_batch(hs[r])
+            for name in ("positive", "negative", "distances"):
+                assert np.array_equal(getattr(stacked, name)[r], getattr(alone, name))
+
+
+def test_stacked_masks_have_no_per_anchor_index_lists():
+    mining = mine_batch(np.arange(12.0).reshape(2, 6))
+    with pytest.raises(ShapeError, match="stack"):
+        mining.positives
+    with pytest.raises(ShapeError, match="stack"):
+        mining.negatives
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", SIMILARITIES)
+def test_combined_loss_terms_with_a_run_axis_match_each_runs_own_call_bitwise(kind, mode, runs):
+    """Every term, its gradients and its graph size; the wcl value includes its constant term."""
+    rng = np.random.default_rng(41)
+    cfg = LossConfig(mode=mode, similarity=kind, alpha=0.7)
+    b, d = 8, 4
+
+    def call(hs, pred, emb, upstream):
+        p, e = Tensor(pred.copy(), requires_grad=True), Tensor(emb.copy(), requires_grad=True)
+        mining = mine_batch(hs) if cfg.contrastive else None
+        terms = combined_loss_terms(hs, p, e, mining, hs, cfg)
+        size = _graph_size(terms[0])
+        backward(terms[0] * Tensor(upstream))
+        return [t.data if t is not None else None for t in terms], p.grad, e.grad, size
+
+    for trial in range(3):
+        hs = rng.uniform(0, 1, size=(runs, b))
+        pred = rng.normal(size=(runs, b))
+        emb = rng.normal(size=(runs, b, d))
+        emb[0, 1] = emb[0, 0]  # similarity 1, at the clamp edge
+        upstream = rng.normal(size=runs)
+        terms, p_grad, e_grad, size = call(hs, pred, emb, upstream)
+        for r in range(runs):
+            terms_r, p_grad_r, e_grad_r, size_r = call(hs[r], pred[r], emb[r], upstream[r])
+            assert size == size_r  # an mse stack builds no contrastive node
+            for t, t_r in zip(terms, terms_r):
+                assert (t is None and t_r is None) or np.array_equal(t[r], t_r)
+            assert np.array_equal(p_grad[r], p_grad_r)
+            if cfg.contrastive:
+                assert np.array_equal(e_grad[r], e_grad_r)
+            else:
+                assert e_grad is None and e_grad_r is None
+
+
+def test_stacked_losses_reject_masks_of_another_batch():
+    mining = mine_batch(np.zeros((2, 5)))
+    with pytest.raises(ShapeError, match="mining"):
+        cl_loss(Tensor(np.ones((3, 5, 2))), mining, CL_CFG)
+    with pytest.raises(ShapeError, match="scores"):
+        wcl_loss(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)

@@ -459,24 +459,25 @@ def test_weighted_log_sum_gradient_zero_at_and_beyond_the_clamp_edges():
 # -- a leading run axis: each run's slice is bit-identical to its own 2-D call -----------
 
 
-def _assert_runs_match_their_own_calls(build, leaves, rng):
+def _assert_runs_match_their_own_calls(build, leaves, rng, constants=()):
     """Value and every gradient of one call on run stacks against each run's call on its slices.
 
     ``leaves`` holds ``(array, stacked)`` pairs. A stacked array has the run
     axis first and takes a gradient; any other is shared by every run and
-    takes none. The output is weighted by a random upstream array, so every
-    gradient entry is exercised.
+    takes none. ``constants`` are plain arrays with the run axis first,
+    passed to ``build`` after the tensors. The output is weighted by a random
+    upstream array, so every gradient entry is exercised.
     """
 
-    def call(arrays):
+    def call(arrays, consts):
         tensors = [Tensor(a.copy(), requires_grad=stacked) for a, (_, stacked) in zip(arrays, leaves)]
-        return build(*tensors), tensors
+        return build(*tensors, *consts), tensors
 
-    out, tensors = call([a for a, _ in leaves])
+    out, tensors = call([a for a, _ in leaves], constants)
     upstream = rng.normal(size=out.shape)
     backward(out * Tensor(upstream))
     for r in range(out.shape[0]):
-        out_r, tensors_r = call([a[r] if stacked else a for a, stacked in leaves])
+        out_r, tensors_r = call([a[r] if stacked else a for a, stacked in leaves], [c[r] for c in constants])
         backward(out_r * Tensor(upstream[r]))
         assert np.array_equal(out.data[r], out_r.data)
         for t, t_r, (_, stacked) in zip(tensors, tensors_r, leaves):
@@ -520,3 +521,57 @@ def test_dense_rejects_mismatched_runs_and_a_shared_input_that_needs_a_gradient(
         dense(Tensor(np.ones((5, 3)), requires_grad=True), w, b)
     with pytest.raises(ShapeError, match="runs"):  # a run axis on the input needs one on the weight
         dense(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+def test_squared_error_sum_with_a_run_axis_matches_each_runs_own_call_bitwise(runs):
+    rng = np.random.default_rng(33)
+    for rows in (1, 8, 100):
+        target, pred = rng.normal(size=(runs, rows)), rng.normal(size=(runs, rows))
+        _assert_runs_match_their_own_calls(
+            lambda p, t: squared_error_sum(t, p), [(pred, True)], rng, constants=[target]
+        )
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+@pytest.mark.parametrize("kind", ["cos", "l2"])
+def test_pairwise_similarity_with_a_run_axis_matches_each_runs_own_call_bitwise(kind, runs):
+    rng = np.random.default_rng(34)
+    for rows, width in ((3, 2), (8, 16), (8, 4)):
+        e = rng.normal(size=(runs, rows, width))
+        e[0, 1] = e[0, 0]  # a zero-distance pair: the l2 gradient is 0 there
+        e[-1, 2] = -e[-1, 0] * 2.0  # antipodal rows: cosine similarity 0
+        _assert_runs_match_their_own_calls(lambda t: pairwise_similarity(t, kind), [(e, True)], rng)
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+def test_weighted_log_sum_with_a_run_axis_matches_each_runs_own_call_bitwise(runs):
+    rng = np.random.default_rng(35)
+    for rows in (3, 8):
+        x = rng.uniform(0.0, 1.0, size=(runs, rows, rows))
+        x[0, 0, :2] = [1e-3, 1.0]  # at the clamp edges
+        x[-1, 1, :2] = [1e-9, 1.5]  # beyond them
+        k = rng.normal(size=(runs, rows, rows))
+        _assert_runs_match_their_own_calls(
+            lambda t, k: weighted_log_sum(t, k, 1e-3), [(x, True)], rng, constants=[k]
+        )
+
+
+@pytest.mark.parametrize("runs", [2, 3, 9])
+def test_softmax_cross_entropy_with_a_per_run_mask_matches_each_runs_own_call_bitwise(runs):
+    rng = np.random.default_rng(36)
+    for trial, rows in enumerate([1, 2, 8, 8]):
+        logits = rng.normal(size=(runs, rows, 3)) * (1.0 if trial % 2 else 40.0)  # large logits saturate
+        onehot = np.eye(3)[rng.integers(0, 3, size=(runs, rows))]
+        _assert_runs_match_their_own_calls(
+            lambda z, m: softmax_cross_entropy(z, m, 1e-12), [(logits, True)], rng, constants=[onehot]
+        )
+
+
+def test_stacked_losses_reject_mismatched_masks_and_shapes():
+    with pytest.raises(ShapeError, match="mask"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 4, 3))), np.ones((3, 4, 3), dtype=bool), 1e-12)
+    with pytest.raises(ShapeError, match="squared_error_sum"):
+        squared_error_sum(np.zeros((2, 3, 4)), Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(ShapeError, match="pairwise_similarity"):
+        pairwise_similarity(Tensor(np.ones((2, 2, 3, 4))), "cos")

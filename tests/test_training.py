@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hscl.training import (
     finetune_runs,
     load_checkpoint,
     pretrain,
+    pretrain_runs,
     save_checkpoint,
 )
 
@@ -463,6 +465,92 @@ def test_lockstep_finetune_rejects_runs_with_different_encoder_shapes():
     xp, xn, labels = _separable_pairs(a.best, n=12)
     with pytest.raises(ShapeError, match="one encoder shape"):
         finetune_runs([a.best, b.best], xp, xn, labels, xp, xn, labels, TrainConfig(epochs=1))
+
+
+# -- lock-step across seeds: runs with their own seeds and data, each bit-identical alone ---
+
+
+def _run_data(n_runs, n=37, f=5, val=9):
+    """Per-run regression splits of equal sizes; 37 rows leave a dropped partial batch."""
+    splits = [_noiseless_regression(n=n + val, f=f, seed=20 + r) for r in range(n_runs)]
+    return [(x[:n], y[:n], x[n:], y[n:]) for x, y in splits]
+
+
+def _pretrain_outputs(result):
+    return [result.trace, result.best_epoch, checkpoint_bytes(result.best), checkpoint_bytes(result.final)]
+
+
+@pytest.mark.parametrize("runs", [2, 3])
+@pytest.mark.parametrize("sim", losses.SIMILARITIES)
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_lockstep_pretrain_matches_each_run_alone_bitwise(mode, sim, runs):
+    data = _run_data(runs)
+    seeds = [7 + 3 * r for r in range(runs)]
+    cfg = TrainConfig(epochs=3, seed=0, loss=LossConfig(mode, sim, alpha=0.7))
+    metas = [{"split_seed": s} for s in seeds]
+    alone = [
+        _pretrain_outputs(pretrain(*split, replace(cfg, seed=s), hidden=(8, 4), data_meta=meta))
+        for split, s, meta in zip(data, seeds, metas)
+    ]
+    assert len({a[3] for a in alone}) == runs  # the runs really differ
+    stacked = pretrain_runs(
+        *(np.stack(arrays) for arrays in zip(*data)), cfg, hidden=(8, 4), data_metas=metas, seeds=seeds
+    )
+    assert [_pretrain_outputs(r) for r in stacked] == alone
+
+
+def test_lockstep_pretrain_of_shared_data_with_one_seed_per_run_matches_each_run_alone():
+    x, y, xv, yv = _run_data(1)[0]
+    cfg = TrainConfig(epochs=2, loss=LossConfig("mse+wcl"))
+    alone = [_pretrain_outputs(pretrain(x, y, xv, yv, replace(cfg, seed=s), hidden=(6,))) for s in (1, 2, 1)]
+    stacked = pretrain_runs(x, y, xv, yv, cfg, hidden=(6,), seeds=[1, 2, 1])
+    assert [_pretrain_outputs(r) for r in stacked] == alone
+    assert alone[0] == alone[2] != alone[1]
+
+
+def test_a_non_finite_pretrain_run_aborts_the_stack_and_is_named():
+    data = _run_data(3)
+    stacked = [np.stack(arrays) for arrays in zip(*data)]
+    stacked[1][2] *= 1e300  # run 2's targets overflow the squared error
+    cfg = TrainConfig(epochs=1, loss=LossConfig("mse+cl"))
+    with pytest.raises(TrainingAbort, match=r"^pretrain run 2: non-finite loss at epoch 0 batch 0: "):
+        pretrain_runs(*stacked, cfg, hidden=(4,), seeds=[0, 1, 2])
+    with pytest.raises(TrainingAbort, match=r"^pretrain: non-finite loss at epoch 0 batch 0: "):
+        pretrain(*(a[2] for a in stacked), replace(cfg, seed=2), hidden=(4,))
+
+
+def test_lockstep_pretrain_rejects_arrays_for_another_run_count():
+    x, y, xv, yv = (np.stack(arrays) for arrays in zip(*_run_data(2)))
+    with pytest.raises(ShapeError, match="2 per-run arrays for 3 runs"):
+        pretrain_runs(x, y, xv, yv, TrainConfig(epochs=1), hidden=(4,), seeds=[0, 1, 2])
+    with pytest.raises(ConfigError, match="at least one run"):
+        pretrain_runs(x, y, xv, yv, TrainConfig(epochs=1), hidden=(4,), seeds=[])
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_lockstep_finetune_with_per_run_pairs_and_seeds_matches_each_run_alone_bitwise(freeze):
+    rng = np.random.default_rng(13)
+    data = _run_data(3)
+    cfg = TrainConfig(epochs=2, loss=LossConfig("mse+cl"))
+    pres = [pretrain(*split, replace(cfg, seed=r), hidden=(8, 4)).best for r, split in enumerate(data)]
+    # 25 training pairs per run: three full batches of 8 and a last batch of one row
+    pairs = [
+        (rng.normal(size=(25, 5)), rng.normal(size=(25, 5)), rng.integers(0, 3, size=25),
+         rng.normal(size=(9, 5)), rng.normal(size=(9, 5)), rng.integers(0, 3, size=9))
+        for _ in pres
+    ]
+    seeds = [5, 6, 5]
+    fine_cfg = TrainConfig(epochs=3, seed=0, freeze_encoder=freeze)
+
+    def outputs(result):
+        return [result.history, result.best_epoch, checkpoint_bytes(result.best), checkpoint_bytes(result.final)]
+
+    alone = [
+        outputs(finetune(ck, *arrays, replace(fine_cfg, seed=s)))
+        for ck, arrays, s in zip(pres, pairs, seeds)
+    ]
+    stacked = finetune_runs(pres, *(np.stack(a) for a in zip(*pairs)), fine_cfg, seeds=seeds)
+    assert [outputs(r) for r in stacked] == alone
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

@@ -220,9 +220,8 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
         raise DatasetError("save_dataset: no records")
     n_features = records[0].features.shape[-1]
     header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(n_features)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    def rows():
         for series in collection:
             for rec in series.records:
                 feats = np.asarray(rec.features, dtype=np.float64).reshape(-1)
@@ -231,10 +230,13 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
                         f"save_dataset: record {rec.patient_id}/{rec.seq_index} has "
                         f"{feats.shape[0]} features, expected {n_features}"
                     )
-                writer.writerow(
-                    [rec.patient_id, rec.seq_index, repr(float(rec.health_score))]
-                    + [repr(float(v)) for v in feats]
-                )
+                # repr of the Python floats: the shortest text that reads back to the same bits
+                yield [rec.patient_id, rec.seq_index, repr(float(rec.health_score)), *map(repr, feats.tolist())]
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
 
 
 def load_dataset(path) -> list[PatientSeries]:

@@ -23,6 +23,10 @@ Both contrastive losses are computed over the whole batch at once:
 Mining and every loss also take a leading run axis of S independent runs:
 (S, B) scores give (S, B, B) masks, and the loss terms become (S,) vectors.
 A stack holds one loss mode, so an ``mse`` stack builds no contrastive term.
+
+The masks, ``K`` and the wcl constant depend on the labels alone, so a
+training loop builds them for a whole epoch of batches at once with
+``contrast_targets`` and hands each step its batch's slice.
 """
 
 from __future__ import annotations
@@ -80,12 +84,13 @@ class LossConfig:
 class MiningResult:
     """Mined pairs as (B, B) boolean masks (row = anchor) plus all pairwise label distances.
 
-    The masks and distances of S runs mined at once are (S, B, B) stacks.
+    Batches mined at once carry the same leading axes as their scores: (S, B)
+    scores give (S, B, B) masks and distances.
     """
 
     positive: np.ndarray = field(repr=False)
     negative: np.ndarray = field(repr=False)
-    distances: np.ndarray = field(repr=False)  # (B, B), |hs_i - hs_j|
+    distances: np.ndarray = field(repr=False)  # (..., B, B), |hs_i - hs_j|
     per_side: int
 
     @property
@@ -103,6 +108,32 @@ class MiningResult:
         return _indices(self.negative)
 
 
+@dataclass
+class ContrastTargets(MiningResult):
+    """Mined masks plus the label-only parts of the contrastive loss built from them.
+
+    ``coefficients`` is ``K`` (..., B, B) and ``constant`` the wcl term's (...,)
+    constant; ``eps`` is the distance offset ``K`` was weighted with, and
+    ``None`` (with no constant) for the unweighted cl loss.
+    """
+
+    coefficients: np.ndarray = field(repr=False)
+    constant: np.ndarray | None = field(repr=False)
+    eps: float | None
+
+    def batch(self, index) -> "ContrastTargets":
+        """The targets at ``index`` along the leading axes: one batch, or one step of S runs."""
+        return ContrastTargets(
+            self.positive[index],
+            self.negative[index],
+            self.distances[index],
+            self.per_side,
+            self.coefficients[index],
+            None if self.constant is None else self.constant[index],
+            self.eps,
+        )
+
+
 def _indices(mask: np.ndarray) -> list[list[int]]:
     if mask.ndim != 2:
         raise ShapeError(f"mining: per-anchor indices need (B, B) masks, got a stack of shape {mask.shape}")
@@ -114,12 +145,13 @@ def mine_batch(hs) -> MiningResult:
 
     Candidates j != i are ranked by (|hs_i - hs_j| ascending, j ascending);
     the first floor((B-1)/2) become positives, the last floor((B-1)/2)
-    negatives. When B is even the single middle candidate is unused. An
-    (S, B) array holds the scores of S runs, mined each on its own into
-    (S, B, B) masks; any other input is one batch of scores.
+    negatives. When B is even the single middle candidate is unused. The
+    last axis of ``hs`` is one batch; any leading axes (S runs, the batches
+    of an epoch, or both) stack batches mined each on its own, so (..., B)
+    scores give (..., B, B) masks.
     """
     scores = np.asarray(hs, dtype=np.float64)
-    if scores.ndim != 2:
+    if scores.ndim == 0:
         scores = scores.reshape(-1)
     b = scores.shape[-1]
     if b < 3:
@@ -136,6 +168,37 @@ def mine_batch(hs) -> MiningResult:
     positive = (rank >= 1) & (rank <= k)
     negative = rank >= b - k
     return MiningResult(positive, negative, distances, k)
+
+
+def _targets(mining: MiningResult, scores: np.ndarray | None, eps: float) -> ContrastTargets:
+    """``mining`` plus ``K`` and the wcl constant; unweighted (cl) when ``scores`` is None.
+
+    Elementwise over the masks and the scores, so batches stacked along
+    leading axes get each batch's own values.
+    """
+    pos, neg = mining.positive, mining.negative
+    if scores is None:
+        return ContrastTargets(
+            pos, neg, mining.distances, mining.per_side, neg.astype(np.float64) - pos, None, None
+        )
+    weights = np.abs(scores[..., :, None] - scores[..., None, :]) + eps
+    # every anchor has per_side negatives, so each batch's terms are one row
+    constant = np.log(weights[neg]).reshape(scores.shape[:-1] + (-1,)).sum(axis=-1)
+    return ContrastTargets(
+        pos, neg, mining.distances, mining.per_side, neg - pos / weights, constant, eps
+    )
+
+
+def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
+    """Mine (..., B) batches of scores and build their ``K`` and wcl constants at once.
+
+    Each batch along the leading axes gets the masks of ``mine_batch`` and
+    the ``K`` and constant that ``cl_loss``/``wcl_loss`` build from them;
+    ``ContrastTargets.batch`` hands one step its slice, which
+    ``combined_loss_terms`` takes in place of a ``MiningResult``.
+    """
+    scores = np.asarray(hs, dtype=np.float64)
+    return _targets(mine_batch(scores), scores if config.weighted else None, config.eps)
 
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
@@ -160,16 +223,17 @@ def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
         )
 
 
-def _log_similarity_sum(embeddings: Tensor, coefficients: np.ndarray, config: LossConfig) -> Tensor:
-    """sum(K * log S) over the clamped (B, B) similarity matrix S."""
+def _contrastive_term(embeddings: Tensor, targets: ContrastTargets, config: LossConfig) -> Tensor:
+    """sum(K * log S) over the clamped (B, B) similarity matrix S, plus the wcl constant."""
     sims = pairwise_similarity(embeddings, config.similarity)
-    return weighted_log_sum(sims, coefficients, config.sim_floor)
+    term = weighted_log_sum(sims, targets.coefficients, config.sim_floor)
+    return term if targets.constant is None else term + Tensor(targets.constant)
 
 
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
     """Unweighted contrastive loss over the mined pairs."""
     _check_mining("cl_loss", embeddings, mining)
-    return _log_similarity_sum(embeddings, mining.negative.astype(np.float64) - mining.positive, config)
+    return _contrastive_term(embeddings, _targets(mining, None, config.eps), config)
 
 
 def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> Tensor:
@@ -185,12 +249,7 @@ def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -
         scores = scores.reshape(-1)
     if scores.shape != embeddings.shape[:-1]:
         raise ShapeError(f"wcl_loss: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
-    weights = np.abs(scores[..., :, None] - scores[..., None, :]) + config.eps
-    pos, neg = mining.positive, mining.negative
-    coefficients = neg - pos / weights
-    # every anchor has per_side negatives, so each run's terms are one row
-    constant = Tensor(np.log(weights[neg]).reshape(scores.shape[:-1] + (-1,)).sum(axis=-1))
-    return _log_similarity_sum(embeddings, coefficients, config) + constant
+    return _contrastive_term(embeddings, _targets(mining, scores, config.eps), config)
 
 
 def combined_loss_terms(
@@ -205,13 +264,21 @@ def combined_loss_terms(
 
     With alpha == 0 or plain MSE mode the total *is* the MSE tensor, so the
     resulting graph and gradients are bit-identical to pure MSE training.
+    ``mining`` may be the ``ContrastTargets`` of this batch, built for
+    ``config`` by ``contrast_targets``; the loss then takes its ``K`` and
+    constant as they are, and does not read ``hs``.
     """
     mse = mse_loss(y, y_pred)
     if not config.contrastive or config.alpha == 0.0:
         return mse, mse, None
     if embeddings is None or mining is None:
         raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
-    if config.weighted:
+    if isinstance(mining, ContrastTargets):
+        if mining.eps != (config.eps if config.weighted else None):
+            raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
+        _check_mining("combined_loss", embeddings, mining)
+        con = _contrastive_term(embeddings, mining, config)
+    elif config.weighted:
         con = wcl_loss(embeddings, mining, hs, config)
     else:
         con = cl_loss(embeddings, mining, config)
@@ -221,6 +288,22 @@ def combined_loss_terms(
 def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tensor:
     total, _, _ = combined_loss_terms(y, y_pred, embeddings, mining, hs, config)
     return total
+
+
+def onehot_labels(labels, n_classes: int) -> np.ndarray:
+    """(..., C) boolean class mask of integer labels; ``DomainError`` for a label outside [0, C)."""
+    target = np.asarray(labels)
+    onehot = target[..., None] == np.arange(n_classes)
+    if np.count_nonzero(onehot) != target.size:  # some label is not a class index
+        raise DomainError(
+            f"cross_entropy: labels must lie in [0, {n_classes}), got {sorted(set(target.ravel().tolist()))}"
+        )
+    return onehot
+
+
+def onehot_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """``cross_entropy`` of labels already turned into a mask by ``onehot_labels``."""
+    return softmax_cross_entropy(logits, onehot, _PROB_FLOOR)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -235,10 +318,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape[-2:]
     if target.shape not in ((n,), logits.shape[:-1]):
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
-    onehot = target[..., None] == np.arange(c)
-    if np.count_nonzero(onehot) != target.size:  # some label is not a class index
-        raise DomainError(f"cross_entropy: labels must lie in [0, {c}), got {sorted(set(target.ravel().tolist()))}")
-    return softmax_cross_entropy(logits, onehot, _PROB_FLOOR)
+    return onehot_cross_entropy(logits, onehot_labels(target, c))
 
 
 def loss_gradients(

@@ -138,8 +138,25 @@ def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:
     return dense(embeddings, head.weight, head.bias).reshape(embeddings.shape[:-1])
 
 
+def classify_pair_rows(head: ClassifierHead, rows) -> Tensor:
+    """Logits (B, 3) for (B, 2D) rows of concatenated embedding pairs [u_prev ; u_next].
+
+    The rows and the head's weights may carry a leading run axis: (S, B, 2D)
+    rows through a head of (S, ...) weights give (S, B, 3).
+    """
+    x = rows if isinstance(rows, Tensor) else Tensor(np.asarray(rows, dtype=np.float64))
+    if x.shape[-1] != head.widths[0]:
+        raise ShapeError(
+            f"classify_pair_rows: pair width {x.shape[-1]} != classifier input width {head.widths[0]}"
+        )
+    last = len(head.weights) - 1
+    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+        x = dense(x, w, b, head.activation if i < last else None)
+    return x
+
+
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
-    """Logits (B, 3) for a batch of embedding pairs.
+    """Logits (B, 3) for a batch of embedding pairs: their concatenation through ``classify_pair_rows``.
 
     The embeddings and the head's weights may carry a leading run axis:
     (S, B, D) pairs through a head of (S, ...) weights give (S, B, 3).
@@ -150,15 +167,7 @@ def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
         raise ShapeError(
             f"classify_pairs: expected matching (B, D) or (S, B, D) inputs, got {up.shape} and {un.shape}"
         )
-    x = concat_last([up, un])
-    if x.shape[-1] != head.widths[0]:
-        raise ShapeError(
-            f"classify_pairs: pair width {x.shape[-1]} != classifier input width {head.widths[0]}"
-        )
-    last = len(head.weights) - 1
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        x = dense(x, w, b, head.activation if i < last else None)
-    return x
+    return classify_pair_rows(head, concat_last([up, un]))
 
 
 def predict_classes(logits: np.ndarray) -> np.ndarray:

@@ -31,7 +31,16 @@ from .errors import (
     ShapeError,
     TrainingAbort,
 )
-from .losses import LossConfig, combined_loss_terms, cross_entropy, loss_gradients, mine_batch
+from .losses import (
+    LossConfig,
+    combined_loss_terms,
+    contrast_targets,
+    cross_entropy,
+    loss_gradients,
+    mine_batch,
+    onehot_cross_entropy,
+    onehot_labels,
+)
 from .metrics import compute_metrics
 from .model import (
     CLS_ACTIVATION,
@@ -41,6 +50,7 @@ from .model import (
     ClassifierHead,
     EncoderParams,
     RegressionHead,
+    classify_pair_rows,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -50,6 +60,11 @@ from .model import (
     predict_hs,
 )
 from .tensor import Tensor
+
+# The loops no longer call ``mine_batch`` or ``cross_entropy`` per step: each
+# epoch is mined at once (``contrast_targets``) and the fine-tuning labels are
+# checked once (``onehot_labels``). Both names stay bound here because
+# perfbench/tracing.py wraps the functions at this module's bindings.
 
 CHECKPOINT_MAGIC = b"GCCK"
 CHECKPOINT_VERSION = 1
@@ -405,6 +420,17 @@ def _flat_rows(a: np.ndarray, n_runs: int) -> np.ndarray:
     return a.reshape(-1, *a.shape[2:]) if n_runs > 1 else a
 
 
+def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
+    """``_epoch_rows`` cut into the epoch's full batches, (n_batches, [S,] B); the rest is dropped.
+
+    Gathering an array's rows with it lays each step's batch out contiguously
+    at one index of the leading axis, as a per-step ``take`` would.
+    """
+    n_batches = rows.shape[-1] // batch_size
+    batches = rows[..., : n_batches * batch_size].reshape(*rows.shape[:-1], n_batches, batch_size)
+    return np.moveaxis(batches, -2, 0)
+
+
 def _stack(parts: list[Tensor]) -> Tensor:
     return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
 
@@ -480,11 +506,12 @@ def pretrain(
 ) -> PretrainResult:
     """Regression pre-training with optional contrastive augmentation.
 
-    Per batch: encode, predict the score, mine positives/negatives by label
-    distance, combine the losses, backprop, Adam step. Targets must already
-    be on the normalized scale. Returns the final checkpoint, the lowest
-    validation-MSE checkpoint, and the per-epoch trace (the trace carries a
-    terminal entry at epoch == epochs showing the fully annealed rate).
+    Per epoch: gather the batches and mine every one of them by label
+    distance. Per batch: encode, predict the score, combine the losses,
+    backprop, Adam step. Targets must already be on the normalized scale.
+    Returns the final checkpoint, the lowest validation-MSE checkpoint, and
+    the per-epoch trace (the trace carries a terminal entry at epoch ==
+    epochs showing the fully annealed rate).
     """
     (result,) = pretrain_runs(
         x_train, y_train, x_val, y_val, config, hidden, activation, data_metas=[data_meta]
@@ -509,7 +536,9 @@ def pretrain_runs(
     initial weights and batch order; the rest of ``config`` is shared, so a
     stack holds one loss mode. Each array is shared by every run or holds one
     per run along a leading axis: (S, N, F) features, (S, N) targets; each
-    step gathers every run's batch with one ``take``. ``data_metas[k]``
+    epoch gathers every run's batches with one ``take`` per array, and the
+    contrastive masks, ``K`` and wcl constants of all of them with one
+    ``contrast_targets`` call. ``data_metas[k]``
     goes into run k's checkpoints. A non-finite loss in any run raises
     ``TrainingAbort`` for all of them, naming the run when S > 1.
     """
@@ -562,19 +591,19 @@ def pretrain_runs(
     best_epoch = [-1] * n_runs
     best_val = [math.inf] * n_runs
 
+    n_batches = n // config.batch_size
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
-        orders = _epoch_rows(seeds, epoch, n)
+        batches = _full_batches(_epoch_rows(seeds, epoch, n), config.batch_size)
+        xs, ys = x_rows.take(batches, axis=0), y_rows.take(batches, axis=0)
+        targets = contrast_targets(ys, config.loss) if needs_mining else None
         sums = [{"loss": 0.0, "mse": 0.0, "contrast": 0.0} for _ in range(n_runs)]
-        n_batches = 0
-        for start in range(0, n - config.batch_size + 1, config.batch_size):
-            idx = orders[..., start : start + config.batch_size]
-            xb, yb = x_rows.take(idx, axis=0), y_rows.take(idx, axis=0)
-            embeddings = encode(encoder, xb)
+        for k in range(n_batches):
+            yb = ys[k]
+            embeddings = encode(encoder, xs[k])
             y_hat = predict_hs(reg, embeddings)
-            mining = mine_batch(yb) if needs_mining else None
             total, mse_term, con_term = combined_loss_terms(
-                yb, y_hat, embeddings, mining, yb, config.loss
+                yb, y_hat, embeddings, targets.batch(k) if needs_mining else None, yb, config.loss
             )
             terms = zip(
                 total.data.reshape(-1).tolist(),
@@ -585,7 +614,7 @@ def pretrain_runs(
                 if not math.isfinite(loss_val):
                     where = f" run {s}" if stacked else ""
                     raise TrainingAbort(
-                        f"pretrain{where}: non-finite loss at epoch {epoch} batch {n_batches}: "
+                        f"pretrain{where}: non-finite loss at epoch {epoch} batch {k}: "
                         f"loss={loss_val} mse={mse_val} contrast={con_val}"
                     )
                 run_sums = sums[s]
@@ -594,7 +623,6 @@ def pretrain_runs(
                 run_sums["contrast"] += con_val
             grad = loss_gradients(total, params, state.grad, state.grads)
             adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
-            n_batches += 1
 
         for s, val_mse in enumerate(_val_mse(encoder, reg, x_val, y_val, n_runs)):
             traces[s].append(
@@ -649,6 +677,11 @@ def _pair_logits(
     return classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
 
 
+def _pair_rows(encoder: EncoderParams, xp: np.ndarray, xn: np.ndarray) -> np.ndarray:
+    """Each pair's embeddings concatenated into one [u_prev ; u_next] row."""
+    return np.concatenate([encode(encoder, xp).data, encode(encoder, xn).data], axis=-1)
+
+
 def finetune(
     pretrained: Checkpoint,
     xp_train: np.ndarray,
@@ -664,7 +697,8 @@ def finetune(
 
     With ``config.freeze_encoder`` the encoder weights are untouched and the
     pair embeddings are computed once up front. Model selection is by
-    validation macro-F1.
+    validation macro-F1. A training label outside the classes raises
+    ``DomainError`` (``cross_entropy``'s message) before the first step.
     """
     (result,) = finetune_runs(
         [pretrained], xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden
@@ -690,8 +724,11 @@ def finetune_runs(
     ``config.seed`` for every run), which fixes its head's initial weights
     and its batch order; the rest of ``config`` is shared. Each pair array is
     shared by every run or holds one per run along a leading axis: (S, N, F)
-    features, (S, N) labels. A non-finite loss in any run raises
-    ``TrainingAbort`` for all of them, naming the run when S > 1.
+    features, (S, N) labels. The labels are checked and turned into one-hot
+    masks once, and a frozen encoder's pair embeddings concatenated once;
+    each epoch then gathers its rows of them with one ``take`` per array. A
+    non-finite loss in any run raises ``TrainingAbort`` for all of them,
+    naming the run when S > 1.
     """
     n = np.shape(y_train)[-1]
     if not (np.shape(xp_train)[-2] == np.shape(xn_train)[-2] == n):
@@ -740,13 +777,10 @@ def finetune_runs(
     params = [t for _, t in named_trained]
     state = AdamState.for_params(params)
     train_meta = [asdict(replace(config, seed=s)) for s in seeds]
-    y_rows = _flat_rows(y_train, n_runs)
+    onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
     if frozen:
-        # the pair embeddings, once; each step gathers its rows
-        xp_rows = _flat_rows(encode(encoder, xp_train).data, n_runs)
-        xn_rows = _flat_rows(encode(encoder, xn_train).data, n_runs)
-        up_val = encode(encoder, xp_val).data
-        un_val = encode(encoder, xn_val).data
+        pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train), n_runs)
+        val_rows = _pair_rows(encoder, xp_val, xn_val)
     else:
         xp_rows, xn_rows = _flat_rows(xp_train, n_runs), _flat_rows(xn_train, n_runs)
 
@@ -754,7 +788,7 @@ def finetune_runs(
         if y_val.shape[-1] == 0:
             return [(float("nan"), float("nan"))] * n_runs
         if frozen:
-            logits = classify_pairs(cls, up_val, un_val).data
+            logits = classify_pair_rows(cls, val_rows).data
         else:
             logits = _pair_logits(encoder, cls, xp_val, xn_val)
         out = []
@@ -787,29 +821,34 @@ def finetune_runs(
     best_epoch = [-1] * n_runs
     best_f1 = [-math.inf] * n_runs
 
+    starts = range(0, n, config.batch_size)  # the last batch may be short
+    n_batches = len(starts)
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
+        # the epoch's rows, gathered once; each step reads its batch as a view
         orders = _epoch_rows(seeds, epoch, n)
+        onehot = onehot_rows.take(orders, axis=0)
+        if frozen:
+            rows = pair_rows.take(orders, axis=0)
+        else:
+            xp_epoch, xn_epoch = xp_rows.take(orders, axis=0), xn_rows.take(orders, axis=0)
         ce_sums = [0.0] * n_runs
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = orders[..., start : start + config.batch_size]
-            xp, xn = xp_rows.take(idx, axis=0), xn_rows.take(idx, axis=0)
+        for k, start in enumerate(starts):
+            batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
             if frozen:
-                logits = classify_pairs(cls, xp, xn)
+                logits = classify_pair_rows(cls, rows[batch])
             else:
-                logits = classify_pairs(cls, encode(encoder, xp), encode(encoder, xn))
-            ce = cross_entropy(logits, y_rows.take(idx, axis=0))
+                logits = classify_pairs(cls, encode(encoder, xp_epoch[batch]), encode(encoder, xn_epoch[batch]))
+            ce = onehot_cross_entropy(logits, onehot[batch])
             for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
                 if not math.isfinite(ce_val):
                     where = f" run {s}" if stacked else ""
                     raise TrainingAbort(
-                        f"finetune{where}: non-finite loss at epoch {epoch} batch {n_batches}: ce={ce_val}"
+                        f"finetune{where}: non-finite loss at epoch {epoch} batch {k}: ce={ce_val}"
                     )
                 ce_sums[s] += ce_val
             grad = loss_gradients(ce, params, state.grad, state.grads)
             adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
-            n_batches += 1
 
         for s, (accuracy, macro_f1) in enumerate(val_metrics()):
             histories[s].append(

@@ -10,14 +10,37 @@ fused op in ``hscl.tensor`` (``dense``, ``squared_error_sum``,
 elementary ops it replaces (affine, activation, softmax, clamp, log, ...),
 one graph node per op as the library used to, so tests can require the fused
 ops to match them bit for bit.
+
+So are the ``*_runs_ref`` training loops: they set up runs with the
+library's own helpers, but build every step as the loops did before the
+label- and data-only work moved out of the step (a ``take`` per batch and
+array, ``mine_batch`` and the loss's own ``K`` per batch, a per-step
+``concat_last`` and ``cross_entropy`` label check), so tests can require the
+hoisted loops to match them bit for bit. ``save_dataset_ref`` is the CSV
+writer as it was, one numpy scalar at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 
+from hscl import training
+from hscl.losses import combined_loss_terms, cross_entropy, loss_gradients, mine_batch
+from hscl.model import (
+    ClassifierHead,
+    EncoderParams,
+    RegressionHead,
+    classify_pairs,
+    encode,
+    init_classifier_head,
+    init_encoder,
+    init_regression_head,
+    predict_hs,
+)
 from hscl.tensor import Tensor, _accumulate, _node
 
 
@@ -275,3 +298,200 @@ def average_ranks_loop(values):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# -- training loops with every step built from scratch ---------------------------------
+
+
+def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation, data_metas, seeds):
+    """Lock-step pre-training, one ``take``, one ``mine_batch`` and one loss ``K`` per step."""
+    t = training
+    n_runs, stacked = len(seeds), len(seeds) > 1
+    x_train, x_val = (t._per_run(a, n_runs, 2, "ref") for a in (x_train, x_val))
+    y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
+    n = x_train.shape[-2]
+    widths = [int(x_train.shape[-1]), *hidden]
+    encoders = [init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds]
+    regs = [init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds]
+    encoder, reg = encoders[0], regs[0]
+    if stacked:
+        encoder = EncoderParams(widths, activation, *t._stack_layers(encoders))
+        reg = RegressionHead(t._stack([r.weight for r in regs]), t._stack([r.bias for r in regs]))
+    named = t._named_params(encoder, reg)
+    params = [p for _, p in named]
+    state = t.AdamState.for_params(params)
+    needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
+    x_rows, y_rows = t._flat_rows(x_train, n_runs), t._flat_rows(y_train, n_runs)
+
+    def snapshot(epoch, s):
+        meta = {
+            "stage": "pretrain",
+            "epoch": epoch,
+            "adam_step": state.step,
+            "model": {"widths": widths, "activation": activation},
+            "train": asdict(replace(config, seed=seeds[s])),
+            "data": data_metas[s] or {},
+        }
+        return t._snapshot(named, named, state, meta, s if stacked else None)
+
+    traces = [[] for _ in seeds]
+    best, best_epoch, best_val = [None] * n_runs, [-1] * n_runs, [math.inf] * n_runs
+    for epoch in range(config.epochs):
+        lr = t.cosine_lr(epoch, config)
+        orders = t._epoch_rows(seeds, epoch, n)
+        sums = [[0.0, 0.0, 0.0] for _ in seeds]
+        n_batches = 0
+        for start in range(0, n - config.batch_size + 1, config.batch_size):
+            idx = orders[..., start : start + config.batch_size]
+            xb, yb = x_rows.take(idx, axis=0), y_rows.take(idx, axis=0)
+            embeddings = encode(encoder, xb)
+            y_hat = predict_hs(reg, embeddings)
+            mining = mine_batch(yb) if needs_mining else None
+            total, mse_term, con_term = combined_loss_terms(yb, y_hat, embeddings, mining, yb, config.loss)
+            terms = zip(
+                total.data.reshape(-1).tolist(),
+                mse_term.data.reshape(-1).tolist(),
+                con_term.data.reshape(-1).tolist() if con_term is not None else [0.0] * n_runs,
+            )
+            for run_sums, values in zip(sums, terms):
+                for k, value in enumerate(values):
+                    run_sums[k] += value
+            grad = loss_gradients(total, params, state.grad, state.grads)
+            t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
+            n_batches += 1
+        for s, val_mse in enumerate(t._val_mse(encoder, reg, x_val, y_val, n_runs)):
+            loss, mse, contrast = (v / n_batches for v in sums[s])
+            traces[s].append(
+                {"epoch": epoch, "lr": lr, "loss": loss, "mse": mse, "contrast": contrast, "val_mse": val_mse}
+            )
+            if val_mse < best_val[s]:
+                best_val[s], best_epoch[s], best[s] = val_mse, epoch, snapshot(epoch, s)
+    results = []
+    for s, trace in enumerate(traces):
+        trace.append({**trace[-1], "epoch": config.epochs, "lr": t.cosine_lr(config.epochs, config)})
+        final = snapshot(config.epochs - 1, s)
+        if best[s] is None:
+            best[s], best_epoch[s] = final, config.epochs - 1
+        results.append(t.PretrainResult(final, best[s], best_epoch[s], trace))
+    return results
+
+
+def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden, seeds):
+    """Lock-step fine-tuning, a ``take`` per array, ``concat_last`` and ``cross_entropy`` per step."""
+    t = training
+    n_runs, stacked = len(pretrained), len(pretrained) > 1
+    n = np.shape(y_train)[-1]
+    xp_train, xn_train, xp_val, xn_val = (
+        t._per_run(a, n_runs, 2, "ref") for a in (xp_train, xn_train, xp_val, xn_val)
+    )
+    y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
+    encoders = [t.encoder_from_checkpoint(ck) for ck in pretrained]
+    encoder = encoders[0]
+    heads = {
+        s: init_classifier_head(encoder.embedding_dim, t._sub_seed(s, t._STREAM_CLS_HEAD), cls_hidden)
+        for s in dict.fromkeys(seeds)
+    }
+    cls = heads[seeds[0]]
+    if stacked:
+        encoder = EncoderParams(encoder.widths, encoder.activation, *t._stack_layers(encoders))
+        cls = ClassifierHead(cls.widths, cls.activation, *t._stack_layers([heads[s] for s in seeds]))
+    frozen = config.freeze_encoder
+    if not frozen:
+        for p in encoder.trainable():
+            p.requires_grad = True
+    named_trained = t._named_params(None, cls=cls) if frozen else t._named_params(encoder, cls=cls)
+    named_all = t._named_params(encoder, cls=cls)
+    params = [p for _, p in named_trained]
+    state = t.AdamState.for_params(params)
+    y_rows = t._flat_rows(y_train, n_runs)
+    if frozen:
+        xp_rows = t._flat_rows(encode(encoder, xp_train).data, n_runs)
+        xn_rows = t._flat_rows(encode(encoder, xn_train).data, n_runs)
+        up_val, un_val = encode(encoder, xp_val).data, encode(encoder, xn_val).data
+    else:
+        xp_rows, xn_rows = t._flat_rows(xp_train, n_runs), t._flat_rows(xn_train, n_runs)
+
+    def val_metrics():
+        if frozen:
+            logits = classify_pairs(cls, up_val, un_val).data
+        else:
+            logits = t._pair_logits(encoder, cls, xp_val, xn_val)
+        out = []
+        for run_logits, labels in zip(logits.reshape(n_runs, -1, logits.shape[-1]), np.reshape(y_val, (n_runs, -1))):
+            report = t.compute_metrics(np.argmax(run_logits, axis=-1), labels)
+            out.append((report.accuracy, report.macro_f1))
+        return out
+
+    def snapshot(epoch, s):
+        meta = {
+            "stage": "finetune",
+            "epoch": epoch,
+            "adam_step": state.step,
+            "model": {
+                "widths": encoder.widths,
+                "activation": encoder.activation,
+                "cls_widths": cls.widths,
+                "cls_activation": cls.activation,
+            },
+            "train": asdict(replace(config, seed=seeds[s])),
+            "pretrain_train": pretrained[s].meta.get("train"),
+            "data": pretrained[s].meta.get("data", {}),
+        }
+        return t._snapshot(named_all, named_trained, state, meta, s if stacked else None)
+
+    histories = [[] for _ in seeds]
+    best, best_epoch, best_f1 = [None] * n_runs, [-1] * n_runs, [-math.inf] * n_runs
+    for epoch in range(config.epochs):
+        lr = t.cosine_lr(epoch, config)
+        orders = t._epoch_rows(seeds, epoch, n)
+        ce_sums = [0.0] * n_runs
+        n_batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = orders[..., start : start + config.batch_size]
+            xp, xn = xp_rows.take(idx, axis=0), xn_rows.take(idx, axis=0)
+            if frozen:
+                logits = classify_pairs(cls, xp, xn)
+            else:
+                logits = classify_pairs(cls, encode(encoder, xp), encode(encoder, xn))
+            ce = cross_entropy(logits, y_rows.take(idx, axis=0))
+            for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
+                ce_sums[s] += ce_val
+            grad = loss_gradients(ce, params, state.grad, state.grads)
+            t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
+            n_batches += 1
+        for s, (accuracy, macro_f1) in enumerate(val_metrics()):
+            histories[s].append(
+                {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "train_ce": ce_sums[s] / n_batches,
+                    "val_accuracy": accuracy,
+                    "val_macro_f1": macro_f1,
+                }
+            )
+            if macro_f1 > best_f1[s]:
+                best_f1[s], best_epoch[s], best[s] = macro_f1, epoch, snapshot(epoch, s)
+    results = []
+    for s, history in enumerate(histories):
+        history.append({**history[-1], "epoch": config.epochs, "lr": t.cosine_lr(config.epochs, config)})
+        final = snapshot(config.epochs - 1, s)
+        if best[s] is None:
+            best[s], best_epoch[s] = final, config.epochs - 1
+        results.append(t.FinetuneResult(final, best[s], best_epoch[s], history))
+    return results
+
+
+def save_dataset_ref(collection, path) -> None:
+    """The dataset CSV writer with one ``repr(float(v))`` per numpy scalar and one ``writerow`` per record."""
+    n_features = collection[0].records[0].features.shape[-1]
+    header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(n_features)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for series in collection:
+            for rec in series.records:
+                feats = np.asarray(rec.features, dtype=np.float64).reshape(-1)
+                writer.writerow(
+                    [rec.patient_id, rec.seq_index, repr(float(rec.health_score))]
+                    + [repr(float(v)) for v in feats]
+                )

@@ -27,6 +27,8 @@ from hscl.data import (
 from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.pipeline import DataConfig, prepare
 
+from oracles import save_dataset_ref
+
 
 # -- S/F binning --------------------------------------------------------------
 
@@ -227,6 +229,18 @@ def test_roundtrip_preserves_values(tmp_path):
         ref = original[(rec.patient_id, rec.seq_index)]
         assert rec.health_score == ref.health_score
         assert np.array_equal(rec.features, ref.features)
+
+
+def test_save_dataset_writes_the_bytes_of_the_per_scalar_writer(tmp_path):
+    collection = generate_synthetic(SyntheticSpec(n_patients=4, scans_per_patient=3, n_features=6, seed=11))
+    odd = 'p "7", west'  # the csv writer quotes it
+    feats = [np.array([-0.0, 1e-300, 1.0 / 3.0, 5.0, -2.5e20, 0.1]), np.arange(6.0) * 0.7]
+    collection.append(PatientSeries(odd, [ScanRecord(odd, t, f, 3.25 - t) for t, f in enumerate(feats)]))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_dataset(collection, ours)
+    save_dataset_ref(collection, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert b'"p ""7"", west"' in ours.read_bytes()
 
 
 # -- splitting ---------------------------------------------------------------------

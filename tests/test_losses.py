@@ -13,6 +13,7 @@ from hscl.losses import (
     cl_loss,
     combined_loss,
     combined_loss_terms,
+    contrast_targets,
     cross_entropy,
     loss_gradients,
     mine_batch,
@@ -584,3 +585,54 @@ def test_stacked_losses_reject_masks_of_another_batch():
         cl_loss(Tensor(np.ones((3, 5, 2))), mining, CL_CFG)
     with pytest.raises(ShapeError, match="scores"):
         wcl_loss(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)
+
+
+# -- epoch-level targets: every batch's masks, K and wcl constant at once -------------------
+
+
+@pytest.mark.parametrize("lead", [(5,), (4, 3)], ids=["epoch", "epoch-x-runs"])
+@pytest.mark.parametrize("b", [3, 8, 9])
+def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b, lead):
+    """Masks, K and the wcl constant per batch, and the loss each batch's slice gives."""
+    rng = np.random.default_rng(42)
+    hs = rng.uniform(0, 1, size=lead + (b,))
+    batches = hs.reshape(-1, b)
+    batches[0] = rng.integers(0, 2, size=b)  # heavy ties, broken by index
+    batches[1] = 0.25  # every score tied
+    for cfg in (LossConfig("mse+cl", alpha=0.7), LossConfig("mse+wcl", "l2", eps=0.05)):
+        targets = contrast_targets(hs, cfg)
+        assert targets.coefficients.shape == lead + (b, b)
+        assert targets.per_side == (b - 1) // 2
+        for index in np.ndindex(*lead):
+            scores = hs[index]
+            mining = mine_batch(scores)
+            one = targets.batch(index)
+            for name in ("positive", "negative", "distances"):
+                assert np.array_equal(getattr(one, name), getattr(mining, name))
+            # the construction cl_loss/wcl_loss used per batch
+            if cfg.weighted:
+                weights = np.abs(scores[:, None] - scores[None, :]) + cfg.eps
+                assert np.array_equal(one.coefficients, mining.negative - mining.positive / weights)
+                assert np.array_equal(one.constant, np.log(weights[mining.negative]).sum())
+            else:
+                assert np.array_equal(one.coefficients, mining.negative.astype(np.float64) - mining.positive)
+                assert one.constant is None
+            emb = Tensor(rng.normal(size=(b, 3)))
+            own = wcl_loss(emb, mining, scores, cfg) if cfg.weighted else cl_loss(emb, mining, cfg)
+            _, _, via = combined_loss_terms(scores, Tensor(np.zeros(b)), emb, one, scores, cfg)
+            assert np.array_equal(via.data, own.data)
+        if len(lead) == 2:  # one step of S runs: its (S, B, B) slice is the runs' own stacked mining
+            for step in range(lead[0]):
+                stacked = mine_batch(hs[step])
+                assert np.array_equal(targets.batch(step).positive, stacked.positive)
+                assert np.array_equal(targets.batch(step).negative, stacked.negative)
+
+
+def test_combined_loss_rejects_targets_built_for_another_loss():
+    hs = np.array([0.1, 0.5, 0.2, 0.9, 0.4])
+    emb, pred = Tensor(np.random.default_rng(43).normal(size=(5, 3))), Tensor(np.zeros(5))
+    for built, used in ((CL_CFG, WCL_CFG), (WCL_CFG, CL_CFG), (WCL_CFG, LossConfig("mse+wcl", eps=0.5))):
+        with pytest.raises(ConfigError, match="another loss"):
+            combined_loss_terms(hs, pred, emb, contrast_targets(hs, built), hs, used)
+    with pytest.raises(ShapeError, match="mining"):
+        combined_loss_terms(hs, pred, emb, contrast_targets(np.zeros((2, 5)), CL_CFG), hs, CL_CFG)

@@ -4,7 +4,7 @@ The benchmark's tracer (perfbench/tracing.py) replaces functions at the
 module bindings listed in ``tracing.BINDINGS``; a library rename that drops
 one of them would silently leave that layer out of a traced run. Its probes
 read library results (the mined pairs of a ``MiningResult``), so they are run
-on real ones here.
+on real ones here, and short training runs go through the whole tracer.
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
@@ -15,6 +15,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from hscl.pipeline import (
     spread_for_checkpoint,
 )
 from hscl.tensor import Tensor, pairwise_similarity
-from hscl.training import TrainConfig
+from hscl.training import TrainConfig, finetune, pretrain
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,6 +75,27 @@ def test_mining_probes_read_a_real_mining_result(similarity):
     at_clamp = mined & ((sims <= config.sim_floor) | (sims >= 1.0))
     assert at_clamp.sum() >= 2  # the identical pair, from both anchors
     assert tracing._clamped(args, None) == {"mined": pairs, "clamped": int(at_clamp.sum())}
+
+
+def test_traced_training_runs_every_probe_without_error():
+    """Short pre-training runs (mse+cl, mse+wcl) and a frozen fine-tune under the installed tracer."""
+    tracing = _load_tracing()
+    hs = types.SimpleNamespace(
+        **{name: importlib.import_module(f"hscl.{name}") for name, _, _ in tracing.BINDINGS}
+    )
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(37, 5)), rng.uniform(size=37)
+    xp, xn, labels = rng.normal(size=(20, 5)), rng.normal(size=(20, 5)), rng.integers(0, 3, size=20)
+    tracer = tracing.Tracer()
+    with tracer.installed(hs, rep=0):
+        for mode in ("mse+cl", "mse+wcl"):
+            pre = pretrain(x, y, x[:9], y[:9], TrainConfig(epochs=1, loss=LossConfig(mode)), hidden=(6, 4))
+        finetune(pre.best, xp, xn, labels, xp[:9], xn[:9], labels[:9], TrainConfig(epochs=1))
+    assert tracing.wrapped_names(hs) == []
+    loss_spans = [s for s in tracer.spans if s.name == "losses.combined_loss_terms"]
+    assert len(loss_spans) == 2 * (37 // 8)
+    assert all(s.attrs["mined"] == 8 * 2 * 3 for s in loss_spans)
+    assert sum(s.name == tracing.ADAM for s in tracer.spans) == 2 * (37 // 8) + 3
 
 
 PATH_ARGS = {"config", "data", "out", "checkpoint"}

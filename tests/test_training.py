@@ -4,18 +4,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hscl import losses, model
+from hscl import losses, model, training
 from hscl.data import SyntheticSpec, generate_synthetic
 from hscl.errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
     ConfigError,
+    DomainError,
     ShapeError,
     TrainingAbort,
 )
 from hscl.losses import LossConfig
 from hscl.metrics import compute_metrics
-from hscl.model import classify_pairs, encode, init_classifier_head, init_encoder, predict_classes
+from hscl.model import (
+    DEFAULT_ACTIVATION,
+    DEFAULT_CLS_HIDDEN,
+    classify_pairs,
+    encode,
+    init_classifier_head,
+    init_encoder,
+    predict_classes,
+)
 from hscl.pipeline import DataConfig, ModelSpec, prepare, run_pretrain
 from hscl.tensor import Tensor
 from hscl.training import (
@@ -38,6 +47,8 @@ from oracles import (
     adam_per_tensor_ref,
     adam_ref,
     dense_chain,
+    finetune_runs_ref,
+    pretrain_runs_ref,
     softmax_cross_entropy_chain,
     squared_error_sum_chain,
     weighted_log_sum_chain,
@@ -551,6 +562,73 @@ def test_lockstep_finetune_with_per_run_pairs_and_seeds_matches_each_run_alone_b
     ]
     stacked = finetune_runs(pres, *(np.stack(a) for a in zip(*pairs)), fine_cfg, seeds=seeds)
     assert [outputs(r) for r in stacked] == alone
+
+
+# -- label- and data-only work hoisted out of the step: the per-step reference, bit for bit ---
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("sim", losses.SIMILARITIES)
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_training_loops_match_the_per_step_reference_bitwise(mode, sim, runs):
+    """One run through ``pretrain``/``finetune``, three through the ``*_runs`` loops.
+
+    37 training rows leave 5 rows of each epoch unused; 25 training pairs end
+    every fine-tuning epoch with a batch of one pair.
+    """
+    data = _run_data(runs)
+    seeds = [3 + 2 * r for r in range(runs)]
+    metas = [{"split_seed": s} for s in seeds]
+    cfg = TrainConfig(epochs=3, seed=seeds[0], loss=LossConfig(mode, sim, alpha=0.7))
+    arrays = data[0] if runs == 1 else [np.stack(a) for a in zip(*data)]
+    if runs == 1:
+        pre = [pretrain(*arrays, cfg, hidden=(8, 4), data_meta=metas[0])]
+    else:
+        pre = pretrain_runs(*arrays, cfg, hidden=(8, 4), data_metas=metas, seeds=seeds)
+    ref = pretrain_runs_ref(*arrays, cfg, (8, 4), DEFAULT_ACTIVATION, metas, seeds)
+    assert [_pretrain_outputs(r) for r in pre] == [_pretrain_outputs(r) for r in ref]
+
+    rng = np.random.default_rng(14)
+    pairs = [
+        (rng.normal(size=(25, 5)), rng.normal(size=(25, 5)), rng.integers(0, 3, size=25),
+         rng.normal(size=(9, 5)), rng.normal(size=(9, 5)), rng.integers(0, 3, size=9))
+        for _ in range(runs)
+    ]
+    pair_arrays = pairs[0] if runs == 1 else [np.stack(a) for a in zip(*pairs)]
+    fine_seeds = [5, 6, 5][:runs]
+    checkpoints = [r.best for r in pre]
+
+    def outputs(result):
+        return [result.history, result.best_epoch, checkpoint_bytes(result.best), checkpoint_bytes(result.final)]
+
+    for freeze in (True, False):
+        fine_cfg = TrainConfig(epochs=3, seed=fine_seeds[0], freeze_encoder=freeze)
+        if runs == 1:
+            fine = [finetune(checkpoints[0], *pair_arrays, fine_cfg)]
+        else:
+            fine = finetune_runs(checkpoints, *pair_arrays, fine_cfg, seeds=fine_seeds)
+        ref = finetune_runs_ref(checkpoints, *pair_arrays, fine_cfg, DEFAULT_CLS_HIDDEN, fine_seeds)
+        assert [outputs(r) for r in fine] == [outputs(r) for r in ref]
+
+
+def test_an_out_of_range_finetune_label_raises_cross_entropys_error_before_the_first_step(monkeypatch):
+    pre = _pretrained_toy()
+    xp, xn, labels = _separable_pairs(pre.best, n=20)
+    bad = labels.copy()
+    bad[17] = 3  # in the third batch of the first epoch
+    expected = f"cross_entropy: labels must lie in [0, 3), got {sorted(set(bad.tolist()))}"
+    with pytest.raises(DomainError) as ce_error:
+        losses.cross_entropy(Tensor(np.zeros((20, 3))), bad)
+    assert str(ce_error.value) == expected
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    args = (xp, xn, bad, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
+    with pytest.raises(DomainError) as alone:
+        finetune(pre.best, *args)
+    assert str(alone.value) == expected
+    with pytest.raises(DomainError, match=r"^cross_entropy: labels must lie in \[0, 3\)"):
+        finetune_runs([pre.best, pre.best], *args)
+    assert steps == []
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

@@ -16,7 +16,6 @@ from .data import (
     generate_synthetic,
     load_dataset,
     make_pairs,
-    normalize_hs,
     save_dataset,
     split_patients,
 )

@@ -8,15 +8,19 @@ label distances (and the contrastive eps) live on a consistent [0, 1] scale
 regardless of whether the raw scores are S/F-like (hundreds) or MMSE-like
 (tens).
 
-Dataset files are plain CSV with a header row:
+Dataset files are UTF-8 CSV with a header row:
 ``patient_id,seq_index,health_score,f0,...,f{F-1}``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field, replace
+import re
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -75,13 +79,28 @@ class NormalizationStats:
     hs_max: float
     higher_is_better: bool = True
 
-    def normalize(self, value: float) -> float:
+    def _span(self) -> float:
         span = self.hs_max - self.hs_min
         if span <= 0:
             raise ConfigError(
                 f"normalize: degenerate stats, hs_min == hs_max == {self.hs_min}"
             )
-        return min(1.0, max(0.0, (value - self.hs_min) / span))
+        return span
+
+    def normalize(self, value: float) -> float:
+        return min(1.0, max(0.0, (value - self.hs_min) / self._span()))
+
+    def normalize_array(self, values: np.ndarray) -> np.ndarray:
+        """``normalize`` of every entry, bit for bit.
+
+        ``np.where`` keeps the picks of ``max``/``min`` where ``np.maximum``
+        would not: -0.0 and nan clamp to 0.0.
+        """
+        span = self._span()
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
+            scaled = (values - self.hs_min) / span
+        scaled = np.where(scaled > 0.0, scaled, 0.0)
+        return np.where(scaled < 1.0, scaled, 1.0)
 
 
 def categorize_sf(sf: float) -> int:
@@ -95,6 +114,12 @@ def categorize_sf(sf: float) -> int:
     if sf >= _SF_EDGES[2]:
         return 2
     return 3
+
+
+def _sf_bins(sf: np.ndarray) -> np.ndarray:
+    """``categorize_sf`` of every entry of an array of positive S/F ratios."""
+    best, mid, low = _SF_EDGES
+    return (sf <= best).astype(np.int64) + (sf < mid) + (sf < low)
 
 
 def change_label(
@@ -143,11 +168,6 @@ def fit_normalization(
         raise ConfigError("fit_normalization: no records")
     scores = [rec.health_score for rec in records]
     return NormalizationStats(min(scores), max(scores), higher_is_better)
-
-
-def normalize_hs(records: list[ScanRecord], stats: NormalizationStats) -> list[ScanRecord]:
-    """Copies of ``records`` with health scores mapped (and clamped) to [0, 1]."""
-    return [replace(rec, health_score=stats.normalize(rec.health_score)) for rec in records]
 
 
 @dataclass
@@ -214,80 +234,208 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
     return collection
 
 
+_HEADER = ["patient_id", "seq_index", "health_score"]
+
+# rows tokenised and parsed at a time, so only one block of token strings is alive
+_BLOCK_ROWS = 256
+
+# one line as a file opened with newline="" yields it: ends at \n, \r or \r\n
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _csv_field(value) -> str:
+    r"""``value`` as ``csv.writer`` writes it in a row of several fields: quoted if it must be.
+
+    The ``\r\n`` terminator makes the writer quote a value holding ``\r`` as
+    well as ``\n``; a bare ``\r`` would end the row when the file is read back.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def save_dataset(collection: list[PatientSeries], path) -> None:
     records = records_of(collection)
     if not records:
         raise DatasetError("save_dataset: no records")
     n_features = records[0].features.shape[-1]
-    header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(n_features)]
-
-    def rows():
-        for series in collection:
-            for rec in series.records:
-                feats = np.asarray(rec.features, dtype=np.float64).reshape(-1)
-                if feats.shape[0] != n_features:
-                    raise DatasetError(
-                        f"save_dataset: record {rec.patient_id}/{rec.seq_index} has "
-                        f"{feats.shape[0]} features, expected {n_features}"
-                    )
-                # repr of the Python floats: the shortest text that reads back to the same bits
-                yield [rec.patient_id, rec.seq_index, repr(float(rec.health_score)), *map(repr, feats.tolist())]
-
+    header = ",".join(_HEADER + [f"f{i}" for i in range(n_features)])
+    quoted: dict[str, str] = {}
+    lines = [header]
+    for rec in records:
+        feats = np.asarray(rec.features, dtype=np.float64).reshape(-1)
+        if feats.shape[0] != n_features:
+            raise DatasetError(
+                f"save_dataset: record {rec.patient_id}/{rec.seq_index} has "
+                f"{feats.shape[0]} features, expected {n_features}"
+            )
+        pid = quoted.get(rec.patient_id)
+        if pid is None:
+            pid = quoted[rec.patient_id] = _csv_field(rec.patient_id)
+        # repr of the Python floats: the shortest text that reads back to the same bits
+        values = ",".join(map(repr, [float(rec.health_score), *feats.tolist()]))
+        lines.append(f"{pid},{rec.seq_index},{values}")
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows())
+        fh.write("\n".join(lines))
+
+
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def _split_rows(text: str, path) -> Iterable[list[str]]:
+    r"""The rows ``csv.reader`` reads from ``text`` when it holds no ``"`` and no ``\r``.
+
+    Such text has no quoting and no line end but ``\n``, so ``str.split``
+    gives the same rows, a blank line as ``[]``. They come lazily, one line at
+    a time. A field longer than ``csv.field_size_limit()`` is an error here
+    too, raised before any row is read.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if lines and max(map(len, lines)) > limit:
+        for lineno, line in enumerate(lines, start=1):
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise DatasetError(f"{path}: line {lineno}: field larger than field limit ({limit})")
+    return (line.split(",") if line else [] for line in lines)
+
+
+def _csv_rows(text: str, path) -> list[list[str]]:
+    """The rows ``csv.reader`` reads from ``text``, split into lines as a file read with newline=""."""
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(m.group() for m in _LINE.finditer(text)):
+            rows.append(row)
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {len(rows) + 1}: {exc}") from None
+    return rows
+
+
+def _row_error(row: list[str], width: int, seen: set) -> str | None:
+    """What is wrong with one non-blank data row, checked in the order the file format states.
+
+    Adds the row's (patient_id, seq_index) key to ``seen`` when nothing is.
+    """
+    if len(row) != width:
+        return f"expected {width} fields, got {len(row)}"
+    pid = row[0]
+    if not pid:
+        return "empty patient_id"
+    try:
+        seq = int(row[1])
+    except ValueError:
+        return f"seq_index {row[1]!r} is not an integer"
+    if seq < 0:
+        return f"seq_index must be non-negative, got {seq}"
+    try:
+        values = [float(v) for v in row[2:]]
+    except ValueError:
+        return "non-numeric value"
+    if not all(math.isfinite(v) for v in values):
+        return "non-finite value"
+    key = (pid, seq)
+    if key in seen:
+        return f"duplicate (patient_id, seq_index) {key}"
+    seen.add(key)
+    return None
+
+
+def _parse_block(rows: list[list[str]], width: int, seen: set):
+    """(patient ids, seq indices, (n, width - 2) values) of a block's non-blank rows.
+
+    Returns None when a row is malformed; ``seen`` then holds what it held.
+    """
+    body = [row for row in rows if row]
+    if not body:
+        return [], [], np.zeros((0, width - 2))
+    if set(map(len, body)) != {width}:
+        return None
+    pids = [row[0] for row in body]
+    if "" in pids:
+        return None
+    try:
+        seqs = list(map(int, [row[1] for row in body]))
+        # goes through float() for each string, so it accepts what float() does, bit for bit
+        values = np.array([row[2:] for row in body], dtype=np.float64)
+    except ValueError:
+        return None
+    keys = list(zip(pids, seqs))
+    if (
+        min(seqs) < 0
+        or not np.isfinite(values).all()
+        or len(set(keys)) != len(keys)
+        or not seen.isdisjoint(keys)
+    ):
+        return None
+    seen.update(keys)
+    return pids, seqs, values
 
 
 def load_dataset(path) -> list[PatientSeries]:
-    """Parse and validate a dataset file; raises DatasetError with line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
+
+    The file is read once. Text holding neither ``"`` nor ``
+`` is split on
+    ``
+`` and ``,``; other text goes through ``csv.reader``, so quoted ids
+    and CRLF line ends work; both give the same rows. Bytes that are not
+    UTF-8 and a field longer than ``csv.field_size_limit()`` raise before any
+    row is checked. Blank lines are skipped but counted: line N is the N-th
+    row ``csv.reader`` reads (the physical line, for bytes that are not
+    UTF-8). Numbers parse as ``int()`` and ``float()`` parse them, a block of
+    rows at a time. The first bad row raises, with the first of its faults in
+    this order: field count, empty patient_id, seq_index not an integer or
+    negative, a value not numeric or not finite, a duplicate (patient_id,
+    seq_index). Each record's features are a row view of one (N, F) matrix;
+    its health score is a Python float.
+    """
+    text = _read_text(path)
+    rows = iter(_csv_rows(text, path) if '"' in text or "\r" in text else _split_rows(text, path))
+    del text  # the rows hold all of it that is still needed
+    header = next(rows, None)
+    if header is None:
         raise DatasetError(f"{path}: no records")
-    header = rows[0]
-    if header[:3] != ["patient_id", "seq_index", "health_score"]:
+    if header[:3] != _HEADER:
         raise DatasetError(
             f"{path}: line 1: header must start with patient_id,seq_index,health_score"
         )
     feature_names = header[3:]
     if feature_names != [f"f{i}" for i in range(len(feature_names))] or not feature_names:
         raise DatasetError(f"{path}: line 1: feature columns must be f0..f{{F-1}}")
-    n_features = len(feature_names)
+    width = 3 + len(feature_names)
 
+    pids: list[str] = []
+    seqs: list[int] = []
+    blocks: list[np.ndarray] = []
     seen: set[tuple[str, int]] = set()
-    by_patient: dict[str, list[ScanRecord]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3 + n_features:
-            raise DatasetError(
-                f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(row)}"
-            )
-        pid = row[0]
-        if not pid:
-            raise DatasetError(f"{path}: line {lineno}: empty patient_id")
-        try:
-            seq = int(row[1])
-        except ValueError:
-            raise DatasetError(f"{path}: line {lineno}: seq_index {row[1]!r} is not an integer") from None
-        if seq < 0:
-            raise DatasetError(f"{path}: line {lineno}: seq_index must be non-negative, got {seq}")
-        try:
-            values = [float(v) for v in row[2:]]
-        except ValueError:
-            raise DatasetError(f"{path}: line {lineno}: non-numeric value") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DatasetError(f"{path}: line {lineno}: non-finite value")
-        key = (pid, seq)
-        if key in seen:
-            raise DatasetError(f"{path}: line {lineno}: duplicate (patient_id, seq_index) {key}")
-        seen.add(key)
-        by_patient.setdefault(pid, []).append(
-            ScanRecord(pid, seq, np.asarray(values[1:], dtype=np.float64), values[0])
-        )
-    if not by_patient:
+    lineno = 2  # of the block's first row
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        parsed = _parse_block(block, width, seen)
+        if parsed is None:  # the per-row checks find the block's first bad row and say what is wrong
+            for offset, row in enumerate(block):
+                error = _row_error(row, width, seen) if row else None
+                if error is not None:
+                    raise DatasetError(f"{path}: line {lineno + offset}: {error}")
+        pids += parsed[0]
+        seqs += parsed[1]
+        blocks.append(parsed[2])
+        lineno += len(block)
+    if not pids:
         raise DatasetError(f"{path}: no records")
+    values = np.concatenate(blocks)
+    del blocks
+    by_patient: dict[str, list[ScanRecord]] = {}
+    for pid, seq, score, features in zip(pids, seqs, values[:, 0].tolist(), values[:, 1:]):
+        by_patient.setdefault(pid, []).append(ScanRecord(pid, seq, features, score))
     return [
         PatientSeries(pid, sorted(recs, key=lambda r: r.seq_index))
         for pid, recs in by_patient.items()
@@ -327,6 +475,12 @@ def split_patients(
     return train, val, test
 
 
+def _check_label_mode(mode: str) -> None:
+    # one message for make_pairs and pair_labels, its array form
+    if mode not in LABEL_MODES:
+        raise ConfigError(f"make_pairs: unknown label mode {mode!r}")
+
+
 def make_pairs(
     collection: list[PatientSeries],
     stats: NormalizationStats | None = None,
@@ -334,8 +488,7 @@ def make_pairs(
     tau: float = DEFAULT_TAU,
 ) -> list[PairExample]:
     """One labeled example per consecutive scan pair within each patient."""
-    if mode not in LABEL_MODES:
-        raise ConfigError(f"make_pairs: unknown label mode {mode!r}")
+    _check_label_mode(mode)
     pairs = []
     for series in collection:
         for prev, nxt in zip(series.records, series.records[1:]):
@@ -344,27 +497,50 @@ def make_pairs(
     return pairs
 
 
-def _feature_matrix(rows: list[np.ndarray], n_features: int) -> np.ndarray:
-    """(N, n_features) float64 stack of N feature vectors; (0, n_features) when N is 0."""
-    if not rows:
-        return np.zeros((0, n_features))
-    return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-
-
-def regression_arrays(
-    records: list[ScanRecord], stats: NormalizationStats, n_features: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and normalized score vector for pre-training; empty for no records."""
-    x = _feature_matrix([r.features for r in records], n_features)
-    y = np.array([stats.normalize(r.health_score) for r in records], dtype=np.float64)
-    return x, y
-
-
-def pair_arrays(
-    pairs: list[PairExample], n_features: int
+def series_arrays(
+    collection: list[PatientSeries], n_features: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prev features, next features, labels) for the downstream task; empty for no pairs."""
-    xp = _feature_matrix([p.prev.features for p in pairs], n_features)
-    xn = _feature_matrix([p.next.features for p in pairs], n_features)
-    labels = np.array([p.label for p in pairs], dtype=np.int64)
-    return xp, xn, labels
+    """(features, health scores, prev) of the records of ``collection``, in ``records_of`` order.
+
+    ``features`` is an (N, n_features) float64 matrix, (0, n_features) for no
+    records. ``prev`` holds the position of every record that is not the last
+    of its patient, so ``(prev, prev + 1)`` are the pairs of ``make_pairs``,
+    in its order.
+    """
+    records = records_of(collection)
+    if records:
+        x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
+    else:
+        x = np.zeros((0, n_features))
+    scores = np.array([r.health_score for r in records], dtype=np.float64)
+    lengths = np.array([len(series.records) for series in collection], dtype=np.int64)
+    not_last = np.ones(len(records), dtype=bool)
+    not_last[np.cumsum(lengths)[lengths > 0] - 1] = False
+    return x, scores, np.flatnonzero(not_last)
+
+
+def pair_labels(
+    prev_hs: np.ndarray,
+    next_hs: np.ndarray,
+    stats: NormalizationStats,
+    mode: str = "bin",
+    tau: float = DEFAULT_TAU,
+) -> np.ndarray:
+    """``change_label`` of every pair ``(prev_hs[k], next_hs[k])``, as one int64 array.
+
+    The first pair ``change_label`` rejects (a non-finite score, or in ``bin``
+    mode a non-positive one) raises its error.
+    """
+    _check_label_mode(mode)
+    valid = np.isfinite(prev_hs) & np.isfinite(next_hs)
+    if mode == "bin":
+        valid &= (prev_hs > 0) & (next_hs > 0)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        change_label(float(prev_hs[k]), float(next_hs[k]), stats, mode, tau)
+    if mode == "bin":
+        before, after = _sf_bins(prev_hs), _sf_bins(next_hs)
+        return np.where(after < before, IMPROVED, np.where(after > before, DETERIORATED, SAME))
+    sign = 1.0 if stats.higher_is_better else -1.0
+    delta = (stats.normalize_array(next_hs) - stats.normalize_array(prev_hs)) * sign
+    return np.where(delta > tau, IMPROVED, np.where(delta < -tau, DETERIORATED, SAME))

@@ -21,10 +21,9 @@ from .data import (
     PatientSeries,
     check_fractions,
     fit_normalization,
-    make_pairs,
-    pair_arrays,
+    pair_labels,
     records_of,
-    regression_arrays,
+    series_arrays,
 )
 from .errors import ConfigError, HsclError
 from .losses import MODES
@@ -92,14 +91,19 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
     stats = fit_normalization(train_records, dcfg.higher_is_better)
     n_features = len(train_records[0].features)
     series = {"train": train_s, "val": val_s, "test": test_s}
-    # an empty split or pair list gives (0, n_features) arrays
-    regression = {
-        name: regression_arrays(records_of(split), stats, n_features)
-        for name, split in series.items()
-    }
+    # per split: one features matrix, the scores, and the pairs as (prev, prev + 1)
+    # positions; an empty split or pair list gives (0, n_features) arrays
+    arrays, regression = {}, {}
+    for name, split in series.items():
+        x, hs, _ = arrays[name] = series_arrays(split, n_features)
+        regression[name] = (x, stats.normalize_array(hs))
     pairs = {
-        name: pair_arrays(make_pairs(split, stats, dcfg.label_mode, dcfg.tau), n_features)
-        for name, split in series.items()
+        name: (
+            x[prev],
+            x[prev + 1],
+            pair_labels(hs[prev], hs[prev + 1], stats, dcfg.label_mode, dcfg.tau),
+        )
+        for name, (x, hs, prev) in arrays.items()
     }
     data_meta = {
         "hs_min": float(stats.hs_min),

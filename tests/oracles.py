@@ -17,7 +17,10 @@ label- and data-only work moved out of the step (a ``take`` per batch and
 array, ``mine_batch`` and the loss's own ``K`` per batch, a per-step
 ``concat_last`` and ``cross_entropy`` label check), so tests can require the
 hoisted loops to match them bit for bit. ``save_dataset_ref`` is the CSV
-writer as it was, one numpy scalar at a time.
+writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
+loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
+``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
+one ``change_label`` per pair (with ``regression_arrays``/``pair_arrays``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from hscl import training
+from hscl.data import (
+    PatientSeries,
+    ScanRecord,
+    fit_normalization,
+    make_pairs,
+    records_of,
+    split_patients,
+)
+from hscl.errors import DatasetError
 from hscl.losses import combined_loss_terms, cross_entropy, loss_gradients, mine_batch
 from hscl.model import (
     ClassifierHead,
@@ -495,3 +507,103 @@ def save_dataset_ref(collection, path) -> None:
                     [rec.patient_id, rec.seq_index, repr(float(rec.health_score))]
                     + [repr(float(v)) for v in feats]
                 )
+
+
+def load_dataset_ref(path):
+    """The dataset loader with one ``csv.reader`` row, one ``float()`` per value and one array per record."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DatasetError(f"{path}: no records")
+    header = rows[0]
+    if header[:3] != ["patient_id", "seq_index", "health_score"]:
+        raise DatasetError(
+            f"{path}: line 1: header must start with patient_id,seq_index,health_score"
+        )
+    feature_names = header[3:]
+    if feature_names != [f"f{i}" for i in range(len(feature_names))] or not feature_names:
+        raise DatasetError(f"{path}: line 1: feature columns must be f0..f{{F-1}}")
+    n_features = len(feature_names)
+
+    seen: set[tuple[str, int]] = set()
+    by_patient: dict[str, list[ScanRecord]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3 + n_features:
+            raise DatasetError(
+                f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(row)}"
+            )
+        pid = row[0]
+        if not pid:
+            raise DatasetError(f"{path}: line {lineno}: empty patient_id")
+        try:
+            seq = int(row[1])
+        except ValueError:
+            raise DatasetError(f"{path}: line {lineno}: seq_index {row[1]!r} is not an integer") from None
+        if seq < 0:
+            raise DatasetError(f"{path}: line {lineno}: seq_index must be non-negative, got {seq}")
+        try:
+            values = [float(v) for v in row[2:]]
+        except ValueError:
+            raise DatasetError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(math.isfinite(v) for v in values):
+            raise DatasetError(f"{path}: line {lineno}: non-finite value")
+        key = (pid, seq)
+        if key in seen:
+            raise DatasetError(f"{path}: line {lineno}: duplicate (patient_id, seq_index) {key}")
+        seen.add(key)
+        by_patient.setdefault(pid, []).append(
+            ScanRecord(pid, seq, np.asarray(values[1:], dtype=np.float64), values[0])
+        )
+    if not by_patient:
+        raise DatasetError(f"{path}: no records")
+    return [
+        PatientSeries(pid, sorted(recs, key=lambda r: r.seq_index))
+        for pid, recs in by_patient.items()
+    ]
+
+
+def normalize_hs(records, stats):
+    """Copies of ``records`` with health scores mapped (and clamped) to [0, 1]."""
+    return [replace(rec, health_score=stats.normalize(rec.health_score)) for rec in records]
+
+
+def _feature_matrix(rows, n_features):
+    """(N, n_features) float64 stack of N feature vectors; (0, n_features) when N is 0."""
+    if not rows:
+        return np.zeros((0, n_features))
+    return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
+
+
+def regression_arrays(records, stats, n_features):
+    """Feature matrix and normalized score vector for pre-training; empty for no records."""
+    x = _feature_matrix([r.features for r in records], n_features)
+    y = np.array([stats.normalize(r.health_score) for r in records], dtype=np.float64)
+    return x, y
+
+
+def pair_arrays(pairs, n_features):
+    """(prev features, next features, labels) for the downstream task; empty for no pairs."""
+    xp = _feature_matrix([p.prev.features for p in pairs], n_features)
+    xn = _feature_matrix([p.next.features for p in pairs], n_features)
+    labels = np.array([p.label for p in pairs], dtype=np.int64)
+    return xp, xn, labels
+
+
+def prepare_arrays_ref(collection, seed, dcfg):
+    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label`` per pair."""
+    train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
+    train_records = records_of(train_s)
+    stats = fit_normalization(train_records, dcfg.higher_is_better)
+    n_features = len(train_records[0].features)
+    series = {"train": train_s, "val": val_s, "test": test_s}
+    regression = {
+        name: regression_arrays(records_of(split), stats, n_features)
+        for name, split in series.items()
+    }
+    pairs = {
+        name: pair_arrays(make_pairs(split, stats, dcfg.label_mode, dcfg.tau), n_features)
+        for name, split in series.items()
+    }
+    return regression, pairs

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -779,3 +780,33 @@ def test_checkpoint_with_old_pooling_key_evaluates_identically(
         assert main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]) == 0
         metrics.append(((out / "metrics.json").read_bytes(), (out / "metrics.txt").read_bytes()))
     assert metrics[0] == metrics[1]
+
+
+def _with_line_3(dataset, tmp_path, line: bytes) -> Path:
+    """A copy of ``dataset`` whose third line (the second record) is ``line``."""
+    lines = dataset.read_bytes().split(b"\n")
+    lines[2] = line
+    path = tmp_path / "edited.csv"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def test_analyze_of_a_dataset_that_is_not_utf8_exits_2_naming_the_line(tiny_dataset, tiny_pretrained, tmp_path):
+    bad = _with_line_3(tiny_dataset, tmp_path, b"p\xff" + tiny_dataset.read_bytes().split(b"\n")[2][3:])
+    out = tmp_path / "profile.tsv"
+    proc = _run_cli("analyze", "--data", bad, "--checkpoint", tiny_pretrained / "pretrain_best.ckpt", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}: line 3: not UTF-8 text\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pid", [b"p00", b'"p00"'], ids=["split", "csv.reader"])
+def test_analyze_of_a_dataset_with_an_oversized_field_exits_2_naming_the_line(
+    tiny_dataset, tiny_pretrained, tmp_path, pid
+):
+    limit = csv.field_size_limit()
+    bad = _with_line_3(tiny_dataset, tmp_path, pid + b",9," + b"1" * (limit + 1) + b",0,0,0,0,0")
+    proc = _run_cli("analyze", "--data", bad, "--checkpoint", tiny_pretrained / "pretrain_best.ckpt",
+                    "--out", tmp_path / "profile.tsv")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}: line 3: field larger than field limit ({limit})\n"

@@ -17,17 +17,14 @@ from hscl.data import (
     generate_synthetic,
     load_dataset,
     make_pairs,
-    normalize_hs,
-    pair_arrays,
     records_of,
-    regression_arrays,
     save_dataset,
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.pipeline import DataConfig, prepare
 
-from oracles import save_dataset_ref
+from oracles import normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
 
 
 # -- S/F binning --------------------------------------------------------------

@@ -1,0 +1,378 @@
+"""The whole-file dataset reader and writer and ``prepare``'s whole-array pass, against the per-scalar oracles.
+
+``load_dataset`` must give what ``oracles.load_dataset_ref`` gives (records
+equal to the bit, or the same error type and message), ``save_dataset`` the
+bytes of ``oracles.save_dataset_ref``, and ``prepare`` the arrays of
+``oracles.prepare_arrays_ref``.
+"""
+
+import csv
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hscl.data import (
+    NormalizationStats,
+    PatientSeries,
+    ScanRecord,
+    SyntheticSpec,
+    _csv_rows,
+    _split_rows,
+    change_label,
+    generate_synthetic,
+    load_dataset,
+    pair_labels,
+    save_dataset,
+)
+from hscl.errors import ConfigError, DatasetError, DomainError
+from hscl.pipeline import DataConfig, prepare
+
+from oracles import load_dataset_ref, prepare_arrays_ref, save_dataset_ref
+
+HEADER = "patient_id,seq_index,health_score,f0,f1\n"
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _outcome(loader, path):
+    """What ``loader(path)`` gives, in a form that compares to the bit: records or (error type, message)."""
+    try:
+        collection = loader(path)
+    except Exception as exc:  # the type is part of the outcome
+        return (type(exc), str(exc))
+    return [
+        (
+            series.patient_id,
+            [
+                (
+                    rec.patient_id,
+                    type(rec.seq_index),
+                    rec.seq_index,
+                    type(rec.health_score),
+                    _bits(rec.health_score),
+                    rec.features.dtype,
+                    rec.features.shape,
+                    rec.features.tobytes(),
+                )
+                for rec in series.records
+            ],
+        )
+        for series in collection
+    ]
+
+
+def _many_rows(n, fault_at=None, fault="p9,0,x,1.0,2.0"):
+    """``n`` good rows (patients of 6 scans), the row at data line ``fault_at`` (2-based) replaced."""
+    lines = [f"p{i // 6},{i % 6},{20.0 + i / 7},{i * 0.25},{-i / 3}" for i in range(n)]
+    if fault_at is not None:
+        lines[fault_at - 2] = fault
+    return HEADER + "\n".join(lines) + "\n"
+
+
+CORPUS = {
+    # good files
+    "plain": HEADER + "p0,0,5.0,1.0,2.0\np0,1,6.0,1.5,2.5\np1,0,7.0,0.5,0.25\n",
+    "no final newline": HEADER + "p0,0,5.0,1.0,2.0\np0,1,6.0,1.5,2.5",
+    "blank lines": HEADER + "\np0,0,5.0,1.0,2.0\n\n\np0,1,6.0,1.5,2.5\n\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "p0,0,5.0,1.0,2.0\r\np0,1,6.0,1.5,2.5\r\n",
+    "crlf blank lines": HEADER.replace("\n", "\r\n") + "\r\np0,0,5.0,1.0,2.0\r\n\r\n",
+    "cr only": HEADER.replace("\n", "\r") + "p0,0,5.0,1.0,2.0\rp0,1,6.0,1.5,2.5\r",
+    "quoted plain id": HEADER + '"p0",0,5.0,1.0,2.0\n',
+    "quoted id with comma": HEADER + '"p, 0",0,5.0,1.0,2.0\n"p, 0",1,6.0,1.0,2.0\n',
+    "quoted id with quote": HEADER + '"p ""0""",0,5.0,1.0,2.0\n',
+    "quoted id with newline": HEADER + '"p\n0",0,5.0,1.0,2.0\n"p\r\n1",0,6.0,1.0,2.0\nq,0,7,8,9\n',
+    "quoted numbers": HEADER + 'p0,"0","5.0","1.0","2.0"\n',
+    "underscores": HEADER + "p0,1_0,1_0.5,1_000,2e1_0\n",
+    "unicode digits": HEADER + "p0,٣,١٢.٥,１２,3\n",
+    "padded numbers": HEADER + "p0, 3 ,\t5.0 , +1.0,-2.\n",
+    "float forms": HEADER + "p0,0,-0,5e-324,1e308\np0,1,-1.7976931348623157e308,.5,1.\n",
+    "unsorted and interleaved": HEADER + "b,2,1,1,1\na,0,2,2,2\nb,0,3,3,3\na,1,4,4,4\nb,1,5,5,5\n",
+    "nul and unicode ids": HEADER + "p\x00,0,1,2,3\né x,0,1,2,3\n",
+    "huge seq_index": HEADER + "p0,123456789012345678901234567890,1,2,3\n",
+    "many rows": _many_rows(700),
+    # bad files: every message the loader has
+    "empty": "",
+    "header only": HEADER,
+    "header and blank lines": HEADER + "\n\n",
+    "blank first line": "\n" + HEADER + "p0,0,5.0,1.0,2.0\n",
+    "bom": "\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n",
+    "bad header": "patient,seq_index,health_score,f0\np0,0,1,2\n",
+    "no features": "patient_id,seq_index,health_score\np0,0,1\n",
+    "features out of order": "patient_id,seq_index,health_score,f1,f0\np0,0,1,2,3\n",
+    "short row": HEADER + "p0,0,5.0,1.0,2.0\np0,1,6.0,1.0\n",
+    "long row": HEADER + "p0,0,5.0,1.0,2.0,3.0\n",
+    "whitespace row": HEADER + "p0,0,5.0,1.0,2.0\n \n",
+    "empty id": HEADER + ",0,5.0,1.0,2.0\n",
+    "quoted empty id": HEADER + '"",0,5.0,1.0,2.0\n',
+    "seq not an integer": HEADER + "p0,zero,5.0,1.0,2.0\n",
+    "seq a float": HEADER + "p0,1.0,5.0,1.0,2.0\n",
+    "seq negative": HEADER + "p0,-1,5.0,1.0,2.0\n",
+    "non-numeric": HEADER + "p0,0,5.0,one,2.0\n",
+    "hex value": HEADER + "p0,0,5.0,0x1,2.0\n",
+    "empty value": HEADER + "p0,0,5.0,,2.0\n",
+    "inf score": HEADER + "p0,0,inf,1.0,2.0\n",
+    "nan feature": HEADER + "p0,0,5.0,1.0,nan\n",
+    "overflowing value": HEADER + "p0,0,5.0,1e309,2.0\n",
+    "duplicate": HEADER + "p0,0,5.0,1.0,2.0\np0,0,6.0,2.0,3.0\n",
+    "duplicate by int()": HEADER + "p0,1,5.0,1.0,2.0\np0,01,6.0,2.0,3.0\n",
+    "faults in check order": HEADER + ",x,y,z,w\n",
+    "seq before numbers": HEADER + "p0,-1,y,z,w\n",
+    "numbers before finite": HEADER + "p0,0,inf,z,2.0\n",
+    "earlier line first": HEADER + "p0,0,5.0,1.0,2.0\np0,0,x,1.0,2.0\np1,0,1.0,2.0\n",
+    "fault in a later block": _many_rows(700, fault_at=600),
+    "fault at a block edge": _many_rows(700, fault_at=258, fault="p0,0,1,2,3"),
+    "duplicate across blocks": _many_rows(700, fault_at=400, fault="p1,2,1,2,3"),
+    "short row after a blank block": HEADER + "\n" * 300 + "p0,0,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_load_matches_the_per_scalar_loader(name, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    ours, ref = _outcome(load_dataset, path), _outcome(load_dataset_ref, path)
+    assert ours == ref
+    if name.startswith(("plain", "quoted id", "crlf", "cr only", "many rows")):
+        assert isinstance(ours, list)
+
+
+def test_corpus_covers_every_loader_message(tmp_path):
+    messages = set()
+    for name, text in CORPUS.items():
+        path = tmp_path / f"{len(messages)}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _outcome(load_dataset, path)
+        if isinstance(outcome, tuple):
+            assert outcome[0] is DatasetError, name
+            messages.add(outcome[1].split(": ", 2)[-1].split(" ")[0])
+    assert messages == {
+        "no",  # "no records"
+        "header",
+        "feature",
+        "expected",
+        "empty",
+        "seq_index",
+        "non-numeric",
+        "non-finite",
+        "duplicate",
+    }
+
+
+def test_records_are_row_views_of_one_matrix(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(CORPUS["many rows"], encoding="utf-8")
+    records = [rec for series in load_dataset(path) for rec in series.records]
+    base = records[0].features.base
+    assert base is not None and base.shape == (700, 3)
+    assert all(rec.features.base is base and rec.features.flags.c_contiguous for rec in records)
+    assert all(type(rec.health_score) is float for rec in records)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, t in CORPUS.items() if '"' not in t and "\r" not in t))
+def test_both_tokenisers_give_the_same_rows_on_quote_free_files(name):
+    text = CORPUS[name]
+    assert list(_split_rows(text, "f.csv")) == _csv_rows(text, "f.csv")
+
+
+@given(st.text(alphabet=st.sampled_from(list("ab1.,\n \t\x00\x0b\x0c\x1c\x85  ")), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_both_tokenisers_agree_on_any_quote_free_text(text):
+    assert list(_split_rows(text, "f.csv")) == _csv_rows(text, "f.csv")
+
+
+# -- errors the per-scalar loader did not catch ----------------------------------------
+
+
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(HEADER.encode() + b"p0,0,5.0,1.0,2.0\np\xff,0,5.0,1.0,2.0\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: line 3: not UTF-8 text"
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_field_over_the_csv_size_limit_names_its_line_on_both_tokenisers(quoted, tmp_path):
+    limit = csv.field_size_limit()
+    pid = '"p0"' if quoted else "p0"
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + f"{pid},0,5.0,1.0,2.0\np1,0,{'1' * (limit + 1)},1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: line 3: field larger than field limit ({limit})"
+    # a field of exactly the limit is fine
+    long_id = "x" * limit
+    path.write_text(HEADER + f"{pid},0,5.0,1.0,2.0\n{long_id},0,5.0,1.0,2.0\n", encoding="utf-8")
+    assert load_dataset(path)[1].patient_id == long_id
+
+
+# -- the writer ----------------------------------------------------------------------
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+patient_ids = st.text(
+    alphabet=st.sampled_from(list('ab7 ,"\n\ré٣\x00')), min_size=1, max_size=6
+)
+
+
+@given(
+    pids=st.lists(patient_ids, min_size=1, max_size=4, unique=True),
+    n_scans=st.integers(1, 3),
+    n_features=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_save_then_load_is_exact_to_the_bit(pids, n_scans, n_features, data, tmp_path_factory):
+    collection = [
+        PatientSeries(
+            pid,
+            [
+                ScanRecord(pid, 2 * t, np.array(data.draw(st.lists(finite, min_size=n_features, max_size=n_features))), data.draw(finite))
+                for t in range(n_scans)
+            ],
+        )
+        for pid in pids
+    ]
+    folder = tmp_path_factory.mktemp("roundtrip")
+    ours, ref = folder / "ours.csv", folder / "ref.csv"
+    save_dataset(collection, ours)
+    save_dataset_ref(collection, ref)
+    if not any("\r" in pid for pid in pids):  # the old writer left a "\r" unquoted (see below)
+        assert ours.read_bytes() == ref.read_bytes()
+    assert _outcome(load_dataset, ours) == _outcome(lambda _: collection, ours)
+
+
+def test_save_quotes_a_patient_id_holding_a_carriage_return(tmp_path):
+    collection = [PatientSeries(pid, [ScanRecord(pid, 0, np.array([1.5]), 2.0)]) for pid in ("a\rb", "c\r")]
+    path = tmp_path / "data.csv"
+    save_dataset(collection, path)
+    assert path.read_bytes() == b'patient_id,seq_index,health_score,f0\n"a\rb",0,2.0,1.5\n"c\r",0,2.0,1.5\n'
+    assert [s.patient_id for s in load_dataset(path)] == ["a\rb", "c\r"]
+    # the per-scalar writer wrote them bare, so they read back as line ends
+    save_dataset_ref(collection, path)
+    with pytest.raises(DatasetError, match="line 2: expected 4 fields, got 1"):
+        load_dataset(path)
+
+
+def test_save_rejects_a_record_of_another_width_before_writing(tmp_path):
+    collection = generate_synthetic(SyntheticSpec(n_patients=3, scans_per_patient=2, n_features=4, seed=1))
+    collection[1].records[1].features = np.zeros(3)
+    path = tmp_path / "data.csv"
+    with pytest.raises(DatasetError, match=r"record p1/1 has 3 features, expected 4"):
+        save_dataset(collection, path)
+    assert not path.exists()
+
+
+# -- prepare ----------------------------------------------------------------------------
+
+
+def _sf_cohort(**kw):
+    """A cohort whose scores read as S/F ratios, all positive and spread over the clinical bins."""
+    collection = generate_synthetic(SyntheticSpec(hs_center=300.0, hs_scale=40.0, **kw))
+    assert all(rec.health_score > 0 for series in collection for rec in series.records)
+    return collection
+
+
+def _assert_prepare_matches_the_reference(collection, seed, dcfg):
+    prepared = prepare(collection, seed, dcfg)
+    regression, pairs = prepare_arrays_ref(collection, seed, dcfg)
+    for split in ("train", "val", "test"):
+        for ours, ref in zip(
+            (*prepared.regression[split], *prepared.pairs[split]), (*regression[split], *pairs[split])
+        ):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("label_mode", ["threshold", "bin"])
+@pytest.mark.parametrize("higher_is_better", [True, False])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_prepare_matches_the_per_record_reference(label_mode, higher_is_better, seed):
+    collection = _sf_cohort(n_patients=40, scans_per_patient=5, n_features=6, seed=seed + 2)
+    dcfg = DataConfig(label_mode=label_mode, higher_is_better=higher_is_better, tau=0.03)
+    _assert_prepare_matches_the_reference(collection, seed, dcfg)
+
+
+@pytest.mark.parametrize("label_mode", ["threshold", "bin"])
+def test_prepare_matches_the_reference_on_empty_splits_and_single_scan_patients(label_mode):
+    collection = _sf_cohort(n_patients=30, scans_per_patient=3, n_features=4, seed=9)
+    # uneven series: single-scan patients among longer ones
+    collection = [PatientSeries(s.patient_id, s.records[: 1 + i % 3]) for i, s in enumerate(collection)]
+    _assert_prepare_matches_the_reference(collection, 1, DataConfig(fractions=(0.8, 0.2, 0.0), label_mode=label_mode))
+    single = [PatientSeries(s.patient_id, s.records[:1]) for s in collection]
+    _assert_prepare_matches_the_reference(single, 2, DataConfig(label_mode=label_mode))
+
+
+def test_prepare_matches_the_reference_on_a_loaded_file(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(_sf_cohort(n_patients=25, scans_per_patient=4, n_features=3, seed=4), path)
+    for label_mode in ("threshold", "bin"):
+        _assert_prepare_matches_the_reference(load_dataset(path), 3, DataConfig(label_mode=label_mode))
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "scores, label_mode, error",
+    [
+        ({}, "threshold", ConfigError),  # every score equal: degenerate stats
+        ({}, "bin", ConfigError),
+        ({("p03", 1): -4.0, ("p07", 0): 0.0}, "bin", DomainError),  # non-positive S/F
+        ({("p05", 2): float("nan"), ("p02", 1): float("inf")}, "threshold", DomainError),
+        ({("p05", 2): float("nan"), ("p02", 1): -1.0}, "bin", DomainError),
+    ],
+)
+def test_prepare_raises_the_reference_errors(scores, label_mode, error):
+    collection = _sf_cohort(n_patients=12, scans_per_patient=3, n_features=3, seed=1)
+    for series in collection:
+        for rec in series.records:
+            if not scores:
+                rec.health_score = 250.0
+            rec.health_score = scores.get((rec.patient_id, rec.seq_index), rec.health_score)
+    for seed in range(4):
+        dcfg = DataConfig(label_mode=label_mode)
+        ours = _raised(lambda: prepare(collection, seed, dcfg))
+        assert ours is not None and ours[0] is error
+        assert ours == _raised(lambda: prepare_arrays_ref(collection, seed, dcfg))
+
+
+@given(st.lists(st.tuples(finite, finite), max_size=8), st.booleans(), st.sampled_from([0.0, 0.05, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_threshold_labels_and_scores_match_the_scalar_rules(pairs, higher_is_better, tau):
+    stats = NormalizationStats(-1.0, 3.0, higher_is_better)
+    prev = np.array([p for p, _ in pairs], dtype=np.float64)
+    nxt = np.array([n for _, n in pairs], dtype=np.float64)
+    labels = pair_labels(prev, nxt, stats, "threshold", tau)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [change_label(p, n, stats, "threshold", tau) for p, n in pairs]
+    assert [_bits(v) for v in stats.normalize_array(prev)] == [_bits(stats.normalize(p)) for p, _ in pairs]
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [NormalizationStats(-1e308, 1e308), NormalizationStats(0.0, 1e300), NormalizationStats(1e-300, 2e-300)],
+)
+def test_normalize_array_keeps_the_scalar_clamp_on_signed_zero_and_nan(stats):
+    values = np.array([-1e308, -5e-324, 0.0, -0.0, 1e-300, 1.5e-300, 5e-324, 1e308, 2e-300])
+    assert [_bits(v) for v in stats.normalize_array(values)] == [_bits(stats.normalize(float(v))) for v in values]
+
+
+def test_bin_labels_match_the_scalar_rules_at_the_edges():
+    edges = [429.9999, 430.0, 430.0001, 274.9999, 275.0, 275.0001, 179.9999, 180.0, 180.0001, 1e-300, 1e308]
+    prev, nxt = np.meshgrid(edges, edges)
+    labels = pair_labels(prev.ravel(), nxt.ravel(), NormalizationStats(0.0, 1.0), "bin")
+    assert labels.tolist() == [change_label(p, n) for p, n in zip(prev.ravel(), nxt.ravel())]

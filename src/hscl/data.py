@@ -281,12 +281,13 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
 
 
 def _read_text(path) -> str:
+    """The file as UTF-8 text; a leading byte-order mark, as spreadsheet exports write, is dropped."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # the offset counts from after a mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
 
 

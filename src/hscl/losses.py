@@ -48,7 +48,7 @@ from .tensor import (
 MODES = ("mse", "mse+cl", "mse+wcl")
 SIMILARITIES = ("cos", "l2")
 
-_PROB_FLOOR = 1e-12  # cross-entropy probability floor before the log
+PROB_FLOOR = 1e-12  # cross-entropy probability floor before the log
 
 
 @dataclass
@@ -301,11 +301,6 @@ def onehot_labels(labels, n_classes: int) -> np.ndarray:
     return onehot
 
 
-def onehot_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """``cross_entropy`` of labels already turned into a mask by ``onehot_labels``."""
-    return softmax_cross_entropy(logits, onehot, _PROB_FLOOR)
-
-
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax probability of the true class.
 
@@ -318,7 +313,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape[-2:]
     if target.shape not in ((n,), logits.shape[:-1]):
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
-    return onehot_cross_entropy(logits, onehot_labels(target, c))
+    return softmax_cross_entropy(logits, onehot_labels(target, c), PROB_FLOOR)
 
 
 def loss_gradients(

@@ -25,7 +25,7 @@ from .data import (
     records_of,
     series_arrays,
 )
-from .errors import ConfigError, HsclError
+from .errors import ConfigError, DomainError, HsclError
 from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
 from .model import (
@@ -241,14 +241,16 @@ def run_comparison(
     bit-identical to training it alone. Evaluation, the spread analysis and
     checkpoint writes then run seed by seed, in seed order.
 
-    A stage failure the library reports (an ``HsclError``: bad input, a
-    diverged run, a checkpoint error) aborts that seed, the reason is
-    recorded and the sweep continues. When a group of several seeds fails,
-    each of its seeds is retrained as a group of one, so only the failing
-    seed is lost and its row reads as if it had run alone. Any other
-    exception is a programming error and propagates. Returns the report
-    dict; when ``out_dir`` is given, writes report.json, report.txt, and
-    per-run checkpoints beneath it.
+    In ``bin`` label mode, a pair score the S/F bins reject (``pair_labels``'
+    error) raises ``ConfigError`` before any seed runs, since every seed
+    would fail on it alike. A stage failure the library reports (an
+    ``HsclError``: bad input, a diverged run, a checkpoint error) aborts that
+    seed, the reason is recorded and the sweep continues. When a group of
+    several seeds fails, each of its seeds is retrained as a group of one, so
+    only the failing seed is lost and its row reads as if it had run alone.
+    Any other exception is a programming error and propagates. Returns the
+    report dict; when ``out_dir`` is given, writes report.json, report.txt,
+    and per-run checkpoints beneath it.
     """
     for mode in compare.modes:
         if mode not in MODES:
@@ -261,6 +263,16 @@ def run_comparison(
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
+    if dcfg.label_mode == "bin":  # a bin label does not depend on the split: check every pair once
+        scores = [
+            (prev.health_score, nxt.health_score)
+            for series in collection
+            for prev, nxt in zip(series.records, series.records[1:])
+        ]
+        try:
+            pair_labels(*np.array(scores, dtype=np.float64).reshape(-1, 2).T, None, "bin")
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
     errors: dict[int, str] = {}
     prepared: dict[int, Prepared] = {}

@@ -20,6 +20,14 @@ softmax, clamp, log, ...), so values and gradients are bit-identical to that
 chain; the tests hold the chains as oracles. A fused backward computes only
 the products its requires-grad operands need.
 
+``dense`` and ``softmax_cross_entropy`` are each built on a pair of plain
+array functions: ``*_forward`` returns the output and what the gradient
+needs, ``*_backward`` maps an output gradient to the operands' gradients.
+The node's closure calls that backward function, and the training loops
+call both directly, with no graph: every MLP layer and the fine-tuning loss
+of a step run tape-free, so the gradient checks of the op test the code the
+loops run.
+
 The fused ops and ``pairwise_similarity`` also take a leading run axis that
 stacks S independent runs, and then give per-run results: an (S,) loss, an
 (S, B, B) similarity. Each run's slice is computed by the same numpy
@@ -51,10 +59,14 @@ __all__ = [
     "backward",
     "concat_last",
     "dense",
+    "dense_backward",
+    "dense_forward",
     "grad_check",
     "matmul",
     "pairwise_similarity",
     "softmax_cross_entropy",
+    "softmax_cross_entropy_backward",
+    "softmax_cross_entropy_forward",
     "squared_error_sum",
     "weighted_log_sum",
 ]
@@ -276,29 +288,47 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         )
     if activation not in ("tanh", "relu", None):
         raise ConfigError(f"dense: unknown activation {activation!r}")
-    z = xd @ wd
-    z += bd[:, None, :] if runs else bd
-    if activation == "tanh":
-        y = np.tanh(z)
-    elif activation == "relu":
-        y = np.maximum(z, 0.0)
-    else:
-        y = z
+    y, z = dense_forward(xd, wd, bd, activation)
     out = _node(y, (x, w, b))
     if out._parents:
         def back(g: np.ndarray) -> None:
-            if activation == "tanh":
-                g = g * (1.0 - y * y)
-            elif activation == "relu":
-                g = g * (z > 0.0)
-            if x.requires_grad:
-                _accumulate(x, g @ wd.swapaxes(-1, -2))
-            if w.requires_grad:
-                _accumulate(w, xd.swapaxes(-1, -2) @ g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=-2))
+            gx, gw, gb = dense_backward(
+                g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad
+            )
+            _accumulate(x, gx)
+            _accumulate(w, gw)
+            _accumulate(b, gb)
         out._backward = back
     return out
+
+
+def dense_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dense`` on arrays, unchecked: the output ``y`` and the pre-activation ``z``."""
+    z = x @ w
+    z += b[:, None, :] if w.ndim == 3 else b
+    if activation == "tanh":
+        return np.tanh(z), z
+    if activation == "relu":
+        return np.maximum(z, 0.0), z
+    return z, z
+
+
+def dense_backward(
+    g: np.ndarray, x: np.ndarray, w: np.ndarray, y: np.ndarray, z: np.ndarray, activation: str | None,
+    need_x: bool = True, need_w: bool = True, need_b: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None where not needed."""
+    if activation == "tanh":
+        g = g * (1.0 - y * y)
+    elif activation == "relu":
+        g = g * (z > 0.0)
+    return (
+        g @ w.swapaxes(-1, -2) if need_x else None,
+        x.swapaxes(-1, -2) @ g if need_w else None,
+        g.sum(axis=-2) if need_b else None,
+    )
 
 
 def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:
@@ -401,21 +431,35 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
             f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) or per-run mask, "
             f"got {z.shape} and {onehot.shape}"
         )
+    loss, saved = softmax_cross_entropy_forward(z, onehot, floor)
+    out = _node(loss, (logits,))
+    if out._parents:
+        def back(g: np.ndarray) -> None:
+            _accumulate(logits, softmax_cross_entropy_backward(g, onehot, floor, *saved))
+        out._backward = back
+    return out
+
+
+def softmax_cross_entropy_forward(
+    z: np.ndarray, onehot: np.ndarray, floor: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``softmax_cross_entropy`` on arrays, unchecked: the loss and (softmax, picked mass, clamped mass)."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     picked = (s * onehot).sum(axis=-1)
     clamped = np.minimum(np.maximum(picked, floor), 1.0)
-    n = picked.shape[-1]
-    out = _node(np.log(clamped).sum(axis=-1) / n * -1.0, (logits,))
-    if out._parents:
-        inside = (picked > floor) & (picked < 1.0)
-        def back(g: np.ndarray) -> None:
-            g_picked = (g * -1.0 / n)[..., None] / clamped * inside
-            g_s = g_picked[..., None] * onehot
-            inner = (g_s * s).sum(axis=-1, keepdims=True)
-            _accumulate(logits, s * (g_s - inner))
-        out._backward = back
-    return out
+    return np.log(clamped).sum(axis=-1) / picked.shape[-1] * -1.0, (s, picked, clamped)
+
+
+def softmax_cross_entropy_backward(
+    g: np.ndarray, onehot: np.ndarray, floor: float, s: np.ndarray, picked: np.ndarray, clamped: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``softmax_cross_entropy_forward``'s logits for loss gradient ``g``."""
+    inside = (picked > floor) & (picked < 1.0)
+    g_picked = (g * -1.0 / picked.shape[-1])[..., None] / clamped * inside
+    g_s = g_picked[..., None] * onehot
+    inner = (g_s * s).sum(axis=-1, keepdims=True)
+    return s * (g_s - inner)
 
 
 def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tensor:
@@ -453,7 +497,13 @@ def backward(root: Tensor) -> None:
     Each graph may be walked once; a second call on the same root raises
     ``GraphStateError``. Leaves are reusable across graphs, and their grads
     accumulate until the caller resets ``grad`` (as
-    ``losses.loss_gradients`` does before each step).
+    ``losses.loss_gradients`` does).
+
+    The training loops walk only a pre-training step's loss graph, from two
+    leaves (embeddings and predictions) to the loss, and run the MLP layers
+    and the fine-tuning loss without one. Whole-model graphs remain for
+    public callers, ``loss_gradients``, the gradient checks and the
+    per-step reference loops of the tests.
     """
     if root._spent:
         raise GraphStateError("backward: graph already consumed by a previous call")

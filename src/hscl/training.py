@@ -32,13 +32,13 @@ from .errors import (
     TrainingAbort,
 )
 from .losses import (
+    PROB_FLOOR,
     LossConfig,
     combined_loss_terms,
     contrast_targets,
     cross_entropy,
     loss_gradients,
     mine_batch,
-    onehot_cross_entropy,
     onehot_labels,
 )
 from .metrics import compute_metrics
@@ -59,12 +59,24 @@ from .model import (
     predict_classes,
     predict_hs,
 )
-from .tensor import Tensor
+from .tensor import (
+    Tensor,
+    backward,
+    dense_backward,
+    dense_forward,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
+)
 
-# The loops no longer call ``mine_batch`` or ``cross_entropy`` per step: each
-# epoch is mined at once (``contrast_targets``) and the fine-tuning labels are
-# checked once (``onehot_labels``). Both names stay bound here because
-# perfbench/tracing.py wraps the functions at this module's bindings.
+# perfbench/tracing.py wraps functions at this module's bindings, so each name
+# its BINDINGS resolves here must stay bound: ``combined_loss_terms``,
+# ``adam_step``, ``save_checkpoint``, ``load_checkpoint``, ``compute_metrics``
+# and ``encode``, ``predict_hs`` and ``classify_pairs``, which only the
+# validation and a frozen encoder's pair rows call; and ``loss_gradients``,
+# ``mine_batch`` and ``cross_entropy``, which nothing here calls any more: a
+# step runs its layers tape-free (see ``_forward``), each epoch is mined at
+# once (``contrast_targets``) and the fine-tuning labels are checked once
+# (``onehot_labels``).
 
 CHECKPOINT_MAGIC = b"GCCK"
 CHECKPOINT_VERSION = 1
@@ -381,6 +393,20 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # the same bits as the run's own 2-D call, so each run's trace, history and
 # checkpoints are bit-identical to training it alone. One run carries no run
 # axis at all.
+#
+# A step builds no graph for its MLP layers. ``_forward`` runs them through
+# ``tensor.dense_forward`` and keeps each layer's arrays; ``_backward`` sends
+# the output gradient back through ``tensor.dense_backward`` and writes each
+# parameter's gradient straight into its view of ``AdamState.grad``. Those
+# are the functions the ``dense`` node calls, so values and gradients are
+# those of the graph, bit for bit. Every view is written every step, so the
+# buffer is never zero-filled. Pre-training still walks the small loss graph
+# of ``combined_loss_terms``, from two leaves, the embeddings and the
+# predictions; fine-tuning calls the cross-entropy's forward and backward
+# functions directly. Where a gradient has two shares (the embeddings, from
+# the head and from the similarity; an unfrozen encoder's parameters, from
+# the prev and the next pass) they are added once, and a sum of two does not
+# depend on order.
 
 
 def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
@@ -441,6 +467,43 @@ def _stack_layers(runs: list) -> tuple[list[Tensor], list[Tensor]]:
         [_stack(list(ws)) for ws in zip(*(r.weights for r in runs))],
         [_stack(list(bs)) for bs in zip(*(r.biases for r in runs))],
     )
+
+
+def _layers(weights: list[Tensor], biases: list[Tensor], activations: list[str | None]) -> list[tuple]:
+    """(weight, bias, activation) per layer; built after ``AdamState.for_params``, they see its updates."""
+    return [(w.data, b.data, act) for w, b, act in zip(weights, biases, activations)]
+
+
+def _forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each layer's (input, output, pre-activation) for ``x`` run through ``layers``."""
+    saved = []
+    for w, b, activation in layers:
+        y, z = dense_forward(x, w, b, activation)
+        saved.append((x, y, z))
+        x = y
+    return saved
+
+
+def _backward(
+    layers: list[tuple], saved: list[tuple], g: np.ndarray, grads: list[np.ndarray],
+    add: bool = False, need_x: bool = False,
+) -> np.ndarray | None:
+    """Send output gradient ``g`` back through ``layers``; the input's gradient if ``need_x``.
+
+    Layer i's weight and bias gradients are written into ``grads[2i]`` and
+    ``grads[2i + 1]``, or added into them with ``add``.
+    """
+    for i in reversed(range(len(layers))):
+        w, _, activation = layers[i]
+        x, y, z = saved[i]
+        g, gw, gb = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
+        if add:
+            grads[2 * i] += gw
+            grads[2 * i + 1] += gb
+        else:
+            grads[2 * i][...] = gw
+            grads[2 * i + 1][...] = gb
+    return g
 
 
 def format_trace_line(entry: dict, keys=TRACE_KEYS) -> str:
@@ -574,6 +637,9 @@ def pretrain_runs(
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
     train_meta = [asdict(replace(config, seed=s)) for s in seeds]
     x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
+    enc_layers = _layers(encoder.weights, encoder.biases, [activation] * len(encoder.weights))
+    head_layers = _layers([reg.weight], [reg.bias], [None])
+    enc_grads, head_grads = state.grads[: 2 * len(enc_layers)], state.grads[2 * len(enc_layers) :]
 
     def snapshot(epoch: int, s: int) -> Checkpoint:
         meta = {
@@ -600,8 +666,11 @@ def pretrain_runs(
         sums = [{"loss": 0.0, "mse": 0.0, "contrast": 0.0} for _ in range(n_runs)]
         for k in range(n_batches):
             yb = ys[k]
-            embeddings = encode(encoder, xs[k])
-            y_hat = predict_hs(reg, embeddings)
+            enc_saved = _forward(enc_layers, xs[k])
+            e = enc_saved[-1][1]
+            head_saved = _forward(head_layers, e)
+            embeddings = Tensor(e, requires_grad=True)
+            y_hat = Tensor(head_saved[-1][1].reshape(e.shape[:-1]), requires_grad=True)
             total, mse_term, con_term = combined_loss_terms(
                 yb, y_hat, embeddings, targets.batch(k) if needs_mining else None, yb, config.loss
             )
@@ -621,8 +690,13 @@ def pretrain_runs(
                 run_sums["loss"] += loss_val
                 run_sums["mse"] += mse_val
                 run_sums["contrast"] += con_val
-            grad = loss_gradients(total, params, state.grad, state.grads)
-            adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
+            backward(total)
+            g_pred = y_hat.grad.reshape(e.shape[:-1] + (1,))
+            g = _backward(head_layers, head_saved, g_pred, head_grads, need_x=True)
+            if embeddings.grad is not None:  # the similarity's share, added to the head's
+                g += embeddings.grad
+            _backward(enc_layers, enc_saved, g, enc_grads)
+            adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
 
         for s, val_mse in enumerate(_val_mse(encoder, reg, x_val, y_val, n_runs)):
             traces[s].append(
@@ -769,15 +843,18 @@ def finetune_runs(
         cls = ClassifierHead(cls.widths, cls.activation, *_stack_layers([heads[s] for s in seeds]))
 
     frozen = config.freeze_encoder
-    if not frozen:
-        for t in encoder.trainable():
-            t.requires_grad = True
     named_trained = _named_params(None, cls=cls) if frozen else _named_params(encoder, cls=cls)
     named_all = _named_params(encoder, cls=cls)
     params = [t for _, t in named_trained]
     state = AdamState.for_params(params)
     train_meta = [asdict(replace(config, seed=s)) for s in seeds]
     onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
+    n_head = len(cls.weights)
+    head_layers = _layers(cls.weights, cls.biases, [cls.activation] * (n_head - 1) + [None])
+    enc_layers = _layers(encoder.weights, encoder.biases, [encoder.activation] * len(encoder.weights))
+    enc_grads, head_grads = state.grads[: -2 * n_head], state.grads[-2 * n_head :]
+    dim = encoder.embedding_dim
+    g_loss = np.ones((n_runs,) if stacked else ())  # the seed backward gives a root
     if frozen:
         pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train), n_runs)
         val_rows = _pair_rows(encoder, xp_val, xn_val)
@@ -836,19 +913,28 @@ def finetune_runs(
         for k, start in enumerate(starts):
             batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
             if frozen:
-                logits = classify_pair_rows(cls, rows[batch])
+                head_saved = _forward(head_layers, rows[batch])
             else:
-                logits = classify_pairs(cls, encode(encoder, xp_epoch[batch]), encode(encoder, xn_epoch[batch]))
-            ce = onehot_cross_entropy(logits, onehot[batch])
-            for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
+                prev_saved = _forward(enc_layers, xp_epoch[batch])
+                next_saved = _forward(enc_layers, xn_epoch[batch])
+                head_saved = _forward(
+                    head_layers, np.concatenate([prev_saved[-1][1], next_saved[-1][1]], axis=-1)
+                )
+            onehot_batch = onehot[batch]
+            ce, ce_saved = softmax_cross_entropy_forward(head_saved[-1][1], onehot_batch, PROB_FLOOR)
+            for s, ce_val in enumerate(ce.reshape(-1).tolist()):
                 if not math.isfinite(ce_val):
                     where = f" run {s}" if stacked else ""
                     raise TrainingAbort(
                         f"finetune{where}: non-finite loss at epoch {epoch} batch {k}: ce={ce_val}"
                     )
                 ce_sums[s] += ce_val
-            grad = loss_gradients(ce, params, state.grad, state.grads)
-            adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
+            g = softmax_cross_entropy_backward(g_loss, onehot_batch, PROB_FLOOR, *ce_saved)
+            g = _backward(head_layers, head_saved, g, head_grads, need_x=not frozen)
+            if not frozen:  # each encoder parameter's two shares, prev and next, in either order
+                _backward(enc_layers, prev_saved, g[..., :dim], enc_grads)
+                _backward(enc_layers, next_saved, g[..., dim:], enc_grads, add=True)
+            adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
 
         for s, (accuracy, macro_f1) in enumerate(val_metrics()):
             histories[s].append(

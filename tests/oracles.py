@@ -510,8 +510,11 @@ def save_dataset_ref(collection, path) -> None:
 
 
 def load_dataset_ref(path):
-    """The dataset loader with one ``csv.reader`` row, one ``float()`` per value and one array per record."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The dataset loader with one ``csv.reader`` row, one ``float()`` per value and one array per record.
+
+    A leading byte-order mark is dropped (``utf-8-sig``), as the library's loader drops it.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DatasetError(f"{path}: no records")

@@ -551,6 +551,22 @@ def test_compare_with_a_repeated_seed_or_mode_exits_2_before_any_seed(tiny_datas
     assert not out.exists()
 
 
+def test_compare_in_bin_label_mode_with_a_non_positive_score_exits_2_before_any_seed(tiny_dataset, tmp_path):
+    rows = Path(tiny_dataset).read_text(encoding="utf-8").splitlines()
+    first = rows[1].split(",")  # the first scan of a patient with three
+    first[2] = "-0.5"
+    data = tmp_path / "non_positive.csv"
+    data.write_text("\n".join([rows[0], ",".join(first), *rows[2:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "cmp"
+    proc = _run_cli(
+        "compare", "--data", data, "--out", out, "--seeds", "0,1", "--label-mode", "bin", "--epochs", "1"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: categorize_sf: S/F ratio must be positive, got -0.5\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # -- seeds of equal split sizes train in one stack; each run as if it ran alone ----------
 
 

@@ -95,12 +95,13 @@ CORPUS = {
     "nul and unicode ids": HEADER + "p\x00,0,1,2,3\né x,0,1,2,3\n",
     "huge seq_index": HEADER + "p0,123456789012345678901234567890,1,2,3\n",
     "many rows": _many_rows(700),
+    "bom": "\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n",
+    "bom and crlf": "\ufeff" + HEADER.replace("\n", "\r\n") + "p0,0,5.0,1.0,2.0\r\n",
     # bad files: every message the loader has
     "empty": "",
     "header only": HEADER,
     "header and blank lines": HEADER + "\n\n",
     "blank first line": "\n" + HEADER + "p0,0,5.0,1.0,2.0\n",
-    "bom": "\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n",
     "bad header": "patient,seq_index,health_score,f0\np0,0,1,2\n",
     "no features": "patient_id,seq_index,health_score\np0,0,1\n",
     "features out of order": "patient_id,seq_index,health_score,f1,f0\np0,0,1,2,3\n",
@@ -137,7 +138,7 @@ def test_load_matches_the_per_scalar_loader(name, tmp_path):
     path.write_bytes(CORPUS[name].encode("utf-8"))
     ours, ref = _outcome(load_dataset, path), _outcome(load_dataset_ref, path)
     assert ours == ref
-    if name.startswith(("plain", "quoted id", "crlf", "cr only", "many rows")):
+    if name.startswith(("plain", "quoted id", "crlf", "cr only", "many rows", "bom")):
         assert isinstance(ours, list)
 
 
@@ -190,10 +191,11 @@ def test_both_tokenisers_agree_on_any_quote_free_text(text):
 
 def test_a_file_that_is_not_utf8_names_its_line(tmp_path):
     path = tmp_path / "latin1.csv"
-    path.write_bytes(HEADER.encode() + b"p0,0,5.0,1.0,2.0\np\xff,0,5.0,1.0,2.0\n")
-    with pytest.raises(DatasetError) as exc:
-        load_dataset(path)
-    assert str(exc.value) == f"{path}: line 3: not UTF-8 text"
+    for mark in (b"", "\ufeff".encode("utf-8")):  # the line is the same after a byte-order mark
+        path.write_bytes(mark + HEADER.encode() + b"p0,0,5.0,1.0,2.0\np\xff,0,5.0,1.0,2.0\n")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: line 3: not UTF-8 text"
 
 
 @pytest.mark.parametrize("quoted", [False, True])

@@ -397,7 +397,7 @@ def test_untrained_classifier_near_chance_on_balanced_pairs():
     assert abs(report.accuracy - 100.0 / 3.0) <= 5.0
 
 
-# -- fused ops vs the elementary-op chains, end to end ------------------------------------
+# -- tape-free loops vs the per-step graph built from the elementary-op chains ------------
 
 
 @pytest.mark.parametrize(
@@ -405,27 +405,44 @@ def test_untrained_classifier_near_chance_on_balanced_pairs():
     [(m, s, "tanh") for m in losses.MODES for s in losses.SIMILARITIES] + [("mse+wcl", "l2", "relu")],
 )
 def test_training_with_fused_ops_matches_the_op_chains_bitwise(mode, sim, activation, monkeypatch):
+    """The tape-free loops, unpatched, against the per-step references built from the chains.
+
+    The loops call the fused ops' forward and backward functions, which the
+    patches do not reach; the references build each step's graph through the
+    patched ops, and every patched op must be called.
+    """
     rng = np.random.default_rng(8)
     x, y = _noiseless_regression(n=40, f=5, seed=8)
     xp, xn = rng.normal(size=(30, 5)), rng.normal(size=(30, 5))
     labels = rng.integers(0, 3, size=30)
 
-    def run():
+    def run(pretrain_fn, finetune_fn):
         cfg = TrainConfig(epochs=3, seed=4, loss=LossConfig(mode=mode, similarity=sim, alpha=0.7))
-        pre = pretrain(x, y, x[:8], y[:8], cfg, hidden=(8, 4), activation=activation)
+        (pre,) = pretrain_fn(x, y, x[:8], y[:8], cfg, (8, 4), activation, [None], [4])
         outputs = [pre.trace, checkpoint_bytes(pre.final), checkpoint_bytes(pre.best)]
         for freeze in (True, False):
             fine_cfg = TrainConfig(epochs=3, seed=5, freeze_encoder=freeze)
-            fine = finetune(pre.best, xp, xn, labels, xp[:9], xn[:9], labels[:9], fine_cfg)
+            (fine,) = finetune_fn(
+                [pre.best], xp, xn, labels, xp[:9], xn[:9], labels[:9], fine_cfg, DEFAULT_CLS_HIDDEN, [5]
+            )
             outputs += [fine.history, checkpoint_bytes(fine.final), checkpoint_bytes(fine.best)]
         return outputs
 
-    fused = run()
-    monkeypatch.setattr(model, "dense", dense_chain)
-    monkeypatch.setattr(losses, "squared_error_sum", squared_error_sum_chain)
-    monkeypatch.setattr(losses, "softmax_cross_entropy", softmax_cross_entropy_chain)
-    monkeypatch.setattr(losses, "weighted_log_sum", weighted_log_sum_chain)
-    assert run() == fused
+    fused = run(pretrain_runs, finetune_runs)
+    calls = []
+    for module, name, chain in (
+        (model, "dense", dense_chain),
+        (losses, "squared_error_sum", squared_error_sum_chain),
+        (losses, "softmax_cross_entropy", softmax_cross_entropy_chain),
+        (losses, "weighted_log_sum", weighted_log_sum_chain),
+    ):
+        def counted(*args, chain=chain, name=name):
+            calls.append(name)
+            return chain(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert run(pretrain_runs_ref, finetune_runs_ref) == fused
+    contrastive = {"weighted_log_sum"} if mode != "mse" else set()
+    assert set(calls) == {"dense", "squared_error_sum", "softmax_cross_entropy"} | contrastive
 
 
 # -- lock-step fine-tuning: S runs in one stack give each run's own results, bit for bit ---
@@ -568,13 +585,17 @@ def test_lockstep_finetune_with_per_run_pairs_and_seeds_matches_each_run_alone_b
 
 
 @pytest.mark.parametrize("runs", [1, 3])
-@pytest.mark.parametrize("sim", losses.SIMILARITIES)
-@pytest.mark.parametrize("mode", losses.MODES)
-def test_training_loops_match_the_per_step_reference_bitwise(mode, sim, runs):
+@pytest.mark.parametrize(
+    "mode, sim, activation",
+    [pytest.param(m, s, DEFAULT_ACTIVATION, id=f"{m}-{s}") for m in losses.MODES for s in losses.SIMILARITIES]
+    + [pytest.param("mse+wcl", "l2", "relu", id="mse+wcl-l2-relu")],
+)
+def test_training_loops_match_the_per_step_reference_bitwise(mode, sim, activation, runs):
     """One run through ``pretrain``/``finetune``, three through the ``*_runs`` loops.
 
     37 training rows leave 5 rows of each epoch unused; 25 training pairs end
-    every fine-tuning epoch with a batch of one pair.
+    every fine-tuning epoch with a batch of one pair. The relu case reaches
+    the relu branch of the encoder's hand-written backward.
     """
     data = _run_data(runs)
     seeds = [3 + 2 * r for r in range(runs)]
@@ -582,10 +603,10 @@ def test_training_loops_match_the_per_step_reference_bitwise(mode, sim, runs):
     cfg = TrainConfig(epochs=3, seed=seeds[0], loss=LossConfig(mode, sim, alpha=0.7))
     arrays = data[0] if runs == 1 else [np.stack(a) for a in zip(*data)]
     if runs == 1:
-        pre = [pretrain(*arrays, cfg, hidden=(8, 4), data_meta=metas[0])]
+        pre = [pretrain(*arrays, cfg, hidden=(8, 4), activation=activation, data_meta=metas[0])]
     else:
-        pre = pretrain_runs(*arrays, cfg, hidden=(8, 4), data_metas=metas, seeds=seeds)
-    ref = pretrain_runs_ref(*arrays, cfg, (8, 4), DEFAULT_ACTIVATION, metas, seeds)
+        pre = pretrain_runs(*arrays, cfg, hidden=(8, 4), activation=activation, data_metas=metas, seeds=seeds)
+    ref = pretrain_runs_ref(*arrays, cfg, (8, 4), activation, metas, seeds)
     assert [_pretrain_outputs(r) for r in pre] == [_pretrain_outputs(r) for r in ref]
 
     rng = np.random.default_rng(14)

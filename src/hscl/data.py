@@ -384,10 +384,8 @@ def _parse_block(rows: list[list[str]], width: int, seen: set):
 def load_dataset(path) -> list[PatientSeries]:
     r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
 
-    The file is read once. Text holding neither ``"`` nor ``
-`` is split on
-    ``
-`` and ``,``; other text goes through ``csv.reader``, so quoted ids
+    The file is read once. Text holding neither ``"`` nor ``\r`` is split on
+    ``\n`` and ``,``; other text goes through ``csv.reader``, so quoted ids
     and CRLF line ends work; both give the same rows. Bytes that are not
     UTF-8 and a field longer than ``csv.field_size_limit()`` raise before any
     row is checked. Blank lines are skipped but counted: line N is the N-th

@@ -117,8 +117,8 @@ class AdamState:
     ``for_params`` copies the tensors into ``flat`` and rebinds each
     ``p.data`` to its reshaped view of it, so one whole-buffer update moves
     them all. ``grad``, ``m`` and ``v`` are laid out like ``flat``; ``grads``
-    are the per-parameter views of ``grad`` that backward accumulates into,
-    and ``scratch`` holds two buffers ``adam_step`` computes in.
+    are the per-parameter views of ``grad`` that a step writes its gradients
+    into, and ``scratch`` holds two buffers ``adam_step`` computes in.
     """
 
     params: list[Tensor]
@@ -285,14 +285,6 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 # -- parameter <-> checkpoint plumbing -------------------------------------------
-
-
-def _encoder_entries(encoder: EncoderParams) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
-        out[f"encoder.w{i}"] = w.data.copy()
-        out[f"encoder.b{i}"] = b.data.copy()
-    return out
 
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
@@ -506,6 +498,86 @@ def _backward(
     return g
 
 
+class _Runs:
+    """The per-run bookkeeping of both loops, from the trained state to the results.
+
+    ``state`` packs the trained tensors, which take no gradient from then
+    on: a step writes theirs by hand, and validation builds no graph. A step
+    hands ``add`` its per-run loss terms to sum; a non-finite first term
+    raises ``TrainingAbort``, naming the run when S > 1. ``end_epoch`` logs
+    each run's entry under the stage's keys: epoch, lr, the mean terms, then
+    the validation values, the last of which selects the best epoch by strict
+    improvement (lower ``val_mse``, higher ``val_macro_f1``), so NaN is never
+    selected. ``results`` appends the terminal entry at epoch == epochs, with
+    the fully annealed rate and the last epoch's values, and gives a run that
+    never scored its final checkpoint as best, at epoch epochs - 1.
+    """
+
+    # stage: (log keys, the loss terms an abort names, the sign that makes a better score larger)
+    STAGES = {
+        "pretrain": (TRACE_KEYS, ("loss", "mse", "contrast"), -1.0),
+        "finetune": (HISTORY_KEYS, ("ce",), 1.0),
+    }
+
+    def __init__(
+        self, stage: str, config: TrainConfig, seeds: list[int], named_all: list[tuple[str, Tensor]],
+        named_trained: list[tuple[str, Tensor]], model: dict, extras: list[dict],
+    ):
+        self.stage, self.config, self.named_all, self.named_trained = stage, config, named_all, named_trained
+        self.keys, self.terms, self.sign = self.STAGES[stage]
+        self.state = AdamState.for_params([t for _, t in named_trained])
+        for _, t in named_trained:
+            t.requires_grad = False
+        self.metas = [  # each run's checkpoint metadata after its stage, epoch and Adam step
+            {"model": model, "train": asdict(replace(config, seed=s)), **e} for s, e in zip(seeds, extras)
+        ]
+        self.n_runs = len(seeds)
+        self.sums = [[0.0] * self.n_runs for _ in self.terms]  # per term, one sum per run
+        self.logs: list[list[dict]] = [[] for _ in seeds]
+        self.best: list[Checkpoint | None] = [None] * self.n_runs
+        self.best_epoch = [-1] * self.n_runs
+        self.best_score = [-math.inf] * self.n_runs
+
+    def snapshot(self, epoch: int, s: int) -> Checkpoint:
+        meta = {"stage": self.stage, "epoch": epoch, "adam_step": self.state.step, **self.metas[s]}
+        return _snapshot(self.named_all, self.named_trained, self.state, meta, s if self.n_runs > 1 else None)
+
+    def add(self, epoch: int, batch: int, *terms: np.ndarray | None) -> None:
+        """Sum one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""
+        columns = [[0.0] * self.n_runs if t is None else t.reshape(-1).tolist() for t in terms]
+        if not all(map(math.isfinite, columns[0])):
+            s = [math.isfinite(v) for v in columns[0]].index(False)
+            where = f" run {s}" if self.n_runs > 1 else ""
+            named = " ".join(f"{name}={column[s]}" for name, column in zip(self.terms, columns))
+            raise TrainingAbort(
+                f"{self.stage}{where}: non-finite loss at epoch {epoch} batch {batch}: {named}"
+            )
+        for sums, column in zip(self.sums, columns):
+            for s, value in enumerate(column):
+                sums[s] += value
+
+    def end_epoch(self, epoch: int, lr: float, n_batches: int, vals) -> None:
+        """Log each run's epoch from its sums and its tuple of ``vals``; keep an improved best."""
+        for s, run_vals in enumerate(vals):
+            means = [sums[s] / n_batches for sums in self.sums]
+            entry = dict(zip(self.keys, (epoch, lr, *means, *run_vals)))
+            self.logs[s].append(entry)
+            score = self.sign * entry[self.keys[-1]]
+            if score > self.best_score[s]:
+                self.best_score[s], self.best_epoch[s], self.best[s] = score, epoch, self.snapshot(epoch, s)
+        self.sums = [[0.0] * self.n_runs for _ in self.terms]
+
+    def results(self, result: type) -> list:
+        out, epochs = [], self.config.epochs
+        for s, log in enumerate(self.logs):
+            log.append({**log[-1], "epoch": epochs, "lr": cosine_lr(epochs, self.config)})
+            final = self.snapshot(epochs - 1, s)
+            if self.best[s] is None:  # no finite validation score ever observed
+                self.best[s], self.best_epoch[s] = final, epochs - 1
+            out.append(result(final, self.best[s], self.best_epoch[s], log))
+        return out
+
+
 def format_trace_line(entry: dict, keys=TRACE_KEYS) -> str:
     parts = []
     for key in keys:
@@ -609,7 +681,6 @@ def pretrain_runs(
     n_runs = len(seeds)
     if n_runs == 0:
         raise ConfigError("pretrain: need at least one run")
-    stacked = n_runs > 1
     data_metas = [None] * n_runs if data_metas is None else list(data_metas)
     if len(data_metas) != n_runs:
         raise ConfigError(f"pretrain: {len(data_metas)} data metadata entries for {n_runs} runs")
@@ -627,35 +698,21 @@ def pretrain_runs(
     encoders = [init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds]
     regs = [init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds]
     encoder, reg = encoders[0], regs[0]
-    if stacked:
+    if n_runs > 1:
         encoder = EncoderParams(widths, activation, *_stack_layers(encoders))
         reg = RegressionHead(_stack([r.weight for r in regs]), _stack([r.bias for r in regs]))
 
     named = _named_params(encoder, reg)
-    params = [t for _, t in named]
-    state = AdamState.for_params(params)
+    runs = _Runs(
+        "pretrain", config, seeds, named, named,
+        {"widths": widths, "activation": activation}, [{"data": m or {}} for m in data_metas],
+    )
+    state = runs.state
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
-    train_meta = [asdict(replace(config, seed=s)) for s in seeds]
     x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
     enc_layers = _layers(encoder.weights, encoder.biases, [activation] * len(encoder.weights))
     head_layers = _layers([reg.weight], [reg.bias], [None])
     enc_grads, head_grads = state.grads[: 2 * len(enc_layers)], state.grads[2 * len(enc_layers) :]
-
-    def snapshot(epoch: int, s: int) -> Checkpoint:
-        meta = {
-            "stage": "pretrain",
-            "epoch": epoch,
-            "adam_step": state.step,
-            "model": {"widths": widths, "activation": activation},
-            "train": train_meta[s],
-            "data": data_metas[s] or {},
-        }
-        return _snapshot(named, named, state, meta, s if stacked else None)
-
-    traces: list[list[dict]] = [[] for _ in range(n_runs)]
-    best: list[Checkpoint | None] = [None] * n_runs
-    best_epoch = [-1] * n_runs
-    best_val = [math.inf] * n_runs
 
     n_batches = n // config.batch_size
     for epoch in range(config.epochs):
@@ -663,7 +720,6 @@ def pretrain_runs(
         batches = _full_batches(_epoch_rows(seeds, epoch, n), config.batch_size)
         xs, ys = x_rows.take(batches, axis=0), y_rows.take(batches, axis=0)
         targets = contrast_targets(ys, config.loss) if needs_mining else None
-        sums = [{"loss": 0.0, "mse": 0.0, "contrast": 0.0} for _ in range(n_runs)]
         for k in range(n_batches):
             yb = ys[k]
             enc_saved = _forward(enc_layers, xs[k])
@@ -674,22 +730,7 @@ def pretrain_runs(
             total, mse_term, con_term = combined_loss_terms(
                 yb, y_hat, embeddings, targets.batch(k) if needs_mining else None, yb, config.loss
             )
-            terms = zip(
-                total.data.reshape(-1).tolist(),
-                mse_term.data.reshape(-1).tolist(),
-                con_term.data.reshape(-1).tolist() if con_term is not None else [0.0] * n_runs,
-            )
-            for s, (loss_val, mse_val, con_val) in enumerate(terms):
-                if not math.isfinite(loss_val):
-                    where = f" run {s}" if stacked else ""
-                    raise TrainingAbort(
-                        f"pretrain{where}: non-finite loss at epoch {epoch} batch {k}: "
-                        f"loss={loss_val} mse={mse_val} contrast={con_val}"
-                    )
-                run_sums = sums[s]
-                run_sums["loss"] += loss_val
-                run_sums["mse"] += mse_val
-                run_sums["contrast"] += con_val
+            runs.add(epoch, k, total.data, mse_term.data, None if con_term is None else con_term.data)
             backward(total)
             g_pred = y_hat.grad.reshape(e.shape[:-1] + (1,))
             g = _backward(head_layers, head_saved, g_pred, head_grads, need_x=True)
@@ -697,41 +738,8 @@ def pretrain_runs(
                 g += embeddings.grad
             _backward(enc_layers, enc_saved, g, enc_grads)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
-
-        for s, val_mse in enumerate(_val_mse(encoder, reg, x_val, y_val, n_runs)):
-            traces[s].append(
-                {
-                    "epoch": epoch,
-                    "lr": lr,
-                    "loss": sums[s]["loss"] / n_batches,
-                    "mse": sums[s]["mse"] / n_batches,
-                    "contrast": sums[s]["contrast"] / n_batches,
-                    "val_mse": val_mse,
-                }
-            )
-            if val_mse < best_val[s]:
-                best_val[s] = val_mse
-                best_epoch[s] = epoch
-                best[s] = snapshot(epoch, s)
-
-    results = []
-    for s, trace in enumerate(traces):
-        last = trace[-1]
-        trace.append(
-            {
-                "epoch": config.epochs,
-                "lr": cosine_lr(config.epochs, config),
-                "loss": last["loss"],
-                "mse": last["mse"],
-                "contrast": last["contrast"],
-                "val_mse": last["val_mse"],
-            }
-        )
-        final = snapshot(config.epochs - 1, s)
-        if best[s] is None:  # no finite validation MSE ever observed
-            best[s], best_epoch[s] = final, config.epochs - 1
-        results.append(PretrainResult(final=final, best=best[s], best_epoch=best_epoch[s], trace=trace))
-    return results
+        runs.end_epoch(epoch, lr, n_batches, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))
+    return runs.results(PretrainResult)
 
 
 # -- fine-tuning loop --------------------------------------------------------------
@@ -843,11 +851,17 @@ def finetune_runs(
         cls = ClassifierHead(cls.widths, cls.activation, *_stack_layers([heads[s] for s in seeds]))
 
     frozen = config.freeze_encoder
-    named_trained = _named_params(None, cls=cls) if frozen else _named_params(encoder, cls=cls)
     named_all = _named_params(encoder, cls=cls)
-    params = [t for _, t in named_trained]
-    state = AdamState.for_params(params)
-    train_meta = [asdict(replace(config, seed=s)) for s in seeds]
+    model = {
+        "widths": encoder.widths,
+        "activation": encoder.activation,
+        "cls_widths": cls.widths,
+        "cls_activation": cls.activation,
+    }
+    extras = [{"pretrain_train": ck.meta.get("train"), "data": ck.meta.get("data", {})} for ck in pretrained]
+    named_trained = _named_params(None, cls=cls) if frozen else named_all
+    runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
+    state = runs.state
     onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
     n_head = len(cls.weights)
     head_layers = _layers(cls.weights, cls.biases, [cls.activation] * (n_head - 1) + [None])
@@ -876,30 +890,7 @@ def finetune_runs(
             out.append((report.accuracy, report.macro_f1))
         return out
 
-    def snapshot(epoch: int, s: int) -> Checkpoint:
-        meta = {
-            "stage": "finetune",
-            "epoch": epoch,
-            "adam_step": state.step,
-            "model": {
-                "widths": encoder.widths,
-                "activation": encoder.activation,
-                "cls_widths": cls.widths,
-                "cls_activation": cls.activation,
-            },
-            "train": train_meta[s],
-            "pretrain_train": pretrained[s].meta.get("train"),
-            "data": pretrained[s].meta.get("data", {}),
-        }
-        return _snapshot(named_all, named_trained, state, meta, s if stacked else None)
-
-    histories: list[list[dict]] = [[] for _ in range(n_runs)]
-    best: list[Checkpoint | None] = [None] * n_runs
-    best_epoch = [-1] * n_runs
-    best_f1 = [-math.inf] * n_runs
-
     starts = range(0, n, config.batch_size)  # the last batch may be short
-    n_batches = len(starts)
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
         # the epoch's rows, gathered once; each step reads its batch as a view
@@ -909,7 +900,6 @@ def finetune_runs(
             rows = pair_rows.take(orders, axis=0)
         else:
             xp_epoch, xn_epoch = xp_rows.take(orders, axis=0), xn_rows.take(orders, axis=0)
-        ce_sums = [0.0] * n_runs
         for k, start in enumerate(starts):
             batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
             if frozen:
@@ -922,48 +912,12 @@ def finetune_runs(
                 )
             onehot_batch = onehot[batch]
             ce, ce_saved = softmax_cross_entropy_forward(head_saved[-1][1], onehot_batch, PROB_FLOOR)
-            for s, ce_val in enumerate(ce.reshape(-1).tolist()):
-                if not math.isfinite(ce_val):
-                    where = f" run {s}" if stacked else ""
-                    raise TrainingAbort(
-                        f"finetune{where}: non-finite loss at epoch {epoch} batch {k}: ce={ce_val}"
-                    )
-                ce_sums[s] += ce_val
+            runs.add(epoch, k, ce)
             g = softmax_cross_entropy_backward(g_loss, onehot_batch, PROB_FLOOR, *ce_saved)
             g = _backward(head_layers, head_saved, g, head_grads, need_x=not frozen)
             if not frozen:  # each encoder parameter's two shares, prev and next, in either order
                 _backward(enc_layers, prev_saved, g[..., :dim], enc_grads)
                 _backward(enc_layers, next_saved, g[..., dim:], enc_grads, add=True)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
-
-        for s, (accuracy, macro_f1) in enumerate(val_metrics()):
-            histories[s].append(
-                {
-                    "epoch": epoch,
-                    "lr": lr,
-                    "train_ce": ce_sums[s] / n_batches,
-                    "val_accuracy": accuracy,
-                    "val_macro_f1": macro_f1,
-                }
-            )
-            if macro_f1 > best_f1[s]:
-                best_f1[s] = macro_f1
-                best_epoch[s] = epoch
-                best[s] = snapshot(epoch, s)
-
-    results = []
-    for s, history in enumerate(histories):
-        history.append(
-            {
-                "epoch": config.epochs,
-                "lr": cosine_lr(config.epochs, config),
-                "train_ce": history[-1]["train_ce"],
-                "val_accuracy": history[-1]["val_accuracy"],
-                "val_macro_f1": history[-1]["val_macro_f1"],
-            }
-        )
-        final = snapshot(config.epochs - 1, s)
-        if best[s] is None:  # no finite validation macro-F1 ever observed
-            best[s], best_epoch[s] = final, config.epochs - 1
-        results.append(FinetuneResult(final, best[s], best_epoch[s], history))
-    return results
+        runs.end_epoch(epoch, lr, len(starts), val_metrics())
+    return runs.results(FinetuneResult)

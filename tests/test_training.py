@@ -652,6 +652,63 @@ def test_an_out_of_range_finetune_label_raises_cross_entropys_error_before_the_f
     assert steps == []
 
 
+# -- per-run bookkeeping: selection, its fallback and the terminal entry --------------------
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("stage", ["pretrain", "finetune-frozen", "finetune-unfrozen"])
+def test_a_run_with_no_finite_validation_score_keeps_its_final_checkpoint_as_best(stage, runs):
+    cfg = TrainConfig(epochs=3, loss=LossConfig("mse+cl"))
+    seeds = [3 + r for r in range(runs)]
+    data = _run_data(runs, val=0)
+    arrays = data[0] if runs == 1 else [np.stack(a) for a in zip(*data)]
+    results = pretrain_runs(*arrays, cfg, hidden=(8, 4), seeds=seeds)
+    keys = training.TRACE_KEYS
+    if stage != "pretrain":
+        rng = np.random.default_rng(15)
+        shape = () if runs == 1 else (runs,)
+        xp, xn = rng.normal(size=(2, *shape, 20, 5))
+        labels = rng.integers(0, 3, size=(*shape, 20))
+        empty, no_labels = np.zeros((*shape, 0, 5)), np.zeros((*shape, 0), dtype=int)
+        fine_cfg = replace(cfg, freeze_encoder=stage == "finetune-frozen")
+        results = finetune_runs(
+            [r.final for r in results], xp, xn, labels, empty, empty, no_labels, fine_cfg, seeds=seeds
+        )
+        keys = training.HISTORY_KEYS
+    assert len(results) == runs
+    for result in results:
+        log = result.trace if stage == "pretrain" else result.history
+        assert checkpoint_bytes(result.best) == checkpoint_bytes(result.final)
+        assert result.best_epoch == cfg.epochs - 1
+        assert [entry["epoch"] for entry in log] == list(range(cfg.epochs + 1))
+        val_keys = [k for k in keys if k.startswith("val_")]
+        assert all(np.isnan(entry[k]) for entry in log for k in val_keys)
+        *_, last, terminal = log
+        assert terminal["lr"] == cosine_lr(cfg.epochs, cfg)
+        assert np.array_equal(
+            [terminal[k] for k in keys[2:]], [last[k] for k in keys[2:]], equal_nan=True
+        )
+
+
+def test_training_loops_build_no_graph_for_validation(monkeypatch):
+    """The trained tensors take no gradient inside the loops; the public initialisers' still do."""
+    seen = []
+    for name in ("predict_hs", "classify_pair_rows"):
+        def recorded(*args, _original=getattr(training, name)):
+            out = _original(*args)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(training, name, recorded)
+    x, y = _noiseless_regression(n=40, f=5, seed=16)
+    pre = pretrain(x, y, x[:8], y[:8], TrainConfig(epochs=2, seed=1), hidden=(8, 4))
+    xp, xn, labels = _separable_pairs(pre.best, n=20)
+    finetune(pre.best, xp, xn, labels, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
+    assert len(seen) == 4
+    assert not any(t.requires_grad or t._backward is not None for t in seen)
+    assert all(p.requires_grad for p in init_encoder([5, 8, 4], 0, DEFAULT_ACTIVATION).trainable())
+    assert all(p.requires_grad for p in init_classifier_head(4, 0, DEFAULT_CLS_HIDDEN).trainable())
+
+
 # -- pipeline-level pretrain smoke -------------------------------------------------------
 
 

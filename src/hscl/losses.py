@@ -26,7 +26,12 @@ A stack holds one loss mode, so an ``mse`` stack builds no contrastive term.
 
 The masks, ``K`` and the wcl constant depend on the labels alone, so a
 training loop builds them for a whole epoch of batches at once with
-``contrast_targets`` and hands each step its batch's slice.
+``contrast_targets`` and hands each step its batch's slice. Given that
+slice, ``combined_loss_terms`` computes the loss from the tensor ops' array
+functions and returns each term as one node wired straight to the
+embeddings and the predictions, so a step's ``backward`` walks 3 nodes; the
+graph ops build the same values and gradients from a chain of 7 (cl) or 9
+(wcl) nodes.
 """
 
 from __future__ import annotations
@@ -39,10 +44,17 @@ from .errors import ConfigError, DomainError, ShapeError
 from .tensor import (
     Tensor,
     backward,
+    node,
     pairwise_similarity,
+    pairwise_similarity_backward,
+    pairwise_similarity_forward,
     softmax_cross_entropy,
     squared_error_sum,
+    squared_error_sum_backward,
+    squared_error_sum_forward,
     weighted_log_sum,
+    weighted_log_sum_backward,
+    weighted_log_sum_forward,
 )
 
 MODES = ("mse", "mse+cl", "mse+wcl")
@@ -203,6 +215,11 @@ def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
     """Summed squared error (no mean normalization); (S, B) predictions give (S,) sums."""
+    return squared_error_sum(_mse_target(y, y_pred), y_pred)
+
+
+def _mse_target(y, y_pred: Tensor) -> np.ndarray:
+    """``y`` as the float64 target of ``y_pred``, after ``mse_loss``'s checks."""
     target = np.asarray(y, dtype=np.float64)
     if y_pred.data.ndim == 1:
         target = target.reshape(-1)
@@ -210,7 +227,7 @@ def mse_loss(y, y_pred: Tensor) -> Tensor:
         raise ShapeError(f"mse_loss: target shape {target.shape} != prediction shape {y_pred.shape}")
     if target.shape[-1] < 1:
         raise ShapeError("mse_loss: need at least one element")
-    return squared_error_sum(target, y_pred)
+    return target
 
 
 def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
@@ -266,10 +283,13 @@ def combined_loss_terms(
     resulting graph and gradients are bit-identical to pure MSE training.
     ``mining`` may be the ``ContrastTargets`` of this batch, built for
     ``config`` by ``contrast_targets``; the loss then takes its ``K`` and
-    constant as they are, and does not read ``hs``.
+    constant as they are, does not read ``hs``, and gives three nodes wired
+    straight to the leaves (see ``_fused_terms``). A plain ``MiningResult``
+    builds the loss from the graph ops.
     """
-    mse = mse_loss(y, y_pred)
+    target = _mse_target(y, y_pred)
     if not config.contrastive or config.alpha == 0.0:
+        mse = squared_error_sum(target, y_pred)
         return mse, mse, None
     if embeddings is None or mining is None:
         raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
@@ -277,12 +297,49 @@ def combined_loss_terms(
         if mining.eps != (config.eps if config.weighted else None):
             raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
         _check_mining("combined_loss", embeddings, mining)
-        con = _contrastive_term(embeddings, mining, config)
-    elif config.weighted:
+        return _fused_terms(target, y_pred, embeddings, mining, config)
+    mse = squared_error_sum(target, y_pred)
+    if config.weighted:
         con = wcl_loss(embeddings, mining, hs, config)
     else:
         con = cl_loss(embeddings, mining, config)
     return mse + con * config.alpha, mse, con
+
+
+def _fused_terms(
+    target: np.ndarray, y_pred: Tensor, embeddings: Tensor, targets: ContrastTargets, config: LossConfig
+) -> tuple[Tensor, Tensor, Tensor]:
+    """``combined_loss_terms`` from the ops' array functions: total, mse and con, one node each.
+
+    ``total`` has the parents (y_pred, embeddings), ``mse`` y_pred and ``con``
+    the embeddings. Values and gradients repeat the graph ops' chain
+    ``mse + (sum(K * log clamp(S)) [+ constant]) * alpha`` operation for
+    operation: the total's gradient reaches the contrastive term as
+    ``g * alpha``, and the constant passes it through unchanged.
+    """
+    kind, floor, coefficients = config.similarity, config.sim_floor, targets.coefficients
+    mse, diff = squared_error_sum_forward(target, y_pred.data)
+    e = embeddings.data
+    sims, saved = pairwise_similarity_forward(e, kind)
+    con, clamped = weighted_log_sum_forward(sims, coefficients, floor)
+    if targets.constant is not None:
+        if np.shape(targets.constant) != np.shape(con):  # the check of the chain's ``+``
+            raise ShapeError(f"add: incompatible shapes {np.shape(con)} and {np.shape(targets.constant)}")
+        con = con + targets.constant
+    alpha = float(config.alpha)
+
+    def mse_grad(g: np.ndarray) -> np.ndarray:
+        return squared_error_sum_backward(g, diff)
+
+    def con_grad(g: np.ndarray) -> np.ndarray:
+        g_sims = weighted_log_sum_backward(g, sims, coefficients, floor, clamped)
+        return pairwise_similarity_backward(g_sims, e, kind, sims, saved)
+
+    return (
+        node(mse + con * alpha, (y_pred, embeddings), lambda g: (mse_grad(g), con_grad(g * alpha))),
+        node(mse, (y_pred,), lambda g: (mse_grad(g),)),
+        node(con, (embeddings,), lambda g: (con_grad(g),)),
+    )
 
 
 def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tensor:

@@ -20,13 +20,17 @@ softmax, clamp, log, ...), so values and gradients are bit-identical to that
 chain; the tests hold the chains as oracles. A fused backward computes only
 the products its requires-grad operands need.
 
-``dense`` and ``softmax_cross_entropy`` are each built on a pair of plain
+Every fused op and ``pairwise_similarity`` is built on a pair of plain
 array functions: ``*_forward`` returns the output and what the gradient
 needs, ``*_backward`` maps an output gradient to the operands' gradients.
-The node's closure calls that backward function, and the training loops
-call both directly, with no graph: every MLP layer and the fine-tuning loss
-of a step run tape-free, so the gradient checks of the op test the code the
-loops run.
+The pairs are ``dense_*``, ``squared_error_sum_*``, ``softmax_cross_entropy_*``,
+``pairwise_similarity_*`` and ``weighted_log_sum_*``. The node's closure calls
+that backward function, so the gradient checks of the op test the code
+that other callers run without it: the training loops run every MLP layer
+and the fine-tuning loss of a step tape-free, and ``losses`` builds the
+pre-training loss of a step as nodes wired straight to its leaves. ``node``
+makes such a node from a value, its parents and a function that gives each
+parent's gradient.
 
 The fused ops and ``pairwise_similarity`` also take a leading run axis that
 stacks S independent runs, and then give per-run results: an (S,) loss, an
@@ -63,12 +67,19 @@ __all__ = [
     "dense_forward",
     "grad_check",
     "matmul",
+    "node",
     "pairwise_similarity",
+    "pairwise_similarity_backward",
+    "pairwise_similarity_forward",
     "softmax_cross_entropy",
     "softmax_cross_entropy_backward",
     "softmax_cross_entropy_forward",
     "squared_error_sum",
+    "squared_error_sum_backward",
+    "squared_error_sum_forward",
     "weighted_log_sum",
+    "weighted_log_sum_backward",
+    "weighted_log_sum_forward",
 ]
 
 
@@ -248,6 +259,26 @@ class Tensor:
 # -- multi-argument ops -------------------------------------------------------
 
 
+def node(
+    data: np.ndarray,
+    parents: tuple[Tensor, ...],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+) -> Tensor:
+    """A graph node holding ``data``, computed from ``parents``.
+
+    ``grads`` maps the node's gradient to one gradient per parent, in order:
+    a fresh array the parent may keep, or None for a parent that takes no
+    gradient. A node none of whose parents takes a gradient has no backward.
+    """
+    out = _node(data, parents)
+    if out._parents:
+        def back(g: np.ndarray) -> None:
+            for parent, grad in zip(parents, grads(g)):
+                _accumulate(parent, grad)
+        out._backward = back
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product a @ b."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -289,17 +320,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
     if activation not in ("tanh", "relu", None):
         raise ConfigError(f"dense: unknown activation {activation!r}")
     y, z = dense_forward(xd, wd, bd, activation)
-    out = _node(y, (x, w, b))
-    if out._parents:
-        def back(g: np.ndarray) -> None:
-            gx, gw, gb = dense_backward(
-                g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad
-            )
-            _accumulate(x, gx)
-            _accumulate(w, gw)
-            _accumulate(b, gb)
-        out._backward = back
-    return out
+
+    def grads(g: np.ndarray) -> tuple:
+        return dense_backward(g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad)
+
+    return node(y, (x, w, b), grads)
 
 
 def dense_forward(
@@ -318,16 +343,21 @@ def dense_forward(
 def dense_backward(
     g: np.ndarray, x: np.ndarray, w: np.ndarray, y: np.ndarray, z: np.ndarray, activation: str | None,
     need_x: bool = True, need_w: bool = True, need_b: bool = True,
+    gw: np.ndarray | None = None, gb: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None where not needed."""
+    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None where not needed.
+
+    Given ``gw`` and ``gb``, arrays shaped like the weight and the bias, the
+    weight and bias gradients are written into them and they are returned.
+    """
     if activation == "tanh":
         g = g * (1.0 - y * y)
     elif activation == "relu":
         g = g * (z > 0.0)
     return (
         g @ w.swapaxes(-1, -2) if need_x else None,
-        x.swapaxes(-1, -2) @ g if need_w else None,
-        g.sum(axis=-2) if need_b else None,
+        np.matmul(x.swapaxes(-1, -2), g, out=gw) if need_w else None,
+        np.add.reduce(g, axis=-2, out=gb) if need_b else None,
     )
 
 
@@ -344,34 +374,42 @@ def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:
             f"pairwise_similarity: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}"
         )
     e = embeddings.data
+    sim, saved = pairwise_similarity_forward(e, kind)
+    return node(sim, (embeddings,), lambda g: (pairwise_similarity_backward(g, e, kind, sim, saved),))
+
+
+def pairwise_similarity_forward(e: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``pairwise_similarity`` on arrays, shape unchecked, values checked.
+
+    Returns the similarity and what the gradient needs: the row norms (cos)
+    or the pairwise distances (l2).
+    """
     if kind == "cos":
         norms = np.sqrt((e * e).sum(axis=-1))
-        if np.any(norms == 0.0):
+        if not norms.all():
             raise DomainError("pairwise_similarity: cosine undefined for a zero vector")
         outer = norms[..., :, None] * norms[..., None, :]
-        out = _node(((e @ e.swapaxes(-1, -2)) / outer + 1.0) * 0.5, (embeddings,))
-        if out._parents:
-            unit = e / norms[..., None]
-            def back(g: np.ndarray) -> None:
-                g_unit = (0.5 * (g + g.swapaxes(-1, -2))) @ unit
-                radial = (g_unit * unit).sum(axis=-1, keepdims=True)
-                _accumulate(embeddings, (g_unit - radial * unit) / norms[..., None])
-            out._backward = back
-        return out
+        return ((e @ e.swapaxes(-1, -2)) / outer + 1.0) * 0.5, norms
     if kind == "l2":
         diff = e[..., :, None, :] - e[..., None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=-1))
-        sim = 1.0 / (dist + 1.0)
-        out = _node(sim, (embeddings,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                # d sim / d dist = -sim^2; d dist_ij / d e_i = (e_i - e_j) / dist_ij
-                w = np.divide(-g * sim * sim, dist, out=np.zeros_like(dist), where=dist > 0.0)
-                w = w + w.swapaxes(-1, -2)
-                _accumulate(embeddings, w.sum(axis=-1)[..., None] * e - w @ e)
-            out._backward = back
-        return out
+        return 1.0 / (dist + 1.0), dist
     raise ConfigError(f"pairwise_similarity: unknown kind {kind!r}")
+
+
+def pairwise_similarity_backward(
+    g: np.ndarray, e: np.ndarray, kind: str, sim: np.ndarray, saved: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``pairwise_similarity_forward``'s embeddings for similarity gradient ``g``."""
+    if kind == "cos":
+        unit = e / saved[..., None]
+        g_unit = (0.5 * (g + g.swapaxes(-1, -2))) @ unit
+        radial = (g_unit * unit).sum(axis=-1, keepdims=True)
+        return (g_unit - radial * unit) / saved[..., None]
+    # d sim / d dist = -sim^2; d dist_ij / d e_i = (e_i - e_j) / dist_ij
+    w = np.divide(-g * sim * sim, saved, out=np.zeros_like(saved), where=saved > 0.0)
+    w = w + w.swapaxes(-1, -2)
+    return w.sum(axis=-1)[..., None] * e - w @ e
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -407,13 +445,19 @@ def squared_error_sum(target: np.ndarray, pred: Tensor) -> Tensor:
             f"squared_error_sum: expected a (B,) or (S, B) prediction and a target of its shape, "
             f"got {pred.shape} and {target.shape}"
         )
-    diff = target - pred.data
-    out = _node((diff * diff).sum(axis=-1), (pred,))
-    if out._parents:
-        def back(g: np.ndarray) -> None:
-            _accumulate(pred, -(g[..., None] * 2.0 * diff))
-        out._backward = back
-    return out
+    loss, diff = squared_error_sum_forward(target, pred.data)
+    return node(loss, (pred,), lambda g: (squared_error_sum_backward(g, diff),))
+
+
+def squared_error_sum_forward(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``squared_error_sum`` on arrays, unchecked: the sums and ``target - pred``."""
+    diff = target - pred
+    return (diff * diff).sum(axis=-1), diff
+
+
+def squared_error_sum_backward(g: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Gradient of ``squared_error_sum_forward``'s prediction for loss gradient ``g``."""
+    return -(g[..., None] * 2.0 * diff)
 
 
 def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> Tensor:
@@ -432,12 +476,7 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
             f"got {z.shape} and {onehot.shape}"
         )
     loss, saved = softmax_cross_entropy_forward(z, onehot, floor)
-    out = _node(loss, (logits,))
-    if out._parents:
-        def back(g: np.ndarray) -> None:
-            _accumulate(logits, softmax_cross_entropy_backward(g, onehot, floor, *saved))
-        out._backward = back
-    return out
+    return node(loss, (logits,), lambda g: (softmax_cross_entropy_backward(g, onehot, floor, *saved),))
 
 
 def softmax_cross_entropy_forward(
@@ -469,19 +508,29 @@ def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tenso
     An (S, B, B) stack of S runs' matrices gives the (S,) per-run sums; any
     other shape is summed whole.
     """
+    xd = x.data
+    loss, clamped = weighted_log_sum_forward(xd, coefficients, floor)
+    return node(loss, (x,), lambda g: (weighted_log_sum_backward(g, xd, coefficients, floor, clamped),))
+
+
+def weighted_log_sum_forward(
+    x: np.ndarray, coefficients: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``weighted_log_sum`` on arrays, with its checks: the sum and ``clamp(x, floor, 1)``."""
     if coefficients.shape != x.shape:
         raise ShapeError(f"weighted_log_sum: coefficients {coefficients.shape} != input {x.shape}")
     if not 0.0 < floor < 1.0:
         raise DomainError(f"weighted_log_sum: floor {floor} must lie in (0, 1)")
-    stacked = x.data.ndim == 3
-    clamped = np.minimum(np.maximum(x.data, floor), 1.0)
-    out = _node((np.log(clamped) * coefficients).sum(axis=(-2, -1) if stacked else None), (x,))
-    if out._parents:
-        inside = (x.data > floor) & (x.data < 1.0)
-        def back(g: np.ndarray) -> None:
-            _accumulate(x, (g[:, None, None] if stacked else g) * coefficients / clamped * inside)
-        out._backward = back
-    return out
+    clamped = np.minimum(np.maximum(x, floor), 1.0)
+    return (np.log(clamped) * coefficients).sum(axis=(-2, -1) if x.ndim == 3 else None), clamped
+
+
+def weighted_log_sum_backward(
+    g: np.ndarray, x: np.ndarray, coefficients: np.ndarray, floor: float, clamped: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``weighted_log_sum_forward``'s input for loss gradient ``g``."""
+    inside = (x > floor) & (x < 1.0)
+    return (g[:, None, None] if x.ndim == 3 else g) * coefficients / clamped * inside
 
 
 # -- backward pass ------------------------------------------------------------
@@ -499,11 +548,12 @@ def backward(root: Tensor) -> None:
     accumulate until the caller resets ``grad`` (as
     ``losses.loss_gradients`` does).
 
-    The training loops walk only a pre-training step's loss graph, from two
-    leaves (embeddings and predictions) to the loss, and run the MLP layers
-    and the fine-tuning loss without one. Whole-model graphs remain for
-    public callers, ``loss_gradients``, the gradient checks and the
-    per-step reference loops of the tests.
+    The training loops walk only a pre-training step's loss: one node wired
+    straight to two leaves, the embeddings and the predictions (an mse loss
+    is one node over the predictions), and run the MLP layers and the
+    fine-tuning loss without a graph. Whole-model graphs remain for public
+    callers, ``loss_gradients``, the gradient checks and the per-step
+    reference loops of the tests.
     """
     if root._spent:
         raise GraphStateError("backward: graph already consumed by a previous call")
@@ -524,7 +574,7 @@ def backward(root: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    root.grad = np.ones_like(root.data)
+    root.grad = np.ones(root.data.shape)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)

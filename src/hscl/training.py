@@ -388,17 +388,18 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 #
 # A step builds no graph for its MLP layers. ``_forward`` runs them through
 # ``tensor.dense_forward`` and keeps each layer's arrays; ``_backward`` sends
-# the output gradient back through ``tensor.dense_backward`` and writes each
-# parameter's gradient straight into its view of ``AdamState.grad``. Those
-# are the functions the ``dense`` node calls, so values and gradients are
-# those of the graph, bit for bit. Every view is written every step, so the
-# buffer is never zero-filled. Pre-training still walks the small loss graph
-# of ``combined_loss_terms``, from two leaves, the embeddings and the
-# predictions; fine-tuning calls the cross-entropy's forward and backward
-# functions directly. Where a gradient has two shares (the embeddings, from
-# the head and from the similarity; an unfrozen encoder's parameters, from
-# the prev and the next pass) they are added once, and a sum of two does not
-# depend on order.
+# the output gradient back through ``tensor.dense_backward``, which writes
+# each parameter's gradient straight into its view of ``AdamState.grad``.
+# Those are the functions the ``dense`` node calls, so values and gradients
+# are those of the graph, bit for bit. Every view is written every step, so
+# the buffer is never zero-filled. Pre-training hands ``combined_loss_terms``
+# two leaves, the embeddings and the predictions, with the batch's
+# ``ContrastTargets``; the total it returns is one node wired straight to
+# both, so ``backward`` walks 3 nodes (2 for mse). Fine-tuning calls the
+# cross-entropy's forward and backward functions directly. Where a gradient
+# has two shares (the embeddings, from the head and from the similarity; an
+# unfrozen encoder's parameters, from the prev and the next pass) they are
+# added once, and a sum of two does not depend on order.
 
 
 def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
@@ -488,13 +489,14 @@ def _backward(
     for i in reversed(range(len(layers))):
         w, _, activation = layers[i]
         x, y, z = saved[i]
-        g, gw, gb = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
         if add:
+            g, gw, gb = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
             grads[2 * i] += gw
             grads[2 * i + 1] += gb
         else:
-            grads[2 * i][...] = gw
-            grads[2 * i + 1][...] = gb
+            g, _, _ = dense_backward(
+                g, x, w, y, z, activation, need_x or i > 0, gw=grads[2 * i], gb=grads[2 * i + 1]
+            )
     return g
 
 
@@ -503,9 +505,10 @@ class _Runs:
 
     ``state`` packs the trained tensors, which take no gradient from then
     on: a step writes theirs by hand, and validation builds no graph. A step
-    hands ``add`` its per-run loss terms to sum; a non-finite first term
-    raises ``TrainingAbort``, naming the run when S > 1. ``end_epoch`` logs
-    each run's entry under the stage's keys: epoch, lr, the mean terms, then
+    hands ``add`` its per-run loss terms, which are kept as they are; a
+    non-finite first term raises ``TrainingAbort``, naming the run when
+    S > 1. ``end_epoch`` sums each run's terms in batch order and logs each
+    run's entry under the stage's keys: epoch, lr, the mean terms, then
     the validation values, the last of which selects the best epoch by strict
     improvement (lower ``val_mse``, higher ``val_macro_f1``), so NaN is never
     selected. ``results`` appends the terminal entry at epoch == epochs, with
@@ -532,7 +535,7 @@ class _Runs:
             {"model": model, "train": asdict(replace(config, seed=s)), **e} for s, e in zip(seeds, extras)
         ]
         self.n_runs = len(seeds)
-        self.sums = [[0.0] * self.n_runs for _ in self.terms]  # per term, one sum per run
+        self.steps: list[tuple] = []  # the epoch's per-step loss terms
         self.logs: list[list[dict]] = [[] for _ in seeds]
         self.best: list[Checkpoint | None] = [None] * self.n_runs
         self.best_epoch = [-1] * self.n_runs
@@ -543,29 +546,44 @@ class _Runs:
         return _snapshot(self.named_all, self.named_trained, self.state, meta, s if self.n_runs > 1 else None)
 
     def add(self, epoch: int, batch: int, *terms: np.ndarray | None) -> None:
-        """Sum one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""
-        columns = [[0.0] * self.n_runs if t is None else t.reshape(-1).tolist() for t in terms]
-        if not all(map(math.isfinite, columns[0])):
-            s = [math.isfinite(v) for v in columns[0]].index(False)
-            where = f" run {s}" if self.n_runs > 1 else ""
-            named = " ".join(f"{name}={column[s]}" for name, column in zip(self.terms, columns))
-            raise TrainingAbort(
-                f"{self.stage}{where}: non-finite loss at epoch {epoch} batch {batch}: {named}"
-            )
-        for sums, column in zip(self.sums, columns):
-            for s, value in enumerate(column):
-                sums[s] += value
+        """Keep one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""
+        first = terms[0]
+        if not (math.isfinite(first) if first.ndim == 0 else np.isfinite(first).all()):
+            self._abort(epoch, batch, terms)
+        self.steps.append(terms)
 
-    def end_epoch(self, epoch: int, lr: float, n_batches: int, vals) -> None:
-        """Log each run's epoch from its sums and its tuple of ``vals``; keep an improved best."""
+    def _abort(self, epoch: int, batch: int, terms: tuple) -> None:
+        columns = [[0.0] * self.n_runs if t is None else t.reshape(-1).tolist() for t in terms]
+        s = [math.isfinite(v) for v in columns[0]].index(False)
+        where = f" run {s}" if self.n_runs > 1 else ""
+        named = " ".join(f"{name}={column[s]}" for name, column in zip(self.terms, columns))
+        raise TrainingAbort(f"{self.stage}{where}: non-finite loss at epoch {epoch} batch {batch}: {named}")
+
+    def _sums(self) -> list[list[float]]:
+        """Per term, each run's sum over the epoch's steps, added in batch order from 0.0.
+
+        ``np.add.accumulate`` adds one row at a time, as a running sum does;
+        a pairwise sum could round differently.
+        """
+        sums = []
+        for column in zip(*self.steps):
+            rows = np.zeros((len(column) + 1, self.n_runs))
+            if column[0] is not None:
+                rows[1:] = np.reshape(column, (len(column), self.n_runs))
+            sums.append(np.add.accumulate(rows)[-1].tolist())
+        return sums
+
+    def end_epoch(self, epoch: int, lr: float, vals) -> None:
+        """Log each run's epoch from its mean terms and its tuple of ``vals``; keep an improved best."""
+        sums, n_steps = self._sums(), len(self.steps)
+        self.steps = []
         for s, run_vals in enumerate(vals):
-            means = [sums[s] / n_batches for sums in self.sums]
+            means = [run_sums[s] / n_steps for run_sums in sums]
             entry = dict(zip(self.keys, (epoch, lr, *means, *run_vals)))
             self.logs[s].append(entry)
             score = self.sign * entry[self.keys[-1]]
             if score > self.best_score[s]:
                 self.best_score[s], self.best_epoch[s], self.best[s] = score, epoch, self.snapshot(epoch, s)
-        self.sums = [[0.0] * self.n_runs for _ in self.terms]
 
     def results(self, result: type) -> list:
         out, epochs = [], self.config.epochs
@@ -738,7 +756,7 @@ def pretrain_runs(
                 g += embeddings.grad
             _backward(enc_layers, enc_saved, g, enc_grads)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
-        runs.end_epoch(epoch, lr, n_batches, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))
+        runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))
     return runs.results(PretrainResult)
 
 
@@ -919,5 +937,5 @@ def finetune_runs(
                 _backward(enc_layers, prev_saved, g[..., :dim], enc_grads)
                 _backward(enc_layers, next_saved, g[..., dim:], enc_grads, add=True)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
-        runs.end_epoch(epoch, lr, len(starts), val_metrics())
+        runs.end_epoch(epoch, lr, val_metrics())
     return runs.results(FinetuneResult)

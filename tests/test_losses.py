@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -636,3 +637,74 @@ def test_combined_loss_rejects_targets_built_for_another_loss():
             combined_loss_terms(hs, pred, emb, contrast_targets(hs, built), hs, used)
     with pytest.raises(ShapeError, match="mining"):
         combined_loss_terms(hs, pred, emb, contrast_targets(np.zeros((2, 5)), CL_CFG), hs, CL_CFG)
+    wrong_constant = dataclasses.replace(contrast_targets(hs, WCL_CFG), constant=np.zeros(2))
+    with pytest.raises(ShapeError, match="add: incompatible shapes"):
+        combined_loss_terms(hs, pred, emb, wrong_constant, hs, WCL_CFG)
+
+
+# -- ContrastTargets: each term one node, wired straight to the leaves ----------------------
+
+
+def _same_bytes(a, b) -> bool:
+    return a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mode", ["mse+cl", "mse+wcl"])
+@pytest.mark.parametrize("kind", SIMILARITIES)
+def test_contrast_targets_terms_are_one_node_each_and_match_the_graph_ops_bytewise(kind, mode, runs, alpha):
+    """Values and leaf gradients against the plain-``MiningResult`` chain, through ``backward``.
+
+    The total reaches both leaves, ``mse`` only the predictions and ``con``
+    only the embeddings; the total's graph is the node and its two leaves at
+    every batch size, against 7 (cl) or 9 (wcl) nodes for the chain.
+    """
+    rng = np.random.default_rng(44)
+    cfg = LossConfig(mode=mode, similarity=kind, alpha=alpha)
+    lead = (runs,) if runs > 1 else ()
+    for b in (3, 8, 9):
+        hs = rng.uniform(0, 1, size=lead + (b,))
+        pred = rng.normal(size=lead + (b,))
+        emb = rng.normal(size=lead + (b, 4))
+        emb[..., 1, :] = emb[..., 0, :]  # similarity 1, at the clamp edge
+        upstream = Tensor(rng.normal(size=lead))
+
+        def call(mining, root):
+            p, e = Tensor(pred.copy(), requires_grad=True), Tensor(emb.copy(), requires_grad=True)
+            terms = combined_loss_terms(hs, p, e, mining, hs, cfg)
+            size = _graph_size(terms[0])
+            backward(terms[root] * upstream)
+            return [t.data for t in terms], p.grad, e.grad, size
+
+        for root in range(3):
+            values, p_grad, e_grad, size = call(contrast_targets(hs, cfg), root)
+            chain_values, chain_p_grad, chain_e_grad, chain_size = call(mine_batch(hs), root)
+            assert size == 3
+            assert chain_size == (7 if mode == "mse+cl" else 9)
+            assert all(_same_bytes(v, c) for v, c in zip(values, chain_values))
+            if root == 2:
+                assert p_grad is None and chain_p_grad is None
+            else:
+                assert _same_bytes(p_grad, chain_p_grad)
+            if root == 1:
+                assert e_grad is None and chain_e_grad is None
+            else:
+                assert _same_bytes(e_grad, chain_e_grad)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mode", ["mse+cl", "mse+wcl"])
+def test_zero_norm_embeddings_raise_the_same_error_with_contrast_targets_and_with_mining(mode, runs):
+    rng = np.random.default_rng(45)
+    cfg = LossConfig(mode=mode)
+    lead = (runs,) if runs > 1 else ()
+    hs = rng.uniform(0, 1, size=lead + (6,))
+    emb = rng.normal(size=lead + (6, 3))
+    emb[..., 4, :] = 0.0
+    messages = []
+    for mining in (contrast_targets(hs, cfg), mine_batch(hs)):
+        with pytest.raises(DomainError) as info:
+            combined_loss_terms(hs, Tensor(np.zeros(lead + (6,))), Tensor(emb), mining, hs, cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "pairwise_similarity: cosine undefined for a zero vector"

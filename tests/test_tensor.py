@@ -12,10 +12,17 @@ from hscl.tensor import (
     dense,
     grad_check,
     matmul,
+    node,
     pairwise_similarity,
+    pairwise_similarity_backward,
+    pairwise_similarity_forward,
     softmax_cross_entropy,
     squared_error_sum,
+    squared_error_sum_backward,
+    squared_error_sum_forward,
     weighted_log_sum,
+    weighted_log_sum_backward,
+    weighted_log_sum_forward,
 )
 
 from oracles import (
@@ -306,11 +313,49 @@ def _op_cases(rng):
     ]
 
 
+def _pair_cases(rng):
+    """Scalar nodes built on the forward/backward array pairs, as the fused pre-training loss builds its terms."""
+    target = rng.normal(size=5)
+    log_weights = rng.normal(size=(2, 3))
+    contrast_k = rng.normal(size=(3, 3)) * (1.0 - np.eye(3))
+
+    def squared_error_pair(t):
+        loss, diff = squared_error_sum_forward(target, t.data)
+        return node(loss, (t,), lambda g: (squared_error_sum_backward(g, diff),))
+
+    def weighted_log_pair(t):
+        x = t.data.reshape((2, 3))
+        loss, clamped = weighted_log_sum_forward(x, log_weights, 1e-6)
+        return node(
+            loss, (t,), lambda g: (weighted_log_sum_backward(g, x, log_weights, 1e-6, clamped).reshape(-1),)
+        )
+
+    def contrast_pair(kind):
+        def f(t):
+            e = t.data.reshape((3, 2))
+            sims, saved = pairwise_similarity_forward(e, kind)
+            loss, clamped = weighted_log_sum_forward(sims, contrast_k, 1e-6)
+
+            def grads(g):
+                g_sims = weighted_log_sum_backward(g, sims, contrast_k, 1e-6, clamped)
+                return (pairwise_similarity_backward(g_sims, e, kind, sims, saved).reshape(-1),)
+            return node(loss, (t,), grads)
+        return f
+
+    return [
+        (squared_error_pair, rng.normal(size=5)),
+        (weighted_log_pair, rng.uniform(0.1, 0.9, size=6)),
+        (contrast_pair("cos"), rng.normal(size=6)),
+        (contrast_pair("l2"), rng.normal(size=6)),
+    ]
+
+
 def test_every_op_matches_finite_differences():
     rng = np.random.default_rng(11)
+    pair_rng = np.random.default_rng(12)
     checked = 0
     for trial in range(5):
-        for f, point in _op_cases(rng):
+        for f, point in _op_cases(rng) + _pair_cases(pair_rng):
             err = grad_check(f, Tensor(point), 1e-6)
             assert err < 1e-4, f"trial {trial}: op case failed with error {err}"
             checked += 1

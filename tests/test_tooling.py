@@ -15,6 +15,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import statistics
 import types
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from hscl.pipeline import (
 from hscl.tensor import Tensor, pairwise_similarity
 from hscl.training import TrainConfig, finetune, pretrain
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -96,6 +98,25 @@ def test_traced_training_runs_every_probe_without_error():
     assert len(loss_spans) == 2 * (37 // 8)
     assert all(s.attrs["mined"] == 8 * 2 * 3 for s in loss_spans)
     assert sum(s.name == tracing.ADAM for s in tracer.spans) == 2 * (37 // 8) + 3
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_records_match_their_runs(path):
+    """Each ``BENCH_*.json``: BENCH_11's keys, a declared claim, correct runs, summaries of its runs."""
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert set(json.loads((ROOT / "BENCH_11.json").read_text(encoding="utf-8"))) <= set(bench)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench["claimed"]["workload"] in {w["name"] for w in declared["workloads"]}
+    assert bench["claimed"]["metric"] in {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
+    for workload in bench["workloads"].values():
+        runs = workload["runs"]
+        assert runs and all(run["result"]["correct"] is True for run in runs)
+        for metric, sides in workload["summary"].items():
+            for side, summary in sides.items():
+                if not isinstance(summary, dict):  # a pair count or a relative change beside the sides
+                    continue
+                values = [run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == side]
+                assert (summary["median"], summary["n"]) == (statistics.median(values), len(values)), (metric, side)
 
 
 PATH_ARGS = {"config", "data", "out", "checkpoint"}

@@ -24,14 +24,15 @@ Mining and every loss also take a leading run axis of S independent runs:
 (S, B) scores give (S, B, B) masks, and the loss terms become (S,) vectors.
 A stack holds one loss mode, so an ``mse`` stack builds no contrastive term.
 
-The masks, ``K`` and the wcl constant depend on the labels alone, so a
-training loop builds them for a whole epoch of batches at once with
-``contrast_targets`` and hands each step its batch's slice. Given that
-slice, ``combined_loss_terms`` computes the loss from the tensor ops' array
-functions and returns each term as one node wired straight to the
-embeddings and the predictions, so a step's ``backward`` walks 3 nodes; the
-graph ops build the same values and gradients from a chain of 7 (cl) or 9
-(wcl) nodes.
+The masks, ``K`` and the wcl constant depend on the labels alone. They are
+held in ``ContrastTargets``: a training loop builds them for a whole epoch
+of batches at once with ``contrast_targets`` and hands each step its
+batch's slice, and ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms``
+turn a plain ``MiningResult`` into them first. Every contrastive loss is
+then computed one way, from the tensor core's array functions, and each
+term is one node wired straight to the embeddings and the predictions, so
+``backward`` walks 3 nodes for the total. The tests rebuild the same
+values and gradients from a chain of 7 (cl) or 9 (wcl) graph ops.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ from .tensor import (
     Tensor,
     backward,
     node,
-    pairwise_similarity,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
     softmax_cross_entropy,
     squared_error_sum,
     squared_error_sum_backward,
     squared_error_sum_forward,
-    weighted_log_sum,
     weighted_log_sum_backward,
     weighted_log_sum_forward,
 )
@@ -240,17 +239,9 @@ def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
         )
 
 
-def _contrastive_term(embeddings: Tensor, targets: ContrastTargets, config: LossConfig) -> Tensor:
-    """sum(K * log S) over the clamped (B, B) similarity matrix S, plus the wcl constant."""
-    sims = pairwise_similarity(embeddings, config.similarity)
-    term = weighted_log_sum(sims, targets.coefficients, config.sim_floor)
-    return term if targets.constant is None else term + Tensor(targets.constant)
-
-
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
     """Unweighted contrastive loss over the mined pairs."""
-    _check_mining("cl_loss", embeddings, mining)
-    return _contrastive_term(embeddings, _targets(mining, None, config.eps), config)
+    return _contrastive_node(embeddings, _mined_targets(embeddings, mining, None, config, False), config)
 
 
 def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> Tensor:
@@ -260,13 +251,45 @@ def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -
     contribute -log(sim) / (d_ij + eps). ``hs`` must be on the normalized
     scale so that eps is comparable across datasets.
     """
-    _check_mining("wcl_loss", embeddings, mining)
+    return _contrastive_node(embeddings, _mined_targets(embeddings, mining, hs, config, True), config)
+
+
+def _mined_targets(
+    embeddings: Tensor, mining: MiningResult, hs, config: LossConfig, weighted: bool
+) -> ContrastTargets:
+    """``mining`` as the targets of ``wcl_loss`` (weighted) or ``cl_loss``, after that function's checks."""
+    name = "wcl_loss" if weighted else "cl_loss"
+    _check_mining(name, embeddings, mining)
+    if not weighted:
+        return _targets(mining, None, config.eps)
     scores = np.asarray(hs, dtype=np.float64)
     if embeddings.data.ndim == 2:
         scores = scores.reshape(-1)
     if scores.shape != embeddings.shape[:-1]:
-        raise ShapeError(f"wcl_loss: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
-    return _contrastive_term(embeddings, _targets(mining, scores, config.eps), config)
+        raise ShapeError(f"{name}: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
+    return _targets(mining, scores, config.eps)
+
+
+def _contrastive_node(embeddings: Tensor, targets: ContrastTargets, config: LossConfig) -> Tensor:
+    con, con_grad = _contrastive_term(embeddings.data, targets, config)
+    return node(con, (embeddings,), lambda g: (con_grad(g),))
+
+
+def _contrastive_term(e: np.ndarray, targets: ContrastTargets, config: LossConfig):
+    """sum(K * log clamp(S)) [+ the wcl constant] of embeddings ``e``, and the map from its gradient to e's."""
+    kind, floor, coefficients = config.similarity, config.sim_floor, targets.coefficients
+    sims, saved = pairwise_similarity_forward(e, kind)
+    con, clamped = weighted_log_sum_forward(sims, coefficients, floor)
+    if targets.constant is not None:
+        if np.shape(targets.constant) != np.shape(con):  # the check of the reference chain's ``+``
+            raise ShapeError(f"add: incompatible shapes {np.shape(con)} and {np.shape(targets.constant)}")
+        con = con + targets.constant
+
+    def con_grad(g: np.ndarray) -> np.ndarray:
+        g_sims = weighted_log_sum_backward(g, sims, coefficients, floor, clamped)
+        return pairwise_similarity_backward(g_sims, e, kind, sims, saved)
+
+    return con, con_grad
 
 
 def combined_loss_terms(
@@ -281,11 +304,17 @@ def combined_loss_terms(
 
     With alpha == 0 or plain MSE mode the total *is* the MSE tensor, so the
     resulting graph and gradients are bit-identical to pure MSE training.
-    ``mining`` may be the ``ContrastTargets`` of this batch, built for
-    ``config`` by ``contrast_targets``; the loss then takes its ``K`` and
-    constant as they are, does not read ``hs``, and gives three nodes wired
-    straight to the leaves (see ``_fused_terms``). A plain ``MiningResult``
-    builds the loss from the graph ops.
+    ``mining`` is the ``ContrastTargets`` of this batch, built for ``config``
+    by ``contrast_targets``, whose ``K`` and constant the loss takes as they
+    are without reading ``hs``; or a plain ``MiningResult``, which is first
+    turned into them with ``hs`` as ``cl_loss``/``wcl_loss`` do.
+
+    The terms are computed from the tensor ops' array functions, one node
+    each: ``total`` has the parents (y_pred, embeddings), ``mse`` y_pred and
+    ``con`` the embeddings. Values and gradients repeat the graph-op chain
+    ``mse + (sum(K * log clamp(S)) [+ constant]) * alpha`` operation for
+    operation: the total's gradient reaches the contrastive term as
+    ``g * alpha``, and the constant passes it through unchanged.
     """
     target = _mse_target(y, y_pred)
     if not config.contrastive or config.alpha == 0.0:
@@ -297,43 +326,14 @@ def combined_loss_terms(
         if mining.eps != (config.eps if config.weighted else None):
             raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
         _check_mining("combined_loss", embeddings, mining)
-        return _fused_terms(target, y_pred, embeddings, mining, config)
-    mse = squared_error_sum(target, y_pred)
-    if config.weighted:
-        con = wcl_loss(embeddings, mining, hs, config)
     else:
-        con = cl_loss(embeddings, mining, config)
-    return mse + con * config.alpha, mse, con
-
-
-def _fused_terms(
-    target: np.ndarray, y_pred: Tensor, embeddings: Tensor, targets: ContrastTargets, config: LossConfig
-) -> tuple[Tensor, Tensor, Tensor]:
-    """``combined_loss_terms`` from the ops' array functions: total, mse and con, one node each.
-
-    ``total`` has the parents (y_pred, embeddings), ``mse`` y_pred and ``con``
-    the embeddings. Values and gradients repeat the graph ops' chain
-    ``mse + (sum(K * log clamp(S)) [+ constant]) * alpha`` operation for
-    operation: the total's gradient reaches the contrastive term as
-    ``g * alpha``, and the constant passes it through unchanged.
-    """
-    kind, floor, coefficients = config.similarity, config.sim_floor, targets.coefficients
+        mining = _mined_targets(embeddings, mining, hs, config, config.weighted)
     mse, diff = squared_error_sum_forward(target, y_pred.data)
-    e = embeddings.data
-    sims, saved = pairwise_similarity_forward(e, kind)
-    con, clamped = weighted_log_sum_forward(sims, coefficients, floor)
-    if targets.constant is not None:
-        if np.shape(targets.constant) != np.shape(con):  # the check of the chain's ``+``
-            raise ShapeError(f"add: incompatible shapes {np.shape(con)} and {np.shape(targets.constant)}")
-        con = con + targets.constant
+    con, con_grad = _contrastive_term(embeddings.data, mining, config)
     alpha = float(config.alpha)
 
     def mse_grad(g: np.ndarray) -> np.ndarray:
         return squared_error_sum_backward(g, diff)
-
-    def con_grad(g: np.ndarray) -> np.ndarray:
-        g_sims = weighted_log_sum_backward(g, sims, coefficients, floor, clamped)
-        return pairwise_similarity_backward(g_sims, e, kind, sims, saved)
 
     return (
         node(mse + con * alpha, (y_pred, embeddings), lambda g: (mse_grad(g), con_grad(g * alpha))),
@@ -370,6 +370,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape[-2:]
     if target.shape not in ((n,), logits.shape[:-1]):
         raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
+    if n < 1:
+        raise ShapeError("cross_entropy: need at least one row")
     return softmax_cross_entropy(logits, onehot_labels(target, c), PROB_FLOOR)
 
 

@@ -1,38 +1,38 @@
 """Dense float64 tensors with eager reverse-mode automatic differentiation.
 
-The op set is deliberately small: just enough to express MLP encoders,
-similarity-based contrastive objectives, and the squared-error / cross-entropy
-losses built on top of them. Everything is float64 and single-threaded;
-gradients accumulate in a fixed reverse-topological order, so identical
-graphs always produce bit-identical values and gradients.
+The op set holds what the library runs: MLP layers, the squared-error and
+cross-entropy losses, and the array functions of the contrastive term.
+Everything is float64 and single-threaded; gradients accumulate in a fixed
+reverse-topological order, so identical graphs always produce bit-identical
+values and gradients.
 
 Each MLP layer and each loss is one graph node, because walking a node costs
 more Python time than the small numpy arrays it carries:
 
 - ``dense`` is a whole MLP layer, ``act(x @ w + b)``;
 - ``squared_error_sum`` is ``sum((target - pred)^2)``;
-- ``softmax_cross_entropy`` is ``-mean(log clamp(sum(softmax(z) * onehot)))``;
-- ``weighted_log_sum`` is ``sum(K * log clamp(s))``.
+- ``softmax_cross_entropy`` is ``-mean(log clamp(sum(softmax(z) * onehot)))``.
 
 Each fused forward and backward runs the same numpy operations, in the same
 order, as the equivalent chain of elementary ops (affine, activation,
 softmax, clamp, log, ...), so values and gradients are bit-identical to that
-chain; the tests hold the chains as oracles. A fused backward computes only
-the products its requires-grad operands need.
+chain. The elementary ops live in the test tree (``tests/elementary.py``),
+which builds the chains as oracles. A fused backward computes only the
+products its requires-grad operands need.
 
-Every fused op and ``pairwise_similarity`` is built on a pair of plain
-array functions: ``*_forward`` returns the output and what the gradient
-needs, ``*_backward`` maps an output gradient to the operands' gradients.
-The pairs are ``dense_*``, ``squared_error_sum_*``, ``softmax_cross_entropy_*``,
-``pairwise_similarity_*`` and ``weighted_log_sum_*``. The node's closure calls
-that backward function, so the gradient checks of the op test the code
-that other callers run without it: the training loops run every MLP layer
-and the fine-tuning loss of a step tape-free, and ``losses`` builds the
-pre-training loss of a step as nodes wired straight to its leaves. ``node``
-makes such a node from a value, its parents and a function that gives each
-parent's gradient.
+Every fused op is built on a pair of plain array functions: ``*_forward``
+returns the output and what the gradient needs, ``*_backward`` maps an
+output gradient to the operands' gradients. The pairs are ``dense_*``,
+``squared_error_sum_*``, ``softmax_cross_entropy_*``, and the contrastive
+term's ``pairwise_similarity_*`` (the (B, B) similarity matrix ``S``) and
+``weighted_log_sum_*`` (``sum(K * log clamp(S))``). A node's closure calls
+the backward function, so the gradient checks of the op test the code that
+other callers run without it: the training loops run every MLP layer and
+the fine-tuning loss of a step tape-free, and ``losses`` builds each loss
+term as one node wired straight to its leaves. ``node`` makes such a node
+from a value, its parents and a function that gives each parent's gradient.
 
-The fused ops and ``pairwise_similarity`` also take a leading run axis that
+The fused ops and the array functions also take a leading run axis that
 stacks S independent runs, and then give per-run results: an (S,) loss, an
 (S, B, B) similarity. Each run's slice is computed by the same numpy
 operations on the same shapes as its own call, so it is bit-identical to it.
@@ -41,13 +41,14 @@ Gradients are written, not zero-filled and added: a node's first gradient
 contribution becomes its ``grad`` array, and later ones are added into it in
 place. So the first contribution must be an array the node owns. An op hands
 over a fresh array, or marks as ``shared`` (and the node then keeps a copy)
-one that other code may still write or read: a view, a broadcast, or the
-same array passed to two parents, as ``+`` does. A leaf whose ``grad`` is
-preset (the flat training buffer) always adds into it.
+one that other code may still write or read: the view ``reshape`` and
+``concat_last`` pass on. A leaf whose ``grad`` is preset (the flat training
+buffer) always adds into it.
 
 Subgradient conventions (relevant when checking gradients near kinks):
-relu'(0) = 0, clamp' is zero outside the interval *and at its boundaries*,
-and a pairwise L2 distance has gradient 0 where the distance is 0.
+relu'(0) = 0, a clamp passes no gradient outside its interval *and at its
+boundaries*, and a pairwise L2 distance has gradient 0 where the distance
+is 0.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ __all__ = [
     "dense_backward",
     "dense_forward",
     "grad_check",
-    "matmul",
     "node",
-    "pairwise_similarity",
     "pairwise_similarity_backward",
     "pairwise_similarity_forward",
     "softmax_cross_entropy",
@@ -77,7 +76,6 @@ __all__ = [
     "squared_error_sum",
     "squared_error_sum_backward",
     "squared_error_sum_forward",
-    "weighted_log_sum",
     "weighted_log_sum_backward",
     "weighted_log_sum_forward",
 ]
@@ -87,7 +85,8 @@ class Tensor:
     """Array node in a computation graph.
 
     Leaves are built directly (``Tensor(data, requires_grad=True)`` for
-    trainables); ops return derived tensors that remember their parents.
+    trainables); ops and ``node`` return derived tensors that remember their
+    parents.
     ``backward`` on a result fills ``grad`` on every requires-grad leaf
     reachable from it, summing over all uses.
     """
@@ -114,123 +113,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        _require_same_shape("add", self, other)
-        out = _node(self.data + other.data, (self, other))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                _accumulate(self, g, shared=True)
-                _accumulate(other, g)
-            out._backward = back
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        _require_same_shape("sub", self, other)
-        out = _node(self.data - other.data, (self, other))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                _accumulate(self, g)
-                _accumulate(other, -g)
-            out._backward = back
-        return out
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            c = float(other)
-            out = _node(self.data * c, (self,))
-            if out._parents:
-                out._backward = lambda g: _accumulate(self, g * c)
-            return out
-        other = _as_tensor(other)
-        # elementwise on equal shapes; a size-1 operand acts as a scalar factor
-        if self.shape != other.shape and self.data.size != 1 and other.data.size != 1:
-            raise ShapeError(f"mul: incompatible shapes {self.shape} and {other.shape}")
-        a, b = self, other
-        out = _node(a.data * b.data, (a, b))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                _accumulate(a, _reduce_to(g * b.data, a.shape))
-                _accumulate(b, _reduce_to(g * a.data, b.shape))
-            out._backward = back
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    # -- elementwise --------------------------------------------------------
-
-    def square(self) -> "Tensor":
-        out = _node(self.data * self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g * 2.0 * self.data)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise DomainError("sqrt: input must be strictly positive")
-        y = np.sqrt(self.data)
-        out = _node(y, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g * 0.5 / y)
-        return out
-
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise DomainError("log: input must be strictly positive")
-        out = _node(np.log(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g / self.data)
-        return out
-
-    def reciprocal(self) -> "Tensor":
-        if np.any(self.data == 0.0):
-            raise DomainError("reciprocal: input must be nonzero")
-        y = 1.0 / self.data
-        out = _node(y, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, -g * y * y)
-        return out
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        if not lo < hi:
-            raise DomainError(f"clamp: lo {lo} must be < hi {hi}")
-        out = _node(np.clip(self.data, lo, hi), (self,))
-        if out._parents:
-            # pass-through strictly inside [lo, hi]; zero at and beyond the edges
-            mask = (self.data > lo) & (self.data < hi)
-            out._backward = lambda g: _accumulate(self, g * mask)
-        return out
-
-    # -- reductions & structure ----------------------------------------------
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        out = _node(self.data.sum(axis=axis), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                _accumulate(self, _spread(g, self.shape, axis), shared=True)
-            out._backward = back
-        return out
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        n = self.data.size if axis is None else self.shape[axis]
-        out = _node(self.data.mean(axis=axis), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                _accumulate(self, _spread(g, self.shape, axis) / n)
-            out._backward = back
-        return out
-
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         shape = tuple(int(s) for s in shape)
         if int(np.prod(shape, dtype=np.int64)) != self.data.size:
@@ -240,23 +122,8 @@ class Tensor:
             out._backward = lambda g: _accumulate(self, g.reshape(self.shape), shared=True)
         return out
 
-    def segment(self, start: int, stop: int) -> "Tensor":
-        """Contiguous slice [start, stop) of a 1-D vector."""
-        if self.data.ndim != 1:
-            raise ShapeError(f"segment: expected a 1-D vector, got shape {self.shape}")
-        if not 0 <= start <= stop <= self.shape[0]:
-            raise ShapeError(f"segment: [{start}, {stop}) out of range for length {self.shape[0]}")
-        out = _node(self.data[start:stop].copy(), (self,))
-        if out._parents:
-            def back(g: np.ndarray) -> None:
-                full = np.zeros_like(self.data)
-                full[start:stop] = g
-                _accumulate(self, full)
-            out._backward = back
-        return out
 
-
-# -- multi-argument ops -------------------------------------------------------
+# -- ops -------------------------------------------------------------------
 
 
 def node(
@@ -275,21 +142,6 @@ def node(
         def back(g: np.ndarray) -> None:
             for parent, grad in zip(parents, grads(g)):
                 _accumulate(parent, grad)
-        out._backward = back
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product a @ b."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    out = _node(a.data @ b.data, (a, b))
-    if out._parents:
-        def back(g: np.ndarray) -> None:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
         out._backward = back
     return out
 
@@ -361,28 +213,14 @@ def dense_backward(
     )
 
 
-def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:
-    """Unclamped (B, B) similarity between every pair of rows of a (B, D) tensor.
+def pairwise_similarity_forward(e: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped (..., B, B) similarity between every pair of rows of (..., B, D) embeddings.
 
     ``cos`` is the shifted cosine ``(E E^T / (n n^T) + 1) / 2`` with ``n`` the
     row norms, and raises ``DomainError`` when any row has zero norm. ``l2`` is
     ``1 / (||e_i - e_j|| + 1)``; its gradient is 0 where the distance is 0.
-    (S, B, D) embeddings of S runs give an (S, B, B) stack.
-    """
-    if embeddings.data.ndim not in (2, 3):
-        raise ShapeError(
-            f"pairwise_similarity: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}"
-        )
-    e = embeddings.data
-    sim, saved = pairwise_similarity_forward(e, kind)
-    return node(sim, (embeddings,), lambda g: (pairwise_similarity_backward(g, e, kind, sim, saved),))
-
-
-def pairwise_similarity_forward(e: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """``pairwise_similarity`` on arrays, shape unchecked, values checked.
-
-    Returns the similarity and what the gradient needs: the row norms (cos)
-    or the pairwise distances (l2).
+    The shape is unchecked. Returns the similarity and what the gradient
+    needs: the row norms (cos) or the pairwise distances (l2).
     """
     if kind == "cos":
         norms = np.sqrt((e * e).sum(axis=-1))
@@ -463,8 +301,8 @@ def squared_error_sum_backward(g: np.ndarray, diff: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> Tensor:
     """Mean over rows of ``-log clamp(p, floor, 1)``, ``p`` the softmax mass on ``onehot``.
 
-    The softmax over the last axis uses the usual max-shift. As with
-    ``clamp``, a probability at or beyond the clamp edges passes no gradient.
+    The softmax over the last axis uses the usual max-shift. A probability
+    at or beyond the clamp edges passes no gradient.
     (S, B, C) logits of S runs give an (S,) vector of per-run losses, with
     one (B, C) mask shared by the runs or an (S, B, C) mask per run; (B, C)
     logits give a scalar.
@@ -475,6 +313,8 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
             f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) or per-run mask, "
             f"got {z.shape} and {onehot.shape}"
         )
+    if min(z.shape[-2:]) < 1:
+        raise ShapeError("softmax_cross_entropy: need at least one row and one class")
     loss, saved = softmax_cross_entropy_forward(z, onehot, floor)
     return node(loss, (logits,), lambda g: (softmax_cross_entropy_backward(g, onehot, floor, *saved),))
 
@@ -501,22 +341,15 @@ def softmax_cross_entropy_backward(
     return s * (g_s - inner)
 
 
-def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tensor:
-    """``sum(K * log clamp(x, floor, 1))`` for a constant coefficient array ``K``.
-
-    As with ``clamp``, an entry at or beyond the clamp edges passes no gradient.
-    An (S, B, B) stack of S runs' matrices gives the (S,) per-run sums; any
-    other shape is summed whole.
-    """
-    xd = x.data
-    loss, clamped = weighted_log_sum_forward(xd, coefficients, floor)
-    return node(loss, (x,), lambda g: (weighted_log_sum_backward(g, xd, coefficients, floor, clamped),))
-
-
 def weighted_log_sum_forward(
     x: np.ndarray, coefficients: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``weighted_log_sum`` on arrays, with its checks: the sum and ``clamp(x, floor, 1)``."""
+    """``sum(K * log clamp(x, floor, 1))`` for a constant coefficient array ``K``.
+
+    An (S, B, B) stack of S runs' matrices gives the (S,) per-run sums; any
+    other shape is summed whole. Returns the sum and ``clamp(x, floor, 1)``;
+    an entry at or beyond the clamp edges passes no gradient.
+    """
     if coefficients.shape != x.shape:
         raise ShapeError(f"weighted_log_sum: coefficients {coefficients.shape} != input {x.shape}")
     if not 0.0 < floor < 1.0:
@@ -548,12 +381,16 @@ def backward(root: Tensor) -> None:
     accumulate until the caller resets ``grad`` (as
     ``losses.loss_gradients`` does).
 
-    The training loops walk only a pre-training step's loss: one node wired
-    straight to two leaves, the embeddings and the predictions (an mse loss
-    is one node over the predictions), and run the MLP layers and the
-    fine-tuning loss without a graph. Whole-model graphs remain for public
-    callers, ``loss_gradients``, the gradient checks and the per-step
-    reference loops of the tests.
+    Its callers:
+
+    - the pre-training step of the training loops, which walks only the
+      loss: one node wired straight to two leaves, the embeddings and the
+      predictions (an mse loss is one node over the predictions). The MLP
+      layers and the fine-tuning loss run without a graph;
+    - ``losses.loss_gradients`` and public callers, on whole-model graphs;
+    - ``grad_check``;
+    - the tests: their gradient checks, the elementary-op chains and the
+      per-step reference loops.
     """
     if root._spent:
         raise GraphStateError("backward: graph already consumed by a previous call")
@@ -623,12 +460,6 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-6) ->
 # -- internals ------------------------------------------------------------------
 
 
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -645,20 +476,3 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
         t.grad = g.copy() if shared else g
     else:
         t.grad += g
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum()).reshape(shape)
-
-
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    return np.broadcast_to(np.expand_dims(g, axis), shape)
-
-
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")

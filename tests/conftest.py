@@ -1,6 +1,17 @@
+from pathlib import Path
+
 import pytest
 
 from hscl.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """A ``RuntimeWarning`` (overflow, invalid value, ...) fails a test here; a test that expects one asserts it."""
+    for item in items:
+        if HERE in Path(item.path).resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(scope="session")

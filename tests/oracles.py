@@ -5,18 +5,22 @@ selection-style algorithms) so it shares no code path with the library
 implementations it checks.
 
 The ``*_chain`` functions are the exception: each takes the arguments of a
-fused op in ``hscl.tensor`` (``dense``, ``squared_error_sum``,
-``softmax_cross_entropy``, ``weighted_log_sum``) and rebuilds the chain of
-elementary ops it replaces (affine, activation, softmax, clamp, log, ...),
-one graph node per op as the library used to, so tests can require the fused
-ops to match them bit for bit.
+fused op (``dense``, ``squared_error_sum``, ``softmax_cross_entropy``,
+``weighted_log_sum``) and rebuilds the chain of elementary ops it replaces
+(affine, activation, softmax, clamp, log, ...), one graph node per op from
+``elementary``, so tests can require the fused ops to match them bit for
+bit. ``combined_loss_chain`` is ``losses.combined_loss_terms`` as a chain of
+one-node ops, 7 (cl) or 9 (wcl) nodes to the library's 3; it calls this
+module's ``squared_error_sum`` and ``weighted_log_sum`` bindings, which a
+test can replace with their chains.
 
 So are the ``*_runs_ref`` training loops: they set up runs with the
 library's own helpers, but build every step as the loops did before the
 label- and data-only work moved out of the step (a ``take`` per batch and
 array, ``mine_batch`` and the loss's own ``K`` per batch, a per-step
-``concat_last`` and ``cross_entropy`` label check), so tests can require the
-hoisted loops to match them bit for bit. ``save_dataset_ref`` is the CSV
+``concat_last`` and ``cross_entropy`` label check), and take the loss from
+``combined_loss_chain``, so tests can require the hoisted, tape-free loops
+to match them bit for bit. ``save_dataset_ref`` is the CSV
 writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
 loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
 ``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
@@ -31,7 +35,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from hscl import training
+import elementary as el
+from hscl import losses, training
 from hscl.data import (
     PatientSeries,
     ScanRecord,
@@ -41,7 +46,7 @@ from hscl.data import (
     split_patients,
 )
 from hscl.errors import DatasetError
-from hscl.losses import combined_loss_terms, cross_entropy, loss_gradients, mine_batch
+from hscl.losses import cross_entropy, loss_gradients, mine_batch
 from hscl.model import (
     ClassifierHead,
     EncoderParams,
@@ -53,7 +58,9 @@ from hscl.model import (
     init_regression_head,
     predict_hs,
 )
-from hscl.tensor import Tensor, _accumulate, _node
+from hscl.tensor import Tensor, node, squared_error_sum
+
+weighted_log_sum = el.weighted_log_sum
 
 
 def mse_ref(y, y_pred) -> float:
@@ -225,7 +232,7 @@ def unpack_flat(flat_tensor, shapes):
     offset = 0
     for shape in shapes:
         size = int(np.prod(shape)) if shape else 1
-        pieces.append(flat_tensor.segment(offset, offset + size).reshape(shape))
+        pieces.append(el.segment(flat_tensor, offset, offset + size).reshape(shape))
         offset += size
     return pieces
 
@@ -235,43 +242,24 @@ def unpack_flat(flat_tensor, shapes):
 
 def affine_chain(x, w, b):
     """x @ w + b as one node."""
-    out = _node(x.data @ w.data + b.data, (x, w, b))
-    if out._parents:
-        def back(g):
-            _accumulate(x, g @ w.data.T)
-            _accumulate(w, x.data.T @ g)
-            _accumulate(b, g.sum(axis=0))
-        out._backward = back
-    return out
+    return node(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def relu_chain(t):
-    out = _node(np.maximum(t.data, 0.0), (t,))
-    if out._parents:
-        mask = t.data > 0.0
-        out._backward = lambda g: _accumulate(t, g * mask)
-    return out
+    mask = t.data > 0.0
+    return node(np.maximum(t.data, 0.0), (t,), lambda g: (g * mask,))
 
 
 def tanh_chain(t):
     y = np.tanh(t.data)
-    out = _node(y, (t,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(t, g * (1.0 - y * y))
-    return out
+    return node(y, (t,), lambda g: (g * (1.0 - y * y),))
 
 
 def softmax_chain(t):
     """Softmax over the last axis with the max-shift, as one node."""
     e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-    out = _node(s, (t,))
-    if out._parents:
-        def back(g):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(t, s * (g - inner))
-        out._backward = back
-    return out
+    return node(s, (t,), lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
 
 
 def dense_chain(x, w, b, activation=None):
@@ -284,16 +272,35 @@ def dense_chain(x, w, b, activation=None):
 
 
 def squared_error_sum_chain(target, pred):
-    return (Tensor(target) - pred).square().sum()
+    return el.sum(el.square(el.sub(target, pred)))
 
 
 def softmax_cross_entropy_chain(logits, onehot, floor):
-    picked = (softmax_chain(logits) * Tensor(onehot)).sum(axis=-1)
-    return picked.clamp(floor, 1.0).log().mean() * -1.0
+    picked = el.sum(el.mul(softmax_chain(logits), onehot), axis=-1)
+    return el.mul(el.mean(el.log(el.clamp(picked, floor, 1.0))), -1.0)
 
 
 def weighted_log_sum_chain(x, coefficients, floor):
-    return (x.clamp(floor, 1.0).log() * Tensor(coefficients)).sum()
+    return el.sum(el.mul(el.log(el.clamp(x, floor, 1.0)), coefficients))
+
+
+def combined_loss_chain(y, y_pred, embeddings, mining, hs, config):
+    """(total, mse, con or None) of ``combined_loss_terms``, as the chain of graph ops.
+
+    ``mse + (weighted_log_sum(pairwise_similarity(e), K) [+ constant]) * alpha``,
+    one node per op, with ``K`` and the wcl constant built from ``mining``
+    (and, for wcl, the scores ``hs``) as the loss builds them.
+    """
+    mse = squared_error_sum(losses._mse_target(y, y_pred), y_pred)
+    if not config.contrastive or config.alpha == 0.0:
+        return mse, mse, None
+    scores = np.asarray(hs, dtype=np.float64).reshape(embeddings.shape[:-1]) if config.weighted else None
+    targets = losses._targets(mining, scores, config.eps)
+    sims = el.pairwise_similarity(embeddings, config.similarity)
+    con = weighted_log_sum(sims, targets.coefficients, config.sim_floor)
+    if targets.constant is not None:
+        con = el.add(con, targets.constant)
+    return el.add(mse, el.mul(con, config.alpha)), mse, con
 
 
 def average_ranks_loop(values):
@@ -359,7 +366,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             embeddings = encode(encoder, xb)
             y_hat = predict_hs(reg, embeddings)
             mining = mine_batch(yb) if needs_mining else None
-            total, mse_term, con_term = combined_loss_terms(yb, y_hat, embeddings, mining, yb, config.loss)
+            total, mse_term, con_term = combined_loss_chain(yb, y_hat, embeddings, mining, yb, config.loss)
             terms = zip(
                 total.data.reshape(-1).tolist(),
                 mse_term.data.reshape(-1).tolist(),

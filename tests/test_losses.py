@@ -22,9 +22,11 @@ from hscl.losses import (
     wcl_loss,
 )
 from hscl.model import classify_pairs, init_classifier_head
-from hscl.tensor import Tensor, backward, dense, grad_check, pairwise_similarity
+from hscl.tensor import Tensor, backward, dense, grad_check
 
-from oracles import cl_ref, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
+import elementary as el
+from elementary import pairwise_similarity
+from oracles import cl_ref, combined_loss_chain, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
 
 CL_CFG = LossConfig(mode="mse+cl")
 WCL_CFG = LossConfig(mode="mse+wcl")
@@ -71,7 +73,7 @@ def test_cosine_similarity_of_self_is_one():
 
 def test_cosine_similarity_antipodal_hits_floor():
     e = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    s = pairwise_similarity(Tensor(e), "cos").clamp(1e-6, 1.0).data
+    s = el.clamp(pairwise_similarity(Tensor(e), "cos"), 1e-6, 1.0).data
     assert s[0, 1] == s[1, 0] == 1e-6
     assert sim_ref(e[0], e[1], "cos", 1e-6) == 1e-6
 
@@ -94,7 +96,7 @@ def test_similarity_range(seed):
     rng = np.random.default_rng(seed)
     e = rng.normal(size=(4, 4))
     for kind in ("cos", "l2"):
-        s = pairwise_similarity(Tensor(e), kind).clamp(1e-6, 1.0).data
+        s = el.clamp(pairwise_similarity(Tensor(e), kind), 1e-6, 1.0).data
         assert np.all((s > 0.0) & (s <= 1.0))
         for i in range(4):
             for j in range(4):
@@ -439,6 +441,9 @@ def test_cross_entropy_matches_scalar_reference():
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(DomainError):
         cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+    for logits, labels in ((np.zeros((0, 3)), np.zeros(0, int)), (np.zeros((2, 0, 3)), np.zeros((2, 0), int))):
+        with pytest.raises(ShapeError, match="need at least one row"):
+            cross_entropy(Tensor(logits), labels)
 
 
 def test_cross_entropy_gradient():
@@ -499,7 +504,7 @@ def test_loss_gradients_backprop_into_one_flat_buffer():
     w, b = rng.normal(size=(3, 2)), rng.normal(size=2)
 
     ref_w, ref_b = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-    backward(dense(x, ref_w, ref_b).square().sum())
+    backward(el.sum(el.square(dense(x, ref_w, ref_b))))
 
     params = [
         Tensor(w.copy(), requires_grad=True),
@@ -509,7 +514,7 @@ def test_loss_gradients_backprop_into_one_flat_buffer():
     grad = np.full(6 + 2 + 4, 7.0)  # stale values must be cleared
     views = [grad[0:6].reshape(3, 2), grad[6:8], grad[8:12]]
     for _ in range(2):  # a second call starts from zero again, no accumulation
-        loss = dense(x, params[0], params[1]).square().sum()
+        loss = el.sum(el.square(dense(x, params[0], params[1])))
         out = loss_gradients(loss, params, grad, views)
         assert out is grad
         assert np.array_equal(views[0], ref_w.grad)
@@ -558,7 +563,7 @@ def test_combined_loss_terms_with_a_run_axis_match_each_runs_own_call_bitwise(ki
         mining = mine_batch(hs) if cfg.contrastive else None
         terms = combined_loss_terms(hs, p, e, mining, hs, cfg)
         size = _graph_size(terms[0])
-        backward(terms[0] * Tensor(upstream))
+        backward(el.mul(terms[0], Tensor(upstream)))
         return [t.data if t is not None else None for t in terms], p.grad, e.grad, size
 
     for trial in range(3):
@@ -621,7 +626,8 @@ def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b
             emb = Tensor(rng.normal(size=(b, 3)))
             own = wcl_loss(emb, mining, scores, cfg) if cfg.weighted else cl_loss(emb, mining, cfg)
             _, _, via = combined_loss_terms(scores, Tensor(np.zeros(b)), emb, one, scores, cfg)
-            assert np.array_equal(via.data, own.data)
+            _, _, chain = combined_loss_chain(scores, Tensor(np.zeros(b)), emb, mining, scores, cfg)
+            assert np.array_equal(via.data, own.data) and np.array_equal(via.data, chain.data)
         if len(lead) == 2:  # one step of S runs: its (S, B, B) slice is the runs' own stacked mining
             for step in range(lead[0]):
                 stacked = mine_batch(hs[step])
@@ -654,11 +660,13 @@ def _same_bytes(a, b) -> bool:
 @pytest.mark.parametrize("mode", ["mse+cl", "mse+wcl"])
 @pytest.mark.parametrize("kind", SIMILARITIES)
 def test_contrast_targets_terms_are_one_node_each_and_match_the_graph_ops_bytewise(kind, mode, runs, alpha):
-    """Values and leaf gradients against the plain-``MiningResult`` chain, through ``backward``.
+    """Values and leaf gradients against ``oracles.combined_loss_chain``, through ``backward``.
 
-    The total reaches both leaves, ``mse`` only the predictions and ``con``
-    only the embeddings; the total's graph is the node and its two leaves at
-    every batch size, against 7 (cl) or 9 (wcl) nodes for the chain.
+    The library's terms are computed one way for the epoch's ``contrast_targets``
+    and for a plain ``mine_batch`` result. The total reaches both leaves,
+    ``mse`` only the predictions and ``con`` only the embeddings; the total's
+    graph is the node and its two leaves at every batch size, against 7 (cl)
+    or 9 (wcl) nodes for the chain of graph ops.
     """
     rng = np.random.default_rng(44)
     cfg = LossConfig(mode=mode, similarity=kind, alpha=alpha)
@@ -670,27 +678,28 @@ def test_contrast_targets_terms_are_one_node_each_and_match_the_graph_ops_bytewi
         emb[..., 1, :] = emb[..., 0, :]  # similarity 1, at the clamp edge
         upstream = Tensor(rng.normal(size=lead))
 
-        def call(mining, root):
+        def call(loss, mining, root):
             p, e = Tensor(pred.copy(), requires_grad=True), Tensor(emb.copy(), requires_grad=True)
-            terms = combined_loss_terms(hs, p, e, mining, hs, cfg)
+            terms = loss(hs, p, e, mining, hs, cfg)
             size = _graph_size(terms[0])
-            backward(terms[root] * upstream)
+            backward(el.mul(terms[root], upstream))
             return [t.data for t in terms], p.grad, e.grad, size
 
         for root in range(3):
-            values, p_grad, e_grad, size = call(contrast_targets(hs, cfg), root)
-            chain_values, chain_p_grad, chain_e_grad, chain_size = call(mine_batch(hs), root)
-            assert size == 3
+            chain_values, chain_p_grad, chain_e_grad, chain_size = call(combined_loss_chain, mine_batch(hs), root)
             assert chain_size == (7 if mode == "mse+cl" else 9)
-            assert all(_same_bytes(v, c) for v, c in zip(values, chain_values))
-            if root == 2:
-                assert p_grad is None and chain_p_grad is None
-            else:
-                assert _same_bytes(p_grad, chain_p_grad)
-            if root == 1:
-                assert e_grad is None and chain_e_grad is None
-            else:
-                assert _same_bytes(e_grad, chain_e_grad)
+            for mining in (contrast_targets(hs, cfg), mine_batch(hs)):
+                values, p_grad, e_grad, size = call(combined_loss_terms, mining, root)
+                assert size == 3
+                assert all(_same_bytes(v, c) for v, c in zip(values, chain_values))
+                if root == 2:
+                    assert p_grad is None and chain_p_grad is None
+                else:
+                    assert _same_bytes(p_grad, chain_p_grad)
+                if root == 1:
+                    assert e_grad is None and chain_e_grad is None
+                else:
+                    assert _same_bytes(e_grad, chain_e_grad)
 
 
 @pytest.mark.parametrize("runs", [1, 3])

@@ -14,6 +14,7 @@ from hscl.model import (
 )
 from hscl.tensor import Tensor, backward, grad_check
 
+import elementary as el
 from oracles import pack_shapes, unpack_flat
 
 
@@ -185,7 +186,7 @@ def test_mean_prediction_gradient_through_encoder():
             pieces[:n_layers], pieces[n_layers : 2 * n_layers],
         )
         rebuilt_head = type(head)(weight=pieces[-2], bias=pieces[-1])
-        return predict_hs(rebuilt_head, encode(rebuilt, x)).mean()
+        return el.mean(predict_hs(rebuilt_head, encode(rebuilt, x)))
 
     assert grad_check(f, Tensor(flat), 1e-6) < 1e-4
 
@@ -194,6 +195,6 @@ def test_encoder_gradients_flow_to_all_parameters():
     params = init_encoder([3, 4, 2], seed=13, activation="tanh")
     head = init_regression_head(2, seed=14)
     x = np.random.default_rng(15).normal(size=(5, 3))
-    backward(predict_hs(head, encode(params, x)).mean())
+    backward(el.mean(predict_hs(head, encode(params, x))))
     for t in params.trainable() + head.trainable():
         assert t.grad is not None and t.grad.shape == t.data.shape

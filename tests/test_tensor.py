@@ -11,20 +11,19 @@ from hscl.tensor import (
     concat_last,
     dense,
     grad_check,
-    matmul,
     node,
-    pairwise_similarity,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
     softmax_cross_entropy,
     squared_error_sum,
     squared_error_sum_backward,
     squared_error_sum_forward,
-    weighted_log_sum,
     weighted_log_sum_backward,
     weighted_log_sum_forward,
 )
 
+import elementary as el
+from elementary import matmul, pairwise_similarity, weighted_log_sum
 from oracles import (
     dense_chain,
     sim_ref,
@@ -43,18 +42,18 @@ def test_affine_identity():
 
 
 def test_sum_of_squares_forward():
-    assert Tensor([3.0, 4.0]).square().sum().item() == 25.0
+    assert el.sum(el.square(Tensor([3.0, 4.0]))).item() == 25.0
 
 
 def test_log_of_clamped_zero():
-    out = Tensor(0.0).clamp(1e-12, 1.0).log()
+    out = el.log(el.clamp(Tensor(0.0), 1e-12, 1.0))
     assert out.item() == pytest.approx(math.log(1e-12))
     assert out.item() == pytest.approx(-27.631, abs=1e-3)
 
 
 def test_backward_sum_of_squares():
     x = Tensor([3.0, 4.0], requires_grad=True)
-    backward(x.square().sum())
+    backward(el.sum(el.square(x)))
     assert np.array_equal(x.grad, [6.0, 8.0])
 
 
@@ -68,11 +67,11 @@ def test_backward_cosine_gradient():
     # similarity (cos + 1) / 2 halves it
     e = Tensor([[1.0, 0.0], [0.0, 1.0]], requires_grad=True)
     pick = Tensor([[0.0, 1.0], [0.0, 0.0]])
-    backward((pairwise_similarity(e, "cos") * pick).sum())
+    backward(el.sum(el.mul(pairwise_similarity(e, "cos"), pick)))
     assert np.allclose(e.grad[0], [0.0, 0.5], atol=1e-12)
 
     def f(t):
-        return (pairwise_similarity(t.reshape((2, 2)), "cos") * pick).sum()
+        return el.sum(el.mul(pairwise_similarity(t.reshape((2, 2)), "cos"), pick))
 
     assert grad_check(f, Tensor([1.0, 0.0, 0.0, 1.0]), 1e-6) < 1e-6
 
@@ -80,16 +79,16 @@ def test_backward_cosine_gradient():
 def test_backward_seeds_a_non_scalar_root_with_ones():
     """An (S,) root holds S runs' losses, and each run's leaves get only their own gradient."""
     x = Tensor([1.0, 2.0], requires_grad=True)
-    backward(x * 2.0)
+    backward(el.mul(x, 2.0))
     assert np.array_equal(x.grad, [2.0, 2.0])
     runs = Tensor([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]], requires_grad=True)
-    backward(runs.square().sum(axis=1))
+    backward(el.sum(el.square(runs), axis=1))
     assert np.array_equal(runs.grad, 2.0 * runs.data)
 
 
 def test_backward_rejects_consumed_graph():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = x.square().sum()
+    loss = el.sum(el.square(x))
     backward(loss)
     with pytest.raises(GraphStateError):
         backward(loss)
@@ -97,14 +96,14 @@ def test_backward_rejects_consumed_graph():
 
 def test_gradient_sums_over_uses():
     x = Tensor([2.0], requires_grad=True)
-    y = x * 3.0 + x * x  # x used twice
-    backward(y.sum())
+    y = el.add(el.mul(x, 3.0), el.mul(x, x))  # x used twice
+    backward(el.sum(y))
     assert np.allclose(x.grad, [3.0 + 2.0 * 2.0])
 
 
 @pytest.mark.parametrize("sum_first", [True, False])
 def test_first_gradient_write_never_aliases_another_node(sum_first):
-    """``a + b`` passes one upstream array to both non-leaf parents, which then get more.
+    """``add(a, b)`` passes one upstream array to both non-leaf parents, which then get more.
 
     A first write keeps the array it is handed, so the add must give each
     parent its own: if ``a`` and ``b`` shared one array, adding ``a``'s other
@@ -114,11 +113,11 @@ def test_first_gradient_write_never_aliases_another_node(sum_first):
     """
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([0.5, -1.0], requires_grad=True)
-    a, b = x * 2.0, y * 3.0
-    terms = [a + b, a * 5.0, b * 7.0]
+    a, b = el.mul(x, 2.0), el.mul(y, 3.0)
+    terms = [el.add(a, b), el.mul(a, 5.0), el.mul(b, 7.0)]
     if not sum_first:
         terms.reverse()
-    backward((terms[0] + terms[1] + terms[2]).sum())
+    backward(el.sum(el.add(el.add(terms[0], terms[1]), terms[2])))
     # dL/da = 1 + 5, dL/db = 1 + 7
     assert np.array_equal(x.grad, [12.0, 12.0])
     assert np.array_equal(y.grad, [24.0, 24.0])
@@ -128,7 +127,7 @@ def test_first_gradient_write_never_aliases_another_node(sum_first):
 
 def test_shape_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match=r"add.*\(2,\).*\(3,\)"):
-        Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
+        el.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeError, match="matmul"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="dense"):
@@ -139,22 +138,22 @@ def test_shape_errors_name_op_and_shapes():
 
 def test_log_domain_error():
     with pytest.raises(DomainError, match="log"):
-        Tensor([-1.0]).log()
+        el.log(Tensor([-1.0]))
     with pytest.raises(DomainError, match="sqrt"):
-        Tensor([0.0]).sqrt()
+        el.sqrt(Tensor([0.0]))
     with pytest.raises(DomainError, match="reciprocal"):
-        Tensor([0.0]).reciprocal()
+        el.reciprocal(Tensor([0.0]))
 
 
 def test_relu_subgradient_zero_at_kink():
     x = Tensor([[0.0, -1.0, 2.0]], requires_grad=True)
-    backward(dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu").sum())
+    backward(el.sum(dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu")))
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_clamp_gradient_zero_at_boundaries_and_outside():
     x = Tensor([0.0, 0.5, 1.0, 2.0, -1.0], requires_grad=True)
-    backward(x.clamp(0.0, 1.0).sum())
+    backward(el.sum(el.clamp(x, 0.0, 1.0)))
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
@@ -172,14 +171,14 @@ def test_concat_last_forward_and_backward():
     b = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = concat_last([a, b])
     assert out.shape == (2, 5)
-    backward((out * 2.0).sum())
+    backward(el.sum(el.mul(out, 2.0)))
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
     assert np.array_equal(b.grad, np.full((2, 3), 2.0))
 
 
 def test_segment_backward():
     v = Tensor(np.arange(5.0), requires_grad=True)
-    backward(v.segment(1, 4).sum())
+    backward(el.sum(el.segment(v, 1, 4)))
     assert np.array_equal(v.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
@@ -203,7 +202,7 @@ def test_pairwise_similarity_gradient_at_interior_points(kind):
         weights = Tensor(rng.normal(size=(b, b)))
 
         def f(t):
-            return (pairwise_similarity(t.reshape((b, d)), kind) * weights).sum()
+            return el.sum(el.mul(pairwise_similarity(t.reshape((b, d)), kind), weights))
 
         assert grad_check(f, Tensor(rng.normal(size=b * d)), 1e-6) < 1e-5
 
@@ -217,7 +216,7 @@ def test_pairwise_similarity_cosine_rejects_any_zero_row():
 
 def test_pairwise_l2_gradient_zero_where_distance_is_zero():
     e = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
-    backward(pairwise_similarity(e, "l2").sum())
+    backward(el.sum(pairwise_similarity(e, "l2")))
     assert np.array_equal(e.grad, np.zeros((2, 2)))
 
 
@@ -230,27 +229,27 @@ def test_pairwise_similarity_rejects_bad_shape_and_kind():
 
 def test_mean_axis_backward():
     m = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(m.mean(axis=1).sum())
+    backward(el.sum(el.mean(m, axis=1)))
     assert np.allclose(m.grad, np.full((2, 3), 1.0 / 3.0))
 
 
 def test_mul_scalar_tensor_broadcast():
     v = Tensor([1.0, 2.0], requires_grad=True)
     s = Tensor(3.0, requires_grad=True)
-    backward((v * s).sum())
+    backward(el.sum(el.mul(v, s)))
     assert np.array_equal(v.grad, [3.0, 3.0])
     assert np.array_equal(s.grad, np.asarray(3.0))
 
 
 def test_grad_check_quadratic_is_tight():
-    assert grad_check(lambda t: t.square().sum(), Tensor([1.0, 2.0, 3.0]), 1e-6) < 1e-6
+    assert grad_check(lambda t: el.sum(el.square(t)), Tensor([1.0, 2.0, 3.0]), 1e-6) < 1e-6
 
 
 def test_grad_check_rejects_bad_step_and_nonscalar():
     with pytest.raises(ValueError, match="step"):
-        grad_check(lambda t: t.sum(), Tensor([1.0]), 1e-2)
+        grad_check(el.sum, Tensor([1.0]), 1e-2)
     with pytest.raises(ValueError, match="scalar"):
-        grad_check(lambda t: t * 2.0, Tensor([1.0, 2.0]))
+        grad_check(lambda t: el.mul(t, 2.0), Tensor([1.0, 2.0]))
 
 
 def _op_cases(rng):
@@ -272,29 +271,29 @@ def _op_cases(rng):
     target = rng.normal(size=5)
     log_weights = rng.normal(size=(2, 3))
     return [
-        (lambda t: (t * 0.7 + t.square()).sum(), rng.normal(size=6)),
-        (lambda t: (t - Tensor(np.ones(5))).square().mean(), rng.normal(size=5)),
-        (lambda t: (t * mul_const).sum(), rng.normal(size=4)),
-        (lambda t: dense(t.reshape((1, 5)), eye5, zeros5, "tanh").sum(), rng.normal(size=5)),
+        (lambda t: el.sum(el.add(el.mul(t, 0.7), el.square(t))), rng.normal(size=6)),
+        (lambda t: el.mean(el.square(el.sub(t, Tensor(np.ones(5))))), rng.normal(size=5)),
+        (lambda t: el.sum(el.mul(t, mul_const)), rng.normal(size=4)),
+        (lambda t: el.sum(dense(t.reshape((1, 5)), eye5, zeros5, "tanh")), rng.normal(size=5)),
         (
-            lambda t: dense(t.reshape((1, 5)), eye5, zeros5, "relu").sum(),
+            lambda t: el.sum(dense(t.reshape((1, 5)), eye5, zeros5, "relu")),
             away_from_zero(rng.normal(size=5)),
         ),
-        (lambda t: (t.square() + Tensor(np.full(4, 0.5))).sqrt().sum(), rng.normal(size=4)),
-        (lambda t: (t.square() + Tensor(np.full(4, 0.5))).log().sum(), rng.normal(size=4)),
-        (lambda t: (t.square() + Tensor(np.full(3, 0.5))).reciprocal().sum(), rng.normal(size=3)),
-        (lambda t: t.clamp(-0.8, 0.8).sum(), away_from_zero(rng.uniform(-0.5, 0.5, size=5))),
+        (lambda t: el.sum(el.sqrt(el.add(el.square(t), Tensor(np.full(4, 0.5))))), rng.normal(size=4)),
+        (lambda t: el.sum(el.log(el.add(el.square(t), Tensor(np.full(4, 0.5))))), rng.normal(size=4)),
+        (lambda t: el.sum(el.reciprocal(el.add(el.square(t), Tensor(np.full(3, 0.5))))), rng.normal(size=3)),
+        (lambda t: el.sum(el.clamp(t, -0.8, 0.8)), away_from_zero(rng.uniform(-0.5, 0.5, size=5))),
         (
-            lambda t: (pairwise_similarity(t.reshape((2, 2)), "cos") * sim_weights).sum(),
+            lambda t: el.sum(el.mul(pairwise_similarity(t.reshape((2, 2)), "cos"), sim_weights)),
             rng.normal(size=4) + 2.0,
         ),
         (
-            lambda t: (pairwise_similarity(t.reshape((2, 2)), "l2") * sim_weights).sum(),
+            lambda t: el.sum(el.mul(pairwise_similarity(t.reshape((2, 2)), "l2"), sim_weights)),
             rng.normal(size=4),
         ),
-        (lambda t: dense(t.reshape((2, 3)), aff_w, aff_b).square().sum(), rng.normal(size=6)),
-        (lambda t: dense(t.reshape((2, 3)), aff_w, aff_b, "tanh").sum(), rng.normal(size=6)),
-        (lambda t: matmul(t.reshape((2, 2)), mm_const).square().sum(), rng.normal(size=4)),
+        (lambda t: el.sum(el.square(dense(t.reshape((2, 3)), aff_w, aff_b))), rng.normal(size=6)),
+        (lambda t: el.sum(dense(t.reshape((2, 3)), aff_w, aff_b, "tanh")), rng.normal(size=6)),
+        (lambda t: el.sum(el.square(matmul(t.reshape((2, 2)), mm_const))), rng.normal(size=4)),
         (lambda t: softmax_cross_entropy(t.reshape((2, 3)), onehot, 1e-12), rng.normal(size=6)),
         (lambda t: squared_error_sum(target, t), rng.normal(size=5)),
         (
@@ -302,14 +301,14 @@ def _op_cases(rng):
             rng.uniform(0.1, 0.9, size=6),
         ),
         (
-            lambda t: concat_last([t.reshape((2, 2)), t.reshape((2, 2)) * 2.0]).square().sum(),
+            lambda t: el.sum(el.square(concat_last([t.reshape((2, 2)), el.mul(t.reshape((2, 2)), 2.0)]))),
             rng.normal(size=4),
         ),
-        (lambda t: (t.reshape((3, 2)) * t.sum()).square().sum(), rng.normal(size=6) + 1.5),
-        (lambda t: t.segment(1, 4).square().sum(), rng.normal(size=6)),
-        (lambda t: t.reshape((2, 4)).sum(axis=0).square().sum(), rng.normal(size=8)),
-        (lambda t: t.reshape((2, 3)).mean(axis=1).square().sum(), rng.normal(size=6)),
-        (lambda t: (t.sum() * t.mean()).square(), rng.normal(size=5)),
+        (lambda t: el.sum(el.square(el.mul(t.reshape((3, 2)), el.sum(t)))), rng.normal(size=6) + 1.5),
+        (lambda t: el.sum(el.square(el.segment(t, 1, 4))), rng.normal(size=6)),
+        (lambda t: el.sum(el.square(el.sum(t.reshape((2, 4)), axis=0))), rng.normal(size=8)),
+        (lambda t: el.sum(el.square(el.mean(t.reshape((2, 3)), axis=1))), rng.normal(size=6)),
+        (lambda t: el.square(el.mul(el.sum(t), el.mean(t))), rng.normal(size=5)),
     ]
 
 
@@ -368,10 +367,10 @@ def test_backward_linearity():
     a, b = 1.7, -0.4
 
     def f(t):
-        return t.square().sum()
+        return el.sum(el.square(t))
 
     def g(t):
-        return dense(t.reshape((1, 6)), Tensor(np.eye(6)), Tensor(np.zeros(6)), "tanh").sum()
+        return el.sum(dense(t.reshape((1, 6)), Tensor(np.eye(6)), Tensor(np.zeros(6)), "tanh"))
 
     x1 = Tensor(point.copy(), requires_grad=True)
     backward(f(x1))
@@ -381,7 +380,7 @@ def test_backward_linearity():
     gg = x2.grad.copy()
 
     x3 = Tensor(point.copy(), requires_grad=True)
-    backward(f(x3) * a + g(x3) * b)
+    backward(el.add(el.mul(f(x3), a), el.mul(g(x3), b)))
     assert np.all(np.abs(x3.grad - (a * gf + b * gg)) < 1e-10)
 
 
@@ -427,8 +426,8 @@ def test_dense_matches_the_affine_activation_chain_bitwise(activation):
         arrays = [rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)]
         upstream = Tensor(rng.normal(size=(7, 4)))
         _assert_bitwise_equal(
-            _value_and_grads(lambda x, w, b: (dense(x, w, b, activation) * upstream).sum(), arrays),
-            _value_and_grads(lambda x, w, b: (dense_chain(x, w, b, activation) * upstream).sum(), arrays),
+            _value_and_grads(lambda x, w, b: el.sum(el.mul(dense(x, w, b, activation), upstream)), arrays),
+            _value_and_grads(lambda x, w, b: el.sum(el.mul(dense_chain(x, w, b, activation), upstream)), arrays),
         )
 
 
@@ -445,7 +444,7 @@ def test_dense_gradient_matches_finite_differences(activation):
             (lambda t: dense(Tensor(x), t.reshape((4, 2)), Tensor(b), activation), w),
             (lambda t: dense(Tensor(x), Tensor(w), t, activation), b),
         ):
-            assert grad_check(lambda t: (at(t) * upstream).sum(), Tensor(point.reshape(-1)), 1e-6) < 1e-5
+            assert grad_check(lambda t: el.sum(el.mul(at(t), upstream)), Tensor(point.reshape(-1)), 1e-6) < 1e-5
 
 
 def test_dense_rejects_an_unknown_activation():
@@ -463,9 +462,9 @@ def test_weighted_log_sum_matches_the_clamp_log_chain_bitwise(kind):
             e[2] = -e[0] * 3.0  # cosine floor for cos
         k = rng.normal(size=(6, 6))
         _assert_bitwise_equal(
-            _value_and_grads(lambda t: weighted_log_sum(pairwise_similarity(t, kind), k, 1e-3) * 0.37, [e]),
+            _value_and_grads(lambda t: el.mul(weighted_log_sum(pairwise_similarity(t, kind), k, 1e-3), 0.37), [e]),
             _value_and_grads(
-                lambda t: weighted_log_sum_chain(pairwise_similarity(t, kind), k, 1e-3) * 0.37, [e]
+                lambda t: el.mul(weighted_log_sum_chain(pairwise_similarity(t, kind), k, 1e-3), 0.37), [e]
             ),
         )
 
@@ -475,8 +474,8 @@ def test_squared_error_sum_matches_the_sub_square_chain_bitwise():
     for _ in range(20):
         target, pred = rng.normal(size=9), rng.normal(size=9)
         _assert_bitwise_equal(
-            _value_and_grads(lambda t: squared_error_sum(target, t) * 0.37, [pred]),
-            _value_and_grads(lambda t: squared_error_sum_chain(target, t) * 0.37, [pred]),
+            _value_and_grads(lambda t: el.mul(squared_error_sum(target, t), 0.37), [pred]),
+            _value_and_grads(lambda t: el.mul(squared_error_sum_chain(target, t), 0.37), [pred]),
         )
 
 
@@ -486,8 +485,8 @@ def test_softmax_cross_entropy_matches_the_softmax_clamp_log_chain_bitwise():
         logits = rng.normal(size=(7, 3)) * (1.0 if trial % 2 else 40.0)  # large logits saturate
         onehot = np.eye(3)[rng.integers(0, 3, size=7)]
         _assert_bitwise_equal(
-            _value_and_grads(lambda t: softmax_cross_entropy(t, onehot, 1e-12) * 0.37, [logits]),
-            _value_and_grads(lambda t: softmax_cross_entropy_chain(t, onehot, 1e-12) * 0.37, [logits]),
+            _value_and_grads(lambda t: el.mul(softmax_cross_entropy(t, onehot, 1e-12), 0.37), [logits]),
+            _value_and_grads(lambda t: el.mul(softmax_cross_entropy_chain(t, onehot, 1e-12), 0.37), [logits]),
         )
 
 
@@ -520,10 +519,10 @@ def _assert_runs_match_their_own_calls(build, leaves, rng, constants=()):
 
     out, tensors = call([a for a, _ in leaves], constants)
     upstream = rng.normal(size=out.shape)
-    backward(out * Tensor(upstream))
+    backward(el.mul(out, Tensor(upstream)))
     for r in range(out.shape[0]):
         out_r, tensors_r = call([a[r] if stacked else a for a, stacked in leaves], [c[r] for c in constants])
-        backward(out_r * Tensor(upstream[r]))
+        backward(el.mul(out_r, Tensor(upstream[r])))
         assert np.array_equal(out.data[r], out_r.data)
         for t, t_r, (_, stacked) in zip(tensors, tensors_r, leaves):
             if stacked:
@@ -616,6 +615,9 @@ def test_softmax_cross_entropy_with_a_per_run_mask_matches_each_runs_own_call_bi
 def test_stacked_losses_reject_mismatched_masks_and_shapes():
     with pytest.raises(ShapeError, match="mask"):
         softmax_cross_entropy(Tensor(np.zeros((2, 4, 3))), np.ones((3, 4, 3), dtype=bool), 1e-12)
+    for shape in ((2, 0, 3), (4, 0)):
+        with pytest.raises(ShapeError, match="at least one row and one class"):
+            softmax_cross_entropy(Tensor(np.zeros(shape)), np.ones(shape[-2:], dtype=bool), 1e-12)
     with pytest.raises(ShapeError, match="squared_error_sum"):
         squared_error_sum(np.zeros((2, 3, 4)), Tensor(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError, match="pairwise_similarity"):

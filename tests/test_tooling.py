@@ -6,11 +6,15 @@ one of them would silently leave that layer out of a traced run. Its probes
 read library results (the mined pairs of a ``MiningResult``), so they are run
 on real ones here, and short training runs go through the whole tracer.
 
+Every public name of the tensor core has an importer in the library, so an
+op that only the tests call lives in the test tree (``elementary.py``).
+
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
 them, and accepts exactly its options as config-file keys.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hscl.tensor
 from hscl import cli
 from hscl.data import SyntheticSpec
 from hscl.errors import ConfigError
@@ -33,8 +38,10 @@ from hscl.pipeline import (
     evaluate_checkpoint,
     spread_for_checkpoint,
 )
-from hscl.tensor import Tensor, pairwise_similarity
+from hscl.tensor import Tensor
 from hscl.training import TrainConfig, finetune, pretrain
+
+from elementary import pairwise_similarity
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -98,6 +105,27 @@ def test_traced_training_runs_every_probe_without_error():
     assert len(loss_spans) == 2 * (37 // 8)
     assert all(s.attrs["mined"] == 8 * 2 * 3 for s in loss_spans)
     assert sum(s.name == tracing.ADAM for s in tracer.spans) == 2 * (37 // 8) + 3
+
+
+def test_every_tensor_export_is_imported_by_another_library_module():
+    """Imported and referenced there; a re-export from ``__init__`` does not count.
+
+    ``grad_check``, the public check tool, is the one name that nothing in
+    the library calls.
+    """
+    used = set()
+    for path in (ROOT / "src" / "hscl").glob("*.py"):
+        if path.name in ("tensor.py", "__init__.py"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {
+            alias.asname or alias.name
+            for stmt in nodes
+            if isinstance(stmt, ast.ImportFrom) and (stmt.module, stmt.level) in (("tensor", 1), ("hscl.tensor", 0))
+            for alias in stmt.names
+        }
+        used |= imported & {stmt.id for stmt in nodes if isinstance(stmt, ast.Name)}
+    assert sorted(set(hscl.tensor.__all__) - used - {"grad_check"}) == []
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -43,6 +43,7 @@ from hscl.training import (
     save_checkpoint,
 )
 
+import oracles
 from oracles import (
     adam_per_tensor_ref,
     adam_ref,
@@ -290,7 +291,7 @@ def test_pretrain_rejects_small_dataset():
 def test_pretrain_aborts_on_nonfinite_loss():
     x, y = _noiseless_regression(n=32)
     cfg = TrainConfig(epochs=2, seed=0, lr=1e200)
-    with pytest.raises(TrainingAbort, match="non-finite"):
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(TrainingAbort, match="non-finite"):
         pretrain(x, y, x[:6], y[:6], cfg, hidden=(8, 4))
 
 
@@ -432,9 +433,9 @@ def test_training_with_fused_ops_matches_the_op_chains_bitwise(mode, sim, activa
     calls = []
     for module, name, chain in (
         (model, "dense", dense_chain),
-        (losses, "squared_error_sum", squared_error_sum_chain),
+        (oracles, "squared_error_sum", squared_error_sum_chain),
         (losses, "softmax_cross_entropy", softmax_cross_entropy_chain),
-        (losses, "weighted_log_sum", weighted_log_sum_chain),
+        (oracles, "weighted_log_sum", weighted_log_sum_chain),
     ):
         def counted(*args, chain=chain, name=name):
             calls.append(name)
@@ -541,10 +542,12 @@ def test_a_non_finite_pretrain_run_aborts_the_stack_and_is_named():
     stacked = [np.stack(arrays) for arrays in zip(*data)]
     stacked[1][2] *= 1e300  # run 2's targets overflow the squared error
     cfg = TrainConfig(epochs=1, loss=LossConfig("mse+cl"))
-    with pytest.raises(TrainingAbort, match=r"^pretrain run 2: non-finite loss at epoch 0 batch 0: "):
-        pretrain_runs(*stacked, cfg, hidden=(4,), seeds=[0, 1, 2])
-    with pytest.raises(TrainingAbort, match=r"^pretrain: non-finite loss at epoch 0 batch 0: "):
-        pretrain(*(a[2] for a in stacked), replace(cfg, seed=2), hidden=(4,))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(TrainingAbort, match=r"^pretrain run 2: non-finite loss at epoch 0 batch 0: "):
+            pretrain_runs(*stacked, cfg, hidden=(4,), seeds=[0, 1, 2])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(TrainingAbort, match=r"^pretrain: non-finite loss at epoch 0 batch 0: "):
+            pretrain(*(a[2] for a in stacked), replace(cfg, seed=2), hidden=(4,))
 
 
 def test_lockstep_pretrain_rejects_arrays_for_another_run_count():

@@ -183,6 +183,22 @@ def _require_file(path, what: str) -> str:
     return path
 
 
+def _restored(args: argparse.Namespace, stage: str | None = None):
+    """The ``--checkpoint`` and the ``--data`` split and labelled as they were for its run.
+
+    With ``stage``, a checkpoint of another stage raises ``ConfigError``.
+    """
+    data_path = _require_file(args.data, "dataset")
+    ckpt_path = _require_file(args.checkpoint, "checkpoint")
+    ck = load_checkpoint(ckpt_path)
+    if stage is not None and ck.meta.get("stage") != stage:
+        raise ConfigError(
+            f"{args.command}: expected a {stage} checkpoint, got stage "
+            f"{ck.meta.get('stage')!r} from {ckpt_path}"
+        )
+    return ck, prepared_from_meta(load_dataset(data_path), ck.meta.get("data"))
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -199,10 +215,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_pretrain(args: argparse.Namespace) -> int:
     opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
-    collection = load_dataset(data_path)
-    prepared = prepare(collection, int(opts["seed"]), _build(DataConfig, opts))
-    config = _build(TrainConfig, opts, loss=_build(LossConfig, opts))
-    result = run_pretrain(prepared, _build(ModelSpec, opts), config)
+    dcfg, model = _build(DataConfig, opts), _build(ModelSpec, opts)
+    config = _build(TrainConfig, opts, loss=_build(LossConfig, opts))  # checks the seed before the split
+    prepared = prepare(load_dataset(data_path), config.seed, dcfg)
+    result = run_pretrain(prepared, model, config)
 
     os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "pretrain_final.ckpt")
@@ -224,16 +240,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    data_path = _require_file(args.data, "dataset")
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    pretrained = load_checkpoint(ckpt_path)
-    if pretrained.meta.get("stage") != "pretrain":
-        raise ConfigError(
-            f"finetune: expected a pretrain checkpoint, got stage "
-            f"{pretrained.meta.get('stage')!r} from {ckpt_path}"
-        )
-    collection = load_dataset(data_path)
-    prepared = prepared_from_meta(collection, pretrained.meta["data"])
+    pretrained, prepared = _restored(args, "pretrain")
     for split in ("train", "val"):  # before training: it selects on and reports val metrics
         if len(prepared.pairs[split][2]) == 0:
             raise ConfigError(f"finetune: split {split!r} has no pairs")
@@ -259,16 +266,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    data_path = _require_file(args.data, "dataset")
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    ck = load_checkpoint(ckpt_path)
-    if ck.meta.get("stage") != "finetune":
-        raise ConfigError(
-            f"eval: expected a finetune checkpoint, got stage "
-            f"{ck.meta.get('stage')!r} from {ckpt_path}"
-        )
-    collection = load_dataset(data_path)
-    prepared = prepared_from_meta(collection, ck.meta["data"])
+    ck, prepared = _restored(args, "finetune")
     report = evaluate_checkpoint(prepared, ck, split=opts["split"])
     os.makedirs(args.out, exist_ok=True)
     _write_metrics(report, os.path.join(args.out, "metrics"))
@@ -278,12 +276,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    data_path = _require_file(args.data, "dataset")
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    ck = load_checkpoint(ckpt_path)
-    collection = load_dataset(data_path)
-    prepared = prepared_from_meta(collection, ck.meta["data"])
-
+    ck, prepared = _restored(args)  # either stage: both carry the encoder
     split = opts["split"]
     x, _ = prepared.regression[split]
     n = x.shape[0]

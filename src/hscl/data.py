@@ -205,8 +205,10 @@ class SyntheticSpec:
                 f"generator: need 1 <= latent_dim <= n_features, got "
                 f"{self.latent_dim} and {self.n_features}"
             )
-        if self.noise < 0:
-            raise ConfigError(f"generator: noise must be non-negative, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"generator: noise must be non-negative and finite, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
@@ -443,7 +445,7 @@ def load_dataset(path) -> list[PatientSeries]:
 
 def check_fractions(fractions, where: str) -> None:
     """Raise ``ConfigError`` unless there are 3 non-negative fractions summing to 1."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):  # NaN is not >= 0
         raise ConfigError(f"{where}: need 3 non-negative fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"{where}: fractions must sum to 1, got {sum(fractions)}")

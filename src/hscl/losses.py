@@ -37,6 +37,7 @@ values and gradients from a chain of 7 (cl) or 9 (wcl) graph ops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +76,12 @@ class LossConfig:
             raise ConfigError(f"loss mode must be one of {MODES}, got {self.mode!r}")
         if self.similarity not in SIMILARITIES:
             raise ConfigError(f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if not 0 < self.sim_floor < 1:
             raise ConfigError(f"sim_floor must lie in (0, 1), got {self.sim_floor}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be non-negative and finite, got {self.alpha}")
 
     @property
     def contrastive(self) -> bool:

@@ -167,6 +167,8 @@ def embedding_spread(
         raise ShapeError(f"embedding_spread: {n} scans vs {scores.shape[0]} scores")
     if sample_size < 1:
         raise ConfigError(f"embedding_spread: sample_size must be >= 1, got {sample_size}")
+    if seed < 0:
+        raise ConfigError(f"embedding_spread: seed must be non-negative, got {seed}")
 
     iu, ju = np.triu_indices(n, k=1)
     total = iu.shape[0]

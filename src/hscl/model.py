@@ -74,14 +74,19 @@ def _glorot_layers(widths: list[int], rng: np.random.Generator):
     return weights, biases
 
 
+def check_widths(widths, where: str) -> None:
+    """Raise ``ConfigError`` unless every layer width is positive."""
+    if any(w <= 0 for w in widths):
+        raise ConfigError(f"{where}: widths must be positive, got {widths}")
+
+
 def init_encoder(
     widths: list[int], seed: int, activation: str = DEFAULT_ACTIVATION
 ) -> EncoderParams:
     """Glorot-uniform weights, zero biases, reproducible per seed."""
     if len(widths) < 2:
         raise ConfigError("init_encoder: need at least input and output widths")
-    if any(w <= 0 for w in widths):
-        raise ConfigError(f"init_encoder: widths must be positive, got {widths}")
+    check_widths(widths, "init_encoder")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"init_encoder: unknown activation {activation!r}")
     weights, biases = _glorot_layers(list(widths), np.random.default_rng(seed))
@@ -103,6 +108,7 @@ def init_classifier_head(
     hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN,
 ) -> ClassifierHead:
     widths = [2 * embedding_dim, *hidden, N_CLASSES]
+    check_widths(widths, "init_classifier_head")
     weights, biases = _glorot_layers(widths, np.random.default_rng(seed))
     return ClassifierHead(widths, CLS_ACTIVATION, weights, biases)
 

@@ -8,6 +8,7 @@ a run sees consistent data.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from dataclasses import dataclass, field, replace
@@ -17,6 +18,7 @@ import numpy as np
 from .data import (
     DEFAULT_FRACTIONS,
     DEFAULT_TAU,
+    LABEL_MODES,
     NormalizationStats,
     PatientSeries,
     check_fractions,
@@ -25,13 +27,15 @@ from .data import (
     records_of,
     series_arrays,
 )
-from .errors import ConfigError, DomainError, HsclError
+from .errors import CheckpointIntegrityError, ConfigError, DomainError, HsclError
 from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
 from .model import (
+    ACTIVATIONS,
     DEFAULT_ACTIVATION,
     DEFAULT_CLS_HIDDEN,
     DEFAULT_HIDDEN,
+    check_widths,
     classify_pairs,
     encode,
     predict_classes,
@@ -61,8 +65,12 @@ class DataConfig:
     higher_is_better: bool = True
 
     def __post_init__(self) -> None:
-        # checked here too, so a bad split fails before any seed of a sweep runs
+        # checked here, so a bad value fails before any seed of a sweep runs
         check_fractions(self.fractions, "fractions")
+        if self.label_mode not in LABEL_MODES:
+            raise ConfigError(f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}")
+        if not 0 <= self.tau < math.inf:
+            raise ConfigError(f"tau must be non-negative and finite, got {self.tau}")
 
 
 @dataclass
@@ -70,6 +78,15 @@ class ModelSpec:
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
     activation: str = DEFAULT_ACTIVATION
     cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN
+
+    def __post_init__(self) -> None:
+        # checked here too, so a bad model fails before any seed of a sweep runs
+        if not self.hidden:
+            raise ConfigError("hidden: need at least one encoder width")
+        check_widths(self.hidden, "hidden")
+        check_widths(self.cls_hidden, "cls_hidden")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass
@@ -117,8 +134,13 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
     return Prepared(stats, series, regression, pairs, data_meta)
 
 
-def prepared_from_meta(collection: list[PatientSeries], data_meta: dict) -> Prepared:
-    """Rebuild the exact split/stats a checkpoint was trained with."""
+def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) -> Prepared:
+    """Rebuild the exact split/stats a checkpoint was trained with; a missing key raises naming it."""
+    if data_meta is None:
+        raise CheckpointIntegrityError("checkpoint metadata has no data")
+    for key in ("fractions", "label_mode", "tau", "higher_is_better", "split_seed", "hs_min", "hs_max"):
+        if key not in data_meta:
+            raise CheckpointIntegrityError(f"checkpoint metadata has no data.{key}")
     dcfg = DataConfig(
         fractions=tuple(data_meta["fractions"]),
         label_mode=data_meta["label_mode"],
@@ -259,6 +281,14 @@ def run_comparison(
         raise ConfigError("run_comparison: need at least one loss mode")
     if not compare.seeds:
         raise ConfigError("run_comparison: need at least one seed")
+    if min(compare.seeds) < 0:
+        raise ConfigError(f"run_comparison: seeds must be non-negative, got {min(compare.seeds)}")
+    if compare.sample_size < 1:
+        raise ConfigError(f"run_comparison: sample_size must be >= 1, got {compare.sample_size}")
+    if compare.spread_split not in SPLITS:
+        raise ConfigError(
+            f"run_comparison: spread_split must be one of {SPLITS}, got {compare.spread_split!r}"
+        )
     for what, values in (("seed", compare.seeds), ("loss mode", compare.modes)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:

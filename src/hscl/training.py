@@ -104,10 +104,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 3:
             raise ConfigError(f"batch_size must be >= 3, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.eta_min <= self.lr:  # a negative rate would ascend the loss
+            raise ConfigError(f"eta_min must lie in [0, lr] = [0, {self.lr}], got {self.eta_min}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -287,29 +291,31 @@ def load_checkpoint(path) -> Checkpoint:
 # -- parameter <-> checkpoint plumbing -------------------------------------------
 
 
+def _checkpoint_layers(ck: Checkpoint, prefix: str, widths: list[int]) -> tuple[list[Tensor], list[Tensor]]:
+    """Shape-checked copies of the weights ``{prefix}.w{i}`` and biases ``{prefix}.b{i}`` of an MLP."""
+    tensors = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        for name, shape in ((f"{prefix}.w{i}", (fan_in, fan_out)), (f"{prefix}.b{i}", (fan_out,))):
+            if name not in ck.tensors:
+                raise CheckpointIntegrityError(f"checkpoint missing tensor {name!r}")
+            if ck.tensors[name].shape != shape:
+                raise ShapeError(f"checkpoint {name} has shape {ck.tensors[name].shape}, expected {shape}")
+            tensors.append(Tensor(ck.tensors[name].copy()))
+    return tensors[0::2], tensors[1::2]
+
+
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
     """The checkpoint's encoder; its tensors take no gradient until a trainer marks them."""
     model = ck.meta.get("model")
     if not model:
         raise CheckpointIntegrityError("checkpoint has no model metadata")
+    for key in ("widths", "activation"):
+        if key not in model:
+            raise CheckpointIntegrityError(f"checkpoint metadata has no model.{key}")
     widths = [int(w) for w in model["widths"]]
-    n_layers = len(widths) - 1
-    weights, biases = [], []
-    for i in range(n_layers):
-        try:
-            w = ck.tensors[f"encoder.w{i}"]
-            b = ck.tensors[f"encoder.b{i}"]
-        except KeyError as exc:
-            raise CheckpointIntegrityError(f"checkpoint missing tensor {exc}") from None
-        if w.shape != (widths[i], widths[i + 1]):
-            raise ShapeError(
-                f"checkpoint encoder.w{i} has shape {w.shape}, expected {(widths[i], widths[i + 1])}"
-            )
-        weights.append(Tensor(w.copy()))
-        biases.append(Tensor(b.copy()))
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
-    return EncoderParams(widths, model["activation"], weights, biases)
+    return EncoderParams(widths, model["activation"], *_checkpoint_layers(ck, "encoder", widths))
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
@@ -319,16 +325,9 @@ def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
     if not widths:
         raise CheckpointIntegrityError("checkpoint has no classifier metadata")
     widths = [int(w) for w in widths]
-    weights, biases = [], []
-    for i in range(len(widths) - 1):
-        try:
-            w = ck.tensors[f"cls.w{i}"]
-            b = ck.tensors[f"cls.b{i}"]
-        except KeyError as exc:
-            raise CheckpointIntegrityError(f"checkpoint missing tensor {exc}") from None
-        weights.append(Tensor(w.copy()))
-        biases.append(Tensor(b.copy()))
-    return ClassifierHead(widths, model.get("cls_activation", CLS_ACTIVATION), weights, biases)
+    return ClassifierHead(
+        widths, model.get("cls_activation", CLS_ACTIVATION), *_checkpoint_layers(ck, "cls", widths)
+    )
 
 
 def _named_params(
@@ -450,27 +449,44 @@ def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
     return np.moveaxis(batches, -2, 0)
 
 
-def _stack(parts: list[Tensor]) -> Tensor:
-    return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+def _stacked(models: list):
+    """S runs' encoders, regression or classifier heads as one, each tensor stacked along the run axis.
 
+    One model is returned unchanged: one run carries no run axis.
+    """
+    if len(models) == 1:
+        return models[0]
 
-def _stack_layers(runs: list) -> tuple[list[Tensor], list[Tensor]]:
-    """The per-layer weights and biases of ``runs`` (encoders or heads), stacked along the run axis."""
-    return (
-        [_stack(list(ws)) for ws in zip(*(r.weights for r in runs))],
-        [_stack(list(bs)) for bs in zip(*(r.biases for r in runs))],
+    def stack(*parts: Tensor) -> Tensor:
+        return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+
+    if isinstance(models[0], RegressionHead):
+        return RegressionHead(stack(*(m.weight for m in models)), stack(*(m.bias for m in models)))
+    return replace(
+        models[0],
+        weights=[stack(*ws) for ws in zip(*(m.weights for m in models))],
+        biases=[stack(*bs) for bs in zip(*(m.biases for m in models))],
     )
 
 
-def _layers(weights: list[Tensor], biases: list[Tensor], activations: list[str | None]) -> list[tuple]:
-    """(weight, bias, activation) per layer; built after ``AdamState.for_params``, they see its updates."""
-    return [(w.data, b.data, act) for w, b, act in zip(weights, biases, activations)]
+def _layers(state: AdamState, weights: list[Tensor], biases: list[Tensor], activations: list) -> list[tuple]:
+    """(weight, bias, activation, weight gradient, bias gradient) per layer.
+
+    Built after ``AdamState.for_params``, the arrays see its updates; the
+    gradients are the tensors' views of ``state.grad``, found by identity, or
+    None where ``state`` trains none.
+    """
+    views = {id(p): g for p, g in zip(state.params, state.grads)}
+    return [
+        (w.data, b.data, act, views.get(id(w)), views.get(id(b)))
+        for w, b, act in zip(weights, biases, activations)
+    ]
 
 
 def _forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each layer's (input, output, pre-activation) for ``x`` run through ``layers``."""
     saved = []
-    for w, b, activation in layers:
+    for w, b, activation, _, _ in layers:
         y, z = dense_forward(x, w, b, activation)
         saved.append((x, y, z))
         x = y
@@ -478,25 +494,22 @@ def _forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.nd
 
 
 def _backward(
-    layers: list[tuple], saved: list[tuple], g: np.ndarray, grads: list[np.ndarray],
-    add: bool = False, need_x: bool = False,
+    layers: list[tuple], saved: list[tuple], g: np.ndarray, add: bool = False, need_x: bool = False
 ) -> np.ndarray | None:
     """Send output gradient ``g`` back through ``layers``; the input's gradient if ``need_x``.
 
-    Layer i's weight and bias gradients are written into ``grads[2i]`` and
-    ``grads[2i + 1]``, or added into them with ``add``.
+    Each layer's weight and bias gradients are written into its gradient
+    views, or added into them with ``add``.
     """
     for i in reversed(range(len(layers))):
-        w, _, activation = layers[i]
+        w, _, activation, gw, gb = layers[i]
         x, y, z = saved[i]
         if add:
-            g, gw, gb = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
-            grads[2 * i] += gw
-            grads[2 * i + 1] += gb
+            g, dw, db = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
+            gw += dw
+            gb += db
         else:
-            g, _, _ = dense_backward(
-                g, x, w, y, z, activation, need_x or i > 0, gw=grads[2 * i], gb=grads[2 * i + 1]
-            )
+            g, _, _ = dense_backward(g, x, w, y, z, activation, need_x or i > 0, gw=gw, gb=gb)
     return g
 
 
@@ -713,12 +726,8 @@ def pretrain_runs(
         raise ShapeError(f"pretrain: {n} feature rows vs {y_train.shape[-1]} targets")
 
     widths = [int(x_train.shape[-1]), *hidden]
-    encoders = [init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds]
-    regs = [init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds]
-    encoder, reg = encoders[0], regs[0]
-    if n_runs > 1:
-        encoder = EncoderParams(widths, activation, *_stack_layers(encoders))
-        reg = RegressionHead(_stack([r.weight for r in regs]), _stack([r.bias for r in regs]))
+    encoder = _stacked([init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds])
+    reg = _stacked([init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds])
 
     named = _named_params(encoder, reg)
     runs = _Runs(
@@ -728,9 +737,8 @@ def pretrain_runs(
     state = runs.state
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
     x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
-    enc_layers = _layers(encoder.weights, encoder.biases, [activation] * len(encoder.weights))
-    head_layers = _layers([reg.weight], [reg.bias], [None])
-    enc_grads, head_grads = state.grads[: 2 * len(enc_layers)], state.grads[2 * len(enc_layers) :]
+    enc_layers = _layers(state, encoder.weights, encoder.biases, [activation] * len(encoder.weights))
+    head_layers = _layers(state, [reg.weight], [reg.bias], [None])
 
     n_batches = n // config.batch_size
     for epoch in range(config.epochs):
@@ -751,10 +759,10 @@ def pretrain_runs(
             runs.add(epoch, k, total.data, mse_term.data, None if con_term is None else con_term.data)
             backward(total)
             g_pred = y_hat.grad.reshape(e.shape[:-1] + (1,))
-            g = _backward(head_layers, head_saved, g_pred, head_grads, need_x=True)
+            g = _backward(head_layers, head_saved, g_pred, need_x=True)
             if embeddings.grad is not None:  # the similarity's share, added to the head's
                 g += embeddings.grad
-            _backward(enc_layers, enc_saved, g, enc_grads)
+            _backward(enc_layers, enc_saved, g)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))
     return runs.results(PretrainResult)
@@ -841,7 +849,6 @@ def finetune_runs(
     seeds = [config.seed] * n_runs if seeds is None else [int(s) for s in seeds]
     if len(seeds) != n_runs:
         raise ConfigError(f"finetune: {len(seeds)} seeds for {n_runs} runs")
-    stacked = n_runs > 1
     xp_train, xn_train, xp_val, xn_val = (
         _per_run(a, n_runs, 2, "finetune") for a in (xp_train, xn_train, xp_val, xn_val)
     )
@@ -863,10 +870,7 @@ def finetune_runs(
         s: init_classifier_head(encoder.embedding_dim, _sub_seed(s, _STREAM_CLS_HEAD), cls_hidden)
         for s in dict.fromkeys(seeds)
     }
-    cls = heads[seeds[0]]
-    if stacked:
-        encoder = EncoderParams(encoder.widths, encoder.activation, *_stack_layers(encoders))
-        cls = ClassifierHead(cls.widths, cls.activation, *_stack_layers([heads[s] for s in seeds]))
+    encoder, cls = _stacked(encoders), _stacked([heads[s] for s in seeds])
 
     frozen = config.freeze_encoder
     named_all = _named_params(encoder, cls=cls)
@@ -881,12 +885,10 @@ def finetune_runs(
     runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
     state = runs.state
     onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
-    n_head = len(cls.weights)
-    head_layers = _layers(cls.weights, cls.biases, [cls.activation] * (n_head - 1) + [None])
-    enc_layers = _layers(encoder.weights, encoder.biases, [encoder.activation] * len(encoder.weights))
-    enc_grads, head_grads = state.grads[: -2 * n_head], state.grads[-2 * n_head :]
+    head_layers = _layers(state, cls.weights, cls.biases, [cls.activation] * (len(cls.weights) - 1) + [None])
+    enc_layers = _layers(state, encoder.weights, encoder.biases, [encoder.activation] * len(encoder.weights))
     dim = encoder.embedding_dim
-    g_loss = np.ones((n_runs,) if stacked else ())  # the seed backward gives a root
+    g_loss = np.ones((n_runs,) if n_runs > 1 else ())  # the seed backward gives a root
     if frozen:
         pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train), n_runs)
         val_rows = _pair_rows(encoder, xp_val, xn_val)
@@ -932,10 +934,10 @@ def finetune_runs(
             ce, ce_saved = softmax_cross_entropy_forward(head_saved[-1][1], onehot_batch, PROB_FLOOR)
             runs.add(epoch, k, ce)
             g = softmax_cross_entropy_backward(g_loss, onehot_batch, PROB_FLOOR, *ce_saved)
-            g = _backward(head_layers, head_saved, g, head_grads, need_x=not frozen)
+            g = _backward(head_layers, head_saved, g, need_x=not frozen)
             if not frozen:  # each encoder parameter's two shares, prev and next, in either order
-                _backward(enc_layers, prev_saved, g[..., :dim], enc_grads)
-                _backward(enc_layers, next_saved, g[..., dim:], enc_grads, add=True)
+                _backward(enc_layers, prev_saved, g[..., :dim])
+                _backward(enc_layers, next_saved, g[..., dim:], add=True)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, val_metrics())
     return runs.results(FinetuneResult)

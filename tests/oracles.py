@@ -48,9 +48,6 @@ from hscl.data import (
 from hscl.errors import DatasetError
 from hscl.losses import cross_entropy, loss_gradients, mine_batch
 from hscl.model import (
-    ClassifierHead,
-    EncoderParams,
-    RegressionHead,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -330,12 +327,8 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
     y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
     n = x_train.shape[-2]
     widths = [int(x_train.shape[-1]), *hidden]
-    encoders = [init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds]
-    regs = [init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds]
-    encoder, reg = encoders[0], regs[0]
-    if stacked:
-        encoder = EncoderParams(widths, activation, *t._stack_layers(encoders))
-        reg = RegressionHead(t._stack([r.weight for r in regs]), t._stack([r.bias for r in regs]))
+    encoder = t._stacked([init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds])
+    reg = t._stacked([init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds])
     named = t._named_params(encoder, reg)
     params = [p for _, p in named]
     state = t.AdamState.for_params(params)
@@ -404,16 +397,12 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
         t._per_run(a, n_runs, 2, "ref") for a in (xp_train, xn_train, xp_val, xn_val)
     )
     y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
-    encoders = [t.encoder_from_checkpoint(ck) for ck in pretrained]
-    encoder = encoders[0]
+    encoder = t._stacked([t.encoder_from_checkpoint(ck) for ck in pretrained])
     heads = {
         s: init_classifier_head(encoder.embedding_dim, t._sub_seed(s, t._STREAM_CLS_HEAD), cls_hidden)
         for s in dict.fromkeys(seeds)
     }
-    cls = heads[seeds[0]]
-    if stacked:
-        encoder = EncoderParams(encoder.widths, encoder.activation, *t._stack_layers(encoders))
-        cls = ClassifierHead(cls.widths, cls.activation, *t._stack_layers([heads[s] for s in seeds]))
+    cls = t._stacked([heads[s] for s in seeds])
     frozen = config.freeze_encoder
     if not frozen:
         for p in encoder.trainable():

@@ -174,7 +174,7 @@ def test_eval_rejects_pretrain_checkpoint(tiny_dataset, tiny_pretrained, tmp_pat
     assert rc == 2
 
 
-def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tmp_path, capsys):
+def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     blob = bytearray((tiny_pretrained / "pretrain_best.ckpt").read_bytes())
     blob[25] ^= 0xFF
@@ -189,6 +189,45 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tmp_path, cap
     )
     assert rc == 1
     assert "checksum" in capsys.readouterr().err
+
+    # checksum-valid checkpoints without what the restore reads, or with a tensor of another shape
+    pre = load_checkpoint(tiny_pretrained / "pretrain_best.ckpt")
+    fine = load_checkpoint(tiny_finetuned / "finetune_best.ckpt")
+
+    def without(ck, *keys):
+        meta = copy.deepcopy(ck.meta)
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        return Checkpoint(ck.tensors, meta, ck.version)
+
+    def with_tensor(ck, name, value):
+        tensors = {k: v for k, v in ck.tensors.items() if k != name}
+        if value is not None:
+            tensors[name] = value
+        return Checkpoint(tensors, ck.meta, ck.version)
+
+    cases = [
+        ("eval", without(fine, "data"), "checkpoint metadata has no data"),
+        ("eval", without(fine, "data", "tau"), "checkpoint metadata has no data.tau"),
+        ("finetune", without(pre, "data", "split_seed"), "checkpoint metadata has no data.split_seed"),
+        ("analyze", without(pre, "model", "widths"), "checkpoint metadata has no model.widths"),
+        ("eval", without(fine, "model", "activation"), "checkpoint metadata has no model.activation"),
+        ("eval", with_tensor(fine, "cls.b0", np.zeros(5)), "checkpoint cls.b0 has shape (5,), expected (32,)"),
+        (
+            "finetune", with_tensor(pre, "encoder.b1", np.zeros(3)),
+            "checkpoint encoder.b1 has shape (3,), expected (4,)",
+        ),
+        ("analyze", with_tensor(pre, "encoder.b0", None), "checkpoint missing tensor 'encoder.b0'"),
+    ]
+    for k, (command, ck, message) in enumerate(cases):
+        path, out = tmp_path / f"restore{k}.ckpt", tmp_path / f"restore{k}"
+        save_checkpoint(ck, path)
+        argv = [command, "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]
+        assert main(argv + (["--sample-size", "5"] if command == "analyze" else [])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_analyze_profile_and_cap_warning(tiny_dataset, tiny_pretrained, tmp_path, capsys):
@@ -467,11 +506,17 @@ def test_config_file_unknown_key_rejected(tiny_dataset, tmp_path, capsys):
         ("pretrain", {"loss": 1}),
         ("pretrain", {"hidden": "8,a"}),
         ("pretrain", {"fractions": None}),
+        # of the option's type, but a value no run can use
+        ("pretrain", {"hidden": []}),
+        ("compare", {"label_mode": "foo"}),
+        ("compare", {"spread_split": "foo"}),
+        ("compare", {"activation": "foo"}),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_2(
-    tiny_dataset, tiny_pretrained, tmp_path, capsys, command, values
+    tiny_dataset, tiny_pretrained, tmp_path, capsys, monkeypatch, command, values
 ):
+    stacks = _record_pretrain_stacks(monkeypatch)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(values))
     argv = [command, "--data", str(tiny_dataset), "--out", str(tmp_path / "o"), "--config", str(config)]
@@ -479,8 +524,50 @@ def test_config_value_of_the_wrong_type_exits_2(
         argv += ["--checkpoint", str(tiny_pretrained / "pretrain_best.ckpt")]
     assert main(argv) == 2
     (key,) = values
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not (tmp_path / "o").exists()
+    assert stacks == []  # compare pre-trains no seed
+
+
+# flag values no run can use, each rejected before any work (NaN and infinity:
+# test_tooling.py's test of every float option): (command, flags, error text)
+UNUSABLE = {
+    "pretrain-eta-min-negative": ("pretrain", ["--eta-min", "-0.01"], "eta_min must lie in [0, lr]"),
+    "pretrain-eta-min-above-lr": ("pretrain", ["--eta-min", "0.01"], "eta_min must lie in [0, lr]"),
+    "pretrain-tau-negative": ("pretrain", ["--tau", "-0.1"], "tau must be non-negative and finite"),
+    "pretrain-fractions-nan": ("pretrain", ["--fractions", "nan,0.5,0.5"], "fractions: need 3 non-negative"),
+    "pretrain-seed-negative": ("pretrain", ["--seed", "-1"], "seed must be non-negative"),
+    "gen-data-seed-negative": ("gen-data", ["--seed", "-1"], "generator: seed must be non-negative"),
+    "finetune-cls-hidden-negative": ("finetune", ["--cls-hidden=-1"], "cls_hidden: widths must be positive"),
+    "finetune-cls-hidden-zero": ("finetune", ["--cls-hidden", "0"], "cls_hidden: widths must be positive"),
+    "finetune-seed-negative": ("finetune", ["--seed", "-1"], "seed must be non-negative"),
+    "analyze-seed-negative": ("analyze", ["--seed", "-1", "--sample-size", "5"], "seed must be non-negative"),
+    "compare-seeds-negative": ("compare", ["--seeds=-1"], "run_comparison: seeds must be non-negative"),
+    "compare-sample-size-zero": ("compare", ["--sample-size", "0"], "run_comparison: sample_size must be >= 1"),
+    "compare-tau-nan": ("compare", ["--tau", "nan"], "tau must be non-negative and finite"),
+    "compare-cls-hidden-zero": ("compare", ["--cls-hidden", "0"], "cls_hidden: widths must be positive"),
+    "compare-hidden-zero": ("compare", ["--hidden", "8,0"], "hidden: widths must be positive"),
+}
+
+
+@pytest.mark.parametrize("command, flags, message", UNUSABLE.values(), ids=UNUSABLE.keys())
+def test_a_value_no_run_can_use_exits_2_before_any_work(
+    tiny_dataset, tiny_pretrained, tmp_path, capsys, monkeypatch, command, flags, message
+):
+    stacks = _record_pretrain_stacks(monkeypatch)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), *flags]
+    if command != "gen-data":
+        argv += ["--data", str(tiny_dataset)]
+    if command in ("finetune", "analyze"):
+        argv += ["--checkpoint", str(tiny_pretrained / "pretrain_best.ckpt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.ckpt")) == []
+    assert stacks == []  # compare pre-trains no seed
 
 
 def test_config_values_of_a_fitting_type_are_taken(tiny_dataset, tiny_pretrained, tmp_path):

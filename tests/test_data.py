@@ -164,6 +164,9 @@ def test_generator_rejects_bad_specs():
         SyntheticSpec(latent_dim=20, n_features=12)
     with pytest.raises(ConfigError):
         SyntheticSpec(noise=-0.1)
+    for bad in ({"noise": float("nan")}, {"noise": float("inf")}, {"seed": -1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SyntheticSpec(**bad)
 
 
 # -- dataset file I/O -----------------------------------------------------------------
@@ -275,6 +278,14 @@ def test_split_zero_patient_split_rejected():
 def test_split_bad_fractions():
     with pytest.raises(ConfigError):
         split_patients(_patients(10), (0.5, 0.2, 0.2), seed=0)
+    for bad in ((float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0), (1.0, float("-inf"), 0.0)):
+        with pytest.raises(ConfigError):
+            split_patients(_patients(10), bad, seed=0)
+        with pytest.raises(ConfigError):
+            DataConfig(fractions=bad)
+    for bad in ({"tau": float("nan")}, {"tau": float("inf")}, {"tau": -0.01}, {"label_mode": "foo"}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            DataConfig(**bad)
 
 
 @given(

@@ -49,6 +49,9 @@ def test_init_rejects_bad_widths():
         init_encoder([5], seed=0)
     with pytest.raises(ConfigError):
         init_encoder([5, 0], seed=0)
+    for embedding_dim, hidden in ((4, (0,)), (4, (-1,)), (4, (8, 0)), (0, ())):
+        with pytest.raises(ConfigError, match="init_classifier_head: widths must be positive"):
+            init_classifier_head(embedding_dim, seed=0, hidden=hidden)
 
 
 def test_encode_identity_layer():

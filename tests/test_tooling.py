@@ -11,7 +11,8 @@ op that only the tests call lives in the test tree (``elementary.py``).
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
-them, and accepts exactly its options as config-file keys.
+them, and accepts exactly its options as config-file keys. Every float
+option rejects NaN and infinity with exit 2.
 """
 
 import ast
@@ -209,6 +210,41 @@ def test_no_flag_options_build_the_default_configs(command):
     opts = cli._merge(_no_flag_args(parser, command, subs[command]))
     for config_cls in CONFIGS[command]:
         assert cli._build(config_cls, opts) == config_cls()
+
+
+def _float_options() -> list[tuple[str, str, str]]:
+    """(command, dest, flag) of every option that takes a float or a list of floats."""
+    _, subs = _subparsers()
+    return [
+        (command, action.dest, action.option_strings[0])
+        for command, sub in sorted(subs.items())
+        for action in sub._actions
+        if action.type is float or cli._LIST_ITEMS.get(action.dest) is float
+    ]
+
+
+FLOAT_OPTIONS = _float_options()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, dest, flag", FLOAT_OPTIONS, ids=[f"{c}{f}" for c, _, f in FLOAT_OPTIONS])
+def test_every_float_option_rejects_nan_and_inf_before_any_work(
+    command, dest, flag, value, tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path, capsys
+):
+    """Found from the parser, so a new float option gets the rule without a new case."""
+    assert {"lr", "eta_min", "alpha", "eps", "tau", "noise", "fractions"} <= {d for _, d, _ in FLOAT_OPTIONS}
+    _, subs = _subparsers()
+    out = tmp_path / "out"
+    checkpoint = tiny_finetuned / "finetune_best.ckpt" if command == "eval" else tiny_pretrained / "pretrain_best.ckpt"
+    paths = {"data": tiny_dataset, "checkpoint": checkpoint, "out": out}
+    argv = [command, flag, value]
+    for action in subs[command]._actions:
+        if action.required:
+            argv += [action.option_strings[0], str(paths[action.dest])]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and dest in err
+    assert not out.exists()
 
 
 def test_eval_and_analyze_defaults_are_the_called_functions_defaults():

@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import replace
 
@@ -178,6 +179,12 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
+    for bad in ({"lr": math.inf}, {"lr": math.nan}, {"eta_min": -0.01}, {"eta_min": math.nan}, {"seed": -1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    with pytest.raises(ConfigError, match=r"eta_min must lie in \[0, lr\]"):
+        TrainConfig(lr=0.01, eta_min=0.02)
+    assert TrainConfig(lr=0.01, eta_min=0.01).eta_min == 0.01
 
 
 # -- checkpoints -----------------------------------------------------------------------

@@ -46,7 +46,10 @@ from .pipeline import (
 from .training import (
     HISTORY_KEYS,
     TrainConfig,
+    check_meta,
+    fits_type,
     load_checkpoint,
+    meta_value,
     save_checkpoint,
     write_trace,
 )
@@ -78,19 +81,6 @@ _PATH_ARGS = ("config", "data", "out", "checkpoint")
 _LIST_ITEMS = {"hidden": int, "cls_hidden": int, "seeds": int, "modes": str, "fractions": float}
 
 
-def _fits(value, kind: type) -> bool:
-    """Whether ``value`` may set an option whose default is of type ``kind``.
-
-    A bool fits only a bool, an integer fits an int or a float, a float fits
-    only a float, and a string only a string.
-    """
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
 def _checked(key: str, value, default):
     """``value`` as the type of ``default``; ``ConfigError`` when it does not fit.
 
@@ -105,11 +95,11 @@ def _checked(key: str, value, default):
                 return tuple(kind(v) for v in items)
             except ValueError:
                 raise ConfigError(f"{key}: cannot read {value!r} as a list of {kind.__name__}") from None
-        if isinstance(value, (list, tuple)) and all(_fits(v, kind) for v in value):
+        if isinstance(value, (list, tuple)) and all(fits_type(v, kind) for v in value):
             return tuple(kind(v) for v in value)
         raise ConfigError(f"{key}: expected a list of {kind.__name__}, got {value!r}")
     kind = type(default)
-    if not _fits(value, kind):
+    if not fits_type(value, kind):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -186,17 +176,17 @@ def _require_file(path, what: str) -> str:
 def _restored(args: argparse.Namespace, stage: str | None = None):
     """The ``--checkpoint`` and the ``--data`` split and labelled as they were for its run.
 
-    With ``stage``, a checkpoint of another stage raises ``ConfigError``.
+    With ``stage``, a checkpoint of another stage raises ``ConfigError``. The
+    whole metadata block is checked before any command prints or writes.
     """
     data_path = _require_file(args.data, "dataset")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ckpt_path)
-    if stage is not None and ck.meta.get("stage") != stage:
-        raise ConfigError(
-            f"{args.command}: expected a {stage} checkpoint, got stage "
-            f"{ck.meta.get('stage')!r} from {ckpt_path}"
-        )
-    return ck, prepared_from_meta(load_dataset(data_path), ck.meta.get("data"))
+    got = meta_value(ck.meta, "stage")
+    if stage is not None and got != stage:
+        raise ConfigError(f"{args.command}: expected a {stage} checkpoint, got stage {got!r} from {ckpt_path}")
+    check_meta(ck.meta)
+    return ck, prepared_from_meta(load_dataset(data_path), meta_value(ck.meta, "data"))
 
 
 # -- commands -----------------------------------------------------------------
@@ -282,13 +272,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     n = x.shape[0]
     available = n * (n - 1) // 2
     sample_size = int(opts["sample_size"])
-    if sample_size > available > 0:  # fewer than 2 scans is an error, raised below
+    capped = sample_size > available > 0  # fewer than 2 scans is an error, raised below
+    seed = int(opts["seed"])
+    profile = spread_for_checkpoint(prepared, ck, available if capped else sample_size, seed, split)
+    if capped:  # warned once the encoder is restored, so a rejected checkpoint prints only its error
         print(
             f"warning: sample size {sample_size} exceeds the {available} available pairs; capping",
             file=sys.stderr,
         )
-        sample_size = available
-    profile = spread_for_checkpoint(prepared, ck, sample_size, int(opts["seed"]), split)
     export_profile(profile, args.out)
     print(f"points: {profile.n_points}")
     print(f"std_dev: {profile.std_dev!r}")

@@ -27,7 +27,7 @@ from .data import (
     records_of,
     series_arrays,
 )
-from .errors import CheckpointIntegrityError, ConfigError, DomainError, HsclError
+from .errors import ConfigError, DomainError, HsclError
 from .losses import MODES
 from .metrics import MetricsReport, SpreadProfile, compute_metrics, embedding_spread
 from .model import (
@@ -49,6 +49,7 @@ from .training import (
     encoder_from_checkpoint,
     finetune,
     finetune_runs,
+    meta_value,
     pretrain,
     pretrain_runs,
     save_checkpoint,
@@ -135,24 +136,27 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
 
 
 def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) -> Prepared:
-    """Rebuild the exact split/stats a checkpoint was trained with; a missing key raises naming it."""
-    if data_meta is None:
-        raise CheckpointIntegrityError("checkpoint metadata has no data")
-    for key in ("fractions", "label_mode", "tau", "higher_is_better", "split_seed", "hs_min", "hs_max"):
-        if key not in data_meta:
-            raise CheckpointIntegrityError(f"checkpoint metadata has no data.{key}")
+    """Rebuild the exact split/stats a checkpoint was trained with from its ``data`` metadata.
+
+    Each value is read through ``training.meta_value``, so a missing or bad
+    one raises ``CheckpointIntegrityError`` naming it.
+    """
+
+    def value(key: str):
+        return meta_value({"data": data_meta}, f"data.{key}")
+
     dcfg = DataConfig(
-        fractions=tuple(data_meta["fractions"]),
-        label_mode=data_meta["label_mode"],
-        tau=data_meta["tau"],
-        higher_is_better=data_meta["higher_is_better"],
+        fractions=value("fractions"),
+        label_mode=value("label_mode"),
+        tau=value("tau"),
+        higher_is_better=value("higher_is_better"),
     )
-    prepared = prepare(collection, int(data_meta["split_seed"]), dcfg)
+    prepared = prepare(collection, value("split_seed"), dcfg)
     for key in ("hs_min", "hs_max"):
-        if abs(getattr(prepared.stats, key) - data_meta[key]) > 1e-9:
+        if abs(getattr(prepared.stats, key) - value(key)) > 1e-9:
             raise ConfigError(
                 f"prepared_from_meta: dataset {key} {getattr(prepared.stats, key)} does not match "
-                f"checkpoint {key} {data_meta[key]}; was the checkpoint trained on this dataset?"
+                f"checkpoint {key} {value(key)}; was the checkpoint trained on this dataset?"
             )
     return prepared
 

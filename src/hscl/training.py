@@ -10,7 +10,9 @@ config and seed.
 
 Checkpoints are a little-endian binary format: magic ``GCCK``, u32 version,
 length-prefixed JSON metadata, then name-sorted tensors (u32 name length,
-name, u32 rank, u32 dims, float64 payload) and a trailing CRC32.
+name, u32 rank, u32 dims, float64 payload) and a trailing CRC32. Every
+metadata key a writer emits is declared once, in ``CHECKPOINT_META``, and
+every restore reads it through ``meta_value``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import LABEL_MODES, check_fractions
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -43,7 +46,7 @@ from .losses import (
 )
 from .metrics import compute_metrics
 from .model import (
-    CLS_ACTIVATION,
+    ACTIVATIONS,
     DEFAULT_ACTIVATION,
     DEFAULT_CLS_HIDDEN,
     DEFAULT_HIDDEN,
@@ -273,11 +276,20 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIntegrityError(f"{path}: corrupt metadata block: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointIntegrityError(
+            f"{path}: corrupt metadata block: expected a JSON object, got {type(meta).__name__}"
+        )
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointIntegrityError(f"{path}: corrupt tensor name: {exc}") from None
+        if name in tensors:
+            raise CheckpointIntegrityError(f"{path}: tensor {name!r} given twice")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
@@ -286,6 +298,101 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(body):
         raise CheckpointIntegrityError(f"{path}: trailing data after tensor block")
     return Checkpoint(tensors, meta, version)
+
+
+# -- checkpoint metadata ---------------------------------------------------------
+
+
+def fits_type(value, kind: type) -> bool:
+    """Whether a JSON or config-file ``value`` may stand for a ``kind``.
+
+    A bool fits only a bool, an integer fits an int or a float, a float fits
+    only a float, and a string only a string.
+    """
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _one_of(choices: tuple) -> tuple:
+    return (lambda v: fits_type(v, str) and v in choices), f"one of {choices}"
+
+
+def _fractions(v) -> bool:
+    if not (isinstance(v, list) and all(fits_type(f, float) for f in v)):
+        return False
+    try:
+        check_fractions(v, "fractions")
+    except ConfigError:
+        return False
+    return True
+
+
+_COUNT = (lambda v: fits_type(v, int) and v >= 0), "an integer >= 0"
+_FINITE = (lambda v: fits_type(v, float) and math.isfinite(v)), "a finite number"
+_OBJECT = (lambda v: isinstance(v, dict)), "an object"
+_WIDTHS = (
+    (lambda v: isinstance(v, list) and len(v) > 1 and all(fits_type(w, int) and w > 0 for w in v)),
+    "a list of 2 or more positive integers",
+)
+
+# Every key the writers emit (``_Runs.snapshot`` and ``pipeline.prepare``'s
+# data block): (check, what a valid value is). ``train`` and
+# ``pretrain_train`` echo a ``TrainConfig`` that no restore reads.
+CHECKPOINT_META = {
+    "stage": _one_of(("pretrain", "finetune")),
+    "epoch": _COUNT,
+    "adam_step": _COUNT,
+    "model.widths": _WIDTHS,
+    "model.activation": _one_of(ACTIVATIONS),
+    "model.cls_widths": _WIDTHS,
+    "model.cls_activation": _one_of(ACTIVATIONS),
+    "train": _OBJECT,
+    "pretrain_train": _OBJECT,
+    "data.fractions": (_fractions, "a list of 3 non-negative numbers summing to 1"),
+    "data.label_mode": _one_of(LABEL_MODES),
+    "data.tau": ((lambda v: _FINITE[0](v) and v >= 0), "a finite number >= 0"),
+    "data.higher_is_better": ((lambda v: fits_type(v, bool)), "true or false"),
+    "data.split_seed": _COUNT,
+    "data.hs_min": _FINITE,
+    "data.hs_max": _FINITE,
+}
+# the keys only a finetune checkpoint carries
+FINETUNE_META = ("model.cls_widths", "model.cls_activation", "pretrain_train")
+
+
+def meta_value(meta: dict, key: str):
+    """The metadata value at the dotted ``key``, checked against ``CHECKPOINT_META``.
+
+    A key that is missing raises ``CheckpointIntegrityError`` naming it down
+    to the first missing level ("has no data" when ``data`` is absent); a
+    value of the wrong type or range raises naming the key, what it must be
+    and what it is. A key that only prefixes declared ones (``data``,
+    ``model``) must hold an object.
+    """
+    value, path = meta, ""
+    for part in key.split("."):
+        if not isinstance(value, dict):
+            raise CheckpointIntegrityError(f"checkpoint metadata {path}: expected an object, got {value!r}")
+        path = f"{path}.{part}" if path else part
+        if part not in value:
+            raise CheckpointIntegrityError(f"checkpoint metadata has no {path}")
+        value = value[part]
+    check, what = CHECKPOINT_META.get(key, _OBJECT)
+    if not check(value):
+        raise CheckpointIntegrityError(f"checkpoint metadata {key}: expected {what}, got {value!r}")
+    return value
+
+
+def check_meta(meta: dict) -> str:
+    """Check every key ``CHECKPOINT_META`` declares for the checkpoint's stage; return the stage."""
+    stage = meta_value(meta, "stage")
+    for key in CHECKPOINT_META:
+        if stage == "finetune" or key not in FINETUNE_META:
+            meta_value(meta, key)
+    return stage
 
 
 # -- parameter <-> checkpoint plumbing -------------------------------------------
@@ -306,28 +413,18 @@ def _checkpoint_layers(ck: Checkpoint, prefix: str, widths: list[int]) -> tuple[
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
     """The checkpoint's encoder; its tensors take no gradient until a trainer marks them."""
-    model = ck.meta.get("model")
-    if not model:
-        raise CheckpointIntegrityError("checkpoint has no model metadata")
-    for key in ("widths", "activation"):
-        if key not in model:
-            raise CheckpointIntegrityError(f"checkpoint metadata has no model.{key}")
-    widths = [int(w) for w in model["widths"]]
+    widths = meta_value(ck.meta, "model.widths")
+    activation = meta_value(ck.meta, "model.activation")
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
-    return EncoderParams(widths, model["activation"], *_checkpoint_layers(ck, "encoder", widths))
+    return EncoderParams(widths, activation, *_checkpoint_layers(ck, "encoder", widths))
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
     """The checkpoint's classifier head; its tensors take no gradient."""
-    model = ck.meta.get("model", {})
-    widths = model.get("cls_widths")
-    if not widths:
-        raise CheckpointIntegrityError("checkpoint has no classifier metadata")
-    widths = [int(w) for w in widths]
-    return ClassifierHead(
-        widths, model.get("cls_activation", CLS_ACTIVATION), *_checkpoint_layers(ck, "cls", widths)
-    )
+    widths = meta_value(ck.meta, "model.cls_widths")
+    activation = meta_value(ck.meta, "model.cls_activation")
+    return ClassifierHead(widths, activation, *_checkpoint_layers(ck, "cls", widths))
 
 
 def _named_params(
@@ -880,7 +977,9 @@ def finetune_runs(
         "cls_widths": cls.widths,
         "cls_activation": cls.activation,
     }
-    extras = [{"pretrain_train": ck.meta.get("train"), "data": ck.meta.get("data", {})} for ck in pretrained]
+    extras = [
+        {"pretrain_train": meta_value(ck.meta, "train"), "data": meta_value(ck.meta, "data")} for ck in pretrained
+    ]
     named_trained = _named_params(None, cls=cls) if frozen else named_all
     runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
     state = runs.state

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,6 +228,62 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
         argv = [command, "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]
         assert main(argv + (["--sample-size", "5"] if command == "analyze" else [])) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # values of the wrong type or range, and analyze at its default sample size, which this
+    # cohort caps: the restore rejects the checkpoint before any warning or output
+    def with_meta(ck, value, *keys):
+        meta = copy.deepcopy(ck.meta)
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        return Checkpoint(ck.tensors, meta, ck.version)
+
+    def bad(key, what, got):
+        return f"checkpoint metadata {key}: expected {what}, got {got}"
+
+    fractions, widths = "a list of 3 non-negative numbers summing to 1", "a list of 2 or more positive integers"
+    cases = [
+        ("eval", with_meta(fine, 5, "data", "fractions"), bad("data.fractions", fractions, "5")),
+        ("eval", with_meta(fine, "x", "data", "tau"), bad("data.tau", "a finite number >= 0", "'x'")),
+        ("eval", with_meta(fine, "a", "data", "split_seed"), bad("data.split_seed", "an integer >= 0", "'a'")),
+        ("eval", with_meta(fine, "a", "data", "hs_min"), bad("data.hs_min", "a finite number", "'a'")),
+        ("eval", with_meta(fine, math.nan, "data", "hs_min"), bad("data.hs_min", "a finite number", "nan")),
+        ("eval", with_meta(fine, ["a"], "model", "widths"), bad("model.widths", widths, "['a']")),
+        ("eval", with_meta(fine, [5.7, 8, 4], "model", "widths"), bad("model.widths", widths, "[5.7, 8, 4]")),
+        ("eval", with_meta(fine, ["a"], "model", "cls_widths"), bad("model.cls_widths", widths, "['a']")),
+        (
+            "eval", with_meta(fine, 5, "data", "label_mode"),
+            bad("data.label_mode", "one of ('bin', 'threshold')", "5"),
+        ),
+        (
+            "eval", with_meta(fine, "sigmoid", "model", "activation"),
+            bad("model.activation", "one of ('relu', 'tanh')", "'sigmoid'"),
+        ),
+        (
+            "eval", with_meta(fine, "false", "data", "higher_is_better"),
+            bad("data.higher_is_better", "true or false", "'false'"),
+        ),
+        ("eval", without(fine, "model", "cls_activation"), "checkpoint metadata has no model.cls_activation"),
+        ("eval", with_meta(fine, 5, "stage"), bad("stage", "one of ('pretrain', 'finetune')", "5")),
+        (
+            "eval", Checkpoint(fine.tensors, [fine.meta]),
+            "{path}: corrupt metadata block: expected a JSON object, got list",
+        ),
+        ("analyze", without(pre, "model", "widths"), "checkpoint metadata has no model.widths"),
+        (
+            "analyze", with_meta(pre, "sigmoid", "model", "activation"),
+            bad("model.activation", "one of ('relu', 'tanh')", "'sigmoid'"),
+        ),
+        ("analyze", with_meta(fine, math.nan, "data", "hs_min"), bad("data.hs_min", "a finite number", "nan")),
+        ("analyze", with_tensor(pre, "encoder.b0", None), "checkpoint missing tensor 'encoder.b0'"),
+    ]
+    for k, (command, ck, message) in enumerate(cases):
+        path, out = tmp_path / f"meta{k}.ckpt", tmp_path / f"meta{k}"
+        save_checkpoint(ck, path)
+        assert main([command, "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
 

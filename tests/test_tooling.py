@@ -13,6 +13,10 @@ The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
 them, and accepts exactly its options as config-file keys. Every float
 option rejects NaN and infinity with exit 2.
+
+``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
+emit, so a new key cannot go unchecked on restore, and no other module
+spells out the metadata format.
 """
 
 import ast
@@ -40,7 +44,15 @@ from hscl.pipeline import (
     spread_for_checkpoint,
 )
 from hscl.tensor import Tensor
-from hscl.training import TrainConfig, finetune, pretrain
+from hscl.training import (
+    CHECKPOINT_META,
+    FINETUNE_META,
+    TrainConfig,
+    check_meta,
+    finetune,
+    load_checkpoint,
+    pretrain,
+)
 
 from elementary import pairwise_similarity
 
@@ -256,3 +268,37 @@ def test_eval_and_analyze_defaults_are_the_called_functions_defaults():
         assert set(opts) & with_default
         for key in set(opts) & with_default:
             assert opts[key] == params[key].default, (command, key)
+
+
+def _meta_keys(meta: dict, prefix: str = "") -> set:
+    """The dotted leaf keys of a checkpoint's metadata; ``train`` and ``pretrain_train`` are leaves."""
+    keys = set()
+    for key, value in meta.items():
+        name = prefix + key
+        if isinstance(value, dict) and name not in ("train", "pretrain_train"):
+            keys |= _meta_keys(value, name + ".")
+        else:
+            keys.add(name)
+    return keys
+
+
+def test_checkpoint_meta_declares_exactly_the_keys_every_writer_emits(
+    tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path
+):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--data", str(tiny_dataset), "--out", str(out), "--seeds", "0", "--modes", "mse,mse+cl"]
+    assert cli.main(argv + ["--epochs", "1", "--finetune-epochs", "1", "--hidden", "8,4"]) == 0
+    paths = [*tiny_pretrained.glob("*.ckpt"), *tiny_finetuned.glob("*.ckpt"), *out.rglob("*.ckpt")]
+    stages = []
+    for path in paths:
+        ck = load_checkpoint(path)
+        stage = check_meta(ck.meta)
+        stages.append(stage)
+        declared = set(CHECKPOINT_META) - (set() if stage == "finetune" else set(FINETUNE_META))
+        assert _meta_keys(ck.meta) == declared, path
+    assert sorted(set(stages)) == ["finetune", "pretrain"] and len(paths) == 8
+
+
+def test_only_training_knows_the_checkpoint_metadata_format():
+    knowing = [p.name for p in (ROOT / "src" / "hscl").glob("*.py") if "checkpoint metadata" in p.read_text()]
+    assert knowing == ["training.py"]

@@ -1,5 +1,6 @@
 import math
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,30 @@ def test_checkpoint_corrupt_payload(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointIntegrityError, match="checksum"):
         load_checkpoint(path)
+
+
+def _renamed(old: bytes, new: bytes):
+    """A toy checkpoint's bytes with tensor name ``old`` written as ``new``, under a valid checksum."""
+    body = checkpoint_bytes(_toy_checkpoint())[:-4].replace(old, new)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (checkpoint_bytes(Checkpoint({}, [1, 2])), "corrupt metadata block: expected a JSON object, got list"),
+        (checkpoint_bytes(Checkpoint({}, "stage")), "corrupt metadata block: expected a JSON object, got str"),
+        (_renamed(b"encoder.b0", b"encoder.\xff0"), "corrupt tensor name: 'utf-8' codec can't decode"),
+        (_renamed(b"encoder.w0", b"encoder.b0"), "tensor 'encoder.b0' given twice"),
+    ],
+    ids=["list-metadata", "string-metadata", "name-not-utf8", "name-twice"],
+)
+def test_checkpoint_unparseable_body_with_a_valid_checksum(tmp_path, blob, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointIntegrityError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
 
 
 def test_checkpoint_version_error_names_both(tmp_path):

@@ -7,15 +7,12 @@ reads consecutive-scan embedding pairs as improved / same / deteriorated.
 
 from .data import (
     NormalizationStats,
-    PairExample,
     PatientSeries,
     ScanRecord,
     SyntheticSpec,
     categorize_sf,
-    change_label,
     generate_synthetic,
     load_dataset,
-    make_pairs,
     save_dataset,
     split_patients,
 )

@@ -81,8 +81,8 @@ _PATH_ARGS = ("config", "data", "out", "checkpoint")
 _LIST_ITEMS = {"hidden": int, "cls_hidden": int, "seeds": int, "modes": str, "fractions": float}
 
 
-def _checked(key: str, value, default):
-    """``value`` as the type of ``default``; ``ConfigError`` when it does not fit.
+def _checked(key: str, value, default, choices=None):
+    """``value`` as the type of ``default``; ``ConfigError`` when it does not fit or is not in ``choices``.
 
     A list option takes a comma-separated string (as its flag does) or a
     list, and becomes a tuple.
@@ -101,6 +101,8 @@ def _checked(key: str, value, default):
     kind = type(default)
     if not fits_type(value, kind):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key}: expected one of {list(choices)}, got {value!r}")
     return kind(value)
 
 
@@ -124,7 +126,7 @@ def _merge(args: argparse.Namespace) -> dict:
     merged = {
         key: defaults[_FIELD_NAMES.get(key, key)]
         for key in vars(args)
-        if key not in ("command", "func", *_PATH_ARGS)
+        if key not in ("command", "func", "choices", *_PATH_ARGS)
     }
     config_path = args.config
     if config_path:
@@ -146,7 +148,7 @@ def _merge(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     return {
-        key: _checked(key, value, defaults[_FIELD_NAMES.get(key, key)])
+        key: _checked(key, value, defaults[_FIELD_NAMES.get(key, key)], args.choices.get(key))
         for key, value in merged.items()
     }
 
@@ -428,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():  # so config-file values meet the choices their flags have
+        p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices is not None})
     return parser
 
 

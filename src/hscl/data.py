@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -65,13 +64,6 @@ class PatientSeries:
 
 
 @dataclass
-class PairExample:
-    prev: ScanRecord
-    next: ScanRecord
-    label: int
-
-
-@dataclass
 class NormalizationStats:
     """Min-max scale fitted on the training split; applied to every split."""
 
@@ -79,82 +71,29 @@ class NormalizationStats:
     hs_max: float
     higher_is_better: bool = True
 
-    def _span(self) -> float:
+    def normalize_array(self, values: np.ndarray) -> np.ndarray:
+        """``(values - hs_min) / (hs_max - hs_min)``, clamped to [0, 1]; -0.0 and NaN map to 0.0."""
         span = self.hs_max - self.hs_min
         if span <= 0:
-            raise ConfigError(
-                f"normalize: degenerate stats, hs_min == hs_max == {self.hs_min}"
-            )
-        return span
-
-    def normalize(self, value: float) -> float:
-        return min(1.0, max(0.0, (value - self.hs_min) / self._span()))
-
-    def normalize_array(self, values: np.ndarray) -> np.ndarray:
-        """``normalize`` of every entry, bit for bit.
-
-        ``np.where`` keeps the picks of ``max``/``min`` where ``np.maximum``
-        would not: -0.0 and nan clamp to 0.0.
-        """
-        span = self._span()
+            raise ConfigError(f"normalize: degenerate stats, hs_min == hs_max == {self.hs_min}")
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
             scaled = (values - self.hs_min) / span
+        # np.where, not np.maximum: the comparison sends -0.0 and NaN to 0.0
         scaled = np.where(scaled > 0.0, scaled, 0.0)
         return np.where(scaled < 1.0, scaled, 1.0)
+
+
+def _sf_bins(sf: np.ndarray) -> np.ndarray:
+    """Clinical S/F bin of every entry of an array of positive S/F ratios, 0 (best) through 3 (worst)."""
+    best, mid, low = _SF_EDGES
+    return (sf <= best).astype(np.int64) + (sf < mid) + (sf < low)
 
 
 def categorize_sf(sf: float) -> int:
     """Clinical S/F bin, 0 (best) through 3 (worst)."""
     if not sf > 0:
         raise DomainError(f"categorize_sf: S/F ratio must be positive, got {sf}")
-    if sf > _SF_EDGES[0]:
-        return 0
-    if sf >= _SF_EDGES[1]:
-        return 1
-    if sf >= _SF_EDGES[2]:
-        return 2
-    return 3
-
-
-def _sf_bins(sf: np.ndarray) -> np.ndarray:
-    """``categorize_sf`` of every entry of an array of positive S/F ratios."""
-    best, mid, low = _SF_EDGES
-    return (sf <= best).astype(np.int64) + (sf < mid) + (sf < low)
-
-
-def change_label(
-    prev_hs: float,
-    next_hs: float,
-    stats: NormalizationStats | None = None,
-    mode: str = "bin",
-    tau: float = DEFAULT_TAU,
-) -> int:
-    """3-way change label for a consecutive scan pair.
-
-    ``bin`` compares S/F bins (lower bin number = healthier); ``threshold``
-    compares the normalized score change against ±tau, with the direction
-    flag deciding which sign counts as improvement.
-    """
-    if not (math.isfinite(prev_hs) and math.isfinite(next_hs)):
-        raise DomainError(f"change_label: scores must be finite, got {prev_hs}, {next_hs}")
-    if mode == "bin":
-        prev_bin, next_bin = categorize_sf(prev_hs), categorize_sf(next_hs)
-        if next_bin < prev_bin:
-            return IMPROVED
-        if next_bin > prev_bin:
-            return DETERIORATED
-        return SAME
-    if mode == "threshold":
-        if stats is None:
-            raise ConfigError("change_label: threshold mode needs normalization stats")
-        sign = 1.0 if stats.higher_is_better else -1.0
-        delta = (stats.normalize(next_hs) - stats.normalize(prev_hs)) * sign
-        if delta > tau:
-            return IMPROVED
-        if delta < -tau:
-            return DETERIORATED
-        return SAME
-    raise ConfigError(f"change_label: unknown mode {mode!r}")
+    return int(_sf_bins(np.asarray(sf)))
 
 
 def records_of(collection: list[PatientSeries]) -> list[ScanRecord]:
@@ -241,9 +180,6 @@ _HEADER = ["patient_id", "seq_index", "health_score"]
 # rows tokenised and parsed at a time, so only one block of token strings is alive
 _BLOCK_ROWS = 256
 
-# one line as a file opened with newline="" yields it: ends at \n, \r or \r\n
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
 
 def _csv_field(value) -> str:
     r"""``value`` as ``csv.writer`` writes it in a row of several fields: quoted if it must be.
@@ -316,7 +252,7 @@ def _csv_rows(text: str, path) -> list[list[str]]:
     """The rows ``csv.reader`` reads from ``text``, split into lines as a file read with newline=""."""
     rows: list[list[str]] = []
     try:
-        for row in csv.reader(m.group() for m in _LINE.finditer(text)):
+        for row in csv.reader(io.StringIO(text, newline="")):
             rows.append(row)
     except csv.Error as exc:
         raise DatasetError(f"{path}: line {len(rows) + 1}: {exc}") from None
@@ -476,28 +412,6 @@ def split_patients(
     return train, val, test
 
 
-def _check_label_mode(mode: str) -> None:
-    # one message for make_pairs and pair_labels, its array form
-    if mode not in LABEL_MODES:
-        raise ConfigError(f"make_pairs: unknown label mode {mode!r}")
-
-
-def make_pairs(
-    collection: list[PatientSeries],
-    stats: NormalizationStats | None = None,
-    mode: str = "bin",
-    tau: float = DEFAULT_TAU,
-) -> list[PairExample]:
-    """One labeled example per consecutive scan pair within each patient."""
-    _check_label_mode(mode)
-    pairs = []
-    for series in collection:
-        for prev, nxt in zip(series.records, series.records[1:]):
-            label = change_label(prev.health_score, nxt.health_score, stats, mode, tau)
-            pairs.append(PairExample(prev, nxt, label))
-    return pairs
-
-
 def series_arrays(
     collection: list[PatientSeries], n_features: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -505,8 +419,8 @@ def series_arrays(
 
     ``features`` is an (N, n_features) float64 matrix, (0, n_features) for no
     records. ``prev`` holds the position of every record that is not the last
-    of its patient, so ``(prev, prev + 1)`` are the pairs of ``make_pairs``,
-    in its order.
+    of its patient, so ``(prev, prev + 1)`` are the consecutive scan pairs
+    within each patient, patient by patient.
     """
     records = records_of(collection)
     if records:
@@ -523,22 +437,33 @@ def series_arrays(
 def pair_labels(
     prev_hs: np.ndarray,
     next_hs: np.ndarray,
-    stats: NormalizationStats,
+    stats: NormalizationStats | None,
     mode: str = "bin",
     tau: float = DEFAULT_TAU,
 ) -> np.ndarray:
-    """``change_label`` of every pair ``(prev_hs[k], next_hs[k])``, as one int64 array.
+    """3-way change label of every consecutive scan pair ``(prev_hs[k], next_hs[k])``, as one int64 array.
 
-    The first pair ``change_label`` rejects (a non-finite score, or in ``bin``
-    mode a non-positive one) raises its error.
+    ``bin`` compares S/F bins (lower bin number = healthier); ``threshold``
+    compares the normalized score change against ±tau, with the direction
+    flag deciding which sign counts as improvement. An unknown mode, and
+    ``threshold`` mode without stats, raise ``ConfigError``. Then the first
+    pair with a non-finite score, or in ``bin`` mode a non-positive one,
+    raises ``DomainError``: finiteness first, then ``prev``, then ``next``.
     """
-    _check_label_mode(mode)
+    if mode not in LABEL_MODES:
+        raise ConfigError(f"pair_labels: unknown label mode {mode!r}")
+    if mode == "threshold" and stats is None:
+        raise ConfigError("pair_labels: threshold mode needs normalization stats")
     valid = np.isfinite(prev_hs) & np.isfinite(next_hs)
     if mode == "bin":
         valid &= (prev_hs > 0) & (next_hs > 0)
     if not valid.all():
         k = int(np.argmin(valid))
-        change_label(float(prev_hs[k]), float(next_hs[k]), stats, mode, tau)
+        prev, nxt = float(prev_hs[k]), float(next_hs[k])
+        if not (math.isfinite(prev) and math.isfinite(nxt)):
+            raise DomainError(f"pair_labels: scores must be finite, got {prev}, {nxt}")
+        categorize_sf(prev)
+        categorize_sf(nxt)
     if mode == "bin":
         before, after = _sf_bins(prev_hs), _sf_bins(next_hs)
         return np.where(after < before, IMPROVED, np.where(after > before, DETERIORATED, SAME))

@@ -298,13 +298,9 @@ def run_comparison(
         if repeated:
             raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
     if dcfg.label_mode == "bin":  # a bin label does not depend on the split: check every pair once
-        scores = [
-            (prev.health_score, nxt.health_score)
-            for series in collection
-            for prev, nxt in zip(series.records, series.records[1:])
-        ]
+        _, hs, prev = series_arrays(collection, 0)  # the width shapes only an empty feature matrix
         try:
-            pair_labels(*np.array(scores, dtype=np.float64).reshape(-1, 2).T, None, "bin")
+            pair_labels(hs[prev], hs[prev + 1], None, "bin")
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -113,6 +113,11 @@ class TrainConfig:
             raise ConfigError(f"eta_min must lie in [0, lr] = [0, {self.lr}], got {self.eta_min}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("beta1", "beta2"):  # 1.0 makes a bias correction divide 0 by 0
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

@@ -24,28 +24,36 @@ to match them bit for bit. ``save_dataset_ref`` is the CSV
 writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
 loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
 ``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
-one ``change_label`` per pair (with ``regression_arrays``/``pair_arrays``).
+one ``change_label_ref`` per pair (with ``regression_arrays``/``pair_arrays``).
+``change_label_ref``, ``categorize_sf_ref``, ``normalize_ref`` and
+``make_pairs_ref`` state the pair-and-label rules one scalar at a time, as
+the reference for ``data.pair_labels``: they raise its errors, with its
+texts, and share none of its code.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 import elementary as el
 from hscl import losses, training
 from hscl.data import (
+    DEFAULT_TAU,
+    DETERIORATED,
+    IMPROVED,
+    LABEL_MODES,
+    SAME,
     PatientSeries,
     ScanRecord,
     fit_normalization,
-    make_pairs,
     records_of,
     split_patients,
 )
-from hscl.errors import DatasetError
+from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.losses import cross_entropy, loss_gradients, mine_batch
 from hscl.model import (
     classify_pairs,
@@ -563,9 +571,81 @@ def load_dataset_ref(path):
     ]
 
 
+_SF_EDGES = (430.0, 275.0, 180.0)
+
+
+def categorize_sf_ref(sf):
+    """Clinical S/F bin, 0 (best) through 3 (worst)."""
+    if not sf > 0:
+        raise DomainError(f"categorize_sf: S/F ratio must be positive, got {sf}")
+    if sf > _SF_EDGES[0]:
+        return 0
+    if sf >= _SF_EDGES[1]:
+        return 1
+    if sf >= _SF_EDGES[2]:
+        return 2
+    return 3
+
+
+def normalize_ref(stats, value):
+    """``value`` min-max scaled by ``stats`` and clamped to [0, 1]."""
+    span = stats.hs_max - stats.hs_min
+    if span <= 0:
+        raise ConfigError(f"normalize: degenerate stats, hs_min == hs_max == {stats.hs_min}")
+    return min(1.0, max(0.0, (value - stats.hs_min) / span))
+
+
+def change_label_ref(prev_hs, next_hs, stats=None, mode="bin", tau=DEFAULT_TAU):
+    """3-way change label for a consecutive scan pair.
+
+    ``bin`` compares S/F bins (lower bin number = healthier); ``threshold``
+    compares the normalized score change against ±tau, with the direction
+    flag deciding which sign counts as improvement.
+    """
+    if not (math.isfinite(prev_hs) and math.isfinite(next_hs)):
+        raise DomainError(f"pair_labels: scores must be finite, got {prev_hs}, {next_hs}")
+    if mode == "bin":
+        prev_bin, next_bin = categorize_sf_ref(prev_hs), categorize_sf_ref(next_hs)
+        if next_bin < prev_bin:
+            return IMPROVED
+        if next_bin > prev_bin:
+            return DETERIORATED
+        return SAME
+    if mode == "threshold":
+        if stats is None:
+            raise ConfigError("pair_labels: threshold mode needs normalization stats")
+        sign = 1.0 if stats.higher_is_better else -1.0
+        delta = (normalize_ref(stats, next_hs) - normalize_ref(stats, prev_hs)) * sign
+        if delta > tau:
+            return IMPROVED
+        if delta < -tau:
+            return DETERIORATED
+        return SAME
+    raise ConfigError(f"pair_labels: unknown label mode {mode!r}")
+
+
+@dataclass
+class PairExample:
+    prev: ScanRecord
+    next: ScanRecord
+    label: int
+
+
+def make_pairs_ref(collection, stats=None, mode="bin", tau=DEFAULT_TAU):
+    """One labeled example per consecutive scan pair within each patient."""
+    if mode not in LABEL_MODES:
+        raise ConfigError(f"pair_labels: unknown label mode {mode!r}")
+    pairs = []
+    for series in collection:
+        for prev, nxt in zip(series.records, series.records[1:]):
+            label = change_label_ref(prev.health_score, nxt.health_score, stats, mode, tau)
+            pairs.append(PairExample(prev, nxt, label))
+    return pairs
+
+
 def normalize_hs(records, stats):
     """Copies of ``records`` with health scores mapped (and clamped) to [0, 1]."""
-    return [replace(rec, health_score=stats.normalize(rec.health_score)) for rec in records]
+    return [replace(rec, health_score=normalize_ref(stats, rec.health_score)) for rec in records]
 
 
 def _feature_matrix(rows, n_features):
@@ -578,7 +658,7 @@ def _feature_matrix(rows, n_features):
 def regression_arrays(records, stats, n_features):
     """Feature matrix and normalized score vector for pre-training; empty for no records."""
     x = _feature_matrix([r.features for r in records], n_features)
-    y = np.array([stats.normalize(r.health_score) for r in records], dtype=np.float64)
+    y = np.array([normalize_ref(stats, r.health_score) for r in records], dtype=np.float64)
     return x, y
 
 
@@ -591,7 +671,7 @@ def pair_arrays(pairs, n_features):
 
 
 def prepare_arrays_ref(collection, seed, dcfg):
-    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label`` per pair."""
+    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label_ref`` per pair."""
     train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
     train_records = records_of(train_s)
     stats = fit_normalization(train_records, dcfg.higher_is_better)
@@ -602,7 +682,7 @@ def prepare_arrays_ref(collection, seed, dcfg):
         for name, split in series.items()
     }
     pairs = {
-        name: pair_arrays(make_pairs(split, stats, dcfg.label_mode, dcfg.tau), n_features)
+        name: pair_arrays(make_pairs_ref(split, stats, dcfg.label_mode, dcfg.tau), n_features)
         for name, split in series.items()
     }
     return regression, pairs

@@ -12,13 +12,13 @@ from hscl.data import (
     ScanRecord,
     SyntheticSpec,
     categorize_sf,
-    change_label,
     fit_normalization,
     generate_synthetic,
     load_dataset,
-    make_pairs,
+    pair_labels,
     records_of,
     save_dataset,
+    series_arrays,
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
@@ -62,30 +62,58 @@ def test_categorize_sf_monotone_step_function():
 # -- change labels ---------------------------------------------------------------
 
 
-def test_change_label_bin_mode():
-    assert change_label(200.0, 300.0) == IMPROVED
-    assert change_label(300.0, 200.0) == DETERIORATED
-    assert change_label(440.0, 435.0) == SAME  # both bin 0
-    assert change_label(250.0, 250.0) == SAME
+def _label(prev_hs, next_hs, stats=None, mode="bin"):
+    """``pair_labels`` of the one pair ``(prev_hs, next_hs)``."""
+    return int(pair_labels(np.array([prev_hs]), np.array([next_hs]), stats, mode)[0])
 
 
-def test_change_label_threshold_mode():
+def test_pair_labels_bin_mode():
+    assert _label(200.0, 300.0) == IMPROVED
+    assert _label(300.0, 200.0) == DETERIORATED
+    assert _label(440.0, 435.0) == SAME  # both bin 0
+    assert _label(250.0, 250.0) == SAME
+
+
+def test_pair_labels_threshold_mode():
     stats = NormalizationStats(0.0, 100.0)
-    assert change_label(50.0, 50.0, stats, mode="threshold") == SAME
-    assert change_label(50.0, 60.0, stats, mode="threshold") == IMPROVED
-    assert change_label(50.0, 40.0, stats, mode="threshold") == DETERIORATED
-    assert change_label(50.0, 54.0, stats, mode="threshold") == SAME  # inside tau band
+    assert _label(50.0, 50.0, stats, mode="threshold") == SAME
+    assert _label(50.0, 60.0, stats, mode="threshold") == IMPROVED
+    assert _label(50.0, 40.0, stats, mode="threshold") == DETERIORATED
+    assert _label(50.0, 54.0, stats, mode="threshold") == SAME  # inside tau band
 
 
-def test_change_label_direction_flag():
+def test_pair_labels_direction_flag():
     # lower-is-better scores flip the sign of improvement
     stats = NormalizationStats(0.0, 100.0, higher_is_better=False)
-    assert change_label(50.0, 40.0, stats, mode="threshold") == IMPROVED
+    assert _label(50.0, 40.0, stats, mode="threshold") == IMPROVED
 
 
-def test_change_label_unknown_mode():
-    with pytest.raises(ConfigError):
-        change_label(1.0, 2.0, NormalizationStats(0.0, 1.0), mode="delta")
+def test_pair_labels_unknown_mode():
+    with pytest.raises(ConfigError, match="pair_labels: unknown label mode 'delta'"):
+        _label(1.0, 2.0, NormalizationStats(0.0, 1.0), mode="delta")
+
+
+def test_threshold_labels_without_stats_are_a_config_error():
+    with pytest.raises(ConfigError, match="pair_labels: threshold mode needs normalization stats"):
+        _label(1.0, 2.0, None, mode="threshold")
+    with pytest.raises(ConfigError, match="needs normalization stats"):  # also with no pairs to label
+        pair_labels(np.zeros(0), np.zeros(0), None, "threshold")
+
+
+@pytest.mark.parametrize(
+    "prev, nxt, mode, message",
+    [
+        # the first bad pair raises; within it finiteness, then prev, then next
+        ([300.0, np.nan, -1.0], [300.0, -2.0, 300.0], "bin", "pair_labels: scores must be finite, got nan, -2.0"),
+        ([300.0, -1.0, np.nan], [300.0, -2.0, 300.0], "bin", "categorize_sf: S/F ratio must be positive, got -1.0"),
+        ([300.0, 1.0, np.nan], [300.0, -0.0, 300.0], "bin", "categorize_sf: S/F ratio must be positive, got -0.0"),
+        ([1.0, 2.0], [-np.inf, 3.0], "threshold", "pair_labels: scores must be finite, got 1.0, -inf"),
+    ],
+)
+def test_pair_labels_raise_on_the_first_bad_pair(prev, nxt, mode, message):
+    with pytest.raises(DomainError) as exc:
+        pair_labels(np.array(prev), np.array(nxt), NormalizationStats(0.0, 1.0), mode)
+    assert str(exc.value) == message
 
 
 # -- normalization -----------------------------------------------------------------
@@ -98,20 +126,19 @@ def _record(pid, seq, hs, feats=(0.0,)):
 def test_normalize_endpoints_and_midpoint():
     stats = NormalizationStats(10.0, 20.0)
     records = [_record("a", 0, 10.0), _record("a", 1, 20.0), _record("a", 2, 15.0)]
-    normed = normalize_hs(records, stats)
-    assert [r.health_score for r in normed] == [0.0, 1.0, 0.5]
+    assert stats.normalize_array(np.array([10.0, 20.0, 15.0])).tolist() == [0.0, 1.0, 0.5]
+    assert [r.health_score for r in normalize_hs(records, stats)] == [0.0, 1.0, 0.5]
 
 
 def test_normalize_clamps_out_of_range():
     stats = NormalizationStats(0.0, 10.0)
-    assert stats.normalize(25.0) == 1.0
-    assert stats.normalize(-3.0) == 0.0
+    assert stats.normalize_array(np.array([25.0, -3.0])).tolist() == [1.0, 0.0]
 
 
 def test_normalize_degenerate_stats_rejected():
     stats = NormalizationStats(5.0, 5.0)
     with pytest.raises(ConfigError, match="degenerate"):
-        stats.normalize(5.0)
+        stats.normalize_array(np.array([5.0]))
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -119,7 +146,8 @@ def test_normalize_degenerate_stats_rejected():
 def test_normalize_monotone(a, b):
     stats = NormalizationStats(-100.0, 100.0)
     if a < b:
-        assert stats.normalize(a) <= stats.normalize(b)
+        low, high = stats.normalize_array(np.array([a, b]))
+        assert low <= high
 
 
 # -- synthetic generator -------------------------------------------------------------
@@ -309,29 +337,30 @@ def test_split_patient_level_disjoint(n, seed, f_train, f_val):
 # -- pairs -------------------------------------------------------------------------
 
 
-def test_make_pairs_counts():
+def test_series_arrays_pair_counts():
     two = PatientSeries("a", [_record("a", 0, 300.0), _record("a", 1, 310.0)])
     five = PatientSeries(
         "b", [_record("b", t, 300.0 + t) for t in range(5)]
     )
-    assert len(make_pairs([two])) == 1
-    assert len(make_pairs([five])) == 4
+    assert len(series_arrays([two], 1)[2]) == 1
+    assert len(series_arrays([five], 1)[2]) == 4
 
 
-def test_make_pairs_labels_and_order():
+def test_series_arrays_pairs_labels_and_order():
     series = PatientSeries(
         "a",
         [_record("a", 0, 200.0), _record("a", 1, 300.0), _record("a", 2, 150.0)],
     )
-    pairs = make_pairs([series], mode="bin")
-    assert [p.label for p in pairs] == [IMPROVED, DETERIORATED]
-    assert pairs[0].prev.seq_index == 0 and pairs[0].next.seq_index == 1
+    _, hs, prev = series_arrays([series], 1)
+    assert pair_labels(hs[prev], hs[prev + 1], None, mode="bin").tolist() == [IMPROVED, DETERIORATED]
+    assert series.records[prev[0]].seq_index == 0 and series.records[prev[0] + 1].seq_index == 1
 
 
 def test_default_synthetic_pairs_cover_all_classes():
     collection = generate_synthetic(SyntheticSpec())
     stats = fit_normalization(records_of(collection))
-    labels = {p.label for p in make_pairs(collection, stats, mode="threshold")}
+    _, hs, prev = series_arrays(collection, 12)
+    labels = set(pair_labels(hs[prev], hs[prev + 1], stats, mode="threshold").tolist())
     assert labels == {IMPROVED, SAME, DETERIORATED}
 
 

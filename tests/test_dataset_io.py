@@ -21,7 +21,7 @@ from hscl.data import (
     SyntheticSpec,
     _csv_rows,
     _split_rows,
-    change_label,
+    categorize_sf,
     generate_synthetic,
     load_dataset,
     pair_labels,
@@ -30,7 +30,14 @@ from hscl.data import (
 from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.pipeline import DataConfig, prepare
 
-from oracles import load_dataset_ref, prepare_arrays_ref, save_dataset_ref
+from oracles import (
+    categorize_sf_ref,
+    change_label_ref,
+    load_dataset_ref,
+    normalize_ref,
+    prepare_arrays_ref,
+    save_dataset_ref,
+)
 
 HEADER = "patient_id,seq_index,health_score,f0,f1\n"
 
@@ -86,6 +93,10 @@ CORPUS = {
     "quoted id with comma": HEADER + '"p, 0",0,5.0,1.0,2.0\n"p, 0",1,6.0,1.0,2.0\n',
     "quoted id with quote": HEADER + '"p ""0""",0,5.0,1.0,2.0\n',
     "quoted id with newline": HEADER + '"p\n0",0,5.0,1.0,2.0\n"p\r\n1",0,6.0,1.0,2.0\nq,0,7,8,9\n',
+    "quoted id with lone cr": HEADER + '"p\r0",0,5.0,1.0,2.0\n"p\r",0,6.0,1.0,2.0\nq,0,7,8,9\n',
+    # characters str.splitlines ends a line at, and a file read with newline="" does not
+    "crlf ids with other line breaks": HEADER.replace("\n", "\r\n")
+    + "p\x85,0,5.0,1.0,2.0\r\np\x0b\x0c,0,6.0,1.0,2.0\r\n\"\x1c\u2028\",0,7,8,9\r\n",
     "quoted numbers": HEADER + 'p0,"0","5.0","1.0","2.0"\n',
     "underscores": HEADER + "p0,1_0,1_0.5,1_000,2e1_0\n",
     "unicode digits": HEADER + "p0,٣,١٢.٥,１２,3\n",
@@ -360,8 +371,8 @@ def test_threshold_labels_and_scores_match_the_scalar_rules(pairs, higher_is_bet
     nxt = np.array([n for _, n in pairs], dtype=np.float64)
     labels = pair_labels(prev, nxt, stats, "threshold", tau)
     assert labels.dtype == np.int64
-    assert labels.tolist() == [change_label(p, n, stats, "threshold", tau) for p, n in pairs]
-    assert [_bits(v) for v in stats.normalize_array(prev)] == [_bits(stats.normalize(p)) for p, _ in pairs]
+    assert labels.tolist() == [change_label_ref(p, n, stats, "threshold", tau) for p, n in pairs]
+    assert [_bits(v) for v in stats.normalize_array(prev)] == [_bits(normalize_ref(stats, p)) for p, _ in pairs]
 
 
 @pytest.mark.parametrize(
@@ -370,11 +381,27 @@ def test_threshold_labels_and_scores_match_the_scalar_rules(pairs, higher_is_bet
 )
 def test_normalize_array_keeps_the_scalar_clamp_on_signed_zero_and_nan(stats):
     values = np.array([-1e308, -5e-324, 0.0, -0.0, 1e-300, 1.5e-300, 5e-324, 1e308, 2e-300])
-    assert [_bits(v) for v in stats.normalize_array(values)] == [_bits(stats.normalize(float(v))) for v in values]
+    assert [_bits(v) for v in stats.normalize_array(values)] == [_bits(normalize_ref(stats, float(v))) for v in values]
 
 
 def test_bin_labels_match_the_scalar_rules_at_the_edges():
     edges = [429.9999, 430.0, 430.0001, 274.9999, 275.0, 275.0001, 179.9999, 180.0, 180.0001, 1e-300, 1e308]
     prev, nxt = np.meshgrid(edges, edges)
     labels = pair_labels(prev.ravel(), nxt.ravel(), NormalizationStats(0.0, 1.0), "bin")
-    assert labels.tolist() == [change_label(p, n) for p, n in zip(prev.ravel(), nxt.ravel())]
+    assert labels.tolist() == [change_label_ref(p, n) for p, n in zip(prev.ravel(), nxt.ravel())]
+    assert [categorize_sf(v) for v in edges] == [categorize_sf_ref(v) for v in edges]
+
+
+faulty = st.one_of(finite, st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0, -1.0]))
+
+
+@given(st.lists(st.tuples(faulty, faulty), max_size=6), st.sampled_from(["bin", "threshold"]))
+@settings(max_examples=300, deadline=None)
+def test_pair_labels_raise_what_the_scalar_rule_raises_first(pairs, mode):
+    stats = NormalizationStats(-1.0, 3.0)
+    prev = np.array([p for p, _ in pairs], dtype=np.float64)
+    nxt = np.array([n for _, n in pairs], dtype=np.float64)
+    ours = _raised(lambda: pair_labels(prev, nxt, stats, mode).tolist())
+    assert ours == _raised(lambda: [change_label_ref(p, n, stats, mode) for p, n in pairs])
+    if ours is None:
+        assert pair_labels(prev, nxt, stats, mode).tolist() == [change_label_ref(p, n, stats, mode) for p, n in pairs]

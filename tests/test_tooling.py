@@ -8,11 +8,14 @@ on real ones here, and short training runs go through the whole tracer.
 
 Every public name of the tensor core has an importer in the library, so an
 op that only the tests call lives in the test tree (``elementary.py``).
+Every public function and class of ``data`` is used by the library too, so
+a scalar form of a rule that only the tests call lives in ``oracles.py``.
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
 them, and accepts exactly its options as config-file keys. Every float
-option rejects NaN and infinity with exit 2.
+option rejects NaN and infinity with exit 2, and every option with choices
+rejects a config-file value outside them with exit 2.
 
 ``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
 emit, so a new key cannot go unchecked on restore, and no other module
@@ -141,6 +144,43 @@ def test_every_tensor_export_is_imported_by_another_library_module():
     assert sorted(set(hscl.tensor.__all__) - used - {"grad_check"}) == []
 
 
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_every_public_function_and_class_of_data_is_used_by_the_library():
+    """Referenced by another library module, or by a ``data`` definition that is itself used.
+
+    A re-export from ``__init__`` does not count, so a second form of a rule
+    that only the tests call lives in the test tree (``oracles.py``).
+    """
+    src = ROOT / "src" / "hscl"
+    tree = ast.parse((src / "data.py").read_text(encoding="utf-8"))
+    public = {
+        stmt.name: stmt
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+    used = set().union(*(_names(stmt) for stmt in tree.body if stmt not in public.values()))
+    for path in src.glob("*.py"):
+        if path.name in ("data.py", "__init__.py"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {
+            alias.asname or alias.name
+            for stmt in nodes
+            if isinstance(stmt, ast.ImportFrom) and (stmt.module, stmt.level) in (("data", 1), ("hscl.data", 0))
+            for alias in stmt.names
+        }
+        used |= imported & {stmt.id for stmt in nodes if isinstance(stmt, ast.Name)}
+    while True:  # what a used definition references is used
+        grown = used.union(*(_names(public[name]) - {name} for name in used & public.keys()))
+        if grown == used:
+            break
+        used = grown
+    assert sorted(public.keys() - used) == []
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_records_match_their_runs(path):
     """Each ``BENCH_*.json``: BENCH_11's keys, a declared claim, correct runs, summaries of its runs."""
@@ -224,6 +264,14 @@ def test_no_flag_options_build_the_default_configs(command):
         assert cli._build(config_cls, opts) == config_cls()
 
 
+def _required_args(command, dataset, pretrained, finetuned, out) -> list[str]:
+    """The required flags of ``command``, set to a real dataset, a checkpoint of the stage it reads and ``out``."""
+    checkpoint = finetuned / "finetune_best.ckpt" if command == "eval" else pretrained / "pretrain_best.ckpt"
+    paths = {"data": dataset, "checkpoint": checkpoint, "out": out}
+    _, subs = _subparsers()
+    return [arg for a in subs[command]._actions if a.required for arg in (a.option_strings[0], str(paths[a.dest]))]
+
+
 def _float_options() -> list[tuple[str, str, str]]:
     """(command, dest, flag) of every option that takes a float or a list of floats."""
     _, subs = _subparsers()
@@ -245,17 +293,42 @@ def test_every_float_option_rejects_nan_and_inf_before_any_work(
 ):
     """Found from the parser, so a new float option gets the rule without a new case."""
     assert {"lr", "eta_min", "alpha", "eps", "tau", "noise", "fractions"} <= {d for _, d, _ in FLOAT_OPTIONS}
-    _, subs = _subparsers()
     out = tmp_path / "out"
-    checkpoint = tiny_finetuned / "finetune_best.ckpt" if command == "eval" else tiny_pretrained / "pretrain_best.ckpt"
-    paths = {"data": tiny_dataset, "checkpoint": checkpoint, "out": out}
-    argv = [command, flag, value]
-    for action in subs[command]._actions:
-        if action.required:
-            argv += [action.option_strings[0], str(paths[action.dest])]
+    argv = [command, flag, value, *_required_args(command, tiny_dataset, tiny_pretrained, tiny_finetuned, out)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and dest in err
+    assert not out.exists()
+
+
+def _choice_options() -> list[tuple[str, str]]:
+    """(command, dest) of every option whose flag takes one of a fixed set of values."""
+    _, subs = _subparsers()
+    return [
+        (command, action.dest)
+        for command, sub in sorted(subs.items())
+        for action in sub._actions
+        if action.choices is not None
+    ]
+
+
+CHOICE_OPTIONS = _choice_options()
+
+
+@pytest.mark.parametrize("command, dest", CHOICE_OPTIONS, ids=[f"{c}-{d}" for c, d in CHOICE_OPTIONS])
+def test_every_choice_option_rejects_a_config_value_outside_its_choices(
+    command, dest, tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path, capsys
+):
+    """A config-file value meets the choices its flag has: exit 2 before any work."""
+    assert {"split", "label_mode", "loss", "sim", "activation", "spread_split"} <= {d for _, d in CHOICE_OPTIONS}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({dest: "bogus"}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), *_required_args(command, tiny_dataset, tiny_pretrained, tiny_finetuned, out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {dest}: expected one of ") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not out.exists()
 
 

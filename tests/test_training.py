@@ -188,6 +188,25 @@ def test_train_config_validation():
     assert TrainConfig(lr=0.01, eta_min=0.01).eta_min == 0.01
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # 1.0 divides 0 by 0 in adam_step's bias correction; outside [0, 1) no moment average is one
+        {"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.5}, {"beta2": 1.5}, {"beta1": math.nan},
+        # nan poisons every update; 0 divides by zero where v is 0
+        {"adam_eps": math.nan}, {"adam_eps": 0.0}, {"adam_eps": -1e-8}, {"adam_eps": math.inf},
+    ],
+)
+def test_train_config_rejects_adam_settings_that_break_training(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        TrainConfig(**bad)
+
+
+def test_train_config_takes_the_adam_range_ends():
+    config = TrainConfig(beta1=0.0, beta2=0.0, adam_eps=5e-324)
+    assert (config.beta1, config.beta2, config.adam_eps) == (0.0, 0.0, 5e-324)
+
+
 # -- checkpoints -----------------------------------------------------------------------
 
 

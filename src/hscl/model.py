@@ -1,7 +1,7 @@
-"""Feature-vector encoder and its two task heads.
+"""Feature-vector encoder and its two task heads, three kinds of one MLP type.
 
-The encoder is an MLP that maps each scan's (batch, feature) row to an
-embedding. The regression head predicts the scalar health score during
+The encoder maps each scan's (batch, feature) row to an embedding. The
+regression head, one linear layer, predicts the scalar health score during
 pre-training; the classifier head maps a concatenated pair of embeddings
 [u_prev ; u_next] to three change logits (improved / same / deteriorated).
 """
@@ -9,6 +9,7 @@ pre-training; the classifier head maps a concatenated pair of embeddings
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,51 +28,70 @@ N_CLASSES = 3
 
 
 @dataclass
-class EncoderParams:
-    """MLP encoder weights; ``widths`` includes the input width."""
+class MLP:
+    """Dense layers ``widths[i] -> widths[i + 1]``; ``widths`` includes the input width.
+
+    The weights (F, H) and biases (H,) may carry a leading run axis of S
+    runs. Each kind states which layers are activated: the encoder every
+    one, a head every one but its last, whose outputs stay linear.
+    """
+
+    LINEAR_LAST: ClassVar[bool] = True
 
     widths: list[int]
-    activation: str
+    activation: str | None
     weights: list[Tensor] = field(repr=False)
     biases: list[Tensor] = field(repr=False)
+
+    def activations(self) -> list[str | None]:
+        """Each layer's activation; ``None`` is a linear layer."""
+        n = len(self.weights)
+        return [self.activation] * (n - 1) + [None if self.LINEAR_LAST else self.activation]
+
+    def trainable(self) -> list[Tensor]:
+        return [*self.weights, *self.biases]
+
+
+class EncoderParams(MLP):
+    """The scan encoder: every layer activated, the last one's width the embedding's."""
+
+    LINEAR_LAST = False
 
     @property
     def embedding_dim(self) -> int:
         return self.widths[-1]
 
-    def trainable(self) -> list[Tensor]:
-        return [*self.weights, *self.biases]
+
+class RegressionHead(MLP):
+    """One linear layer of widths [D, 1]: an embedding's health score."""
 
 
-@dataclass
-class RegressionHead:
-    weight: Tensor
-    bias: Tensor
-
-    def trainable(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-
-@dataclass
-class ClassifierHead:
+class ClassifierHead(MLP):
     """MLP over [u_prev ; u_next]; hidden layers activated, logits linear."""
 
-    widths: list[int]
-    activation: str
-    weights: list[Tensor] = field(repr=False)
-    biases: list[Tensor] = field(repr=False)
 
-    def trainable(self) -> list[Tensor]:
-        return [*self.weights, *self.biases]
-
-
-def _glorot_layers(widths: list[int], rng: np.random.Generator):
+def _glorot(kind: type[MLP], widths: list[int], activation: str | None, seed: int) -> MLP:
+    """A ``kind`` of Glorot-uniform weights and zero biases, reproducible per seed."""
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True))
         biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-    return weights, biases
+    return kind(list(widths), activation, weights, biases)
+
+
+def _forward(net: MLP, x, got: str, expected: str) -> Tensor:
+    """``x`` through every layer of ``net``, once its last axis matches the input width.
+
+    A mismatch raises ``ShapeError`` "{got} width {x's} != {expected} width {net's}".
+    """
+    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    if x.shape[-1] != net.widths[0]:
+        raise ShapeError(f"{got} width {x.shape[-1]} != {expected} width {net.widths[0]}")
+    for w, b, activation in zip(net.weights, net.biases, net.activations()):
+        x = dense(x, w, b, activation)
+    return x
 
 
 def check_widths(widths, where: str) -> None:
@@ -89,17 +109,11 @@ def init_encoder(
     check_widths(widths, "init_encoder")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"init_encoder: unknown activation {activation!r}")
-    weights, biases = _glorot_layers(list(widths), np.random.default_rng(seed))
-    return EncoderParams(list(widths), activation, weights, biases)
+    return _glorot(EncoderParams, widths, activation, seed)
 
 
 def init_regression_head(embedding_dim: int, seed: int) -> RegressionHead:
-    rng = np.random.default_rng(seed)
-    s = np.sqrt(6.0 / (embedding_dim + 1))
-    return RegressionHead(
-        weight=Tensor(rng.uniform(-s, s, size=(embedding_dim, 1)), requires_grad=True),
-        bias=Tensor(np.zeros(1), requires_grad=True),
-    )
+    return _glorot(RegressionHead, [embedding_dim, 1], None, seed)
 
 
 def init_classifier_head(
@@ -109,8 +123,7 @@ def init_classifier_head(
 ) -> ClassifierHead:
     widths = [2 * embedding_dim, *hidden, N_CLASSES]
     check_widths(widths, "init_classifier_head")
-    weights, biases = _glorot_layers(widths, np.random.default_rng(seed))
-    return ClassifierHead(widths, CLS_ACTIVATION, weights, biases)
+    return _glorot(ClassifierHead, widths, CLS_ACTIVATION, seed)
 
 
 def encode(params: EncoderParams, batch) -> Tensor:
@@ -126,22 +139,12 @@ def encode(params: EncoderParams, batch) -> Tensor:
             f"encode: expected a 2-D (batch, feature) input, or (S, B, F) for an encoder of S runs, "
             f"got shape {x.shape}"
         )
-    if x.shape[-1] != params.widths[0]:
-        raise ShapeError(
-            f"encode: feature width {x.shape[-1]} != encoder input width {params.widths[0]}"
-        )
-    for w, b in zip(params.weights, params.biases):
-        x = dense(x, w, b, params.activation)
-    return x
+    return _forward(params, x, "encode: feature", "encoder input")
 
 
 def predict_hs(head: RegressionHead, embeddings: Tensor) -> Tensor:
     """Scalar health-score prediction per row: a length-B vector, or (S, B) for S runs."""
-    if embeddings.shape[-1] != head.weight.shape[-2]:
-        raise ShapeError(
-            f"predict_hs: embedding width {embeddings.shape[-1]} != head width {head.weight.shape[-2]}"
-        )
-    return dense(embeddings, head.weight, head.bias).reshape(embeddings.shape[:-1])
+    return _forward(head, embeddings, "predict_hs: embedding", "head").reshape(embeddings.shape[:-1])
 
 
 def classify_pair_rows(head: ClassifierHead, rows) -> Tensor:
@@ -150,15 +153,7 @@ def classify_pair_rows(head: ClassifierHead, rows) -> Tensor:
     The rows and the head's weights may carry a leading run axis: (S, B, 2D)
     rows through a head of (S, ...) weights give (S, B, 3).
     """
-    x = rows if isinstance(rows, Tensor) else Tensor(np.asarray(rows, dtype=np.float64))
-    if x.shape[-1] != head.widths[0]:
-        raise ShapeError(
-            f"classify_pair_rows: pair width {x.shape[-1]} != classifier input width {head.widths[0]}"
-        )
-    last = len(head.weights) - 1
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        x = dense(x, w, b, head.activation if i < last else None)
-    return x
+    return _forward(head, rows, "classify_pair_rows: pair", "classifier input")
 
 
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:

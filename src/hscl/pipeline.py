@@ -101,6 +101,14 @@ class Prepared:
     data_meta: dict = field(default_factory=dict)
 
 
+def _labels(prev_hs: np.ndarray, next_hs: np.ndarray, stats: NormalizationStats | None, dcfg: DataConfig) -> np.ndarray:
+    """``pair_labels``; a dataset score it rejects is bad input, so its ``DomainError`` is raised as ``ConfigError``."""
+    try:
+        return pair_labels(prev_hs, next_hs, stats, dcfg.label_mode, dcfg.tau)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Prepared:
     from .data import split_patients  # local import keeps module init light
 
@@ -119,7 +127,7 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
         name: (
             x[prev],
             x[prev + 1],
-            pair_labels(hs[prev], hs[prev + 1], stats, dcfg.label_mode, dcfg.tau),
+            _labels(hs[prev], hs[prev + 1], stats, dcfg),
         )
         for name, (x, hs, prev) in arrays.items()
     }
@@ -299,10 +307,7 @@ def run_comparison(
             raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
     if dcfg.label_mode == "bin":  # a bin label does not depend on the split: check every pair once
         _, hs, prev = series_arrays(collection, 0)  # the width shapes only an empty feature matrix
-        try:
-            pair_labels(hs[prev], hs[prev + 1], None, "bin")
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
+        _labels(hs[prev], hs[prev + 1], None, dcfg)
 
     errors: dict[int, str] = {}
     prepared: dict[int, Prepared] = {}

@@ -50,6 +50,7 @@ from .model import (
     DEFAULT_ACTIVATION,
     DEFAULT_CLS_HIDDEN,
     DEFAULT_HIDDEN,
+    MLP,
     ClassifierHead,
     EncoderParams,
     RegressionHead,
@@ -403,53 +404,50 @@ def check_meta(meta: dict) -> str:
 # -- parameter <-> checkpoint plumbing -------------------------------------------
 
 
-def _checkpoint_layers(ck: Checkpoint, prefix: str, widths: list[int]) -> tuple[list[Tensor], list[Tensor]]:
-    """Shape-checked copies of the weights ``{prefix}.w{i}`` and biases ``{prefix}.b{i}`` of an MLP."""
+def _tensor_name(prefix: str, part: str, i: int) -> str:
+    """Checkpoint name of layer i's weight (``part`` "w") or bias ("b"): ``{prefix}.{part}{i}``.
+
+    The regression head's one layer is the exception: ``reg.w`` and ``reg.b``.
+    """
+    return f"{prefix}.{part}" if prefix == "reg" else f"{prefix}.{part}{i}"
+
+
+def _named_params(**nets: MLP) -> list[tuple[str, Tensor]]:
+    """Each network's tensors under their checkpoint names, a network's keyword being its prefix."""
+    return [
+        (_tensor_name(prefix, part, i), t)
+        for prefix, net in nets.items()
+        for i, layer in enumerate(zip(net.weights, net.biases))
+        for part, t in zip("wb", layer)
+    ]
+
+
+def _network_from_checkpoint(ck: Checkpoint, kind: type[MLP], prefix: str, meta_key: str) -> MLP:
+    """Shape-checked copies of the ``kind`` of network named ``prefix``, as ``model.{meta_key}*`` describes it."""
+    widths = meta_value(ck.meta, f"model.{meta_key}widths")
+    activation = meta_value(ck.meta, f"model.{meta_key}activation")
     tensors = []
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        for name, shape in ((f"{prefix}.w{i}", (fan_in, fan_out)), (f"{prefix}.b{i}", (fan_out,))):
+        for part, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,))):
+            name = _tensor_name(prefix, part, i)
             if name not in ck.tensors:
                 raise CheckpointIntegrityError(f"checkpoint missing tensor {name!r}")
             if ck.tensors[name].shape != shape:
                 raise ShapeError(f"checkpoint {name} has shape {ck.tensors[name].shape}, expected {shape}")
             tensors.append(Tensor(ck.tensors[name].copy()))
-    return tensors[0::2], tensors[1::2]
+    return kind(widths, activation, tensors[0::2], tensors[1::2])
 
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
     """The checkpoint's encoder; its tensors take no gradient until a trainer marks them."""
-    widths = meta_value(ck.meta, "model.widths")
-    activation = meta_value(ck.meta, "model.activation")
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
-    return EncoderParams(widths, activation, *_checkpoint_layers(ck, "encoder", widths))
+    return _network_from_checkpoint(ck, EncoderParams, "encoder", "")
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
     """The checkpoint's classifier head; its tensors take no gradient."""
-    widths = meta_value(ck.meta, "model.cls_widths")
-    activation = meta_value(ck.meta, "model.cls_activation")
-    return ClassifierHead(widths, activation, *_checkpoint_layers(ck, "cls", widths))
-
-
-def _named_params(
-    encoder: EncoderParams | None,
-    reg: RegressionHead | None = None,
-    cls: ClassifierHead | None = None,
-) -> list[tuple[str, Tensor]]:
-    named: list[tuple[str, Tensor]] = []
-    if encoder is not None:
-        for i, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
-            named.append((f"encoder.w{i}", w))
-            named.append((f"encoder.b{i}", b))
-    if reg is not None:
-        named.append(("reg.w", reg.weight))
-        named.append(("reg.b", reg.bias))
-    if cls is not None:
-        for i, (w, b) in enumerate(zip(cls.weights, cls.biases)):
-            named.append((f"cls.w{i}", w))
-            named.append((f"cls.b{i}", b))
-    return named
+    return _network_from_checkpoint(ck, ClassifierHead, "cls", "cls_")
 
 
 def _snapshot(
@@ -551,8 +549,8 @@ def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
     return np.moveaxis(batches, -2, 0)
 
 
-def _stacked(models: list):
-    """S runs' encoders, regression or classifier heads as one, each tensor stacked along the run axis.
+def _stacked(models: list[MLP]) -> MLP:
+    """S runs' networks of one kind as one, each tensor stacked along the run axis.
 
     One model is returned unchanged: one run carries no run axis.
     """
@@ -562,8 +560,6 @@ def _stacked(models: list):
     def stack(*parts: Tensor) -> Tensor:
         return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
 
-    if isinstance(models[0], RegressionHead):
-        return RegressionHead(stack(*(m.weight for m in models)), stack(*(m.bias for m in models)))
     return replace(
         models[0],
         weights=[stack(*ws) for ws in zip(*(m.weights for m in models))],
@@ -571,8 +567,8 @@ def _stacked(models: list):
     )
 
 
-def _layers(state: AdamState, weights: list[Tensor], biases: list[Tensor], activations: list) -> list[tuple]:
-    """(weight, bias, activation, weight gradient, bias gradient) per layer.
+def _layers(state: AdamState, net: MLP) -> list[tuple]:
+    """(weight, bias, activation, weight gradient, bias gradient) per layer of ``net``.
 
     Built after ``AdamState.for_params``, the arrays see its updates; the
     gradients are the tensors' views of ``state.grad``, found by identity, or
@@ -581,7 +577,7 @@ def _layers(state: AdamState, weights: list[Tensor], biases: list[Tensor], activ
     views = {id(p): g for p, g in zip(state.params, state.grads)}
     return [
         (w.data, b.data, act, views.get(id(w)), views.get(id(b)))
-        for w, b, act in zip(weights, biases, activations)
+        for w, b, act in zip(net.weights, net.biases, net.activations())
     ]
 
 
@@ -831,7 +827,7 @@ def pretrain_runs(
     encoder = _stacked([init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds])
     reg = _stacked([init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds])
 
-    named = _named_params(encoder, reg)
+    named = _named_params(encoder=encoder, reg=reg)
     runs = _Runs(
         "pretrain", config, seeds, named, named,
         {"widths": widths, "activation": activation}, [{"data": m or {}} for m in data_metas],
@@ -839,8 +835,7 @@ def pretrain_runs(
     state = runs.state
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
     x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
-    enc_layers = _layers(state, encoder.weights, encoder.biases, [activation] * len(encoder.weights))
-    head_layers = _layers(state, [reg.weight], [reg.bias], [None])
+    enc_layers, head_layers = _layers(state, encoder), _layers(state, reg)
 
     n_batches = n // config.batch_size
     for epoch in range(config.epochs):
@@ -975,7 +970,7 @@ def finetune_runs(
     encoder, cls = _stacked(encoders), _stacked([heads[s] for s in seeds])
 
     frozen = config.freeze_encoder
-    named_all = _named_params(encoder, cls=cls)
+    named_all = _named_params(encoder=encoder, cls=cls)
     model = {
         "widths": encoder.widths,
         "activation": encoder.activation,
@@ -985,12 +980,11 @@ def finetune_runs(
     extras = [
         {"pretrain_train": meta_value(ck.meta, "train"), "data": meta_value(ck.meta, "data")} for ck in pretrained
     ]
-    named_trained = _named_params(None, cls=cls) if frozen else named_all
+    named_trained = _named_params(cls=cls) if frozen else named_all
     runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
     state = runs.state
     onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
-    head_layers = _layers(state, cls.weights, cls.biases, [cls.activation] * (len(cls.weights) - 1) + [None])
-    enc_layers = _layers(state, encoder.weights, encoder.biases, [encoder.activation] * len(encoder.weights))
+    head_layers, enc_layers = _layers(state, cls), _layers(state, encoder)
     dim = encoder.embedding_dim
     g_loss = np.ones((n_runs,) if n_runs > 1 else ())  # the seed backward gives a root
     if frozen:

@@ -337,7 +337,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
     widths = [int(x_train.shape[-1]), *hidden]
     encoder = t._stacked([init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds])
     reg = t._stacked([init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds])
-    named = t._named_params(encoder, reg)
+    named = t._named_params(encoder=encoder, reg=reg)
     params = [p for _, p in named]
     state = t.AdamState.for_params(params)
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
@@ -415,8 +415,8 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
     if not frozen:
         for p in encoder.trainable():
             p.requires_grad = True
-    named_trained = t._named_params(None, cls=cls) if frozen else t._named_params(encoder, cls=cls)
-    named_all = t._named_params(encoder, cls=cls)
+    named_trained = t._named_params(cls=cls) if frozen else t._named_params(encoder=encoder, cls=cls)
+    named_all = t._named_params(encoder=encoder, cls=cls)
     params = [p for _, p in named_trained]
     state = t.AdamState.for_params(params)
     y_rows = t._flat_rows(y_train, n_runs)
@@ -671,7 +671,10 @@ def pair_arrays(pairs, n_features):
 
 
 def prepare_arrays_ref(collection, seed, dcfg):
-    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label_ref`` per pair."""
+    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label_ref`` per pair.
+
+    A score the labels reject is bad input: its ``DomainError`` is raised as a ``ConfigError``.
+    """
     train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
     train_records = records_of(train_s)
     stats = fit_normalization(train_records, dcfg.higher_is_better)
@@ -681,8 +684,11 @@ def prepare_arrays_ref(collection, seed, dcfg):
         name: regression_arrays(records_of(split), stats, n_features)
         for name, split in series.items()
     }
-    pairs = {
-        name: pair_arrays(make_pairs_ref(split, stats, dcfg.label_mode, dcfg.tau), n_features)
-        for name, split in series.items()
-    }
+    try:
+        pairs = {
+            name: pair_arrays(make_pairs_ref(split, stats, dcfg.label_mode, dcfg.tau), n_features)
+            for name, split in series.items()
+        }
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     return regression, pairs

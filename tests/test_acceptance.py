@@ -136,7 +136,7 @@ def test_criterion_1_gradient_correctness():
             encoder = init_encoder(widths, seed=200 + trial, activation="tanh")
             head = init_regression_head(widths[-1], seed=300 + trial)
             flat, shapes = pack_shapes(
-                [t.data for t in encoder.trainable()] + [head.weight.data, head.bias.data]
+                [t.data for t in encoder.trainable()] + [head.weights[0].data, head.biases[0].data]
             )
             n_layers = len(encoder.weights)
 
@@ -148,7 +148,7 @@ def test_criterion_1_gradient_correctness():
                     pieces[:n_layers],
                     pieces[n_layers : 2 * n_layers],
                 )
-                hd = type(head)(weight=pieces[-2], bias=pieces[-1])
+                hd = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
                 embeddings = encode(enc, x)
                 y_hat = predict_hs(hd, embeddings)
                 return combined_loss(hs, y_hat, embeddings, mining, hs, cfg)

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from hscl.cli import main
-from hscl.data import PatientSeries, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from hscl.data import (
+    DEFAULT_FRACTIONS,
+    PatientSeries,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    split_patients,
+)
 from hscl.errors import TrainingAbort
 from hscl.model import classify_pairs, encode
 from hscl.training import (
@@ -124,6 +132,30 @@ def test_finetune_frozen_encoder_checksum(tiny_pretrained, tiny_finetuned):
     for name, arr in pre.tensors.items():
         if name.startswith("encoder."):
             assert np.array_equal(fine.tensors[name], arr)
+
+
+_ENCODER_TENSORS = {"encoder.w0": (5, 8), "encoder.b0": (8,), "encoder.w1": (8, 4), "encoder.b1": (4,)}
+_REG_TENSORS = {"reg.w": (4, 1), "reg.b": (1,)}
+_CLS_TENSORS = {"cls.w0": (8, 32), "cls.b0": (32,), "cls.w1": (32, 3), "cls.b1": (3,)}
+
+
+def _with_adam(tensors: dict) -> dict:
+    return {**tensors, **{f"adam.{m}.{name}": shape for m in ("m", "v") for name, shape in tensors.items()}}
+
+
+def test_checkpoint_tensor_names_and_shapes(tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path):
+    """The names a checkpoint stores, spelled out: the Adam moments are those of the trained tensors only."""
+    unfrozen = tmp_path / "unfrozen"
+    pretrained = tiny_pretrained / "pretrain_best.ckpt"
+    argv = ["--data", str(tiny_dataset), "--checkpoint", str(pretrained), "--epochs", "1", "--no-freeze-encoder"]
+    assert main(["finetune", *argv, "--out", str(unfrozen)]) == 0
+    expected = {
+        pretrained: _with_adam({**_ENCODER_TENSORS, **_REG_TENSORS}),
+        tiny_finetuned / "finetune_best.ckpt": {**_ENCODER_TENSORS, **_with_adam(_CLS_TENSORS)},
+        unfrozen / "finetune_best.ckpt": _with_adam({**_ENCODER_TENSORS, **_CLS_TENSORS}),
+    }
+    for path, shapes in expected.items():
+        assert {name: t.shape for name, t in load_checkpoint(path).tensors.items()} == shapes, path
 
 
 def test_finetune_writes_metrics(tiny_finetuned):
@@ -709,6 +741,43 @@ def test_compare_in_bin_label_mode_with_a_non_positive_score_exits_2_before_any_
     assert proc.stderr == "error: categorize_sf: S/F ratio must be positive, got -0.5\n"
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_pretrain_in_bin_label_mode_with_a_non_positive_score_exits_2_before_any_output(tiny_dataset, tmp_path):
+    rows = Path(tiny_dataset).read_text(encoding="utf-8").splitlines()
+    first = rows[1].split(",")
+    first[2] = "-0.5"
+    data = tmp_path / "non_positive.csv"
+    data.write_text("\n".join([rows[0], ",".join(first), *rows[2:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "pre"
+    proc = _run_cli("pretrain", "--data", data, "--out", out, "--label-mode", "bin", "--epochs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: categorize_sf: S/F ratio must be positive, got -0.5\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_a_restore_in_bin_label_mode_of_a_non_positive_score_exits_2(tiny_dataset, tmp_path, capsys):
+    """finetune, eval and analyze label the pairs again; a non-positive test-split score fails as in pretrain."""
+    train = ["--data", str(tiny_dataset), "--epochs", "1", "--seed", "1"]
+    assert main(["pretrain", *train, "--hidden", "8,4", "--label-mode", "bin", "--out", str(tmp_path / "pre")]) == 0
+    pretrained = str(tmp_path / "pre" / "pretrain_best.ckpt")
+    assert main(["finetune", *train, "--checkpoint", pretrained, "--out", str(tmp_path / "fin")]) == 0
+    collection = load_dataset(tiny_dataset)
+    _, _, test = split_patients(collection, DEFAULT_FRACTIONS, 1)
+    test[0].records[0].health_score = -0.5  # the training split, and so the checkpoint's stats, are untouched
+    data = tmp_path / "non_positive_test.csv"
+    save_dataset(collection, data)
+    capsys.readouterr()
+    for command, ckpt in (
+        ("finetune", pretrained),
+        ("eval", str(tmp_path / "fin" / "finetune_best.ckpt")),
+        ("analyze", pretrained),
+    ):
+        out = tmp_path / f"{command}-out"
+        assert main([command, "--data", str(data), "--checkpoint", ckpt, "--out", str(out)]) == 2, command
+        assert capsys.readouterr() == ("", "error: categorize_sf: S/F ratio must be positive, got -0.5\n")
+        assert not out.exists()
 
 
 # -- seeds of equal split sizes train in one stack; each run as if it ran alone ----------

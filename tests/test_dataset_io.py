@@ -27,7 +27,7 @@ from hscl.data import (
     pair_labels,
     save_dataset,
 )
-from hscl.errors import ConfigError, DatasetError, DomainError
+from hscl.errors import ConfigError, DatasetError
 from hscl.pipeline import DataConfig, prepare
 
 from oracles import (
@@ -344,9 +344,10 @@ def _raised(fn):
     [
         ({}, "threshold", ConfigError),  # every score equal: degenerate stats
         ({}, "bin", ConfigError),
-        ({("p03", 1): -4.0, ("p07", 0): 0.0}, "bin", DomainError),  # non-positive S/F
-        ({("p05", 2): float("nan"), ("p02", 1): float("inf")}, "threshold", DomainError),
-        ({("p05", 2): float("nan"), ("p02", 1): -1.0}, "bin", DomainError),
+        # a score the labels reject is bad input: pair_labels' DomainError text as a ConfigError
+        ({("p03", 1): -4.0, ("p07", 0): 0.0}, "bin", ConfigError),  # non-positive S/F
+        ({("p05", 2): float("nan"), ("p02", 1): float("inf")}, "threshold", ConfigError),
+        ({("p05", 2): float("nan"), ("p02", 1): -1.0}, "bin", ConfigError),
     ],
 )
 def test_prepare_raises_the_reference_errors(scores, label_mode, error):

@@ -3,7 +3,7 @@ import pytest
 
 from hscl.errors import ConfigError, ShapeError
 from hscl.model import (
-    ClassifierHead,
+    classify_pair_rows,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -18,12 +18,31 @@ import elementary as el
 from oracles import pack_shapes, unpack_flat
 
 
-def _numpy_mlp(x, params):
-    """Independent forward pass: plain numpy affine chain with activation."""
-    act = np.tanh if params.activation == "tanh" else lambda v: np.maximum(v, 0.0)
-    for w, b in zip(params.weights, params.biases):
-        x = act(x @ w.data + b.data)
+_NUMPY_ACTIVATIONS = {"tanh": np.tanh, "relu": lambda v: np.maximum(v, 0.0), None: lambda v: v}
+
+
+def _numpy_mlp(x, params, activations=None):
+    """Independent forward pass: plain numpy affine chain, layer i activated by ``activations[i]``.
+
+    ``activations`` defaults to the network's activation on every layer, as
+    an encoder has it; ``None`` in it is a linear layer.
+    """
+    if activations is None:
+        activations = [params.activation] * len(params.weights)
+    assert len(activations) == len(params.weights)
+    for w, b, act in zip(params.weights, params.biases, activations):
+        x = _NUMPY_ACTIVATIONS[act](x @ w.data + b.data)
     return x
+
+
+def _stacked_pair(net, other):
+    """Two networks of one kind as one of S = 2 runs."""
+    return type(net)(
+        net.widths,
+        net.activation,
+        [Tensor(np.stack([a.data, b.data])) for a, b in zip(net.weights, other.weights)],
+        [Tensor(np.stack([a.data, b.data])) for a, b in zip(net.biases, other.biases)],
+    )
 
 
 def test_init_is_reproducible_per_seed():
@@ -85,6 +104,23 @@ def test_encode_width_mismatch():
         encode(params, np.ones((2, 4)))
 
 
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: encode(init_encoder([5, 3], seed=0), np.ones((2, 4))),
+         "encode: feature width 4 != encoder input width 5"),
+        (lambda: predict_hs(init_regression_head(3, seed=0), Tensor(np.ones((2, 4)))),
+         "predict_hs: embedding width 4 != head width 3"),
+        (lambda: classify_pair_rows(init_classifier_head(3, seed=0), np.ones((2, 4))),
+         "classify_pair_rows: pair width 4 != classifier input width 6"),
+    ],
+)
+def test_each_forward_names_its_own_width_mismatch(call, text):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == text
+
+
 def test_encode_permutation_equivariant():
     params = init_encoder([4, 6, 3], seed=2)
     x = np.random.default_rng(5).normal(size=(7, 4))
@@ -94,17 +130,17 @@ def test_encode_permutation_equivariant():
 
 def test_predict_hs_constant_bias():
     head = init_regression_head(4, seed=0)
-    head.weight.data[:] = 0.0
-    head.bias.data[:] = 2.5
+    head.weights[0].data[:] = 0.0
+    head.biases[0].data[:] = 2.5
     out = predict_hs(head, Tensor(np.random.default_rng(0).normal(size=(6, 4))))
     assert np.array_equal(out.data, np.full(6, 2.5))
 
 
 def test_predict_hs_unit_vector_picks_column():
     head = init_regression_head(4, seed=0)
-    head.weight.data[:] = 0.0
-    head.weight.data[0, 0] = 1.0
-    head.bias.data[:] = 0.0
+    head.weights[0].data[:] = 0.0
+    head.weights[0].data[0, 0] = 1.0
+    head.biases[0].data[:] = 0.0
     u = np.random.default_rng(1).normal(size=(5, 4))
     assert np.allclose(predict_hs(head, Tensor(u)).data, u[:, 0])
 
@@ -112,7 +148,7 @@ def test_predict_hs_unit_vector_picks_column():
 def test_predict_hs_matches_manual_matmul():
     head = init_regression_head(3, seed=9)
     u = np.random.default_rng(2).normal(size=(4, 3))
-    expected = [float(row @ head.weight.data[:, 0] + head.bias.data[0]) for row in u]
+    expected = [float(row @ head.weights[0].data[:, 0] + head.biases[0].data[0]) for row in u]
     assert np.allclose(predict_hs(head, Tensor(u)).data, expected, atol=1e-12)
 
 
@@ -159,12 +195,7 @@ def test_predict_classes_tie_breaks_low_index():
 def test_classify_pair_matches_batch_version():
     """One (1, D) pair gives the same logits alone as in its run of a stacked batch."""
     head, other = init_classifier_head(3, seed=6), init_classifier_head(3, seed=7)
-    stacked = ClassifierHead(
-        head.widths,
-        head.activation,
-        [Tensor(np.stack([a.data, b.data])) for a, b in zip(head.weights, other.weights)],
-        [Tensor(np.stack([a.data, b.data])) for a, b in zip(head.biases, other.biases)],
-    )
+    stacked = _stacked_pair(head, other)
     rng = np.random.default_rng(9)
     u, v = rng.normal(size=3), rng.normal(size=3)
     single = classify_pairs(head, u[None, :], v[None, :]).data
@@ -173,12 +204,39 @@ def test_classify_pair_matches_batch_version():
     assert np.array_equal(single, batched[0])
 
 
+def test_multi_layer_classifier_head_activates_its_hidden_layers_and_keeps_the_logits_linear():
+    heads = [init_classifier_head(4, seed=s, hidden=(6, 5)) for s in (20, 21)]
+    rng = np.random.default_rng(22)
+    rows = rng.normal(size=(2, 9, 8))
+    activations = ["relu", "relu", None]
+    expected = [_numpy_mlp(run_rows, head, activations) for run_rows, head in zip(rows, heads)]
+    assert (expected[0] < 0).any()  # a relu on the logits would show
+    assert np.allclose(classify_pair_rows(heads[0], rows[0]).data, expected[0], atol=1e-12)
+    stacked = classify_pair_rows(_stacked_pair(*heads), rows).data
+    assert stacked.shape == (2, 9, 3)
+    for run in range(2):
+        assert np.allclose(stacked[run], expected[run], atol=1e-12)
+
+
+def test_regression_head_is_one_linear_layer():
+    heads = [init_regression_head(3, seed=s) for s in (23, 24)]
+    assert heads[0].widths == [3, 1] and len(heads[0].weights) == 1
+    u = np.random.default_rng(25).normal(size=(2, 7, 3))
+    expected = [_numpy_mlp(run_u, head, [None])[:, 0] for run_u, head in zip(u, heads)]
+    assert (expected[0] < 0).any()
+    assert np.allclose(predict_hs(heads[0], Tensor(u[0])).data, expected[0], atol=1e-12)
+    stacked = predict_hs(_stacked_pair(*heads), Tensor(u)).data
+    assert stacked.shape == (2, 7)
+    for run in range(2):
+        assert np.allclose(stacked[run], expected[run], atol=1e-12)
+
+
 def test_mean_prediction_gradient_through_encoder():
     # smooth activation keeps the check away from relu kinks
     params = init_encoder([3, 5, 2], seed=10, activation="tanh")
     head = init_regression_head(2, seed=11)
     x = np.random.default_rng(12).normal(size=(4, 3))
-    tensors = [t.data for t in params.trainable()] + [head.weight.data, head.bias.data]
+    tensors = [t.data for t in params.trainable()] + [head.weights[0].data, head.biases[0].data]
     flat, shapes = pack_shapes(tensors)
 
     def f(flat_t):
@@ -188,7 +246,7 @@ def test_mean_prediction_gradient_through_encoder():
             params.widths, params.activation,
             pieces[:n_layers], pieces[n_layers : 2 * n_layers],
         )
-        rebuilt_head = type(head)(weight=pieces[-2], bias=pieces[-1])
+        rebuilt_head = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
         return el.mean(predict_hs(rebuilt_head, encode(rebuilt, x)))
 
     assert grad_check(f, Tensor(flat), 1e-6) < 1e-4

@@ -20,6 +20,10 @@ rejects a config-file value outside them with exit 2.
 ``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
 emit, so a new key cannot go unchecked on restore, and no other module
 spells out the metadata format.
+
+The CLI gate (tools/cli_gate.py), which hashes every output of every
+subcommand to compare two source trees, gives the same manifest run after
+run, so a difference between trees is the trees'.
 """
 
 import ast
@@ -28,6 +32,7 @@ import importlib.util
 import inspect
 import json
 import statistics
+import sys
 import types
 from pathlib import Path
 
@@ -61,6 +66,7 @@ from elementary import pairwise_similarity
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+CLI_GATE = ROOT / "tools" / "cli_gate.py"
 
 
 def _load_tracing():
@@ -375,3 +381,33 @@ def test_checkpoint_meta_declares_exactly_the_keys_every_writer_emits(
 def test_only_training_knows_the_checkpoint_metadata_format():
     knowing = [p.name for p in (ROOT / "src" / "hscl").glob("*.py") if "checkpoint metadata" in p.read_text()]
     assert knowing == ["training.py"]
+
+
+def _load_cli_gate():
+    spec = importlib.util.spec_from_file_location("cli_gate", CLI_GATE)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
+    gate = _load_cli_gate()
+    first = gate.run_gate(ROOT / "src", tmp_path / "a")
+    assert first == gate.run_gate(ROOT / "src", tmp_path / "b")
+    commands = [line.split()[0] for line in first if " exit=" in line]
+    assert len(set(commands)) == 23 and len(first) > 2 * len(commands)
+
+
+def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, monkeypatch):
+    gate = _load_cli_gate()
+    hscl = gate._hscl(ROOT / "src")
+
+    def main(argv):
+        raise KeyError(argv[0])
+
+    monkeypatch.setattr(hscl.cli, "main", main)
+    results = [line for line in gate.run_gate(ROOT / "src", tmp_path) if " exit=" in line]
+    assert len(results) == 23
+    assert results[0] == (
+        f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
+    )

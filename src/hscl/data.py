@@ -144,8 +144,11 @@ class SyntheticSpec:
                 f"generator: need 1 <= latent_dim <= n_features, got "
                 f"{self.latent_dim} and {self.n_features}"
             )
-        if not 0 <= self.noise < math.inf:
-            raise ConfigError(f"generator: noise must be non-negative and finite, got {self.noise}")
+        for name in ("noise", "base_scale", "drift_scale", "step_scale", "hs_scale"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"generator: {name} must be non-negative and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.hs_center):
+            raise ConfigError(f"generator: hs_center must be finite, got {self.hs_center}")
         if self.seed < 0:
             raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
 
@@ -197,7 +200,8 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
     if not records:
         raise DatasetError("save_dataset: no records")
     n_features = records[0].features.shape[-1]
-    header = ",".join(_HEADER + [f"f{i}" for i in range(n_features)])
+    columns = _HEADER + [f"f{i}" for i in range(n_features)]
+    header = ",".join(columns)
     quoted: dict[str, str] = {}
     lines = [header]
     for rec in records:
@@ -207,11 +211,17 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
                 f"save_dataset: record {rec.patient_id}/{rec.seq_index} has "
                 f"{feats.shape[0]} features, expected {n_features}"
             )
+        # repr of the Python floats: the shortest text that reads back to the same bits
+        row = [float(rec.health_score), *feats.tolist()]
+        values = ",".join(map(repr, row))
+        if "n" in values:  # only nan and inf spell an "n"; load_dataset would reject them
+            bad = ", ".join(f"{name}={v!r}" for name, v in zip(columns[2:], row) if not math.isfinite(v))
+            raise DatasetError(
+                f"save_dataset: record {rec.patient_id}/{rec.seq_index} has a non-finite value: {bad}"
+            )
         pid = quoted.get(rec.patient_id)
         if pid is None:
             pid = quoted[rec.patient_id] = _csv_field(rec.patient_id)
-        # repr of the Python floats: the shortest text that reads back to the same bits
-        values = ",".join(map(repr, [float(rec.health_score), *feats.tolist()]))
         lines.append(f"{pid},{rec.seq_index},{values}")
     lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:

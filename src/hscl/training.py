@@ -169,9 +169,9 @@ def adam_step(
     state: AdamState,
     grad: np.ndarray,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float = TrainConfig.beta1,
+    beta2: float = TrainConfig.beta2,
+    eps: float = TrainConfig.adam_eps,
 ) -> AdamState:
     """One bias-corrected Adam update of the whole flat buffer, in place on ``state``.
 
@@ -298,7 +298,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointIntegrityError(f"{path}: tensor {name!r} given twice")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        size = math.prod(dims)  # exact: an int64 product of large dims can wrap to a size that fits
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims)
         tensors[name] = np.array(data, dtype=np.float64)
     if offset != len(body):
@@ -495,10 +495,13 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # two leaves, the embeddings and the predictions, with the batch's
 # ``ContrastTargets``; the total it returns is one node wired straight to
 # both, so ``backward`` walks 3 nodes (2 for mse). Fine-tuning calls the
-# cross-entropy's forward and backward functions directly. Where a gradient
-# has two shares (the embeddings, from the head and from the similarity; an
-# unfrozen encoder's parameters, from the prev and the next pass) they are
-# added once, and a sum of two does not depend on order.
+# cross-entropy's forward and backward functions directly; an unfrozen
+# encoder runs once per step over the batch's prev and next scans, stacked
+# along a leading axis of two, which the stacked matmuls treat like a run
+# axis. Where a gradient has two shares (the embeddings, from the head and
+# from the similarity; an unfrozen encoder's parameters, from the prev and
+# the next scans) they are added once, and a sum of two does not depend on
+# order.
 
 
 def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
@@ -591,21 +594,21 @@ def _forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return saved
 
 
-def _backward(
-    layers: list[tuple], saved: list[tuple], g: np.ndarray, add: bool = False, need_x: bool = False
-) -> np.ndarray | None:
+def _backward(layers: list[tuple], saved: list[tuple], g: np.ndarray, need_x: bool = False) -> np.ndarray | None:
     """Send output gradient ``g`` back through ``layers``; the input's gradient if ``need_x``.
 
     Each layer's weight and bias gradients are written into its gradient
-    views, or added into them with ``add``.
+    views. A ``g`` with one more axis than the weights holds a pair batch's
+    prev and next passes, stacked along a leading axis of two; each view is
+    then written as the sum of the two shares.
     """
     for i in reversed(range(len(layers))):
         w, _, activation, gw, gb = layers[i]
         x, y, z = saved[i]
-        if add:
+        if g.ndim > w.ndim:
             g, dw, db = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
-            gw += dw
-            gb += db
+            np.add(dw[0], dw[1], out=gw)
+            np.add(db[0], db[1], out=gb)
         else:
             g, _, _ = dense_backward(g, x, w, y, z, activation, need_x or i > 0, gw=gw, gb=gb)
     return g
@@ -992,6 +995,7 @@ def finetune_runs(
         val_rows = _pair_rows(encoder, xp_val, xn_val)
     else:
         xp_rows, xn_rows = _flat_rows(xp_train, n_runs), _flat_rows(xn_train, n_runs)
+        x_epoch = np.empty((2, *xp_train.shape))  # each epoch's prev and next rows, stacked
 
     def val_metrics() -> list[tuple[float, float]]:
         if y_val.shape[-1] == 0:
@@ -1017,25 +1021,23 @@ def finetune_runs(
         if frozen:
             rows = pair_rows.take(orders, axis=0)
         else:
-            xp_epoch, xn_epoch = xp_rows.take(orders, axis=0), xn_rows.take(orders, axis=0)
+            xp_rows.take(orders, axis=0, out=x_epoch[0])
+            xn_rows.take(orders, axis=0, out=x_epoch[1])
         for k, start in enumerate(starts):
             batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
             if frozen:
                 head_saved = _forward(head_layers, rows[batch])
-            else:
-                prev_saved = _forward(enc_layers, xp_epoch[batch])
-                next_saved = _forward(enc_layers, xn_epoch[batch])
-                head_saved = _forward(
-                    head_layers, np.concatenate([prev_saved[-1][1], next_saved[-1][1]], axis=-1)
-                )
+            else:  # the shared encoder runs once over the batch's prev and next scans
+                enc_saved = _forward(enc_layers, x_epoch[batch])
+                u = enc_saved[-1][1]
+                head_saved = _forward(head_layers, np.concatenate([u[0], u[1]], axis=-1))
             onehot_batch = onehot[batch]
             ce, ce_saved = softmax_cross_entropy_forward(head_saved[-1][1], onehot_batch, PROB_FLOOR)
             runs.add(epoch, k, ce)
             g = softmax_cross_entropy_backward(g_loss, onehot_batch, PROB_FLOOR, *ce_saved)
             g = _backward(head_layers, head_saved, g, need_x=not frozen)
-            if not frozen:  # each encoder parameter's two shares, prev and next, in either order
-                _backward(enc_layers, prev_saved, g[..., :dim])
-                _backward(enc_layers, next_saved, g[..., dim:], add=True)
+            if not frozen:  # each encoder parameter's two shares, prev and next, added once
+                _backward(enc_layers, enc_saved, np.stack([g[..., :dim], g[..., dim:]]))
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, val_metrics())
     return runs.results(FinetuneResult)

@@ -3,8 +3,10 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from hscl.model import classify_pairs, encode
 from hscl.training import (
     Checkpoint,
     TrainConfig,
+    checkpoint_bytes,
     classifier_from_checkpoint,
     encoder_from_checkpoint,
     load_checkpoint,
@@ -222,6 +225,14 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
     )
     assert rc == 1
     assert "checksum" in capsys.readouterr().err
+
+    # a checksum-valid tensor header whose dims multiply to 2**64, which an int64 size wraps to 0
+    body = checkpoint_bytes(Checkpoint({}, {}))[:-8]  # up to the metadata block
+    body += struct.pack("<II1sI4I", 1, 1, b"t", 4, *(65536,) * 4)
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    argv = ["eval", "--data", str(tiny_dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "wrap")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: truncated checkpoint body\n"
 
     # checksum-valid checkpoints without what the restore reads, or with a tensor of another shape
     pre = load_checkpoint(tiny_pretrained / "pretrain_best.ckpt")

@@ -192,7 +192,10 @@ def test_generator_rejects_bad_specs():
         SyntheticSpec(latent_dim=20, n_features=12)
     with pytest.raises(ConfigError):
         SyntheticSpec(noise=-0.1)
-    for bad in ({"noise": float("nan")}, {"noise": float("inf")}, {"seed": -1}):
+    bad_specs = [{"noise": float("nan")}, {"noise": float("inf")}, {"seed": -1}, {"hs_center": float("nan")}]
+    for name in ("base_scale", "drift_scale", "step_scale", "hs_scale"):
+        bad_specs += [{name: -1.0}, {name: float("nan")}, {name: float("inf")}]
+    for bad in bad_specs:
         with pytest.raises(ConfigError, match=next(iter(bad))):
             SyntheticSpec(**bad)
 

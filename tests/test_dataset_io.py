@@ -7,6 +7,7 @@ bytes of ``oracles.save_dataset_ref``, and ``prepare`` the arrays of
 """
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -281,6 +282,28 @@ def test_save_rejects_a_record_of_another_width_before_writing(tmp_path):
     path = tmp_path / "data.csv"
     with pytest.raises(DatasetError, match=r"record p1/1 has 3 features, expected 4"):
         save_dataset(collection, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "score, feature, named",
+    [
+        (math.nan, 0.5, "health_score=nan"),
+        (1.0, math.inf, "f2=inf"),
+        (-math.inf, -math.inf, "health_score=-inf, f2=-inf"),
+    ],
+    ids=["nan-score", "inf-feature", "both"],
+)
+def test_save_rejects_a_non_finite_record_before_writing(tmp_path, score, feature, named):
+    """``load_dataset`` rejects a non-finite value, so ``save_dataset`` does not write one."""
+    collection = generate_synthetic(SyntheticSpec(n_patients=3, scans_per_patient=2, n_features=4, seed=1))
+    rec = collection[1].records[1]
+    rec.health_score = score
+    rec.features[2] = feature
+    path = tmp_path / "data.csv"
+    with pytest.raises(DatasetError) as exc:
+        save_dataset(collection, path)
+    assert str(exc.value) == f"save_dataset: record p1/1 has a non-finite value: {named}"
     assert not path.exists()
 
 

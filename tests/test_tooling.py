@@ -14,7 +14,8 @@ a scalar form of a rule that only the tests call lives in ``oracles.py``.
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
 them, and accepts exactly its options as config-file keys. Every float
-option rejects NaN and infinity with exit 2, and every option with choices
+option rejects NaN and infinity with exit 2, as every float field of the
+library's configs does with ``ConfigError``, and every option with choices
 rejects a config-file value outside them with exit 2.
 
 ``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
@@ -27,10 +28,12 @@ run, so a difference between trees is the trees'.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 import statistics
 import sys
 import types
@@ -305,6 +308,23 @@ def test_every_float_option_rejects_nan_and_inf_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and dest in err
     assert not out.exists()
+
+
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (TrainConfig, LossConfig, DataConfig, SyntheticSpec)
+    for f in dataclasses.fields(cls)
+    if f.type in (float, "float")
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_every_float_config_field_rejects_nan_and_inf(cls, name, value):
+    """The library side of the rule above, found from the dataclasses, so a new float field gets it too."""
+    assert {"lr", "adam_eps", "alpha", "tau", "noise", "hs_center"} <= {n for _, n in FLOAT_FIELDS}
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: value})
 
 
 def _choice_options() -> list[tuple[str, str]]:

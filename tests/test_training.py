@@ -254,6 +254,13 @@ def _renamed(old: bytes, new: bytes):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def _header_only(dims):
+    """A checkpoint whose one tensor's header gives ``dims`` and whose body ends there, under a valid checksum."""
+    body = checkpoint_bytes(Checkpoint({}, {}))[:-8]  # up to the metadata block
+    body += struct.pack(f"<II1sI{len(dims)}I", 1, 1, b"t", len(dims), *dims)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
@@ -261,8 +268,11 @@ def _renamed(old: bytes, new: bytes):
         (checkpoint_bytes(Checkpoint({}, "stage")), "corrupt metadata block: expected a JSON object, got str"),
         (_renamed(b"encoder.b0", b"encoder.\xff0"), "corrupt tensor name: 'utf-8' codec can't decode"),
         (_renamed(b"encoder.w0", b"encoder.b0"), "tensor 'encoder.b0' given twice"),
+        # dims whose product is 2**64, which an int64 product wraps to 0
+        (_header_only((2**31, 2**31, 4)), "truncated checkpoint body"),
+        (_header_only((65536,) * 4), "truncated checkpoint body"),
     ],
-    ids=["list-metadata", "string-metadata", "name-not-utf8", "name-twice"],
+    ids=["list-metadata", "string-metadata", "name-not-utf8", "name-twice", "dims-2**64-rank3", "dims-2**64-rank4"],
 )
 def test_checkpoint_unparseable_body_with_a_valid_checksum(tmp_path, blob, message):
     path = tmp_path / "bad.ckpt"

@@ -269,17 +269,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     opts = _merge(args)
     ck, prepared = _restored(args)  # either stage: both carry the encoder
-    split = opts["split"]
-    x, _ = prepared.regression[split]
-    n = x.shape[0]
-    available = n * (n - 1) // 2
-    sample_size = int(opts["sample_size"])
-    capped = sample_size > available > 0  # fewer than 2 scans is an error, raised below
-    seed = int(opts["seed"])
-    profile = spread_for_checkpoint(prepared, ck, available if capped else sample_size, seed, split)
-    if capped:  # warned once the encoder is restored, so a rejected checkpoint prints only its error
+    sample_size = opts["sample_size"]
+    profile = spread_for_checkpoint(prepared, ck, sample_size, opts["seed"], opts["split"])
+    # warned once the encoder is restored, so a rejected checkpoint prints only its error
+    if profile.n_points < sample_size:
         print(
-            f"warning: sample size {sample_size} exceeds the {available} available pairs; capping",
+            f"warning: sample size {sample_size} exceeds the {profile.n_points} available pairs; capping",
             file=sys.stderr,
         )
     export_profile(profile, args.out)
@@ -296,14 +291,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     data_path = _require_file(args.data, "dataset")
     collection = load_dataset(data_path)
     pre_cfg = _build(
-        TrainConfig, opts, epochs=int(opts["epochs"]), loss=_build(LossConfig, opts, mode="mse")
+        TrainConfig, opts, epochs=opts["epochs"], loss=_build(LossConfig, opts, mode="mse")
     )
-    fine_cfg = dataclasses.replace(pre_cfg, epochs=int(opts["finetune_epochs"]), loss=LossConfig())
+    fine_cfg = dataclasses.replace(pre_cfg, epochs=opts["finetune_epochs"], loss=LossConfig())
+    dcfg = _build(DataConfig, opts)  # this and ModelSpec report their errors before CompareConfig
+    model = _build(ModelSpec, opts)
     report = run_comparison(
         collection,
         _build(CompareConfig, opts),
-        _build(DataConfig, opts),
-        _build(ModelSpec, opts),
+        dcfg,
+        model,
         pre_cfg,
         fine_cfg,
         out_dir=args.out,

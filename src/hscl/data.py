@@ -448,7 +448,7 @@ def pair_labels(
     prev_hs: np.ndarray,
     next_hs: np.ndarray,
     stats: NormalizationStats | None,
-    mode: str = "bin",
+    mode: str,
     tau: float = DEFAULT_TAU,
 ) -> np.ndarray:
     """3-way change label of every consecutive scan pair ``(prev_hs[k], next_hs[k])``, as one int64 array.

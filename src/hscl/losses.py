@@ -221,8 +221,6 @@ def mse_loss(y, y_pred: Tensor) -> Tensor:
 def _mse_target(y, y_pred: Tensor) -> np.ndarray:
     """``y`` as the float64 target of ``y_pred``, after ``mse_loss``'s checks."""
     target = np.asarray(y, dtype=np.float64)
-    if y_pred.data.ndim == 1:
-        target = target.reshape(-1)
     if y_pred.data.ndim not in (1, 2) or target.shape != y_pred.shape:
         raise ShapeError(f"mse_loss: target shape {target.shape} != prediction shape {y_pred.shape}")
     if target.shape[-1] < 1:
@@ -264,8 +262,6 @@ def _mined_targets(
     if not weighted:
         return _targets(mining, None, config.eps)
     scores = np.asarray(hs, dtype=np.float64)
-    if embeddings.data.ndim == 2:
-        scores = scores.reshape(-1)
     if scores.shape != embeddings.shape[:-1]:
         raise ShapeError(f"{name}: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
     return _targets(mining, scores, config.eps)
@@ -362,15 +358,15 @@ def onehot_labels(labels, n_classes: int) -> np.ndarray:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax probability of the true class.
 
-    (S, B, C) logits of S runs give an (S,) vector of per-run losses, with
-    (B,) labels shared by the runs or (S, B) labels per run.
+    (B, C) logits take (B,) labels and give a scalar; an (S, B, C) stack of
+    S runs takes (S, B) labels and gives the (S,) per-run losses.
     """
     target = np.asarray(labels)
     if logits.data.ndim not in (2, 3):
         raise ShapeError(f"cross_entropy: expected (B, C) or (S, B, C) logits, got shape {logits.shape}")
     n, c = logits.shape[-2:]
-    if target.shape not in ((n,), logits.shape[:-1]):
-        raise ShapeError(f"cross_entropy: got {target.shape} labels for {n} rows")
+    if target.shape != logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy: got {target.shape} labels for logits of shape {logits.shape}")
     if n < 1:
         raise ShapeError("cross_entropy: need at least one row")
     return softmax_cross_entropy(logits, onehot_labels(target, c), PROB_FLOOR)

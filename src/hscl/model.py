@@ -129,15 +129,14 @@ def init_classifier_head(
 def encode(params: EncoderParams, batch) -> Tensor:
     """Map a (B, F) batch to (B, embedding_dim) embeddings.
 
-    An encoder whose weights carry a leading run axis of S runs also takes
-    an (S, B, F) stack, one batch per run, and gives (S, B, embedding_dim).
+    An encoder whose weights carry a leading run axis of S runs takes an
+    (S, B, F) stack instead, one batch per run, and gives (S, B, embedding_dim).
     """
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
-    stacked = params.weights[0].data.ndim == 3
-    if x.data.ndim != 2 and not (stacked and x.data.ndim == 3):
+    if x.data.ndim != params.weights[0].data.ndim:
         raise ShapeError(
             f"encode: expected a 2-D (batch, feature) input, or (S, B, F) for an encoder of S runs, "
-            f"got shape {x.shape}"
+            f"got shape {x.shape} for weights of shape {params.weights[0].shape}"
         )
     return _forward(params, x, "encode: feature", "encoder input")
 

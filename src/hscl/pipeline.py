@@ -256,6 +256,28 @@ class CompareConfig:
     sample_size: int = 2000
     spread_split: str = "test"
 
+    def __post_init__(self) -> None:
+        # checked here, so a bad value fails before any seed of a sweep runs
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ConfigError(f"run_comparison: unknown loss mode {mode!r}")
+        if not self.modes:
+            raise ConfigError("run_comparison: need at least one loss mode")
+        if not self.seeds:
+            raise ConfigError("run_comparison: need at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"run_comparison: seeds must be non-negative, got {min(self.seeds)}")
+        if self.sample_size < 1:
+            raise ConfigError(f"run_comparison: sample_size must be >= 1, got {self.sample_size}")
+        if self.spread_split not in SPLITS:
+            raise ConfigError(
+                f"run_comparison: spread_split must be one of {SPLITS}, got {self.spread_split!r}"
+            )
+        for what, values in (("seed", self.seeds), ("loss mode", self.modes)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
+
 
 def run_comparison(
     collection: list[PatientSeries],
@@ -286,25 +308,6 @@ def run_comparison(
     report dict; when ``out_dir`` is given, writes report.json, report.txt,
     and per-run checkpoints beneath it.
     """
-    for mode in compare.modes:
-        if mode not in MODES:
-            raise ConfigError(f"run_comparison: unknown loss mode {mode!r}")
-    if not compare.modes:
-        raise ConfigError("run_comparison: need at least one loss mode")
-    if not compare.seeds:
-        raise ConfigError("run_comparison: need at least one seed")
-    if min(compare.seeds) < 0:
-        raise ConfigError(f"run_comparison: seeds must be non-negative, got {min(compare.seeds)}")
-    if compare.sample_size < 1:
-        raise ConfigError(f"run_comparison: sample_size must be >= 1, got {compare.sample_size}")
-    if compare.spread_split not in SPLITS:
-        raise ConfigError(
-            f"run_comparison: spread_split must be one of {SPLITS}, got {compare.spread_split!r}"
-        )
-    for what, values in (("seed", compare.seeds), ("loss mode", compare.modes)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise ConfigError(f"run_comparison: each {what} may appear once, got repeats of {repeated}")
     if dcfg.label_mode == "bin":  # a bin label does not depend on the split: check every pair once
         _, hs, prev = series_arrays(collection, 0)  # the width shapes only an empty feature matrix
         _labels(hs[prev], hs[prev + 1], None, dcfg)

@@ -33,9 +33,11 @@ term as one node wired straight to its leaves. ``node`` makes such a node
 from a value, its parents and a function that gives each parent's gradient.
 
 The fused ops and the array functions also take a leading run axis that
-stacks S independent runs, and then give per-run results: an (S,) loss, an
-(S, B, B) similarity. Each run's slice is computed by the same numpy
-operations on the same shapes as its own call, so it is bit-identical to it.
+stacks S independent runs, on every operand at once, and then give per-run
+results: an (S,) loss, an (S, B, B) similarity. An operand without the axis
+is one run's; none is shared by the runs. Each run's slice is computed by
+the same numpy operations on the same shapes as its own call, so it is
+bit-identical to it.
 
 Gradients are written, not zero-filled and added: a node's first gradient
 contribution becomes its ``grad`` array, and later ones are added into it in
@@ -150,10 +152,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
     """One MLP layer ``act(x @ w + b)``, the bias broadcast across rows.
 
     ``activation`` is ``"tanh"``, ``"relu"`` or ``None`` (the affine map).
-    The weight (F, H) and bias (H,) may carry a leading run axis, (S, F, H)
-    and (S, H); the input is then either (S, B, F), one batch per run, or a
-    (B, F) batch shared by every run, which takes no gradient. Each run's
-    slice of the output is bit-identical to the 2-D call on its slices.
+    The input (B, F), weight (F, H) and bias (H,) may all carry a leading
+    run axis of S runs, (S, B, F), (S, F, H) and (S, H). Each run's slice of
+    the output is bit-identical to the 2-D call on its slices.
     """
     xd, wd, bd = x.data, w.data, b.data
     xs, ws = xd.shape, wd.shape
@@ -164,11 +165,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         raise ShapeError(f"dense: input width {xs[-1]} != weight rows {ws[-2]}")
     if bd.shape != runs + ws[-1:]:
         raise ShapeError(f"dense: bias shape {bd.shape} != {runs + ws[-1:]}")
-    if xs[:-2] != runs and (len(xs) == 3 or x.requires_grad):
-        raise ShapeError(
-            f"dense: input {xs} must carry the weight's runs {runs}, or be one batch "
-            f"shared by all runs that takes no gradient"
-        )
+    if xs[:-2] != runs:
+        raise ShapeError(f"dense: input {xs} must carry the weight's runs {runs}")
     if activation not in ("tanh", "relu", None):
         raise ConfigError(f"dense: unknown activation {activation!r}")
     y, z = dense_forward(xd, wd, bd, activation)
@@ -303,14 +301,13 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> T
 
     The softmax over the last axis uses the usual max-shift. A probability
     at or beyond the clamp edges passes no gradient.
-    (S, B, C) logits of S runs give an (S,) vector of per-run losses, with
-    one (B, C) mask shared by the runs or an (S, B, C) mask per run; (B, C)
-    logits give a scalar.
+    (B, C) logits give a scalar; an (S, B, C) stack of S runs gives the (S,)
+    per-run losses. The mask has the logits' shape.
     """
     z = logits.data
-    if z.ndim not in (2, 3) or onehot.shape not in (z.shape[-2:], z.shape):
+    if z.ndim not in (2, 3) or onehot.shape != z.shape:
         raise ShapeError(
-            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a (B, C) or per-run mask, "
+            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a mask of their shape, "
             f"got {z.shape} and {onehot.shape}"
         )
     if min(z.shape[-2:]) < 1:

@@ -434,6 +434,8 @@ def _network_from_checkpoint(ck: Checkpoint, kind: type[MLP], prefix: str, meta_
                 raise CheckpointIntegrityError(f"checkpoint missing tensor {name!r}")
             if ck.tensors[name].shape != shape:
                 raise ShapeError(f"checkpoint {name} has shape {ck.tensors[name].shape}, expected {shape}")
+            if not np.isfinite(ck.tensors[name]).all():
+                raise CheckpointIntegrityError(f"checkpoint tensor {name!r} holds a non-finite value")
             tensors.append(Tensor(ck.tensors[name].copy()))
     return kind(widths, activation, tensors[0::2], tensors[1::2])
 
@@ -989,7 +991,7 @@ def finetune_runs(
     onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
     head_layers, enc_layers = _layers(state, cls), _layers(state, encoder)
     dim = encoder.embedding_dim
-    g_loss = np.ones((n_runs,) if n_runs > 1 else ())  # the seed backward gives a root
+    g_loss = np.ones(y_train.shape[:-1])  # the seed backward gives a root
     if frozen:
         pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train), n_runs)
         val_rows = _pair_rows(encoder, xp_val, xn_val)

@@ -252,6 +252,11 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
             tensors[name] = value
         return Checkpoint(tensors, ck.meta, ck.version)
 
+    def with_entry(ck, name, value):
+        tensor = ck.tensors[name].copy()
+        tensor.flat[0] = value
+        return with_tensor(ck, name, tensor)
+
     cases = [
         ("eval", without(fine, "data"), "checkpoint metadata has no data"),
         ("eval", without(fine, "data", "tau"), "checkpoint metadata has no data.tau"),
@@ -264,6 +269,11 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
             "checkpoint encoder.b1 has shape (3,), expected (4,)",
         ),
         ("analyze", with_tensor(pre, "encoder.b0", None), "checkpoint missing tensor 'encoder.b0'"),
+        # a non-finite network tensor: NaN logits would otherwise argmax to class 0, NaN embeddings to std_dev nan
+        ("eval", with_entry(fine, "encoder.w0", np.nan), "checkpoint tensor 'encoder.w0' holds a non-finite value"),
+        ("eval", with_entry(fine, "cls.b1", -np.inf), "checkpoint tensor 'cls.b1' holds a non-finite value"),
+        ("analyze", with_entry(pre, "encoder.w0", np.nan), "checkpoint tensor 'encoder.w0' holds a non-finite value"),
+        ("finetune", with_entry(pre, "encoder.b1", np.inf), "checkpoint tensor 'encoder.b1' holds a non-finite value"),
     ]
     for k, (command, ck, message) in enumerate(cases):
         path, out = tmp_path / f"restore{k}.ckpt", tmp_path / f"restore{k}"
@@ -466,17 +476,25 @@ def test_compare_records_failed_seed_and_continues(tiny_dataset, tmp_path, monke
     assert report["per_seed"]["1"]["error"] == "TrainingAbort: injected failure"
 
 
+def _diverge_finetune(monkeypatch, diverges) -> None:
+    """NaN the training features of each fine-tuning run for which ``diverges(seed, loss mode)`` holds.
+
+    Such a run's loss is non-finite at its first batch, as a diverged run's is.
+    """
+    real = hscl.pipeline.finetune_runs
+
+    def poisoned(pretrained, xp_train, *args, seeds, **kwargs):
+        xp_train = xp_train.copy()
+        for k, (ck, seed) in enumerate(zip(pretrained, seeds)):
+            if diverges(seed, ck.meta["train"]["loss"]["mode"]):
+                xp_train[k] = np.nan
+        return real(pretrained, xp_train, *args, seeds=seeds, **kwargs)
+
+    monkeypatch.setattr(hscl.pipeline, "finetune_runs", poisoned)
+
+
 def test_compare_a_diverged_mode_aborts_its_seed_and_names_the_run(tiny_dataset, tmp_path, monkeypatch):
-    real = hscl.pipeline.run_pretrain_runs
-
-    def poison_cl(prepareds, model, config, seeds):
-        results = real(prepareds, model, config, seeds)
-        for seed, result in zip(seeds, results):
-            if seed == 1 and config.loss.mode == "mse+cl":
-                result.best.tensors["encoder.w0"][:] = np.nan
-        return results
-
-    monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", poison_cl)
+    _diverge_finetune(monkeypatch, lambda seed, mode: seed == 1 and mode == "mse+cl")
     out = tmp_path / "cmp5"
     rc = main(
         [
@@ -651,6 +669,30 @@ UNUSABLE = {
 }
 
 
+# CompareConfig values no sweep can use, each rejected when the config is built: (fields, error text)
+UNUSABLE_COMPARE = {
+    "mode-unknown": ({"modes": ("mse", "cl")}, "unknown loss mode 'cl'"),
+    "modes-none": ({"modes": ()}, "need at least one loss mode"),
+    "seeds-none": ({"seeds": ()}, "need at least one seed"),
+    "seeds-negative": ({"seeds": (0, -1)}, "seeds must be non-negative, got -1"),
+    "sample-size-zero": ({"sample_size": 0}, "sample_size must be >= 1, got 0"),
+    "spread-split-unknown": (
+        {"spread_split": "all"}, "spread_split must be one of ('train', 'val', 'test'), got 'all'"
+    ),
+    "seed-repeated": ({"seeds": (1, 0, 1)}, "each seed may appear once, got repeats of [1]"),
+    "mode-repeated": ({"modes": ("mse", "mse")}, "each loss mode may appear once, got repeats of ['mse']"),
+    # two bad values: the first check in the order above reports
+    "seeds-and-sample-size": ({"seeds": (-1,), "sample_size": 0}, "seeds must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("fields, message", UNUSABLE_COMPARE.values(), ids=UNUSABLE_COMPARE.keys())
+def test_compare_config_rejects_a_value_no_sweep_can_use_when_built(fields, message):
+    with pytest.raises(hscl.errors.ConfigError) as raised:
+        hscl.pipeline.CompareConfig(**fields)
+    assert str(raised.value) == f"run_comparison: {message}"
+
+
 @pytest.mark.parametrize("command, flags, message", UNUSABLE.values(), ids=UNUSABLE.keys())
 def test_a_value_no_run_can_use_exits_2_before_any_work(
     tiny_dataset, tiny_pretrained, tmp_path, capsys, monkeypatch, command, flags, message
@@ -813,24 +855,21 @@ def _checkpoints(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.ckpt"))}
 
 
-def _record_pretrain_stacks(monkeypatch, poisoned_seed=None) -> list[list[int]]:
-    """Record the seeds of every pre-training stack; NaN the encoders ``poisoned_seed`` gets."""
+def _record_pretrain_stacks(monkeypatch) -> list[list[int]]:
+    """Record the seeds of every pre-training stack."""
     real, stacks = hscl.pipeline.run_pretrain_runs, []
 
     def recorded(prepareds, model, config, seeds):
         stacks.append(list(seeds))
-        results = real(prepareds, model, config, seeds)
-        for seed, result in zip(seeds, results):
-            if seed == poisoned_seed:
-                result.best.tensors["encoder.w0"][:] = np.nan
-        return results
+        return real(prepareds, model, config, seeds)
 
     monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", recorded)
     return stacks
 
 
 def test_a_diverged_seed_in_a_stack_fails_alone_and_spares_the_others(tiny_dataset, tmp_path, monkeypatch):
-    stacks = _record_pretrain_stacks(monkeypatch, poisoned_seed=1)
+    stacks = _record_pretrain_stacks(monkeypatch)
+    _diverge_finetune(monkeypatch, lambda seed, mode: seed == 1)
     assert _compare_small(tiny_dataset, tmp_path / "sweep", "0,1,2") == 0
     # the group's stacks fail, then each seed is retrained as a group of one
     assert stacks == [[0, 1, 2], [0, 1, 2], [0], [0], [1], [1], [2], [2]]

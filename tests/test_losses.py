@@ -593,6 +593,37 @@ def test_stacked_losses_reject_masks_of_another_batch():
         wcl_loss(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)
 
 
+# Each loss takes one run's operands without a run axis, or S runs' with it on all of them.
+_HS = np.array([0.1, 0.5, 0.2, 0.9, 0.4])
+_ONE_LAYOUT_CASES = {
+    "cross_entropy-labels": (
+        lambda: cross_entropy(Tensor(np.zeros((2, 5, 3))), np.zeros(5, dtype=int)),
+        r"cross_entropy: got \(5,\) labels for logits of shape \(2, 5, 3\)",
+    ),
+    "mse_loss-target": (
+        lambda: mse_loss(_HS[:, None], Tensor(np.zeros(5))),
+        r"mse_loss: target shape \(5, 1\) != prediction shape \(5,\)",
+    ),
+    "combined_loss_terms-target": (
+        lambda: combined_loss_terms(
+            _HS[:, None], Tensor(np.zeros(5)), Tensor(np.ones((5, 2))), mine_batch(_HS), _HS, CL_CFG
+        ),
+        r"mse_loss: target shape \(5, 1\) != prediction shape \(5,\)",
+    ),
+    "wcl_loss-scores": (
+        lambda: wcl_loss(Tensor(np.ones((5, 2))), mine_batch(_HS), _HS[:, None], WCL_CFG),
+        r"wcl_loss: got \(5, 1\) scores for embeddings of shape \(5, 2\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_LAYOUT_CASES))
+def test_losses_reject_an_operand_of_another_layout(case):
+    call, message = _ONE_LAYOUT_CASES[case]
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
+
+
 # -- epoch-level targets: every batch's masks, K and wcl constant at once -------------------
 
 

@@ -92,6 +92,12 @@ def test_encode_rejects_vector_input():
         encode(params, np.ones(4))
 
 
+def test_encode_rejects_a_batch_without_the_run_axis_of_a_stacked_encoder():
+    encoder = _stacked_pair(init_encoder([4, 3], seed=1), init_encoder([4, 3], seed=2))
+    with pytest.raises(ShapeError, match=r"got shape \(5, 4\) for weights of shape \(2, 4, 3\)$"):
+        encode(encoder, np.ones((5, 4)))
+
+
 def test_encode_matches_numpy_reference():
     params = init_encoder([5, 7, 3], seed=3, activation="tanh")
     x = np.random.default_rng(4).normal(size=(6, 5))

@@ -506,26 +506,25 @@ def test_weighted_log_sum_gradient_zero_at_and_beyond_the_clamp_edges():
 def _assert_runs_match_their_own_calls(build, leaves, rng, constants=()):
     """Value and every gradient of one call on run stacks against each run's call on its slices.
 
-    ``leaves`` holds ``(array, stacked)`` pairs. A stacked array has the run
-    axis first and takes a gradient; any other is shared by every run and
-    takes none. ``constants`` are plain arrays with the run axis first,
+    ``leaves`` holds ``(array, requires_grad)`` pairs, each array with the
+    run axis first. ``constants`` are plain arrays with the run axis first,
     passed to ``build`` after the tensors. The output is weighted by a random
     upstream array, so every gradient entry is exercised.
     """
 
     def call(arrays, consts):
-        tensors = [Tensor(a.copy(), requires_grad=stacked) for a, (_, stacked) in zip(arrays, leaves)]
+        tensors = [Tensor(a.copy(), requires_grad=grad) for a, (_, grad) in zip(arrays, leaves)]
         return build(*tensors, *consts), tensors
 
     out, tensors = call([a for a, _ in leaves], constants)
     upstream = rng.normal(size=out.shape)
     backward(el.mul(out, Tensor(upstream)))
     for r in range(out.shape[0]):
-        out_r, tensors_r = call([a[r] if stacked else a for a, stacked in leaves], [c[r] for c in constants])
+        out_r, tensors_r = call([a[r] for a, _ in leaves], [c[r] for c in constants])
         backward(el.mul(out_r, Tensor(upstream[r])))
         assert np.array_equal(out.data[r], out_r.data)
-        for t, t_r, (_, stacked) in zip(tensors, tensors_r, leaves):
-            if stacked:
+        for t, t_r, (_, grad) in zip(tensors, tensors_r, leaves):
+            if grad:
                 assert np.array_equal(t.grad[r], t_r.grad)
 
 
@@ -536,7 +535,9 @@ def test_dense_with_a_run_axis_matches_each_runs_own_call_bitwise(activation, ru
     # encoder, classifier-hidden and logit layer widths; 1 row is a partial last batch
     for (f, h), rows in itertools.product([(12, 64), (32, 16), (8, 32), (32, 3)], [1, 2, 8]):
         w, b = rng.normal(size=(runs, f, h)), rng.normal(size=(runs, h))
-        for x in ((rng.normal(size=(runs, rows, f)), True), (rng.normal(size=(rows, f)), False)):
+        stacked, shared = rng.normal(size=(runs, rows, f)), rng.normal(size=(rows, f))
+        # an input that takes no gradient: one batch broadcast to every run
+        for x in ((stacked, True), (np.broadcast_to(shared, (runs, rows, f)), False)):
             _assert_runs_match_their_own_calls(
                 lambda x, w, b: dense(x, w, b, activation), [x, (w, True), (b, True)], rng
             )
@@ -549,9 +550,9 @@ def test_concat_last_and_cross_entropy_with_a_run_axis_match_each_runs_own_call_
         a, b = rng.normal(size=(runs, rows, 4)), rng.normal(size=(runs, rows, 3))
         _assert_runs_match_their_own_calls(lambda a, b: concat_last([a, b]), [(a, True), (b, True)], rng)
         logits = rng.normal(size=(runs, rows, 3)) * (1.0 if trial % 2 else 40.0)  # large logits saturate
-        onehot = np.eye(3)[rng.integers(0, 3, size=rows)]
+        onehot = np.broadcast_to(np.eye(3)[rng.integers(0, 3, size=rows)], logits.shape)
         _assert_runs_match_their_own_calls(
-            lambda z: softmax_cross_entropy(z, onehot, 1e-12), [(logits, True)], rng
+            lambda z, m: softmax_cross_entropy(z, m, 1e-12), [(logits, True)], rng, constants=[onehot]
         )
 
 
@@ -561,8 +562,9 @@ def test_dense_rejects_mismatched_runs_and_a_shared_input_that_needs_a_gradient(
         dense(Tensor(np.ones((3, 5, 3))), w, b)
     with pytest.raises(ShapeError, match="bias"):
         dense(Tensor(np.ones((5, 3))), w, Tensor(np.zeros(4)))
-    with pytest.raises(ShapeError, match="takes no gradient"):
-        dense(Tensor(np.ones((5, 3)), requires_grad=True), w, b)
+    for grad in (False, True):  # a batch without the run axis is one run's, with or without a gradient
+        with pytest.raises(ShapeError, match=r"^dense: input \(5, 3\) must carry the weight's runs \(2,\)$"):
+            dense(Tensor(np.ones((5, 3)), requires_grad=grad), w, b)
     with pytest.raises(ShapeError, match="runs"):  # a run axis on the input needs one on the weight
         dense(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
 
@@ -617,8 +619,13 @@ def test_stacked_losses_reject_mismatched_masks_and_shapes():
         softmax_cross_entropy(Tensor(np.zeros((2, 4, 3))), np.ones((3, 4, 3), dtype=bool), 1e-12)
     for shape in ((2, 0, 3), (4, 0)):
         with pytest.raises(ShapeError, match="at least one row and one class"):
-            softmax_cross_entropy(Tensor(np.zeros(shape)), np.ones(shape[-2:], dtype=bool), 1e-12)
+            softmax_cross_entropy(Tensor(np.zeros(shape)), np.ones(shape, dtype=bool), 1e-12)
     with pytest.raises(ShapeError, match="squared_error_sum"):
         squared_error_sum(np.zeros((2, 3, 4)), Tensor(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError, match="pairwise_similarity"):
         pairwise_similarity(Tensor(np.ones((2, 2, 3, 4))), "cos")
+
+
+def test_softmax_cross_entropy_rejects_a_mask_without_the_logits_run_axis():
+    with pytest.raises(ShapeError, match=r"a mask of their shape, got \(2, 4, 3\) and \(4, 3\)$"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 4, 3))), np.ones((4, 3), dtype=bool), 1e-12)

@@ -265,6 +265,14 @@ def test_config_file_keys_are_the_option_dests(command, tmp_path):
             cli._merge(_no_flag_args(parser, command, subs[command], extra))
 
 
+@pytest.mark.parametrize(
+    "config_cls", sorted({c for cs in CONFIGS.values() for c in cs}, key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_every_config_the_cli_builds_checks_its_values(config_cls):
+    # its own checks, so that no config holds a value no run can use until a run starts
+    assert "__post_init__" in vars(config_cls)
+
+
 @pytest.mark.parametrize("command", sorted(CONFIGS))
 def test_no_flag_options_build_the_default_configs(command):
     parser, subs = _subparsers()

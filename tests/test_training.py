@@ -539,14 +539,13 @@ def test_lockstep_finetune_matches_each_run_alone_bitwise(sim, freeze):
 def test_a_non_finite_run_aborts_the_stack_and_is_named_only_when_stacked():
     pre = _pretrained_toy()
     xp, xn, labels = _separable_pairs(pre.best, n=20)
-    poisoned = Checkpoint({**pre.best.tensors, "encoder.w0": np.full_like(pre.best.tensors["encoder.w0"], np.nan)},
-                          pre.best.meta)
-    args = (xp, xn, labels, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
+    nan_xp = np.full_like(xp, np.nan)  # gives a NaN loss at the first batch
+    args = (xn, labels, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
     with pytest.raises(TrainingAbort) as alone:
-        finetune(poisoned, *args)
+        finetune(pre.best, nan_xp, *args)
     assert str(alone.value) == "finetune: non-finite loss at epoch 0 batch 0: ce=nan"
     with pytest.raises(TrainingAbort) as stacked:
-        finetune_runs([pre.best, poisoned, pre.best], *args)
+        finetune_runs([pre.best] * 3, np.stack([xp, nan_xp, xp]), *args)
     assert str(stacked.value) == "finetune run 1: non-finite loss at epoch 0 batch 0: ce=nan"
 
 

@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .data import LABEL_MODES, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import (
@@ -53,16 +54,6 @@ from .training import (
     save_checkpoint,
     write_trace,
 )
-
-# Where each subcommand's option defaults live.
-_DEFAULT_SOURCES = {
-    "gen-data": (SyntheticSpec,),
-    "pretrain": (TrainConfig, LossConfig, ModelSpec, DataConfig),
-    "finetune": (TrainConfig, ModelSpec),
-    "eval": (evaluate_checkpoint,),
-    "analyze": (spread_for_checkpoint, CompareConfig),
-    "compare": (TrainConfig, LossConfig, ModelSpec, DataConfig, CompareConfig),
-}
 
 # Options named differently from the field or parameter they set.
 _FIELD_NAMES = {
@@ -121,12 +112,12 @@ def _library_defaults(source) -> dict:
 def _merge(args: argparse.Namespace) -> dict:
     """Library defaults, overlaid by the config file, overlaid by flags."""
     defaults: dict = {}
-    for source in reversed(_DEFAULT_SOURCES[args.command]):  # earlier sources win
+    for source in reversed(COMMANDS[args.command].defaults):  # earlier sources win
         defaults.update(_library_defaults(source))
     merged = {
         key: defaults[_FIELD_NAMES.get(key, key)]
         for key in vars(args)
-        if key not in ("command", "func", "choices", *_PATH_ARGS)
+        if key not in ("command", "choices", *_PATH_ARGS)
     }
     config_path = args.config
     if config_path:
@@ -261,8 +252,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ck, prepared = _restored(args, "finetune")
     report = evaluate_checkpoint(prepared, ck, split=opts["split"])
     os.makedirs(args.out, exist_ok=True)
-    _write_metrics(report, os.path.join(args.out, "metrics"))
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(_write_metrics(report, os.path.join(args.out, "metrics")))
     return 0
 
 
@@ -313,105 +303,100 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics(report, prefix: str) -> None:
+def _write_metrics(report, prefix: str) -> str:
+    """Write ``prefix.txt`` and ``prefix.json``; the text written to the first."""
+    text = report.to_text()
     with open(prefix + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+        fh.write(text)
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
+    return text
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hscl",
-        description="Contrastive pre-training on scalar health scores, with a "
-        "downstream improved/same/deteriorated pair classifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_flags(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    p.add_argument("--config", help="JSON config file; flags override its keys")
+    if seed:
+        p.add_argument("--seed", type=int, help="master seed for all randomness")
 
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
-        # no prefix matching: adding or removing a flag must never change what
-        # an abbreviation means (compare's --seed would otherwise read as --seeds)
-        return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed for all randomness")
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--eta-min", dest="eta_min", type=float)
 
-    p = add_parser("gen-data", help="write a synthetic longitudinal dataset")
-    add_common(p)
+
+def _data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fractions", help="comma-separated train,val,test fractions")
+    p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
+    p.add_argument("--tau", type=float, help="threshold-mode same band, normalized units")
+
+
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hidden", help="comma-separated encoder hidden widths")
+    p.add_argument("--activation", choices=ACTIVATIONS)
+
+
+def _loss_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sim", choices=SIMILARITIES, help="similarity kind")
+    p.add_argument("--alpha", type=float, help="contrastive term weight")
+    p.add_argument("--eps", type=float, help="label-distance weight offset")
+
+
+def _gen_data_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p)
     p.add_argument("--patients", type=int)
     p.add_argument("--scans-per-patient", dest="scans_per_patient", type=int)
     p.add_argument("--features", type=int)
     p.add_argument("--latent-dim", dest="latent_dim", type=int)
     p.add_argument("--noise", type=float)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_gen_data)
 
-    def add_train_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--eta-min", dest="eta_min", type=float)
 
-    def add_data_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fractions", help="comma-separated train,val,test fractions")
-        p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
-        p.add_argument("--tau", type=float, help="threshold-mode same band, normalized units")
-
-    def add_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--hidden", help="comma-separated encoder hidden widths")
-        p.add_argument("--activation", choices=ACTIVATIONS)
-
-    def add_loss_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sim", choices=SIMILARITIES, help="similarity kind")
-        p.add_argument("--alpha", type=float, help="contrastive term weight")
-        p.add_argument("--eps", type=float, help="label-distance weight offset")
-
-    p = add_parser("pretrain", help="regression (+ contrastive) pre-training")
-    add_common(p)
+def _pretrain_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--loss", choices=MODES)
-    add_loss_flags(p)
-    add_train_flags(p)
-    add_model_flags(p)
-    add_data_flags(p)
-    p.set_defaults(func=cmd_pretrain)
+    _loss_flags(p)
+    _train_flags(p)
+    _model_flags(p)
+    _data_flags(p)
 
-    p = add_parser("finetune", help="train the 3-way change classifier")
-    add_common(p)
+
+def _finetune_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--freeze-encoder", dest="freeze_encoder", action=argparse.BooleanOptionalAction)
     p.add_argument("--cls-hidden", dest="cls_hidden", help="comma-separated classifier hidden widths")
-    add_train_flags(p)
-    p.set_defaults(func=cmd_finetune)
+    _train_flags(p)
 
-    p = add_parser("eval", help="evaluate a finetuned checkpoint on a split")
-    add_common(p, seed=False)
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="finetune checkpoint")
     p.add_argument("--out", required=True, help="output directory for metrics files")
     p.add_argument("--split", choices=SPLITS)
-    p.set_defaults(func=cmd_eval)
 
-    p = add_parser("analyze", help="export the embedding-spread profile")
-    add_common(p)
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="profile output path (TSV)")
     p.add_argument("--sample-size", dest="sample_size", type=int)
     p.add_argument("--split", choices=SPLITS)
-    p.set_defaults(func=cmd_analyze)
 
-    p = add_parser("compare", help="pretrain/finetune/eval each loss mode per seed")
-    add_common(p, seed=False)
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    _common_flags(p, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seeds", help="comma-separated seeds")
@@ -421,22 +406,90 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cls-hidden", dest="cls_hidden")
     p.add_argument("--sample-size", dest="sample_size", type=int)
     p.add_argument("--spread-split", dest="spread_split", choices=SPLITS)
-    add_loss_flags(p)
-    add_train_flags(p)
-    add_model_flags(p)
-    add_data_flags(p)
-    p.set_defaults(func=cmd_compare)
+    _loss_flags(p)
+    _train_flags(p)
+    _model_flags(p)
+    _data_flags(p)
 
-    for p in sub.choices.values():  # so config-file values meet the choices their flags have
+
+class Command(NamedTuple):
+    """One subcommand: its help line, what adds its flags, what runs it."""
+
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+    defaults: tuple  # where its option defaults live; earlier sources win
+
+
+COMMANDS = {
+    "gen-data": Command(
+        "write a synthetic longitudinal dataset",
+        _gen_data_flags,
+        cmd_gen_data,
+        (SyntheticSpec,),
+    ),
+    "pretrain": Command(
+        "regression (+ contrastive) pre-training",
+        _pretrain_flags,
+        cmd_pretrain,
+        (TrainConfig, LossConfig, ModelSpec, DataConfig),
+    ),
+    "finetune": Command(
+        "train the 3-way change classifier",
+        _finetune_flags,
+        cmd_finetune,
+        (TrainConfig, ModelSpec),
+    ),
+    "eval": Command(
+        "evaluate a finetuned checkpoint on a split",
+        _eval_flags,
+        cmd_eval,
+        (evaluate_checkpoint,),
+    ),
+    "analyze": Command(
+        "export the embedding-spread profile",
+        _analyze_flags,
+        cmd_analyze,
+        (spread_for_checkpoint, CompareConfig),
+    ),
+    "compare": Command(
+        "pretrain/finetune/eval each loss mode per seed",
+        _compare_flags,
+        cmd_compare,
+        (TrainConfig, LossConfig, ModelSpec, DataConfig, CompareConfig),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hscl`` parser: every subcommand, or only ``command``, a key of ``COMMANDS``.
+
+    A one-command parser's usage line still spells out every command, so the
+    errors it prints read as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hscl",
+        description="Contrastive pre-training on scalar health scores, with a "
+        "downstream improved/same/deteriorated pair classifier.",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        # no prefix matching: adding or removing a flag must never change what
+        # an abbreviation means (compare's --seed would otherwise read as --seeds)
+        p = sub.add_parser(name, help=COMMANDS[name].help, allow_abbrev=False)
+        COMMANDS[name].add_flags(p)
+        # so config-file values meet the choices their flags have
         p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices is not None})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a real process runs one command: build only its parser when argv names it
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(args)
     except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

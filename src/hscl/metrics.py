@@ -198,10 +198,9 @@ def embedding_spread(
 
 def export_profile(profile: SpreadProfile, path) -> None:
     """Tab-separated points plus '#'-prefixed summary footer; byte-deterministic."""
+    points = zip(profile.delta_hs.tolist(), profile.cos_distance.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("delta_hs\tcos_distance\n")
-        for d, c in zip(profile.delta_hs, profile.cos_distance):
-            fh.write(f"{repr(float(d))}\t{repr(float(c))}\n")
+        fh.write("delta_hs\tcos_distance\n" + "".join(f"{d!r}\t{c!r}\n" for d, c in points))
         fh.write(f"# n\t{profile.n_points}\n")
         fh.write(f"# std_dev\t{repr(float(profile.std_dev))}\n")
         fh.write(f"# spearman_rho\t{repr(float(profile.rho))}\n")

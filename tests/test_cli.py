@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hscl import cli
 from hscl.cli import main
 from hscl.data import (
     DEFAULT_FRACTIONS,
@@ -98,6 +100,53 @@ def test_removed_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_one_command_parser_reads_as_the_full_parser(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(_subparsers(one)) == [command]
+    assert one.format_usage() == full.format_usage()
+    full_sub, one_sub = _subparsers(full)[command], _subparsers(one)[command]
+    assert one_sub.format_help() == full_sub.format_help()
+    assert one_sub.format_usage() == full_sub.format_usage()
+
+
+def _required_flags(command: str) -> list[str]:
+    sub = _subparsers(cli.build_parser())[command]
+    return [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "unused")]
+
+
+PARSER_CASES = {
+    "help": ["--help"],
+    "unknown-command": ["evaluate"],
+    "no-command": [],
+    **{f"{c}-help": [c, "--help"] for c in cli.COMMANDS},
+    **{f"{c}-missing-flag": [c] for c in cli.COMMANDS},
+    **{f"{c}-unrecognized-flag": [c, *_required_flags(c), "--bogus"] for c in cli.COMMANDS},
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_main_prints_and_exits_as_with_the_full_parser(argv, capsys, monkeypatch):
+    def run() -> tuple:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = run()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert built == run()
+    assert built[0] in (0, 2) and built[1] + built[2] != ""
 
 
 def test_pretrain_missing_dataset_names_path(tmp_path, capsys):

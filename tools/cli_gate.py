@@ -18,7 +18,12 @@ the sample-size cap warning; compare in threshold mode; and in bin mode, on
 an S/F-scaled cohort (gen-data's scores may be non-positive), compare,
 pretrain and finetune, then pretrain, finetune, eval, analyze and compare on
 copies that hold one non-positive score (for the restores, in a test-split
-scan, so the checkpoint's normalization still matches).
+scan, so the checkpoint's normalization still matches). Then the parser's own
+texts: ``--help``, each ``<command> --help``, an unknown command, no command,
+a missing required flag and an unrecognized flag, each recorded with the
+exit code argparse gives it. Argparse wraps its help to the terminal width
+(``COLUMNS``, else 80 columns when stdout is not a terminal), so compare
+manifests made at the same width.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from pathlib import Path
 LOSS_MODES = ("mse", "mse+cl", "mse+wcl")
 SIMILARITIES = ("cos", "l2")
 SPLITS = ("train", "val", "test")
+COMMANDS = ("gen-data", "pretrain", "finetune", "eval", "analyze", "compare")  # not read from hscl.cli: the gate runs on older trees too
 NON_POSITIVE = -0.5
 PATIENTS, SCANS_PER_PATIENT, FEATURES = 40, 4, 6  # both cohorts' sizes
 EPOCHS, HIDDEN, SEEDS, SAMPLE_SIZE = "4", "8,4", "0,1", "20"  # option values as the CLI reads them
@@ -116,6 +122,12 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         restore("finetune", bad_test, bin_ckpt, "finetune-bin-non-positive", *train),
         restore("eval", bad_test, bin_tuned, "eval-bin-non-positive"),
         restore("analyze", bad_test, bin_ckpt, "analyze-bin-non-positive.tsv"),
+        ("help", ["--help"]),
+        *((f"help-{command}", [command, "--help"]) for command in COMMANDS),
+        ("unknown-command", ["evaluate"]),
+        ("no-command", []),
+        ("missing-flag", ["eval", "--data", data, "--checkpoint", str(out / tuned)]),
+        restore("eval", data, tuned, "unrecognized-flag", "--seed", "1"),
     ]
 
 

@@ -29,10 +29,17 @@ held in ``ContrastTargets``: a training loop builds them for a whole epoch
 of batches at once with ``contrast_targets`` and hands each step its
 batch's slice, and ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms``
 turn a plain ``MiningResult`` into them first. Every contrastive loss is
-then computed one way, from the tensor core's array functions, and each
-term is one node wired straight to the embeddings and the predictions, so
-``backward`` walks 3 nodes for the total. The tests rebuild the same
-values and gradients from a chain of 7 (cl) or 9 (wcl) graph ops.
+then computed one way, from the tensor core's array functions.
+
+The combined loss is one pair of array functions, as the tensor ops are:
+``combined_loss_forward`` gives the terms and what the gradient needs, and
+``combined_loss_backward`` maps the total's gradient to the predictions'
+and the embeddings'. The pre-training step calls the pair and builds no
+graph. ``combined_loss_terms`` wraps it for the ``Tensor`` API: each term is
+one node wired straight to the embeddings and the predictions, and the
+total's node calls the pair's backward, so ``backward`` walks 3 nodes for
+the total. The tests rebuild the same values and gradients from a chain of
+7 (cl) or 9 (wcl) graph ops.
 """
 
 from __future__ import annotations
@@ -90,6 +97,14 @@ class LossConfig:
     @property
     def weighted(self) -> bool:
         return self.mode == "mse+wcl"
+
+    @property
+    def needs_mining(self) -> bool:
+        """Whether the loss has a contrastive term: a contrastive mode with alpha != 0.
+
+        Otherwise the total is the MSE term alone, and no batch is mined.
+        """
+        return self.contrastive and self.alpha != 0.0
 
 
 @dataclass
@@ -289,6 +304,35 @@ def _contrastive_term(e: np.ndarray, targets: ContrastTargets, config: LossConfi
     return con, con_grad
 
 
+def combined_loss_forward(
+    y: np.ndarray, pred: np.ndarray, e: np.ndarray | None, targets: ContrastTargets | None, config: LossConfig
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], tuple]:
+    """``combined_loss_terms`` on arrays, unchecked: (total, mse, con or None) and what the gradient needs.
+
+    ``y`` is the target of the predictions ``pred``, (B,) or (S, B); ``e``
+    the embeddings and ``targets`` the batch's ``ContrastTargets``, read
+    only when ``config.needs_mining``. Otherwise the total is the mse term
+    and con is None.
+    """
+    mse, diff = squared_error_sum_forward(y, pred)
+    if not config.needs_mining:
+        return (mse, mse, None), (diff, None)
+    con, con_grad = _contrastive_term(e, targets, config)
+    return (mse + con * float(config.alpha), mse, con), (diff, con_grad)
+
+
+def combined_loss_backward(
+    g: np.ndarray, config: LossConfig, diff: np.ndarray, con_grad
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients (predictions, embeddings) of ``combined_loss_forward``'s total for its gradient ``g``.
+
+    The contrastive term takes ``g * alpha``; the embeddings' gradient is
+    None for the mse-only loss.
+    """
+    g_e = None if con_grad is None else con_grad(g * float(config.alpha))
+    return squared_error_sum_backward(g, diff), g_e
+
+
 def combined_loss_terms(
     y,
     y_pred: Tensor,
@@ -306,35 +350,34 @@ def combined_loss_terms(
     are without reading ``hs``; or a plain ``MiningResult``, which is first
     turned into them with ``hs`` as ``cl_loss``/``wcl_loss`` do.
 
-    The terms are computed from the tensor ops' array functions, one node
-    each: ``total`` has the parents (y_pred, embeddings), ``mse`` y_pred and
-    ``con`` the embeddings. Values and gradients repeat the graph-op chain
+    The terms come from ``combined_loss_forward``, one node each: ``total``
+    has the parents (y_pred, embeddings) and calls
+    ``combined_loss_backward``, ``mse`` has y_pred and ``con`` the
+    embeddings. Values and gradients repeat the graph-op chain
     ``mse + (sum(K * log clamp(S)) [+ constant]) * alpha`` operation for
     operation: the total's gradient reaches the contrastive term as
     ``g * alpha``, and the constant passes it through unchanged.
     """
     target = _mse_target(y, y_pred)
-    if not config.contrastive or config.alpha == 0.0:
-        mse = squared_error_sum(target, y_pred)
-        return mse, mse, None
-    if embeddings is None or mining is None:
-        raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
-    if isinstance(mining, ContrastTargets):
-        if mining.eps != (config.eps if config.weighted else None):
-            raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
-        _check_mining("combined_loss", embeddings, mining)
-    else:
-        mining = _mined_targets(embeddings, mining, hs, config, config.weighted)
-    mse, diff = squared_error_sum_forward(target, y_pred.data)
-    con, con_grad = _contrastive_term(embeddings.data, mining, config)
-    alpha = float(config.alpha)
-
-    def mse_grad(g: np.ndarray) -> np.ndarray:
-        return squared_error_sum_backward(g, diff)
-
+    e = None
+    if config.needs_mining:
+        if embeddings is None or mining is None:
+            raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
+        if isinstance(mining, ContrastTargets):
+            if mining.eps != (config.eps if config.weighted else None):
+                raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
+            _check_mining("combined_loss", embeddings, mining)
+        else:
+            mining = _mined_targets(embeddings, mining, hs, config, config.weighted)
+        e = embeddings.data
+    (total, mse, con), saved = combined_loss_forward(target, y_pred.data, e, mining, config)
+    if con is None:
+        total = node(total, (y_pred,), lambda g: combined_loss_backward(g, config, *saved)[:1])
+        return total, total, None
+    diff, con_grad = saved
     return (
-        node(mse + con * alpha, (y_pred, embeddings), lambda g: (mse_grad(g), con_grad(g * alpha))),
-        node(mse, (y_pred,), lambda g: (mse_grad(g),)),
+        node(total, (y_pred, embeddings), lambda g: combined_loss_backward(g, config, *saved)),
+        node(mse, (y_pred,), lambda g: (squared_error_sum_backward(g, diff),)),
         node(con, (embeddings,), lambda g: (con_grad(g),)),
     )
 

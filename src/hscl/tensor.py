@@ -28,8 +28,8 @@ term's ``pairwise_similarity_*`` (the (B, B) similarity matrix ``S``) and
 ``weighted_log_sum_*`` (``sum(K * log clamp(S))``). A node's closure calls
 the backward function, so the gradient checks of the op test the code that
 other callers run without it: the training loops run every MLP layer and
-the fine-tuning loss of a step tape-free, and ``losses`` builds each loss
-term as one node wired straight to its leaves. ``node`` makes such a node
+both losses of a step tape-free, and ``losses`` builds each loss term as
+one node wired straight to its leaves. ``node`` makes such a node
 from a value, its parents and a function that gives each parent's gradient.
 
 The fused ops and the array functions also take a leading run axis that
@@ -378,12 +378,8 @@ def backward(root: Tensor) -> None:
     accumulate until the caller resets ``grad`` (as
     ``losses.loss_gradients`` does).
 
-    Its callers:
+    Its callers (no training step is one: the loops run on arrays):
 
-    - the pre-training step of the training loops, which walks only the
-      loss: one node wired straight to two leaves, the embeddings and the
-      predictions (an mse loss is one node over the predictions). The MLP
-      layers and the fine-tuning loss run without a graph;
     - ``losses.loss_gradients`` and public callers, on whole-model graphs;
     - ``grad_check``;
     - the tests: their gradient checks, the elementary-op chains and the

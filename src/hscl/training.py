@@ -37,6 +37,8 @@ from .errors import (
 from .losses import (
     PROB_FLOOR,
     LossConfig,
+    combined_loss_backward,
+    combined_loss_forward,
     combined_loss_terms,
     contrast_targets,
     cross_entropy,
@@ -65,7 +67,6 @@ from .model import (
 )
 from .tensor import (
     Tensor,
-    backward,
     dense_backward,
     dense_forward,
     softmax_cross_entropy_backward,
@@ -73,13 +74,15 @@ from .tensor import (
 )
 
 # perfbench/tracing.py wraps functions at this module's bindings, so each name
-# its BINDINGS resolves here must stay bound: ``combined_loss_terms``,
-# ``adam_step``, ``save_checkpoint``, ``load_checkpoint``, ``compute_metrics``
-# and ``encode``, ``predict_hs`` and ``classify_pairs``, which only the
-# validation and a frozen encoder's pair rows call; and ``loss_gradients``,
-# ``mine_batch`` and ``cross_entropy``, which nothing here calls any more: a
-# step runs its layers tape-free (see ``_forward``), each epoch is mined at
-# once (``contrast_targets``) and the fine-tuning labels are checked once
+# its BINDINGS resolves here must stay bound: ``adam_step``,
+# ``save_checkpoint``, ``load_checkpoint``, ``compute_metrics`` and
+# ``encode``, ``predict_hs`` and ``classify_pairs``, which only the
+# validation and a frozen encoder's pair rows call; and
+# ``combined_loss_terms``, ``loss_gradients``, ``mine_batch`` and
+# ``cross_entropy``, which nothing here calls any more: a step runs its
+# layers and its loss tape-free (see ``_forward`` and
+# ``combined_loss_forward``), each epoch is mined at once
+# (``contrast_targets``) and the fine-tuning labels are checked once
 # (``onehot_labels``).
 
 CHECKPOINT_MAGIC = b"GCCK"
@@ -487,17 +490,19 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # checkpoints are bit-identical to training it alone. One run carries no run
 # axis at all.
 #
-# A step builds no graph for its MLP layers. ``_forward`` runs them through
-# ``tensor.dense_forward`` and keeps each layer's arrays; ``_backward`` sends
-# the output gradient back through ``tensor.dense_backward``, which writes
-# each parameter's gradient straight into its view of ``AdamState.grad``.
-# Those are the functions the ``dense`` node calls, so values and gradients
-# are those of the graph, bit for bit. Every view is written every step, so
-# the buffer is never zero-filled. Pre-training hands ``combined_loss_terms``
-# two leaves, the embeddings and the predictions, with the batch's
-# ``ContrastTargets``; the total it returns is one node wired straight to
-# both, so ``backward`` walks 3 nodes (2 for mse). Fine-tuning calls the
-# cross-entropy's forward and backward functions directly; an unfrozen
+# A step builds no graph and calls no ``backward``. ``_forward`` runs the MLP
+# layers through ``tensor.dense_forward`` and keeps each layer's arrays;
+# ``_backward`` sends the output gradient back through
+# ``tensor.dense_backward``, which writes each parameter's gradient straight
+# into its view of ``AdamState.grad``. Those are the functions the ``dense``
+# node calls, so values and gradients are those of the graph, bit for bit.
+# Every view is written every step, so the buffer is never zero-filled. The
+# losses run the same way, seeded with the ones ``backward`` would give the
+# root: pre-training calls ``losses.combined_loss_forward`` on the
+# embeddings and the predictions with the batch's ``ContrastTargets`` and
+# ``combined_loss_backward`` for both their gradients, the pair the
+# ``combined_loss_terms`` total node calls; fine-tuning calls the
+# cross-entropy's forward and backward functions. An unfrozen
 # encoder runs once per step over the batch's prev and next scans, stacked
 # along a leading axis of two, which the stacked matmuls treat like a run
 # axis. Where a gradient has two shares (the embeddings, from the head and
@@ -838,32 +843,30 @@ def pretrain_runs(
         {"widths": widths, "activation": activation}, [{"data": m or {}} for m in data_metas],
     )
     state = runs.state
-    needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
+    loss = config.loss
     x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
     enc_layers, head_layers = _layers(state, encoder), _layers(state, reg)
+    g_loss = np.ones(y_train.shape[:-1])  # the seed backward gives a root
 
     n_batches = n // config.batch_size
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
         batches = _full_batches(_epoch_rows(seeds, epoch, n), config.batch_size)
         xs, ys = x_rows.take(batches, axis=0), y_rows.take(batches, axis=0)
-        targets = contrast_targets(ys, config.loss) if needs_mining else None
+        targets = contrast_targets(ys, loss) if loss.needs_mining else None
         for k in range(n_batches):
-            yb = ys[k]
             enc_saved = _forward(enc_layers, xs[k])
             e = enc_saved[-1][1]
             head_saved = _forward(head_layers, e)
-            embeddings = Tensor(e, requires_grad=True)
-            y_hat = Tensor(head_saved[-1][1].reshape(e.shape[:-1]), requires_grad=True)
-            total, mse_term, con_term = combined_loss_terms(
-                yb, y_hat, embeddings, targets.batch(k) if needs_mining else None, yb, config.loss
+            y_hat = head_saved[-1][1].reshape(e.shape[:-1])
+            terms, saved = combined_loss_forward(
+                ys[k], y_hat, e, None if targets is None else targets.batch(k), loss
             )
-            runs.add(epoch, k, total.data, mse_term.data, None if con_term is None else con_term.data)
-            backward(total)
-            g_pred = y_hat.grad.reshape(e.shape[:-1] + (1,))
-            g = _backward(head_layers, head_saved, g_pred, need_x=True)
-            if embeddings.grad is not None:  # the similarity's share, added to the head's
-                g += embeddings.grad
+            runs.add(epoch, k, *terms)
+            g_pred, g_e = combined_loss_backward(g_loss, loss, *saved)
+            g = _backward(head_layers, head_saved, g_pred.reshape(e.shape[:-1] + (1,)), need_x=True)
+            if g_e is not None:  # the similarity's share, added to the head's
+                g += g_e
             _backward(enc_layers, enc_saved, g)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hscl import training
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.losses import (
     MODES,
@@ -13,6 +16,8 @@ from hscl.losses import (
     LossConfig,
     cl_loss,
     combined_loss,
+    combined_loss_backward,
+    combined_loss_forward,
     combined_loss_terms,
     contrast_targets,
     cross_entropy,
@@ -748,3 +753,58 @@ def test_zero_norm_embeddings_raise_the_same_error_with_contrast_targets_and_wit
             combined_loss_terms(hs, Tensor(np.zeros(lead + (6,))), Tensor(emb), mining, hs, cfg)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "pairwise_similarity: cosine undefined for a zero vector"
+
+
+# -- the array pair the pre-training step calls ---------------------------------------------
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize(
+    "mode, alpha", [("mse", 1.0), ("mse+cl", 0.7), ("mse+wcl", 0.7), ("mse+cl", 0.0)],
+    ids=["mse", "mse+cl", "mse+wcl", "mse+cl-alpha0"],
+)
+@pytest.mark.parametrize("kind", SIMILARITIES)
+def test_combined_loss_pair_matches_the_terms_nodes_and_the_graph_ops_bytewise(kind, mode, alpha, runs):
+    """Values and both gradients of the pair against ``combined_loss_terms`` and ``oracles.combined_loss_chain``.
+
+    The total's gradient is 0.5, not the ones ``backward`` seeds, so the
+    contrastive share shows its scaling by alpha. With alpha == 0 a
+    contrastive mode takes the mse-only path: no contrastive term and no
+    embedding gradient.
+    """
+    rng = np.random.default_rng(46)
+    cfg = LossConfig(mode=mode, similarity=kind, alpha=alpha)
+    lead = (runs,) if runs > 1 else ()
+    assert cfg.needs_mining == (mode != "mse" and alpha != 0.0)
+    for b in (3, 8, 9):
+        hs = rng.uniform(0, 1, size=lead + (b,))
+        pred = rng.normal(size=lead + (b,))
+        emb = rng.normal(size=lead + (b, 4))
+        emb[..., 1, :] = emb[..., 0, :]  # similarity 1, at the clamp edge
+        seed = np.full(lead, 0.5)
+        targets = contrast_targets(hs, cfg) if cfg.needs_mining else None
+        values, saved = combined_loss_forward(hs, pred, emb, targets, cfg)
+        p_grad, e_grad = combined_loss_backward(seed, cfg, *saved)
+        assert (values[2] is None) == (e_grad is None) == (not cfg.needs_mining)
+        for loss, mining in ((combined_loss_terms, targets), (combined_loss_chain, mine_batch(hs))):
+            p, e = Tensor(pred.copy(), requires_grad=True), Tensor(emb.copy(), requires_grad=True)
+            terms = loss(hs, p, e, mining, hs, cfg)
+            backward(el.mul(terms[0], Tensor(seed)))
+            for value, term in zip(values, terms):
+                assert (value is None and term is None) or _same_bytes(value, term.data)
+            assert _same_bytes(p_grad, p.grad)
+            assert (e_grad is None and e.grad is None) or _same_bytes(e_grad, e.grad)
+
+
+def test_training_names_neither_backward_nor_node():
+    """A training step runs its layers and its loss on arrays: no graph, no ``backward`` walk."""
+    tree = ast.parse(Path(training.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in n.names}
+    assert names & {"backward", "node"} == set()

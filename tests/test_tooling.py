@@ -44,9 +44,9 @@ import pytest
 
 import hscl.tensor
 from hscl import cli
-from hscl.data import SyntheticSpec
-from hscl.errors import ConfigError
-from hscl.losses import LossConfig, mine_batch
+from hscl.data import SyntheticSpec, load_dataset
+from hscl.errors import ConfigError, HsclError
+from hscl.losses import LossConfig, contrast_targets, mine_batch
 from hscl.pipeline import (
     CompareConfig,
     DataConfig,
@@ -111,12 +111,21 @@ def test_mining_probes_read_a_real_mining_result(similarity):
     assert tracing._clamped(args, None) == {"mined": pairs, "clamped": int(at_clamp.sum())}
 
 
-def test_traced_training_runs_every_probe_without_error():
-    """Short pre-training runs (mse+cl, mse+wcl) and a frozen fine-tune under the installed tracer."""
-    tracing = _load_tracing()
-    hs = types.SimpleNamespace(
+def _traced_modules(tracing):
+    return types.SimpleNamespace(
         **{name: importlib.import_module(f"hscl.{name}") for name, _, _ in tracing.BINDINGS}
     )
+
+
+def test_traced_training_runs_every_probe_without_error():
+    """Short pre-training runs (mse+cl, mse+wcl) and a frozen fine-tune under the installed tracer.
+
+    A pre-training step runs its loss as an array forward/backward pair, so
+    the runs record no loss and no backward span. The loss probe is run on
+    one traced ``combined_loss_terms`` call with a batch's real targets.
+    """
+    tracing = _load_tracing()
+    hs = _traced_modules(tracing)
     rng = np.random.default_rng(6)
     x, y = rng.normal(size=(37, 5)), rng.uniform(size=37)
     xp, xn, labels = rng.normal(size=(20, 5)), rng.normal(size=(20, 5)), rng.integers(0, 3, size=20)
@@ -125,11 +134,49 @@ def test_traced_training_runs_every_probe_without_error():
         for mode in ("mse+cl", "mse+wcl"):
             pre = pretrain(x, y, x[:9], y[:9], TrainConfig(epochs=1, loss=LossConfig(mode)), hidden=(6, 4))
         finetune(pre.best, xp, xn, labels, xp[:9], xn[:9], labels[:9], TrainConfig(epochs=1))
+        trained = [s.name for s in tracer.spans]
+        config = LossConfig("mse+cl")
+        batch = contrast_targets(y[:32].reshape(4, 8), config).batch(1)
+        hs.training.combined_loss_terms(y[8:16], Tensor(np.zeros(8)), Tensor(x[8:16]), batch, y[8:16], config)
     assert tracing.wrapped_names(hs) == []
-    loss_spans = [s for s in tracer.spans if s.name == "losses.combined_loss_terms"]
-    assert len(loss_spans) == 2 * (37 // 8)
-    assert all(s.attrs["mined"] == 8 * 2 * 3 for s in loss_spans)
+    assert "losses.combined_loss_terms" not in trained and "tensor.backward" not in trained
+    (loss_span,) = [s for s in tracer.spans if s.name == "losses.combined_loss_terms"]
+    assert loss_span.attrs["mined"] == 8 * 2 * 3
     assert sum(s.name == tracing.ADAM for s in tracer.spans) == 2 * (37 // 8) + 3
+
+
+def test_traced_compare_pretrains_each_mode_of_a_group_in_one_stack(tiny_dataset, monkeypatch):
+    """Under the installed tracer, ``compare`` trains a group of seeds as it does untraced.
+
+    A tracer probe that fails on stacked arrays would make the group's
+    pre-training raise, and the seeds would be retrained one by one.
+    """
+    tracing = _load_tracing()
+    hs = _traced_modules(tracing)
+    stacked, calls = hs.pipeline.run_pretrain_runs, []
+
+    def recorded(prepareds, model, config, seeds):
+        try:
+            result = stacked(prepareds, model, config, seeds)
+        except HsclError as exc:
+            calls.append((config.loss.mode, list(seeds), type(exc).__name__))
+            raise
+        calls.append((config.loss.mode, list(seeds)))
+        return result
+
+    monkeypatch.setattr(hs.pipeline, "run_pretrain_runs", recorded)
+    with tracing.Tracer().installed(hs, rep=0):
+        report = hs.pipeline.run_comparison(
+            load_dataset(tiny_dataset),
+            CompareConfig(seeds=(2, 3), modes=("mse", "mse+cl")),
+            DataConfig(),
+            ModelSpec(hidden=(8, 4)),
+            TrainConfig(epochs=1),
+            TrainConfig(epochs=1),
+        )
+    assert tracing.wrapped_names(hs) == []
+    assert calls == [("mse", [2, 3]), ("mse+cl", [2, 3])]
+    assert all("error" not in report["per_seed"][seed] for seed in ("2", "3"))
 
 
 def test_every_tensor_export_is_imported_by_another_library_module():

@@ -460,14 +460,13 @@ def _snapshot(
     trained_named: list[tuple[str, Tensor]],
     state: AdamState,
     meta: dict,
-    run: int | None = None,
+    run: int,
 ) -> Checkpoint:
-    """Checkpoint of the parameters and Adam moments; ``run`` picks one run of a stack."""
-    pick = (lambda a: a) if run is None else (lambda a: a[run])
-    tensors = {name: pick(t.data).copy() for name, t in all_named}
+    """Checkpoint of run ``run``'s parameters and Adam moments, its slice of the run axis."""
+    tensors = {name: t.data[run].copy() for name, t in all_named}
     for (name, _), m, v in zip(trained_named, state.views(state.m), state.views(state.v)):
-        tensors[f"adam.m.{name}"] = pick(m).copy()
-        tensors[f"adam.v.{name}"] = pick(v).copy()
+        tensors[f"adam.m.{name}"] = m[run].copy()
+        tensors[f"adam.v.{name}"] = v[run].copy()
     return Checkpoint(tensors, meta)
 
 
@@ -482,13 +481,21 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 # -- lock-step runs ---------------------------------------------------------------
 #
-# Both loops train S independent runs at once. Every parameter is stacked
-# along a leading run axis, one flat AdamState holds the S x N trained
-# elements, and one step trains all runs, each on its own (S,) loss entry.
-# Stacked matmuls, row reductions and elementwise ops give each run's slice
-# the same bits as the run's own 2-D call, so each run's trace, history and
-# checkpoints are bit-identical to training it alone. One run carries no run
-# axis at all.
+# Both loops train S independent runs at once. Every parameter, input, epoch
+# order and snapshot is stacked along a leading run axis, also for one run:
+# one flat AdamState holds the S x N trained elements, and one step trains
+# all runs, each on its own (S,) loss entry. Stacked matmuls, row reductions
+# and elementwise ops give each run's slice the same bits as the run's own
+# 2-D call, so each run's trace, history and checkpoints are bit-identical to
+# training it alone.
+#
+# Only the step's own views drop the axis for one run, and ``_lead`` alone
+# makes that choice: a one-run step sees 2-D weights, (B, F) batches and a
+# scalar loss. A size-1 run axis inside the step gave the same bits but cost
+# 7-11% of single-run throughput (pre-training scans/s -9.0% and fine-tuning
+# pairs/s -11.3% on the benchmark's contrastive workload, -6.8% and -8.2% on
+# its regression one): numpy's per-call overhead on (1, ...) operands and on
+# (1,) loss terms where the 2-D step has scalars.
 #
 # A step builds no graph and calls no ``backward``. ``_forward`` runs the MLP
 # layers through ``tensor.dense_forward`` and keeps each layer's arrays;
@@ -511,41 +518,50 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # order.
 
 
-def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
-    """``a`` with one slice per run along a leading axis, or unstacked for one run.
+def _lead(n_runs: int) -> tuple[int, ...]:
+    """The run axis of a step's arrays: (S,) for S runs, and none for one run.
 
-    ``a`` is either shared by every run (``ndim`` dimensions) or already holds
-    one array per run (``ndim + 1``); a shared array is broadcast, not copied.
+    The one place a loop picks its layout from the run count. Every other
+    array keeps its run axis at S = 1; a one-run step stays 2-D because a
+    size-1 axis there is measurably slower (see the block comment above).
+    """
+    return (n_runs,) if n_runs > 1 else ()
+
+
+def _per_run(a, n_runs: int, ndim: int, what: str) -> np.ndarray:
+    """``a`` as an (S, ...) array with one slice per run along a leading axis.
+
+    ``a`` either already holds one array per run (``ndim + 1`` dimensions),
+    returned as is, or is shared by every run (``ndim``), repeated along a
+    new leading axis; ``_flat_rows`` would copy a shared training input of
+    S > 1 runs anyway.
     """
     a = np.asarray(a)
     if a.ndim == ndim + 1:
         if a.shape[0] != n_runs:
             raise ShapeError(f"{what}: {a.shape[0]} per-run arrays for {n_runs} runs")
-        return a if n_runs > 1 else a[0]
+        return a
     if a.ndim != ndim:
         raise ShapeError(
             f"{what}: expected a {ndim}-D array shared by the runs or a {ndim + 1}-D one per run, "
             f"got shape {a.shape}"
         )
-    return np.broadcast_to(a, (n_runs, *a.shape)) if n_runs > 1 else a
+    return a[None].repeat(n_runs, axis=0)
 
 
-def _epoch_rows(seeds: list[int], epoch: int, n: int) -> np.ndarray:
+def _epoch_rows(seeds: list[int], epoch: int, n: int, lead: tuple[int, ...]) -> np.ndarray:
     """Each run's batch order for ``epoch``, as rows of its arrays in ``_flat_rows`` form.
 
-    One run gets its (n,) order. S runs get an (S, n) stack, run k's order
-    offset by k * n, so a slice of it gathers every run's batch with one
-    ``take``.
+    Run k's order is offset by k * n, so a slice of it gathers every run's
+    batch with one ``take``; the orders are shaped ``lead + (n,)``.
     """
-    if len(seeds) == 1:
-        return _epoch_order(seeds[0], epoch, n)
     by_seed = {s: _epoch_order(s, epoch, n) for s in dict.fromkeys(seeds)}
-    return np.stack([by_seed[s] for s in seeds]) + np.arange(len(seeds))[:, None] * n
+    return np.array([by_seed[s] + k * n for k, s in enumerate(seeds)]).reshape(lead + (n,))
 
 
-def _flat_rows(a: np.ndarray, n_runs: int) -> np.ndarray:
-    """A per-run (S, N, ...) array as (S * N, ...) rows, run by run; one run's array as is."""
-    return a.reshape(-1, *a.shape[2:]) if n_runs > 1 else a
+def _flat_rows(a: np.ndarray) -> np.ndarray:
+    """A per-run (S, N, ...) array as (S * N, ...) rows, run by run."""
+    return a.reshape(-1, *a.shape[2:])
 
 
 def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
@@ -560,33 +576,35 @@ def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
 
 
 def _stacked(models: list[MLP]) -> MLP:
-    """S runs' networks of one kind as one, each tensor stacked along the run axis.
-
-    One model is returned unchanged: one run carries no run axis.
-    """
-    if len(models) == 1:
-        return models[0]
+    """S runs' networks of one kind as one, each tensor stacked along the run axis, also for S = 1."""
 
     def stack(*parts: Tensor) -> Tensor:
-        return Tensor(np.stack([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+        return Tensor(np.array([p.data for p in parts]), requires_grad=parts[0].requires_grad)
 
-    return replace(
-        models[0],
-        weights=[stack(*ws) for ws in zip(*(m.weights for m in models))],
-        biases=[stack(*bs) for bs in zip(*(m.biases for m in models))],
+    first = models[0]
+    return type(first)(
+        first.widths,
+        first.activation,
+        [stack(*ws) for ws in zip(*(m.weights for m in models))],
+        [stack(*bs) for bs in zip(*(m.biases for m in models))],
     )
 
 
-def _layers(state: AdamState, net: MLP) -> list[tuple]:
-    """(weight, bias, activation, weight gradient, bias gradient) per layer of ``net``.
+def _layers(state: AdamState, net: MLP, lead: tuple[int, ...]) -> list[tuple]:
+    """(weight, bias, activation, weight gradient, bias gradient) per layer of ``net``, as a step sees them.
 
-    Built after ``AdamState.for_params``, the arrays see its updates; the
-    gradients are the tensors' views of ``state.grad``, found by identity, or
-    None where ``state`` trains none.
+    Each array is reshaped from its run axis to ``lead`` (see ``_lead``), a
+    view of the same buffer. Built after ``AdamState.for_params``, the arrays
+    see its updates; the gradients are the tensors' views of ``state.grad``,
+    found by identity, or None where ``state`` trains none.
     """
     views = {id(p): g for p, g in zip(state.params, state.grads)}
+
+    def step_view(a: np.ndarray | None) -> np.ndarray | None:
+        return None if a is None else a.reshape(lead + a.shape[1:])
+
     return [
-        (w.data, b.data, act, views.get(id(w)), views.get(id(b)))
+        (step_view(w.data), step_view(b.data), act, step_view(views.get(id(w))), step_view(views.get(id(b))))
         for w, b, act in zip(net.weights, net.biases, net.activations())
     ]
 
@@ -664,7 +682,7 @@ class _Runs:
 
     def snapshot(self, epoch: int, s: int) -> Checkpoint:
         meta = {"stage": self.stage, "epoch": epoch, "adam_step": self.state.step, **self.metas[s]}
-        return _snapshot(self.named_all, self.named_trained, self.state, meta, s if self.n_runs > 1 else None)
+        return _snapshot(self.named_all, self.named_trained, self.state, meta, s)
 
     def add(self, epoch: int, batch: int, *terms: np.ndarray | None) -> None:
         """Keep one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""
@@ -755,17 +773,12 @@ class PretrainResult:
     trace: list[dict]
 
 
-def _val_mse(
-    encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_val: np.ndarray, n_runs: int
-) -> list[float]:
-    """Each run's validation MSE; NaN for an empty split."""
+def _val_mse(encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_val: np.ndarray) -> list[float]:
+    """Each run's validation MSE, from (S, N, F) features and (S, N) targets; NaN for an empty split."""
     if x_val.shape[-2] == 0:
-        return [float("nan")] * n_runs
+        return [float("nan")] * len(x_val)
     pred = predict_hs(reg, encode(encoder, x_val)).data
-    return [
-        float(np.mean((p - y) ** 2))
-        for p, y in zip(pred.reshape(n_runs, -1), np.reshape(y_val, (n_runs, -1)))
-    ]
+    return [float(np.mean((p - y) ** 2)) for p, y in zip(pred, y_val)]
 
 
 def pretrain(
@@ -832,6 +845,12 @@ def pretrain_runs(
         )
     if y_train.shape[-1] != n:
         raise ShapeError(f"pretrain: {n} feature rows vs {y_train.shape[-1]} targets")
+    if y_val.shape[-1] != x_val.shape[-2]:
+        raise ShapeError(f"pretrain: {x_val.shape[-2]} validation feature rows vs {y_val.shape[-1]} targets")
+    if x_val.shape[-1] != x_train.shape[-1]:
+        raise ShapeError(
+            f"pretrain: validation feature width {x_val.shape[-1]} != training feature width {x_train.shape[-1]}"
+        )
 
     widths = [int(x_train.shape[-1]), *hidden]
     encoder = _stacked([init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds])
@@ -844,14 +863,15 @@ def pretrain_runs(
     )
     state = runs.state
     loss = config.loss
-    x_rows, y_rows = _flat_rows(x_train, n_runs), _flat_rows(y_train, n_runs)
-    enc_layers, head_layers = _layers(state, encoder), _layers(state, reg)
-    g_loss = np.ones(y_train.shape[:-1])  # the seed backward gives a root
+    x_rows, y_rows = _flat_rows(x_train), _flat_rows(y_train)
+    lead = _lead(n_runs)
+    enc_layers, head_layers = _layers(state, encoder, lead), _layers(state, reg, lead)
+    g_loss = np.ones(lead)  # the seed backward gives a root
 
     n_batches = n // config.batch_size
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
-        batches = _full_batches(_epoch_rows(seeds, epoch, n), config.batch_size)
+        batches = _full_batches(_epoch_rows(seeds, epoch, n, lead), config.batch_size)
         xs, ys = x_rows.take(batches, axis=0), y_rows.take(batches, axis=0)
         targets = contrast_targets(ys, loss) if loss.needs_mining else None
         for k in range(n_batches):
@@ -869,7 +889,7 @@ def pretrain_runs(
                 g += g_e
             _backward(enc_layers, enc_saved, g)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
-        runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val, n_runs)))
+        runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val)))
     return runs.results(PretrainResult)
 
 
@@ -910,8 +930,8 @@ def finetune(
 
     With ``config.freeze_encoder`` the encoder weights are untouched and the
     pair embeddings are computed once up front. Model selection is by
-    validation macro-F1. A training label outside the classes raises
-    ``DomainError`` (``cross_entropy``'s message) before the first step.
+    validation macro-F1. A training or validation label outside the classes
+    raises ``DomainError`` (``cross_entropy``'s message) before the first step.
     """
     (result,) = finetune_runs(
         [pretrained], xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden
@@ -943,11 +963,6 @@ def finetune_runs(
     non-finite loss in any run raises ``TrainingAbort`` for all of them,
     naming the run when S > 1.
     """
-    n = np.shape(y_train)[-1]
-    if not (np.shape(xp_train)[-2] == np.shape(xn_train)[-2] == n):
-        raise ShapeError("finetune: prev/next/label lengths differ")
-    if n == 0:
-        raise ConfigError("finetune: no training pairs")
     if not pretrained:
         raise ConfigError("finetune: need at least one pre-trained checkpoint")
     n_runs = len(pretrained)
@@ -958,6 +973,12 @@ def finetune_runs(
         _per_run(a, n_runs, 2, "finetune") for a in (xp_train, xn_train, xp_val, xn_val)
     )
     y_train, y_val = (_per_run(a, n_runs, 1, "finetune") for a in (y_train, y_val))
+    for xp, xn, y in ((xp_train, xn_train, y_train), (xp_val, xn_val, y_val)):
+        if not (xp.shape[-2] == xn.shape[-2] == y.shape[-1]):
+            raise ShapeError("finetune: prev/next/label lengths differ")
+    n = y_train.shape[-1]
+    if n == 0:
+        raise ConfigError("finetune: no training pairs")
 
     encoders = [encoder_from_checkpoint(ck) for ck in pretrained]
     encoder = encoders[0]
@@ -967,10 +988,9 @@ def finetune_runs(
                 f"finetune: runs need one encoder shape, got {encoder.widths} {encoder.activation} "
                 f"and {other.widths} {other.activation}"
             )
-    if xp_train.shape[-1] != encoder.widths[0]:
-        raise ShapeError(
-            f"finetune: pair feature width {xp_train.shape[-1]} != encoder input width {encoder.widths[0]}"
-        )
+    for x in (xp_train, xn_train, xp_val, xn_val):
+        if x.shape[-1] != encoder.widths[0]:
+            raise ShapeError(f"finetune: pair feature width {x.shape[-1]} != encoder input width {encoder.widths[0]}")
     heads = {
         s: init_classifier_head(encoder.embedding_dim, _sub_seed(s, _STREAM_CLS_HEAD), cls_hidden)
         for s in dict.fromkeys(seeds)
@@ -991,16 +1011,18 @@ def finetune_runs(
     named_trained = _named_params(cls=cls) if frozen else named_all
     runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
     state = runs.state
-    onehot_rows = onehot_labels(_flat_rows(y_train, n_runs), cls.widths[-1])
-    head_layers, enc_layers = _layers(state, cls), _layers(state, encoder)
+    onehot_rows = onehot_labels(_flat_rows(y_train), cls.widths[-1])
+    onehot_labels(y_val, cls.widths[-1])  # the validation labels, checked before the first step too
+    lead = _lead(n_runs)
+    head_layers, enc_layers = _layers(state, cls, lead), _layers(state, encoder, lead)
     dim = encoder.embedding_dim
-    g_loss = np.ones(y_train.shape[:-1])  # the seed backward gives a root
+    g_loss = np.ones(lead)  # the seed backward gives a root
     if frozen:
-        pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train), n_runs)
+        pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train))
         val_rows = _pair_rows(encoder, xp_val, xn_val)
     else:
-        xp_rows, xn_rows = _flat_rows(xp_train, n_runs), _flat_rows(xn_train, n_runs)
-        x_epoch = np.empty((2, *xp_train.shape))  # each epoch's prev and next rows, stacked
+        xp_rows, xn_rows = _flat_rows(xp_train), _flat_rows(xn_train)
+        x_epoch = np.empty((2, *lead, n, xp_train.shape[-1]))  # each epoch's prev and next rows, stacked
 
     def val_metrics() -> list[tuple[float, float]]:
         if y_val.shape[-1] == 0:
@@ -1010,9 +1032,7 @@ def finetune_runs(
         else:
             logits = _pair_logits(encoder, cls, xp_val, xn_val)
         out = []
-        for run_logits, labels in zip(
-            logits.reshape(n_runs, -1, logits.shape[-1]), np.reshape(y_val, (n_runs, -1))
-        ):
+        for run_logits, labels in zip(logits, y_val):
             report = compute_metrics(predict_classes(run_logits), labels)
             out.append((report.accuracy, report.macro_f1))
         return out
@@ -1021,7 +1041,7 @@ def finetune_runs(
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
         # the epoch's rows, gathered once; each step reads its batch as a view
-        orders = _epoch_rows(seeds, epoch, n)
+        orders = _epoch_rows(seeds, epoch, n, lead)
         onehot = onehot_rows.take(orders, axis=0)
         if frozen:
             rows = pair_rows.take(orders, axis=0)

@@ -89,7 +89,7 @@ def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
     return node(np.clip(t.data, lo, hi), (t,), lambda g: (g * mask,))
 
 
-def sum(t: Tensor, axis: int | None = None) -> Tensor:
+def sum(t: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
     return node(t.data.sum(axis=axis), (t,), lambda g: (_spread(g, t.shape, axis).copy(),))
 
 

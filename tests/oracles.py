@@ -246,8 +246,12 @@ def unpack_flat(flat_tensor, shapes):
 
 
 def affine_chain(x, w, b):
-    """x @ w + b as one node."""
-    return node(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    """x @ w + b as one node; (S, B, F) rows, (S, F, H) weights and (S, H) biases give (S, B, H)."""
+    return node(
+        x.data @ w.data + np.expand_dims(b.data, -2),
+        (x, w, b),
+        lambda g: (g @ w.data.swapaxes(-1, -2), x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2)),
+    )
 
 
 def relu_chain(t):
@@ -277,16 +281,19 @@ def dense_chain(x, w, b, activation=None):
 
 
 def squared_error_sum_chain(target, pred):
-    return el.sum(el.square(el.sub(target, pred)))
+    """Summed over the last axis: (B,) gives a scalar, (S, B) the (S,) per-run sums."""
+    return el.sum(el.square(el.sub(target, pred)), axis=-1)
 
 
 def softmax_cross_entropy_chain(logits, onehot, floor):
+    """Mean over the rows: (B, C) gives a scalar, (S, B, C) the (S,) per-run losses."""
     picked = el.sum(el.mul(softmax_chain(logits), onehot), axis=-1)
-    return el.mul(el.mean(el.log(el.clamp(picked, floor, 1.0))), -1.0)
+    return el.mul(el.mean(el.log(el.clamp(picked, floor, 1.0)), axis=-1), -1.0)
 
 
 def weighted_log_sum_chain(x, coefficients, floor):
-    return el.sum(el.mul(el.log(el.clamp(x, floor, 1.0)), coefficients))
+    """Summed over the last two axes: (B, B) gives a scalar, (S, B, B) the (S,) per-run sums."""
+    return el.sum(el.mul(el.log(el.clamp(x, floor, 1.0)), coefficients), axis=(-2, -1))
 
 
 def combined_loss_chain(y, y_pred, embeddings, mining, hs, config):
@@ -330,7 +337,7 @@ def average_ranks_loop(values):
 def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation, data_metas, seeds):
     """Lock-step pre-training, one ``take``, one ``mine_batch`` and one loss ``K`` per step."""
     t = training
-    n_runs, stacked = len(seeds), len(seeds) > 1
+    n_runs = len(seeds)
     x_train, x_val = (t._per_run(a, n_runs, 2, "ref") for a in (x_train, x_val))
     y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
     n = x_train.shape[-2]
@@ -341,7 +348,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
     params = [p for _, p in named]
     state = t.AdamState.for_params(params)
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
-    x_rows, y_rows = t._flat_rows(x_train, n_runs), t._flat_rows(y_train, n_runs)
+    x_rows, y_rows = t._flat_rows(x_train), t._flat_rows(y_train)
 
     def snapshot(epoch, s):
         meta = {
@@ -352,13 +359,13 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             "train": asdict(replace(config, seed=seeds[s])),
             "data": data_metas[s] or {},
         }
-        return t._snapshot(named, named, state, meta, s if stacked else None)
+        return t._snapshot(named, named, state, meta, s)
 
     traces = [[] for _ in seeds]
     best, best_epoch, best_val = [None] * n_runs, [-1] * n_runs, [math.inf] * n_runs
     for epoch in range(config.epochs):
         lr = t.cosine_lr(epoch, config)
-        orders = t._epoch_rows(seeds, epoch, n)
+        orders = t._epoch_rows(seeds, epoch, n, (n_runs,))
         sums = [[0.0, 0.0, 0.0] for _ in seeds]
         n_batches = 0
         for start in range(0, n - config.batch_size + 1, config.batch_size):
@@ -379,7 +386,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             grad = loss_gradients(total, params, state.grad, state.grads)
             t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             n_batches += 1
-        for s, val_mse in enumerate(t._val_mse(encoder, reg, x_val, y_val, n_runs)):
+        for s, val_mse in enumerate(t._val_mse(encoder, reg, x_val, y_val)):
             loss, mse, contrast = (v / n_batches for v in sums[s])
             traces[s].append(
                 {"epoch": epoch, "lr": lr, "loss": loss, "mse": mse, "contrast": contrast, "val_mse": val_mse}
@@ -399,7 +406,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
 def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden, seeds):
     """Lock-step fine-tuning, a ``take`` per array, ``concat_last`` and ``cross_entropy`` per step."""
     t = training
-    n_runs, stacked = len(pretrained), len(pretrained) > 1
+    n_runs = len(pretrained)
     n = np.shape(y_train)[-1]
     xp_train, xn_train, xp_val, xn_val = (
         t._per_run(a, n_runs, 2, "ref") for a in (xp_train, xn_train, xp_val, xn_val)
@@ -419,13 +426,13 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
     named_all = t._named_params(encoder=encoder, cls=cls)
     params = [p for _, p in named_trained]
     state = t.AdamState.for_params(params)
-    y_rows = t._flat_rows(y_train, n_runs)
+    y_rows = t._flat_rows(y_train)
     if frozen:
-        xp_rows = t._flat_rows(encode(encoder, xp_train).data, n_runs)
-        xn_rows = t._flat_rows(encode(encoder, xn_train).data, n_runs)
+        xp_rows = t._flat_rows(encode(encoder, xp_train).data)
+        xn_rows = t._flat_rows(encode(encoder, xn_train).data)
         up_val, un_val = encode(encoder, xp_val).data, encode(encoder, xn_val).data
     else:
-        xp_rows, xn_rows = t._flat_rows(xp_train, n_runs), t._flat_rows(xn_train, n_runs)
+        xp_rows, xn_rows = t._flat_rows(xp_train), t._flat_rows(xn_train)
 
     def val_metrics():
         if frozen:
@@ -433,7 +440,7 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
         else:
             logits = t._pair_logits(encoder, cls, xp_val, xn_val)
         out = []
-        for run_logits, labels in zip(logits.reshape(n_runs, -1, logits.shape[-1]), np.reshape(y_val, (n_runs, -1))):
+        for run_logits, labels in zip(logits, y_val):
             report = t.compute_metrics(np.argmax(run_logits, axis=-1), labels)
             out.append((report.accuracy, report.macro_f1))
         return out
@@ -453,13 +460,13 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
             "pretrain_train": pretrained[s].meta.get("train"),
             "data": pretrained[s].meta.get("data", {}),
         }
-        return t._snapshot(named_all, named_trained, state, meta, s if stacked else None)
+        return t._snapshot(named_all, named_trained, state, meta, s)
 
     histories = [[] for _ in seeds]
     best, best_epoch, best_f1 = [None] * n_runs, [-1] * n_runs, [-math.inf] * n_runs
     for epoch in range(config.epochs):
         lr = t.cosine_lr(epoch, config)
-        orders = t._epoch_rows(seeds, epoch, n)
+        orders = t._epoch_rows(seeds, epoch, n, (n_runs,))
         ce_sums = [0.0] * n_runs
         n_batches = 0
         for start in range(0, n, config.batch_size):

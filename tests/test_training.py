@@ -28,7 +28,7 @@ from hscl.model import (
     predict_classes,
 )
 from hscl.pipeline import DataConfig, ModelSpec, prepare, run_pretrain
-from hscl.tensor import Tensor
+from hscl.tensor import Tensor, dense_forward
 from hscl.training import (
     AdamState,
     Checkpoint,
@@ -713,6 +713,90 @@ def test_an_out_of_range_finetune_label_raises_cross_entropys_error_before_the_f
     with pytest.raises(DomainError, match=r"^cross_entropy: labels must lie in \[0, 3\)"):
         finetune_runs([pre.best, pre.best], *args)
     assert steps == []
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("rows", "pretrain: 10 validation feature rows vs 8 targets"),
+        ("width", "pretrain: validation feature width 4 != training feature width 5"),
+    ],
+)
+def test_a_pretrain_validation_split_that_does_not_fit_raises_before_the_first_step(bad, message, runs, monkeypatch):
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    x, y = _noiseless_regression(n=40, f=5, seed=8)
+    x_val, y_val = (x[:10], y[:8]) if bad == "rows" else (x[:8, :4], y[:8])
+    cfg = TrainConfig(epochs=2, loss=LossConfig("mse+cl"))
+    with pytest.raises(ShapeError) as raised:
+        if runs == 1:
+            pretrain(x, y, x_val, y_val, cfg, hidden=(4,))
+        else:
+            pretrain_runs(x, y, x_val, y_val, cfg, hidden=(4,), seeds=list(range(runs)))
+    assert str(raised.value) == message
+    assert steps == []
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("bad", ["next", "labels", "label 5", "width", "1-D"])
+def test_a_finetune_validation_split_that_does_not_fit_raises_before_the_first_step(bad, runs, freeze, monkeypatch):
+    pre = _pretrained_toy()
+    xp, xn, labels = _separable_pairs(pre.best, n=20)
+    xp_val, xn_val, y_val = xp[:10], xn[:10], labels[:10].copy()
+    error, message = ShapeError, "finetune: prev/next/label lengths differ"
+    if bad == "next":
+        xn_val = xn[:9]
+    elif bad == "labels":
+        y_val = y_val[:8]
+    elif bad == "label 5":
+        y_val[3] = 5
+        error, message = DomainError, f"cross_entropy: labels must lie in [0, 3), got {sorted(set(y_val.tolist()))}"
+    elif bad == "width":
+        xp_val, xn_val = xp_val[:, :4], xn_val[:, :4]
+        message = "finetune: pair feature width 4 != encoder input width 5"
+    else:
+        xp_val = xp_val[0]
+        message = f"finetune: expected a 2-D array shared by the runs or a 3-D one per run, got shape {xp_val.shape}"
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    args = (xp, xn, labels, xp_val, xn_val, y_val, TrainConfig(epochs=2, seed=1, freeze_encoder=freeze))
+    with pytest.raises(error) as raised:
+        if runs == 1:
+            finetune(pre.best, *args)
+        else:
+            finetune_runs([pre.best] * runs, *args)
+    assert str(raised.value) == message
+    assert steps == []
+
+
+def test_a_one_run_step_runs_on_2d_weights_and_a_stack_of_runs_on_3d(monkeypatch):
+    """A size-1 run axis in the step gives the same bits but costs single-run throughput.
+
+    So a one-run step keeps 2-D weights; only a stack of runs takes the
+    stacked (S, F, H) ones.
+    """
+    ndims = []
+
+    def recorded(x, w, b, activation):
+        ndims.append(w.ndim)
+        return dense_forward(x, w, b, activation)
+
+    monkeypatch.setattr(training, "dense_forward", recorded)
+    x, y = _noiseless_regression(n=40, f=5, seed=16)
+    xp, xn = np.random.default_rng(16).normal(size=(2, 20, 5))
+    labels = np.arange(20) % 3
+    cfg = TrainConfig(epochs=1, loss=LossConfig("mse+cl"))
+    for seeds, ndim in (([0], 2), ([0, 1], 3)):
+        ndims.clear()
+        pres = pretrain_runs(x, y, x[:8], y[:8], cfg, hidden=(8, 4), seeds=seeds)
+        assert set(ndims) == {ndim}
+        for freeze in (True, False):
+            ndims.clear()
+            fine_cfg = replace(cfg, freeze_encoder=freeze)
+            finetune_runs([r.best for r in pres], xp, xn, labels, xp[:9], xn[:9], labels[:9], fine_cfg, seeds=seeds)
+            assert set(ndims) == {ndim}
 
 
 # -- per-run bookkeeping: selection, its fallback and the terminal entry --------------------

@@ -14,8 +14,9 @@ The commands run in this process, through the ``hscl.cli.main`` of the tree
 at --src; one that raises past ``main`` is recorded as ``exit=traceback``,
 its stderr hash being that of the exception's type name and message. They are: gen-data; pretrain for each loss mode x {cos, l2};
 frozen and unfrozen finetune; eval on every split; analyze with and without
-the sample-size cap warning; compare in threshold mode; and in bin mode, on
-an S/F-scaled cohort (gen-data's scores may be non-positive), compare,
+the sample-size cap warning; compare in threshold mode, also with one seed
+(each mode pre-trains a stack of one run) and with an unfrozen encoder; and
+in bin mode, on an S/F-scaled cohort (gen-data's scores may be non-positive), compare,
 pretrain and finetune, then pretrain, finetune, eval, analyze and compare on
 copies that hold one non-positive score (for the restores, in a test-split
 scan, so the checkpoint's normalization still matches). Then the parser's own
@@ -94,9 +95,9 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
     def restore(command: str, cohort: str, ckpt: str, name: str, *flags: str) -> tuple[str, list[str]]:
         return name, [command, "--data", cohort, "--checkpoint", str(out / ckpt), *flags, "--out", str(out / name)]
 
-    def compare(cohort: str, name: str, *flags: str) -> tuple[str, list[str]]:
+    def compare(cohort: str, name: str, *flags: str, seeds: str = SEEDS) -> tuple[str, list[str]]:
         return name, [
-            "compare", "--data", cohort, "--seeds", SEEDS, "--epochs", EPOCHS,
+            "compare", "--data", cohort, "--seeds", seeds, "--epochs", EPOCHS,
             "--finetune-epochs", EPOCHS, "--hidden", HIDDEN, *flags, "--out", str(out / name),
         ]
 
@@ -114,6 +115,8 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         restore("analyze", data, ckpt, "analyze.tsv", "--sample-size", SAMPLE_SIZE),
         restore("analyze", data, ckpt, "analyze-capped.tsv", "--sample-size", str(10**6)),
         compare(data, "compare-threshold"),
+        compare(data, "compare-one-seed", seeds="0"),
+        compare(data, "compare-unfrozen", "--no-freeze-encoder"),
         compare(sf, "compare-bin", *bin_mode),
         pretrain(sf, "pretrain-bin", *bin_mode),
         restore("finetune", sf, bin_ckpt, "finetune-bin", *train),

@@ -45,7 +45,7 @@ from .model import (
     init_regression_head,
     predict_hs,
 )
-from .tensor import Tensor, backward, dense, grad_check
+from .tensor import Tensor, backward, grad_check
 from .training import (
     AdamState,
     Checkpoint,

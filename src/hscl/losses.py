@@ -31,7 +31,7 @@ batch's slice, and ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms``
 turn a plain ``MiningResult`` into them first. Every contrastive loss is
 then computed one way, from the tensor core's array functions.
 
-The combined loss is one pair of array functions, as the tensor ops are:
+The combined loss is one pair of array functions, as the tensor core's are:
 ``combined_loss_forward`` gives the terms and what the gradient needs, and
 ``combined_loss_backward`` maps the total's gradient to the predictions'
 and the embeddings'. The pre-training step calls the pair and builds no
@@ -39,7 +39,9 @@ graph. ``combined_loss_terms`` wraps it for the ``Tensor`` API: each term is
 one node wired straight to the embeddings and the predictions, and the
 total's node calls the pair's backward, so ``backward`` walks 3 nodes for
 the total. The tests rebuild the same values and gradients from a chain of
-7 (cl) or 9 (wcl) graph ops.
+7 (cl) or 9 (wcl) graph ops. ``mse_loss`` and ``cross_entropy`` are one
+node each over the tensor core's squared-error and softmax cross-entropy
+pairs, which the fine-tuning step calls directly.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .tensor import (
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
-    softmax_cross_entropy,
-    squared_error_sum,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
     squared_error_sum_backward,
     squared_error_sum_forward,
     weighted_log_sum_backward,
@@ -230,7 +232,8 @@ def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
 
 def mse_loss(y, y_pred: Tensor) -> Tensor:
     """Summed squared error (no mean normalization); (S, B) predictions give (S,) sums."""
-    return squared_error_sum(_mse_target(y, y_pred), y_pred)
+    loss, diff = squared_error_sum_forward(_mse_target(y, y_pred), y_pred.data)
+    return node(loss, (y_pred,), lambda g: (squared_error_sum_backward(g, diff),))
 
 
 def _mse_target(y, y_pred: Tensor) -> np.ndarray:
@@ -412,7 +415,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy: got {target.shape} labels for logits of shape {logits.shape}")
     if n < 1:
         raise ShapeError("cross_entropy: need at least one row")
-    return softmax_cross_entropy(logits, onehot_labels(target, c), PROB_FLOOR)
+    onehot = onehot_labels(target, c)
+    loss, saved = softmax_cross_entropy_forward(logits.data, onehot, PROB_FLOOR)
+    return node(loss, (logits,), lambda g: (softmax_cross_entropy_backward(g, onehot, PROB_FLOOR, *saved),))
 
 
 def loss_gradients(

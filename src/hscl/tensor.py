@@ -1,51 +1,50 @@
 """Dense float64 tensors with eager reverse-mode automatic differentiation.
 
-The op set holds what the library runs: MLP layers, the squared-error and
-cross-entropy losses, and the array functions of the contrastive term.
+The core holds what the library differentiates: MLP layers, the
+squared-error and cross-entropy losses, and the contrastive term, each as a
+pair of plain array functions. ``*_forward`` returns the output and what
+the gradient needs, ``*_backward`` maps an output gradient to the operands'
+gradients. The pairs are:
+
+- ``dense_*``, a whole MLP layer ``act(x @ w + b)``;
+- ``squared_error_sum_*``, ``sum((target - pred)^2)``;
+- ``softmax_cross_entropy_*``, ``-mean(log clamp(sum(softmax(z) * onehot)))``;
+- the contrastive term's ``pairwise_similarity_*`` (the (B, B) similarity
+  matrix ``S``) and ``weighted_log_sum_*`` (``sum(K * log clamp(S))``).
+
 Everything is float64 and single-threaded; gradients accumulate in a fixed
 reverse-topological order, so identical graphs always produce bit-identical
 values and gradients.
 
-Each MLP layer and each loss is one graph node, because walking a node costs
-more Python time than the small numpy arrays it carries:
+The training loops call the pairs directly and build no graph. The public
+autodiff calls of ``model`` and ``losses`` wrap them in graph nodes, one
+node per call (a whole network, a whole loss term), because walking a node
+costs more Python time than the small numpy arrays it carries. ``node``
+makes such a node from a value, its parents and a function that gives each
+parent's gradient; its closure calls the backward function, so the gradient
+checks of a call test the code that the loops run without it.
 
-- ``dense`` is a whole MLP layer, ``act(x @ w + b)``;
-- ``squared_error_sum`` is ``sum((target - pred)^2)``;
-- ``softmax_cross_entropy`` is ``-mean(log clamp(sum(softmax(z) * onehot)))``.
+Each pair runs the same numpy operations, in the same order, as the
+equivalent chain of elementary ops (affine, activation, softmax, clamp,
+log, ...), so values and gradients are bit-identical to that chain. The
+elementary ops, and the one-node forms of the pairs, live in the test tree
+(``tests/elementary.py``), which builds the chains as oracles. A backward
+computes only the products its caller asks for.
 
-Each fused forward and backward runs the same numpy operations, in the same
-order, as the equivalent chain of elementary ops (affine, activation,
-softmax, clamp, log, ...), so values and gradients are bit-identical to that
-chain. The elementary ops live in the test tree (``tests/elementary.py``),
-which builds the chains as oracles. A fused backward computes only the
-products its requires-grad operands need.
-
-Every fused op is built on a pair of plain array functions: ``*_forward``
-returns the output and what the gradient needs, ``*_backward`` maps an
-output gradient to the operands' gradients. The pairs are ``dense_*``,
-``squared_error_sum_*``, ``softmax_cross_entropy_*``, and the contrastive
-term's ``pairwise_similarity_*`` (the (B, B) similarity matrix ``S``) and
-``weighted_log_sum_*`` (``sum(K * log clamp(S))``). A node's closure calls
-the backward function, so the gradient checks of the op test the code that
-other callers run without it: the training loops run every MLP layer and
-both losses of a step tape-free, and ``losses`` builds each loss term as
-one node wired straight to its leaves. ``node`` makes such a node
-from a value, its parents and a function that gives each parent's gradient.
-
-The fused ops and the array functions also take a leading run axis that
-stacks S independent runs, on every operand at once, and then give per-run
-results: an (S,) loss, an (S, B, B) similarity. An operand without the axis
-is one run's; none is shared by the runs. Each run's slice is computed by
-the same numpy operations on the same shapes as its own call, so it is
-bit-identical to it.
+The array functions also take a leading run axis that stacks S independent
+runs, on every operand at once, and then give per-run results: an (S,)
+loss, an (S, B, B) similarity. An operand without the axis is one run's;
+none is shared by the runs. Each run's slice is computed by the same numpy
+operations on the same shapes as its own call, so it is bit-identical to
+it.
 
 Gradients are written, not zero-filled and added: a node's first gradient
 contribution becomes its ``grad`` array, and later ones are added into it in
 place. So the first contribution must be an array the node owns. An op hands
 over a fresh array, or marks as ``shared`` (and the node then keeps a copy)
-one that other code may still write or read: the view ``reshape`` and
-``concat_last`` pass on. A leaf whose ``grad`` is preset (the flat training
-buffer) always adds into it.
+one that other code may still write or read: the view ``reshape`` passes
+on. A leaf whose ``grad`` is preset (the flat training buffer) always adds
+into it.
 
 Subgradient conventions (relevant when checking gradients near kinks):
 relu'(0) = 0, a clamp passes no gradient outside its interval *and at its
@@ -64,18 +63,14 @@ from .errors import ConfigError, DomainError, GraphStateError, ShapeError
 __all__ = [
     "Tensor",
     "backward",
-    "concat_last",
-    "dense",
     "dense_backward",
     "dense_forward",
     "grad_check",
     "node",
     "pairwise_similarity_backward",
     "pairwise_similarity_forward",
-    "softmax_cross_entropy",
     "softmax_cross_entropy_backward",
     "softmax_cross_entropy_forward",
-    "squared_error_sum",
     "squared_error_sum_backward",
     "squared_error_sum_forward",
     "weighted_log_sum_backward",
@@ -148,39 +143,10 @@ def node(
     return out
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
-    """One MLP layer ``act(x @ w + b)``, the bias broadcast across rows.
-
-    ``activation`` is ``"tanh"``, ``"relu"`` or ``None`` (the affine map).
-    The input (B, F), weight (F, H) and bias (H,) may all carry a leading
-    run axis of S runs, (S, B, F), (S, F, H) and (S, H). Each run's slice of
-    the output is bit-identical to the 2-D call on its slices.
-    """
-    xd, wd, bd = x.data, w.data, b.data
-    xs, ws = xd.shape, wd.shape
-    if len(xs) not in (2, 3) or len(ws) not in (2, 3):
-        raise ShapeError(f"dense: expected 2-D or 3-D input and weight, got {xs} and {ws}")
-    runs = ws[:-2]
-    if xs[-1] != ws[-2]:
-        raise ShapeError(f"dense: input width {xs[-1]} != weight rows {ws[-2]}")
-    if bd.shape != runs + ws[-1:]:
-        raise ShapeError(f"dense: bias shape {bd.shape} != {runs + ws[-1:]}")
-    if xs[:-2] != runs:
-        raise ShapeError(f"dense: input {xs} must carry the weight's runs {runs}")
-    if activation not in ("tanh", "relu", None):
-        raise ConfigError(f"dense: unknown activation {activation!r}")
-    y, z = dense_forward(xd, wd, bd, activation)
-
-    def grads(g: np.ndarray) -> tuple:
-        return dense_backward(g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad)
-
-    return node(y, (x, w, b), grads)
-
-
 def dense_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``dense`` on arrays, unchecked: the output ``y`` and the pre-activation ``z``."""
+    """One MLP layer ``act(x @ w + b)`` on arrays, unchecked: the output ``y`` and the pre-activation ``z``."""
     z = x @ w
     z += b[:, None, :] if w.ndim == 3 else b
     if activation == "tanh":
@@ -248,45 +214,12 @@ def pairwise_similarity_backward(
     return w.sum(axis=-1)[..., None] * e - w @ e
 
 
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate tensors along the last axis."""
-    if not parts:
-        raise ShapeError("concat_last: need at least one tensor")
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.data.ndim != parts[0].data.ndim or p.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last: leading dims differ, {parts[0].shape} vs {p.shape}"
-            )
-    widths = [p.shape[-1] for p in parts]
-    out = _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
-    if out._parents:
-        offsets = np.cumsum([0] + widths)
-        def back(g: np.ndarray) -> None:
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accumulate(p, g[..., lo:hi], shared=True)
-        out._backward = back
-    return out
-
-
-def squared_error_sum(target: np.ndarray, pred: Tensor) -> Tensor:
-    """``sum((target - pred)^2)`` for a constant ``target`` shaped like ``pred``.
+def squared_error_sum_forward(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sum((target - pred)^2)`` over the last axis, unchecked: the sums and ``target - pred``.
 
     A (B,) prediction gives a scalar; an (S, B) stack of S runs gives the
     (S,) per-run sums.
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != pred.shape or pred.data.ndim not in (1, 2):
-        raise ShapeError(
-            f"squared_error_sum: expected a (B,) or (S, B) prediction and a target of its shape, "
-            f"got {pred.shape} and {target.shape}"
-        )
-    loss, diff = squared_error_sum_forward(target, pred.data)
-    return node(loss, (pred,), lambda g: (squared_error_sum_backward(g, diff),))
-
-
-def squared_error_sum_forward(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``squared_error_sum`` on arrays, unchecked: the sums and ``target - pred``."""
     diff = target - pred
     return (diff * diff).sum(axis=-1), diff
 
@@ -296,30 +229,17 @@ def squared_error_sum_backward(g: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return -(g[..., None] * 2.0 * diff)
 
 
-def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> Tensor:
-    """Mean over rows of ``-log clamp(p, floor, 1)``, ``p`` the softmax mass on ``onehot``.
-
-    The softmax over the last axis uses the usual max-shift. A probability
-    at or beyond the clamp edges passes no gradient.
-    (B, C) logits give a scalar; an (S, B, C) stack of S runs gives the (S,)
-    per-run losses. The mask has the logits' shape.
-    """
-    z = logits.data
-    if z.ndim not in (2, 3) or onehot.shape != z.shape:
-        raise ShapeError(
-            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a mask of their shape, "
-            f"got {z.shape} and {onehot.shape}"
-        )
-    if min(z.shape[-2:]) < 1:
-        raise ShapeError("softmax_cross_entropy: need at least one row and one class")
-    loss, saved = softmax_cross_entropy_forward(z, onehot, floor)
-    return node(loss, (logits,), lambda g: (softmax_cross_entropy_backward(g, onehot, floor, *saved),))
-
-
 def softmax_cross_entropy_forward(
     z: np.ndarray, onehot: np.ndarray, floor: float
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``softmax_cross_entropy`` on arrays, unchecked: the loss and (softmax, picked mass, clamped mass)."""
+    """Mean over rows of ``-log clamp(p, floor, 1)``, ``p`` the softmax mass on ``onehot``, unchecked.
+
+    The softmax over the last axis uses the usual max-shift, and the mask
+    has the logits' shape. (B, C) logits give a scalar; an (S, B, C) stack
+    of S runs gives the (S,) per-run losses. Returns the loss and (softmax,
+    picked mass, clamped mass); a mass at or beyond the clamp edges passes
+    no gradient.
+    """
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     picked = (s * onehot).sum(axis=-1)

@@ -62,16 +62,12 @@ from .model import (
     init_classifier_head,
     init_encoder,
     init_regression_head,
+    mlp_backward,
+    mlp_forward,
     predict_classes,
     predict_hs,
 )
-from .tensor import (
-    Tensor,
-    dense_backward,
-    dense_forward,
-    softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward,
-)
+from .tensor import Tensor, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 # perfbench/tracing.py wraps functions at this module's bindings, so each name
 # its BINDINGS resolves here must stay bound: ``adam_step``,
@@ -80,7 +76,7 @@ from .tensor import (
 # validation and a frozen encoder's pair rows call; and
 # ``combined_loss_terms``, ``loss_gradients``, ``mine_batch`` and
 # ``cross_entropy``, which nothing here calls any more: a step runs its
-# layers and its loss tape-free (see ``_forward`` and
+# networks and its loss on arrays (``model.mlp_forward`` and
 # ``combined_loss_forward``), each epoch is mined at once
 # (``contrast_targets``) and the fine-tuning labels are checked once
 # (``onehot_labels``).
@@ -444,7 +440,7 @@ def _network_from_checkpoint(ck: Checkpoint, kind: type[MLP], prefix: str, meta_
 
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
-    """The checkpoint's encoder; its tensors take no gradient until a trainer marks them."""
+    """The checkpoint's encoder; its tensors take no gradient."""
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
     return _network_from_checkpoint(ck, EncoderParams, "encoder", "")
@@ -489,20 +485,21 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # 2-D call, so each run's trace, history and checkpoints are bit-identical to
 # training it alone.
 #
-# Only the step's own views drop the axis for one run, and ``_lead`` alone
-# makes that choice: a one-run step sees 2-D weights, (B, F) batches and a
-# scalar loss. A size-1 run axis inside the step gave the same bits but cost
+# Only the step's own views, and validation's, drop the axis for one run, and
+# ``_lead`` alone makes that choice: a one-run step sees 2-D weights, (B, F)
+# batches and a scalar loss. A size-1 run axis inside the step gave the same bits but cost
 # 7-11% of single-run throughput (pre-training scans/s -9.0% and fine-tuning
 # pairs/s -11.3% on the benchmark's contrastive workload, -6.8% and -8.2% on
 # its regression one): numpy's per-call overhead on (1, ...) operands and on
 # (1,) loss terms where the 2-D step has scalars.
 #
-# A step builds no graph and calls no ``backward``. ``_forward`` runs the MLP
-# layers through ``tensor.dense_forward`` and keeps each layer's arrays;
-# ``_backward`` sends the output gradient back through
-# ``tensor.dense_backward``, which writes each parameter's gradient straight
-# into its view of ``AdamState.grad``. Those are the functions the ``dense``
-# node calls, so values and gradients are those of the graph, bit for bit.
+# A step builds no graph and calls no ``backward``. ``model.mlp_forward``
+# runs each network's layers on arrays and keeps each layer's arrays;
+# ``model.mlp_backward`` sends the output gradient back through them and
+# writes each parameter's gradient straight into its view of
+# ``AdamState.grad``. Those are the functions the nodes of ``encode``,
+# ``predict_hs`` and ``classify_pairs`` call, so values and gradients are
+# those of the graph, bit for bit.
 # Every view is written every step, so the buffer is never zero-filled. The
 # losses run the same way, seeded with the ones ``backward`` would give the
 # root: pre-training calls ``losses.combined_loss_forward`` on the
@@ -578,8 +575,8 @@ def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
 def _stacked(models: list[MLP]) -> MLP:
     """S runs' networks of one kind as one, each tensor stacked along the run axis, also for S = 1."""
 
-    def stack(*parts: Tensor) -> Tensor:
-        return Tensor(np.array([p.data for p in parts]), requires_grad=parts[0].requires_grad)
+    def stack(*parts: Tensor) -> Tensor:  # taking no gradient: a step writes them by hand
+        return Tensor(np.array([p.data for p in parts]))
 
     first = models[0]
     return type(first)(
@@ -590,60 +587,35 @@ def _stacked(models: list[MLP]) -> MLP:
     )
 
 
-def _layers(state: AdamState, net: MLP, lead: tuple[int, ...]) -> list[tuple]:
-    """(weight, bias, activation, weight gradient, bias gradient) per layer of ``net``, as a step sees them.
+def _step_view(a: np.ndarray | None, lead: tuple[int, ...]) -> np.ndarray | None:
+    """``a``, whose first axis is the run axis, as a view shaped ``lead + a.shape[1:]`` (see ``_lead``)."""
+    return None if a is None else a.reshape(lead + a.shape[1:])
 
-    Each array is reshaped from its run axis to ``lead`` (see ``_lead``), a
-    view of the same buffer. Built after ``AdamState.for_params``, the arrays
-    see its updates; the gradients are the tensors' views of ``state.grad``,
-    found by identity, or None where ``state`` trains none.
+
+def _in_step(state: AdamState, net: MLP, lead: tuple[int, ...]) -> tuple[MLP, list[tuple]]:
+    """``net`` as a step and validation see it: the network, and its layers for ``model.mlp_forward``.
+
+    A layer is (weight, bias, activation, weight gradient, bias gradient).
+    Each array is a ``_step_view`` of the same buffer, so built after
+    ``AdamState.for_params`` they see its updates; the gradients are the
+    tensors' views of ``state.grad``, found by identity, or None where
+    ``state`` trains none.
     """
     views = {id(p): g for p, g in zip(state.params, state.grads)}
-
-    def step_view(a: np.ndarray | None) -> np.ndarray | None:
-        return None if a is None else a.reshape(lead + a.shape[1:])
-
-    return [
-        (step_view(w.data), step_view(b.data), act, step_view(views.get(id(w))), step_view(views.get(id(b))))
+    layers = [
+        (_step_view(w.data, lead), _step_view(b.data, lead), act,
+         _step_view(views.get(id(w)), lead), _step_view(views.get(id(b)), lead))
         for w, b, act in zip(net.weights, net.biases, net.activations())
     ]
-
-
-def _forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each layer's (input, output, pre-activation) for ``x`` run through ``layers``."""
-    saved = []
-    for w, b, activation, _, _ in layers:
-        y, z = dense_forward(x, w, b, activation)
-        saved.append((x, y, z))
-        x = y
-    return saved
-
-
-def _backward(layers: list[tuple], saved: list[tuple], g: np.ndarray, need_x: bool = False) -> np.ndarray | None:
-    """Send output gradient ``g`` back through ``layers``; the input's gradient if ``need_x``.
-
-    Each layer's weight and bias gradients are written into its gradient
-    views. A ``g`` with one more axis than the weights holds a pair batch's
-    prev and next passes, stacked along a leading axis of two; each view is
-    then written as the sum of the two shares.
-    """
-    for i in reversed(range(len(layers))):
-        w, _, activation, gw, gb = layers[i]
-        x, y, z = saved[i]
-        if g.ndim > w.ndim:
-            g, dw, db = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
-            np.add(dw[0], dw[1], out=gw)
-            np.add(db[0], db[1], out=gb)
-        else:
-            g, _, _ = dense_backward(g, x, w, y, z, activation, need_x or i > 0, gw=gw, gb=gb)
-    return g
+    step = type(net)(net.widths, net.activation, [Tensor(l[0]) for l in layers], [Tensor(l[1]) for l in layers])
+    return step, layers
 
 
 class _Runs:
     """The per-run bookkeeping of both loops, from the trained state to the results.
 
-    ``state`` packs the trained tensors, which take no gradient from then
-    on: a step writes theirs by hand, and validation builds no graph. A step
+    ``state`` packs the trained tensors, which take no gradient: a step
+    writes theirs by hand, and validation builds no graph. A step
     hands ``add`` its per-run loss terms, which are kept as they are; a
     non-finite first term raises ``TrainingAbort``, naming the run when
     S > 1. ``end_epoch`` sums each run's terms in batch order and logs each
@@ -668,8 +640,6 @@ class _Runs:
         self.stage, self.config, self.named_all, self.named_trained = stage, config, named_all, named_trained
         self.keys, self.terms, self.sign = self.STAGES[stage]
         self.state = AdamState.for_params([t for _, t in named_trained])
-        for _, t in named_trained:
-            t.requires_grad = False
         self.metas = [  # each run's checkpoint metadata after its stage, epoch and Adam step
             {"model": model, "train": asdict(replace(config, seed=s)), **e} for s, e in zip(seeds, extras)
         ]
@@ -774,10 +744,13 @@ class PretrainResult:
 
 
 def _val_mse(encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_val: np.ndarray) -> list[float]:
-    """Each run's validation MSE, from (S, N, F) features and (S, N) targets; NaN for an empty split."""
-    if x_val.shape[-2] == 0:
-        return [float("nan")] * len(x_val)
-    pred = predict_hs(reg, encode(encoder, x_val)).data
+    """Each run's validation MSE, from (S, N) targets; NaN for an empty split.
+
+    The networks and the features are in the step layout (see ``_in_step``).
+    """
+    if y_val.shape[-1] == 0:
+        return [float("nan")] * len(y_val)
+    pred = predict_hs(reg, encode(encoder, x_val)).data.reshape(y_val.shape)
     return [float(np.mean((p - y) ** 2)) for p, y in zip(pred, y_val)]
 
 
@@ -865,7 +838,8 @@ def pretrain_runs(
     loss = config.loss
     x_rows, y_rows = _flat_rows(x_train), _flat_rows(y_train)
     lead = _lead(n_runs)
-    enc_layers, head_layers = _layers(state, encoder, lead), _layers(state, reg, lead)
+    (encoder, enc_layers), (reg, head_layers) = _in_step(state, encoder, lead), _in_step(state, reg, lead)
+    x_val = _step_view(x_val, lead)
     g_loss = np.ones(lead)  # the seed backward gives a root
 
     n_batches = n // config.batch_size
@@ -875,19 +849,19 @@ def pretrain_runs(
         xs, ys = x_rows.take(batches, axis=0), y_rows.take(batches, axis=0)
         targets = contrast_targets(ys, loss) if loss.needs_mining else None
         for k in range(n_batches):
-            enc_saved = _forward(enc_layers, xs[k])
+            enc_saved = mlp_forward(enc_layers, xs[k])
             e = enc_saved[-1][1]
-            head_saved = _forward(head_layers, e)
+            head_saved = mlp_forward(head_layers, e)
             y_hat = head_saved[-1][1].reshape(e.shape[:-1])
             terms, saved = combined_loss_forward(
                 ys[k], y_hat, e, None if targets is None else targets.batch(k), loss
             )
             runs.add(epoch, k, *terms)
             g_pred, g_e = combined_loss_backward(g_loss, loss, *saved)
-            g = _backward(head_layers, head_saved, g_pred.reshape(e.shape[:-1] + (1,)), need_x=True)
+            g = mlp_backward(head_layers, head_saved, g_pred.reshape(e.shape[:-1] + (1,)), need_x=True)
             if g_e is not None:  # the similarity's share, added to the head's
                 g += g_e
-            _backward(enc_layers, enc_saved, g)
+            mlp_backward(enc_layers, enc_saved, g)
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, zip(_val_mse(encoder, reg, x_val, y_val)))
     return runs.results(PretrainResult)
@@ -1014,11 +988,12 @@ def finetune_runs(
     onehot_rows = onehot_labels(_flat_rows(y_train), cls.widths[-1])
     onehot_labels(y_val, cls.widths[-1])  # the validation labels, checked before the first step too
     lead = _lead(n_runs)
-    head_layers, enc_layers = _layers(state, cls, lead), _layers(state, encoder, lead)
+    (cls, head_layers), (encoder, enc_layers) = _in_step(state, cls, lead), _in_step(state, encoder, lead)
+    xp_val, xn_val = _step_view(xp_val, lead), _step_view(xn_val, lead)
     dim = encoder.embedding_dim
     g_loss = np.ones(lead)  # the seed backward gives a root
     if frozen:
-        pair_rows = _flat_rows(_pair_rows(encoder, xp_train, xn_train))
+        pair_rows = _pair_rows(encoder, _step_view(xp_train, lead), _step_view(xn_train, lead)).reshape(-1, 2 * dim)
         val_rows = _pair_rows(encoder, xp_val, xn_val)
     else:
         xp_rows, xn_rows = _flat_rows(xp_train), _flat_rows(xn_train)
@@ -1032,7 +1007,7 @@ def finetune_runs(
         else:
             logits = _pair_logits(encoder, cls, xp_val, xn_val)
         out = []
-        for run_logits, labels in zip(logits, y_val):
+        for run_logits, labels in zip(logits.reshape(y_val.shape + logits.shape[-1:]), y_val):
             report = compute_metrics(predict_classes(run_logits), labels)
             out.append((report.accuracy, report.macro_f1))
         return out
@@ -1051,18 +1026,18 @@ def finetune_runs(
         for k, start in enumerate(starts):
             batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
             if frozen:
-                head_saved = _forward(head_layers, rows[batch])
+                head_saved = mlp_forward(head_layers, rows[batch])
             else:  # the shared encoder runs once over the batch's prev and next scans
-                enc_saved = _forward(enc_layers, x_epoch[batch])
+                enc_saved = mlp_forward(enc_layers, x_epoch[batch])
                 u = enc_saved[-1][1]
-                head_saved = _forward(head_layers, np.concatenate([u[0], u[1]], axis=-1))
+                head_saved = mlp_forward(head_layers, np.concatenate([u[0], u[1]], axis=-1))
             onehot_batch = onehot[batch]
             ce, ce_saved = softmax_cross_entropy_forward(head_saved[-1][1], onehot_batch, PROB_FLOOR)
             runs.add(epoch, k, ce)
             g = softmax_cross_entropy_backward(g_loss, onehot_batch, PROB_FLOOR, *ce_saved)
-            g = _backward(head_layers, head_saved, g, need_x=not frozen)
+            g = mlp_backward(head_layers, head_saved, g, need_x=not frozen)
             if not frozen:  # each encoder parameter's two shares, prev and next, added once
-                _backward(enc_layers, enc_saved, np.stack([g[..., :dim], g[..., dim:]]))
+                mlp_backward(enc_layers, enc_saved, np.stack([g[..., :dim], g[..., dim:]]))
             adam_step(state, state.grad, lr, config.beta1, config.beta2, config.adam_eps)
         runs.end_epoch(epoch, lr, val_metrics())
     return runs.results(FinetuneResult)

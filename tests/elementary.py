@@ -7,9 +7,13 @@ They follow the tensor core's conventions: a gradient handed to a parent is
 an array the parent may keep, and clamp' is zero at and beyond the clamp
 edges.
 
-``pairwise_similarity`` and ``weighted_log_sum`` are the node wrappers of
-the library's ``*_forward``/``*_backward`` array pairs, with the checks the
-library made when it exported them.
+``dense``, ``squared_error_sum``, ``softmax_cross_entropy``,
+``pairwise_similarity`` and ``weighted_log_sum`` are the one-node wrappers
+of the library's ``*_forward``/``*_backward`` array pairs, with the checks
+the library made when it exported them; ``concat_last`` is the
+concatenation node the library's pair classifier was built from. The
+library's own nodes wrap a whole network or loss term; these wrap one
+layer or one op, so the tests can rebuild a network layer by layer.
 
 Python numbers and arrays are taken as constant tensors wherever a tensor
 is expected.
@@ -19,12 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from hscl.errors import DomainError, ShapeError
+from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.tensor import (
     Tensor,
+    dense_backward,
+    dense_forward,
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
+    squared_error_sum_backward,
+    squared_error_sum_forward,
     weighted_log_sum_backward,
     weighted_log_sum_forward,
 )
@@ -120,6 +130,85 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     return node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def concat_last(parts) -> Tensor:
+    """Concatenate tensors along the last axis."""
+    if not parts:
+        raise ShapeError("concat_last: need at least one tensor")
+    lead = parts[0].shape[:-1]
+    for p in parts[1:]:
+        if p.data.ndim != parts[0].data.ndim or p.shape[:-1] != lead:
+            raise ShapeError(f"concat_last: leading dims differ, {parts[0].shape} vs {p.shape}")
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
+    return node(
+        np.concatenate([p.data for p in parts], axis=-1),
+        tuple(parts),
+        lambda g: tuple(g[..., lo:hi].copy() for lo, hi in zip(offsets[:-1], offsets[1:])),
+    )
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """One MLP layer ``act(x @ w + b)``, the bias broadcast across rows.
+
+    ``activation`` is ``"tanh"``, ``"relu"`` or ``None`` (the affine map).
+    The input (B, F), weight (F, H) and bias (H,) may all carry a leading
+    run axis of S runs, (S, B, F), (S, F, H) and (S, H). Each run's slice of
+    the output is bit-identical to the 2-D call on its slices.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    xs, ws = xd.shape, wd.shape
+    if len(xs) not in (2, 3) or len(ws) not in (2, 3):
+        raise ShapeError(f"dense: expected 2-D or 3-D input and weight, got {xs} and {ws}")
+    runs = ws[:-2]
+    if xs[-1] != ws[-2]:
+        raise ShapeError(f"dense: input width {xs[-1]} != weight rows {ws[-2]}")
+    if bd.shape != runs + ws[-1:]:
+        raise ShapeError(f"dense: bias shape {bd.shape} != {runs + ws[-1:]}")
+    if xs[:-2] != runs:
+        raise ShapeError(f"dense: input {xs} must carry the weight's runs {runs}")
+    if activation not in ("tanh", "relu", None):
+        raise ConfigError(f"dense: unknown activation {activation!r}")
+    y, z = dense_forward(xd, wd, bd, activation)
+
+    def grads(g: np.ndarray) -> tuple:
+        return dense_backward(g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad)
+
+    return node(y, (x, w, b), grads)
+
+
+def squared_error_sum(target, pred: Tensor) -> Tensor:
+    """``sum((target - pred)^2)`` for a constant ``target`` shaped like ``pred``.
+
+    A (B,) prediction gives a scalar; an (S, B) stack of S runs gives the
+    (S,) per-run sums.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape or pred.data.ndim not in (1, 2):
+        raise ShapeError(
+            f"squared_error_sum: expected a (B,) or (S, B) prediction and a target of its shape, "
+            f"got {pred.shape} and {target.shape}"
+        )
+    loss, diff = squared_error_sum_forward(target, pred.data)
+    return node(loss, (pred,), lambda g: (squared_error_sum_backward(g, diff),))
+
+
+def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, floor: float) -> Tensor:
+    """Mean over rows of ``-log clamp(p, floor, 1)``, ``p`` the softmax mass on ``onehot``.
+
+    (B, C) logits give a scalar; an (S, B, C) stack of S runs gives the (S,)
+    per-run losses. The mask has the logits' shape.
+    """
+    z = logits.data
+    if z.ndim not in (2, 3) or onehot.shape != z.shape:
+        raise ShapeError(
+            f"softmax_cross_entropy: expected (B, C) or (S, B, C) logits and a mask of their shape, "
+            f"got {z.shape} and {onehot.shape}"
+        )
+    if min(z.shape[-2:]) < 1:
+        raise ShapeError("softmax_cross_entropy: need at least one row and one class")
+    loss, saved = softmax_cross_entropy_forward(z, onehot, floor)
+    return node(loss, (logits,), lambda g: (softmax_cross_entropy_backward(g, onehot, floor, *saved),))
 
 
 def pairwise_similarity(embeddings: Tensor, kind: str) -> Tensor:

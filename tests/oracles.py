@@ -5,12 +5,13 @@ selection-style algorithms) so it shares no code path with the library
 implementations it checks.
 
 The ``*_chain`` functions are the exception: each takes the arguments of a
-fused op (``dense``, ``squared_error_sum``, ``softmax_cross_entropy``,
-``weighted_log_sum``) and rebuilds the chain of elementary ops it replaces
-(affine, activation, softmax, clamp, log, ...), one graph node per op from
-``elementary``, so tests can require the fused ops to match them bit for
-bit. ``combined_loss_chain`` is ``losses.combined_loss_terms`` as a chain of
-one-node ops, 7 (cl) or 9 (wcl) nodes to the library's 3; it calls this
+one-node op of ``elementary`` (``dense``, ``squared_error_sum``,
+``softmax_cross_entropy``, ``weighted_log_sum``), each a wrapper of one of
+the library's array pairs, and rebuilds the chain of elementary ops it
+replaces (affine, activation, softmax, clamp, log, ...), one graph node per
+op, so tests can require the pairs to match them bit for bit.
+``combined_loss_chain`` is ``losses.combined_loss_terms`` as a chain of
+one-node ops, 7 (cl) or 9 (wcl) nodes to the library's 3. It calls this
 module's ``squared_error_sum`` and ``weighted_log_sum`` bindings, which a
 test can replace with their chains.
 
@@ -18,10 +19,13 @@ So are the ``*_runs_ref`` training loops: they set up runs with the
 library's own helpers, but build every step as the loops did before the
 label- and data-only work moved out of the step (a ``take`` per batch and
 array, ``mine_batch`` and the loss's own ``K`` per batch, a per-step
-``concat_last`` and ``cross_entropy`` label check), and take the loss from
-``combined_loss_chain``, so tests can require the hoisted, tape-free loops
-to match them bit for bit. ``save_dataset_ref`` is the CSV
-writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
+``concat_last`` and one-hot label mask). Every network, in a step and in
+validation, is a per-layer loop over this module's ``dense`` binding
+(``mlp_ref``), the fine-tuning loss is its ``softmax_cross_entropy`` and
+the pre-training loss comes from ``combined_loss_chain``. So the loops call
+none of the library's network or loss calls, and tests can require the
+hoisted, tape-free loops to match them bit for bit. ``save_dataset_ref`` is
+the CSV writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
 loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
 ``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
 one ``change_label_ref`` per pair (with ``regression_arrays``/``pair_arrays``).
@@ -54,17 +58,15 @@ from hscl.data import (
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
-from hscl.losses import cross_entropy, loss_gradients, mine_batch
-from hscl.model import (
-    classify_pairs,
-    encode,
-    init_classifier_head,
-    init_encoder,
-    init_regression_head,
-    predict_hs,
-)
-from hscl.tensor import Tensor, node, squared_error_sum
+from hscl.losses import PROB_FLOOR, loss_gradients, mine_batch
+from hscl.model import init_classifier_head, init_encoder, init_regression_head
+from hscl.tensor import Tensor, node
 
+# the one-node ops the reference loops and ``combined_loss_chain`` build
+# from, bound here so that a test can replace each with its chain
+dense = el.dense
+squared_error_sum = el.squared_error_sum
+softmax_cross_entropy = el.softmax_cross_entropy
 weighted_log_sum = el.weighted_log_sum
 
 
@@ -334,6 +336,22 @@ def average_ranks_loop(values):
 # -- training loops with every step built from scratch ---------------------------------
 
 
+def mlp_ref(net, x):
+    """``x`` through every layer of ``net``, one ``dense`` node per layer."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    for w, b, activation in zip(net.weights, net.biases, net.activations()):
+        x = dense(x, w, b, activation)
+    return x
+
+
+def _val_mse_ref(encoder, reg, x_val, y_val):
+    """Each run's validation MSE from (S, N, F) features; NaN for an empty split."""
+    if y_val.shape[-1] == 0:
+        return [float("nan")] * len(y_val)
+    pred = mlp_ref(reg, mlp_ref(encoder, x_val)).data[..., 0]
+    return [float(np.mean((p - y) ** 2)) for p, y in zip(pred, y_val)]
+
+
 def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation, data_metas, seeds):
     """Lock-step pre-training, one ``take``, one ``mine_batch`` and one loss ``K`` per step."""
     t = training
@@ -346,6 +364,8 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
     reg = t._stacked([init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds])
     named = t._named_params(encoder=encoder, reg=reg)
     params = [p for _, p in named]
+    for p in params:
+        p.requires_grad = True
     state = t.AdamState.for_params(params)
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
     x_rows, y_rows = t._flat_rows(x_train), t._flat_rows(y_train)
@@ -371,8 +391,8 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
         for start in range(0, n - config.batch_size + 1, config.batch_size):
             idx = orders[..., start : start + config.batch_size]
             xb, yb = x_rows.take(idx, axis=0), y_rows.take(idx, axis=0)
-            embeddings = encode(encoder, xb)
-            y_hat = predict_hs(reg, embeddings)
+            embeddings = mlp_ref(encoder, xb)
+            y_hat = mlp_ref(reg, embeddings).reshape(embeddings.shape[:-1])
             mining = mine_batch(yb) if needs_mining else None
             total, mse_term, con_term = combined_loss_chain(yb, y_hat, embeddings, mining, yb, config.loss)
             terms = zip(
@@ -386,7 +406,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             grad = loss_gradients(total, params, state.grad, state.grads)
             t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             n_batches += 1
-        for s, val_mse in enumerate(t._val_mse(encoder, reg, x_val, y_val)):
+        for s, val_mse in enumerate(_val_mse_ref(encoder, reg, x_val, y_val)):
             loss, mse, contrast = (v / n_batches for v in sums[s])
             traces[s].append(
                 {"epoch": epoch, "lr": lr, "loss": loss, "mse": mse, "contrast": contrast, "val_mse": val_mse}
@@ -404,7 +424,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
 
 
 def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y_val, config, cls_hidden, seeds):
-    """Lock-step fine-tuning, a ``take`` per array, ``concat_last`` and ``cross_entropy`` per step."""
+    """Lock-step fine-tuning, a ``take`` per array, ``concat_last`` and a one-hot label mask per step."""
     t = training
     n_runs = len(pretrained)
     n = np.shape(y_train)[-1]
@@ -419,26 +439,26 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
     }
     cls = t._stacked([heads[s] for s in seeds])
     frozen = config.freeze_encoder
-    if not frozen:
-        for p in encoder.trainable():
-            p.requires_grad = True
     named_trained = t._named_params(cls=cls) if frozen else t._named_params(encoder=encoder, cls=cls)
     named_all = t._named_params(encoder=encoder, cls=cls)
     params = [p for _, p in named_trained]
+    for p in params:
+        p.requires_grad = True
     state = t.AdamState.for_params(params)
     y_rows = t._flat_rows(y_train)
     if frozen:
-        xp_rows = t._flat_rows(encode(encoder, xp_train).data)
-        xn_rows = t._flat_rows(encode(encoder, xn_train).data)
-        up_val, un_val = encode(encoder, xp_val).data, encode(encoder, xn_val).data
+        xp_rows = t._flat_rows(mlp_ref(encoder, xp_train).data)
+        xn_rows = t._flat_rows(mlp_ref(encoder, xn_train).data)
+        up_val, un_val = mlp_ref(encoder, xp_val), mlp_ref(encoder, xn_val)
     else:
         xp_rows, xn_rows = t._flat_rows(xp_train), t._flat_rows(xn_train)
 
     def val_metrics():
         if frozen:
-            logits = classify_pairs(cls, up_val, un_val).data
+            logits = mlp_ref(cls, el.concat_last([up_val, un_val])).data
         else:
-            logits = t._pair_logits(encoder, cls, xp_val, xn_val)
+            pairs = [mlp_ref(encoder, xp_val), mlp_ref(encoder, xn_val)]
+            logits = mlp_ref(cls, el.concat_last(pairs)).data
         out = []
         for run_logits, labels in zip(logits, y_val):
             report = t.compute_metrics(np.argmax(run_logits, axis=-1), labels)
@@ -471,12 +491,12 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = orders[..., start : start + config.batch_size]
-            xp, xn = xp_rows.take(idx, axis=0), xn_rows.take(idx, axis=0)
-            if frozen:
-                logits = classify_pairs(cls, xp, xn)
-            else:
-                logits = classify_pairs(cls, encode(encoder, xp), encode(encoder, xn))
-            ce = cross_entropy(logits, y_rows.take(idx, axis=0))
+            xp, xn = Tensor(xp_rows.take(idx, axis=0)), Tensor(xn_rows.take(idx, axis=0))
+            if not frozen:
+                xp, xn = mlp_ref(encoder, xp), mlp_ref(encoder, xn)
+            logits = mlp_ref(cls, el.concat_last([xp, xn]))
+            onehot = y_rows.take(idx, axis=0)[..., None] == np.arange(logits.shape[-1])
+            ce = softmax_cross_entropy(logits, onehot, PROB_FLOOR)
             for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
                 ce_sums[s] += ce_val
             grad = loss_gradients(ce, params, state.grad, state.grads)

@@ -27,10 +27,10 @@ from hscl.losses import (
     wcl_loss,
 )
 from hscl.model import classify_pairs, init_classifier_head
-from hscl.tensor import Tensor, backward, dense, grad_check
+from hscl.tensor import Tensor, backward, grad_check
 
 import elementary as el
-from elementary import pairwise_similarity
+from elementary import dense, pairwise_similarity
 from oracles import cl_ref, combined_loss_chain, cross_entropy_ref, mine_ref, mse_ref, sim_ref, wcl_ref
 
 CL_CFG = LossConfig(mode="mse+cl")

@@ -3,6 +3,9 @@ import pytest
 
 from hscl.errors import ConfigError, ShapeError
 from hscl.model import (
+    ClassifierHead,
+    EncoderParams,
+    RegressionHead,
     classify_pair_rows,
     classify_pairs,
     encode,
@@ -265,3 +268,159 @@ def test_encoder_gradients_flow_to_all_parameters():
     backward(el.mean(predict_hs(head, encode(params, x))))
     for t in params.trainable() + head.trainable():
         assert t.grad is not None and t.grad.shape == t.data.shape
+
+
+# -- one node per call: the network's array pass, bit for bit against the per-layer chain ---
+
+
+def _layer_chain(net, x):
+    """``x`` through ``net``, one ``elementary.dense`` node per layer."""
+    for w, b, activation in zip(net.weights, net.biases, net.activations()):
+        x = el.dense(x, w, b, activation)
+    return x
+
+
+# call: (network kind, widths, input widths, the call, the same call as a per-layer chain)
+_NODE_CALLS = {
+    "encode": (EncoderParams, [5, 7, 4], [5], encode, _layer_chain),
+    "predict_hs": (
+        RegressionHead, [4, 1], [4], predict_hs, lambda net, e: _layer_chain(net, e).reshape(e.shape[:-1])
+    ),
+    "classify_pair_rows": (ClassifierHead, [8, 6, 3], [8], classify_pair_rows, _layer_chain),
+    "classify_pairs": (
+        ClassifierHead, [8, 6, 3], [4, 4], classify_pairs,
+        lambda net, up, un: _layer_chain(net, el.concat_last([up, un])),
+    ),
+}
+
+
+def _node_call_arrays(call, runs, rng):
+    """Random weights, biases and inputs for ``call``; ``runs`` None is one run without the run axis."""
+    _, widths, in_widths, _, _ = _NODE_CALLS[call]
+    lead = () if runs is None else (runs,)
+    weights = [rng.normal(size=(*lead, a, b)) for a, b in zip(widths[:-1], widths[1:])]
+    biases = [rng.normal(size=(*lead, b)) for b in widths[1:]]
+    inputs = [rng.normal(size=(*lead, 6, f)) for f in in_widths]
+    return weights, biases, inputs
+
+
+def _node_call_result(call, activation, arrays, need_x, upstream, chain):
+    """The call's output and every leaf's gradient under ``upstream``, from fresh leaves."""
+    kind, widths, _, fn, chain_fn = _NODE_CALLS[call]
+    weights, biases, inputs = (
+        [Tensor(a.copy(), requires_grad=grad) for a in group]
+        for group, grad in zip(arrays, (True, True, need_x))
+    )
+    net = kind(widths, activation, weights, biases)
+    out = (chain_fn if chain else fn)(net, *inputs)
+    backward(el.sum(el.mul(out, Tensor(upstream))))
+    return out, [t.grad for t in [*inputs, *weights, *biases]]
+
+
+@pytest.mark.parametrize("need_x", [True, False])
+@pytest.mark.parametrize("runs", [None, 1, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("call", list(_NODE_CALLS))
+def test_each_network_call_matches_the_per_layer_dense_chain_bitwise(call, activation, runs, need_x):
+    rng = np.random.default_rng(40)
+    for _ in range(3):
+        arrays = _node_call_arrays(call, runs, rng)
+        out, _ = _node_call_result(call, activation, arrays, need_x, 1.0, chain=True)
+        upstream = rng.normal(size=out.shape) * 3.0  # a non-unit gradient reaches every entry
+        got, got_grads = _node_call_result(call, activation, arrays, need_x, upstream, chain=False)
+        want, want_grads = _node_call_result(call, activation, arrays, need_x, upstream, chain=True)
+        assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+        assert len(got_grads) == len(want_grads)
+        assert (got_grads[0] is None) == (not need_x)  # an input that takes no gradient gets none
+        for g, w in zip(got_grads, want_grads):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("call", list(_NODE_CALLS))
+def test_each_network_call_is_one_node_over_its_inputs_weights_and_biases(call):
+    kind, widths, _, fn, _ = _NODE_CALLS[call]
+    weights, biases, inputs = (
+        [Tensor(a, requires_grad=True) for a in group]
+        for group in _node_call_arrays(call, 2, np.random.default_rng(41))
+    )
+    net = kind(widths, "tanh", weights, biases)
+    out = fn(net, *inputs)
+    assert len(out._parents) == len(inputs) + 2 * len(weights)
+    assert all(p is q for p, q in zip(out._parents, [*inputs, *weights, *biases]))
+
+
+# -- malformed networks and inputs: one check per call raises an hscl error -----------------
+
+
+def _malformed(call, change):
+    """``call`` on a network of 2 runs and its inputs, after ``change`` edits their arrays in place.
+
+    ``change`` may return an activation for the network in place of tanh.
+    """
+    kind, widths, _, fn, _ = _NODE_CALLS[call]
+    weights, biases, inputs = _node_call_arrays(call, 2, np.random.default_rng(42))
+    activation = change(weights, biases, inputs) or "tanh"
+    net = kind(widths, activation, [Tensor(w) for w in weights], [Tensor(b) for b in biases])
+    return lambda: fn(net, *inputs)
+
+
+def _set(items, i, value):
+    items[i] = value
+
+
+_SHAPE_FAULTS = {
+    "a weight off the widths": lambda ws, bs, xs: _set(ws, -1, ws[-1][:, 1:]),
+    "a bias off the widths": lambda ws, bs, xs: _set(bs, -1, bs[-1][:, 1:]),
+    "a bias without the run axis": lambda ws, bs, xs: _set(bs, 0, bs[0][0]),
+    "a weight of 3 runs in a network of 2": lambda ws, bs, xs: _set(ws, -1, np.concatenate([ws[-1], ws[-1][:1]])),
+    "a missing weight": lambda ws, bs, xs: _set(ws, slice(-1, None), []),
+    "a weight with two run axes": lambda ws, bs, xs: _set(ws, 0, ws[0][None]),
+    "an input of 3 runs": lambda ws, bs, xs: _set(xs, 0, np.concatenate([xs[0], xs[0][:1]])),
+    "an input without the run axis": lambda ws, bs, xs: _set(xs, 0, xs[0][0]),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SHAPE_FAULTS))
+@pytest.mark.parametrize("call", list(_NODE_CALLS))
+def test_a_network_or_input_whose_shapes_do_not_chain_raises_shape_error(call, fault):
+    """In a call's own words; ``classify_pairs`` checks its inputs, then its network as ``classify_pair_rows``."""
+    with pytest.raises(ShapeError, match=f"^({'|'.join(_NODE_CALLS)}): "):
+        _malformed(call, _SHAPE_FAULTS[fault])()
+
+
+# a regression head's one layer is linear whatever its activation
+@pytest.mark.parametrize("call", ["encode", "classify_pair_rows", "classify_pairs"])
+def test_a_network_of_an_unknown_activation_raises_config_error(call):
+    with pytest.raises(ConfigError, match="unknown activation 'sigmoid'$"):
+        _malformed(call, lambda ws, bs, xs: "sigmoid")()
+
+
+def test_a_regression_head_of_more_than_one_output_raises_shape_error():
+    head = RegressionHead([3, 2], None, [Tensor(np.ones((3, 2)))], [Tensor(np.zeros(2))])
+    with pytest.raises(ShapeError, match=r"^predict_hs: head output width 2 != 1$"):
+        predict_hs(head, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: encode(_stacked_pair(init_encoder([4, 3], seed=1), init_encoder([4, 3], seed=2)), np.ones((5, 4))),
+         "encode: expected a 2-D (batch, feature) input, or (S, B, F) for an encoder of S runs, "
+         "got shape (5, 4) for weights of shape (2, 4, 3)"),
+        (lambda: encode(init_encoder([4, 3], seed=1), np.ones((2, 5, 4))),
+         "encode: expected a 2-D (batch, feature) input, or (S, B, F) for an encoder of S runs, "
+         "got shape (2, 5, 4) for weights of shape (4, 3)"),
+        (lambda: predict_hs(init_regression_head(3, seed=0), np.ones(3)),
+         "predict_hs: expected a 2-D (batch, embedding) input, or (S, B, F) for a head of S runs, "
+         "got shape (3,) for weights of shape (3, 1)"),
+        (lambda: classify_pair_rows(init_classifier_head(3, seed=0), np.ones((2, 4, 6))),
+         "classify_pair_rows: expected a 2-D (batch, pair) input, or (S, B, F) for a classifier of S runs, "
+         "got shape (2, 4, 6) for weights of shape (6, 32)"),
+    ],
+)
+def test_each_forward_names_its_own_run_axis_mismatch(call, text):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == text

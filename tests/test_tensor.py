@@ -8,14 +8,10 @@ from hscl.errors import ConfigError, DomainError, GraphStateError, ShapeError
 from hscl.tensor import (
     Tensor,
     backward,
-    concat_last,
-    dense,
     grad_check,
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
-    softmax_cross_entropy,
-    squared_error_sum,
     squared_error_sum_backward,
     squared_error_sum_forward,
     weighted_log_sum_backward,
@@ -23,7 +19,15 @@ from hscl.tensor import (
 )
 
 import elementary as el
-from elementary import matmul, pairwise_similarity, weighted_log_sum
+from elementary import (
+    concat_last,
+    dense,
+    matmul,
+    pairwise_similarity,
+    softmax_cross_entropy,
+    squared_error_sum,
+    weighted_log_sum,
+)
 from oracles import (
     dense_chain,
     sim_ref,

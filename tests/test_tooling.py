@@ -8,6 +8,8 @@ on real ones here, and short training runs go through the whole tracer.
 
 Every public name of the tensor core has an importer in the library, so an
 op that only the tests call lives in the test tree (``elementary.py``).
+Only ``model`` runs the dense layer pair, and only the autodiff API
+(``tensor``, ``model``, ``losses``) builds graph nodes or walks them.
 Every public function and class of ``data`` is used by the library too, so
 a scalar form of a rule that only the tests call lives in ``oracles.py``.
 
@@ -198,6 +200,38 @@ def test_every_tensor_export_is_imported_by_another_library_module():
         }
         used |= imported & {stmt.id for stmt in nodes if isinstance(stmt, ast.Name)}
     assert sorted(set(hscl.tensor.__all__) - used - {"grad_check"}) == []
+
+
+def test_only_model_runs_the_layer_pair_and_only_the_autodiff_api_names_the_graph():
+    """Every network runs through ``model``'s one array pass, and only the autodiff API builds graphs.
+
+    No module but ``tensor`` and ``model`` names ``dense_forward`` or
+    ``dense_backward``, and none but ``tensor``, ``model`` and ``losses``
+    names ``node`` or ``backward``: as a name, an attribute or an import. A
+    re-export from ``__init__`` does not count.
+    """
+    rules = (
+        ({"dense_forward", "dense_backward"}, {"tensor", "model"}),
+        ({"node", "backward"}, {"tensor", "model", "losses"}),
+    )
+    offenders = []
+    for path in sorted((ROOT / "src" / "hscl").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names = set()
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names |= {alias.asname or alias.name for alias in n.names}
+        offenders += [
+            f"{path.stem}: {sorted(names & watched)}"
+            for watched, allowed in rules
+            if path.stem not in allowed and names & watched
+        ]
+    assert offenders == []
 
 
 def _names(node) -> set[str]:

@@ -493,9 +493,9 @@ def test_training_with_fused_ops_matches_the_op_chains_bitwise(mode, sim, activa
     fused = run(pretrain_runs, finetune_runs)
     calls = []
     for module, name, chain in (
-        (model, "dense", dense_chain),
+        (oracles, "dense", dense_chain),
         (oracles, "squared_error_sum", squared_error_sum_chain),
-        (losses, "softmax_cross_entropy", softmax_cross_entropy_chain),
+        (oracles, "softmax_cross_entropy", softmax_cross_entropy_chain),
         (oracles, "weighted_log_sum", weighted_log_sum_chain),
     ):
         def counted(*args, chain=chain, name=name):
@@ -783,7 +783,7 @@ def test_a_one_run_step_runs_on_2d_weights_and_a_stack_of_runs_on_3d(monkeypatch
         ndims.append(w.ndim)
         return dense_forward(x, w, b, activation)
 
-    monkeypatch.setattr(training, "dense_forward", recorded)
+    monkeypatch.setattr(model, "dense_forward", recorded)
     x, y = _noiseless_regression(n=40, f=5, seed=16)
     xp, xn = np.random.default_rng(16).normal(size=(2, 20, 5))
     labels = np.arange(20) % 3

@@ -144,6 +144,24 @@ class SpreadProfile:
         return int(self.delta_hs.shape[0])
 
 
+def _sampled_pairs(n: int, sample_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``sample_size`` of the n(n-1)/2 scan pairs i < j, drawn without replacement, in row-major order.
+
+    The draw picks positions in the upper triangle read row by row; each is
+    mapped to its (i, j) through the position where row i starts, so memory
+    grows with n and the sample, not with the number of pairs.
+    """
+    total = n * (n - 1) // 2
+    if sample_size < total:
+        sel = np.sort(np.random.default_rng(seed).choice(total, size=sample_size, replace=False))
+    else:
+        sel = np.arange(total)
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, sel, "right") - 1
+    return i, sel - starts[i] + i + 1
+
+
 def embedding_spread(
     params: EncoderParams,
     features: np.ndarray,
@@ -170,13 +188,7 @@ def embedding_spread(
     if seed < 0:
         raise ConfigError(f"embedding_spread: seed must be non-negative, got {seed}")
 
-    iu, ju = np.triu_indices(n, k=1)
-    total = iu.shape[0]
-    if sample_size < total:
-        sel = np.random.default_rng(seed).choice(total, size=sample_size, replace=False)
-        sel.sort()
-        iu, ju = iu[sel], ju[sel]
-
+    iu, ju = _sampled_pairs(n, sample_size, seed)
     embeddings = encode(params, x).data
     norms = np.linalg.norm(embeddings, axis=1)
     dots = (embeddings[iu] * embeddings[ju]).sum(axis=1)

@@ -7,10 +7,9 @@ pre-training; the classifier head maps a concatenated pair of embeddings
 
 Every network runs through one array pass, ``mlp_forward``/``mlp_backward``,
 which the training loops call on views of their flat parameter buffer. The
-public calls ``encode``, ``predict_hs``, ``classify_pair_rows`` and
-``classify_pairs`` check the network and the input once and wrap the pass
-in one ``tensor.node`` over the inputs, weights and biases, so inference
-runs the same arrays.
+public calls ``encode``, ``predict_hs`` and ``classify_pairs`` check the
+network and the input once and wrap the pass in one ``tensor.node`` over
+the inputs, weights and biases, so inference runs the same arrays.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def mlp_backward(layers: list[tuple], saved: list[tuple], g: np.ndarray, need_x:
 # (name, input, network, input width) in each call's messages
 _ENCODE = ("encode", "feature", "an encoder", "encoder input")
 _PREDICT = ("predict_hs", "embedding", "a head", "head")
-_CLASSIFY = ("classify_pair_rows", "pair", "a classifier", "classifier input")
+_CLASSIFY = ("classify_pairs", "pair", "a classifier", "classifier input")
 
 
 def _check(net: MLP, activations: list[str | None], x: np.ndarray, call: tuple[str, str, str, str]) -> None:
@@ -235,19 +234,8 @@ def predict_hs(head: RegressionHead, embeddings) -> Tensor:
     )
 
 
-def classify_pair_rows(head: ClassifierHead, rows) -> Tensor:
-    """Logits (B, 3) for (B, 2D) rows of concatenated embedding pairs [u_prev ; u_next].
-
-    The rows and the head's weights may carry a leading run axis: (S, B, 2D)
-    rows through a head of (S, ...) weights give (S, B, 3).
-    """
-    x = _tensor(rows)
-    y, grads = _pass(head, x.data, _CLASSIFY)
-    return node(y, (x, *head.trainable()), lambda g: grads(g, x.requires_grad))
-
-
 def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
-    """Logits (B, 3) for a batch of embedding pairs: ``classify_pair_rows`` of their concatenation.
+    """Logits (B, 3) for a batch of embedding pairs, the head run over their rows [u_prev ; u_next].
 
     The embeddings and the head's weights may carry a leading run axis:
     (S, B, D) pairs through a head of (S, ...) weights give (S, B, 3).

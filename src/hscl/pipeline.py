@@ -92,10 +92,9 @@ class ModelSpec:
 
 @dataclass
 class Prepared:
-    """Split datasets, shared stats, and the arrays each stage consumes."""
+    """Shared stats, and each split's arrays that the stages consume."""
 
     stats: NormalizationStats
-    series: dict[str, list[PatientSeries]]
     regression: dict[str, tuple[np.ndarray, np.ndarray]] = field(repr=False)
     pairs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     data_meta: dict = field(default_factory=dict)
@@ -140,7 +139,7 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
         "label_mode": dcfg.label_mode,
         "tau": float(dcfg.tau),
     }
-    return Prepared(stats, series, regression, pairs, data_meta)
+    return Prepared(stats, regression, pairs, data_meta)
 
 
 def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) -> Prepared:

@@ -56,7 +56,6 @@ from .model import (
     ClassifierHead,
     EncoderParams,
     RegressionHead,
-    classify_pair_rows,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -878,15 +877,9 @@ class FinetuneResult:
     history: list[dict]
 
 
-def _pair_logits(
-    encoder: EncoderParams, cls: ClassifierHead, xp: np.ndarray, xn: np.ndarray
-) -> np.ndarray:
-    return classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
-
-
-def _pair_rows(encoder: EncoderParams, xp: np.ndarray, xn: np.ndarray) -> np.ndarray:
-    """Each pair's embeddings concatenated into one [u_prev ; u_next] row."""
-    return np.concatenate([encode(encoder, xp).data, encode(encoder, xn).data], axis=-1)
+def _pair_embeddings(encoder: EncoderParams, xp: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pair batch's (u_prev, u_next) embeddings."""
+    return encode(encoder, xp).data, encode(encoder, xn).data
 
 
 def finetune(
@@ -992,9 +985,11 @@ def finetune_runs(
     xp_val, xn_val = _step_view(xp_val, lead), _step_view(xn_val, lead)
     dim = encoder.embedding_dim
     g_loss = np.ones(lead)  # the seed backward gives a root
+    val_pairs = None  # a frozen encoder's validation embeddings, kept for every epoch
     if frozen:
-        pair_rows = _pair_rows(encoder, _step_view(xp_train, lead), _step_view(xn_train, lead)).reshape(-1, 2 * dim)
-        val_rows = _pair_rows(encoder, xp_val, xn_val)
+        train_pairs = _pair_embeddings(encoder, _step_view(xp_train, lead), _step_view(xn_train, lead))
+        pair_rows = np.concatenate(train_pairs, axis=-1).reshape(-1, 2 * dim)
+        val_pairs = _pair_embeddings(encoder, xp_val, xn_val)
     else:
         xp_rows, xn_rows = _flat_rows(xp_train), _flat_rows(xn_train)
         x_epoch = np.empty((2, *lead, n, xp_train.shape[-1]))  # each epoch's prev and next rows, stacked
@@ -1002,10 +997,7 @@ def finetune_runs(
     def val_metrics() -> list[tuple[float, float]]:
         if y_val.shape[-1] == 0:
             return [(float("nan"), float("nan"))] * n_runs
-        if frozen:
-            logits = classify_pair_rows(cls, val_rows).data
-        else:
-            logits = _pair_logits(encoder, cls, xp_val, xn_val)
+        logits = classify_pairs(cls, *(val_pairs or _pair_embeddings(encoder, xp_val, xn_val))).data
         out = []
         for run_logits, labels in zip(logits.reshape(y_val.shape + logits.shape[-1:]), y_val):
             report = compute_metrics(predict_classes(run_logits), labels)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hscl.data import (
+    DEFAULT_FRACTIONS,
     DETERIORATED,
     IMPROVED,
     SAME,
@@ -389,7 +390,6 @@ def test_no_records_or_pairs_give_zero_row_arrays_of_the_feature_width():
 def test_prepare_gives_zero_row_arrays_for_an_empty_split():
     collection = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=5, seed=3))
     prepared = prepare(collection, 0, DataConfig(fractions=(0.8, 0.2, 0.0)))
-    assert prepared.series["test"] == []
     x, y = prepared.regression["test"]
     assert x.shape == (0, 5) and y.shape == (0,)
     xp, xn, labels = prepared.pairs["test"]
@@ -401,8 +401,8 @@ def test_prepare_gives_zero_row_pair_arrays_for_single_scan_patients():
     spec = SyntheticSpec(n_patients=30, scans_per_patient=2, n_features=5, seed=3)
     single = [PatientSeries(s.patient_id, s.records[:1]) for s in generate_synthetic(spec)]
     prepared = prepare(single, 0, DataConfig())
-    for split in ("train", "val", "test"):
+    for split, patients in zip(("train", "val", "test"), split_patients(single, DEFAULT_FRACTIONS, 0)):
         x, _ = prepared.regression[split]
-        assert x.shape == (len(prepared.series[split]), 5)
+        assert x.shape == (len(patients), 5)
         xp, xn, labels = prepared.pairs[split]
         assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)

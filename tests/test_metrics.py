@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hscl.metrics
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.metrics import (
     SpreadProfile,
@@ -230,6 +233,35 @@ def test_spread_distance_bounds():
     profile = embedding_spread(params, x, hs, sample_size=500, seed=0)
     assert np.all(profile.cos_distance >= 0.0)
     assert np.all(profile.cos_distance <= 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 84, 504, 3001])
+def test_spread_samples_the_pairs_a_full_upper_triangle_gives(n):
+    """The sorted draw's pairs out of ``np.triu_indices``, for samples below, at and above the pair count."""
+    iu, ju = np.triu_indices(n, k=1)
+    total = iu.shape[0]
+    for size in sorted({s for s in (1, 2000, total - 1, total, total + 1) if s >= 1}):
+        ref = (iu, ju)
+        if size < total:
+            sel = np.random.default_rng(3).choice(total, size=size, replace=False)
+            sel.sort()
+            ref = (iu[sel], ju[sel])
+        got = hscl.metrics._sampled_pairs(n, size, 3)
+        assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref)), (n, size)
+
+
+def test_spread_memory_grows_with_the_scans_not_the_pairs():
+    n = 3000  # 4 498 500 pairs: one int64 array of them is 36 MB
+    rng = np.random.default_rng(6)
+    x, hs = rng.uniform(0.5, 1.0, size=(n, 2)), rng.uniform(0, 1, size=n)
+    tracemalloc.start()
+    try:
+        profile = embedding_spread(_identity_encoder(2), x, hs, sample_size=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.n_points == 2000
+    assert peak < 2_000_000
 
 
 def test_spread_requires_two_scans():

@@ -6,7 +6,6 @@ from hscl.model import (
     ClassifierHead,
     EncoderParams,
     RegressionHead,
-    classify_pair_rows,
     classify_pairs,
     encode,
     init_classifier_head,
@@ -120,8 +119,8 @@ def test_encode_width_mismatch():
          "encode: feature width 4 != encoder input width 5"),
         (lambda: predict_hs(init_regression_head(3, seed=0), Tensor(np.ones((2, 4)))),
          "predict_hs: embedding width 4 != head width 3"),
-        (lambda: classify_pair_rows(init_classifier_head(3, seed=0), np.ones((2, 4))),
-         "classify_pair_rows: pair width 4 != classifier input width 6"),
+        (lambda: classify_pairs(init_classifier_head(3, seed=0), np.ones((2, 2)), np.ones((2, 2))),
+         "classify_pairs: pair width 4 != classifier input width 6"),
     ],
 )
 def test_each_forward_names_its_own_width_mismatch(call, text):
@@ -220,8 +219,8 @@ def test_multi_layer_classifier_head_activates_its_hidden_layers_and_keeps_the_l
     activations = ["relu", "relu", None]
     expected = [_numpy_mlp(run_rows, head, activations) for run_rows, head in zip(rows, heads)]
     assert (expected[0] < 0).any()  # a relu on the logits would show
-    assert np.allclose(classify_pair_rows(heads[0], rows[0]).data, expected[0], atol=1e-12)
-    stacked = classify_pair_rows(_stacked_pair(*heads), rows).data
+    assert np.allclose(classify_pairs(heads[0], rows[0, :, :4], rows[0, :, 4:]).data, expected[0], atol=1e-12)
+    stacked = classify_pairs(_stacked_pair(*heads), rows[..., :4], rows[..., 4:]).data
     assert stacked.shape == (2, 9, 3)
     for run in range(2):
         assert np.allclose(stacked[run], expected[run], atol=1e-12)
@@ -286,7 +285,6 @@ _NODE_CALLS = {
     "predict_hs": (
         RegressionHead, [4, 1], [4], predict_hs, lambda net, e: _layer_chain(net, e).reshape(e.shape[:-1])
     ),
-    "classify_pair_rows": (ClassifierHead, [8, 6, 3], [8], classify_pair_rows, _layer_chain),
     "classify_pairs": (
         ClassifierHead, [8, 6, 3], [4, 4], classify_pairs,
         lambda net, up, un: _layer_chain(net, el.concat_last([up, un])),
@@ -338,6 +336,24 @@ def test_each_network_call_matches_the_per_layer_dense_chain_bitwise(call, activ
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("runs", [None, 3])
+@pytest.mark.parametrize("grad_input", [0, 1])
+def test_a_pair_half_that_takes_no_gradient_gets_none_and_the_other_its_chain_gradient(grad_input, runs):
+    """Frozen validation passes plain embeddings; one half of a pair may take a gradient alone."""
+    rng = np.random.default_rng(43)
+    weights, biases, inputs = _node_call_arrays("classify_pairs", runs, rng)
+    upstream = rng.normal(size=(*inputs[0].shape[:-1], 3))
+    grads = []
+    for fn in (classify_pairs, _NODE_CALLS["classify_pairs"][4]):
+        halves = [Tensor(x.copy(), requires_grad=i == grad_input) for i, x in enumerate(inputs)]
+        net = ClassifierHead([8, 6, 3], "tanh", [Tensor(w) for w in weights], [Tensor(b) for b in biases])
+        backward(el.sum(el.mul(fn(net, *halves), Tensor(upstream))))
+        grads.append([h.grad for h in halves])
+    got, want = grads
+    assert got[1 - grad_input] is None and want[1 - grad_input] is None
+    assert got[grad_input].tobytes() == want[grad_input].tobytes()
+
+
 @pytest.mark.parametrize("call", list(_NODE_CALLS))
 def test_each_network_call_is_one_node_over_its_inputs_weights_and_biases(call):
     kind, widths, _, fn, _ = _NODE_CALLS[call]
@@ -385,13 +401,13 @@ _SHAPE_FAULTS = {
 @pytest.mark.parametrize("fault", list(_SHAPE_FAULTS))
 @pytest.mark.parametrize("call", list(_NODE_CALLS))
 def test_a_network_or_input_whose_shapes_do_not_chain_raises_shape_error(call, fault):
-    """In a call's own words; ``classify_pairs`` checks its inputs, then its network as ``classify_pair_rows``."""
+    """In a call's own words; ``classify_pairs`` checks its inputs, then its network over their rows."""
     with pytest.raises(ShapeError, match=f"^({'|'.join(_NODE_CALLS)}): "):
         _malformed(call, _SHAPE_FAULTS[fault])()
 
 
 # a regression head's one layer is linear whatever its activation
-@pytest.mark.parametrize("call", ["encode", "classify_pair_rows", "classify_pairs"])
+@pytest.mark.parametrize("call", ["encode", "classify_pairs"])
 def test_a_network_of_an_unknown_activation_raises_config_error(call):
     with pytest.raises(ConfigError, match="unknown activation 'sigmoid'$"):
         _malformed(call, lambda ws, bs, xs: "sigmoid")()
@@ -401,6 +417,28 @@ def test_a_regression_head_of_more_than_one_output_raises_shape_error():
     head = RegressionHead([3, 2], None, [Tensor(np.ones((3, 2)))], [Tensor(np.zeros(2))])
     with pytest.raises(ShapeError, match=r"^predict_hs: head output width 2 != 1$"):
         predict_hs(head, np.ones((4, 3)))
+
+
+def _two_heads():
+    return _stacked_pair(init_classifier_head(3, seed=1), init_classifier_head(3, seed=2))
+
+
+@pytest.mark.parametrize(
+    "prev_shape, next_shape",
+    [
+        ((5, 3), (5, 4)),  # halves of two widths
+        ((5, 3), (4, 3)),  # halves of two batches
+        ((2, 5, 3), (5, 3)),  # one half run-stacked
+        ((3,), (3,)),  # no batch axis
+        ((1, 2, 5, 3), (1, 2, 5, 3)),  # two run axes
+    ],
+)
+def test_classify_pairs_names_halves_that_do_not_match_or_are_not_2_or_3_d(prev_shape, next_shape):
+    with pytest.raises(ShapeError) as info:
+        classify_pairs(init_classifier_head(3, seed=0), np.ones(prev_shape), np.ones(next_shape))
+    assert str(info.value) == (
+        f"classify_pairs: expected matching (B, D) or (S, B, D) inputs, got {prev_shape} and {next_shape}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -415,9 +453,15 @@ def test_a_regression_head_of_more_than_one_output_raises_shape_error():
         (lambda: predict_hs(init_regression_head(3, seed=0), np.ones(3)),
          "predict_hs: expected a 2-D (batch, embedding) input, or (S, B, F) for a head of S runs, "
          "got shape (3,) for weights of shape (3, 1)"),
-        (lambda: classify_pair_rows(init_classifier_head(3, seed=0), np.ones((2, 4, 6))),
-         "classify_pair_rows: expected a 2-D (batch, pair) input, or (S, B, F) for a classifier of S runs, "
+        (lambda: classify_pairs(init_classifier_head(3, seed=0), np.ones((2, 4, 3)), np.ones((2, 4, 3))),
+         "classify_pairs: expected a 2-D (batch, pair) input, or (S, B, F) for a classifier of S runs, "
          "got shape (2, 4, 6) for weights of shape (6, 32)"),
+        (lambda: classify_pairs(_two_heads(), np.ones((5, 3)), np.ones((5, 3))),
+         "classify_pairs: expected a 2-D (batch, pair) input, or (S, B, F) for a classifier of S runs, "
+         "got shape (5, 6) for weights of shape (2, 6, 32)"),
+        (lambda: classify_pairs(_two_heads(), np.ones((3, 5, 3)), np.ones((3, 5, 3))),
+         "classify_pairs: expected a 2-D (batch, pair) input, or (S, B, F) for a classifier of S runs, "
+         "got shape (3, 5, 6) for weights of shape (2, 6, 32)"),
     ],
 )
 def test_each_forward_names_its_own_run_axis_mismatch(call, text):

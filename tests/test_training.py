@@ -27,7 +27,7 @@ from hscl.model import (
     init_encoder,
     predict_classes,
 )
-from hscl.pipeline import DataConfig, ModelSpec, prepare, run_pretrain
+from hscl.pipeline import DataConfig, ModelSpec, evaluate_checkpoint, prepare, run_finetune, run_pretrain
 from hscl.tensor import Tensor, dense_forward
 from hscl.training import (
     AdamState,
@@ -840,7 +840,7 @@ def test_a_run_with_no_finite_validation_score_keeps_its_final_checkpoint_as_bes
 def test_training_loops_build_no_graph_for_validation(monkeypatch):
     """The trained tensors take no gradient inside the loops; the public initialisers' still do."""
     seen = []
-    for name in ("predict_hs", "classify_pair_rows"):
+    for name in ("predict_hs", "classify_pairs"):
         def recorded(*args, _original=getattr(training, name)):
             out = _original(*args)
             seen.append(out)
@@ -854,6 +854,25 @@ def test_training_loops_build_no_graph_for_validation(monkeypatch):
     assert not any(t.requires_grad or t._backward is not None for t in seen)
     assert all(p.requires_grad for p in init_encoder([5, 8, 4], 0, DEFAULT_ACTIVATION).trainable())
     assert all(p.requires_grad for p in init_classifier_head(4, 0, DEFAULT_CLS_HIDDEN).trainable())
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("freeze", [True, False])
+def test_the_model_selection_score_is_what_the_restored_best_checkpoint_scores(freeze, stacked):
+    """The validation a loop selects on equals ``evaluate_checkpoint`` of its best checkpoint, alone or stacked."""
+    collection = generate_synthetic(SyntheticSpec(n_patients=30, scans_per_patient=4, n_features=5, seed=5))
+    prepared = prepare(collection, 0, DataConfig())
+    spec = ModelSpec(hidden=(8, 4))
+    pre = [run_pretrain(prepared, spec, TrainConfig(epochs=2, seed=s)).best for s in (0, 1)]
+    cfg = TrainConfig(epochs=6, seed=2, freeze_encoder=freeze)
+    if stacked:
+        results = finetune_runs(pre, *prepared.pairs["train"], *prepared.pairs["val"], cfg, seeds=[2, 3])
+    else:
+        results = [run_finetune(prepared, pre[0], cfg, spec)]
+    for result in results:
+        entry = result.history[result.best_epoch]
+        report = evaluate_checkpoint(prepared, result.best, "val")
+        assert (entry["val_accuracy"], entry["val_macro_f1"]) == (report.accuracy, report.macro_f1)
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

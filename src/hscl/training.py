@@ -125,40 +125,35 @@ class TrainConfig:
 class AdamState:
     """Adam over one flat float64 buffer that holds every trained parameter.
 
-    ``for_params`` copies the tensors into ``flat`` and rebinds each
-    ``p.data`` to its reshaped view of it, so one whole-buffer update moves
-    them all. ``grad``, ``m`` and ``v`` are laid out like ``flat``; ``grads``
-    are the per-parameter views of ``grad`` that a step writes its gradients
-    into, and ``scratch`` holds two buffers ``adam_step`` computes in.
+    Built from the trained tensors' shapes: ``flat``, ``grad``, ``m`` and
+    ``v`` are zero-filled buffers of their total size, each laid out block
+    by block in the order of ``shapes``, and ``views`` gives a buffer's
+    per-tensor reshaped views. The training loops write each run's initial
+    parameters into the views of ``flat`` once and run every network on
+    them, so one whole-buffer update moves them all; a step writes its
+    gradients into the views of ``grad``. ``scratch`` holds two buffers
+    ``adam_step`` computes in.
     """
 
-    params: list[Tensor]
-    flat: np.ndarray
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
+    shapes: list[tuple[int, ...]]
     step: int = 0
-    grads: list[np.ndarray] = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.grads = self.views(self.grad)
-        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
-
-    @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
-        flat = np.concatenate([p.data.reshape(-1) for p in params]) if params else np.zeros(0)
-        state = cls(params, flat, np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat))
-        for p, view in zip(params, state.views(flat)):
-            p.data = view
-        return state
+        size = sum(math.prod(shape) for shape in self.shapes)
+        self.flat, self.grad, self.m, self.v = (np.zeros(size) for _ in range(4))
+        self.scratch = (np.empty(size), np.empty(size))
 
     def views(self, buffer: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views of a buffer laid out like ``flat``."""
+        """Per-tensor views of a buffer laid out like ``flat``, shaped as ``shapes`` declares."""
         out, offset = [], 0
-        for p in self.params:
-            size = p.data.size
-            out.append(buffer[offset : offset + size].reshape(p.data.shape))
+        for shape in self.shapes:
+            size = math.prod(shape)
+            out.append(buffer[offset : offset + size].reshape(shape))
             offset += size
         return out
 
@@ -410,16 +405,6 @@ def _tensor_name(prefix: str, part: str, i: int) -> str:
     return f"{prefix}.{part}" if prefix == "reg" else f"{prefix}.{part}{i}"
 
 
-def _named_params(**nets: MLP) -> list[tuple[str, Tensor]]:
-    """Each network's tensors under their checkpoint names, a network's keyword being its prefix."""
-    return [
-        (_tensor_name(prefix, part, i), t)
-        for prefix, net in nets.items()
-        for i, layer in enumerate(zip(net.weights, net.biases))
-        for part, t in zip("wb", layer)
-    ]
-
-
 def _network_from_checkpoint(ck: Checkpoint, kind: type[MLP], prefix: str, meta_key: str) -> MLP:
     """Shape-checked copies of the ``kind`` of network named ``prefix``, as ``model.{meta_key}*`` describes it."""
     widths = meta_value(ck.meta, f"model.{meta_key}widths")
@@ -451,15 +436,14 @@ def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
 
 
 def _snapshot(
-    all_named: list[tuple[str, Tensor]],
-    trained_named: list[tuple[str, Tensor]],
-    state: AdamState,
-    meta: dict,
-    run: int,
+    params: dict[str, np.ndarray], trained: list[str], state: AdamState, meta: dict, run: int
 ) -> Checkpoint:
-    """Checkpoint of run ``run``'s parameters and Adam moments, its slice of the run axis."""
-    tensors = {name: t.data[run].copy() for name, t in all_named}
-    for (name, _), m, v in zip(trained_named, state.views(state.m), state.views(state.v)):
+    """Checkpoint of run ``run``: its slice of each named (S, ...) parameter and of their Adam moments.
+
+    ``trained`` names the tensors ``state`` holds, in its order.
+    """
+    tensors = {name: a[run].copy() for name, a in params.items()}
+    for name, m, v in zip(trained, state.views(state.m), state.views(state.v)):
         tensors[f"adam.m.{name}"] = m[run].copy()
         tensors[f"adam.v.{name}"] = v[run].copy()
     return Checkpoint(tensors, meta)
@@ -477,9 +461,14 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # -- lock-step runs ---------------------------------------------------------------
 #
 # Both loops train S independent runs at once. Every parameter, input, epoch
-# order and snapshot is stacked along a leading run axis, also for one run:
-# one flat AdamState holds the S x N trained elements, and one step trains
-# all runs, each on its own (S,) loss entry. Stacked matmuls, row reductions
+# order and snapshot is stacked along a leading run axis, also for one run.
+# ``_Runs`` lays the parameters out once, from their shapes: one flat
+# AdamState holds the S x N trained elements, each run's initial or restored
+# arrays are written into their slices of it, and an untrained tensor (a
+# frozen encoder's) is one stacked array. Every network a step or validation
+# runs is a set of views of those arrays, handed out by checkpoint name, so
+# no parameter is copied twice and none is rebound. One step trains all
+# runs, each on its own (S,) loss entry. Stacked matmuls, row reductions
 # and elementwise ops give each run's slice the same bits as the run's own
 # 2-D call, so each run's trace, history and checkpoints are bit-identical to
 # training it alone.
@@ -571,52 +560,27 @@ def _full_batches(rows: np.ndarray, batch_size: int) -> np.ndarray:
     return np.moveaxis(batches, -2, 0)
 
 
-def _stacked(models: list[MLP]) -> MLP:
-    """S runs' networks of one kind as one, each tensor stacked along the run axis, also for S = 1."""
-
-    def stack(*parts: Tensor) -> Tensor:  # taking no gradient: a step writes them by hand
-        return Tensor(np.array([p.data for p in parts]))
-
-    first = models[0]
-    return type(first)(
-        first.widths,
-        first.activation,
-        [stack(*ws) for ws in zip(*(m.weights for m in models))],
-        [stack(*bs) for bs in zip(*(m.biases for m in models))],
-    )
-
-
 def _step_view(a: np.ndarray | None, lead: tuple[int, ...]) -> np.ndarray | None:
     """``a``, whose first axis is the run axis, as a view shaped ``lead + a.shape[1:]`` (see ``_lead``)."""
     return None if a is None else a.reshape(lead + a.shape[1:])
 
 
-def _in_step(state: AdamState, net: MLP, lead: tuple[int, ...]) -> tuple[MLP, list[tuple]]:
-    """``net`` as a step and validation see it: the network, and its layers for ``model.mlp_forward``.
-
-    A layer is (weight, bias, activation, weight gradient, bias gradient).
-    Each array is a ``_step_view`` of the same buffer, so built after
-    ``AdamState.for_params`` they see its updates; the gradients are the
-    tensors' views of ``state.grad``, found by identity, or None where
-    ``state`` trains none.
-    """
-    views = {id(p): g for p, g in zip(state.params, state.grads)}
-    layers = [
-        (_step_view(w.data, lead), _step_view(b.data, lead), act,
-         _step_view(views.get(id(w)), lead), _step_view(views.get(id(b)), lead))
-        for w, b, act in zip(net.weights, net.biases, net.activations())
-    ]
-    step = type(net)(net.widths, net.activation, [Tensor(l[0]) for l in layers], [Tensor(l[1]) for l in layers])
-    return step, layers
-
-
 class _Runs:
-    """The per-run bookkeeping of both loops, from the trained state to the results.
+    """The per-run state and bookkeeping of both loops, from the parameters to the results.
 
-    ``state`` packs the trained tensors, which take no gradient: a step
-    writes theirs by hand, and validation builds no graph. A step
-    hands ``add`` its per-run loss terms, which are kept as they are; a
-    non-finite first term raises ``TrainingAbort``, naming the run when
+    ``_Runs`` owns each network's parameters, under their checkpoint names
+    (``_tensor_name``), as (S, ...) arrays in ``params``. ``nets`` maps each
+    network's prefix to its S runs' initial or restored networks, and
+    ``trained`` names the prefixes a step trains. ``state`` is allocated from
+    the trained tensors' shapes, in the order of ``nets``, layers in order,
+    weight before bias; each run's arrays are written into their slices of
+    ``state.flat`` once, and ``params`` holds those views. An untrained
+    tensor (a frozen encoder's) is one stacked array. ``grads`` holds the
+    trained names' views of ``state.grad``, and ``network`` hands a step and
+    validation their layers.
+
+    A step hands ``add`` its per-run loss terms, which are kept as they are;
+    a non-finite first term raises ``TrainingAbort``, naming the run when
     S > 1. ``end_epoch`` sums each run's terms in batch order and logs each
     run's entry under the stage's keys: epoch, lr, the mean terms, then
     the validation values, the last of which selects the best epoch by strict
@@ -633,12 +597,22 @@ class _Runs:
     }
 
     def __init__(
-        self, stage: str, config: TrainConfig, seeds: list[int], named_all: list[tuple[str, Tensor]],
-        named_trained: list[tuple[str, Tensor]], model: dict, extras: list[dict],
+        self, stage: str, config: TrainConfig, seeds: list[int], nets: dict[str, list[MLP]],
+        trained: tuple[str, ...], model: dict, extras: list[dict],
     ):
-        self.stage, self.config, self.named_all, self.named_trained = stage, config, named_all, named_trained
+        self.stage, self.config = stage, config
         self.keys, self.terms, self.sign = self.STAGES[stage]
-        self.state = AdamState.for_params([t for _, t in named_trained])
+        self.nets = {prefix: models[0] for prefix, models in nets.items()}  # each network's kind and widths
+        per_run = {}  # each name's S arrays
+        for prefix, models in nets.items():
+            for i in range(len(models[0].weights)):
+                per_run[_tensor_name(prefix, "w", i)] = [m.weights[i].data for m in models]
+                per_run[_tensor_name(prefix, "b", i)] = [m.biases[i].data for m in models]
+        self.trained = [name for name in per_run if name.split(".")[0] in trained]  # "{prefix}.…"
+        self.state = AdamState([(len(seeds), *per_run[name][0].shape) for name in self.trained])
+        flat = dict(zip(self.trained, self.state.views(self.state.flat)))
+        self.params = {name: np.stack(arrays, out=flat.get(name)) for name, arrays in per_run.items()}
+        self.grads = dict(zip(self.trained, self.state.views(self.state.grad)))
         self.metas = [  # each run's checkpoint metadata after its stage, epoch and Adam step
             {"model": model, "train": asdict(replace(config, seed=s)), **e} for s, e in zip(seeds, extras)
         ]
@@ -649,9 +623,28 @@ class _Runs:
         self.best_epoch = [-1] * self.n_runs
         self.best_score = [-math.inf] * self.n_runs
 
+    def network(self, prefix: str, lead: tuple[int, ...]) -> tuple[MLP, list[tuple]]:
+        """Network ``prefix`` as a step and validation see it: the network, and its layers for ``mlp_forward``.
+
+        A layer is (weight, bias, activation, weight gradient, bias gradient),
+        each array a ``_step_view`` of its named one, so the network sees every
+        Adam update; the gradients are None for a network ``state`` does not
+        train.
+        """
+        net = self.nets[prefix]
+        layers = []
+        for i, activation in enumerate(net.activations()):
+            w, b = _tensor_name(prefix, "w", i), _tensor_name(prefix, "b", i)
+            layers.append((
+                _step_view(self.params[w], lead), _step_view(self.params[b], lead), activation,
+                _step_view(self.grads.get(w), lead), _step_view(self.grads.get(b), lead),
+            ))
+        step = type(net)(net.widths, net.activation, [Tensor(l[0]) for l in layers], [Tensor(l[1]) for l in layers])
+        return step, layers
+
     def snapshot(self, epoch: int, s: int) -> Checkpoint:
         meta = {"stage": self.stage, "epoch": epoch, "adam_step": self.state.step, **self.metas[s]}
-        return _snapshot(self.named_all, self.named_trained, self.state, meta, s)
+        return _snapshot(self.params, self.trained, self.state, meta, s)
 
     def add(self, epoch: int, batch: int, *terms: np.ndarray | None) -> None:
         """Keep one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""
@@ -745,7 +738,7 @@ class PretrainResult:
 def _val_mse(encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_val: np.ndarray) -> list[float]:
     """Each run's validation MSE, from (S, N) targets; NaN for an empty split.
 
-    The networks and the features are in the step layout (see ``_in_step``).
+    The networks and the features are in the step layout (see ``_Runs.network``).
     """
     if y_val.shape[-1] == 0:
         return [float("nan")] * len(y_val)
@@ -825,19 +818,19 @@ def pretrain_runs(
         )
 
     widths = [int(x_train.shape[-1]), *hidden]
-    encoder = _stacked([init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds])
-    reg = _stacked([init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds])
-
-    named = _named_params(encoder=encoder, reg=reg)
+    nets = {
+        "encoder": [init_encoder(widths, _sub_seed(s, _STREAM_ENCODER), activation) for s in seeds],
+        "reg": [init_regression_head(widths[-1], _sub_seed(s, _STREAM_REG_HEAD)) for s in seeds],
+    }
     runs = _Runs(
-        "pretrain", config, seeds, named, named,
+        "pretrain", config, seeds, nets, ("encoder", "reg"),
         {"widths": widths, "activation": activation}, [{"data": m or {}} for m in data_metas],
     )
     state = runs.state
     loss = config.loss
     x_rows, y_rows = _flat_rows(x_train), _flat_rows(y_train)
     lead = _lead(n_runs)
-    (encoder, enc_layers), (reg, head_layers) = _in_step(state, encoder, lead), _in_step(state, reg, lead)
+    (encoder, enc_layers), (reg, head_layers) = runs.network("encoder", lead), runs.network("reg", lead)
     x_val = _step_view(x_val, lead)
     g_loss = np.ones(lead)  # the seed backward gives a root
 
@@ -962,10 +955,9 @@ def finetune_runs(
         s: init_classifier_head(encoder.embedding_dim, _sub_seed(s, _STREAM_CLS_HEAD), cls_hidden)
         for s in dict.fromkeys(seeds)
     }
-    encoder, cls = _stacked(encoders), _stacked([heads[s] for s in seeds])
+    cls = heads[seeds[0]]  # the stack's kind and widths
 
     frozen = config.freeze_encoder
-    named_all = _named_params(encoder=encoder, cls=cls)
     model = {
         "widths": encoder.widths,
         "activation": encoder.activation,
@@ -975,13 +967,13 @@ def finetune_runs(
     extras = [
         {"pretrain_train": meta_value(ck.meta, "train"), "data": meta_value(ck.meta, "data")} for ck in pretrained
     ]
-    named_trained = _named_params(cls=cls) if frozen else named_all
-    runs = _Runs("finetune", config, seeds, named_all, named_trained, model, extras)
+    nets = {"encoder": encoders, "cls": [heads[s] for s in seeds]}
+    runs = _Runs("finetune", config, seeds, nets, ("cls",) if frozen else ("encoder", "cls"), model, extras)
     state = runs.state
     onehot_rows = onehot_labels(_flat_rows(y_train), cls.widths[-1])
     onehot_labels(y_val, cls.widths[-1])  # the validation labels, checked before the first step too
     lead = _lead(n_runs)
-    (cls, head_layers), (encoder, enc_layers) = _in_step(state, cls, lead), _in_step(state, encoder, lead)
+    (cls, head_layers), (encoder, enc_layers) = runs.network("cls", lead), runs.network("encoder", lead)
     xp_val, xn_val = _step_view(xp_val, lead), _step_view(xn_val, lead)
     dim = encoder.embedding_dim
     g_loss = np.ones(lead)  # the seed backward gives a root

@@ -352,6 +352,24 @@ def _val_mse_ref(encoder, reg, x_val, y_val):
     return [float(np.mean((p - y) ** 2)) for p, y in zip(pred, y_val)]
 
 
+def _ref_networks(runs, *prefixes):
+    """The named networks of a ``training._Runs``, run axis kept, and their trained tensors.
+
+    Each trained tensor takes a gradient; the trained tensors come with their
+    views of the Adam gradient buffer, for ``loss_gradients``.
+    """
+    nets, params, views = [], [], []
+    for prefix in prefixes:
+        net, layers = runs.network(prefix, (runs.n_runs,))
+        for w, b, (_, _, _, gw, gb) in zip(net.weights, net.biases, layers):
+            if gw is not None:
+                w.requires_grad = b.requires_grad = True
+                params += [w, b]
+                views += [gw, gb]
+        nets.append(net)
+    return nets, params, views
+
+
 def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation, data_metas, seeds):
     """Lock-step pre-training, one ``take``, one ``mine_batch`` and one loss ``K`` per step."""
     t = training
@@ -360,13 +378,13 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
     y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
     n = x_train.shape[-2]
     widths = [int(x_train.shape[-1]), *hidden]
-    encoder = t._stacked([init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds])
-    reg = t._stacked([init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds])
-    named = t._named_params(encoder=encoder, reg=reg)
-    params = [p for _, p in named]
-    for p in params:
-        p.requires_grad = True
-    state = t.AdamState.for_params(params)
+    nets = {
+        "encoder": [init_encoder(widths, t._sub_seed(s, t._STREAM_ENCODER), activation) for s in seeds],
+        "reg": [init_regression_head(widths[-1], t._sub_seed(s, t._STREAM_REG_HEAD)) for s in seeds],
+    }
+    runs = t._Runs("pretrain", config, seeds, nets, ("encoder", "reg"), {}, [{}] * n_runs)  # metadata is built here
+    (encoder, reg), params, grad_views = _ref_networks(runs, "encoder", "reg")
+    state = runs.state
     needs_mining = config.loss.contrastive and config.loss.alpha > 0.0
     x_rows, y_rows = t._flat_rows(x_train), t._flat_rows(y_train)
 
@@ -379,7 +397,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             "train": asdict(replace(config, seed=seeds[s])),
             "data": data_metas[s] or {},
         }
-        return t._snapshot(named, named, state, meta, s)
+        return t._snapshot(runs.params, runs.trained, state, meta, s)
 
     traces = [[] for _ in seeds]
     best, best_epoch, best_val = [None] * n_runs, [-1] * n_runs, [math.inf] * n_runs
@@ -403,7 +421,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             for run_sums, values in zip(sums, terms):
                 for k, value in enumerate(values):
                     run_sums[k] += value
-            grad = loss_gradients(total, params, state.grad, state.grads)
+            grad = loss_gradients(total, params, state.grad, grad_views)
             t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             n_batches += 1
         for s, val_mse in enumerate(_val_mse_ref(encoder, reg, x_val, y_val)):
@@ -432,19 +450,17 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
         t._per_run(a, n_runs, 2, "ref") for a in (xp_train, xn_train, xp_val, xn_val)
     )
     y_train, y_val = (t._per_run(a, n_runs, 1, "ref") for a in (y_train, y_val))
-    encoder = t._stacked([t.encoder_from_checkpoint(ck) for ck in pretrained])
+    encoders = [t.encoder_from_checkpoint(ck) for ck in pretrained]
     heads = {
-        s: init_classifier_head(encoder.embedding_dim, t._sub_seed(s, t._STREAM_CLS_HEAD), cls_hidden)
+        s: init_classifier_head(encoders[0].embedding_dim, t._sub_seed(s, t._STREAM_CLS_HEAD), cls_hidden)
         for s in dict.fromkeys(seeds)
     }
-    cls = t._stacked([heads[s] for s in seeds])
     frozen = config.freeze_encoder
-    named_trained = t._named_params(cls=cls) if frozen else t._named_params(encoder=encoder, cls=cls)
-    named_all = t._named_params(encoder=encoder, cls=cls)
-    params = [p for _, p in named_trained]
-    for p in params:
-        p.requires_grad = True
-    state = t.AdamState.for_params(params)
+    nets = {"encoder": encoders, "cls": [heads[s] for s in seeds]}
+    trained = ("cls",) if frozen else ("encoder", "cls")
+    runs = t._Runs("finetune", config, seeds, nets, trained, {}, [{}] * n_runs)  # metadata is built here
+    (encoder, cls), params, grad_views = _ref_networks(runs, "encoder", "cls")
+    state = runs.state
     y_rows = t._flat_rows(y_train)
     if frozen:
         xp_rows = t._flat_rows(mlp_ref(encoder, xp_train).data)
@@ -480,7 +496,7 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
             "pretrain_train": pretrained[s].meta.get("train"),
             "data": pretrained[s].meta.get("data", {}),
         }
-        return t._snapshot(named_all, named_trained, state, meta, s)
+        return t._snapshot(runs.params, runs.trained, state, meta, s)
 
     histories = [[] for _ in seeds]
     best, best_epoch, best_f1 = [None] * n_runs, [-1] * n_runs, [-math.inf] * n_runs
@@ -499,7 +515,7 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
             ce = softmax_cross_entropy(logits, onehot, PROB_FLOOR)
             for s, ce_val in enumerate(ce.data.reshape(-1).tolist()):
                 ce_sums[s] += ce_val
-            grad = loss_gradients(ce, params, state.grad, state.grads)
+            grad = loss_gradients(ce, params, state.grad, grad_views)
             t.adam_step(state, grad, lr, config.beta1, config.beta2, config.adam_eps)
             n_batches += 1
         for s, (accuracy, macro_f1) in enumerate(val_metrics()):

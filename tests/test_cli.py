@@ -783,10 +783,17 @@ def test_config_values_of_a_fitting_type_are_taken(tiny_dataset, tiny_pretrained
     assert meta["model"]["cls_widths"][1:-1] == [6]
 
 
-def _run_cli(*argv) -> subprocess.CompletedProcess:
-    """``python -m hscl.cli *argv`` in a fresh interpreter, so exit codes are the real ones."""
+def _run_cli(*argv, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python -m hscl.cli *argv`` in a fresh interpreter, so exit codes are the real ones.
+
+    ``env`` adds to the child's environment only.
+    """
     src = str(Path(hscl.pipeline.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {
+        **os.environ,
+        **(env or {}),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
     return subprocess.run(
         [sys.executable, "-m", "hscl.cli", *map(str, argv)],
         capture_output=True,
@@ -794,6 +801,24 @@ def _run_cli(*argv) -> subprocess.CompletedProcess:
         env=env,
         timeout=120,
     )
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_compare_writes_the_same_bytes_on_one_blas_thread_or_two(tmp_path):
+    """Bit-for-bit output given a seed holds for one BLAS build and kernel at 1 or 2 threads."""
+    data = tmp_path / "cohort.csv"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    flags = ["--seeds", "0,1", "--modes", "mse,mse+cl", "--epochs", "10", "--finetune-epochs", "5"]
+    for threads in ("1", "2"):
+        proc = _run_cli("compare", "--data", data, "--out", tmp_path / threads, *flags,
+                        env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+    one, two = _tree(tmp_path / "1"), _tree(tmp_path / "2")
+    assert "report.json" in one and len(one) == 10  # two reports, 2 seeds x 2 modes x 2 checkpoints
+    assert one == two
 
 
 def test_compare_with_bad_fractions_exits_2_before_any_seed(tiny_dataset, tmp_path):

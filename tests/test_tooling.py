@@ -10,8 +10,10 @@ Every public name of the tensor core has an importer in the library, so an
 op that only the tests call lives in the test tree (``elementary.py``).
 Only ``model`` runs the dense layer pair, and only the autodiff API
 (``tensor``, ``model``, ``losses``) builds graph nodes or walks them.
-Every public function and class of ``data`` is used by the library too, so
-a scalar form of a rule that only the tests call lives in ``oracles.py``.
+No module but ``tensor`` assigns a ``.data`` attribute, so the training
+loops' parameters have one owner. Every public function and class of
+``data`` is used by the library too, so a scalar form of a rule that only
+the tests call lives in ``oracles.py``.
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
@@ -231,6 +233,32 @@ def test_only_model_runs_the_layer_pair_and_only_the_autodiff_api_names_the_grap
             for watched, allowed in rules
             if path.stem not in allowed and names & watched
         ]
+    assert offenders == []
+
+
+def test_only_tensor_assigns_the_data_of_an_object():
+    """No module but ``tensor`` assigns ``.data``: as a plain, augmented or annotated assignment target.
+
+    ``training._Runs`` lays each run's parameters out once and hands the
+    networks views of them, so no other module rebinds a tensor's array.
+    """
+    offenders = []
+    for path in sorted((ROOT / "src" / "hscl").glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Assign):
+                targets = n.targets
+            elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+                targets = [n.target]
+            else:
+                continue
+            offenders += [
+                f"{path.stem}:{t.lineno}"
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and t.attr == "data" and isinstance(t.ctx, ast.Store)
+            ]
     assert offenders == []
 
 

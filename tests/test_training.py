@@ -61,11 +61,18 @@ from oracles import (
 # -- Adam --------------------------------------------------------------------------
 
 
+def _adam_state(values) -> AdamState:
+    """An ``AdamState`` over one parameter holding ``values``, set through ``flat``."""
+    values = np.asarray(values, dtype=np.float64)
+    state = AdamState([values.shape])
+    state.flat[...] = values.reshape(-1)
+    return state
+
+
 def test_adam_zero_gradient_keeps_parameters():
-    p = Tensor([1.0, -2.0], requires_grad=True)
-    state = AdamState.for_params([p])
+    state = _adam_state([1.0, -2.0])
     adam_step(state, np.zeros(2), lr=0.1)
-    assert np.array_equal(p.data, [1.0, -2.0])
+    assert np.array_equal(state.flat, [1.0, -2.0])
 
 
 def test_adam_matches_scalar_reference():
@@ -73,62 +80,57 @@ def test_adam_matches_scalar_reference():
     values = rng.normal(size=4)
     grad_seq = [rng.normal(size=4) for _ in range(10)]
 
-    p = Tensor(values.copy(), requires_grad=True)
-    state = AdamState.for_params([p])
+    state = _adam_state(values)
     for g in grad_seq:
         adam_step(state, g, lr=0.01)
 
     expected = adam_ref(values, grad_seq, lr=0.01)
-    assert np.max(np.abs(p.data - expected)) < 1e-12
+    assert np.max(np.abs(state.flat - expected)) < 1e-12
 
 
 def test_adam_first_step_direction():
     # with zero moments, step one moves each coordinate by ~lr * sign(g)
-    p = Tensor([0.0, 0.0], requires_grad=True)
-    state = AdamState.for_params([p])
+    state = _adam_state([0.0, 0.0])
     adam_step(state, np.array([0.5, -2.0]), lr=0.01)
-    assert np.allclose(p.data, [-0.01, 0.01], atol=1e-6)
+    assert np.allclose(state.flat, [-0.01, 0.01], atol=1e-6)
 
 
 def test_adam_lr_zero_is_identity():
-    p = Tensor([3.0], requires_grad=True)
-    state = AdamState.for_params([p])
+    state = _adam_state([3.0])
     adam_step(state, np.array([1.0]), lr=0.0)
-    assert p.data[0] == 3.0
+    assert state.flat[0] == 3.0
 
 
 def test_adam_deterministic_trajectories():
     def run():
         rng = np.random.default_rng(5)
-        p = Tensor(rng.normal(size=3), requires_grad=True)
-        state = AdamState.for_params([p])
+        state = _adam_state(rng.normal(size=3))
         for _ in range(5):
             adam_step(state, rng.normal(size=3), lr=0.05)
-        return p.data.copy()
+        return state.flat.copy()
 
     assert np.array_equal(run(), run())
 
 
-def _mixed_params(rng) -> list[Tensor]:
-    shapes = [(5, 4), (4,), (4, 3), (3,), (3, 1), (1,)]
-    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+MIXED_SHAPES = [(5, 4), (4,), (4, 3), (3,), (3, 1), (1,)]
 
 
 def test_adam_flat_step_matches_per_tensor_loop_bitwise():
     rng = np.random.default_rng(8)
-    params = _mixed_params(rng)
-    values = [p.data.copy() for p in params]
-    grad_seq = [[rng.normal(size=p.shape) for p in params] for _ in range(50)]
+    values = [rng.normal(size=shape) for shape in MIXED_SHAPES]
+    grad_seq = [[rng.normal(size=shape) for shape in MIXED_SHAPES] for _ in range(50)]
 
-    state = AdamState.for_params(params)
+    state = AdamState(MIXED_SHAPES)
+    for view, value in zip(state.views(state.flat), values):
+        view[...] = value
     for grads in grad_seq:
-        for view, g in zip(state.grads, grads):
+        for view, g in zip(state.views(state.grad), grads):
             view[...] = g
         adam_step(state, state.grad, lr=0.01)
 
     expected, ms, vs = adam_per_tensor_ref(values, grad_seq, lr=0.01)
-    for p, want in zip(params, expected):
-        assert np.array_equal(p.data, want)
+    for got, want in zip(state.views(state.flat), expected):
+        assert np.array_equal(got, want)
     for got, want in zip(state.views(state.m), ms):
         assert np.array_equal(got, want)
     for got, want in zip(state.views(state.v), vs):
@@ -136,18 +138,23 @@ def test_adam_flat_step_matches_per_tensor_loop_bitwise():
 
 
 def test_adam_state_packs_every_param_into_one_buffer():
-    params = _mixed_params(np.random.default_rng(9))
-    originals = [p.data.copy() for p in params]
-    state = AdamState.for_params(params)
-    assert state.flat.shape == (sum(o.size for o in originals),)
-    for p, original, g in zip(params, originals, state.grads):
-        assert np.shares_memory(p.data, state.flat)
-        assert np.array_equal(p.data, original)
-        assert np.shares_memory(g, state.grad) and g.shape == p.data.shape
+    """Each buffer starts zero-filled, and its views tile it in order with the declared shapes."""
+    state = AdamState(MIXED_SHAPES)
+    size = sum(math.prod(shape) for shape in MIXED_SHAPES)
+    buffers = (state.flat, state.grad, state.m, state.v)
+    for k, buffer in enumerate(buffers):
+        assert buffer.shape == (size,) and not buffer.any()
+        buffer[:] = np.arange(size) + k * size
+        views = state.views(buffer)
+        assert [view.shape for view in views] == MIXED_SHAPES
+        assert all(np.shares_memory(view, buffer) for view in views)
+        assert np.array_equal(np.concatenate([view.reshape(-1) for view in views]), buffer)
+    for k, buffer in enumerate(buffers):  # four buffers, none writing into another
+        assert np.array_equal(buffer, np.arange(size) + k * size)
 
 
 def test_adam_step_rejects_a_gradient_of_the_wrong_size():
-    state = AdamState.for_params([Tensor(np.zeros((2, 2)), requires_grad=True)])
+    state = AdamState([(2, 2)])
     with pytest.raises(ShapeError, match="adam_step"):
         adam_step(state, np.zeros(3), lr=0.1)
 
@@ -873,6 +880,29 @@ def test_the_model_selection_score_is_what_the_restored_best_checkpoint_scores(f
         entry = result.history[result.best_epoch]
         report = evaluate_checkpoint(prepared, result.best, "val")
         assert (entry["val_accuracy"], entry["val_macro_f1"]) == (report.accuracy, report.macro_f1)
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("freeze", [True, False])
+def test_the_validation_split_never_changes_what_fine_tuning_trains(freeze, runs):
+    """Validated on the val pairs or on the test pairs, a fine-tune ends at the same final checkpoint.
+
+    Validation runs the networks on views of the Adam buffer, so a byte
+    difference would mean that validation wrote into training.
+    """
+    collection = generate_synthetic(SyntheticSpec(n_patients=30, scans_per_patient=4, n_features=5, seed=5))
+    prepared = prepare(collection, 0, DataConfig())
+    seeds = [3, 4][:runs]
+    pre_cfg = TrainConfig(epochs=3, loss=LossConfig("mse+cl"))
+    pre = [run_pretrain(prepared, ModelSpec(hidden=(8, 4)), replace(pre_cfg, seed=s)).best for s in seeds]
+    cfg = TrainConfig(epochs=6, freeze_encoder=freeze)
+    on_val, on_test = (
+        finetune_runs(pre, *prepared.pairs["train"], *prepared.pairs[split], cfg, seeds=seeds)
+        for split in ("val", "test")
+    )
+    for a, b in zip(on_val, on_test, strict=True):
+        assert [e["val_macro_f1"] for e in a.history] != [e["val_macro_f1"] for e in b.history]
+        assert checkpoint_bytes(a.final) == checkpoint_bytes(b.final)
 
 
 # -- pipeline-level pretrain smoke -------------------------------------------------------

@@ -69,16 +69,7 @@ from .model import (
 from .tensor import Tensor, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 # perfbench/tracing.py wraps functions at this module's bindings, so each name
-# its BINDINGS resolves here must stay bound: ``adam_step``,
-# ``save_checkpoint``, ``load_checkpoint``, ``compute_metrics`` and
-# ``encode``, ``predict_hs`` and ``classify_pairs``, which only the
-# validation and a frozen encoder's pair rows call; and
-# ``combined_loss_terms``, ``loss_gradients``, ``mine_batch`` and
-# ``cross_entropy``, which nothing here calls any more: a step runs its
-# networks and its loss on arrays (``model.mlp_forward`` and
-# ``combined_loss_forward``), each epoch is mined at once
-# (``contrast_targets``) and the fine-tuning labels are checked once
-# (``onehot_labels``).
+# its BINDINGS resolves here stays bound, even an import nothing here calls.
 
 CHECKPOINT_MAGIC = b"GCCK"
 CHECKPOINT_VERSION = 1

@@ -1,14 +1,11 @@
-import ast
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hscl import training
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.losses import (
     MODES,
@@ -794,17 +791,3 @@ def test_combined_loss_pair_matches_the_terms_nodes_and_the_graph_ops_bytewise(k
                 assert (value is None and term is None) or _same_bytes(value, term.data)
             assert _same_bytes(p_grad, p.grad)
             assert (e_grad is None and e.grad is None) or _same_bytes(e_grad, e.grad)
-
-
-def test_training_names_neither_backward_nor_node():
-    """A training step runs its layers and its loss on arrays: no graph, no ``backward`` walk."""
-    tree = ast.parse(Path(training.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            names.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            names.add(n.attr)
-        elif isinstance(n, ast.ImportFrom):
-            names |= {alias.asname or alias.name for alias in n.names}
-    assert names & {"backward", "node"} == set()

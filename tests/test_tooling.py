@@ -6,14 +6,9 @@ one of them would silently leave that layer out of a traced run. Its probes
 read library results (the mined pairs of a ``MiningResult``), so they are run
 on real ones here, and short training runs go through the whole tracer.
 
-Every public name of the tensor core has an importer in the library, so an
-op that only the tests call lives in the test tree (``elementary.py``).
-Only ``model`` runs the dense layer pair, and only the autodiff API
-(``tensor``, ``model``, ``losses``) builds graph nodes or walks them.
-No module but ``tensor`` assigns a ``.data`` attribute, so the training
-loops' parameters have one owner. Every public function and class of
-``data`` is used by the library too, so a scalar form of a rule that only
-the tests call lives in ``oracles.py``.
+Which modules may name the layer pass, the graph, a tensor's array and the
+checkpoint format is one table, ``OWNERSHIP``; ``UNUSED_PUBLIC`` lists the
+public names no library module uses, each with its reason.
 
 The CLI takes every option default from the library's config dataclasses
 (or the parameters of the function a command calls) instead of restating
@@ -23,8 +18,7 @@ library's configs does with ``ConfigError``, and every option with choices
 rejects a config-file value outside them with exit 2.
 
 ``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
-emit, so a new key cannot go unchecked on restore, and no other module
-spells out the metadata format.
+emit, so a new key cannot go unchecked on restore.
 
 The CLI gate (tools/cli_gate.py), which hashes every output of every
 subcommand to compare two source trees, gives the same manifest run after
@@ -46,7 +40,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hscl.tensor
 from hscl import cli
 from hscl.data import SyntheticSpec, load_dataset
 from hscl.errors import ConfigError, HsclError
@@ -183,120 +176,141 @@ def test_traced_compare_pretrains_each_mode_of_a_group_in_one_stack(tiny_dataset
     assert all("error" not in report["per_seed"][seed] for seed in ("2", "3"))
 
 
-def test_every_tensor_export_is_imported_by_another_library_module():
-    """Imported and referenced there; a re-export from ``__init__`` does not count.
+SRC = ROOT / "src" / "hscl"
 
-    ``grad_check``, the public check tool, is the one name that nothing in
-    the library calls.
-    """
-    used = set()
-    for path in (ROOT / "src" / "hscl").glob("*.py"):
-        if path.name in ("tensor.py", "__init__.py"):
-            continue
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-        imported = {
-            alias.asname or alias.name
-            for stmt in nodes
-            if isinstance(stmt, ast.ImportFrom) and (stmt.module, stmt.level) in (("tensor", 1), ("hscl.tensor", 0))
-            for alias in stmt.names
-        }
-        used |= imported & {stmt.id for stmt in nodes if isinstance(stmt, ast.Name)}
-    assert sorted(set(hscl.tensor.__all__) - used - {"grad_check"}) == []
+# One row per decision: (the rule, the names that spell it, the modules allowed
+# to name them). A module names a name as a variable, an attribute, a
+# definition or an import; ``.data=`` is a store to a ``data`` attribute, and
+# a watched phrase (one with a space) matches anywhere in the module's text.
+# ``__init__``'s imports are its exports, so they name nothing and use nothing.
+OWNERSHIP = (
+    ("only model runs the dense layer pair", {"dense_forward", "dense_backward"}, {"tensor", "model"}),
+    ("only the autodiff API builds or walks a graph", {"node", "backward"}, {"tensor", "model", "losses"}),
+    ("only tensor rebinds a tensor's array", {".data="}, {"tensor"}),
+    (
+        "only training knows the checkpoint format",
+        {
+            "CHECKPOINT_MAGIC",
+            "CHECKPOINT_VERSION",
+            "CHECKPOINT_META",
+            "FINETUNE_META",
+            "struct",
+            "zlib",
+            "checkpoint metadata",
+        },
+        {"training"},
+    ),
+)
 
-
-def test_only_model_runs_the_layer_pair_and_only_the_autodiff_api_names_the_graph():
-    """Every network runs through ``model``'s one array pass, and only the autodiff API builds graphs.
-
-    No module but ``tensor`` and ``model`` names ``dense_forward`` or
-    ``dense_backward``, and none but ``tensor``, ``model`` and ``losses``
-    names ``node`` or ``backward``: as a name, an attribute or an import. A
-    re-export from ``__init__`` does not count.
-    """
-    rules = (
-        ({"dense_forward", "dense_backward"}, {"tensor", "model"}),
-        ({"node", "backward"}, {"tensor", "model", "losses"}),
-    )
-    offenders = []
-    for path in sorted((ROOT / "src" / "hscl").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        names = set()
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(n, ast.Name):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                names.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                names |= {alias.asname or alias.name for alias in n.names}
-        offenders += [
-            f"{path.stem}: {sorted(names & watched)}"
-            for watched, allowed in rules
-            if path.stem not in allowed and names & watched
-        ]
-    assert offenders == []
-
-
-def test_only_tensor_assigns_the_data_of_an_object():
-    """No module but ``tensor`` assigns ``.data``: as a plain, augmented or annotated assignment target.
-
-    ``training._Runs`` lays each run's parameters out once and hands the
-    networks views of them, so no other module rebinds a tensor's array.
-    """
-    offenders = []
-    for path in sorted((ROOT / "src" / "hscl").glob("*.py")):
-        if path.name == "tensor.py":
-            continue
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(n, ast.Assign):
-                targets = n.targets
-            elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
-                targets = [n.target]
-            else:
-                continue
-            offenders += [
-                f"{path.stem}:{t.lineno}"
-                for target in targets
-                for t in ast.walk(target)
-                if isinstance(t, ast.Attribute) and t.attr == "data" and isinstance(t.ctx, ast.Store)
-            ]
-    assert offenders == []
+# A public top-level name is used by another module, or by a used definition of
+# its own module, and a name in a module's ``__all__`` by another module; these
+# are not, and each says why it stays public. An op or rule that only the tests
+# call lives in the test tree (``elementary.py``, ``oracles.py``) instead.
+UNUSED_PUBLIC = {
+    "tensor.grad_check": "the autodiff API's gradient check",
+    "training.parse_trace": "reads back the trace log a pre-training run writes",
+    "losses.cl_loss": "the autodiff API's contrastive loss",
+    "losses.wcl_loss": "the autodiff API's weighted contrastive loss",
+    "losses.mse_loss": "the autodiff API's regression loss",
+    "losses.cross_entropy": "the autodiff API's classifier loss; perfbench BINDINGS also binds it",
+    "losses.combined_loss": "the autodiff API's pre-training loss",
+    "losses.combined_loss_terms": "the graph form of the array pair a step runs; perfbench BINDINGS also binds it",
+    "losses.loss_gradients": "bound only by perfbench BINDINGS; it moves to tests/oracles.py once they drop it",
+}
 
 
 def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def test_every_public_function_and_class_of_data_is_used_by_the_library():
-    """Referenced by another library module, or by a ``data`` definition that is itself used.
+def _defines(stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return set().union(*map(_names, targets))
 
-    A re-export from ``__init__`` does not count, so a second form of a rule
-    that only the tests call lives in the test tree (``oracles.py``).
-    """
-    src = ROOT / "src" / "hscl"
-    tree = ast.parse((src / "data.py").read_text(encoding="utf-8"))
-    public = {
-        stmt.name: stmt
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-    }
-    used = set().union(*(_names(stmt) for stmt in tree.body if stmt not in public.values()))
-    for path in src.glob("*.py"):
-        if path.name in ("data.py", "__init__.py"):
-            continue
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+def _library_modules() -> dict[str, types.SimpleNamespace]:
+    """Per module: its text, the names it names and uses, its imports by local name, its public definitions."""
+    modules = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        body = [s for s in ast.parse(text).body if not (path.stem == "__init__" and isinstance(s, ast.ImportFrom))]
+        tree = ast.Module(body=body, type_ignores=[])
+        named, imports = set(), {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                named.add(n.name)
+            elif isinstance(n, ast.Attribute):
+                named |= {n.attr, f".{n.attr}="} if isinstance(n.ctx, ast.Store) else {n.attr}
+            elif isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None) != "__future__":
+                for alias in n.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    named |= {alias.name, local}
+                    imports[local] = (getattr(n, "level", 0), getattr(n, "module", None), alias.name)
+        public = {name: stmt for stmt in body for name in _defines(stmt) if not name.startswith("_")}
+        exports = {e for s in body if _defines(s) == {"__all__"} for e in ast.literal_eval(s.value)}
+        modules[path.stem] = types.SimpleNamespace(
+            text=text, named=named, used=_names(tree), imports=imports, public=public, exports=exports, body=body
+        )
+    return modules
+
+
+def _unused_public(modules) -> set[str]:
+    unused = set()
+    for stem, m in modules.items():
         imported = {
-            alias.asname or alias.name
-            for stmt in nodes
-            if isinstance(stmt, ast.ImportFrom) and (stmt.module, stmt.level) in (("data", 1), ("hscl.data", 0))
-            for alias in stmt.names
+            name
+            for other in modules.values()
+            for local, (level, source, name) in other.imports.items()
+            if (level, source) in ((1, stem), (0, f"hscl.{stem}")) and local in other.used
         }
-        used |= imported & {stmt.id for stmt in nodes if isinstance(stmt, ast.Name)}
-    while True:  # what a used definition references is used
-        grown = used.union(*(_names(public[name]) - {name} for name in used & public.keys()))
-        if grown == used:
-            break
-        used = grown
-    assert sorted(public.keys() - used) == []
+        used = imported.union(*(_names(stmt) for stmt in m.body if stmt not in m.public.values()))
+        while True:  # what a used definition references is used
+            grown = used.union(*(_names(m.public[name]) - {name} for name in used & m.public.keys()))
+            if grown == used:
+                break
+            used = grown
+        public = m.public.keys()
+        unused |= {f"{stem}.{name}" for name in (public - used) | (public & m.exports - imported)}
+    return unused
+
+
+@pytest.mark.parametrize(
+    "rule, watched, allowed", OWNERSHIP, ids=["layer-pair", "graph", "data-store", "checkpoint"]
+)
+def test_each_decision_is_named_only_by_the_modules_the_ownership_table_allows(rule, watched, allowed):
+    """A row cannot go stale: its modules exist and name each of its names."""
+    modules = _library_modules()
+    naming = {stem: {w for w in watched if w in m.named or " " in w and w in m.text} for stem, m in modules.items()}
+    offenders = [f"{rule}: {stem} names {sorted(hits)}" for stem, hits in naming.items() if hits and stem not in allowed]
+    offenders += [f"{rule}: no module {stem}" for stem in sorted(allowed - modules.keys())]
+    unowned = watched - set().union(*(naming.get(stem, set()) for stem in allowed))
+    if unowned:
+        offenders.append(f"{rule}: no allowed module names {sorted(unowned)}")
+    assert offenders == []
+
+
+def test_an_import_a_module_never_uses_is_one_the_tracer_binds_there():
+    bound = {}
+    for stem, attr, _ in _load_tracing().BINDINGS:
+        bound.setdefault(stem, set()).add(attr)
+    offenders = [
+        f"{stem} imports {sorted(stray)} but never uses them, and tracing.BINDINGS does not bind them there"
+        for stem, m in _library_modules().items()
+        if (stray := m.imports.keys() - m.used - bound.get(stem, set()))
+    ]
+    assert offenders == []
+
+
+def test_every_public_name_has_a_library_user_or_a_declared_reason():
+    """``UNUSED_PUBLIC`` cannot go stale: each declared name is still defined and still unused."""
+    unused = _unused_public(_library_modules())
+    offenders = [f"{name}: no library user" for name in sorted(unused - UNUSED_PUBLIC.keys())]
+    offenders += [f"{name}: declared unused, but used or gone" for name in sorted(UNUSED_PUBLIC.keys() - unused)]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -513,11 +527,6 @@ def test_checkpoint_meta_declares_exactly_the_keys_every_writer_emits(
         declared = set(CHECKPOINT_META) - (set() if stage == "finetune" else set(FINETUNE_META))
         assert _meta_keys(ck.meta) == declared, path
     assert sorted(set(stages)) == ["finetune", "pretrain"] and len(paths) == 8
-
-
-def test_only_training_knows_the_checkpoint_metadata_format():
-    knowing = [p.name for p in (ROOT / "src" / "hscl").glob("*.py") if "checkpoint metadata" in p.read_text()]
-    assert knowing == ["training.py"]
 
 
 def _load_cli_gate():

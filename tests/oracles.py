@@ -38,6 +38,7 @@ texts, and share none of its code.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -542,7 +543,7 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
 
 def save_dataset_ref(collection, path) -> None:
     """The dataset CSV writer with one ``repr(float(v))`` per numpy scalar and one ``writerow`` per record."""
-    n_features = collection[0].records[0].features.shape[-1]
+    n_features = np.asarray(collection[0].records[0].features, dtype=np.float64).size
     header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(n_features)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -557,12 +558,27 @@ def save_dataset_ref(collection, path) -> None:
 
 
 def load_dataset_ref(path):
-    """The dataset loader with one ``csv.reader`` row, one ``float()`` per value and one array per record.
+    """The dataset loader with the whole file in memory, one ``csv.reader`` row, one ``float()`` per value and one array per record.
 
-    A leading byte-order mark is dropped (``utf-8-sig``), as the library's loader drops it.
+    The file is decoded whole, then read into rows whole, so bytes that are
+    not UTF-8 anywhere raise first (naming their physical line), then a
+    ``csv.Error`` (naming its row), and only then are the header and rows
+    checked. A leading byte-order mark is dropped (``utf-8-sig``), as the
+    library's loader drops it.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {len(rows) + 1}: {exc}") from None
     if not rows:
         raise DatasetError(f"{path}: no records")
     header = rows[0]

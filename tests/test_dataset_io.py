@@ -1,4 +1,4 @@
-"""The whole-file dataset reader and writer and ``prepare``'s whole-array pass, against the per-scalar oracles.
+"""The chunked dataset reader, the block writer and ``prepare``'s whole-array pass, against the per-scalar oracles.
 
 ``load_dataset`` must give what ``oracles.load_dataset_ref`` gives (records
 equal to the bit, or the same error type and message), ``save_dataset`` the
@@ -7,21 +7,24 @@ bytes of ``oracles.save_dataset_ref``, and ``prepare`` the arrays of
 """
 
 import csv
+import io
 import math
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hscl.data
 from hscl.data import (
     NormalizationStats,
     PatientSeries,
     ScanRecord,
     SyntheticSpec,
-    _csv_rows,
-    _split_rows,
+    _rows,
     categorize_sf,
     generate_synthetic,
     load_dataset,
@@ -186,16 +189,30 @@ def test_records_are_row_views_of_one_matrix(tmp_path):
     assert all(type(rec.health_score) is float for rec in records)
 
 
-@pytest.mark.parametrize("name", sorted(n for n, t in CORPUS.items() if '"' not in t and "\r" not in t))
-def test_both_tokenisers_give_the_same_rows_on_quote_free_files(name):
+def _reader_rows(data: bytes, chunk_bytes: int) -> list[list[str]]:
+    with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
+        return list(_rows(io.BytesIO(data), "f.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_reader_rows_are_the_csv_reader_rows_of_the_text_at_any_chunk_size(name):
+    """Split rows where the text allows, ``csv.reader`` rows from the first chunk holding ``"`` or ``\\r``: the same rows."""
     text = CORPUS[name]
-    assert list(_split_rows(text, "f.csv")) == _csv_rows(text, "f.csv")
+    expected = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    data = text.encode("utf-8")
+    for chunk_bytes in {1, 2, 3, 5, 8, 13, 64, len(data) or 1}:
+        assert _reader_rows(data, chunk_bytes) == expected, chunk_bytes
 
 
-@given(st.text(alphabet=st.sampled_from(list("ab1.,\n \t\x00\x0b\x0c\x1c\x85  ")), max_size=60))
-@settings(max_examples=300, deadline=None)
-def test_both_tokenisers_agree_on_any_quote_free_text(text):
-    assert list(_split_rows(text, "f.csv")) == _csv_rows(text, "f.csv")
+@given(
+    st.text(alphabet=st.sampled_from(list('ab1.,"\n\r \t\x00\x0b\x0c\x1c\x85\u2028é€\U0001f600')), max_size=60),
+    st.booleans(),
+    st.integers(1, 16),
+)
+@settings(max_examples=400, deadline=None)
+def test_reader_rows_are_the_csv_reader_rows_of_any_text(text, mark, chunk_bytes):
+    data = ("\ufeff" if mark else "").encode("utf-8") + text.encode("utf-8")
+    assert _reader_rows(data, chunk_bytes) == list(csv.reader(io.StringIO(text, newline="")))
 
 
 # -- errors the per-scalar loader did not catch ----------------------------------------
@@ -223,6 +240,101 @@ def test_a_field_over_the_csv_size_limit_names_its_line_on_both_tokenisers(quote
     long_id = "x" * limit
     path.write_text(HEADER + f"{pid},0,5.0,1.0,2.0\n{long_id},0,5.0,1.0,2.0\n", encoding="utf-8")
     assert load_dataset(path)[1].patient_id == long_id
+
+
+# -- chunk edges and the precedence of file faults --------------------------------------
+
+
+# a file, and the part of it that a chunk edge is put inside
+CHUNK_EDGE_CASES = {
+    "multi-byte characters": (HEADER + "pé€\U0001f600,0,5.0,1.0,2.0\n", "é€\U0001f600"),
+    "byte-order mark": ("\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n", "\ufeff"),
+    "crlf pair": (HEADER.replace("\n", "\r\n") + "p0,0,5.0,1.0,2.0\r\np0,1,6.0,1.5,2.5\r\n", "\r\n"),
+    "quoted id holding a newline": (HEADER + 'p0,0,5.0,1.0,2.0\n"p\n1",0,6.0,1.0,2.0\nq,0,7,8,9\n', '"p\n1"'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGE_CASES))
+def test_load_matches_the_per_scalar_loader_with_a_chunk_edge_inside(name, tmp_path, monkeypatch):
+    text, part = CHUNK_EDGE_CASES[name]
+    data = text.encode("utf-8")
+    start = data.index(part.encode("utf-8"))
+    end = start + len(part.encode("utf-8"))
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    ref = _outcome(load_dataset_ref, path)
+    assert isinstance(ref, list)
+    cutting = [size for size in range(1, end) if any(start < edge < end for edge in range(size, end, size))]
+    assert cutting
+    for chunk_bytes in cutting:
+        monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
+        assert _outcome(load_dataset, path) == ref, chunk_bytes
+
+
+@pytest.fixture
+def field_limit():
+    """``csv.field_size_limit()`` at 200 characters, so that a field over it is short."""
+    old = csv.field_size_limit(200)
+    yield 200
+    csv.field_size_limit(old)
+
+
+# a fault of the file itself, put after a bad row and more good rows than a block or a small chunk holds
+LATE_FILE_FAULTS = {
+    "not utf-8": (b"q\xff,0,5.0,1.0,2.0\n", "line 304: not UTF-8 text"),
+    "over-limit field": (b"q," + b"1" * 201 + b",5.0,1.0,2.0\n", "line 304: field larger than field limit (200)"),
+    # the quoted field runs on to the end of the file, past the limit
+    "unclosed quote": (b'"q,0,5.0,1.0,2.0\n' + b"r,0,5.0,1.0,2.0\n" * 20, "line 304: field larger than field limit (200)"),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 1 << 17])
+@pytest.mark.parametrize("name", sorted(LATE_FILE_FAULTS))
+def test_a_late_fault_of_the_file_beats_an_earlier_bad_row(name, chunk_bytes, field_limit, tmp_path, monkeypatch):
+    fault, message = LATE_FILE_FAULTS[name]
+    good = "".join(f"p{i},0,{i}.5,1.0,2.0\n" for i in range(1, 301))
+    path = tmp_path / "data.csv"
+    # line 2 has a non-numeric value; a blank line 303 ends the good rows, and the fault is on line 304
+    path.write_bytes((HEADER + "p0,0,x,1.0,2.0\n" + good + "\n").encode("utf-8") + fault)
+    monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
+    ours = _outcome(load_dataset, path)
+    assert ours == (DatasetError, f"{path}: {message}")
+    assert ours == _outcome(load_dataset_ref, path)
+    # without the fault, the bad row is what is reported
+    path.write_bytes((HEADER + "p0,0,x,1.0,2.0\n" + good).encode("utf-8"))
+    assert _outcome(load_dataset, path) == (DatasetError, f"{path}: line 2: non-numeric value")
+
+
+def test_non_utf8_bytes_beat_an_earlier_over_limit_field(field_limit, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER + "p0,0," + "1" * 201 + ",1.0,2.0\n" + "p1,0,5.0,1.0,2.0\n" * 300).encode() + b"\xff\n")
+    monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", 64)
+    ours = _outcome(load_dataset, path)
+    assert ours == (DatasetError, f"{path}: line 303: not UTF-8 text")
+    assert ours == _outcome(load_dataset_ref, path)
+
+
+def test_save_and_load_hold_less_than_the_file_at_once(tmp_path):
+    """Neither holds the file's text whole: each peaks below the file size (the whole-text code: 3.1x and 1.6x)."""
+    collection = generate_synthetic(SyntheticSpec(n_patients=400, scans_per_patient=6, n_features=32, seed=0))
+    path = tmp_path / "cohort.csv"
+    tracemalloc.start()
+    try:
+        save_dataset(collection, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert 1_500_000 < size < 1_700_000  # 1.51 MiB
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        held, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(series.records) for series in loaded) == 2400
+    assert save_peak < size
+    assert load_peak - held < size
 
 
 # -- the writer ----------------------------------------------------------------------
@@ -274,6 +386,21 @@ def test_save_quotes_a_patient_id_holding_a_carriage_return(tmp_path):
     save_dataset_ref(collection, path)
     with pytest.raises(DatasetError, match="line 2: expected 4 fields, got 1"):
         load_dataset(path)
+
+
+def test_save_takes_every_record_s_width_from_its_flattened_features(tmp_path):
+    """A first record whose features are a list, or shaped (2, 1), has 2 features, as any later record would."""
+    later = ScanRecord("p", 1, np.array([0.25, 4.0]), 6.0)
+    expected = tmp_path / "arrays.csv"
+    save_dataset([PatientSeries("p", [ScanRecord("p", 0, np.array([1.5, -2.0]), 3.0), later])], expected)
+    assert expected.read_bytes().startswith(b"patient_id,seq_index,health_score,f0,f1\n")
+    for first in ([1.5, -2.0], np.array([[1.5], [-2.0]])):
+        path = tmp_path / "data.csv"
+        save_dataset([PatientSeries("p", [ScanRecord("p", 0, first, 3.0), later])], path)
+        assert path.read_bytes() == expected.read_bytes()
+    wide = ScanRecord("p", 1, np.zeros(3), 6.0)
+    with pytest.raises(DatasetError, match=r"record p/1 has 3 features, expected 2"):
+        save_dataset([PatientSeries("p", [ScanRecord("p", 0, [1.5, -2.0], 3.0), wide])], path)
 
 
 def test_save_rejects_a_record_of_another_width_before_writing(tmp_path):

@@ -19,7 +19,10 @@ the sample-size cap warning; compare in threshold mode, also with one seed
 in bin mode, on an S/F-scaled cohort (gen-data's scores may be non-positive), compare,
 pretrain and finetune, then pretrain, finetune, eval, analyze and compare on
 copies that hold one non-positive score (for the restores, in a test-split
-scan, so the checkpoint's normalization still matches). Then the parser's own
+scan, so the checkpoint's normalization still matches); then eval, analyze and
+compare on a copy of the threshold cohort as a spreadsheet might export it,
+with a byte-order mark, CRLF line ends and quoted patient ids, which the
+loader reads through ``csv.reader``. Then the parser's own
 texts: ``--help``, each ``<command> --help``, an unknown command, no command,
 a missing required flag and an unrecognized flag, each recorded with the
 exit code argparse gives it. Argparse wraps its help to the terminal width
@@ -83,8 +86,20 @@ def _sf_cohorts(hscl, out: Path) -> None:
         record.health_score = score
 
 
+def _crlf_cohort(hscl, out: Path) -> None:
+    """``data_crlf.csv``: gen-data's cohort with a byte-order mark, CRLF line ends and every patient id quoted."""
+    spec = hscl.data.SyntheticSpec(
+        n_patients=PATIENTS, scans_per_patient=SCANS_PER_PATIENT, n_features=FEATURES, seed=3,
+    )
+    path = out / "data_crlf.csv"
+    hscl.data.save_dataset(hscl.data.generate_synthetic(spec), path)
+    header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+    quoted = ['"{}",{}'.format(*row.split(",", 1)) for row in rows]
+    path.write_bytes("\r\n".join(["\ufeff" + header, *quoted, ""]).encode("utf-8"))
+
+
 def _commands(out: Path) -> list[tuple[str, list[str]]]:
-    data, sf = str(out / "data.csv"), str(out / "sf.csv")
+    data, sf, crlf = str(out / "data.csv"), str(out / "sf.csv"), str(out / "data_crlf.csv")
     bad, bad_test = str(out / "sf_non_positive.csv"), str(out / "sf_non_positive_test.csv")
     train = ["--epochs", EPOCHS, "--seed", "1"]
     bin_mode = ["--label-mode", "bin"]
@@ -125,6 +140,9 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         restore("finetune", bad_test, bin_ckpt, "finetune-bin-non-positive", *train),
         restore("eval", bad_test, bin_tuned, "eval-bin-non-positive"),
         restore("analyze", bad_test, bin_ckpt, "analyze-bin-non-positive.tsv"),
+        restore("eval", crlf, tuned, "eval-crlf"),
+        restore("analyze", crlf, ckpt, "analyze-crlf.tsv", "--sample-size", SAMPLE_SIZE),
+        compare(crlf, "compare-crlf"),
         ("help", ["--help"]),
         *((f"help-{command}", [command, "--help"]) for command in COMMANDS),
         ("unknown-command", ["evaluate"]),
@@ -142,6 +160,7 @@ def run_gate(src: Path, out: Path) -> list[str]:
     if any(out.iterdir()):
         raise SystemExit(f"cli_gate: {out} is not empty")
     _sf_cohorts(hscl, out)
+    _crlf_cohort(hscl, out)
     results = []
     for name, argv in _commands(out):
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -545,14 +545,23 @@ def series_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, health scores, prev) of the records of ``collection``, in ``records_of`` order.
 
-    ``features`` is an (N, n_features) float64 matrix, (0, n_features) for no
-    records. ``prev`` holds the position of every record that is not the last
-    of its patient, so ``(prev, prev + 1)`` are the consecutive scan pairs
-    within each patient, patient by patient.
+    ``features`` is an (N, F) float64 matrix of every record's features
+    flattened, as ``save_dataset`` writes them, and (0, n_features) for no
+    records; features of more than one flattened width raise ``DatasetError``.
+    ``prev`` holds the position of every record that is not the last of its
+    patient, so ``(prev, prev + 1)`` are the consecutive scan pairs within
+    each patient, patient by patient.
     """
     records = records_of(collection)
     if records:
-        x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
+        try:
+            x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
+        except ValueError:  # shapes differ: the flat vectors must still be of one width
+            try:
+                x = np.stack([_features(r) for r in records])
+            except ValueError as exc:
+                raise DatasetError(f"series_arrays: record features do not form one matrix: {exc}") from None
+        x = x.reshape(len(records), math.prod(x.shape[1:]))
     else:
         x = np.zeros((0, n_features))
     scores = np.array([r.health_score for r in records], dtype=np.float64)

@@ -24,12 +24,13 @@ Mining and every loss also take a leading run axis of S independent runs:
 (S, B) scores give (S, B, B) masks, and the loss terms become (S,) vectors.
 A stack holds one loss mode, so an ``mse`` stack builds no contrastive term.
 
-The masks, ``K`` and the wcl constant depend on the labels alone. They are
-held in ``ContrastTargets``: a training loop builds them for a whole epoch
-of batches at once with ``contrast_targets`` and hands each step its
-batch's slice, and ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms``
-turn a plain ``MiningResult`` into them first. Every contrastive loss is
-then computed one way, from the tensor core's array functions.
+The masks, ``K`` and the wcl constant depend on the labels alone. ``K``
+and the constant are all a loss reads of the masks, and they are held in
+``ContrastTargets``: a training loop builds them for a whole epoch of
+batches at once with ``contrast_targets`` and hands each step its batch's
+slice. ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms`` take the
+batch's ``MiningResult`` and build its targets first. Every contrastive
+loss is then computed one way, from the tensor core's array functions.
 
 The combined loss is one pair of array functions, as the tensor core's are:
 ``combined_loss_forward`` gives the terms and what the gradient needs, and
@@ -138,29 +139,19 @@ class MiningResult:
 
 
 @dataclass
-class ContrastTargets(MiningResult):
-    """Mined masks plus the label-only parts of the contrastive loss built from them.
+class ContrastTargets:
+    """The label-only parts of the contrastive loss of mined batches.
 
     ``coefficients`` is ``K`` (..., B, B) and ``constant`` the wcl term's (...,)
-    constant; ``eps`` is the distance offset ``K`` was weighted with, and
-    ``None`` (with no constant) for the unweighted cl loss.
+    constant, ``None`` for the unweighted cl loss.
     """
 
     coefficients: np.ndarray = field(repr=False)
     constant: np.ndarray | None = field(repr=False)
-    eps: float | None
 
     def batch(self, index) -> "ContrastTargets":
         """The targets at ``index`` along the leading axes: one batch, or one step of S runs."""
-        return ContrastTargets(
-            self.positive[index],
-            self.negative[index],
-            self.distances[index],
-            self.per_side,
-            self.coefficients[index],
-            None if self.constant is None else self.constant[index],
-            self.eps,
-        )
+        return ContrastTargets(self.coefficients[index], None if self.constant is None else self.constant[index])
 
 
 def _indices(mask: np.ndarray) -> list[list[int]]:
@@ -200,31 +191,27 @@ def mine_batch(hs) -> MiningResult:
 
 
 def _targets(mining: MiningResult, scores: np.ndarray | None, eps: float) -> ContrastTargets:
-    """``mining`` plus ``K`` and the wcl constant; unweighted (cl) when ``scores`` is None.
+    """``K`` and the wcl constant of ``mining``; unweighted (cl) when ``scores`` is None.
 
     Elementwise over the masks and the scores, so batches stacked along
     leading axes get each batch's own values.
     """
     pos, neg = mining.positive, mining.negative
     if scores is None:
-        return ContrastTargets(
-            pos, neg, mining.distances, mining.per_side, neg.astype(np.float64) - pos, None, None
-        )
+        return ContrastTargets(neg.astype(np.float64) - pos, None)
     weights = np.abs(scores[..., :, None] - scores[..., None, :]) + eps
     # every anchor has per_side negatives, so each batch's terms are one row
     constant = np.log(weights[neg]).reshape(scores.shape[:-1] + (-1,)).sum(axis=-1)
-    return ContrastTargets(
-        pos, neg, mining.distances, mining.per_side, neg - pos / weights, constant, eps
-    )
+    return ContrastTargets(neg - pos / weights, constant)
 
 
 def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
     """Mine (..., B) batches of scores and build their ``K`` and wcl constants at once.
 
-    Each batch along the leading axes gets the masks of ``mine_batch`` and
-    the ``K`` and constant that ``cl_loss``/``wcl_loss`` build from them;
-    ``ContrastTargets.batch`` hands one step its slice, which
-    ``combined_loss_terms`` takes in place of a ``MiningResult``.
+    Each batch along the leading axes gets the ``K`` and constant that
+    ``cl_loss``/``wcl_loss`` build from the masks of ``mine_batch``;
+    ``ContrastTargets.batch`` hands one step its slice for
+    ``combined_loss_forward``.
     """
     scores = np.asarray(hs, dtype=np.float64)
     return _targets(mine_batch(scores), scores if config.weighted else None, config.eps)
@@ -244,16 +231,6 @@ def _mse_target(y, y_pred: Tensor) -> np.ndarray:
     if target.shape[-1] < 1:
         raise ShapeError("mse_loss: need at least one element")
     return target
-
-
-def _check_mining(name: str, embeddings: Tensor, mining: MiningResult) -> None:
-    if embeddings.data.ndim not in (2, 3):
-        raise ShapeError(f"{name}: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}")
-    rows = embeddings.shape[:-1]
-    if mining.positive.shape != rows + rows[-1:]:
-        raise ShapeError(
-            f"{name}: mining masks {mining.positive.shape} do not fit embeddings of shape {embeddings.shape}"
-        )
 
 
 def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
@@ -276,7 +253,13 @@ def _mined_targets(
 ) -> ContrastTargets:
     """``mining`` as the targets of ``wcl_loss`` (weighted) or ``cl_loss``, after that function's checks."""
     name = "wcl_loss" if weighted else "cl_loss"
-    _check_mining(name, embeddings, mining)
+    if embeddings.data.ndim not in (2, 3):
+        raise ShapeError(f"{name}: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}")
+    rows = embeddings.shape[:-1]
+    if mining.positive.shape != rows + rows[-1:]:
+        raise ShapeError(
+            f"{name}: mining masks {mining.positive.shape} do not fit embeddings of shape {embeddings.shape}"
+        )
     if not weighted:
         return _targets(mining, None, config.eps)
     scores = np.asarray(hs, dtype=np.float64)
@@ -296,8 +279,6 @@ def _contrastive_term(e: np.ndarray, targets: ContrastTargets, config: LossConfi
     sims, saved = pairwise_similarity_forward(e, kind)
     con, clamped = weighted_log_sum_forward(sims, coefficients, floor)
     if targets.constant is not None:
-        if np.shape(targets.constant) != np.shape(con):  # the check of the reference chain's ``+``
-            raise ShapeError(f"add: incompatible shapes {np.shape(con)} and {np.shape(targets.constant)}")
         con = con + targets.constant
 
     def con_grad(g: np.ndarray) -> np.ndarray:
@@ -348,10 +329,8 @@ def combined_loss_terms(
 
     With alpha == 0 or plain MSE mode the total *is* the MSE tensor, so the
     resulting graph and gradients are bit-identical to pure MSE training.
-    ``mining`` is the ``ContrastTargets`` of this batch, built for ``config``
-    by ``contrast_targets``, whose ``K`` and constant the loss takes as they
-    are without reading ``hs``; or a plain ``MiningResult``, which is first
-    turned into them with ``hs`` as ``cl_loss``/``wcl_loss`` do.
+    ``mining`` is the batch's ``mine_batch`` result, turned into its
+    ``ContrastTargets`` with ``hs`` as ``cl_loss``/``wcl_loss`` do.
 
     The terms come from ``combined_loss_forward``, one node each: ``total``
     has the parents (y_pred, embeddings) and calls
@@ -362,18 +341,13 @@ def combined_loss_terms(
     ``g * alpha``, and the constant passes it through unchanged.
     """
     target = _mse_target(y, y_pred)
-    e = None
+    e = targets = None
     if config.needs_mining:
         if embeddings is None or mining is None:
             raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
-        if isinstance(mining, ContrastTargets):
-            if mining.eps != (config.eps if config.weighted else None):
-                raise ConfigError(f"combined_loss: contrast targets were built for another loss than {config.mode!r}")
-            _check_mining("combined_loss", embeddings, mining)
-        else:
-            mining = _mined_targets(embeddings, mining, hs, config, config.weighted)
+        targets = _mined_targets(embeddings, mining, hs, config, config.weighted)
         e = embeddings.data
-    (total, mse, con), saved = combined_loss_forward(target, y_pred.data, e, mining, config)
+    (total, mse, con), saved = combined_loss_forward(target, y_pred.data, e, targets, config)
     if con is None:
         total = node(total, (y_pred,), lambda g: combined_loss_backward(g, config, *saved)[:1])
         return total, total, None

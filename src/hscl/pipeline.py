@@ -8,6 +8,7 @@ a run sees consistent data.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import statistics
@@ -26,6 +27,7 @@ from .data import (
     pair_labels,
     records_of,
     series_arrays,
+    split_patients,
 )
 from .errors import ConfigError, DomainError, HsclError
 from .losses import MODES
@@ -109,12 +111,10 @@ def _labels(prev_hs: np.ndarray, next_hs: np.ndarray, stats: NormalizationStats 
 
 
 def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Prepared:
-    from .data import split_patients  # local import keeps module init light
-
     train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
     train_records = records_of(train_s)
     stats = fit_normalization(train_records, dcfg.higher_is_better)
-    n_features = len(train_records[0].features)
+    n_features = np.size(train_records[0].features)
     series = {"train": train_s, "val": val_s, "test": test_s}
     # per split: one features matrix, the scores, and the pairs as (prev, prev + 1)
     # positions; an empty split or pair list gives (0, n_features) arrays
@@ -490,8 +490,6 @@ def format_report(report: dict) -> str:
 
 
 def _write_report(report: dict, out_dir: str) -> None:
-    import json
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from hscl.data import (
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
-from hscl.pipeline import DataConfig, prepare
+from hscl.pipeline import CompareConfig, DataConfig, ModelSpec, prepare, run_comparison
+from hscl.training import TrainConfig
 
 from oracles import normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
 
@@ -406,3 +409,39 @@ def test_prepare_gives_zero_row_pair_arrays_for_single_scan_patients():
         assert x.shape == (len(patients), 5)
         xp, xn, labels = prepared.pairs[split]
         assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)
+
+
+@pytest.mark.parametrize("shapes", [[(3, 1)], [(1, 3)], [(3, 1), (3,)]], ids=["column", "row", "mixed"])
+def test_prepare_flattens_features_as_its_saved_and_loaded_copy(shapes, tmp_path):
+    """Every array of ``prepare``, bit for bit; the empty test split takes the flattened width too."""
+    spec = SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=3, seed=3)
+    reshaped = [
+        PatientSeries(
+            s.patient_id,
+            [dataclasses.replace(r, features=r.features.reshape(shapes[r.seq_index % len(shapes)])) for r in s.records],
+        )
+        for s in generate_synthetic(spec)
+    ]
+    path = tmp_path / "cohort.csv"
+    save_dataset(reshaped, path)
+    dcfg = DataConfig(fractions=(0.8, 0.2, 0.0))
+    ours, loaded = prepare(reshaped, 0, dcfg), prepare(load_dataset(path), 0, dcfg)
+    for split in ("train", "val", "test"):
+        arrays = ours.regression[split] + ours.pairs[split]
+        expected = loaded.regression[split] + loaded.pairs[split]
+        for a, b in zip(arrays, expected, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert ours.regression["test"][0].shape == (0, 3)
+
+
+def test_features_that_do_not_stack_are_bad_input():
+    """``prepare`` raises ``DatasetError``, so ``run_comparison`` records it as each seed's failure."""
+    collection = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=3, seed=3))
+    odd = collection[5].records[1]
+    collection[5].records[1] = dataclasses.replace(odd, features=np.zeros(4))
+    message = "series_arrays: record features do not form one matrix"
+    with pytest.raises(DatasetError, match=message):
+        prepare(collection, 0, DataConfig())
+    configs = (DataConfig(), ModelSpec(hidden=(4,)), TrainConfig(epochs=1), TrainConfig(epochs=1))
+    report = run_comparison(collection, CompareConfig(seeds=(0, 1), modes=("mse",)), *configs)
+    assert all(entry["error"].startswith(f"DatasetError: {message}") for entry in report["per_seed"].values())

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -591,6 +590,8 @@ def test_stacked_losses_reject_masks_of_another_batch():
     mining = mine_batch(np.zeros((2, 5)))
     with pytest.raises(ShapeError, match="mining"):
         cl_loss(Tensor(np.ones((3, 5, 2))), mining, CL_CFG)
+    with pytest.raises(ShapeError, match="mining"):
+        combined_loss_terms(_HS, Tensor(np.zeros(5)), Tensor(np.ones((5, 3))), mining, _HS, CL_CFG)
     with pytest.raises(ShapeError, match="scores"):
         wcl_loss(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)
 
@@ -632,7 +633,7 @@ def test_losses_reject_an_operand_of_another_layout(case):
 @pytest.mark.parametrize("lead", [(5,), (4, 3)], ids=["epoch", "epoch-x-runs"])
 @pytest.mark.parametrize("b", [3, 8, 9])
 def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b, lead):
-    """Masks, K and the wcl constant per batch, and the loss each batch's slice gives."""
+    """K and the wcl constant per batch, and the contrastive term the step's array pair gives for each slice."""
     rng = np.random.default_rng(42)
     hs = rng.uniform(0, 1, size=lead + (b,))
     batches = hs.reshape(-1, b)
@@ -641,13 +642,10 @@ def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b
     for cfg in (LossConfig("mse+cl", alpha=0.7), LossConfig("mse+wcl", "l2", eps=0.05)):
         targets = contrast_targets(hs, cfg)
         assert targets.coefficients.shape == lead + (b, b)
-        assert targets.per_side == (b - 1) // 2
         for index in np.ndindex(*lead):
             scores = hs[index]
             mining = mine_batch(scores)
             one = targets.batch(index)
-            for name in ("positive", "negative", "distances"):
-                assert np.array_equal(getattr(one, name), getattr(mining, name))
             # the construction cl_loss/wcl_loss used per batch
             if cfg.weighted:
                 weights = np.abs(scores[:, None] - scores[None, :]) + cfg.eps
@@ -658,30 +656,20 @@ def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b
                 assert one.constant is None
             emb = Tensor(rng.normal(size=(b, 3)))
             own = wcl_loss(emb, mining, scores, cfg) if cfg.weighted else cl_loss(emb, mining, cfg)
-            _, _, via = combined_loss_terms(scores, Tensor(np.zeros(b)), emb, one, scores, cfg)
+            (_, _, via), _ = combined_loss_forward(scores, np.zeros(b), emb.data, one, cfg)
             _, _, chain = combined_loss_chain(scores, Tensor(np.zeros(b)), emb, mining, scores, cfg)
-            assert np.array_equal(via.data, own.data) and np.array_equal(via.data, chain.data)
-        if len(lead) == 2:  # one step of S runs: its (S, B, B) slice is the runs' own stacked mining
+            assert np.array_equal(via, own.data) and np.array_equal(via, chain.data)
+        if len(lead) == 2:  # one step of S runs: its (S, B, B) slice is the step's own stacked targets
             for step in range(lead[0]):
-                stacked = mine_batch(hs[step])
-                assert np.array_equal(targets.batch(step).positive, stacked.positive)
-                assert np.array_equal(targets.batch(step).negative, stacked.negative)
+                stacked = contrast_targets(hs[step], cfg)
+                assert np.array_equal(targets.batch(step).coefficients, stacked.coefficients)
+                if cfg.weighted:
+                    assert np.array_equal(targets.batch(step).constant, stacked.constant)
+                else:
+                    assert targets.batch(step).constant is None and stacked.constant is None
 
 
-def test_combined_loss_rejects_targets_built_for_another_loss():
-    hs = np.array([0.1, 0.5, 0.2, 0.9, 0.4])
-    emb, pred = Tensor(np.random.default_rng(43).normal(size=(5, 3))), Tensor(np.zeros(5))
-    for built, used in ((CL_CFG, WCL_CFG), (WCL_CFG, CL_CFG), (WCL_CFG, LossConfig("mse+wcl", eps=0.5))):
-        with pytest.raises(ConfigError, match="another loss"):
-            combined_loss_terms(hs, pred, emb, contrast_targets(hs, built), hs, used)
-    with pytest.raises(ShapeError, match="mining"):
-        combined_loss_terms(hs, pred, emb, contrast_targets(np.zeros((2, 5)), CL_CFG), hs, CL_CFG)
-    wrong_constant = dataclasses.replace(contrast_targets(hs, WCL_CFG), constant=np.zeros(2))
-    with pytest.raises(ShapeError, match="add: incompatible shapes"):
-        combined_loss_terms(hs, pred, emb, wrong_constant, hs, WCL_CFG)
-
-
-# -- ContrastTargets: each term one node, wired straight to the leaves ----------------------
+# -- combined_loss_terms: each term one node, wired straight to the leaves ------------------
 
 
 def _same_bytes(a, b) -> bool:
@@ -695,8 +683,7 @@ def _same_bytes(a, b) -> bool:
 def test_contrast_targets_terms_are_one_node_each_and_match_the_graph_ops_bytewise(kind, mode, runs, alpha):
     """Values and leaf gradients against ``oracles.combined_loss_chain``, through ``backward``.
 
-    The library's terms are computed one way for the epoch's ``contrast_targets``
-    and for a plain ``mine_batch`` result. The total reaches both leaves,
+    The library's terms are built from the batch's ``mine_batch`` result. The total reaches both leaves,
     ``mse`` only the predictions and ``con`` only the embeddings; the total's
     graph is the node and its two leaves at every batch size, against 7 (cl)
     or 9 (wcl) nodes for the chain of graph ops.
@@ -721,33 +708,37 @@ def test_contrast_targets_terms_are_one_node_each_and_match_the_graph_ops_bytewi
         for root in range(3):
             chain_values, chain_p_grad, chain_e_grad, chain_size = call(combined_loss_chain, mine_batch(hs), root)
             assert chain_size == (7 if mode == "mse+cl" else 9)
-            for mining in (contrast_targets(hs, cfg), mine_batch(hs)):
-                values, p_grad, e_grad, size = call(combined_loss_terms, mining, root)
-                assert size == 3
-                assert all(_same_bytes(v, c) for v, c in zip(values, chain_values))
-                if root == 2:
-                    assert p_grad is None and chain_p_grad is None
-                else:
-                    assert _same_bytes(p_grad, chain_p_grad)
-                if root == 1:
-                    assert e_grad is None and chain_e_grad is None
-                else:
-                    assert _same_bytes(e_grad, chain_e_grad)
+            values, p_grad, e_grad, size = call(combined_loss_terms, mine_batch(hs), root)
+            assert size == 3
+            assert all(_same_bytes(v, c) for v, c in zip(values, chain_values))
+            if root == 2:
+                assert p_grad is None and chain_p_grad is None
+            else:
+                assert _same_bytes(p_grad, chain_p_grad)
+            if root == 1:
+                assert e_grad is None and chain_e_grad is None
+            else:
+                assert _same_bytes(e_grad, chain_e_grad)
 
 
 @pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize("mode", ["mse+cl", "mse+wcl"])
 def test_zero_norm_embeddings_raise_the_same_error_with_contrast_targets_and_with_mining(mode, runs):
+    """The step's array pair on the epoch's ``contrast_targets``, and ``combined_loss_terms`` on ``mine_batch``."""
     rng = np.random.default_rng(45)
     cfg = LossConfig(mode=mode)
     lead = (runs,) if runs > 1 else ()
     hs = rng.uniform(0, 1, size=lead + (6,))
     emb = rng.normal(size=lead + (6, 3))
     emb[..., 4, :] = 0.0
+    pred = np.zeros(lead + (6,))
     messages = []
-    for mining in (contrast_targets(hs, cfg), mine_batch(hs)):
+    for call in (
+        lambda: combined_loss_forward(hs, pred, emb, contrast_targets(hs, cfg), cfg),
+        lambda: combined_loss_terms(hs, Tensor(pred), Tensor(emb), mine_batch(hs), hs, cfg),
+    ):
         with pytest.raises(DomainError) as info:
-            combined_loss_terms(hs, Tensor(np.zeros(lead + (6,))), Tensor(emb), mining, hs, cfg)
+            call()
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "pairwise_similarity: cosine undefined for a zero vector"
 
@@ -783,9 +774,9 @@ def test_combined_loss_pair_matches_the_terms_nodes_and_the_graph_ops_bytewise(k
         values, saved = combined_loss_forward(hs, pred, emb, targets, cfg)
         p_grad, e_grad = combined_loss_backward(seed, cfg, *saved)
         assert (values[2] is None) == (e_grad is None) == (not cfg.needs_mining)
-        for loss, mining in ((combined_loss_terms, targets), (combined_loss_chain, mine_batch(hs))):
+        for loss in (combined_loss_terms, combined_loss_chain):
             p, e = Tensor(pred.copy(), requires_grad=True), Tensor(emb.copy(), requires_grad=True)
-            terms = loss(hs, p, e, mining, hs, cfg)
+            terms = loss(hs, p, e, mine_batch(hs), hs, cfg)
             backward(el.mul(terms[0], Tensor(seed)))
             for value, term in zip(values, terms):
                 assert (value is None and term is None) or _same_bytes(value, term.data)

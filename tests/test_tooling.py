@@ -23,6 +23,9 @@ emit, so a new key cannot go unchecked on restore.
 The CLI gate (tools/cli_gate.py), which hashes every output of every
 subcommand to compare two source trees, gives the same manifest run after
 run, so a difference between trees is the trees'.
+
+README's ``python`` blocks run as written, each section's in an empty
+directory, so a renamed call breaks a test before it misleads a reader.
 """
 
 import ast
@@ -43,7 +46,7 @@ import pytest
 from hscl import cli
 from hscl.data import SyntheticSpec, load_dataset
 from hscl.errors import ConfigError, HsclError
-from hscl.losses import LossConfig, contrast_targets, mine_batch
+from hscl.losses import LossConfig, mine_batch
 from hscl.pipeline import (
     CompareConfig,
     DataConfig,
@@ -119,7 +122,7 @@ def test_traced_training_runs_every_probe_without_error():
 
     A pre-training step runs its loss as an array forward/backward pair, so
     the runs record no loss and no backward span. The loss probe is run on
-    one traced ``combined_loss_terms`` call with a batch's real targets.
+    one traced ``combined_loss_terms`` call with a batch's real mining.
     """
     tracing = _load_tracing()
     hs = _traced_modules(tracing)
@@ -133,8 +136,9 @@ def test_traced_training_runs_every_probe_without_error():
         finetune(pre.best, xp, xn, labels, xp[:9], xn[:9], labels[:9], TrainConfig(epochs=1))
         trained = [s.name for s in tracer.spans]
         config = LossConfig("mse+cl")
-        batch = contrast_targets(y[:32].reshape(4, 8), config).batch(1)
-        hs.training.combined_loss_terms(y[8:16], Tensor(np.zeros(8)), Tensor(x[8:16]), batch, y[8:16], config)
+        hs.training.combined_loss_terms(
+            y[8:16], Tensor(np.zeros(8)), Tensor(x[8:16]), mine_batch(y[8:16]), y[8:16], config
+        )
     assert tracing.wrapped_names(hs) == []
     assert "losses.combined_loss_terms" not in trained and "tensor.backward" not in trained
     (loss_span,) = [s for s in tracer.spans if s.name == "losses.combined_loss_terms"]
@@ -557,3 +561,31 @@ def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, mon
     assert results[0] == (
         f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
     )
+
+
+def _readme_python_blocks() -> dict[str, list[str]]:
+    """README's ``python`` blocks, in order, keyed by the slug of the ``##`` section each sits in."""
+    blocks: dict[str, list[str]] = {}
+    section, code = None, None
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if code is not None:
+            if line.startswith("```"):
+                blocks.setdefault(section, []).append("\n".join(code) + "\n")
+                code = None
+            else:
+                code.append(line)
+        elif line.startswith("```python"):
+            code = []
+        elif line.startswith("## "):
+            section = line[3:].strip().lower().replace(" ", "-")
+    return blocks
+
+
+README_BLOCKS = _readme_python_blocks()
+
+
+@pytest.mark.parametrize("section", sorted(README_BLOCKS))
+def test_readme_python_blocks_run(section, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for code in README_BLOCKS[section]:
+        exec(compile(code, f"README.md ({section})", "exec"), {"__name__": "readme"})

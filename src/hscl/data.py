@@ -14,12 +14,10 @@ Dataset files are UTF-8 CSV with a header row:
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
-import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -184,10 +182,8 @@ _HEADER = ["patient_id", "seq_index", "health_score"]
 
 # rows tokenised and parsed, or formatted and written, at a time, so only one block of row text is alive
 _BLOCK_ROWS = 256
-# bytes read and decoded at a time; a file of at most this size is read and decoded in one piece
+# bytes read at a time, then on to the end of the line; a file of at most this size is read and decoded in one piece
 _CHUNK_BYTES = 1 << 17
-# a line as a file opened with newline="" gives it to csv.reader: up to \n, \r\n or a lone \r, the last maybe without
-_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _csv_field(value) -> str:
@@ -276,102 +272,69 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
             fh.write("".join(lines))
 
 
-def _decoded(fh, path) -> Iterator[str]:
-    """The text of the binary file ``fh``, read and decoded ``_CHUNK_BYTES`` at a time.
+def _texts(fh, path) -> Iterator[str]:
+    r"""The text of the binary file ``fh`` in pieces of whole lines: ``_CHUNK_BYTES`` read, then on to a line end.
 
-    A leading byte-order mark, as spreadsheet exports write, is dropped. A
-    byte that is not UTF-8 raises ``DatasetError`` naming its physical line
-    when its chunk is decoded.
+    Every piece but the last ends with ``\n``, so none cuts a line or a
+    character. A leading byte-order mark, as spreadsheet exports write, is
+    dropped. A byte that is not UTF-8 raises ``DatasetError`` naming its
+    physical line when its piece is decoded.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0  # in the text given so far
-    mark = True  # no text given yet, so a mark would be the next character
-    final = False
-    while not final:
-        raw = fh.read(_CHUNK_BYTES)
-        final = len(raw) < _CHUNK_BYTES
+    newlines = 0  # in the pieces given so far
+    while raw := fh.read(_CHUNK_BYTES):
+        if not raw.endswith(b"\n"):
+            raw += fh.readline()
         try:
-            text = decoder.decode(raw, final)
-        except UnicodeDecodeError as exc:  # the offset counts from the bytes the decoder held over
-            line = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
+        if not newlines:  # the first piece: any later one follows a \n
+            text = text.removeprefix("\ufeff")
+        newlines += raw.count(b"\n")
         del raw
-        if mark and text:
-            text, mark = text.removeprefix("\ufeff"), False
-        newlines += text.count("\n")
         yield text
-        del text  # before the next chunk is read
-
-
-def _csv_lines(texts: Iterable[str]) -> Iterator[str]:
-    r"""The lines of the joined ``texts`` as a file opened with newline="" gives them to ``csv.reader``."""
-    rest = ""  # a line the texts so far may not end: it has no line end, or a \r that may yet be a \r\n
-    for text in texts:
-        if rest.endswith("\r") and not text.startswith("\n"):
-            yield rest
-            rest = ""
-        lines = _CSV_LINE.findall(text)  # the new text only: rescanning rest would make a long line quadratic
-        if lines:
-            lines[0] = rest + lines[0]
-            rest = lines.pop() if not lines[-1].endswith("\n") else ""
-            yield from lines
-    if rest:
-        yield rest
-
-
-def _field_fault(lines: list[str], first: int) -> str | None:
-    """What is wrong with the first of ``lines``, numbered from ``first``, holding a field over ``csv.field_size_limit()``."""
-    limit = csv.field_size_limit()
-    if lines and max(map(len, lines)) > limit:
-        for lineno, line in enumerate(lines, start=first):
-            if len(line) > limit and max(map(len, line.split(","))) > limit:
-                return f"line {lineno}: field larger than field limit ({limit})"
-    return None
+        del text  # before the next piece is read
 
 
 def _rows(fh, path) -> Iterator[list[str]]:
-    r"""The rows ``csv.reader`` reads from the text of the binary file ``fh``, a chunk of it at a time.
+    r"""The rows ``csv.reader`` reads from the text of the binary file ``fh``, a piece of whole lines at a time.
 
-    Until a chunk holds ``"`` or ``\r``, the text has no quoting and no line
-    end but ``\n``, so ``str.split`` on ``\n`` and ``,`` gives the same rows, a
-    blank line as ``[]``, lazily. From the first chunk that holds either, the
-    lines go through one ``csv.reader``. A fault of the file itself, a field
-    longer than ``csv.field_size_limit()`` or another ``csv.Error``, raises
-    ``DatasetError`` naming its row only when the rest of the file is
-    decoded, so that bytes that are not UTF-8 anywhere in it are reported first.
+    Until a piece holds ``"``, ``\r`` or a line longer than
+    ``csv.field_size_limit()``, ``str.split`` on ``\n`` and ``,`` gives the
+    same rows, a blank line as ``[]``, lazily; from that piece on, the lines
+    go through one ``csv.reader``. A fault of the file itself, a field over
+    the limit or another ``csv.Error``, raises ``DatasetError`` naming its row
+    only when the rest of the file is decoded, so that bytes that are not
+    UTF-8 anywhere in it are reported first.
     """
-    texts = _decoded(fh, path)
+    texts = _texts(fh, path)
+    limit = csv.field_size_limit()
     n_rows = 0  # given so far
-    rest = ""  # the start of a line that the chunks so far do not end
     for text in texts:
-        if '"' in text or "\r" in text:
-            try:
-                for row in csv.reader(_csv_lines(chain([rest, text], texts))):
-                    n_rows += 1
-                    yield row
-                return
-            except csv.Error as exc:
-                fault = f"line {n_rows + 1}: {exc}"
-                break
-        lines = text.split("\n")
-        del text  # the lines hold all of it
-        lines[0] = rest + lines[0]
-        rest = lines.pop()
-        fault = _field_fault(lines, n_rows + 1)
-        if fault is not None:
-            break
-        n_rows += len(lines)
-        yield from (line.split(",") if line else [] for line in lines)
-        del lines  # before the next chunk is read
-    else:  # the last line, if the file does not end in a line end
-        fault = _field_fault([rest], n_rows + 1)
-        if fault is None:
-            if rest:
-                yield rest.split(",")
+        if '"' not in text and "\r" not in text:
+            lines = text.split("\n")
+            if not lines[-1]:  # the piece ends its last line
+                lines.pop()
+            if max(map(len, lines), default=0) <= limit:  # a mark alone leaves no line
+                del text  # the lines hold all of it
+                n_rows += len(lines)
+                yield from (line.split(",") if line else [] for line in lines)
+                del lines  # before the next piece is read
+                continue
+            del lines
+        reader = csv.reader(chain.from_iterable(io.StringIO(piece, newline="") for piece in chain([text], texts)))
+        del text
+        try:
+            for row in reader:
+                n_rows += 1
+                yield row
             return
-    for _ in texts:  # bytes that are not UTF-8, later in the file, are reported first
-        pass
-    raise DatasetError(f"{path}: {fault}")
+        except csv.Error as exc:
+            fault = f"line {n_rows + 1}: {exc}"
+        for _ in texts:  # bytes that are not UTF-8, later in the file, are reported first
+            pass
+        raise DatasetError(f"{path}: {fault}")
 
 
 def _row_error(row: list[str], width: int, seen: set) -> str | None:
@@ -437,11 +400,12 @@ def _parse_block(rows: list[list[str]], width: int, seen: set):
 def load_dataset(path) -> list[PatientSeries]:
     r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
 
-    The file is read in one pass, ``_CHUNK_BYTES`` at a time, so a smaller
-    file in one read. Text holding neither ``"`` nor ``\r`` is
-    split on ``\n`` and ``,``; from the first chunk that holds either, the
-    text goes through ``csv.reader``, so quoted ids and CRLF line ends work;
-    both give the same rows. Blank lines are skipped but counted: line N is
+    The file is read in one pass, in pieces of whole lines: ``_CHUNK_BYTES``,
+    then on to the end of the line, so a smaller file is one piece. A piece
+    holding neither ``"`` nor ``\r``, nor a line longer than
+    ``csv.field_size_limit()``, is split on ``\n`` and ``,``; from the first
+    piece that holds any, the text goes through ``csv.reader``, so quoted ids
+    and CRLF line ends work; both give the same rows. Blank lines are skipped but counted: line N is
     the N-th row ``csv.reader`` reads (the physical line, for bytes that are
     not UTF-8). Numbers parse as ``int()`` and ``float()`` parse them, a block
     of ``_BLOCK_ROWS`` rows at a time. A fault of the file itself wins over
@@ -453,10 +417,11 @@ def load_dataset(path) -> list[PatientSeries]:
     duplicate (patient_id, seq_index). Each record's features are a row view
     of one (N, F) matrix; its health score is a Python float.
 
-    Only one chunk of text and one block of tokens are alive at a time: under
+    Only one piece of text and one block of tokens are alive at a time: under
     tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.50
-    MiB above the records it returns, where holding the whole text peaked
-    2.34 MiB above them.
+    MiB above the records it returns (0.99 MiB for its CRLF copy, read
+    through ``csv.reader``), where holding the whole text peaked 2.34 MiB
+    above them.
     """
     with open(path, "rb") as fh:
         rows = _rows(fh, path)

@@ -158,10 +158,9 @@ def dense_forward(
 
 def dense_backward(
     g: np.ndarray, x: np.ndarray, w: np.ndarray, y: np.ndarray, z: np.ndarray, activation: str | None,
-    need_x: bool = True, need_w: bool = True, need_b: bool = True,
-    gw: np.ndarray | None = None, gb: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None where not needed.
+    need_x: bool = True, gw: np.ndarray | None = None, gb: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None for x unless ``need_x``.
 
     Given ``gw`` and ``gb``, arrays shaped like the weight and the bias, the
     weight and bias gradients are written into them and they are returned.
@@ -172,8 +171,8 @@ def dense_backward(
         g = g * (z > 0.0)
     return (
         g @ w.swapaxes(-1, -2) if need_x else None,
-        np.matmul(x.swapaxes(-1, -2), g, out=gw) if need_w else None,
-        np.add.reduce(g, axis=-2, out=gb) if need_b else None,
+        np.matmul(x.swapaxes(-1, -2), g, out=gw),
+        np.add.reduce(g, axis=-2, out=gb),
     )
 
 

@@ -205,13 +205,12 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
 class Checkpoint:
     tensors: dict[str, np.ndarray]
     meta: dict
-    version: int = CHECKPOINT_VERSION
 
 
 def checkpoint_bytes(ck: Checkpoint) -> bytes:
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", ck.version)
+    buf += struct.pack("<I", CHECKPOINT_VERSION)
     meta = json.dumps(ck.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf += struct.pack("<I", len(meta))
     buf += meta
@@ -287,7 +286,7 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = np.array(data, dtype=np.float64)
     if offset != len(body):
         raise CheckpointIntegrityError(f"{path}: trailing data after tensor block")
-    return Checkpoint(tensors, meta, version)
+    return Checkpoint(tensors, meta)
 
 
 # -- checkpoint metadata ---------------------------------------------------------

@@ -172,7 +172,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
     y, z = dense_forward(xd, wd, bd, activation)
 
     def grads(g: np.ndarray) -> tuple:
-        return dense_backward(g, xd, wd, y, z, activation, x.requires_grad, w.requires_grad, b.requires_grad)
+        gx, gw, gb = dense_backward(g, xd, wd, y, z, activation, x.requires_grad)
+        return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
 
     return node(y, (x, w, b), grads)
 

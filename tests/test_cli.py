@@ -293,13 +293,13 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
         for key in keys[:-1]:
             parent = parent[key]
         del parent[keys[-1]]
-        return Checkpoint(ck.tensors, meta, ck.version)
+        return Checkpoint(ck.tensors, meta)
 
     def with_tensor(ck, name, value):
         tensors = {k: v for k, v in ck.tensors.items() if k != name}
         if value is not None:
             tensors[name] = value
-        return Checkpoint(tensors, ck.meta, ck.version)
+        return Checkpoint(tensors, ck.meta)
 
     def with_entry(ck, name, value):
         tensor = ck.tensors[name].copy()
@@ -340,7 +340,7 @@ def test_corrupt_checkpoint_exits_1(tiny_dataset, tiny_pretrained, tiny_finetune
         for key in keys[:-1]:
             parent = parent[key]
         parent[keys[-1]] = value
-        return Checkpoint(ck.tensors, meta, ck.version)
+        return Checkpoint(ck.tensors, meta)
 
     def bad(key, what, got):
         return f"checkpoint metadata {key}: expected {what}, got {got}"
@@ -1115,7 +1115,7 @@ def test_checkpoint_with_old_pooling_key_evaluates_identically(
     meta = copy.deepcopy(plain.meta)
     meta["model"]["pooling"] = pooling
     old_path = tmp_path / "old.ckpt"
-    save_checkpoint(Checkpoint(plain.tensors, meta, plain.version), old_path)
+    save_checkpoint(Checkpoint(plain.tensors, meta), old_path)
     old = load_checkpoint(old_path)
     assert old.meta["model"]["pooling"] == pooling
 

@@ -25,6 +25,7 @@ from hscl.data import (
     ScanRecord,
     SyntheticSpec,
     _rows,
+    _texts,
     categorize_sf,
     generate_synthetic,
     load_dataset,
@@ -194,9 +195,14 @@ def _reader_rows(data: bytes, chunk_bytes: int) -> list[list[str]]:
         return list(_rows(io.BytesIO(data), "f.csv"))
 
 
+def _pieces(data: bytes, chunk_bytes: int) -> list[str]:
+    with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
+        return list(_texts(io.BytesIO(data), "f.csv"))
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_reader_rows_are_the_csv_reader_rows_of_the_text_at_any_chunk_size(name):
-    """Split rows where the text allows, ``csv.reader`` rows from the first chunk holding ``"`` or ``\\r``: the same rows."""
+def test_reader_rows_are_the_csv_reader_rows_of_the_text_in_any_pieces(name):
+    """Split rows where the text allows, ``csv.reader`` rows from the first piece holding ``"`` or ``\\r``: the same rows."""
     text = CORPUS[name]
     expected = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     data = text.encode("utf-8")
@@ -213,6 +219,19 @@ def test_reader_rows_are_the_csv_reader_rows_of_the_text_at_any_chunk_size(name)
 def test_reader_rows_are_the_csv_reader_rows_of_any_text(text, mark, chunk_bytes):
     data = ("\ufeff" if mark else "").encode("utf-8") + text.encode("utf-8")
     assert _reader_rows(data, chunk_bytes) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+@given(
+    st.text(alphabet=st.sampled_from(list("ab,\n\r\x85\u2028é€\U0001f600")), max_size=60),
+    st.booleans(),
+    st.integers(1, 16),
+)
+@settings(max_examples=400, deadline=None)
+def test_pieces_are_whole_lines_of_the_text_without_its_mark(text, mark, chunk_bytes):
+    data = ("\ufeff" if mark else "").encode("utf-8") + text.encode("utf-8")
+    pieces = _pieces(data, chunk_bytes)
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
 
 
 # -- errors the per-scalar loader did not catch ----------------------------------------
@@ -266,7 +285,10 @@ def test_load_matches_the_per_scalar_loader_with_a_chunk_edge_inside(name, tmp_p
     assert isinstance(ref, list)
     cutting = [size for size in range(1, end) if any(start < edge < end for edge in range(size, end, size))]
     assert cutting
-    for chunk_bytes in cutting:
+    for chunk_bytes in cutting:  # a byte edge falls inside the part, yet every piece ends a line
+        pieces = _pieces(data, chunk_bytes)
+        assert "".join(pieces) == text.removeprefix("\ufeff"), chunk_bytes
+        assert all(piece.endswith("\n") for piece in pieces[:-1]), chunk_bytes
         monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
         assert _outcome(load_dataset, path) == ref, chunk_bytes
 

@@ -22,7 +22,10 @@ copies that hold one non-positive score (for the restores, in a test-split
 scan, so the checkpoint's normalization still matches); then eval, analyze and
 compare on a copy of the threshold cohort as a spreadsheet might export it,
 with a byte-order mark, CRLF line ends and quoted patient ids, which the
-loader reads through ``csv.reader``. Then the parser's own
+loader reads through ``csv.reader``; then compare, with one seed and one epoch,
+on a larger cohort (over two of the loader's 128 KiB reads) and on its
+spreadsheet copy, so that both of the loader's tokenisers read a file in
+several pieces. Then the parser's own
 texts: ``--help``, each ``<command> --help``, an unknown command, no command,
 a missing required flag and an unrecognized flag, each recorded with the
 exit code argparse gives it. Argparse wraps its help to the terminal width
@@ -45,7 +48,7 @@ SIMILARITIES = ("cos", "l2")
 SPLITS = ("train", "val", "test")
 COMMANDS = ("gen-data", "pretrain", "finetune", "eval", "analyze", "compare")  # not read from hscl.cli: the gate runs on older trees too
 NON_POSITIVE = -0.5
-PATIENTS, SCANS_PER_PATIENT, FEATURES = 40, 4, 6  # both cohorts' sizes
+PATIENTS, SCANS_PER_PATIENT, FEATURES = 40, 4, 6  # the gen-data and S/F cohorts' sizes
 EPOCHS, HIDDEN, SEEDS, SAMPLE_SIZE = "4", "8,4", "0,1", "20"  # option values as the CLI reads them
 
 
@@ -86,16 +89,24 @@ def _sf_cohorts(hscl, out: Path) -> None:
         record.health_score = score
 
 
-def _crlf_cohort(hscl, out: Path) -> None:
-    """``data_crlf.csv``: gen-data's cohort with a byte-order mark, CRLF line ends and every patient id quoted."""
-    spec = hscl.data.SyntheticSpec(
-        n_patients=PATIENTS, scans_per_patient=SCANS_PER_PATIENT, n_features=FEATURES, seed=3,
-    )
-    path = out / "data_crlf.csv"
-    hscl.data.save_dataset(hscl.data.generate_synthetic(spec), path)
+def _spreadsheet_copy(path: Path, copy: Path) -> None:
+    """Write the dataset file ``path`` to ``copy`` as a spreadsheet might export it:
+    with a byte-order mark, CRLF line ends and every patient id quoted."""
     header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
     quoted = ['"{}",{}'.format(*row.split(",", 1)) for row in rows]
-    path.write_bytes("\r\n".join(["\ufeff" + header, *quoted, ""]).encode("utf-8"))
+    copy.write_bytes("\r\n".join(["\ufeff" + header, *quoted, ""]).encode("utf-8"))
+
+
+def _crlf_cohorts(hscl, out: Path) -> None:
+    """``data_crlf.csv``, the spreadsheet copy of gen-data's cohort; ``large.csv``, a 200 x 4 x 32
+    cohort (0.53 MB, over two of the loader's 128 KiB reads), and ``large_crlf.csv``, its spreadsheet copy."""
+    for name, (patients, scans, features) in (
+        ("data_crlf.csv", (PATIENTS, SCANS_PER_PATIENT, FEATURES)), ("large.csv", (200, 4, 32)),
+    ):
+        spec = hscl.data.SyntheticSpec(n_patients=patients, scans_per_patient=scans, n_features=features, seed=3)
+        hscl.data.save_dataset(hscl.data.generate_synthetic(spec), out / name)
+    _spreadsheet_copy(out / "data_crlf.csv", out / "data_crlf.csv")
+    _spreadsheet_copy(out / "large.csv", out / "large_crlf.csv")
 
 
 def _commands(out: Path) -> list[tuple[str, list[str]]]:
@@ -110,10 +121,10 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
     def restore(command: str, cohort: str, ckpt: str, name: str, *flags: str) -> tuple[str, list[str]]:
         return name, [command, "--data", cohort, "--checkpoint", str(out / ckpt), *flags, "--out", str(out / name)]
 
-    def compare(cohort: str, name: str, *flags: str, seeds: str = SEEDS) -> tuple[str, list[str]]:
+    def compare(cohort: str, name: str, *flags: str, seeds: str = SEEDS, epochs: str = EPOCHS) -> tuple[str, list[str]]:
         return name, [
-            "compare", "--data", cohort, "--seeds", seeds, "--epochs", EPOCHS,
-            "--finetune-epochs", EPOCHS, "--hidden", HIDDEN, *flags, "--out", str(out / name),
+            "compare", "--data", cohort, "--seeds", seeds, "--epochs", epochs,
+            "--finetune-epochs", epochs, "--hidden", HIDDEN, *flags, "--out", str(out / name),
         ]
 
     ckpt, tuned = "pretrain-mse+cl-cos/pretrain_best.ckpt", "finetune-frozen/finetune_best.ckpt"
@@ -143,6 +154,7 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         restore("eval", crlf, tuned, "eval-crlf"),
         restore("analyze", crlf, ckpt, "analyze-crlf.tsv", "--sample-size", SAMPLE_SIZE),
         compare(crlf, "compare-crlf"),
+        *(compare(str(out / f"{name}.csv"), f"compare-{name}", seeds="0", epochs="1") for name in ("large", "large_crlf")),
         ("help", ["--help"]),
         *((f"help-{command}", [command, "--help"]) for command in COMMANDS),
         ("unknown-command", ["evaluate"]),
@@ -160,7 +172,7 @@ def run_gate(src: Path, out: Path) -> list[str]:
     if any(out.iterdir()):
         raise SystemExit(f"cli_gate: {out} is not empty")
     _sf_cohorts(hscl, out)
-    _crlf_cohort(hscl, out)
+    _crlf_cohorts(hscl, out)
     results = []
     for name, argv in _commands(out):
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -182,8 +182,11 @@ _HEADER = ["patient_id", "seq_index", "health_score"]
 
 # rows tokenised and parsed, or formatted and written, at a time, so only one block of row text is alive
 _BLOCK_ROWS = 256
-# bytes read at a time, then on to the end of the line; a file of at most this size is read and decoded in one piece
+# bytes read at a time, cut after the last line end; a file of at most this size is read and decoded in one piece
 _CHUNK_BYTES = 1 << 17
+# a piece holding any of these goes through csv.reader, not np.loadtxt: quotes and \r need csv.reader's
+# rules, and np.loadtxt strips \x1c-\x1f around a value as whitespace, where float() refuses the value
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _csv_field(value) -> str:
@@ -272,58 +275,96 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
             fh.write("".join(lines))
 
 
-def _texts(fh, path) -> Iterator[str]:
-    r"""The text of the binary file ``fh`` in pieces of whole lines: ``_CHUNK_BYTES`` read, then on to a line end.
+def _line_end(raw: bytes) -> int:
+    r"""How many bytes the whole lines at the start of ``raw`` take: up to its last line end, or 0.
 
-    Every piece but the last ends with ``\n``, so none cuts a line or a
-    character. A leading byte-order mark, as spreadsheet exports write, is
-    dropped. A byte that is not UTF-8 raises ``DatasetError`` naming its
-    physical line when its piece is decoded.
+    A line ends at ``\n``, or at a ``\r`` that no ``\n`` follows; a ``\r``
+    that ends ``raw`` is not yet taken as one, as the next byte may be ``\n``.
+    """
+    newline = raw.rfind(b"\n")
+    return max(newline, raw.rfind(b"\r", newline + 1, len(raw) - 1)) + 1
+
+
+def _texts(fh, path) -> Iterator[str]:
+    r"""The text of the binary file ``fh`` in pieces of whole lines: ``_CHUNK_BYTES`` read, cut after the last line end.
+
+    What follows the cut starts the next piece; a line longer than what is
+    read is read on, in doubling reads, to its end. So every piece but the
+    last ends a line (``\n``, or a ``\r`` that no ``\n`` follows), and none
+    cuts a ``\r\n`` pair or a character. A leading byte-order mark, as
+    spreadsheet exports write, is dropped. A byte that is not UTF-8 raises
+    ``DatasetError`` naming its physical line (counted in ``\n``) when its
+    piece is decoded.
     """
     newlines = 0  # in the pieces given so far
-    while raw := fh.read(_CHUNK_BYTES):
-        if not raw.endswith(b"\n"):
-            raw += fh.readline()
+    # read after the last line end so far: at first, the file's first bytes without a byte-order mark
+    tail = fh.read(3).removeprefix("\ufeff".encode())
+    while raw := tail + fh.read(_CHUNK_BYTES):
+        while not (cut := _line_end(raw)) and (more := fh.read(len(raw))):
+            raw += more
+        raw, tail = (raw[:cut], raw[cut:]) if cut else (raw, b"")
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
-        if not newlines:  # the first piece: any later one follows a \n
-            text = text.removeprefix("\ufeff")
         newlines += raw.count(b"\n")
         del raw
         yield text
         del text  # before the next piece is read
 
 
-def _rows(fh, path) -> Iterator[list[str]]:
-    r"""The rows ``csv.reader`` reads from the text of the binary file ``fh``, a piece of whole lines at a time.
+def _csv_lines(texts: Iterator[str]) -> Iterator[str]:
+    r"""The lines of ``texts``, each with its line end: ``\r\n``, a lone ``\r`` or ``\n``.
 
-    Until a piece holds ``"``, ``\r`` or a line longer than
-    ``csv.field_size_limit()``, ``str.split`` on ``\n`` and ``,`` gives the
-    same rows, a blank line as ``[]``, lazily; from that piece on, the lines
-    go through one ``csv.reader``. A fault of the file itself, a field over
-    the limit or another ``csv.Error``, raises ``DatasetError`` naming its row
-    only when the rest of the file is decoded, so that bytes that are not
-    UTF-8 anywhere in it are reported first.
+    These are the lines ``csv.reader`` takes from a file opened with
+    ``newline=""``. ``str.splitlines`` also ends a line at ``\x0b``,
+    ``\x85``, ``\u2028`` and more, so a part it ends there is joined to the
+    next. A piece's lines are held as strings, a byte per ASCII character,
+    where an ``io.StringIO`` of it holds four.
+    """
+    for text in texts:
+        parts = text.splitlines(keepends=True)
+        del text
+        line = ""
+        for part in parts:
+            line += part
+            if part.endswith(("\n", "\r")):
+                yield line
+                line = ""
+        if line:  # the last line of the file, with no line end
+            yield line
+        del parts  # before the next piece is split
+
+
+def _rows(fh, path) -> Iterator[str | list[str]]:
+    r"""The rows of the binary file ``fh``, a piece of whole lines at a time: a plain piece's lines as text, then ``csv.reader`` rows.
+
+    A plain piece holds none of ``_NOT_PLAIN`` and no line longer than
+    ``csv.field_size_limit()``. Each of its lines is given as its text,
+    which ``csv.reader`` would split at ``,`` (``_row``). From the first piece
+    that is not plain, the lines go through one ``csv.reader``, which gives
+    rows. A fault of the file itself, a field over the limit or another
+    ``csv.Error``, raises ``DatasetError`` naming its row only when the rest
+    of the file is decoded, so that bytes that are not UTF-8 anywhere in it
+    are reported first.
     """
     texts = _texts(fh, path)
     limit = csv.field_size_limit()
     n_rows = 0  # given so far
     for text in texts:
-        if '"' not in text and "\r" not in text:
+        if not any(char in text for char in _NOT_PLAIN):
             lines = text.split("\n")
             if not lines[-1]:  # the piece ends its last line
                 lines.pop()
             if max(map(len, lines), default=0) <= limit:  # a mark alone leaves no line
                 del text  # the lines hold all of it
                 n_rows += len(lines)
-                yield from (line.split(",") if line else [] for line in lines)
+                yield from lines
                 del lines  # before the next piece is read
                 continue
             del lines
-        reader = csv.reader(chain.from_iterable(io.StringIO(piece, newline="") for piece in chain([text], texts)))
+        reader = csv.reader(_csv_lines(chain([text], texts)))
         del text
         try:
             for row in reader:
@@ -335,6 +376,13 @@ def _rows(fh, path) -> Iterator[list[str]]:
         for _ in texts:  # bytes that are not UTF-8, later in the file, are reported first
             pass
         raise DatasetError(f"{path}: {fault}")
+
+
+def _row(line: str | list[str]) -> list[str]:
+    """The ``csv.reader`` row of a line of a plain piece: its fields between commas, none if blank; a row ``csv.reader`` gave, as it is."""
+    if isinstance(line, str):
+        return line.split(",") if line else []
+    return line
 
 
 def _row_error(row: list[str], width: int, seen: set) -> str | None:
@@ -366,23 +414,17 @@ def _row_error(row: list[str], width: int, seen: set) -> str | None:
     return None
 
 
-def _parse_block(rows: list[list[str]], width: int, seen: set):
-    """(patient ids, seq indices, (n, width - 2) values) of a block's non-blank rows.
+def _accepted(pids: list[str], seq_texts: list[str], values: np.ndarray, seen: set):
+    """(pids, seq indices, values) of a block's rows if every row is good; else None, and ``seen`` holds what it held.
 
-    Returns None when a row is malformed; ``seen`` then holds what it held.
+    The rows are good when no id is empty, every seq_index is a non-negative
+    ``int()``, every value is finite and every (patient_id, seq_index) is
+    new: then their keys are added to ``seen``.
     """
-    body = [row for row in rows if row]
-    if not body:
-        return [], [], np.zeros((0, width - 2))
-    if set(map(len, body)) != {width}:
-        return None
-    pids = [row[0] for row in body]
     if "" in pids:
         return None
     try:
-        seqs = list(map(int, [row[1] for row in body]))
-        # goes through float() for each string, so it accepts what float() does, bit for bit
-        values = np.array([row[2:] for row in body], dtype=np.float64)
+        seqs = list(map(int, seq_texts))
     except ValueError:
         return None
     keys = list(zip(pids, seqs))
@@ -397,37 +439,93 @@ def _parse_block(rows: list[list[str]], width: int, seen: set):
     return pids, seqs, values
 
 
+def _parse_lines(lines: list[str], width: int, seen: set):
+    """``_parse_block``'s result for lines of plain pieces, their values read by one ``np.loadtxt`` call.
+
+    None where ``_parse_block`` must decide: a line is malformed or fails a
+    check, or ``np.loadtxt`` refuses a value (``1_0`` and ``١٢``, which
+    ``float()`` reads). A value both read has the same bits.
+    """
+    fields = [line.split(",", 2) for line in lines if line]
+    if not fields:
+        return [], [], np.zeros((0, width - 2))
+    if set(map(len, fields)) != {3}:
+        return None
+    pids, seq_texts, rests = map(list, zip(*fields))
+    if "" in rests:  # np.loadtxt skips an empty line, and warns if no line is left
+        return None
+    try:
+        values = np.loadtxt(rests, delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(fields), width - 2):
+        return None
+    return _accepted(pids, seq_texts, values, seen)
+
+
+def _parse_block(rows: list[list[str]], width: int, seen: set):
+    """(patient ids, seq indices, (n, width - 2) values) of a block's non-blank rows.
+
+    Returns None when a row is malformed; ``seen`` then holds what it held.
+    """
+    body = [row for row in rows if row]
+    if not body:
+        return [], [], np.zeros((0, width - 2))
+    if set(map(len, body)) != {width}:
+        return None
+    try:
+        # goes through float() for each string, so it accepts what float() does, bit for bit
+        values = np.array([row[2:] for row in body], dtype=np.float64)
+    except ValueError:
+        return None
+    return _accepted([row[0] for row in body], [row[1] for row in body], values, seen)
+
+
 def load_dataset(path) -> list[PatientSeries]:
     r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
 
     The file is read in one pass, in pieces of whole lines: ``_CHUNK_BYTES``,
-    then on to the end of the line, so a smaller file is one piece. A piece
-    holding neither ``"`` nor ``\r``, nor a line longer than
-    ``csv.field_size_limit()``, is split on ``\n`` and ``,``; from the first
-    piece that holds any, the text goes through ``csv.reader``, so quoted ids
-    and CRLF line ends work; both give the same rows. Blank lines are skipped but counted: line N is
-    the N-th row ``csv.reader`` reads (the physical line, for bytes that are
-    not UTF-8). Numbers parse as ``int()`` and ``float()`` parse them, a block
-    of ``_BLOCK_ROWS`` rows at a time. A fault of the file itself wins over
-    any fault of its rows, wherever each is: bytes that are not UTF-8 first,
-    then a field longer than ``csv.field_size_limit()`` or another
-    ``csv.Error``. Else a bad header, or the first bad row, raises, with the
-    first of its faults in this order: field count, empty patient_id,
-    seq_index not an integer or negative, a value not numeric or not finite, a
-    duplicate (patient_id, seq_index). Each record's features are a row view
-    of one (N, F) matrix; its health score is a Python float.
+    cut after the last line end (``\n``, ``\r\n`` or a lone ``\r``), so a
+    smaller file is one piece. Rows are parsed a block of ``_BLOCK_ROWS`` at
+    a time, on one of two paths that give the same records and errors:
 
-    Only one piece of text and one block of tokens are alive at a time: under
-    tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.50
-    MiB above the records it returns (0.99 MiB for its CRLF copy, read
-    through ``csv.reader``), where holding the whole text peaked 2.34 MiB
-    above them.
+    - A plain piece holds no ``"``, ``\r`` or ``\x1c``-``\x1f`` and no line
+      longer than ``csv.field_size_limit()``. A block of its lines is split
+      at each line's first two commas, for the patient_id and seq_index, and
+      one ``np.loadtxt`` call reads the block's values, creating no Python
+      object per value. Where ``np.loadtxt`` and ``float()`` both read a
+      value, they read the same bits. ``np.loadtxt`` strips ``\x1c``-``\x1f``
+      around a number as whitespace and ``float()`` does not, so a piece
+      holding one is not plain.
+    - From the first piece that is not plain on, the text goes through
+      ``csv.reader``, so quoted ids and CRLF or CR line ends work. A block of
+      its rows, and a block of plain lines that ``np.loadtxt`` does not read
+      (``1_0`` and ``١٢``, which ``float()`` reads) or whose rows fail a
+      check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
+
+    Blank lines are skipped but counted: line N is the N-th row
+    ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).
+    A fault of the file itself wins over any fault of its rows, wherever
+    each is: bytes that are not UTF-8 first, then a field longer than
+    ``csv.field_size_limit()`` or another ``csv.Error``. Else a bad header,
+    or the first bad row, raises, with the first of its faults in this
+    order: field count, empty patient_id, seq_index not an integer or
+    negative, a value not numeric or not finite, a duplicate (patient_id,
+    seq_index). Each record's features are a row view of one (N, F) matrix;
+    its health score is a Python float.
+
+    Only one piece of text and one block of rows are alive at a time: under
+    tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.10
+    MiB above the records it returns, and 0.63 MiB for its ``\r\n`` copy and
+    for its lone-``\r`` copy, read through ``csv.reader``; holding the whole
+    text peaked 2.34 MiB above them.
     """
     with open(path, "rb") as fh:
         rows = _rows(fh, path)
         header = next(rows, None)
         if header is None:
             raise DatasetError(f"{path}: no records")
+        header = _row(header)
         feature_names = header[3:]
         fault = None
         if header[:3] != _HEADER:
@@ -441,7 +539,11 @@ def load_dataset(path) -> list[PatientSeries]:
         seen: set[tuple[str, int]] = set()
         lineno = 2  # of the block's first row
         while fault is None and (block := list(islice(rows, _BLOCK_ROWS))):
-            parsed = _parse_block(block, width, seen)
+            # a plain piece's lines come before any csv.reader row
+            parsed = _parse_lines(block, width, seen) if isinstance(block[-1], str) else None
+            if parsed is None:
+                block = list(map(_row, block))
+                parsed = _parse_block(block, width, seen)
             if parsed is None:  # the per-row checks find the block's first bad row and say what is wrong
                 fault = next(
                     f"line {lineno + offset}: {error}"

@@ -24,6 +24,7 @@ from hscl.data import (
     PatientSeries,
     ScanRecord,
     SyntheticSpec,
+    _row,
     _rows,
     _texts,
     categorize_sf,
@@ -144,10 +145,19 @@ CORPUS = {
     "fault in a later block": _many_rows(700, fault_at=600),
     "fault at a block edge": _many_rows(700, fault_at=258, fault="p0,0,1,2,3"),
     "duplicate across blocks": _many_rows(700, fault_at=400, fault="p1,2,1,2,3"),
+    # values np.loadtxt and float() read differently: where either refuses one, the row is float()'s to read
+    "value padded with x1c": HEADER + "p0,0,\x1c5.0,1.0,2.0\n",
+    "value padded with x1f": HEADER + "p0,0,5.0,1.0\x1f,2.0\n",
+    "values padded with unicode spaces": HEADER + "p0,0,\xa05.0,1.0\u3000,\u2003 2.0\xa0\n",
+    "trailing comma": HEADER + "p0,0,5.0,1.0,2.0,\n",
+    "no values": HEADER + "p0,0,\np0,1,\n",
+    "whitespace value": HEADER + "p0,0,5.0, ,2.0\n",
+    "underscore and unicode digits in a later block": _many_rows(700, fault_at=600, fault="p99,0,1_0,١٢,2.0"),
     "short row after a blank block": HEADER + "\n" * 300 + "p0,0,1\n",
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning, such as np.loadtxt's on no data, is an outcome of its own
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_load_matches_the_per_scalar_loader(name, tmp_path):
     path = tmp_path / "data.csv"
@@ -192,7 +202,7 @@ def test_records_are_row_views_of_one_matrix(tmp_path):
 
 def _reader_rows(data: bytes, chunk_bytes: int) -> list[list[str]]:
     with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
-        return list(_rows(io.BytesIO(data), "f.csv"))
+        return list(map(_row, _rows(io.BytesIO(data), "f.csv")))
 
 
 def _pieces(data: bytes, chunk_bytes: int) -> list[str]:
@@ -200,9 +210,17 @@ def _pieces(data: bytes, chunk_bytes: int) -> list[str]:
         return list(_texts(io.BytesIO(data), "f.csv"))
 
 
+def _every_piece_but_the_last_ends_a_line(pieces: list[str]) -> bool:
+    """Each piece ends with ``\\n``, or with a ``\\r`` that the next piece does not follow with ``\\n``."""
+    return all(
+        piece.endswith("\n") or piece.endswith("\r") and not after.startswith("\n")
+        for piece, after in zip(pieces, pieces[1:])
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_reader_rows_are_the_csv_reader_rows_of_the_text_in_any_pieces(name):
-    """Split rows where the text allows, ``csv.reader`` rows from the first piece holding ``"`` or ``\\r``: the same rows."""
+    """A plain piece's lines, split at ``,``, then ``csv.reader`` rows from the first piece that is not plain: the same rows."""
     text = CORPUS[name]
     expected = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     data = text.encode("utf-8")
@@ -231,7 +249,7 @@ def test_pieces_are_whole_lines_of_the_text_without_its_mark(text, mark, chunk_b
     data = ("\ufeff" if mark else "").encode("utf-8") + text.encode("utf-8")
     pieces = _pieces(data, chunk_bytes)
     assert "".join(pieces) == text
-    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert _every_piece_but_the_last_ends_a_line(pieces)
 
 
 # -- errors the per-scalar loader did not catch ----------------------------------------
@@ -288,7 +306,7 @@ def test_load_matches_the_per_scalar_loader_with_a_chunk_edge_inside(name, tmp_p
     for chunk_bytes in cutting:  # a byte edge falls inside the part, yet every piece ends a line
         pieces = _pieces(data, chunk_bytes)
         assert "".join(pieces) == text.removeprefix("\ufeff"), chunk_bytes
-        assert all(piece.endswith("\n") for piece in pieces[:-1]), chunk_bytes
+        assert _every_piece_but_the_last_ends_a_line(pieces), chunk_bytes
         monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
         assert _outcome(load_dataset, path) == ref, chunk_bytes
 
@@ -337,7 +355,7 @@ def test_non_utf8_bytes_beat_an_earlier_over_limit_field(field_limit, tmp_path, 
 
 
 def test_save_and_load_hold_less_than_the_file_at_once(tmp_path):
-    """Neither holds the file's text whole: each peaks below the file size (the whole-text code: 3.1x and 1.6x)."""
+    """Neither holds the file's text whole: each peaks below the file size, whatever its line ends (the whole-text code: 3.1x and 1.6x)."""
     collection = generate_synthetic(SyntheticSpec(n_patients=400, scans_per_patient=6, n_features=32, seed=0))
     path = tmp_path / "cohort.csv"
     tracemalloc.start()
@@ -348,15 +366,67 @@ def test_save_and_load_hold_less_than_the_file_at_once(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert 1_500_000 < size < 1_700_000  # 1.51 MiB
-    tracemalloc.start()
-    try:
-        loaded = load_dataset(path)
-        held, load_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(len(series.records) for series in loaded) == 2400
     assert save_peak < size
-    assert load_peak - held < size
+    data = path.read_bytes()
+    for line_end in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(data.replace(b"\n", line_end))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            held, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(series.records) for series in loaded) == 2400
+        assert load_peak - held < size, line_end
+        del loaded
+
+
+def test_a_saved_cohort_is_read_by_np_loadtxt_block_by_block(tmp_path):
+    """Every block of a file ``save_dataset`` wrote goes through one ``np.loadtxt`` call, none through ``csv.reader`` rows."""
+    path = tmp_path / "cohort.csv"
+    save_dataset(generate_synthetic(SyntheticSpec(n_patients=400, scans_per_patient=6, n_features=32, seed=0)), path)
+    with (
+        mock.patch.object(hscl.data.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+        mock.patch.object(hscl.data, "_parse_block", wraps=hscl.data._parse_block) as parse_block,
+    ):
+        loaded = load_dataset(path)
+    assert sum(len(series.records) for series in loaded) == 2400
+    assert (loadtxt.call_count, parse_block.call_count) == (math.ceil(2400 / hscl.data._BLOCK_ROWS), 0)
+    assert _outcome(lambda _: loaded, path) == _outcome(load_dataset_ref, path)
+
+
+# value fields: numbers in forms float() reads and np.loadtxt reads otherwise or not at all, padded with
+# whitespace that either strips; rows of plain numbers, which both read, and rows with one such field
+value_fields = st.tuples(
+    st.sampled_from(["", " ", "\x0b", "\x0c", "\xa0", "\x85", "\u2003", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.one_of(
+        st.floats().map(repr),
+        st.integers(0, 10**6).map(lambda n: f"{n:_}"),
+        st.sampled_from(["١٢", "٣.٥", "１２", "1e1_0", "inf", "nan", "-Infinity", ".5", "5.", "+1e-3", "", "1__0", "_1"]),
+        st.lists(st.sampled_from([*"0123456789.eE+-_"]), min_size=1, max_size=5).map("".join),
+    ),
+    st.sampled_from(["", " ", "\xa0", "\u3000", "\x1f"]),
+).map("".join)
+plain_values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+plain_rows = st.lists(plain_values, min_size=3, max_size=3)
+odd_rows = st.tuples(value_fields, plain_values, plain_values).flatmap(st.permutations)
+
+
+@given(
+    rows=st.lists(st.one_of(plain_rows, plain_rows, odd_rows), min_size=1, max_size=12),
+    block_rows=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_loaded_values_match_the_per_scalar_loader(rows, block_rows, tmp_path_factory):
+    """Blocks read by ``np.loadtxt`` and blocks read by ``float()`` interleave across pieces, and give what ``float()`` alone gives."""
+    text = HEADER + "".join(f"p{i // 3},{i % 3},{','.join(values)}\n" for i, values in enumerate(rows))
+    path = tmp_path_factory.mktemp("values") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ref = _outcome(load_dataset_ref, path)
+    with mock.patch.object(hscl.data, "_BLOCK_ROWS", block_rows):
+        for chunk_bytes in (16, 100, 1 << 17):
+            with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
+                assert _outcome(load_dataset, path) == ref, chunk_bytes
 
 
 # -- the writer ----------------------------------------------------------------------

@@ -23,9 +23,10 @@ scan, so the checkpoint's normalization still matches); then eval, analyze and
 compare on a copy of the threshold cohort as a spreadsheet might export it,
 with a byte-order mark, CRLF line ends and quoted patient ids, which the
 loader reads through ``csv.reader``; then compare, with one seed and one epoch,
-on a larger cohort (over two of the loader's 128 KiB reads) and on its
-spreadsheet copy, so that both of the loader's tokenisers read a file in
-several pieces. Then the parser's own
+on a larger cohort (over two of the loader's 128 KiB reads), on its
+spreadsheet copy and on a copy whose lines end in a lone ``\\r``, so that both
+of the loader's paths, ``np.loadtxt`` blocks and ``csv.reader`` rows, read a
+file in several pieces. Then the parser's own
 texts: ``--help``, each ``<command> --help``, an unknown command, no command,
 a missing required flag and an unrecognized flag, each recorded with the
 exit code argparse gives it. Argparse wraps its help to the terminal width
@@ -99,7 +100,8 @@ def _spreadsheet_copy(path: Path, copy: Path) -> None:
 
 def _crlf_cohorts(hscl, out: Path) -> None:
     """``data_crlf.csv``, the spreadsheet copy of gen-data's cohort; ``large.csv``, a 200 x 4 x 32
-    cohort (0.53 MB, over two of the loader's 128 KiB reads), and ``large_crlf.csv``, its spreadsheet copy."""
+    cohort (0.53 MB, over two of the loader's 128 KiB reads), ``large_crlf.csv``, its spreadsheet copy,
+    and ``large_cr.csv``, its copy with every line ending in a lone ``\\r``."""
     for name, (patients, scans, features) in (
         ("data_crlf.csv", (PATIENTS, SCANS_PER_PATIENT, FEATURES)), ("large.csv", (200, 4, 32)),
     ):
@@ -107,6 +109,7 @@ def _crlf_cohorts(hscl, out: Path) -> None:
         hscl.data.save_dataset(hscl.data.generate_synthetic(spec), out / name)
     _spreadsheet_copy(out / "data_crlf.csv", out / "data_crlf.csv")
     _spreadsheet_copy(out / "large.csv", out / "large_crlf.csv")
+    (out / "large_cr.csv").write_bytes((out / "large.csv").read_bytes().replace(b"\n", b"\r"))
 
 
 def _commands(out: Path) -> list[tuple[str, list[str]]]:
@@ -154,7 +157,7 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         restore("eval", crlf, tuned, "eval-crlf"),
         restore("analyze", crlf, ckpt, "analyze-crlf.tsv", "--sample-size", SAMPLE_SIZE),
         compare(crlf, "compare-crlf"),
-        *(compare(str(out / f"{name}.csv"), f"compare-{name}", seeds="0", epochs="1") for name in ("large", "large_crlf")),
+        *(compare(str(out / f"{name}.csv"), f"compare-{name}", seeds="0", epochs="1") for name in ("large", "large_crlf", "large_cr")),
         ("help", ["--help"]),
         *((f"help-{command}", [command, "--help"]) for command in COMMANDS),
         ("unknown-command", ["evaluate"]),

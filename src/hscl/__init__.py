@@ -39,6 +39,7 @@ from .model import (
     EncoderParams,
     RegressionHead,
     classify_pairs,
+    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,

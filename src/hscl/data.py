@@ -154,27 +154,49 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
-    """Deterministic synthetic cohort; same spec (incl. seed) gives identical data."""
+    """Deterministic synthetic cohort; same spec (incl. seed) gives identical data.
+
+    Built as whole arrays, to the bit what drawing one patient and one scan
+    at a time gives (``tests/oracles.generate_synthetic_ref``): one
+    ``standard_normal`` call reads every patient's draws in that order, the
+    walk runs once per scan over all patients, and the readout and mixing
+    are stacked products that run each scan's dot and gemv. Each record's
+    features are a row view of one (P, T, F) array; its health score is a
+    Python float.
+    """
     rng = np.random.default_rng(spec.seed)
     readout = rng.normal(size=spec.latent_dim)
     readout /= np.linalg.norm(readout)
     # orthonormal mixing columns keep the latent-to-feature map full rank
     mixing, _ = np.linalg.qr(rng.normal(size=(spec.n_features, spec.latent_dim)))
 
-    width = len(str(spec.n_patients - 1))
+    n_patients, n_scans, dim = spec.n_patients, spec.scans_per_patient, spec.latent_dim
+    # a patient's row: its (L,) latent start, then per scan an (L,) walk draw (the drift
+    # at scan 0, a step after it) and the scan's (F,) noise draw
+    draws = rng.standard_normal((n_patients, dim + n_scans * (dim + spec.n_features)))
+    per_scan = draws[:, dim:].reshape(n_patients, n_scans, dim + spec.n_features)
+    # Generator.normal(scale=s) gives 0.0 + s * draw; the noise draws are of scale 1
+    z = np.empty((n_patients, n_scans, dim))
+    z[:, 0] = 0.0 + spec.base_scale * draws[:, :dim]
+    drift = 0.0 + spec.drift_scale * per_scan[:, 0, :dim]
+    steps = 0.0 + spec.step_scale * per_scan[:, 1:, :dim]
+    # the features start as each scan's noise term, its mixing added after: the product and
+    # the sum commute, so the bits are those of mixing @ z + noise * draw
+    features = 0.0 + per_scan[:, :, dim:]
+    features *= spec.noise
+    del draws, per_scan  # freed before the products, so the draws and the mixing product are never alive together
+    for t in range(1, n_scans):
+        z[:, t] = z[:, t - 1] + drift + steps[:, t - 1]
+    z = z.reshape(n_patients * n_scans, dim)
+    # stacked, each scan's product is the dot or gemv of one scan's; one gemm rounds otherwise
+    features += np.matmul(mixing, z[:, :, None]).reshape(n_patients, n_scans, spec.n_features)
+    scores = spec.hs_center + spec.hs_scale * np.matmul(z[:, None, :], readout)
+
+    width = len(str(n_patients - 1))
     collection = []
-    for p in range(spec.n_patients):
+    for p, (feats, hs) in enumerate(zip(features, scores.reshape(n_patients, n_scans).tolist())):
         pid = f"p{p:0{width}d}"
-        z = rng.normal(scale=spec.base_scale, size=spec.latent_dim)
-        drift = rng.normal(scale=spec.drift_scale, size=spec.latent_dim)
-        records = []
-        for t in range(spec.scans_per_patient):
-            if t > 0:
-                z = z + drift + rng.normal(scale=spec.step_scale, size=spec.latent_dim)
-            score = spec.hs_center + spec.hs_scale * float(readout @ z)
-            feats = mixing @ z + spec.noise * rng.normal(size=spec.n_features)
-            records.append(ScanRecord(pid, t, feats, score))
-        collection.append(PatientSeries(pid, records))
+        collection.append(PatientSeries(pid, [ScanRecord(pid, t, f, h) for t, (f, h) in enumerate(zip(feats, hs))]))
     return collection
 
 
@@ -444,7 +466,11 @@ def _parse_lines(lines: list[str], width: int, seen: set):
 
     None where ``_parse_block`` must decide: a line is malformed or fails a
     check, or ``np.loadtxt`` refuses a value (``1_0`` and ``١٢``, which
-    ``float()`` reads). A value both read has the same bits.
+    ``float()`` reads). A value both read has the same bits. Where a value
+    holds ``_`` or a character that is not ASCII, the block is left to
+    ``_parse_block`` with no ``np.loadtxt`` call: ``np.loadtxt`` refuses all
+    of those values but the ones with Unicode whitespace around a number,
+    which ``float()`` strips too.
     """
     fields = [line.split(",", 2) for line in lines if line]
     if not fields:
@@ -453,6 +479,8 @@ def _parse_lines(lines: list[str], width: int, seen: set):
         return None
     pids, seq_texts, rests = map(list, zip(*fields))
     if "" in rests:  # np.loadtxt skips an empty line, and warns if no line is left
+        return None
+    if any("_" in rest or not rest.isascii() for rest in rests):
         return None
     try:
         values = np.loadtxt(rests, delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=2)
@@ -502,6 +530,8 @@ def load_dataset(path) -> list[PatientSeries]:
       its rows, and a block of plain lines that ``np.loadtxt`` does not read
       (``1_0`` and ``١٢``, which ``float()`` reads) or whose rows fail a
       check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
+      A block whose values hold ``_`` or a character that is not ASCII goes
+      there with no ``np.loadtxt`` call.
 
     Blank lines are skipped but counted: line N is the N-th row
     ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).

@@ -39,7 +39,8 @@ from .model import (
     DEFAULT_HIDDEN,
     check_widths,
     classify_pairs,
-    encode,
+    embed_pairs,
+    encode,  # bound here for perfbench/tracing.BINDINGS alone
     predict_classes,
 )
 from .training import (
@@ -225,7 +226,7 @@ def evaluate_checkpoint(prepared: Prepared, ck: Checkpoint, split: str = "test")
     xp, xn, labels = prepared.pairs[split]
     if len(labels) == 0:
         raise ConfigError(f"evaluate_checkpoint: split {split!r} has no pairs")
-    logits = classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
     return compute_metrics(predict_classes(logits), labels)
 
 

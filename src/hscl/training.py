@@ -57,6 +57,7 @@ from .model import (
     EncoderParams,
     RegressionHead,
     classify_pairs,
+    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,
@@ -860,11 +861,6 @@ class FinetuneResult:
     history: list[dict]
 
 
-def _pair_embeddings(encoder: EncoderParams, xp: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pair batch's (u_prev, u_next) embeddings."""
-    return encode(encoder, xp).data, encode(encoder, xn).data
-
-
 def finetune(
     pretrained: Checkpoint,
     xp_train: np.ndarray,
@@ -969,9 +965,9 @@ def finetune_runs(
     g_loss = np.ones(lead)  # the seed backward gives a root
     val_pairs = None  # a frozen encoder's validation embeddings, kept for every epoch
     if frozen:
-        train_pairs = _pair_embeddings(encoder, _step_view(xp_train, lead), _step_view(xn_train, lead))
+        train_pairs = embed_pairs(encoder, _step_view(xp_train, lead), _step_view(xn_train, lead))
         pair_rows = np.concatenate(train_pairs, axis=-1).reshape(-1, 2 * dim)
-        val_pairs = _pair_embeddings(encoder, xp_val, xn_val)
+        val_pairs = embed_pairs(encoder, xp_val, xn_val)
     else:
         xp_rows, xn_rows = _flat_rows(xp_train), _flat_rows(xn_train)
         x_epoch = np.empty((2, *lead, n, xp_train.shape[-1]))  # each epoch's prev and next rows, stacked
@@ -979,7 +975,7 @@ def finetune_runs(
     def val_metrics() -> list[tuple[float, float]]:
         if y_val.shape[-1] == 0:
             return [(float("nan"), float("nan"))] * n_runs
-        logits = classify_pairs(cls, *(val_pairs or _pair_embeddings(encoder, xp_val, xn_val))).data
+        logits = classify_pairs(cls, *(val_pairs or embed_pairs(encoder, xp_val, xn_val))).data
         out = []
         for run_logits, labels in zip(logits.reshape(y_val.shape + logits.shape[-1:]), y_val):
             report = compute_metrics(predict_classes(run_logits), labels)

@@ -24,7 +24,9 @@ validation, is a per-layer loop over this module's ``dense`` binding
 (``mlp_ref``), the fine-tuning loss is its ``softmax_cross_entropy`` and
 the pre-training loss comes from ``combined_loss_chain``. So the loops call
 none of the library's network or loss calls, and tests can require the
-hoisted, tape-free loops to match them bit for bit. ``save_dataset_ref`` is
+hoisted, tape-free loops to match them bit for bit. ``generate_synthetic_ref``
+is the cohort generator as it was, one ``rng.normal`` call per draw and one
+matrix-vector product per scan. ``save_dataset_ref`` is
 the CSV writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
 loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
 ``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
@@ -539,6 +541,31 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
             best[s], best_epoch[s] = final, config.epochs - 1
         results.append(t.FinetuneResult(final, best[s], best_epoch[s], history))
     return results
+
+
+def generate_synthetic_ref(spec):
+    """The synthetic cohort one patient and one scan at a time: per scan a ``rng.normal`` call per draw and ``mixing @ z``."""
+    rng = np.random.default_rng(spec.seed)
+    readout = rng.normal(size=spec.latent_dim)
+    readout /= np.linalg.norm(readout)
+    # orthonormal mixing columns keep the latent-to-feature map full rank
+    mixing, _ = np.linalg.qr(rng.normal(size=(spec.n_features, spec.latent_dim)))
+
+    width = len(str(spec.n_patients - 1))
+    collection = []
+    for p in range(spec.n_patients):
+        pid = f"p{p:0{width}d}"
+        z = rng.normal(scale=spec.base_scale, size=spec.latent_dim)
+        drift = rng.normal(scale=spec.drift_scale, size=spec.latent_dim)
+        records = []
+        for t in range(spec.scans_per_patient):
+            if t > 0:
+                z = z + drift + rng.normal(scale=spec.step_scale, size=spec.latent_dim)
+            score = spec.hs_center + spec.hs_scale * float(readout @ z)
+            feats = mixing @ z + spec.noise * rng.normal(size=spec.n_features)
+            records.append(ScanRecord(pid, t, feats, score))
+        collection.append(PatientSeries(pid, records))
+    return collection
 
 
 def save_dataset_ref(collection, path) -> None:

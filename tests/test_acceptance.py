@@ -5,18 +5,17 @@ lines as they complete. The heavier directional criteria (4 and 5) share one
 comparison sweep over the default synthetic cohort.
 """
 
+import importlib.util
+import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hscl.cli import main
-from hscl.data import (
-    SyntheticSpec,
-    categorize_sf,
-    generate_synthetic,
-    split_patients,
-)
+from hscl.data import categorize_sf, split_patients
 from hscl.losses import (
     LossConfig,
     cl_loss,
@@ -27,7 +26,6 @@ from hscl.losses import (
     wcl_loss,
 )
 from hscl.model import encode, init_encoder, init_regression_head, predict_hs
-from hscl.pipeline import CompareConfig, DataConfig, ModelSpec, run_comparison
 from hscl.tensor import Tensor, grad_check
 from hscl.training import (
     Checkpoint,
@@ -49,7 +47,19 @@ from oracles import (
     wcl_ref,
 )
 
-COMPARISON_SEEDS = tuple(range(9))
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_FILE = ROOT / "tests" / "golden_comparison.json"
+
+
+def _load_golden_tool():
+    spec = importlib.util.spec_from_file_location("golden_comparison", ROOT / "tools" / "golden_comparison.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+GOLDEN = _load_golden_tool()  # the sweep the golden file pins, run by the fixture too
+COMPARISON_SEEDS = GOLDEN.SEEDS
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -59,17 +69,9 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def comparison(tmp_path_factory):
-    """MSE vs MSE+CL sweep on the default synthetic dataset (criteria 4 & 5)."""
-    collection = generate_synthetic(SyntheticSpec())
+    """MSE vs MSE+CL sweep on the default synthetic dataset (criteria 4 & 5 and the golden)."""
     started = time.time()
-    report = run_comparison(
-        collection,
-        CompareConfig(seeds=COMPARISON_SEEDS, modes=("mse", "mse+cl")),
-        DataConfig(),
-        ModelSpec(),
-        TrainConfig(),
-        TrainConfig(),
-    )
+    report = GOLDEN.comparison_report()
     report["elapsed_seconds"] = time.time() - started
     return report
 
@@ -258,6 +260,39 @@ def test_criterion_5_contrastive_spreads_embeddings(comparison):
         ok,
         f"std {std_mse:.3f} -> {std_cl:.3f}, rho {rho_mse:.3f} -> {rho_cl:.3f}",
     )
+
+
+# Relative tolerance of each mode's float results. Across BLAS kernels (an OpenBLAS core
+# type forced to Prescott) mse's floats moved by at most 5.8e-16 relative: its pre-training
+# has no contrastive term, whose normalised embeddings and mined pairs amplify round-off.
+# mse+cl's spread_std and spread_rho moved by at most 1.4e-7. Each bound is that drift with
+# head-room, and far below what a changed seed stream, label or recipe moves.
+GOLDEN_REL_TOL = {"mse": 1e-12, "mse+cl": 1e-6}
+# Held exactly: counts and the functions of counts (accuracy, macro-F1), which held across kernels too
+GOLDEN_EXACT = ("accuracy", "macro_f1", "pretrain_best_epoch", "finetune_best_epoch", "spread_degenerate")
+
+
+def test_the_acceptance_sweep_matches_its_golden_results(comparison):
+    """Every per-run result of criteria 4 and 5's sweep, pinned; regenerate with tools/golden_comparison.py."""
+    expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    actual = GOLDEN.golden(comparison)
+    assert set(GOLDEN_EXACT) | {"spread_std", "spread_rho"} == set(GOLDEN.FIELDS)
+    assert actual.keys() == expected.keys()
+    moved = []
+    for seed, modes in expected.items():
+        assert actual[seed].keys() == modes.keys()
+        for mode, fields in modes.items():
+            assert actual[seed][mode].keys() == fields.keys()
+            for key, want in fields.items():
+                got = actual[seed][mode][key]
+                same = (
+                    got == want and type(got) is type(want)
+                    if key in GOLDEN_EXACT
+                    else math.isclose(got, want, rel_tol=GOLDEN_REL_TOL[mode], abs_tol=0.0)
+                )
+                if not same:
+                    moved.append(f"seed {seed} {mode} {key}: {got!r}, golden {want!r}")
+    assert not moved, "\n".join(moved)
 
 
 # -- criterion 6: default-config fidelity -------------------------------------------------

@@ -25,7 +25,7 @@ from hscl.data import (
     split_patients,
 )
 from hscl.errors import TrainingAbort
-from hscl.model import classify_pairs, encode
+from hscl.model import classify_pairs, embed_pairs
 from hscl.training import (
     Checkpoint,
     TrainConfig,
@@ -1124,7 +1124,7 @@ def test_checkpoint_with_old_pooling_key_evaluates_identically(
     logits = []
     for ck in (plain, old):
         encoder, cls = encoder_from_checkpoint(ck), classifier_from_checkpoint(ck)
-        logits.append(classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data)
+        logits.append(classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data)
     assert np.array_equal(logits[0], logits[1])
 
     metrics = []

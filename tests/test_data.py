@@ -28,7 +28,7 @@ from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.pipeline import CompareConfig, DataConfig, ModelSpec, prepare, run_comparison
 from hscl.training import TrainConfig
 
-from oracles import normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
+from oracles import generate_synthetic_ref, normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
 
 
 # -- S/F binning --------------------------------------------------------------
@@ -163,6 +163,37 @@ def test_generator_is_deterministic(tmp_path):
     save_dataset(generate_synthetic(spec), p1)
     save_dataset(generate_synthetic(spec), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+GENERATOR_GRID = [
+    {},
+    {"n_patients": 400, "scans_per_patient": 6, "n_features": 32},
+    {"n_features": 3, "latent_dim": 3},  # latent_dim == n_features
+    {"scans_per_patient": 2},
+    {"noise": 0},
+    {"base_scale": 0, "drift_scale": 0, "step_scale": 0},
+    {"hs_center": 300, "hs_scale": 40},
+    # the id width: 1 digit up to 10 patients, 2 from 11, 3 from 101; 3 is the fewest allowed
+    *({"n_patients": n, "n_features": 4} for n in (3, 10, 11, 101)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("kwargs", GENERATOR_GRID, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
+def test_generator_matches_the_one_scan_at_a_time_oracle_bit_for_bit(kwargs, seed):
+    spec = SyntheticSpec(seed=seed, **kwargs)
+    got, want = generate_synthetic(spec), generate_synthetic_ref(spec)
+    assert [s.patient_id for s in got] == [s.patient_id for s in want]
+    records, expected = records_of(got), records_of(want)
+    assert [(r.patient_id, r.seq_index) for r in records] == [(r.patient_id, r.seq_index) for r in expected]
+    for rec, ref in zip(records, expected):
+        assert type(rec.health_score) is float and type(rec.seq_index) is int
+        assert np.float64(rec.health_score).tobytes() == np.float64(ref.health_score).tobytes()
+        assert rec.features.dtype == np.float64 and rec.features.shape == (spec.n_features,)
+        assert rec.features.tobytes() == ref.features.tobytes()
+    base = records[0].features.base  # every record's features are a row of one matrix
+    assert base is not None and base.size == len(records) * spec.n_features
+    assert all(rec.features.base is base and rec.features.flags.c_contiguous for rec in records)
 
 
 def test_generator_noiseless_scores_linearly_recoverable():

@@ -545,7 +545,7 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
     first = gate.run_gate(ROOT / "src", tmp_path / "a")
     assert first == gate.run_gate(ROOT / "src", tmp_path / "b")
     commands = [line.split()[0] for line in first if " exit=" in line]
-    assert len(set(commands)) == 42 and len(first) > 2 * len(commands)
+    assert len(set(commands)) == 43 and len(first) > 2 * len(commands)
 
 
 def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, monkeypatch):
@@ -557,7 +557,7 @@ def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, mon
 
     monkeypatch.setattr(hscl.cli, "main", main)
     results = [line for line in gate.run_gate(ROOT / "src", tmp_path) if " exit=" in line]
-    assert len(results) == 42
+    assert len(results) == 43
     assert results[0] == (
         f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
     )

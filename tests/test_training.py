@@ -22,6 +22,7 @@ from hscl.model import (
     DEFAULT_ACTIVATION,
     DEFAULT_CLS_HIDDEN,
     classify_pairs,
+    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,
@@ -440,7 +441,7 @@ def test_finetune_reaches_full_accuracy_on_separable_pairs():
     from hscl.training import classifier_from_checkpoint
 
     cls = classifier_from_checkpoint(result.best)
-    logits = classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
     report = compute_metrics(predict_classes(logits), labels)
     assert report.accuracy == 100.0
 
@@ -461,7 +462,7 @@ def test_untrained_classifier_near_chance_on_balanced_pairs():
     n = 300
     xp, xn = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
     labels = np.arange(n) % 3
-    logits = classify_pairs(cls, encode(encoder, xp).data, encode(encoder, xn).data).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
     report = compute_metrics(predict_classes(logits), labels)
     assert abs(report.accuracy - 100.0 / 3.0) <= 5.0
 

@@ -12,7 +12,9 @@ change moved any CLI output:
 
 The commands run in this process, through the ``hscl.cli.main`` of the tree
 at --src; one that raises past ``main`` is recorded as ``exit=traceback``,
-its stderr hash being that of the exception's type name and message. They are: gen-data; pretrain for each loss mode x {cos, l2};
+its stderr hash being that of the exception's type name and message. They are: gen-data, also
+at the generator's edges (101 patients, whose ids take three digits; two scans; a latent
+dimension equal to the feature count; no noise); pretrain for each loss mode x {cos, l2};
 frozen and unfrozen finetune; eval on every split; analyze with and without
 the sample-size cap warning; compare in threshold mode, also with one seed
 (each mode pre-trains a stack of one run) and with an unfrozen encoder; and
@@ -136,6 +138,10 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         ("gen-data", [
             "gen-data", "--patients", str(PATIENTS), "--scans-per-patient", str(SCANS_PER_PATIENT),
             "--features", str(FEATURES), "--seed", "3", "--out", data,
+        ]),
+        ("gen-data-edges", [
+            "gen-data", "--patients", "101", "--scans-per-patient", "2", "--features", str(FEATURES),
+            "--latent-dim", str(FEATURES), "--noise", "0", "--seed", "4", "--out", str(out / "edges.csv"),
         ]),
         *(pretrain(data, f"pretrain-{m}-{sim}", "--loss", m, "--sim", sim) for m in LOSS_MODES for sim in SIMILARITIES),
         restore("finetune", data, ckpt, "finetune-frozen", "--freeze-encoder", *train),

@@ -39,7 +39,6 @@ from .model import (
     EncoderParams,
     RegressionHead,
     classify_pairs,
-    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,
@@ -53,6 +52,7 @@ from .training import (
     TrainConfig,
     adam_step,
     cosine_lr,
+    embed_pairs,
     finetune,
     load_checkpoint,
     pretrain,

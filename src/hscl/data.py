@@ -153,16 +153,21 @@ class SyntheticSpec:
             raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
 
 
+# normal draws per chunk of patients in generate_synthetic (256 KiB of float64)
+_GEN_CHUNK_DRAWS = 1 << 15
+
+
 def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
     """Deterministic synthetic cohort; same spec (incl. seed) gives identical data.
 
     Built as whole arrays, to the bit what drawing one patient and one scan
     at a time gives (``tests/oracles.generate_synthetic_ref``): one
-    ``standard_normal`` call reads every patient's draws in that order, the
-    walk runs once per scan over all patients, and the readout and mixing
-    are stacked products that run each scan's dot and gemv. Each record's
-    features are a row view of one (P, T, F) array; its health score is a
-    Python float.
+    ``standard_normal`` call reads a chunk of patients' draws in that order,
+    the walk runs once per scan over the chunk, and the readout and mixing
+    are stacked products that run each scan's dot and gemv. A chunk holds
+    about ``_GEN_CHUNK_DRAWS`` draws, so the transient arrays stay that size
+    however wide or large the cohort. Each record's features are a row view
+    of one (P, T, F) array; its health score is a Python float.
     """
     rng = np.random.default_rng(spec.seed)
     readout = rng.normal(size=spec.latent_dim)
@@ -170,33 +175,40 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
     # orthonormal mixing columns keep the latent-to-feature map full rank
     mixing, _ = np.linalg.qr(rng.normal(size=(spec.n_features, spec.latent_dim)))
 
-    n_patients, n_scans, dim = spec.n_patients, spec.scans_per_patient, spec.latent_dim
+    n_patients, n_scans, dim, n_feat = spec.n_patients, spec.scans_per_patient, spec.latent_dim, spec.n_features
+    features = np.empty((n_patients, n_scans, n_feat))
+    scores = np.empty((n_patients, n_scans))
     # a patient's row: its (L,) latent start, then per scan an (L,) walk draw (the drift
     # at scan 0, a step after it) and the scan's (F,) noise draw
-    draws = rng.standard_normal((n_patients, dim + n_scans * (dim + spec.n_features)))
-    per_scan = draws[:, dim:].reshape(n_patients, n_scans, dim + spec.n_features)
-    # Generator.normal(scale=s) gives 0.0 + s * draw; the noise draws are of scale 1
-    z = np.empty((n_patients, n_scans, dim))
-    z[:, 0] = 0.0 + spec.base_scale * draws[:, :dim]
-    drift = 0.0 + spec.drift_scale * per_scan[:, 0, :dim]
-    steps = 0.0 + spec.step_scale * per_scan[:, 1:, :dim]
-    # the features start as each scan's noise term, its mixing added after: the product and
-    # the sum commute, so the bits are those of mixing @ z + noise * draw
-    features = 0.0 + per_scan[:, :, dim:]
-    features *= spec.noise
-    del draws, per_scan  # freed before the products, so the draws and the mixing product are never alive together
-    for t in range(1, n_scans):
-        z[:, t] = z[:, t - 1] + drift + steps[:, t - 1]
-    z = z.reshape(n_patients * n_scans, dim)
-    # stacked, each scan's product is the dot or gemv of one scan's; one gemm rounds otherwise
-    features += np.matmul(mixing, z[:, :, None]).reshape(n_patients, n_scans, spec.n_features)
-    scores = spec.hs_center + spec.hs_scale * np.matmul(z[:, None, :], readout)
+    row = dim + n_scans * (dim + n_feat)
+    chunk = max(1, _GEN_CHUNK_DRAWS // row)
+    for lo in range(0, n_patients, chunk):
+        draws = rng.standard_normal((min(chunk, n_patients - lo), row))
+        n = len(draws)
+        per_scan = draws[:, dim:].reshape(n, n_scans, dim + n_feat)
+        # Generator.normal(scale=s) gives 0.0 + s * draw; the noise draws are of scale 1
+        z = np.empty((n, n_scans, dim))
+        z[:, 0] = 0.0 + spec.base_scale * draws[:, :dim]
+        drift = 0.0 + spec.drift_scale * per_scan[:, 0, :dim]
+        steps = 0.0 + spec.step_scale * per_scan[:, 1:, :dim]
+        for t in range(1, n_scans):
+            z[:, t] = z[:, t - 1] + drift + steps[:, t - 1]
+        z = z.reshape(n * n_scans, dim)
+        # the features start as each scan's noise term, its mixing added after: the product
+        # and the sum commute, so the bits are those of mixing @ z + noise * draw
+        feats = features[lo : lo + n]
+        np.add(per_scan[:, :, dim:], 0.0, out=feats)
+        feats *= spec.noise
+        # stacked, each scan's product is the dot or gemv of one scan's; one gemm rounds otherwise
+        feats += np.matmul(mixing, z[:, :, None]).reshape(n, n_scans, n_feat)
+        scores[lo : lo + n] = (spec.hs_center + spec.hs_scale * np.matmul(z[:, None, :], readout)).reshape(n, n_scans)
 
     width = len(str(n_patients - 1))
     collection = []
-    for p, (feats, hs) in enumerate(zip(features, scores.reshape(n_patients, n_scans).tolist())):
+    for p, (feats, hs) in enumerate(zip(features, scores)):
         pid = f"p{p:0{width}d}"
-        collection.append(PatientSeries(pid, [ScanRecord(pid, t, f, h) for t, (f, h) in enumerate(zip(feats, hs))]))
+        records = [ScanRecord(pid, t, f, h) for t, (f, h) in enumerate(zip(feats, hs.tolist()))]
+        collection.append(PatientSeries(pid, records))
     return collection
 
 
@@ -466,11 +478,7 @@ def _parse_lines(lines: list[str], width: int, seen: set):
 
     None where ``_parse_block`` must decide: a line is malformed or fails a
     check, or ``np.loadtxt`` refuses a value (``1_0`` and ``١٢``, which
-    ``float()`` reads). A value both read has the same bits. Where a value
-    holds ``_`` or a character that is not ASCII, the block is left to
-    ``_parse_block`` with no ``np.loadtxt`` call: ``np.loadtxt`` refuses all
-    of those values but the ones with Unicode whitespace around a number,
-    which ``float()`` strips too.
+    ``float()`` reads). A value both read has the same bits.
     """
     fields = [line.split(",", 2) for line in lines if line]
     if not fields:
@@ -479,8 +487,6 @@ def _parse_lines(lines: list[str], width: int, seen: set):
         return None
     pids, seq_texts, rests = map(list, zip(*fields))
     if "" in rests:  # np.loadtxt skips an empty line, and warns if no line is left
-        return None
-    if any("_" in rest or not rest.isascii() for rest in rests):
         return None
     try:
         values = np.loadtxt(rests, delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=2)
@@ -530,8 +536,6 @@ def load_dataset(path) -> list[PatientSeries]:
       its rows, and a block of plain lines that ``np.loadtxt`` does not read
       (``1_0`` and ``١٢``, which ``float()`` reads) or whose rows fail a
       check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
-      A block whose values hold ``_`` or a character that is not ASCII goes
-      there with no ``np.loadtxt`` call.
 
     Blank lines are skipped but counted: line N is the N-th row
     ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).

@@ -9,8 +9,7 @@ Every network runs through one array pass, ``mlp_forward``/``mlp_backward``,
 which the training loops call on views of their flat parameter buffer. The
 public calls ``encode``, ``predict_hs`` and ``classify_pairs`` check the
 network and the input once and wrap the pass in one ``tensor.node`` over
-the inputs, weights and biases, so inference runs the same arrays;
-``embed_pairs`` is the one pair-embedding step, ``encode`` of both scans.
+the inputs, weights and biases, so inference runs the same arrays.
 """
 
 from __future__ import annotations
@@ -222,11 +221,6 @@ def encode(params: EncoderParams, batch) -> Tensor:
     x = _tensor(batch)
     y, grads = _pass(params, x.data, _ENCODE)
     return node(y, (x, *params.trainable()), lambda g: grads(g, x.requires_grad))
-
-
-def embed_pairs(encoder: EncoderParams, xp, xn) -> tuple[np.ndarray, np.ndarray]:
-    """A pair batch's (u_prev, u_next) embeddings: ``encode`` of its prev and of its next scans, as arrays."""
-    return encode(encoder, xp).data, encode(encoder, xn).data
 
 
 def predict_hs(head: RegressionHead, embeddings) -> Tensor:

@@ -39,8 +39,7 @@ from .model import (
     DEFAULT_HIDDEN,
     check_widths,
     classify_pairs,
-    embed_pairs,
-    encode,  # bound here for perfbench/tracing.BINDINGS alone
+    encode,  # bound here for perfbench/tracing.BINDINGS alone: pairs embed through training.embed_pairs
     predict_classes,
 )
 from .training import (
@@ -49,6 +48,7 @@ from .training import (
     PretrainResult,
     TrainConfig,
     classifier_from_checkpoint,
+    embed_pairs,
     encoder_from_checkpoint,
     finetune,
     finetune_runs,

@@ -57,7 +57,6 @@ from .model import (
     EncoderParams,
     RegressionHead,
     classify_pairs,
-    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,
@@ -859,6 +858,16 @@ class FinetuneResult:
     best: Checkpoint
     best_epoch: int
     history: list[dict]
+
+
+def embed_pairs(encoder: EncoderParams, xp, xn) -> tuple[np.ndarray, np.ndarray]:
+    """A pair batch's (u_prev, u_next) embeddings: ``encode`` of its prev and of its next scans, as arrays.
+
+    Fine-tuning and ``pipeline.evaluate_checkpoint`` both embed pairs here, so
+    every pair encode goes through this module's ``encode``, the binding
+    perfbench traces as ``model.encode``.
+    """
+    return encode(encoder, xp).data, encode(encoder, xn).data
 
 
 def finetune(

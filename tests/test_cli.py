@@ -25,12 +25,13 @@ from hscl.data import (
     split_patients,
 )
 from hscl.errors import TrainingAbort
-from hscl.model import classify_pairs, embed_pairs
+from hscl.model import classify_pairs
 from hscl.training import (
     Checkpoint,
     TrainConfig,
     checkpoint_bytes,
     classifier_from_checkpoint,
+    embed_pairs,
     encoder_from_checkpoint,
     load_checkpoint,
     parse_trace,

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hscl.data as data_mod
 from hscl.data import (
     DEFAULT_FRACTIONS,
     DETERIORATED,
@@ -178,9 +180,12 @@ GENERATOR_GRID = [
 ]
 
 
+# draws per chunk: the default (400 x 6 x 32 makes three chunks, the last one short) and one patient a chunk
+@pytest.mark.parametrize("chunk_draws", [data_mod._GEN_CHUNK_DRAWS, 1])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("kwargs", GENERATOR_GRID, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
-def test_generator_matches_the_one_scan_at_a_time_oracle_bit_for_bit(kwargs, seed):
+def test_generator_matches_the_one_scan_at_a_time_oracle_bit_for_bit(kwargs, seed, chunk_draws, monkeypatch):
+    monkeypatch.setattr(data_mod, "_GEN_CHUNK_DRAWS", chunk_draws)
     spec = SyntheticSpec(seed=seed, **kwargs)
     got, want = generate_synthetic(spec), generate_synthetic_ref(spec)
     assert [s.patient_id for s in got] == [s.patient_id for s in want]
@@ -194,6 +199,22 @@ def test_generator_matches_the_one_scan_at_a_time_oracle_bit_for_bit(kwargs, see
     base = records[0].features.base  # every record's features are a row of one matrix
     assert base is not None and base.size == len(records) * spec.n_features
     assert all(rec.features.base is base and rec.features.flags.c_contiguous for rec in records)
+
+
+@pytest.mark.parametrize("shape", [(400, 2, 512), (4000, 6, 32)])
+def test_generator_transients_stay_a_chunk_however_wide_or_large_the_cohort(shape):
+    """Above its records the generator peaks at about one chunk of draws (whole-cohort arrays: 3.0 and 1.7 MiB)."""
+    n_patients, n_scans, n_features = shape
+    spec = SyntheticSpec(n_patients=n_patients, scans_per_patient=n_scans, n_features=n_features)
+    tracemalloc.start()
+    try:
+        collection = generate_synthetic(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 3 * 2**20  # the features alone
+    assert peak - held < 2**20, (held, peak)
+    del collection
 
 
 def test_generator_noiseless_scores_linearly_recoverable():

@@ -395,20 +395,6 @@ def test_a_saved_cohort_is_read_by_np_loadtxt_block_by_block(tmp_path):
     assert _outcome(lambda _: loaded, path) == _outcome(load_dataset_ref, path)
 
 
-@pytest.mark.parametrize("value", ["1_0", "0_2.5", "\u0661\u0662", "\uff11\uff12", "\u00a02.5"])
-def test_a_block_whose_values_hold_an_underscore_or_non_ascii_skips_np_loadtxt(value, tmp_path):
-    """Such a block goes to the ``float()`` rows with no ``np.loadtxt`` call; the other blocks still take one each."""
-    lines = [f"p{i // 6},{i % 6},{20.0 + i / 7},{i * 0.25},{-i / 3}" for i in range(700)]
-    for i in (300, 600):  # in the second and the third block of rows
-        lines[i] = f"p{i // 6},{i % 6},{value},1.0,2.0"
-    path = tmp_path / "cohort.csv"
-    path.write_text(HEADER + "\n".join(lines) + "\n", encoding="utf-8")
-    with mock.patch.object(hscl.data.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        loaded = _outcome(load_dataset, path)
-    assert hscl.data._BLOCK_ROWS == 256 and loadtxt.call_count == 1  # the first block's
-    assert isinstance(loaded, list) and loaded == _outcome(load_dataset_ref, path)
-
-
 # value fields: numbers in forms float() reads and np.loadtxt reads otherwise or not at all, padded with
 # whitespace that either strips; rows of plain numbers, which both read, and rows with one such field
 value_fields = st.tuples(

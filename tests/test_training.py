@@ -22,7 +22,6 @@ from hscl.model import (
     DEFAULT_ACTIVATION,
     DEFAULT_CLS_HIDDEN,
     classify_pairs,
-    embed_pairs,
     encode,
     init_classifier_head,
     init_encoder,
@@ -37,6 +36,7 @@ from hscl.training import (
     adam_step,
     checkpoint_bytes,
     cosine_lr,
+    embed_pairs,
     encoder_from_checkpoint,
     finetune,
     finetune_runs,

@@ -19,7 +19,8 @@ import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,6 +40,8 @@ _SF_EDGES = (430.0, 275.0, 180.0)
 
 @dataclass
 class ScanRecord:
+    """One scan of one patient: its sequence index, feature vector and health score."""
+
     patient_id: str
     seq_index: int
     features: np.ndarray = field(repr=False)
@@ -47,6 +50,8 @@ class ScanRecord:
 
 @dataclass
 class PatientSeries:
+    """One patient's scans, all of that patient, in strictly increasing seq_index order."""
+
     patient_id: str
     records: list[ScanRecord]
 
@@ -213,6 +218,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
 
 
 _HEADER = ["patient_id", "seq_index", "health_score"]
+_SEQ_INDEX = attrgetter("seq_index")
 
 # rows tokenised and parsed, or formatted and written, at a time, so only one block of row text is alive
 _BLOCK_ROWS = 256
@@ -319,6 +325,16 @@ def _line_end(raw: bytes) -> int:
     return max(newline, raw.rfind(b"\r", newline + 1, len(raw) - 1)) + 1
 
 
+def _line_at(fh, offset: int) -> int:
+    r"""The physical line, counted in ``\n``, that holds byte ``offset`` of the seekable binary file ``fh``."""
+    fh.seek(0)
+    newlines = 0
+    while offset > 0 and (raw := fh.read(min(offset, _CHUNK_BYTES))):
+        newlines += raw.count(b"\n")
+        offset -= len(raw)
+    return newlines + 1
+
+
 def _texts(fh, path) -> Iterator[str]:
     r"""The text of the binary file ``fh`` in pieces of whole lines: ``_CHUNK_BYTES`` read, cut after the last line end.
 
@@ -328,11 +344,15 @@ def _texts(fh, path) -> Iterator[str]:
     cuts a ``\r\n`` pair or a character. A leading byte-order mark, as
     spreadsheet exports write, is dropped. A byte that is not UTF-8 raises
     ``DatasetError`` naming its physical line (counted in ``\n``) when its
-    piece is decoded.
+    piece is decoded; the line ends before it are counted then, from the
+    start of a seekable file, and as the pieces are read in a stream that
+    is not.
     """
-    newlines = 0  # in the pieces given so far
+    newlines = None if fh.seekable() else 0  # in the pieces given so far, counted only where fh cannot be read again
     # read after the last line end so far: at first, the file's first bytes without a byte-order mark
-    tail = fh.read(3).removeprefix("\ufeff".encode())
+    head = fh.read(3)
+    tail = head.removeprefix("\ufeff".encode())
+    offset = len(head) - len(tail)  # of the first byte of tail in the file
     while raw := tail + fh.read(_CHUNK_BYTES):
         while not (cut := _line_end(raw)) and (more := fh.read(len(raw))):
             raw += more
@@ -340,9 +360,14 @@ def _texts(fh, path) -> Iterator[str]:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = newlines + raw.count(b"\n", 0, exc.start) + 1
+            if newlines is None:
+                line = _line_at(fh, offset + exc.start)
+            else:
+                line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
-        newlines += raw.count(b"\n")
+        offset += len(raw)
+        if newlines is not None:
+            newlines += raw.count(b"\n")
         del raw
         yield text
         del text  # before the next piece is read
@@ -371,14 +396,15 @@ def _csv_lines(texts: Iterator[str]) -> Iterator[str]:
         del parts  # before the next piece is split
 
 
-def _rows(fh, path) -> Iterator[str | list[str]]:
-    r"""The rows of the binary file ``fh``, a piece of whole lines at a time: a plain piece's lines as text, then ``csv.reader`` rows.
+def _runs(fh, path) -> Iterator[list[str] | list[list[str]]]:
+    r"""The rows of the binary file ``fh`` in runs, a piece of whole lines at a time: a plain piece's lines as text, then ``csv.reader`` rows.
 
     A plain piece holds none of ``_NOT_PLAIN`` and no line longer than
-    ``csv.field_size_limit()``. Each of its lines is given as its text,
-    which ``csv.reader`` would split at ``,`` (``_row``). From the first piece
-    that is not plain, the lines go through one ``csv.reader``, which gives
-    rows. A fault of the file itself, a field over the limit or another
+    ``csv.field_size_limit()``. Its lines are given as one run of their
+    texts, which ``csv.reader`` would split at ``,`` (``_row``). From the
+    first piece that is not plain, the lines go through one ``csv.reader``,
+    each of whose rows is a run of its own. No run is empty. A
+    fault of the file itself, a field over the limit or another
     ``csv.Error``, raises ``DatasetError`` naming its row only when the rest
     of the file is decoded, so that bytes that are not UTF-8 anywhere in it
     are reported first.
@@ -391,10 +417,12 @@ def _rows(fh, path) -> Iterator[str | list[str]]:
             lines = text.split("\n")
             if not lines[-1]:  # the piece ends its last line
                 lines.pop()
-            if max(map(len, lines), default=0) <= limit:  # a mark alone leaves no line
+            # no line is longer than its piece
+            if len(text) <= limit or max(map(len, lines), default=0) <= limit:
                 del text  # the lines hold all of it
-                n_rows += len(lines)
-                yield from lines
+                if lines:  # a mark alone leaves no line
+                    n_rows += len(lines)
+                    yield lines
                 del lines  # before the next piece is read
                 continue
             del lines
@@ -403,13 +431,36 @@ def _rows(fh, path) -> Iterator[str | list[str]]:
         try:
             for row in reader:
                 n_rows += 1
-                yield row
+                yield [row]
             return
         except csv.Error as exc:
             fault = f"line {n_rows + 1}: {exc}"
         for _ in texts:  # bytes that are not UTF-8, later in the file, are reported first
             pass
         raise DatasetError(f"{path}: {fault}")
+
+
+def _rows(fh, path) -> Iterator[str | list[str]]:
+    """The rows of the binary file ``fh``, one at a time: ``_runs`` unrolled."""
+    return chain.from_iterable(_runs(fh, path))
+
+
+def _blocks(runs: Iterator[list]) -> Iterator[list]:
+    """The first row of ``runs`` as a block of its own, then the rest in blocks of ``_BLOCK_ROWS``, the last one shorter.
+
+    A block that one run holds is a slice of it.
+    """
+    block, size = [], 1  # the header row is a block of its own
+    for run in runs:
+        start = 0
+        while len(run) - start >= size - len(block):  # the run completes the block
+            stop = start + size - len(block)
+            yield block + run[start:stop] if block else run[start:stop]
+            block, size, start = [], _BLOCK_ROWS, stop
+        block += run[start:]
+        del run  # before the next run is read
+    if block:
+        yield block
 
 
 def _row(line: str | list[str]) -> list[str]:
@@ -448,7 +499,7 @@ def _row_error(row: list[str], width: int, seen: set) -> str | None:
     return None
 
 
-def _accepted(pids: list[str], seq_texts: list[str], values: np.ndarray, seen: set):
+def _accepted(pids, seq_texts, values: np.ndarray, seen: set):
     """(pids, seq indices, values) of a block's rows if every row is good; else None, and ``seen`` holds what it held.
 
     The rows are good when no id is empty, every seq_index is a non-negative
@@ -461,11 +512,11 @@ def _accepted(pids: list[str], seq_texts: list[str], values: np.ndarray, seen: s
         seqs = list(map(int, seq_texts))
     except ValueError:
         return None
-    keys = list(zip(pids, seqs))
+    keys = set(zip(pids, seqs))  # hashed once: the set checks below reuse the hashes
     if (
         min(seqs) < 0
         or not np.isfinite(values).all()
-        or len(set(keys)) != len(keys)
+        or len(keys) != len(seqs)
         or not seen.isdisjoint(keys)
     ):
         return None
@@ -477,22 +528,30 @@ def _parse_lines(lines: list[str], width: int, seen: set):
     """``_parse_block``'s result for lines of plain pieces, their values read by one ``np.loadtxt`` call.
 
     None where ``_parse_block`` must decide: a line is malformed or fails a
-    check, or ``np.loadtxt`` refuses a value (``1_0`` and ``١٢``, which
-    ``float()`` reads). A value both read has the same bits.
+    check, or its values hold ``_`` or a character that is not ASCII, or
+    ``np.loadtxt`` refuses a value. ``np.loadtxt`` refuses ``1_0`` and
+    ``١٢``, which ``float()`` reads, so such a block goes to ``float()``
+    without a ``np.loadtxt`` call. A value both read has the same bits.
     """
     fields = [line.split(",", 2) for line in lines if line]
     if not fields:
         return [], [], np.zeros((0, width - 2))
-    if set(map(len, fields)) != {3}:
+    try:
+        pids, seq_texts, rests = zip(*fields)
+    except ValueError:  # a line of fewer than three fields
         return None
-    pids, seq_texts, rests = map(list, zip(*fields))
+    del fields
     if "" in rests:  # np.loadtxt skips an empty line, and warns if no line is left
         return None
+    text = "\n".join(rests)
+    if "_" in text or not text.isascii():  # what np.loadtxt would refuse after a try
+        return None
+    del text
     try:
         values = np.loadtxt(rests, delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(fields), width - 2):
+    if values.shape != (len(rests), width - 2):
         return None
     return _accepted(pids, seq_texts, values, seen)
 
@@ -524,18 +583,21 @@ def load_dataset(path) -> list[PatientSeries]:
     a time, on one of two paths that give the same records and errors:
 
     - A plain piece holds no ``"``, ``\r`` or ``\x1c``-``\x1f`` and no line
-      longer than ``csv.field_size_limit()``. A block of its lines is split
-      at each line's first two commas, for the patient_id and seq_index, and
-      one ``np.loadtxt`` call reads the block's values, creating no Python
+      longer than ``csv.field_size_limit()``. Its lines come as one list,
+      and a block of them as a slice of it. Each line of a block is split at
+      its first two commas, for the patient_id and seq_index, and one
+      ``np.loadtxt`` call reads the block's values, creating no Python
       object per value. Where ``np.loadtxt`` and ``float()`` both read a
       value, they read the same bits. ``np.loadtxt`` strips ``\x1c``-``\x1f``
       around a number as whitespace and ``float()`` does not, so a piece
       holding one is not plain.
     - From the first piece that is not plain on, the text goes through
       ``csv.reader``, so quoted ids and CRLF or CR line ends work. A block of
-      its rows, and a block of plain lines that ``np.loadtxt`` does not read
-      (``1_0`` and ``١٢``, which ``float()`` reads) or whose rows fail a
-      check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
+      its rows, a block of plain lines whose values hold ``_`` or a
+      character that is not ASCII (``1_0`` and ``١٢``, which ``float()``
+      reads and ``np.loadtxt`` refuses), and one whose rows fail a check or
+      that ``np.loadtxt`` refuses otherwise, is read as ``csv.reader`` rows,
+      with ``int()`` and ``float()``.
 
     Blank lines are skipped but counted: line N is the N-th row
     ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).
@@ -550,16 +612,16 @@ def load_dataset(path) -> list[PatientSeries]:
 
     Only one piece of text and one block of rows are alive at a time: under
     tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.10
-    MiB above the records it returns, and 0.63 MiB for its ``\r\n`` copy and
+    MiB above the records it returns, and 0.57 MiB for its ``\r\n`` copy and
     for its lone-``\r`` copy, read through ``csv.reader``; holding the whole
     text peaked 2.34 MiB above them.
     """
     with open(path, "rb") as fh:
-        rows = _rows(fh, path)
-        header = next(rows, None)
+        blocks = _blocks(_runs(fh, path))
+        header = next(blocks, None)
         if header is None:
             raise DatasetError(f"{path}: no records")
-        header = _row(header)
+        header = _row(header[0])
         feature_names = header[3:]
         fault = None
         if header[:3] != _HEADER:
@@ -569,10 +631,10 @@ def load_dataset(path) -> list[PatientSeries]:
         width = 3 + len(feature_names)
         pids: list[str] = []
         seqs: list[int] = []
-        blocks: list[np.ndarray] = []
+        parts: list[np.ndarray] = []
         seen: set[tuple[str, int]] = set()
         lineno = 2  # of the block's first row
-        while fault is None and (block := list(islice(rows, _BLOCK_ROWS))):
+        while fault is None and (block := next(blocks, None)):
             # a plain piece's lines come before any csv.reader row
             parsed = _parse_lines(block, width, seen) if isinstance(block[-1], str) else None
             if parsed is None:
@@ -587,25 +649,31 @@ def load_dataset(path) -> list[PatientSeries]:
                 break
             pids += parsed[0]
             seqs += parsed[1]
-            blocks.append(parsed[2])
+            parts.append(parsed[2])
             lineno += len(block)
             del block, parsed  # before the next block is tokenised
         if fault is not None:
-            for _ in rows:  # a fault of the file itself, later in it, is reported first
+            for _ in blocks:  # a fault of the file itself, later in it, is reported first
                 pass
             raise DatasetError(f"{path}: {fault}")
     del seen  # a key per row: freed before the records are built
     if not pids:
         raise DatasetError(f"{path}: no records")
-    values = np.concatenate(blocks)
-    del blocks
+    values = np.concatenate(parts)
+    del parts
+    return _collection(pids, seqs, values)
+
+
+def _collection(pids: list[str], seqs: list[int], values: np.ndarray) -> list[PatientSeries]:
+    """The series of the rows (patient_id, seq_index, values), in order of first appearance, each by seq_index.
+
+    Row k's record holds ``values[k, 0]`` as its score, a Python float, and
+    the row view ``values[k, 1:]`` as its features.
+    """
     by_patient: dict[str, list[ScanRecord]] = {}
-    for pid, seq, score, features in zip(pids, seqs, values[:, 0].tolist(), values[:, 1:]):
-        by_patient.setdefault(pid, []).append(ScanRecord(pid, seq, features, score))
-    return [
-        PatientSeries(pid, sorted(recs, key=lambda r: r.seq_index))
-        for pid, recs in by_patient.items()
-    ]
+    for pid, rec in zip(pids, map(ScanRecord, pids, seqs, values[:, 1:], values[:, 0].tolist())):
+        by_patient.setdefault(pid, []).append(rec)
+    return [PatientSeries(pid, sorted(recs, key=_SEQ_INDEX)) for pid, recs in by_patient.items()]
 
 
 def check_fractions(fractions, where: str) -> None:
@@ -656,7 +724,7 @@ def series_arrays(
     records = records_of(collection)
     if records:
         try:
-            x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
+            x = np.array([r.features for r in records], dtype=np.float64)
         except ValueError:  # shapes differ: the flat vectors must still be of one width
             try:
                 x = np.stack([_features(r) for r in records])

@@ -75,6 +75,8 @@ PROB_FLOOR = 1e-12  # cross-entropy probability floor before the log
 
 @dataclass
 class LossConfig:
+    """The pre-training loss: MSE alone or with a (weighted) contrastive term, and that term's settings."""
+
     mode: str = "mse"
     similarity: str = "cos"
     eps: float = 1e-2        # offset added to label distances used as weights

@@ -21,6 +21,8 @@ from .model import N_CLASSES, EncoderParams, encode
 
 @dataclass
 class MetricsReport:
+    """Accuracy, macro-F1, per-class scores and confusion matrix of 3-way change predictions."""
+
     accuracy: float  # percent
     macro_f1: float
     per_class: list[dict]

@@ -63,6 +63,8 @@ SPLITS = ("train", "val", "test")
 
 @dataclass
 class DataConfig:
+    """How a cohort is split into train/val/test patients and its scan pairs labelled."""
+
     fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
     label_mode: str = "threshold"
     tau: float = DEFAULT_TAU
@@ -79,6 +81,8 @@ class DataConfig:
 
 @dataclass
 class ModelSpec:
+    """The encoder's hidden widths and activation and the classifier head's hidden widths."""
+
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
     activation: str = DEFAULT_ACTIVATION
     cls_hidden: tuple[int, ...] = DEFAULT_CLS_HIDDEN
@@ -251,6 +255,8 @@ def spread_for_checkpoint(
 
 @dataclass
 class CompareConfig:
+    """The comparison sweep's split seeds and loss modes, and its embedding-spread sample."""
+
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     modes: tuple[str, ...] = MODES
     sample_size: int = 2000

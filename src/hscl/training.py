@@ -83,6 +83,8 @@ HISTORY_KEYS = ("epoch", "lr", "train_ce", "val_accuracy", "val_macro_f1")
 
 @dataclass
 class TrainConfig:
+    """Optimiser, schedule, batching and seed of one pre-training or fine-tuning run."""
+
     batch_size: int = 8
     lr: float = 0.001
     epochs: int = 100
@@ -203,6 +205,8 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
 
 @dataclass
 class Checkpoint:
+    """A run's named weight tensors and its JSON metadata, as saved and loaded."""
+
     tensors: dict[str, np.ndarray]
     meta: dict
 
@@ -719,6 +723,8 @@ def parse_trace(path, keys=TRACE_KEYS) -> list[dict]:
 
 @dataclass
 class PretrainResult:
+    """A pre-training run's last and best (lowest validation MSE) checkpoints, the best epoch and the per-epoch trace."""
+
     final: Checkpoint
     best: Checkpoint
     best_epoch: int
@@ -854,6 +860,8 @@ def pretrain_runs(
 
 @dataclass
 class FinetuneResult:
+    """A fine-tuning run's last and best (highest validation macro-F1) checkpoints, the best epoch and the per-epoch history."""
+
     final: Checkpoint
     best: Checkpoint
     best_epoch: int

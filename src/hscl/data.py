@@ -218,7 +218,6 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
 
 
 _HEADER = ["patient_id", "seq_index", "health_score"]
-_SEQ_INDEX = attrgetter("seq_index")
 
 # rows tokenised and parsed, or formatted and written, at a time, so only one block of row text is alive
 _BLOCK_ROWS = 256
@@ -673,7 +672,7 @@ def _collection(pids: list[str], seqs: list[int], values: np.ndarray) -> list[Pa
     by_patient: dict[str, list[ScanRecord]] = {}
     for pid, rec in zip(pids, map(ScanRecord, pids, seqs, values[:, 1:], values[:, 0].tolist())):
         by_patient.setdefault(pid, []).append(rec)
-    return [PatientSeries(pid, sorted(recs, key=_SEQ_INDEX)) for pid, recs in by_patient.items()]
+    return [PatientSeries(pid, sorted(recs, key=attrgetter("seq_index"))) for pid, recs in by_patient.items()]
 
 
 def check_fractions(fractions, where: str) -> None:

@@ -664,6 +664,29 @@ def test_config_file_unknown_key_rejected(tiny_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found: "),
+        ("{", "config file .*: invalid JSON: "),
+        ("[1, 2]", "config file .*: expected a JSON object$"),
+    ],
+    ids=["missing", "not-json", "not-an-object"],
+)
+def test_a_config_file_that_is_missing_or_not_a_json_object_is_a_config_error(tmp_path, text, message):
+    config = tmp_path / "cfg.json"
+    if text is not None:
+        config.write_text(text)
+    args = cli.build_parser().parse_args(["pretrain", "--data", "d.csv", "--out", "o", "--config", str(config)])
+    with pytest.raises(hscl.errors.ConfigError, match=f"^{message}"):
+        cli._merge(args)
+
+
+def test_an_empty_path_is_a_config_error():
+    with pytest.raises(hscl.errors.ConfigError, match="^dataset path is required$"):
+        cli._require_file("", "dataset")
+
+
+@pytest.mark.parametrize(
     "command, values",
     [
         ("finetune", {"freeze_encoder": "false"}),

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from hscl.errors import ConfigError, DatasetError, DomainError
 from hscl.pipeline import CompareConfig, DataConfig, ModelSpec, prepare, run_comparison
 from hscl.training import TrainConfig
 
-from oracles import generate_synthetic_ref, normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
+from oracles import generate_synthetic_ref, load_dataset_ref, normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
 
 
 # -- S/F binning --------------------------------------------------------------
@@ -330,6 +332,66 @@ def test_save_dataset_writes_the_bytes_of_the_per_scalar_writer(tmp_path):
     assert b'"p ""7"", west"' in ours.read_bytes()
 
 
+def _record_bits(collection: list[PatientSeries]) -> list:
+    return [
+        (series.patient_id, rec.patient_id, rec.seq_index, rec.health_score.hex(), np.asarray(rec.features).tobytes())
+        for series in collection
+        for rec in series.records
+    ]
+
+
+def test_a_block_whose_values_hold_an_underscore_or_non_ascii_text_is_read_without_np_loadtxt(tmp_path):
+    """Such a block goes to the ``float()`` rows with no ``np.loadtxt`` call; ``_`` or non-ASCII text in an id does not send it."""
+    values = [["20.5", "1.0", "-2.0"] for _ in range(12)]
+    values[5][1] = "0_1.5"  # the second block
+    values[9][0] = "\u0661\u0662"  # the third: Arabic-Indic 12
+    values[10][2] = "\xa0-2.0"  # and a no-break space
+    ids = ["p_\u00e90", "p_\u00e90", "p_\u00e90", "p_\u00e90"] + [f"p{i // 4}" for i in range(4, 12)]
+    path = tmp_path / "salted.csv"
+    path.write_text(
+        "patient_id,seq_index,health_score,f0,f1\n"
+        + "".join(f"{pid},{i % 4},{','.join(row)}\n" for i, (pid, row) in enumerate(zip(ids, values))),
+        encoding="utf-8",
+    )
+    with (
+        mock.patch.object(data_mod, "_BLOCK_ROWS", 4),
+        mock.patch.object(data_mod.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+        mock.patch.object(data_mod, "_parse_block", wraps=data_mod._parse_block) as parse_block,
+    ):
+        loaded = load_dataset(path)
+    assert (loadtxt.call_count, parse_block.call_count) == (1, 2)
+    assert _record_bits(loaded) == _record_bits(load_dataset_ref(path))
+    assert [rec.health_score for rec in loaded[2].records] == [20.5, 12.0, 20.5, 20.5]
+
+
+class _ReadOnce(io.RawIOBase):
+    """A byte stream that cannot seek, as a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self._data.read(len(buffer))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 1 << 17])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line_in_a_file_and_in_a_stream(chunk_bytes):
+    """Line ends are counted again from the start of a seekable file, and as the pieces go in a stream read once."""
+    data = "\ufeffa,b\nc\r\nd\u00e9\n\n".encode("utf-8") + b"x\xff\ny\n"
+    messages = []
+    with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk_bytes):
+        for fh in (io.BytesIO(data), io.BufferedReader(_ReadOnce(data))):
+            with pytest.raises(DatasetError) as exc:
+                list(data_mod._texts(fh, "f.csv"))
+            messages.append(str(exc.value))
+    assert messages == ["f.csv: line 5: not UTF-8 text"] * 2
+
+
 # -- splitting ---------------------------------------------------------------------
 
 
@@ -463,15 +525,24 @@ def test_prepare_gives_zero_row_pair_arrays_for_single_scan_patients():
         assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)
 
 
-@pytest.mark.parametrize("shapes", [[(3, 1)], [(1, 3)], [(3, 1), (3,)]], ids=["column", "row", "mixed"])
-def test_prepare_flattens_features_as_its_saved_and_loaded_copy(shapes, tmp_path):
-    """Every array of ``prepare``, bit for bit; the empty test split takes the flattened width too."""
+# each record's features, given the (3,) float64 vector and the record's seq_index, in another form
+FEATURE_FORMS = {
+    "column": lambda f, t: f.reshape(3, 1),
+    "row": lambda f, t: f.reshape(1, 3),
+    "mixed": lambda f, t: f.reshape((3, 1) if t % 2 == 0 else (3,)),
+    "list": lambda f, t: f.tolist(),
+    "float32": lambda f, t: f.astype(np.float32),
+    "int64": lambda f, t: np.round(f * 1000).astype(np.int64),
+    "list-float32-int64": lambda f, t: (f.tolist(), f.astype(np.float32), np.round(f * 1000).astype(np.int64))[t % 3],
+}
+
+
+@pytest.mark.parametrize("form", list(FEATURE_FORMS.values()), ids=list(FEATURE_FORMS))
+def test_prepare_flattens_features_as_its_saved_and_loaded_copy(form, tmp_path):
+    """Every array of ``prepare``, bit for bit, whatever the features' shape, container and dtype; the empty test split takes the flattened width too."""
     spec = SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=3, seed=3)
     reshaped = [
-        PatientSeries(
-            s.patient_id,
-            [dataclasses.replace(r, features=r.features.reshape(shapes[r.seq_index % len(shapes)])) for r in s.records],
-        )
+        PatientSeries(s.patient_id, [dataclasses.replace(r, features=form(r.features, r.seq_index)) for r in s.records])
         for s in generate_synthetic(spec)
     ]
     path = tmp_path / "cohort.csv"
@@ -484,6 +555,16 @@ def test_prepare_flattens_features_as_its_saved_and_loaded_copy(shapes, tmp_path
         for a, b in zip(arrays, expected, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert ours.regression["test"][0].shape == (0, 3)
+
+
+def test_fitting_or_saving_no_records_raises(tmp_path):
+    with pytest.raises(ConfigError, match="^fit_normalization: no records$"):
+        fit_normalization([])
+    path = tmp_path / "empty.csv"
+    for collection in ([], [PatientSeries("p0", [])]):
+        with pytest.raises(DatasetError, match="^save_dataset: no records$"):
+            save_dataset(collection, path)
+    assert not path.exists()
 
 
 def test_features_that_do_not_stack_are_bad_input():

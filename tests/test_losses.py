@@ -86,6 +86,12 @@ def test_l2_similarity_value():
     assert s[0, 1] == pytest.approx(sim_ref(e[0], e[1], "l2"), abs=1e-12)
 
 
+@pytest.mark.parametrize("field, message", [("mode", "loss mode"), ("similarity", "similarity")])
+def test_loss_config_rejects_an_unknown_choice(field, message):
+    with pytest.raises(ConfigError, match=rf"^{message} must be one of \(.*\), got 'dot'$"):
+        LossConfig(**{field: "dot"})
+
+
 def test_cosine_rejects_zero_vector():
     with pytest.raises(DomainError, match="zero"):
         pairwise_similarity(Tensor([[0.0, 0.0], [1.0, 0.0]]), "cos")

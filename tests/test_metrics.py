@@ -190,6 +190,12 @@ def test_spread_constant_embeddings_degenerate():
     assert profile.rho == 0.0 and profile.degenerate
 
 
+def test_spread_rejects_a_score_count_other_than_the_scan_count():
+    encoder = init_encoder([3, 2], seed=0)
+    with pytest.raises(ShapeError, match="^embedding_spread: 5 scans vs 4 scores$"):
+        embedding_spread(encoder, np.ones((5, 3)), np.zeros(4), sample_size=10)
+
+
 def test_spread_rejects_a_pair_with_a_zero_embedding():
     # the same rule as the cosine contrastive loss: no cosine for a zero vector
     x = np.random.default_rng(0).uniform(0.5, 1.0, size=(10, 2))

@@ -14,6 +14,7 @@ from hscl.model import (
     predict_classes,
     predict_hs,
 )
+from hscl.pipeline import ModelSpec
 from hscl.tensor import Tensor, backward, grad_check
 
 import elementary as el
@@ -73,6 +74,19 @@ def test_init_rejects_bad_widths():
     for embedding_dim, hidden in ((4, (0,)), (4, (-1,)), (4, (8, 0)), (0, ())):
         with pytest.raises(ConfigError, match="init_classifier_head: widths must be positive"):
             init_classifier_head(embedding_dim, seed=0, hidden=hidden)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: init_encoder([3, 2], seed=0, activation="sigmoid"), "^init_encoder: unknown activation 'sigmoid'$"),
+        (lambda: ModelSpec(activation="sigmoid"), r"^activation must be one of \(.*\), got 'sigmoid'$"),
+    ],
+    ids=["init_encoder", "ModelSpec"],
+)
+def test_an_unknown_activation_choice_raises_config_error(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 def test_encode_identity_layer():

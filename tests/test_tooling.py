@@ -548,6 +548,20 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
     assert len(set(commands)) == 43 and len(first) > 2 * len(commands)
 
 
+def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
+    spec = importlib.util.spec_from_file_location("read_path_profile", ROOT / "tools" / "read_path_profile.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--patients", "12", "--scans", "3", "--features", "4", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cohort 12 x 3 x 4, best of 1 calls"
+    stages = [line.rsplit(None, 2)[0] for line in lines[1:-1]]
+    assert stages == ["read and split", "np.loadtxt", "row checks", "record build", "load_dataset", "prepare",
+                      "cli eval", "cli analyze"]
+    assert all(float(line.split()[-2]) > 0 for line in lines[1:-1])
+    assert lines[-1].startswith("np.loadtxt share: ")
+
+
 def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, monkeypatch):
     gate = _load_cli_gate()
     hscl = gate._hscl(ROOT / "src")

@@ -27,7 +27,16 @@ from hscl.model import (
     init_encoder,
     predict_classes,
 )
-from hscl.pipeline import DataConfig, ModelSpec, evaluate_checkpoint, prepare, run_finetune, run_pretrain
+from hscl.pipeline import (
+    DataConfig,
+    ModelSpec,
+    evaluate_checkpoint,
+    prepare,
+    prepared_from_meta,
+    run_finetune,
+    run_pretrain,
+    spread_for_checkpoint,
+)
 from hscl.tensor import Tensor, dense_forward
 from hscl.training import (
     AdamState,
@@ -244,6 +253,9 @@ def test_checkpoint_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(CheckpointIntegrityError):
         load_checkpoint(path)
+    path.write_bytes(checkpoint_bytes(_toy_checkpoint())[:15])  # shorter than the fixed fields
+    with pytest.raises(CheckpointIntegrityError, match=r"truncated checkpoint \(15 bytes\)$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_corrupt_payload(tmp_path):
@@ -269,6 +281,12 @@ def _header_only(dims):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def _trailing(extra: bytes):
+    """A toy checkpoint's bytes with ``extra`` after its last tensor, under a valid checksum."""
+    body = checkpoint_bytes(_toy_checkpoint())[:-4] + extra
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
@@ -279,8 +297,12 @@ def _header_only(dims):
         # dims whose product is 2**64, which an int64 product wraps to 0
         (_header_only((2**31, 2**31, 4)), "truncated checkpoint body"),
         (_header_only((65536,) * 4), "truncated checkpoint body"),
+        (_trailing(b"\0"), "trailing data after tensor block"),
     ],
-    ids=["list-metadata", "string-metadata", "name-not-utf8", "name-twice", "dims-2**64-rank3", "dims-2**64-rank4"],
+    ids=[
+        "list-metadata", "string-metadata", "name-not-utf8", "name-twice", "dims-2**64-rank3", "dims-2**64-rank4",
+        "trailing-byte",
+    ],
 )
 def test_checkpoint_unparseable_body_with_a_valid_checksum(tmp_path, blob, message):
     path = tmp_path / "bad.ckpt"
@@ -564,6 +586,18 @@ def test_lockstep_finetune_rejects_runs_with_different_encoder_shapes():
         finetune_runs([a.best, b.best], xp, xn, labels, xp, xn, labels, TrainConfig(epochs=1))
 
 
+def test_lockstep_finetune_rejects_a_run_count_or_pair_count_it_cannot_train():
+    pre = _pretrained_toy()
+    xp, xn, labels = _separable_pairs(pre.best, n=12)
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(ConfigError, match="^finetune: need at least one pre-trained checkpoint$"):
+        finetune_runs([], xp, xn, labels, xp, xn, labels, cfg)
+    with pytest.raises(ConfigError, match="^finetune: 3 seeds for 2 runs$"):
+        finetune_runs([pre.best] * 2, xp, xn, labels, xp, xn, labels, cfg, seeds=[0, 1, 2])
+    with pytest.raises(ConfigError, match="^finetune: no training pairs$"):
+        finetune_runs([pre.best], xp[:0], xn[:0], labels[:0], xp, xn, labels, cfg)
+
+
 # -- lock-step across seeds: runs with their own seeds and data, each bit-identical alone ---
 
 
@@ -624,6 +658,8 @@ def test_lockstep_pretrain_rejects_arrays_for_another_run_count():
         pretrain_runs(x, y, xv, yv, TrainConfig(epochs=1), hidden=(4,), seeds=[0, 1, 2])
     with pytest.raises(ConfigError, match="at least one run"):
         pretrain_runs(x, y, xv, yv, TrainConfig(epochs=1), hidden=(4,), seeds=[])
+    with pytest.raises(ConfigError, match="^pretrain: 1 data metadata entries for 2 runs$"):
+        pretrain_runs(x, y, xv, yv, TrainConfig(epochs=1), hidden=(4,), seeds=[0, 1], data_metas=[{}])
 
 
 @pytest.mark.parametrize("freeze", [True, False])
@@ -881,6 +917,20 @@ def test_the_model_selection_score_is_what_the_restored_best_checkpoint_scores(f
         entry = result.history[result.best_epoch]
         report = evaluate_checkpoint(prepared, result.best, "val")
         assert (entry["val_accuracy"], entry["val_macro_f1"]) == (report.accuracy, report.macro_f1)
+
+
+def test_a_restore_or_a_readout_rejects_another_dataset_and_an_unknown_split():
+    collection = generate_synthetic(SyntheticSpec(n_patients=30, scans_per_patient=4, n_features=5, seed=5))
+    prepared = prepare(collection, 0, DataConfig())
+    ck = run_pretrain(prepared, ModelSpec(hidden=(8, 4)), TrainConfig(epochs=1)).best
+    other = {**prepared.data_meta, "hs_max": prepared.data_meta["hs_max"] + 1.0}
+    with pytest.raises(ConfigError, match=r"^prepared_from_meta: dataset hs_max .* does not match checkpoint hs_max .*; "
+                                          r"was the checkpoint trained on this dataset\?$"):
+        prepared_from_meta(collection, other)
+    with pytest.raises(ConfigError, match="^evaluate_checkpoint: unknown split 'dev'$"):
+        evaluate_checkpoint(prepared, ck, "dev")
+    with pytest.raises(ConfigError, match="^spread_for_checkpoint: unknown split 'dev'$"):
+        spread_for_checkpoint(prepared, ck, 10, split="dev")
 
 
 @pytest.mark.parametrize("runs", [1, 2])

@@ -527,10 +527,8 @@ def _parse_lines(lines: list[str], width: int, seen: set):
     """``_parse_block``'s result for lines of plain pieces, their values read by one ``np.loadtxt`` call.
 
     None where ``_parse_block`` must decide: a line is malformed or fails a
-    check, or its values hold ``_`` or a character that is not ASCII, or
-    ``np.loadtxt`` refuses a value. ``np.loadtxt`` refuses ``1_0`` and
-    ``١٢``, which ``float()`` reads, so such a block goes to ``float()``
-    without a ``np.loadtxt`` call. A value both read has the same bits.
+    check, or ``np.loadtxt`` refuses a value (``1_0`` and ``١٢``, which
+    ``float()`` reads). A value both read has the same bits.
     """
     fields = [line.split(",", 2) for line in lines if line]
     if not fields:
@@ -542,10 +540,6 @@ def _parse_lines(lines: list[str], width: int, seen: set):
     del fields
     if "" in rests:  # np.loadtxt skips an empty line, and warns if no line is left
         return None
-    text = "\n".join(rests)
-    if "_" in text or not text.isascii():  # what np.loadtxt would refuse after a try
-        return None
-    del text
     try:
         values = np.loadtxt(rests, delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=2)
     except ValueError:
@@ -592,11 +586,9 @@ def load_dataset(path) -> list[PatientSeries]:
       holding one is not plain.
     - From the first piece that is not plain on, the text goes through
       ``csv.reader``, so quoted ids and CRLF or CR line ends work. A block of
-      its rows, a block of plain lines whose values hold ``_`` or a
-      character that is not ASCII (``1_0`` and ``١٢``, which ``float()``
-      reads and ``np.loadtxt`` refuses), and one whose rows fail a check or
-      that ``np.loadtxt`` refuses otherwise, is read as ``csv.reader`` rows,
-      with ``int()`` and ``float()``.
+      its rows, and a block of plain lines that ``np.loadtxt`` does not read
+      (``1_0`` and ``١٢``, which ``float()`` reads) or whose rows fail a
+      check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
 
     Blank lines are skipped but counted: line N is the N-th row
     ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).

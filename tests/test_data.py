@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -340,8 +342,8 @@ def _record_bits(collection: list[PatientSeries]) -> list:
     ]
 
 
-def test_a_block_whose_values_hold_an_underscore_or_non_ascii_text_is_read_without_np_loadtxt(tmp_path):
-    """Such a block goes to the ``float()`` rows with no ``np.loadtxt`` call; ``_`` or non-ASCII text in an id does not send it."""
+def test_a_block_whose_values_np_loadtxt_refuses_is_read_by_the_float_rows(tmp_path):
+    """``1_0`` and Unicode digits, which ``float()`` reads, send their block to ``_parse_block``; ``_`` or non-ASCII text in an id does not."""
     values = [["20.5", "1.0", "-2.0"] for _ in range(12)]
     values[5][1] = "0_1.5"  # the second block
     values[9][0] = "\u0661\u0662"  # the third: Arabic-Indic 12
@@ -359,7 +361,7 @@ def test_a_block_whose_values_hold_an_underscore_or_non_ascii_text_is_read_witho
         mock.patch.object(data_mod, "_parse_block", wraps=data_mod._parse_block) as parse_block,
     ):
         loaded = load_dataset(path)
-    assert (loadtxt.call_count, parse_block.call_count) == (1, 2)
+    assert (loadtxt.call_count, parse_block.call_count) == (3, 2)
     assert _record_bits(loaded) == _record_bits(load_dataset_ref(path))
     assert [rec.health_score for rec in loaded[2].records] == [20.5, 12.0, 20.5, 20.5]
 
@@ -390,6 +392,43 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line_in_a_file_and_in_a_stream(
                 list(data_mod._texts(fh, "f.csv"))
             messages.append(str(exc.value))
     assert messages == ["f.csv: line 5: not UTF-8 text"] * 2
+
+
+def _load_through_fifo(data: bytes, path):
+    """``load_dataset`` of a named pipe that a thread fills with ``data``: a file that cannot seek."""
+    os.mkfifo(path)
+
+    def fill():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the loader stopped reading
+            pass
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    try:
+        return load_dataset(path)
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+@pytest.mark.parametrize("chunk_bytes", [64, 256, 1 << 17])
+def test_load_dataset_reads_a_pipe_as_the_file_it_streams(chunk_bytes, tmp_path):
+    """The same records, and the same line for a byte that is not UTF-8, counted as the pieces go."""
+    file = tmp_path / "cohort.csv"
+    save_dataset(generate_synthetic(SyntheticSpec(n_patients=6, scans_per_patient=3, n_features=3, seed=4)), file)
+    data = file.read_bytes()
+    with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk_bytes):
+        assert _record_bits(_load_through_fifo(data, tmp_path / "clean.fifo")) == _record_bits(load_dataset(file))
+        lines = data.split(b"\n")
+        lines[14] = lines[14].replace(b",", b"\xff,", 1)
+        file.write_bytes(b"\n".join(lines))
+        for path in (file, tmp_path / "salted.fifo"):
+            load = load_dataset if path == file else lambda p: _load_through_fifo(file.read_bytes(), p)
+            with pytest.raises(DatasetError, match=f"^{path}: line 15: not UTF-8 text$"):
+                load(path)
 
 
 # -- splitting ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -221,11 +222,16 @@ _HEADER = ["patient_id", "seq_index", "health_score"]
 
 # rows tokenised and parsed, or formatted and written, at a time, so only one block of row text is alive
 _BLOCK_ROWS = 256
-# bytes read at a time, cut after the last line end; a file of at most this size is read and decoded in one piece
-_CHUNK_BYTES = 1 << 17
+# characters read at a time, then read on to a line end; a file of at most this many characters is one piece
+_CHUNK_CHARS = 1 << 17
 # a piece holding any of these goes through csv.reader, not np.loadtxt: quotes and \r need csv.reader's
 # rules, and np.loadtxt strips \x1c-\x1f around a value as whitespace, where float() refuses the value
 _NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+# how a dataset file is read: as UTF-8 text, a byte that is not UTF-8 as a surrogate (_NOT_UTF8), and
+# every line end as it is, as csv.reader needs; readline() then stops at \n, \r\n and a lone \r
+_TEXT_MODE = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+# the characters _TEXT_MODE reads a byte that is not UTF-8 as
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def _csv_field(value) -> str:
@@ -314,62 +320,47 @@ def save_dataset(collection: list[PatientSeries], path) -> None:
             fh.write("".join(lines))
 
 
-def _line_end(raw: bytes) -> int:
-    r"""How many bytes the whole lines at the start of ``raw`` take: up to its last line end, or 0.
+def _texts(fh) -> Iterator[str]:
+    r"""The text of the text file ``fh`` in pieces of whole lines: ``_CHUNK_CHARS`` read, then read on to a line end.
 
-    A line ends at ``\n``, or at a ``\r`` that no ``\n`` follows; a ``\r``
-    that ends ``raw`` is not yet taken as one, as the next byte may be ``\n``.
+    A piece that stops inside a line is read on with ``readline()``, to
+    ``\n``, ``\r\n`` or a lone ``\r`` (``fh`` is opened with
+    ``_TEXT_MODE``); one that stops after a ``\r`` takes the next
+    character too if it is the ``\n`` of a pair, else carries it into the
+    next piece. So every piece but the last ends a line, and none cuts a
+    ``\r\n`` pair. A leading byte-order mark, as spreadsheet exports write,
+    is dropped.
     """
-    newline = raw.rfind(b"\n")
-    return max(newline, raw.rfind(b"\r", newline + 1, len(raw) - 1)) + 1
-
-
-def _line_at(fh, offset: int) -> int:
-    r"""The physical line, counted in ``\n``, that holds byte ``offset`` of the seekable binary file ``fh``."""
-    fh.seek(0)
-    newlines = 0
-    while offset > 0 and (raw := fh.read(min(offset, _CHUNK_BYTES))):
-        newlines += raw.count(b"\n")
-        offset -= len(raw)
-    return newlines + 1
-
-
-def _texts(fh, path) -> Iterator[str]:
-    r"""The text of the binary file ``fh`` in pieces of whole lines: ``_CHUNK_BYTES`` read, cut after the last line end.
-
-    What follows the cut starts the next piece; a line longer than what is
-    read is read on, in doubling reads, to its end. So every piece but the
-    last ends a line (``\n``, or a ``\r`` that no ``\n`` follows), and none
-    cuts a ``\r\n`` pair or a character. A leading byte-order mark, as
-    spreadsheet exports write, is dropped. A byte that is not UTF-8 raises
-    ``DatasetError`` naming its physical line (counted in ``\n``) when its
-    piece is decoded; the line ends before it are counted then, from the
-    start of a seekable file, and as the pieces are read in a stream that
-    is not.
-    """
-    newlines = None if fh.seekable() else 0  # in the pieces given so far, counted only where fh cannot be read again
-    # read after the last line end so far: at first, the file's first bytes without a byte-order mark
-    head = fh.read(3)
-    tail = head.removeprefix("\ufeff".encode())
-    offset = len(head) - len(tail)  # of the first byte of tail in the file
-    while raw := tail + fh.read(_CHUNK_BYTES):
-        while not (cut := _line_end(raw)) and (more := fh.read(len(raw))):
-            raw += more
-        raw, tail = (raw[:cut], raw[cut:]) if cut else (raw, b"")
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            if newlines is None:
-                line = _line_at(fh, offset + exc.start)
-            else:
-                line = newlines + raw.count(b"\n", 0, exc.start) + 1
-            raise DatasetError(f"{path}: line {line}: not UTF-8 text") from None
-        offset += len(raw)
-        if newlines is not None:
-            newlines += raw.count(b"\n")
-        del raw
+    carry = fh.read(1).removeprefix("\ufeff")  # read ahead of the next piece: at first, the first character
+    while text := carry + fh.read(_CHUNK_CHARS):
+        carry = ""
+        if text.endswith("\r"):
+            if (carry := fh.read(1)) == "\n":
+                text, carry = text + carry, ""
+        elif not text.endswith("\n"):
+            text += fh.readline()
         yield text
         del text  # before the next piece is read
+
+
+def _check_utf8(text: str, newlines: int, path) -> None:
+    r"""Raise ``DatasetError`` naming the physical line of the first byte of ``text`` that is not UTF-8, if any.
+
+    ``errors="surrogateescape"`` reads such a byte as a character in
+    U+DC80-U+DCFF, which UTF-8 text never decodes to. ``newlines`` counts
+    the ``\n`` before ``text``.
+    """
+    if not text.isascii() and (bad := _NOT_UTF8.search(text)):
+        line = newlines + text.count("\n", 0, bad.start()) + 1
+        raise DatasetError(f"{path}: line {line}: not UTF-8 text")
+
+
+def _checked(texts: Iterator[str], newlines: int, path) -> Iterator[str]:
+    r"""``texts``, each checked by ``_check_utf8`` before it is given; ``newlines`` counts the ``\n`` before the first."""
+    for text in texts:
+        _check_utf8(text, newlines, path)
+        newlines += text.count("\n")
+        yield text
 
 
 def _csv_lines(texts: Iterator[str]) -> Iterator[str]:
@@ -396,19 +387,24 @@ def _csv_lines(texts: Iterator[str]) -> Iterator[str]:
 
 
 def _runs(fh, path) -> Iterator[list[str] | list[list[str]]]:
-    r"""The rows of the binary file ``fh`` in runs, a piece of whole lines at a time: a plain piece's lines as text, then ``csv.reader`` rows.
+    r"""The rows of the text file ``fh`` in runs, a piece of whole lines at a time: a plain piece's lines as text, then ``csv.reader`` rows.
 
     A plain piece holds none of ``_NOT_PLAIN`` and no line longer than
     ``csv.field_size_limit()``. Its lines are given as one run of their
     texts, which ``csv.reader`` would split at ``,`` (``_row``). From the
     first piece that is not plain, the lines go through one ``csv.reader``,
-    each of whose rows is a run of its own. No run is empty. A
-    fault of the file itself, a field over the limit or another
-    ``csv.Error``, raises ``DatasetError`` naming its row only when the rest
-    of the file is decoded, so that bytes that are not UTF-8 anywhere in it
-    are reported first.
+    each of whose rows is a run of its own. No run is empty.
+
+    Each piece is checked for bytes that are not UTF-8 before its rows are
+    given, and the first raises ``DatasetError`` naming its physical line:
+    up to the first piece that is not plain, every row is a line, so the
+    rows given so far count the lines before a piece; from there, the
+    pieces' ``\n`` are counted. A fault of the file itself, a field over the
+    limit or another ``csv.Error``, raises ``DatasetError`` naming its row
+    only when the rest of the file is checked, so that bytes that are not
+    UTF-8 anywhere in it are reported first.
     """
-    texts = _texts(fh, path)
+    texts = _texts(fh)
     limit = csv.field_size_limit()
     n_rows = 0  # given so far
     for text in texts:
@@ -416,32 +412,27 @@ def _runs(fh, path) -> Iterator[list[str] | list[list[str]]]:
             lines = text.split("\n")
             if not lines[-1]:  # the piece ends its last line
                 lines.pop()
-            # no line is longer than its piece
-            if len(text) <= limit or max(map(len, lines), default=0) <= limit:
+            # a line is no longer than the piece less the \n of every other line
+            if len(text) - len(lines) < limit or max(map(len, lines)) <= limit:
+                _check_utf8(text, n_rows, path)
                 del text  # the lines hold all of it
-                if lines:  # a mark alone leaves no line
-                    n_rows += len(lines)
-                    yield lines
+                n_rows += len(lines)
+                yield lines
                 del lines  # before the next piece is read
                 continue
             del lines
-        reader = csv.reader(_csv_lines(chain([text], texts)))
+        checked = _checked(chain([text], texts), n_rows, path)
         del text
         try:
-            for row in reader:
+            for row in csv.reader(_csv_lines(checked)):
                 n_rows += 1
                 yield [row]
             return
         except csv.Error as exc:
             fault = f"line {n_rows + 1}: {exc}"
-        for _ in texts:  # bytes that are not UTF-8, later in the file, are reported first
+        for _ in checked:  # bytes that are not UTF-8, later in the file, are reported first
             pass
         raise DatasetError(f"{path}: {fault}")
-
-
-def _rows(fh, path) -> Iterator[str | list[str]]:
-    """The rows of the binary file ``fh``, one at a time: ``_runs`` unrolled."""
-    return chain.from_iterable(_runs(fh, path))
 
 
 def _blocks(runs: Iterator[list]) -> Iterator[list]:
@@ -570,10 +561,11 @@ def _parse_block(rows: list[list[str]], width: int, seen: set):
 def load_dataset(path) -> list[PatientSeries]:
     r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
 
-    The file is read in one pass, in pieces of whole lines: ``_CHUNK_BYTES``,
-    cut after the last line end (``\n``, ``\r\n`` or a lone ``\r``), so a
-    smaller file is one piece. Rows are parsed a block of ``_BLOCK_ROWS`` at
-    a time, on one of two paths that give the same records and errors:
+    The file is read in one pass, as UTF-8 text, in pieces of whole lines:
+    ``_CHUNK_CHARS`` characters, read on to a line end (``\n``, ``\r\n`` or a
+    lone ``\r``), so a smaller file is one piece. Rows are parsed a block of
+    ``_BLOCK_ROWS`` at a time, on one of two paths that give the same records
+    and errors:
 
     - A plain piece holds no ``"``, ``\r`` or ``\x1c``-``\x1f`` and no line
       longer than ``csv.field_size_limit()``. Its lines come as one list,
@@ -591,7 +583,8 @@ def load_dataset(path) -> list[PatientSeries]:
       check, is read as ``csv.reader`` rows, with ``int()`` and ``float()``.
 
     Blank lines are skipped but counted: line N is the N-th row
-    ``csv.reader`` reads (the physical line, for bytes that are not UTF-8).
+    ``csv.reader`` reads (the physical line, counted in ``\n``, for bytes that
+    are not UTF-8, which the file is opened to read as surrogates).
     A fault of the file itself wins over any fault of its rows, wherever
     each is: bytes that are not UTF-8 first, then a field longer than
     ``csv.field_size_limit()`` or another ``csv.Error``. Else a bad header,
@@ -603,11 +596,11 @@ def load_dataset(path) -> list[PatientSeries]:
 
     Only one piece of text and one block of rows are alive at a time: under
     tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.10
-    MiB above the records it returns, and 0.57 MiB for its ``\r\n`` copy and
+    MiB above the records it returns, and 0.58 MiB for its ``\r\n`` copy and
     for its lone-``\r`` copy, read through ``csv.reader``; holding the whole
     text peaked 2.34 MiB above them.
     """
-    with open(path, "rb") as fh:
+    with open(path, **_TEXT_MODE) as fh:
         blocks = _blocks(_runs(fh, path))
         header = next(blocks, None)
         if header is None:

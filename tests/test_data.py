@@ -383,13 +383,13 @@ class _ReadOnce(io.RawIOBase):
 
 @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 1 << 17])
 def test_a_byte_that_is_not_utf8_is_named_by_its_line_in_a_file_and_in_a_stream(chunk_bytes):
-    """Line ends are counted again from the start of a seekable file, and as the pieces go in a stream read once."""
+    """One running count of the line ends read so far names the line, in a file and in a stream read once alike."""
     data = "\ufeffa,b\nc\r\nd\u00e9\n\n".encode("utf-8") + b"x\xff\ny\n"
     messages = []
-    with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(data_mod, "_CHUNK_CHARS", chunk_bytes):
         for fh in (io.BytesIO(data), io.BufferedReader(_ReadOnce(data))):
             with pytest.raises(DatasetError) as exc:
-                list(data_mod._texts(fh, "f.csv"))
+                list(data_mod._runs(io.TextIOWrapper(fh, **data_mod._TEXT_MODE), "f.csv"))
             messages.append(str(exc.value))
     assert messages == ["f.csv: line 5: not UTF-8 text"] * 2
 
@@ -420,7 +420,7 @@ def test_load_dataset_reads_a_pipe_as_the_file_it_streams(chunk_bytes, tmp_path)
     file = tmp_path / "cohort.csv"
     save_dataset(generate_synthetic(SyntheticSpec(n_patients=6, scans_per_patient=3, n_features=3, seed=4)), file)
     data = file.read_bytes()
-    with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(data_mod, "_CHUNK_CHARS", chunk_bytes):
         assert _record_bits(_load_through_fifo(data, tmp_path / "clean.fifo")) == _record_bits(load_dataset(file))
         lines = data.split(b"\n")
         lines[14] = lines[14].replace(b",", b"\xff,", 1)

@@ -11,6 +11,7 @@ import io
 import math
 import struct
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from hscl.data import (
     ScanRecord,
     SyntheticSpec,
     _row,
-    _rows,
+    _runs,
     _texts,
     categorize_sf,
     generate_synthetic,
@@ -200,14 +201,19 @@ def test_records_are_row_views_of_one_matrix(tmp_path):
     assert all(type(rec.health_score) is float for rec in records)
 
 
+def _text_file(data: bytes) -> io.TextIOWrapper:
+    """``data`` as ``load_dataset`` opens a file."""
+    return io.TextIOWrapper(io.BytesIO(data), **hscl.data._TEXT_MODE)
+
+
 def _reader_rows(data: bytes, chunk_bytes: int) -> list[list[str]]:
-    with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
-        return list(map(_row, _rows(io.BytesIO(data), "f.csv")))
+    with mock.patch.object(hscl.data, "_CHUNK_CHARS", chunk_bytes):
+        return list(map(_row, chain.from_iterable(_runs(_text_file(data), "f.csv"))))
 
 
 def _pieces(data: bytes, chunk_bytes: int) -> list[str]:
-    with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
-        return list(_texts(io.BytesIO(data), "f.csv"))
+    with mock.patch.object(hscl.data, "_CHUNK_CHARS", chunk_bytes):
+        return list(_texts(_text_file(data)))
 
 
 def _every_piece_but_the_last_ends_a_line(pieces: list[str]) -> bool:
@@ -307,8 +313,28 @@ def test_load_matches_the_per_scalar_loader_with_a_chunk_edge_inside(name, tmp_p
         pieces = _pieces(data, chunk_bytes)
         assert "".join(pieces) == text.removeprefix("\ufeff"), chunk_bytes
         assert _every_piece_but_the_last_ends_a_line(pieces), chunk_bytes
-        monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_bytes)
         assert _outcome(load_dataset, path) == ref, chunk_bytes
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+def test_characters_across_the_text_layers_own_reads_read_as_one_decode(cut, tmp_path, monkeypatch):
+    """A character, whole or cut short, across an edge of the text layer's 8 KiB byte reads: as one decode gives."""
+    body = "".join("\U0001f600é€" * 3 + f"{i},0,{i}.5,1.0,2.0\n" for i in range(400)).encode("utf-8")
+    path = tmp_path / "data.csv"
+    edges = 0
+    for pad in range(4):  # blank lines that shift the body against the edge at byte 8192
+        data = HEADER.encode() + b"\n" * pad + body
+        if not 0x80 <= data[8192] < 0xC0:  # no character spans the edge
+            continue
+        edges += 1
+        path.write_bytes(data[:8192] + data[8193:] if cut else data)
+        ref = _outcome(load_dataset_ref, path)
+        assert isinstance(ref, list) != cut
+        for chunk_chars in (64, 1 << 17):
+            monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_chars)
+            assert _outcome(load_dataset, path) == ref, (pad, chunk_chars)
+    assert edges
 
 
 @pytest.fixture
@@ -336,7 +362,7 @@ def test_a_late_fault_of_the_file_beats_an_earlier_bad_row(name, chunk_bytes, fi
     path = tmp_path / "data.csv"
     # line 2 has a non-numeric value; a blank line 303 ends the good rows, and the fault is on line 304
     path.write_bytes((HEADER + "p0,0,x,1.0,2.0\n" + good + "\n").encode("utf-8") + fault)
-    monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_bytes)
     ours = _outcome(load_dataset, path)
     assert ours == (DatasetError, f"{path}: {message}")
     assert ours == _outcome(load_dataset_ref, path)
@@ -345,12 +371,63 @@ def test_a_late_fault_of_the_file_beats_an_earlier_bad_row(name, chunk_bytes, fi
     assert _outcome(load_dataset, path) == (DatasetError, f"{path}: line 2: non-numeric value")
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 64])
+def test_a_last_line_over_the_limit_without_a_line_end_is_a_field_over_the_limit(chunk_chars, field_limit, tmp_path,
+                                                                                  monkeypatch):
+    """A piece of one line of ``limit + 1`` characters, the file's last, goes to ``csv.reader``, not to the plain path."""
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + "p0,0,5.0,1.0,2.0\n" + "1" * 201, encoding="utf-8")
+    monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_chars)
+    ours = _outcome(load_dataset, path)
+    assert ours == (DatasetError, f"{path}: line 3: field larger than field limit (200)")
+    assert ours == _outcome(load_dataset_ref, path)
+
+
 def test_non_utf8_bytes_beat_an_earlier_over_limit_field(field_limit, tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "p0,0," + "1" * 201 + ",1.0,2.0\n" + "p1,0,5.0,1.0,2.0\n" * 300).encode() + b"\xff\n")
-    monkeypatch.setattr(hscl.data, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", 64)
     ours = _outcome(load_dataset, path)
     assert ours == (DatasetError, f"{path}: line 303: not UTF-8 text")
+    assert ours == _outcome(load_dataset_ref, path)
+
+
+# bytes that are not UTF-8 (alone, a cut character, an encoded surrogate), the byte-order mark whole and cut,
+# the line ends, quote and separator the reader splits at, digits, and the line ends it must not split at
+FUZZ_BYTES = [
+    b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\xef", b"\xef\xbb",
+    b"\r", b"\n", b"\r\n", b'"', b",", *(bytes([d]) for d in b"0123456789"), b"\xc2\x85", b"\xe2\x80\xa8",
+]
+
+
+@given(
+    lead=st.lists(st.sampled_from(FUZZ_BYTES), max_size=2),
+    header=st.booleans(),
+    body=st.lists(st.sampled_from(FUZZ_BYTES), max_size=40),
+    limit=st.sampled_from([4, 12, 131072]),  # 12 holds the header's fields, 4 does not
+)
+@settings(max_examples=300, deadline=None)
+def test_load_of_any_bytes_matches_the_per_scalar_loader(lead, header, body, limit, tmp_path_factory):
+    """Bad bytes and marks anywhere, and at any piece edge: the same records, or the same error and line."""
+    path = tmp_path_factory.mktemp("bytes") / "data.csv"
+    path.write_bytes(b"".join(lead) + (HEADER.encode() if header else b"") + b"".join(body))
+    old = csv.field_size_limit(limit)
+    try:
+        ref = _outcome(load_dataset_ref, path)
+        for chunk_chars in (1, 2, 3, 7, 1 << 17):
+            with mock.patch.object(hscl.data, "_CHUNK_CHARS", chunk_chars):
+                assert _outcome(load_dataset, path) == ref, chunk_chars
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["1-byte", "2-byte"])
+def test_a_file_of_a_cut_byte_order_mark_is_not_utf8(data, tmp_path):
+    """Not "no records": the file is read as ``utf-8`` with the mark dropped by hand, not as ``utf-8-sig``."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    ours = _outcome(load_dataset, path)
+    assert ours == (DatasetError, f"{path}: line 1: not UTF-8 text")
     assert ours == _outcome(load_dataset_ref, path)
 
 
@@ -425,7 +502,7 @@ def test_loaded_values_match_the_per_scalar_loader(rows, block_rows, tmp_path_fa
     ref = _outcome(load_dataset_ref, path)
     with mock.patch.object(hscl.data, "_BLOCK_ROWS", block_rows):
         for chunk_bytes in (16, 100, 1 << 17):
-            with mock.patch.object(hscl.data, "_CHUNK_BYTES", chunk_bytes):
+            with mock.patch.object(hscl.data, "_CHUNK_CHARS", chunk_bytes):
                 assert _outcome(load_dataset, path) == ref, chunk_bytes
 
 

@@ -25,7 +25,7 @@ scan, so the checkpoint's normalization still matches); then eval, analyze and
 compare on a copy of the threshold cohort as a spreadsheet might export it,
 with a byte-order mark, CRLF line ends and quoted patient ids, which the
 loader reads through ``csv.reader``; then compare, with one seed and one epoch,
-on a larger cohort (over two of the loader's 128 KiB reads), on its
+on a larger cohort (over two of the loader's reads of 128 Ki characters), on its
 spreadsheet copy and on a copy whose lines end in a lone ``\\r``, so that both
 of the loader's paths, ``np.loadtxt`` blocks and ``csv.reader`` rows, read a
 file in several pieces. Then the parser's own
@@ -102,8 +102,8 @@ def _spreadsheet_copy(path: Path, copy: Path) -> None:
 
 def _crlf_cohorts(hscl, out: Path) -> None:
     """``data_crlf.csv``, the spreadsheet copy of gen-data's cohort; ``large.csv``, a 200 x 4 x 32
-    cohort (0.53 MB, over two of the loader's 128 KiB reads), ``large_crlf.csv``, its spreadsheet copy,
-    and ``large_cr.csv``, its copy with every line ending in a lone ``\\r``."""
+    cohort (0.53 MB, over two of the loader's reads of 128 Ki characters), ``large_crlf.csv``, its
+    spreadsheet copy, and ``large_cr.csv``, its copy with every line ending in a lone ``\\r``."""
     for name, (patients, scans, features) in (
         ("data_crlf.csv", (PATIENTS, SCANS_PER_PATIENT, FEATURES)), ("large.csv", (200, 4, 32)),
     ):

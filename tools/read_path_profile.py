@@ -5,7 +5,8 @@ pre-training and a frozen fine-tune on it through ``hscl.cli.main``, then
 times each stage of the read path on that file and those checkpoints and
 prints one line per stage to stdout, in milliseconds, best of --repeat calls:
 
-- read and split: ``data._runs``, the pieces read, decoded and cut into lines;
+- read and split: ``data._runs`` on the file opened as ``load_dataset`` opens it, the pieces that
+  Python's text layer reads and decodes, checked and cut into lines;
 - np.loadtxt: the loader's ``np.loadtxt`` calls on each block's value texts;
 - row checks: ``data._parse_lines`` on each block, its ``np.loadtxt`` call answered with the parsed values;
 - record build: ``data._collection``, the records and series of the parsed rows;
@@ -48,7 +49,7 @@ def best_ms(call, repeat: int) -> float:
 
 def _data_blocks(path: Path) -> tuple[list[list[str]], int]:
     """The loader's blocks of data lines (the header dropped) and the row width, for a file of plain pieces."""
-    with open(path, "rb") as fh:
+    with open(path, **data._TEXT_MODE) as fh:
         blocks = list(data._blocks(data._runs(fh, path)))
     return blocks[1:], len(data._row(blocks[0][0]))
 
@@ -77,7 +78,7 @@ def profile(patients: int, scans: int, features: int, repeat: int, workdir: Path
                "--out", str(fine), "--epochs", "1"])
 
     def read_and_split():
-        with open(path, "rb") as fh:
+        with open(path, **data._TEXT_MODE) as fh:
             for _ in data._runs(fh, path):
                 pass
 

@@ -367,9 +367,12 @@ def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tens
 
 
 def onehot_labels(labels, n_classes: int) -> np.ndarray:
-    """(..., C) boolean class mask of integer labels; ``DomainError`` for a label outside [0, C)."""
+    """(..., C) class mask of integer labels, 0.0 or 1.0; ``DomainError`` for a label outside [0, C).
+
+    Float, so the cross-entropy's products with it take no cast.
+    """
     target = np.asarray(labels)
-    onehot = target[..., None] == np.arange(n_classes)
+    onehot = (target[..., None] == np.arange(n_classes)).astype(np.float64)
     if np.count_nonzero(onehot) != target.size:  # some label is not a class index
         raise DomainError(
             f"cross_entropy: labels must lie in [0, {n_classes}), got {sorted(set(target.ravel().tolist()))}"

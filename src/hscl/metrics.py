@@ -70,12 +70,13 @@ def compute_metrics(predictions, labels) -> MetricsReport:
     cells = true.astype(np.int64) * N_CLASSES + pred.astype(np.int64)
     confusion = np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
+    rows = confusion.tolist()  # Python ints, read once
     per_class = []
     f1_sum = 0.0
     for c in range(N_CLASSES):
-        tp = int(confusion[c, c])
-        fp = int(confusion[:, c].sum()) - tp
-        fn = int(confusion[c, :].sum()) - tp
+        tp, support = rows[c][c], sum(rows[c])
+        fp = sum(row[c] for row in rows) - tp
+        fn = support - tp
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -86,11 +87,11 @@ def compute_metrics(predictions, labels) -> MetricsReport:
                 "precision": precision,
                 "recall": recall,
                 "f1": f1,
-                "support": int(confusion[c, :].sum()),
+                "support": support,
             }
         )
     return MetricsReport(
-        accuracy=100.0 * float(np.trace(confusion)) / n,
+        accuracy=100.0 * float(sum(rows[c][c] for c in range(N_CLASSES))) / n,
         macro_f1=f1_sum / N_CLASSES,
         per_class=per_class,
         confusion=confusion,

@@ -6,10 +6,12 @@ pre-training; the classifier head maps a concatenated pair of embeddings
 [u_prev ; u_next] to three change logits (improved / same / deteriorated).
 
 Every network runs through one array pass, ``mlp_forward``/``mlp_backward``,
-which the training loops call on views of their flat parameter buffer. The
-public calls ``encode``, ``predict_hs`` and ``classify_pairs`` check the
-network and the input once and wrap the pass in one ``tensor.node`` over
-the inputs, weights and biases, so inference runs the same arrays.
+which computes each layer's ``act(x @ w + b)`` and its gradient products
+itself, one call per network. The training loops call it on views of their
+flat parameter buffer. The public calls ``encode``, ``predict_hs`` and
+``classify_pairs`` check the network and the input once and wrap the pass
+in one ``tensor.node`` over the inputs, weights and biases, so inference
+runs the same arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, dense_backward, dense_forward, node
+from .tensor import Tensor, node
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -90,13 +92,16 @@ def _glorot(kind: type[MLP], widths: list[int], activation: str | None, seed: in
 def mlp_forward(layers: list[tuple], x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each layer's (input, output, pre-activation) for array ``x`` run through ``layers``, unchecked.
 
-    A layer is (weight, bias, activation, weight gradient, bias gradient).
-    ``x`` may carry one more leading axis than the weights: a pair batch's
-    prev and next scans, which the stacked matmuls treat like a run axis.
+    A layer is (weight, bias, activation, weight gradient, bias gradient),
+    and computes ``act(x @ w + b)``. ``x`` may carry one more leading axis
+    than the weights: a pair batch's prev and next scans, which the stacked
+    matmuls treat like a run axis.
     """
     saved = []
     for w, b, activation, _, _ in layers:
-        y, z = dense_forward(x, w, b, activation)
+        z = x @ w
+        z += b[:, None, :] if w.ndim == 3 else b
+        y = np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0) if activation == "relu" else z
         saved.append((x, y, z))
         x = y
     return saved
@@ -108,17 +113,24 @@ def mlp_backward(layers: list[tuple], saved: list[tuple], g: np.ndarray, need_x:
     Each layer's weight and bias gradients are written into its gradient
     arrays. A ``g`` with one more axis than the weights holds a pair batch's
     prev and next passes; each gradient array is then written as the sum of
-    the two shares, and a sum of two does not depend on order.
+    the two shares, and a sum of two does not depend on order. The input
+    gradient ``g @ w^T`` of the first layer is computed only if ``need_x``.
     """
     for i in reversed(range(len(layers))):
         w, _, activation, gw, gb = layers[i]
         x, y, z = saved[i]
+        if activation == "tanh":
+            g = g * (1.0 - y * y)
+        elif activation == "relu":
+            g = g * (z > 0.0)
         if g.ndim > w.ndim:
-            g, dw, db = dense_backward(g, x, w, y, z, activation, need_x or i > 0)
+            dw, db = np.matmul(x.swapaxes(-1, -2), g), np.add.reduce(g, axis=-2)
             np.add(dw[0], dw[1], out=gw)
             np.add(db[0], db[1], out=gb)
         else:
-            g, _, _ = dense_backward(g, x, w, y, z, activation, need_x or i > 0, gw=gw, gb=gb)
+            np.matmul(x.swapaxes(-1, -2), g, out=gw)
+            np.add.reduce(g, axis=-2, out=gb)
+        g = g @ w.swapaxes(-1, -2) if need_x or i > 0 else None
     return g
 
 

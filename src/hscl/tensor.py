@@ -1,12 +1,12 @@
 """Dense float64 tensors with eager reverse-mode automatic differentiation.
 
-The core holds what the library differentiates: MLP layers, the
-squared-error and cross-entropy losses, and the contrastive term, each as a
-pair of plain array functions. ``*_forward`` returns the output and what
-the gradient needs, ``*_backward`` maps an output gradient to the operands'
-gradients. The pairs are:
+The core holds the losses the library differentiates: the squared-error
+and cross-entropy losses and the contrastive term, each as a pair of plain
+array functions (an MLP's layers run in ``model.mlp_forward`` and
+``mlp_backward``). ``*_forward`` returns the output and what the gradient
+needs, ``*_backward`` maps an output gradient to the operands' gradients.
+The pairs are:
 
-- ``dense_*``, a whole MLP layer ``act(x @ w + b)``;
 - ``squared_error_sum_*``, ``sum((target - pred)^2)``;
 - ``softmax_cross_entropy_*``, ``-mean(log clamp(sum(softmax(z) * onehot)))``;
 - the contrastive term's ``pairwise_similarity_*`` (the (B, B) similarity
@@ -17,19 +17,20 @@ reverse-topological order, so identical graphs always produce bit-identical
 values and gradients.
 
 The training loops call the pairs directly and build no graph. The public
-autodiff calls of ``model`` and ``losses`` wrap them in graph nodes, one
-node per call (a whole network, a whole loss term), because walking a node
-costs more Python time than the small numpy arrays it carries. ``node``
+autodiff calls of ``losses`` wrap them in graph nodes, one node per call (a
+whole loss term), as those of ``model`` wrap a whole network, because
+walking a node costs more Python time than the small numpy arrays it
+carries. ``node``
 makes such a node from a value, its parents and a function that gives each
 parent's gradient; its closure calls the backward function, so the gradient
 checks of a call test the code that the loops run without it.
 
 Each pair runs the same numpy operations, in the same order, as the
-equivalent chain of elementary ops (affine, activation, softmax, clamp,
-log, ...), so values and gradients are bit-identical to that chain. The
-elementary ops, and the one-node forms of the pairs, live in the test tree
-(``tests/elementary.py``), which builds the chains as oracles. A backward
-computes only the products its caller asks for.
+equivalent chain of elementary ops (softmax, clamp, log, ...), so values
+and gradients are bit-identical to that chain; the cross-entropy backward
+is bit-identical for the 0/1 masks the library builds. The elementary ops,
+and the one-node forms of the pairs, live in the test tree
+(``tests/elementary.py``), which builds the chains as oracles.
 
 The array functions also take a leading run axis that stacks S independent
 runs, on every operand at once, and then give per-run results: an (S,)
@@ -63,8 +64,6 @@ from .errors import ConfigError, DomainError, GraphStateError, ShapeError
 __all__ = [
     "Tensor",
     "backward",
-    "dense_backward",
-    "dense_forward",
     "grad_check",
     "node",
     "pairwise_similarity_backward",
@@ -143,39 +142,6 @@ def node(
     return out
 
 
-def dense_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One MLP layer ``act(x @ w + b)`` on arrays, unchecked: the output ``y`` and the pre-activation ``z``."""
-    z = x @ w
-    z += b[:, None, :] if w.ndim == 3 else b
-    if activation == "tanh":
-        return np.tanh(z), z
-    if activation == "relu":
-        return np.maximum(z, 0.0), z
-    return z, z
-
-
-def dense_backward(
-    g: np.ndarray, x: np.ndarray, w: np.ndarray, y: np.ndarray, z: np.ndarray, activation: str | None,
-    need_x: bool = True, gw: np.ndarray | None = None, gb: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None for x unless ``need_x``.
-
-    Given ``gw`` and ``gb``, arrays shaped like the weight and the bias, the
-    weight and bias gradients are written into them and they are returned.
-    """
-    if activation == "tanh":
-        g = g * (1.0 - y * y)
-    elif activation == "relu":
-        g = g * (z > 0.0)
-    return (
-        g @ w.swapaxes(-1, -2) if need_x else None,
-        np.matmul(x.swapaxes(-1, -2), g, out=gw),
-        np.add.reduce(g, axis=-2, out=gb),
-    )
-
-
 def pairwise_similarity_forward(e: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Unclamped (..., B, B) similarity between every pair of rows of (..., B, D) embeddings.
 
@@ -237,24 +203,31 @@ def softmax_cross_entropy_forward(
     has the logits' shape. (B, C) logits give a scalar; an (S, B, C) stack
     of S runs gives the (S,) per-run losses. Returns the loss and (softmax,
     picked mass, clamped mass); a mass at or beyond the clamp edges passes
-    no gradient.
+    no gradient. It reduces with the ufuncs that ``max`` and ``sum`` call.
     """
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    picked = (s * onehot).sum(axis=-1)
+    s = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    picked = np.add.reduce(s * onehot, axis=-1)
     clamped = np.minimum(np.maximum(picked, floor), 1.0)
-    return np.log(clamped).sum(axis=-1) / picked.shape[-1] * -1.0, (s, picked, clamped)
+    return np.add.reduce(np.log(clamped), axis=-1) / picked.shape[-1] * -1.0, (s, picked, clamped)
 
 
 def softmax_cross_entropy_backward(
     g: np.ndarray, onehot: np.ndarray, floor: float, s: np.ndarray, picked: np.ndarray, clamped: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``softmax_cross_entropy_forward``'s logits for loss gradient ``g``."""
+    """Gradient of ``softmax_cross_entropy_forward``'s logits for loss gradient ``g``, for a 0/1 ``onehot``.
+
+    ``g_s * s`` summed over a row is its one picked product ``g_picked *
+    picked``; ``+ 0.0`` makes a zero product +0.0, the sign the sum starts
+    from, where a clamped row's ``g_picked`` is -0.0.
+    """
     inside = (picked > floor) & (picked < 1.0)
     g_picked = (g * -1.0 / picked.shape[-1])[..., None] / clamped * inside
     g_s = g_picked[..., None] * onehot
-    inner = (g_s * s).sum(axis=-1, keepdims=True)
-    return s * (g_s - inner)
+    g_s -= (g_picked * picked + 0.0)[..., None]
+    g_s *= s
+    return g_s
 
 
 def weighted_log_sum_forward(

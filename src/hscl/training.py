@@ -999,7 +999,9 @@ def finetune_runs(
             out.append((report.accuracy, report.macro_f1))
         return out
 
-    starts = range(0, n, config.batch_size)  # the last batch may be short
+    batches = [  # each step's rows of the epoch's arrays; the last batch may be short
+        (Ellipsis, slice(start, start + config.batch_size), slice(None)) for start in range(0, n, config.batch_size)
+    ]
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config)
         # the epoch's rows, gathered once; each step reads its batch as a view
@@ -1010,8 +1012,7 @@ def finetune_runs(
         else:
             xp_rows.take(orders, axis=0, out=x_epoch[0])
             xn_rows.take(orders, axis=0, out=x_epoch[1])
-        for k, start in enumerate(starts):
-            batch = (Ellipsis, slice(start, start + config.batch_size), slice(None))
+        for k, batch in enumerate(batches):
             if frozen:
                 head_saved = mlp_forward(head_layers, rows[batch])
             else:  # the shared encoder runs once over the batch's prev and next scans

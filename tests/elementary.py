@@ -7,13 +7,16 @@ They follow the tensor core's conventions: a gradient handed to a parent is
 an array the parent may keep, and clamp' is zero at and beyond the clamp
 edges.
 
-``dense``, ``squared_error_sum``, ``softmax_cross_entropy``,
-``pairwise_similarity`` and ``weighted_log_sum`` are the one-node wrappers
-of the library's ``*_forward``/``*_backward`` array pairs, with the checks
-the library made when it exported them; ``concat_last`` is the
-concatenation node the library's pair classifier was built from. The
-library's own nodes wrap a whole network or loss term; these wrap one
-layer or one op, so the tests can rebuild a network layer by layer.
+``squared_error_sum``, ``softmax_cross_entropy``, ``pairwise_similarity``
+and ``weighted_log_sum`` are the one-node wrappers of the library's
+``*_forward``/``*_backward`` array pairs, with the checks the library made
+when it exported them. ``dense`` is one MLP layer as a node over this
+module's own layer pair, ``dense_forward``/``dense_backward``, an
+independent reference for the layers that ``model.mlp_forward`` and
+``mlp_backward`` compute inline. ``concat_last`` is the concatenation node the
+library's pair classifier was built from. The library's own nodes wrap a
+whole network or loss term; these wrap one layer or one op, so the tests
+can rebuild a network layer by layer.
 
 Python numbers and arrays are taken as constant tensors wherever a tensor
 is expected.
@@ -26,8 +29,6 @@ import numpy as np
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.tensor import (
     Tensor,
-    dense_backward,
-    dense_forward,
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
@@ -145,6 +146,35 @@ def concat_last(parts) -> Tensor:
         np.concatenate([p.data for p in parts], axis=-1),
         tuple(parts),
         lambda g: tuple(g[..., lo:hi].copy() for lo, hi in zip(offsets[:-1], offsets[1:])),
+    )
+
+
+def dense_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One MLP layer ``act(x @ w + b)`` on arrays, unchecked: the output ``y`` and the pre-activation ``z``."""
+    z = x @ w
+    z += b[:, None, :] if w.ndim == 3 else b
+    if activation == "tanh":
+        return np.tanh(z), z
+    if activation == "relu":
+        return np.maximum(z, 0.0), z
+    return z, z
+
+
+def dense_backward(
+    g: np.ndarray, x: np.ndarray, w: np.ndarray, y: np.ndarray, z: np.ndarray, activation: str | None,
+    need_x: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Fresh gradients (x, w, b) of ``dense_forward`` for output gradient ``g``; None for x unless ``need_x``."""
+    if activation == "tanh":
+        g = g * (1.0 - y * y)
+    elif activation == "relu":
+        g = g * (z > 0.0)
+    return (
+        g @ w.swapaxes(-1, -2) if need_x else None,
+        np.matmul(x.swapaxes(-1, -2), g),
+        np.add.reduce(g, axis=-2),
     )
 
 

@@ -10,6 +10,8 @@ one-node op of ``elementary`` (``dense``, ``squared_error_sum``,
 the library's array pairs, and rebuilds the chain of elementary ops it
 replaces (affine, activation, softmax, clamp, log, ...), one graph node per
 op, so tests can require the pairs to match them bit for bit.
+``softmax_cross_entropy_pair_ref`` is the cross-entropy pair's own arrays
+in their general form, the softmax product summed over every class.
 ``combined_loss_chain`` is ``losses.combined_loss_terms`` as a chain of
 one-node ops, 7 (cl) or 9 (wcl) nodes to the library's 3. It calls this
 module's ``squared_error_sum`` and ``weighted_log_sum`` bindings, which a
@@ -294,6 +296,26 @@ def softmax_cross_entropy_chain(logits, onehot, floor):
     """Mean over the rows: (B, C) gives a scalar, (S, B, C) the (S,) per-run losses."""
     picked = el.sum(el.mul(softmax_chain(logits), onehot), axis=-1)
     return el.mul(el.mean(el.log(el.clamp(picked, floor, 1.0)), axis=-1), -1.0)
+
+
+def softmax_cross_entropy_pair_ref(z, onehot, floor, g):
+    """The cross-entropy pair's arrays in their general form: (loss, the logits' gradient for loss gradient ``g``).
+
+    The softmax Jacobian-vector product sums ``g_s * s`` over each row,
+    where ``tensor.softmax_cross_entropy_backward`` reads the row's one
+    picked product for a 0/1 mask; the forward reduces through the ndarray
+    methods.
+    """
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    picked = (s * onehot).sum(axis=-1)
+    clamped = np.minimum(np.maximum(picked, floor), 1.0)
+    loss = np.log(clamped).sum(axis=-1) / picked.shape[-1] * -1.0
+    inside = (picked > floor) & (picked < 1.0)
+    g_picked = (g * -1.0 / picked.shape[-1])[..., None] / clamped * inside
+    g_s = g_picked[..., None] * onehot
+    inner = (g_s * s).sum(axis=-1, keepdims=True)
+    return loss, s * (g_s - inner)
 
 
 def weighted_log_sum_chain(x, coefficients, floor):

@@ -288,33 +288,60 @@ def test_a_field_over_the_csv_size_limit_names_its_line_on_both_tokenisers(quote
 # -- chunk edges and the precedence of file faults --------------------------------------
 
 
-# a file, and the part of it that a chunk edge is put inside
+# a file, and the part of it that a read edge is put inside
 CHUNK_EDGE_CASES = {
     "multi-byte characters": (HEADER + "pé€\U0001f600,0,5.0,1.0,2.0\n", "é€\U0001f600"),
-    "byte-order mark": ("\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n", "\ufeff"),
+    "byte-order mark": ("\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n", "\ufeff" + HEADER[0]),
     "crlf pair": (HEADER.replace("\n", "\r\n") + "p0,0,5.0,1.0,2.0\r\np0,1,6.0,1.5,2.5\r\n", "\r\n"),
     "quoted id holding a newline": (HEADER + 'p0,0,5.0,1.0,2.0\n"p\n1",0,6.0,1.0,2.0\nq,0,7,8,9\n', '"p\n1"'),
 }
 
 
+class _ReadEdges:
+    """A text file for ``_texts`` that notes the character offset at which each of its ``read`` calls ends."""
+
+    def __init__(self, fh: io.TextIOWrapper):
+        self.fh, self.at, self.edges = fh, 0, []
+
+    def read(self, n: int) -> str:
+        text = self.fh.read(n)
+        self.at += len(text)
+        self.edges.append(self.at)
+        return text
+
+    def readline(self) -> str:
+        text = self.fh.readline()
+        self.at += len(text)
+        return text
+
+
+def _read_edges(data: bytes, chunk_chars: int) -> list[int]:
+    fh = _ReadEdges(_text_file(data))
+    with mock.patch.object(hscl.data, "_CHUNK_CHARS", chunk_chars):
+        for _ in _texts(fh):
+            pass
+    return fh.edges
+
+
 @pytest.mark.parametrize("name", sorted(CHUNK_EDGE_CASES))
 def test_load_matches_the_per_scalar_loader_with_a_chunk_edge_inside(name, tmp_path, monkeypatch):
+    """``_CHUNK_CHARS`` counts characters, so each case is cut where a ``read`` of the text layer ends inside its part."""
     text, part = CHUNK_EDGE_CASES[name]
     data = text.encode("utf-8")
-    start = data.index(part.encode("utf-8"))
-    end = start + len(part.encode("utf-8"))
+    start = text.index(part)
+    end = start + len(part)
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     ref = _outcome(load_dataset_ref, path)
     assert isinstance(ref, list)
-    cutting = [size for size in range(1, end) if any(start < edge < end for edge in range(size, end, size))]
+    cutting = [size for size in range(1, end) if any(start < edge < end for edge in _read_edges(data, size))]
     assert cutting
-    for chunk_bytes in cutting:  # a byte edge falls inside the part, yet every piece ends a line
-        pieces = _pieces(data, chunk_bytes)
-        assert "".join(pieces) == text.removeprefix("\ufeff"), chunk_bytes
-        assert _every_piece_but_the_last_ends_a_line(pieces), chunk_bytes
-        monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_bytes)
-        assert _outcome(load_dataset, path) == ref, chunk_bytes
+    for chunk_chars in cutting:  # a read edge falls between two characters of the part, yet every piece ends a line
+        pieces = _pieces(data, chunk_chars)
+        assert "".join(pieces) == text.removeprefix("\ufeff"), chunk_chars
+        assert _every_piece_but_the_last_ends_a_line(pieces), chunk_chars
+        monkeypatch.setattr(hscl.data, "_CHUNK_CHARS", chunk_chars)
+        assert _outcome(load_dataset, path) == ref, chunk_chars
 
 
 @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])

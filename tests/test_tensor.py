@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hscl.errors import ConfigError, DomainError, GraphStateError, ShapeError
+from hscl.losses import PROB_FLOOR, onehot_labels
 from hscl.tensor import (
     Tensor,
     backward,
@@ -12,6 +13,8 @@ from hscl.tensor import (
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
     squared_error_sum_backward,
     squared_error_sum_forward,
     weighted_log_sum_backward,
@@ -32,6 +35,7 @@ from oracles import (
     dense_chain,
     sim_ref,
     softmax_cross_entropy_chain,
+    softmax_cross_entropy_pair_ref,
     squared_error_sum_chain,
     weighted_log_sum_chain,
 )
@@ -492,6 +496,32 @@ def test_softmax_cross_entropy_matches_the_softmax_clamp_log_chain_bitwise():
             _value_and_grads(lambda t: el.mul(softmax_cross_entropy(t, onehot, 1e-12), 0.37), [logits]),
             _value_and_grads(lambda t: el.mul(softmax_cross_entropy_chain(t, onehot, 1e-12), 0.37), [logits]),
         )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 8])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_the_cross_entropy_pair_gives_the_bits_of_its_general_form(runs, rows):
+    """Loss and gradient bytes, signed zeros included, against ``softmax_cross_entropy_pair_ref``.
+
+    Some rows saturate: their picked mass is exactly 1.0, or below
+    ``PROB_FLOOR``, so their ``g_picked`` is a zero whose sign a positive
+    loss gradient makes negative.
+    """
+    rng = np.random.default_rng(27 + 10 * runs + rows)
+    lead = () if runs == 1 else (runs,)
+    for trial in range(60):
+        z = rng.normal(size=(*lead, rows, 3)) * (1.0 if trial % 3 else 40.0)
+        labels = rng.integers(0, 3, size=(*lead, rows))
+        onehot = onehot_labels(labels, 3)
+        saturated = rng.random(size=(*lead, rows)) < 0.5
+        picked_mass = np.where(rng.random(size=saturated.shape) < 0.5, 0.0, -800.0)  # mass 1.0 or 0.0
+        z = np.where(saturated[..., None], np.where(onehot, picked_mass[..., None], -800.0 - picked_mass[..., None]), z)
+        g = np.ones(lead) if trial % 2 else rng.normal(size=lead)
+        loss, saved = softmax_cross_entropy_forward(z, onehot, PROB_FLOOR)
+        grad = softmax_cross_entropy_backward(g, onehot, PROB_FLOOR, *saved)
+        want_loss, want_grad = softmax_cross_entropy_pair_ref(z, onehot, PROB_FLOOR, g)
+        assert (np.shape(loss), np.asarray(loss).tobytes()) == (np.shape(want_loss), np.asarray(want_loss).tobytes())
+        assert (grad.shape, grad.tobytes()) == (want_grad.shape, want_grad.tobytes())
 
 
 def test_weighted_log_sum_gradient_zero_at_and_beyond_the_clamp_edges():

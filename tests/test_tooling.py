@@ -6,7 +6,7 @@ one of them would silently leave that layer out of a traced run. Its probes
 read library results (the mined pairs of a ``MiningResult``), so they are run
 on real ones here, and short training runs go through the whole tracer.
 
-Which modules may name the layer pass, the graph, a tensor's array and the
+Which modules may name the layer math, the graph, a tensor's array and the
 checkpoint format is one table, ``OWNERSHIP``; ``UNUSED_PUBLIC`` lists the
 public names no library module uses, each with its reason.
 
@@ -188,7 +188,7 @@ SRC = ROOT / "src" / "hscl"
 # a watched phrase (one with a space) matches anywhere in the module's text.
 # ``__init__``'s imports are its exports, so they name nothing and use nothing.
 OWNERSHIP = (
-    ("only model runs the dense layer pair", {"dense_forward", "dense_backward"}, {"tensor", "model"}),
+    ("only model runs the dense layers' math", {"tanh"}, {"model"}),
     ("only the autodiff API builds or walks a graph", {"node", "backward"}, {"tensor", "model", "losses"}),
     ("only tensor rebinds a tensor's array", {".data="}, {"tensor"}),
     (
@@ -560,6 +560,24 @@ def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
                       "cli eval", "cli analyze"]
     assert all(float(line.split()[-2]) > 0 for line in lines[1:-1])
     assert lines[-1].startswith("np.loadtxt share: ")
+
+
+def test_the_step_profile_prints_every_stage_of_every_loop(capsys):
+    spec = importlib.util.spec_from_file_location("step_profile", ROOT / "tools" / "step_profile.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    args = ["--patients", "12", "--scans", "3", "--features", "4", "--runs", "1,2", "--repeat", "1"]
+    assert tool.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "cohort 12 x 3 x 4, µs per step, best of 5 x 1 rounds", "", "| loop | stage | S = 1 | S = 2 |", "|---|---|---:|---:|"
+    ]
+    rows = [line.strip("|").split(" | ") for line in lines[4:]]
+    stages = ["forward", "loss forward", "loss backward", "backward", "Adam", "step", "validation"]
+    loops = ["pre-training, `mse`", "pre-training, `mse+cl`", "pre-training, `mse+wcl`",
+             "fine-tuning, frozen", "fine-tuning, unfrozen"]
+    assert [(row[0].strip(), row[1]) for row in rows] == [(loop, stage) for loop in loops for stage in stages]
+    assert all(float(value) > 0 for row in rows for value in row[2:])
 
 
 def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from hscl.model import (
     encode,
     init_classifier_head,
     init_encoder,
+    mlp_forward,
     predict_classes,
 )
 from hscl.pipeline import (
@@ -37,7 +38,7 @@ from hscl.pipeline import (
     run_pretrain,
     spread_for_checkpoint,
 )
-from hscl.tensor import Tensor, dense_forward
+from hscl.tensor import Tensor
 from hscl.training import (
     AdamState,
     Checkpoint,
@@ -819,15 +820,18 @@ def test_a_one_run_step_runs_on_2d_weights_and_a_stack_of_runs_on_3d(monkeypatch
     """A size-1 run axis in the step gives the same bits but costs single-run throughput.
 
     So a one-run step keeps 2-D weights; only a stack of runs takes the
-    stacked (S, F, H) ones.
+    stacked (S, F, H) ones. The weights are read off the layers each MLP
+    pass receives, the loops' own and those of ``encode`` and
+    ``classify_pairs`` in validation.
     """
     ndims = []
 
-    def recorded(x, w, b, activation):
-        ndims.append(w.ndim)
-        return dense_forward(x, w, b, activation)
+    def recorded(layers, x):
+        ndims.extend(w.ndim for w, *_ in layers)
+        return mlp_forward(layers, x)
 
-    monkeypatch.setattr(model, "dense_forward", recorded)
+    for module in (model, training):
+        monkeypatch.setattr(module, "mlp_forward", recorded)
     x, y = _noiseless_regression(n=40, f=5, seed=16)
     xp, xn = np.random.default_rng(16).normal(size=(2, 20, 5))
     labels = np.arange(20) % 3

@@ -192,7 +192,7 @@ def embedding_spread(
         raise ConfigError(f"embedding_spread: seed must be non-negative, got {seed}")
 
     iu, ju = _sampled_pairs(n, sample_size, seed)
-    embeddings = encode(params, x).data
+    embeddings = encode(params, x)
     norms = np.linalg.norm(embeddings, axis=1)
     dots = (embeddings[iu] * embeddings[ju]).sum(axis=1)
     denom = norms[iu] * norms[ju]

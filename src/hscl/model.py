@@ -5,13 +5,16 @@ regression head, one linear layer, predicts the scalar health score during
 pre-training; the classifier head maps a concatenated pair of embeddings
 [u_prev ; u_next] to three change logits (improved / same / deteriorated).
 
-Every network runs through one array pass, ``mlp_forward``/``mlp_backward``,
-which computes each layer's ``act(x @ w + b)`` and its gradient products
-itself, one call per network. The training loops call it on views of their
-flat parameter buffer. The public calls ``encode``, ``predict_hs`` and
-``classify_pairs`` check the network and the input once and wrap the pass
-in one ``tensor.node`` over the inputs, weights and biases, so inference
-runs the same arrays.
+A network holds its weights and biases as float64 arrays. Every network runs
+through one array pass, ``mlp_forward``/``mlp_backward``, which computes each
+layer's ``act(x @ w + b)`` and its gradient products itself, one call per
+network: this forward/backward pair, not a graph, is the core the library
+differentiates. The training loops call it on views of their flat parameter
+buffer. The public calls ``encode``, ``predict_hs`` and ``classify_pairs``
+check the network and the input once and return the forward pass's output
+array, so inference runs the same arrays. The gradient checks in the test
+tree wrap the pass in graph nodes over leaves that share the arrays' memory,
+so they test the pair the loops run.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, node
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -48,16 +50,13 @@ class MLP:
 
     widths: list[int]
     activation: str | None
-    weights: list[Tensor] = field(repr=False)
-    biases: list[Tensor] = field(repr=False)
+    weights: list[np.ndarray] = field(repr=False)
+    biases: list[np.ndarray] = field(repr=False)
 
     def activations(self) -> list[str | None]:
         """Each layer's activation; ``None`` is a linear layer."""
         n = len(self.weights)
         return [self.activation] * (n - 1) + [None if self.LINEAR_LAST else self.activation]
-
-    def trainable(self) -> list[Tensor]:
-        return [*self.weights, *self.biases]
 
 
 class EncoderParams(MLP):
@@ -84,8 +83,8 @@ def _glorot(kind: type[MLP], widths: list[int], activation: str | None, seed: in
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True))
-        biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
     return kind(list(widths), activation, weights, biases)
 
 
@@ -150,10 +149,10 @@ def _check(net: MLP, activations: list[str | None], x: np.ndarray, call: tuple[s
         if activation is not None and activation not in ACTIVATIONS:
             raise ConfigError(f"{name}: unknown activation {activation!r}")
     ws, bs, widths = net.weights, net.biases, net.widths
-    runs = ws[0].data.shape[:-2] if ws else ()
+    runs = ws[0].shape[:-2] if ws else ()
     chained = bool(ws) and len(runs) < 2 and len(ws) == len(widths) - 1 == len(bs)
     for w, b, fan_in, fan_out in zip(ws, bs, widths, widths[1:]) if chained else ():
-        if w.data.shape != (*runs, fan_in, fan_out) or b.data.shape != (*runs, fan_out):
+        if w.shape != (*runs, fan_in, fan_out) or b.shape != (*runs, fan_out):
             chained = False
     if not chained:
         raise ShapeError(
@@ -169,27 +168,12 @@ def _check(net: MLP, activations: list[str | None], x: np.ndarray, call: tuple[s
         raise ShapeError(f"{name}: {what} width {x.shape[-1]} != {expected} width {widths[0]}")
 
 
-def _pass(net: MLP, x: np.ndarray, call: tuple[str, str, str, str]):
-    """``x`` through ``net`` once ``_check`` passes: the output, and its gradient map.
-
-    The map takes the output's gradient and whether the input needs one, and
-    gives fresh gradients of the parents (input or None, *net.trainable()).
-    """
+def _run(net: MLP, x: np.ndarray, call: tuple[str, str, str, str]) -> np.ndarray:
+    """``x`` through ``net`` once ``_check`` passes: the last layer's output."""
     activations = net.activations()
     _check(net, activations, x, call)
-    layers = [(w.data, b.data, act, None, None) for w, b, act in zip(net.weights, net.biases, activations)]
-    saved = mlp_forward(layers, x)
-
-    def grads(g: np.ndarray, need_x: bool) -> tuple:
-        fresh = [(w, b, act, np.empty_like(w), np.empty_like(b)) for w, b, act, _, _ in layers]
-        g_x = mlp_backward(fresh, saved, g, need_x)
-        return (g_x, *(layer[3] for layer in fresh), *(layer[4] for layer in fresh))
-
-    return saved[-1][1], grads
-
-
-def _tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    layers = [(w, b, act, None, None) for w, b, act in zip(net.weights, net.biases, activations)]
+    return mlp_forward(layers, x)[-1][1]
 
 
 def check_widths(widths, where: str) -> None:
@@ -224,49 +208,35 @@ def init_classifier_head(
     return _glorot(ClassifierHead, widths, CLS_ACTIVATION, seed)
 
 
-def encode(params: EncoderParams, batch) -> Tensor:
+def encode(params: EncoderParams, batch) -> np.ndarray:
     """Map a (B, F) batch to (B, embedding_dim) embeddings.
 
     An encoder whose weights carry a leading run axis of S runs takes an
     (S, B, F) stack instead, one batch per run, and gives (S, B, embedding_dim).
     """
-    x = _tensor(batch)
-    y, grads = _pass(params, x.data, _ENCODE)
-    return node(y, (x, *params.trainable()), lambda g: grads(g, x.requires_grad))
+    return _run(params, np.asarray(batch, dtype=np.float64), _ENCODE)
 
 
-def predict_hs(head: RegressionHead, embeddings) -> Tensor:
+def predict_hs(head: RegressionHead, embeddings) -> np.ndarray:
     """Scalar health-score prediction per row: a length-B vector, or (S, B) for S runs."""
-    e = _tensor(embeddings)
+    e = np.asarray(embeddings, dtype=np.float64)
     if head.widths[-1] != 1:
         raise ShapeError(f"predict_hs: head output width {head.widths[-1]} != 1")
-    y, grads = _pass(head, e.data, _PREDICT)
-    return node(
-        y.reshape(e.shape[:-1]), (e, *head.trainable()), lambda g: grads(g.reshape(y.shape), e.requires_grad)
-    )
+    return _run(head, e, _PREDICT).reshape(e.shape[:-1])
 
 
-def classify_pairs(head: ClassifierHead, u_prev, u_next) -> Tensor:
+def classify_pairs(head: ClassifierHead, u_prev, u_next) -> np.ndarray:
     """Logits (B, 3) for a batch of embedding pairs, the head run over their rows [u_prev ; u_next].
 
     The embeddings and the head's weights may carry a leading run axis:
     (S, B, D) pairs through a head of (S, ...) weights give (S, B, 3).
     """
-    up, un = _tensor(u_prev), _tensor(u_next)
-    if up.shape != un.shape or up.data.ndim not in (2, 3):
+    up, un = np.asarray(u_prev, dtype=np.float64), np.asarray(u_next, dtype=np.float64)
+    if up.shape != un.shape or up.ndim not in (2, 3):
         raise ShapeError(
             f"classify_pairs: expected matching (B, D) or (S, B, D) inputs, got {up.shape} and {un.shape}"
         )
-    y, grads = _pass(head, np.concatenate([up.data, un.data], axis=-1), _CLASSIFY)
-    d = up.shape[-1]
-
-    def pair_grads(g: np.ndarray) -> tuple:
-        g_rows, *rest = grads(g, up.requires_grad or un.requires_grad)
-        if g_rows is None:
-            return (None, None, *rest)
-        return (g_rows[..., :d], g_rows[..., d:], *rest)  # views of one fresh array, not overlapping
-
-    return node(y, (up, un, *head.trainable()), pair_grads)
+    return _run(head, np.concatenate([up, un], axis=-1), _CLASSIFY)
 
 
 def predict_classes(logits: np.ndarray) -> np.ndarray:

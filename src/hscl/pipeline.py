@@ -230,7 +230,7 @@ def evaluate_checkpoint(prepared: Prepared, ck: Checkpoint, split: str = "test")
     xp, xn, labels = prepared.pairs[split]
     if len(labels) == 0:
         raise ConfigError(f"evaluate_checkpoint: split {split!r} has no pairs")
-    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn))
     return compute_metrics(predict_classes(logits), labels)
 
 

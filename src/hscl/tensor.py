@@ -16,11 +16,13 @@ Everything is float64 and single-threaded; gradients accumulate in a fixed
 reverse-topological order, so identical graphs always produce bit-identical
 values and gradients.
 
-The training loops call the pairs directly and build no graph. The public
-autodiff calls of ``losses`` wrap them in graph nodes, one node per call (a
-whole loss term), as those of ``model`` wrap a whole network, because
-walking a node costs more Python time than the small numpy arrays it
-carries. ``node``
+The library calls the pairs directly and builds no graph; networks hold
+arrays and run through ``model.mlp_forward``/``mlp_backward``. The public
+autodiff calls of ``losses`` wrap the pairs in graph nodes, one node per
+call (a whole loss term), because walking a node costs more Python time than
+the small numpy arrays it carries; the graph forms of the network calls live
+in the test tree. This graph API stays public until the benchmark's tracer
+stops binding its calls. ``node``
 makes such a node from a value, its parents and a function that gives each
 parent's gradient; its closure calls the backward function, so the gradient
 checks of a call test the code that the loops run without it.
@@ -272,7 +274,8 @@ def backward(root: Tensor) -> None:
 
     Its callers (no training step is one: the loops run on arrays):
 
-    - ``losses.loss_gradients`` and public callers, on whole-model graphs;
+    - ``losses.loss_gradients`` and public callers, on whole-model graphs
+      built with the test tree's graph forms of the network calls;
     - ``grad_check``;
     - the tests: their gradient checks, the elementary-op chains and the
       per-step reference loops.

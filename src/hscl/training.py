@@ -66,7 +66,7 @@ from .model import (
     predict_classes,
     predict_hs,
 )
-from .tensor import Tensor, softmax_cross_entropy_backward, softmax_cross_entropy_forward
+from .tensor import softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 # perfbench/tracing.py wraps functions at this module's bindings, so each name
 # its BINDINGS resolves here stays bound, even an import nothing here calls.
@@ -413,19 +413,19 @@ def _network_from_checkpoint(ck: Checkpoint, kind: type[MLP], prefix: str, meta_
                 raise ShapeError(f"checkpoint {name} has shape {ck.tensors[name].shape}, expected {shape}")
             if not np.isfinite(ck.tensors[name]).all():
                 raise CheckpointIntegrityError(f"checkpoint tensor {name!r} holds a non-finite value")
-            tensors.append(Tensor(ck.tensors[name].copy()))
+            tensors.append(np.array(ck.tensors[name], dtype=np.float64))
     return kind(widths, activation, tensors[0::2], tensors[1::2])
 
 
 def encoder_from_checkpoint(ck: Checkpoint) -> EncoderParams:
-    """The checkpoint's encoder; its tensors take no gradient."""
+    """The checkpoint's encoder, its weights and biases copies of the checkpoint's arrays."""
     # older version-1 checkpoints also carry a "pooling" key from a sequence
     # path that 2-D input never reached; it is ignored
     return _network_from_checkpoint(ck, EncoderParams, "encoder", "")
 
 
 def classifier_from_checkpoint(ck: Checkpoint) -> ClassifierHead:
-    """The checkpoint's classifier head; its tensors take no gradient."""
+    """The checkpoint's classifier head, its weights and biases copies of the checkpoint's arrays."""
     return _network_from_checkpoint(ck, ClassifierHead, "cls", "cls_")
 
 
@@ -475,18 +475,18 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 # its regression one): numpy's per-call overhead on (1, ...) operands and on
 # (1,) loss terms where the 2-D step has scalars.
 #
-# A step builds no graph and calls no ``backward``. ``model.mlp_forward``
-# runs each network's layers on arrays and keeps each layer's arrays;
-# ``model.mlp_backward`` sends the output gradient back through them and
-# writes each parameter's gradient straight into its view of
-# ``AdamState.grad``. Those are the functions the nodes of ``encode``,
-# ``predict_hs`` and ``classify_pairs`` call, so values and gradients are
-# those of the graph, bit for bit.
-# Every view is written every step, so the buffer is never zero-filled. The
-# losses run the same way, seeded with the ones ``backward`` would give the
-# root: pre-training calls ``losses.combined_loss_forward`` on the
-# embeddings and the predictions with the batch's ``ContrastTargets`` and
-# ``combined_loss_backward`` for both their gradients, the pair the
+# A step runs the forward/backward array pairs; nothing in the library
+# builds a graph. ``model.mlp_forward`` runs each network's layers on arrays
+# and keeps each layer's arrays; ``model.mlp_backward`` sends the output
+# gradient back through them and writes each parameter's gradient straight
+# into its view of ``AdamState.grad``. ``encode``, ``predict_hs`` and
+# ``classify_pairs`` return ``mlp_forward``'s output, and the gradient checks
+# in the test tree wrap the same pair in graph nodes, so what they check is
+# what a step runs. Every view is written every step, so the buffer is never
+# zero-filled. The losses run the same way, seeded with a gradient of ones
+# for each run's loss: pre-training calls ``losses.combined_loss_forward``
+# on the embeddings and the predictions with the batch's ``ContrastTargets``
+# and ``combined_loss_backward`` for both their gradients, the pair the
 # ``combined_loss_terms`` total node calls; fine-tuning calls the
 # cross-entropy's forward and backward functions. An unfrozen
 # encoder runs once per step over the batch's prev and next scans, stacked
@@ -600,8 +600,8 @@ class _Runs:
         per_run = {}  # each name's S arrays
         for prefix, models in nets.items():
             for i in range(len(models[0].weights)):
-                per_run[_tensor_name(prefix, "w", i)] = [m.weights[i].data for m in models]
-                per_run[_tensor_name(prefix, "b", i)] = [m.biases[i].data for m in models]
+                per_run[_tensor_name(prefix, "w", i)] = [m.weights[i] for m in models]
+                per_run[_tensor_name(prefix, "b", i)] = [m.biases[i] for m in models]
         self.trained = [name for name in per_run if name.split(".")[0] in trained]  # "{prefix}.…"
         self.state = AdamState([(len(seeds), *per_run[name][0].shape) for name in self.trained])
         flat = dict(zip(self.trained, self.state.views(self.state.flat)))
@@ -633,7 +633,7 @@ class _Runs:
                 _step_view(self.params[w], lead), _step_view(self.params[b], lead), activation,
                 _step_view(self.grads.get(w), lead), _step_view(self.grads.get(b), lead),
             ))
-        step = type(net)(net.widths, net.activation, [Tensor(l[0]) for l in layers], [Tensor(l[1]) for l in layers])
+        step = type(net)(net.widths, net.activation, [l[0] for l in layers], [l[1] for l in layers])
         return step, layers
 
     def snapshot(self, epoch: int, s: int) -> Checkpoint:
@@ -738,7 +738,7 @@ def _val_mse(encoder: EncoderParams, reg: RegressionHead, x_val: np.ndarray, y_v
     """
     if y_val.shape[-1] == 0:
         return [float("nan")] * len(y_val)
-    pred = predict_hs(reg, encode(encoder, x_val)).data.reshape(y_val.shape)
+    pred = predict_hs(reg, encode(encoder, x_val)).reshape(y_val.shape)
     return [float(np.mean((p - y) ** 2)) for p, y in zip(pred, y_val)]
 
 
@@ -875,7 +875,7 @@ def embed_pairs(encoder: EncoderParams, xp, xn) -> tuple[np.ndarray, np.ndarray]
     every pair encode goes through this module's ``encode``, the binding
     perfbench traces as ``model.encode``.
     """
-    return encode(encoder, xp).data, encode(encoder, xn).data
+    return encode(encoder, xp), encode(encoder, xn)
 
 
 def finetune(
@@ -992,7 +992,7 @@ def finetune_runs(
     def val_metrics() -> list[tuple[float, float]]:
         if y_val.shape[-1] == 0:
             return [(float("nan"), float("nan"))] * n_runs
-        logits = classify_pairs(cls, *(val_pairs or embed_pairs(encoder, xp_val, xn_val))).data
+        logits = classify_pairs(cls, *(val_pairs or embed_pairs(encoder, xp_val, xn_val)))
         out = []
         for run_logits, labels in zip(logits.reshape(y_val.shape + logits.shape[-1:]), y_val):
             report = compute_metrics(predict_classes(run_logits), labels)

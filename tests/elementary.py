@@ -1,8 +1,9 @@
 """Elementary graph ops that the tests build reference graphs from.
 
-The library computes every MLP layer and loss as one fused node (or without
-a graph at all); the tests check those against chains of the elementary ops
-here, one graph node per op, each built with the public ``hscl.tensor.node``.
+The library runs every network and loss as forward/backward array pairs,
+and its loss API wraps each loss term as one node; the tests check those
+against chains of the elementary ops here, one graph node per op, each built
+with the public ``hscl.tensor.node``.
 They follow the tensor core's conventions: a gradient handed to a parent is
 an array the parent may keep, and clamp' is zero at and beyond the clamp
 edges.
@@ -15,8 +16,17 @@ module's own layer pair, ``dense_forward``/``dense_backward``, an
 independent reference for the layers that ``model.mlp_forward`` and
 ``mlp_backward`` compute inline. ``concat_last`` is the concatenation node the
 library's pair classifier was built from. The library's own nodes wrap a
-whole network or loss term; these wrap one layer or one op, so the tests
-can rebuild a network layer by layer.
+whole loss term; these wrap one layer or one op, so the tests can rebuild a
+network layer by layer.
+
+``encode``, ``predict_hs`` and ``classify_pairs`` are the graph forms of the
+library's three network calls, which return arrays: one node per call over
+the input, the weights and the biases, whose value and gradients come from
+``model.mlp_forward`` and ``mlp_backward``, the pass the training loops run.
+They take a network of arrays and wrap each weight and bias as a
+requires-grad leaf that shares the array's memory; a network whose weights
+and biases are leaves already (``as_leaves``) keeps them, so a test can read
+their gradients.
 
 Python numbers and arrays are taken as constant tensors wherever a tensor
 is expected.
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from hscl import model
 from hscl.errors import ConfigError, DomainError, ShapeError
 from hscl.tensor import (
     Tensor,
@@ -206,6 +217,63 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
 
     return node(y, (x, w, b), grads)
+
+
+def as_leaves(net):
+    """``net`` with each weight and bias a requires-grad leaf that shares its array's memory."""
+    weights, biases = ([Tensor(a, requires_grad=True) for a in arrays] for arrays in (net.weights, net.biases))
+    return type(net)(net.widths, net.activation, weights, biases)
+
+
+def _network(net, x: np.ndarray, call: tuple):
+    """``x`` through ``net`` by ``model``'s checked array pass: its output, its leaves and their gradient map.
+
+    The map takes the output's gradient and whether the input needs one, and
+    gives fresh gradients of the input (or None) and of every leaf.
+    """
+    params = [p if isinstance(p, Tensor) else Tensor(p, requires_grad=True) for p in (*net.weights, *net.biases)]
+    n = len(net.weights)
+    arrays = type(net)(net.widths, net.activation, [p.data for p in params[:n]], [p.data for p in params[n:]])
+    activations = net.activations()
+    model._check(arrays, activations, x, call)
+    layers = [(w, b, act, None, None) for w, b, act in zip(arrays.weights, arrays.biases, activations)]
+    saved = model.mlp_forward(layers, x)
+
+    def grads(g: np.ndarray, need_x: bool) -> tuple:
+        fresh = [(w, b, act, np.empty_like(w), np.empty_like(b)) for w, b, act, _, _ in layers]
+        g_x = model.mlp_backward(fresh, saved, g, need_x)
+        return (g_x, *(layer[3] for layer in fresh), *(layer[4] for layer in fresh))
+
+    return saved[-1][1], params, grads
+
+
+def encode(net, batch) -> Tensor:
+    """``model.encode`` as one node over the batch, the weights and the biases."""
+    x = _as_tensor(batch)
+    y, params, grads = _network(net, x.data, model._ENCODE)
+    return node(y, (x, *params), lambda g: grads(g, x.requires_grad))
+
+
+def predict_hs(head, embeddings) -> Tensor:
+    """``model.predict_hs`` as one node over the embeddings, the weights and the biases."""
+    e = _as_tensor(embeddings)
+    y, params, grads = _network(head, e.data, model._PREDICT)
+    return node(y.reshape(e.shape[:-1]), (e, *params), lambda g: grads(g.reshape(y.shape), e.requires_grad))
+
+
+def classify_pairs(head, u_prev, u_next) -> Tensor:
+    """``model.classify_pairs`` as one node over both halves of the pairs, the weights and the biases."""
+    up, un = _as_tensor(u_prev), _as_tensor(u_next)
+    y, params, grads = _network(head, np.concatenate([up.data, un.data], axis=-1), model._CLASSIFY)
+    d = up.shape[-1]
+
+    def pair_grads(g: np.ndarray) -> tuple:
+        g_rows, *rest = grads(g, up.requires_grad or un.requires_grad)
+        if g_rows is None:
+            return (None, None, *rest)
+        return (g_rows[..., :d], g_rows[..., d:], *rest)  # views of one fresh array, not overlapping
+
+    return node(y, (up, un, *params), pair_grads)
 
 
 def squared_error_sum(target, pred: Tensor) -> Tensor:

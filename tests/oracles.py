@@ -378,20 +378,24 @@ def _val_mse_ref(encoder, reg, x_val, y_val):
 
 
 def _ref_networks(runs, *prefixes):
-    """The named networks of a ``training._Runs``, run axis kept, and their trained tensors.
+    """The named networks of a ``training._Runs``, run axis kept, as graph leaves, and their trained leaves.
 
-    Each trained tensor takes a gradient; the trained tensors come with their
-    views of the Adam gradient buffer, for ``loss_gradients``.
+    Each weight and bias is a leaf that shares memory with its view, so it
+    sees every Adam update. A trained one takes a gradient, and the trained
+    leaves come with their views of the Adam gradient buffer, for
+    ``loss_gradients``.
     """
     nets, params, views = [], [], []
     for prefix in prefixes:
         net, layers = runs.network(prefix, (runs.n_runs,))
-        for w, b, (_, _, _, gw, gb) in zip(net.weights, net.biases, layers):
+        weights, biases = [], []
+        for w, b, _, gw, gb in layers:
+            weights.append(Tensor(w, requires_grad=gw is not None))
+            biases.append(Tensor(b, requires_grad=gw is not None))
             if gw is not None:
-                w.requires_grad = b.requires_grad = True
-                params += [w, b]
+                params += [weights[-1], biases[-1]]
                 views += [gw, gb]
-        nets.append(net)
+        nets.append(type(net)(net.widths, net.activation, weights, biases))
     return nets, params, views
 
 

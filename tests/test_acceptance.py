@@ -25,7 +25,7 @@ from hscl.losses import (
     mse_loss,
     wcl_loss,
 )
-from hscl.model import encode, init_encoder, init_regression_head, predict_hs
+from hscl.model import init_encoder, init_regression_head
 from hscl.tensor import Tensor, grad_check
 from hscl.training import (
     Checkpoint,
@@ -36,6 +36,7 @@ from hscl.training import (
     save_checkpoint,
 )
 
+import elementary as el
 from oracles import (
     cl_ref,
     cross_entropy_ref,
@@ -138,7 +139,7 @@ def test_criterion_1_gradient_correctness():
             encoder = init_encoder(widths, seed=200 + trial, activation="tanh")
             head = init_regression_head(widths[-1], seed=300 + trial)
             flat, shapes = pack_shapes(
-                [t.data for t in encoder.trainable()] + [head.weights[0].data, head.biases[0].data]
+                [*encoder.weights, *encoder.biases, head.weights[0], head.biases[0]]
             )
             n_layers = len(encoder.weights)
 
@@ -151,8 +152,8 @@ def test_criterion_1_gradient_correctness():
                     pieces[n_layers : 2 * n_layers],
                 )
                 hd = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
-                embeddings = encode(enc, x)
-                y_hat = predict_hs(hd, embeddings)
+                embeddings = el.encode(enc, x)
+                y_hat = el.predict_hs(hd, embeddings)
                 return combined_loss(hs, y_hat, embeddings, mining, hs, cfg)
 
             check(through_encoder, flat)

@@ -1148,7 +1148,7 @@ def test_checkpoint_with_old_pooling_key_evaluates_identically(
     logits = []
     for ck in (plain, old):
         encoder, cls = encoder_from_checkpoint(ck), classifier_from_checkpoint(ck)
-        logits.append(classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data)
+        logits.append(classify_pairs(cls, *embed_pairs(encoder, xp, xn)))
     assert np.array_equal(logits[0], logits[1])
 
     metrics = []

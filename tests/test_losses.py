@@ -22,7 +22,7 @@ from hscl.losses import (
     mse_loss,
     wcl_loss,
 )
-from hscl.model import classify_pairs, init_classifier_head
+from hscl.model import init_classifier_head
 from hscl.tensor import Tensor, backward, grad_check
 
 import elementary as el
@@ -269,7 +269,7 @@ def test_frozen_finetune_step_graph_size_does_not_grow_with_batch():
     cls = init_classifier_head(4, seed=0)
     sizes = {}
     for b in (8, 16):
-        logits = classify_pairs(cls, rng.normal(size=(b, 4)), rng.normal(size=(b, 4)))
+        logits = el.classify_pairs(cls, rng.normal(size=(b, 4)), rng.normal(size=(b, 4)))
         sizes[b] = _graph_size(cross_entropy(logits, rng.integers(0, 3, size=b)))
     assert sizes[8] == sizes[16]
 

@@ -174,14 +174,14 @@ def test_spearman_degenerate_flag():
 
 def _identity_encoder(width):
     params = init_encoder([width, width], seed=0, activation="relu")
-    params.weights[0].data[:] = np.eye(width)
+    params.weights[0][:] = np.eye(width)
     return params
 
 
 def test_spread_constant_embeddings_degenerate():
     params = init_encoder([4, 3], seed=0, activation="relu")
-    params.weights[0].data[:] = 0.0
-    params.biases[0].data[:] = [1.0, 0.0, 0.0]  # every scan maps to the same unit embedding
+    params.weights[0][:] = 0.0
+    params.biases[0][:] = [1.0, 0.0, 0.0]  # every scan maps to the same unit embedding
     x = np.random.default_rng(0).normal(size=(10, 4))
     hs = np.random.default_rng(1).uniform(0, 1, size=10)
     profile = embedding_spread(params, x, hs, sample_size=1000, seed=0)

@@ -11,6 +11,7 @@ from hscl.model import (
     init_classifier_head,
     init_encoder,
     init_regression_head,
+    mlp_forward,
     predict_classes,
     predict_hs,
 )
@@ -34,7 +35,7 @@ def _numpy_mlp(x, params, activations=None):
         activations = [params.activation] * len(params.weights)
     assert len(activations) == len(params.weights)
     for w, b, act in zip(params.weights, params.biases, activations):
-        x = _NUMPY_ACTIVATIONS[act](x @ w.data + b.data)
+        x = _NUMPY_ACTIVATIONS[act](x @ w + b)
     return x
 
 
@@ -43,25 +44,25 @@ def _stacked_pair(net, other):
     return type(net)(
         net.widths,
         net.activation,
-        [Tensor(np.stack([a.data, b.data])) for a, b in zip(net.weights, other.weights)],
-        [Tensor(np.stack([a.data, b.data])) for a, b in zip(net.biases, other.biases)],
+        [np.stack([a, b]) for a, b in zip(net.weights, other.weights)],
+        [np.stack([a, b]) for a, b in zip(net.biases, other.biases)],
     )
 
 
 def test_init_is_reproducible_per_seed():
     a = init_encoder([8, 4], seed=7)
     b = init_encoder([8, 4], seed=7)
-    for ta, tb in zip(a.trainable(), b.trainable()):
-        assert np.array_equal(ta.data, tb.data)
+    for ta, tb in zip([*a.weights, *a.biases], [*b.weights, *b.biases]):
+        assert np.array_equal(ta, tb)
     c = init_encoder([8, 4], seed=8)
-    assert not np.array_equal(a.weights[0].data, c.weights[0].data)
+    assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 def test_init_glorot_bound_and_zero_bias():
     params = init_encoder([8, 4], seed=0)
     bound = np.sqrt(6.0 / 12.0)
-    assert np.all(np.abs(params.weights[0].data) <= bound)
-    assert np.array_equal(params.biases[0].data, np.zeros(4))
+    assert np.all(np.abs(params.weights[0]) <= bound)
+    assert np.array_equal(params.biases[0], np.zeros(4))
 
 
 def test_init_rejects_bad_widths():
@@ -91,9 +92,9 @@ def test_an_unknown_activation_choice_raises_config_error(build, message):
 
 def test_encode_identity_layer():
     params = init_encoder([3, 3], seed=0, activation="relu")
-    params.weights[0].data[:] = np.eye(3)
+    params.weights[0][:] = np.eye(3)
     x = np.array([[0.5, 1.0, 0.0], [2.0, 0.0, 3.0]])  # non-negative keeps relu transparent
-    assert np.array_equal(encode(params, x).data, x)
+    assert np.array_equal(encode(params, x), x)
 
 
 def test_encode_rejects_sequence_input():
@@ -117,7 +118,7 @@ def test_encode_rejects_a_batch_without_the_run_axis_of_a_stacked_encoder():
 def test_encode_matches_numpy_reference():
     params = init_encoder([5, 7, 3], seed=3, activation="tanh")
     x = np.random.default_rng(4).normal(size=(6, 5))
-    assert np.allclose(encode(params, x).data, _numpy_mlp(x, params), atol=1e-12)
+    assert np.allclose(encode(params, x), _numpy_mlp(x, params), atol=1e-12)
 
 
 def test_encode_width_mismatch():
@@ -131,7 +132,7 @@ def test_encode_width_mismatch():
     [
         (lambda: encode(init_encoder([5, 3], seed=0), np.ones((2, 4))),
          "encode: feature width 4 != encoder input width 5"),
-        (lambda: predict_hs(init_regression_head(3, seed=0), Tensor(np.ones((2, 4)))),
+        (lambda: predict_hs(init_regression_head(3, seed=0), np.ones((2, 4))),
          "predict_hs: embedding width 4 != head width 3"),
         (lambda: classify_pairs(init_classifier_head(3, seed=0), np.ones((2, 2)), np.ones((2, 2))),
          "classify_pairs: pair width 4 != classifier input width 6"),
@@ -147,40 +148,40 @@ def test_encode_permutation_equivariant():
     params = init_encoder([4, 6, 3], seed=2)
     x = np.random.default_rng(5).normal(size=(7, 4))
     perm = np.random.default_rng(6).permutation(7)
-    assert np.array_equal(encode(params, x).data[perm], encode(params, x[perm]).data)
+    assert np.array_equal(encode(params, x)[perm], encode(params, x[perm]))
 
 
 def test_predict_hs_constant_bias():
     head = init_regression_head(4, seed=0)
-    head.weights[0].data[:] = 0.0
-    head.biases[0].data[:] = 2.5
-    out = predict_hs(head, Tensor(np.random.default_rng(0).normal(size=(6, 4))))
-    assert np.array_equal(out.data, np.full(6, 2.5))
+    head.weights[0][:] = 0.0
+    head.biases[0][:] = 2.5
+    out = predict_hs(head, np.random.default_rng(0).normal(size=(6, 4)))
+    assert np.array_equal(out, np.full(6, 2.5))
 
 
 def test_predict_hs_unit_vector_picks_column():
     head = init_regression_head(4, seed=0)
-    head.weights[0].data[:] = 0.0
-    head.weights[0].data[0, 0] = 1.0
-    head.biases[0].data[:] = 0.0
+    head.weights[0][:] = 0.0
+    head.weights[0][0, 0] = 1.0
+    head.biases[0][:] = 0.0
     u = np.random.default_rng(1).normal(size=(5, 4))
-    assert np.allclose(predict_hs(head, Tensor(u)).data, u[:, 0])
+    assert np.allclose(predict_hs(head, u), u[:, 0])
 
 
 def test_predict_hs_matches_manual_matmul():
     head = init_regression_head(3, seed=9)
     u = np.random.default_rng(2).normal(size=(4, 3))
-    expected = [float(row @ head.weights[0].data[:, 0] + head.biases[0].data[0]) for row in u]
-    assert np.allclose(predict_hs(head, Tensor(u)).data, expected, atol=1e-12)
+    expected = [float(row @ head.weights[0][:, 0] + head.biases[0][0]) for row in u]
+    assert np.allclose(predict_hs(head, u), expected, atol=1e-12)
 
 
 def test_classifier_constant_bias_always_predicts_same():
     head = init_classifier_head(4, seed=0, hidden=())
-    head.weights[0].data[:] = 0.0
-    head.biases[0].data[:] = [0.0, 1.0, 0.0]
+    head.weights[0][:] = 0.0
+    head.biases[0][:] = [0.0, 1.0, 0.0]
     rng = np.random.default_rng(3)
     logits = classify_pairs(head, rng.normal(size=(10, 4)), rng.normal(size=(10, 4)))
-    assert np.all(predict_classes(logits.data) == 1)
+    assert np.all(predict_classes(logits) == 1)
 
 
 def test_classifier_is_order_sensitive():
@@ -188,8 +189,8 @@ def test_classifier_is_order_sensitive():
     u, v = rng.normal(size=4), rng.normal(size=4)
     for seed in range(20):
         head = init_classifier_head(4, seed=seed)
-        a = classify_pairs(head, u[None, :], v[None, :]).data
-        b = classify_pairs(head, v[None, :], u[None, :]).data
+        a = classify_pairs(head, u[None, :], v[None, :])
+        b = classify_pairs(head, v[None, :], u[None, :])
         if not np.allclose(a, b):
             return
     raise AssertionError("no parameter draw distinguished swapped pair order")
@@ -200,13 +201,13 @@ def test_classifier_logits_finite_for_large_inputs():
     rng = np.random.default_rng(7)
     u = rng.uniform(-1e3, 1e3, size=(16, 8))
     v = rng.uniform(-1e3, 1e3, size=(16, 8))
-    assert np.all(np.isfinite(classify_pairs(head, u, v).data))
+    assert np.all(np.isfinite(classify_pairs(head, u, v)))
 
 
 def test_classifier_argmax_shift_invariant():
     head = init_classifier_head(4, seed=5)
     rng = np.random.default_rng(8)
-    logits = classify_pairs(head, rng.normal(size=(6, 4)), rng.normal(size=(6, 4))).data
+    logits = classify_pairs(head, rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
     assert np.array_equal(predict_classes(logits), predict_classes(logits + 17.3))
 
 
@@ -220,8 +221,8 @@ def test_classify_pair_matches_batch_version():
     stacked = _stacked_pair(head, other)
     rng = np.random.default_rng(9)
     u, v = rng.normal(size=3), rng.normal(size=3)
-    single = classify_pairs(head, u[None, :], v[None, :]).data
-    batched = classify_pairs(stacked, np.stack([u, v])[:, None, :], np.stack([v, u])[:, None, :]).data
+    single = classify_pairs(head, u[None, :], v[None, :])
+    batched = classify_pairs(stacked, np.stack([u, v])[:, None, :], np.stack([v, u])[:, None, :])
     assert batched.shape == (2, 1, 3)
     assert np.array_equal(single, batched[0])
 
@@ -233,8 +234,8 @@ def test_multi_layer_classifier_head_activates_its_hidden_layers_and_keeps_the_l
     activations = ["relu", "relu", None]
     expected = [_numpy_mlp(run_rows, head, activations) for run_rows, head in zip(rows, heads)]
     assert (expected[0] < 0).any()  # a relu on the logits would show
-    assert np.allclose(classify_pairs(heads[0], rows[0, :, :4], rows[0, :, 4:]).data, expected[0], atol=1e-12)
-    stacked = classify_pairs(_stacked_pair(*heads), rows[..., :4], rows[..., 4:]).data
+    assert np.allclose(classify_pairs(heads[0], rows[0, :, :4], rows[0, :, 4:]), expected[0], atol=1e-12)
+    stacked = classify_pairs(_stacked_pair(*heads), rows[..., :4], rows[..., 4:])
     assert stacked.shape == (2, 9, 3)
     for run in range(2):
         assert np.allclose(stacked[run], expected[run], atol=1e-12)
@@ -246,8 +247,8 @@ def test_regression_head_is_one_linear_layer():
     u = np.random.default_rng(25).normal(size=(2, 7, 3))
     expected = [_numpy_mlp(run_u, head, [None])[:, 0] for run_u, head in zip(u, heads)]
     assert (expected[0] < 0).any()
-    assert np.allclose(predict_hs(heads[0], Tensor(u[0])).data, expected[0], atol=1e-12)
-    stacked = predict_hs(_stacked_pair(*heads), Tensor(u)).data
+    assert np.allclose(predict_hs(heads[0], u[0]), expected[0], atol=1e-12)
+    stacked = predict_hs(_stacked_pair(*heads), u)
     assert stacked.shape == (2, 7)
     for run in range(2):
         assert np.allclose(stacked[run], expected[run], atol=1e-12)
@@ -258,7 +259,7 @@ def test_mean_prediction_gradient_through_encoder():
     params = init_encoder([3, 5, 2], seed=10, activation="tanh")
     head = init_regression_head(2, seed=11)
     x = np.random.default_rng(12).normal(size=(4, 3))
-    tensors = [t.data for t in params.trainable()] + [head.weights[0].data, head.biases[0].data]
+    tensors = [*params.weights, *params.biases, head.weights[0], head.biases[0]]
     flat, shapes = pack_shapes(tensors)
 
     def f(flat_t):
@@ -269,17 +270,17 @@ def test_mean_prediction_gradient_through_encoder():
             pieces[:n_layers], pieces[n_layers : 2 * n_layers],
         )
         rebuilt_head = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
-        return el.mean(predict_hs(rebuilt_head, encode(rebuilt, x)))
+        return el.mean(el.predict_hs(rebuilt_head, el.encode(rebuilt, x)))
 
     assert grad_check(f, Tensor(flat), 1e-6) < 1e-4
 
 
 def test_encoder_gradients_flow_to_all_parameters():
-    params = init_encoder([3, 4, 2], seed=13, activation="tanh")
-    head = init_regression_head(2, seed=14)
+    params = el.as_leaves(init_encoder([3, 4, 2], seed=13, activation="tanh"))
+    head = el.as_leaves(init_regression_head(2, seed=14))
     x = np.random.default_rng(15).normal(size=(5, 3))
-    backward(el.mean(predict_hs(head, encode(params, x))))
-    for t in params.trainable() + head.trainable():
+    backward(el.mean(el.predict_hs(head, el.encode(params, x))))
+    for t in [*params.weights, *params.biases, *head.weights, *head.biases]:
         assert t.grad is not None and t.grad.shape == t.data.shape
 
 
@@ -293,14 +294,14 @@ def _layer_chain(net, x):
     return x
 
 
-# call: (network kind, widths, input widths, the call, the same call as a per-layer chain)
+# call: (network kind, widths, input widths, the call, its graph form, the graph form as a per-layer chain)
 _NODE_CALLS = {
-    "encode": (EncoderParams, [5, 7, 4], [5], encode, _layer_chain),
+    "encode": (EncoderParams, [5, 7, 4], [5], encode, el.encode, _layer_chain),
     "predict_hs": (
-        RegressionHead, [4, 1], [4], predict_hs, lambda net, e: _layer_chain(net, e).reshape(e.shape[:-1])
+        RegressionHead, [4, 1], [4], predict_hs, el.predict_hs, lambda net, e: _layer_chain(net, e).reshape(e.shape[:-1])
     ),
     "classify_pairs": (
-        ClassifierHead, [8, 6, 3], [4, 4], classify_pairs,
+        ClassifierHead, [8, 6, 3], [4, 4], classify_pairs, el.classify_pairs,
         lambda net, up, un: _layer_chain(net, el.concat_last([up, un])),
     ),
 }
@@ -308,7 +309,7 @@ _NODE_CALLS = {
 
 def _node_call_arrays(call, runs, rng):
     """Random weights, biases and inputs for ``call``; ``runs`` None is one run without the run axis."""
-    _, widths, in_widths, _, _ = _NODE_CALLS[call]
+    _, widths, in_widths, *_ = _NODE_CALLS[call]
     lead = () if runs is None else (runs,)
     weights = [rng.normal(size=(*lead, a, b)) for a, b in zip(widths[:-1], widths[1:])]
     biases = [rng.normal(size=(*lead, b)) for b in widths[1:]]
@@ -318,7 +319,7 @@ def _node_call_arrays(call, runs, rng):
 
 def _node_call_result(call, activation, arrays, need_x, upstream, chain):
     """The call's output and every leaf's gradient under ``upstream``, from fresh leaves."""
-    kind, widths, _, fn, chain_fn = _NODE_CALLS[call]
+    kind, widths, _, _, fn, chain_fn = _NODE_CALLS[call]
     weights, biases, inputs = (
         [Tensor(a.copy(), requires_grad=grad) for a in group]
         for group, grad in zip(arrays, (True, True, need_x))
@@ -350,6 +351,23 @@ def test_each_network_call_matches_the_per_layer_dense_chain_bitwise(call, activ
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("form", ["2-D", "stacked", "nested list"])
+@pytest.mark.parametrize("call", list(_NODE_CALLS))
+def test_each_network_call_returns_the_plain_array_of_the_mlp_pass(call, form):
+    """The library's calls build no node: each gives ``mlp_forward``'s output, ``predict_hs`` one score per row."""
+    kind, widths, _, fn, _, _ = _NODE_CALLS[call]
+    weights, biases, inputs = _node_call_arrays(call, 3 if form == "stacked" else None, np.random.default_rng(44))
+    net = kind(widths, "tanh", weights, biases)
+    out = fn(net, *([x.tolist() for x in inputs] if form == "nested list" else inputs))
+    layers = [(w, b, act, None, None) for w, b, act in zip(weights, biases, net.activations())]
+    want = mlp_forward(layers, np.concatenate(inputs, axis=-1))[-1][1]
+    if call == "predict_hs":
+        assert out.shape == inputs[0].shape[:-1]
+        want = want.reshape(out.shape)
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("runs", [None, 3])
 @pytest.mark.parametrize("grad_input", [0, 1])
 def test_a_pair_half_that_takes_no_gradient_gets_none_and_the_other_its_chain_gradient(grad_input, runs):
@@ -358,7 +376,7 @@ def test_a_pair_half_that_takes_no_gradient_gets_none_and_the_other_its_chain_gr
     weights, biases, inputs = _node_call_arrays("classify_pairs", runs, rng)
     upstream = rng.normal(size=(*inputs[0].shape[:-1], 3))
     grads = []
-    for fn in (classify_pairs, _NODE_CALLS["classify_pairs"][4]):
+    for fn in _NODE_CALLS["classify_pairs"][4:]:
         halves = [Tensor(x.copy(), requires_grad=i == grad_input) for i, x in enumerate(inputs)]
         net = ClassifierHead([8, 6, 3], "tanh", [Tensor(w) for w in weights], [Tensor(b) for b in biases])
         backward(el.sum(el.mul(fn(net, *halves), Tensor(upstream))))
@@ -370,7 +388,7 @@ def test_a_pair_half_that_takes_no_gradient_gets_none_and_the_other_its_chain_gr
 
 @pytest.mark.parametrize("call", list(_NODE_CALLS))
 def test_each_network_call_is_one_node_over_its_inputs_weights_and_biases(call):
-    kind, widths, _, fn, _ = _NODE_CALLS[call]
+    kind, widths, _, _, fn, _ = _NODE_CALLS[call]
     weights, biases, inputs = (
         [Tensor(a, requires_grad=True) for a in group]
         for group in _node_call_arrays(call, 2, np.random.default_rng(41))
@@ -389,10 +407,10 @@ def _malformed(call, change):
 
     ``change`` may return an activation for the network in place of tanh.
     """
-    kind, widths, _, fn, _ = _NODE_CALLS[call]
+    kind, widths, _, fn, _, _ = _NODE_CALLS[call]
     weights, biases, inputs = _node_call_arrays(call, 2, np.random.default_rng(42))
     activation = change(weights, biases, inputs) or "tanh"
-    net = kind(widths, activation, [Tensor(w) for w in weights], [Tensor(b) for b in biases])
+    net = kind(widths, activation, weights, biases)
     return lambda: fn(net, *inputs)
 
 
@@ -428,7 +446,7 @@ def test_a_network_of_an_unknown_activation_raises_config_error(call):
 
 
 def test_a_regression_head_of_more_than_one_output_raises_shape_error():
-    head = RegressionHead([3, 2], None, [Tensor(np.ones((3, 2)))], [Tensor(np.zeros(2))])
+    head = RegressionHead([3, 2], None, [np.ones((3, 2))], [np.zeros(2)])
     with pytest.raises(ShapeError, match=r"^predict_hs: head output width 2 != 1$"):
         predict_hs(head, np.ones((4, 3)))
 

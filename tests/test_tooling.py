@@ -22,7 +22,9 @@ emit, so a new key cannot go unchecked on restore.
 
 The CLI gate (tools/cli_gate.py), which hashes every output of every
 subcommand to compare two source trees, gives the same manifest run after
-run, so a difference between trees is the trees'.
+run, so a difference between trees is the trees'. The mutation table
+(tools/mutants.py) edits text that is still in its files and names tests
+that are still collected; the profiling tools print every row they promise.
 
 README's ``python`` blocks run as written, each section's in an empty
 directory, so a renamed call breaks a test before it misleads a reader.
@@ -189,7 +191,7 @@ SRC = ROOT / "src" / "hscl"
 # ``__init__``'s imports are its exports, so they name nothing and use nothing.
 OWNERSHIP = (
     ("only model runs the dense layers' math", {"tanh"}, {"model"}),
-    ("only the autodiff API builds or walks a graph", {"node", "backward"}, {"tensor", "model", "losses"}),
+    ("only the autodiff API builds or walks a graph", {"node", "backward", "Tensor"}, {"tensor", "losses"}),
     ("only tensor rebinds a tensor's array", {".data="}, {"tensor"}),
     (
         "only training knows the checkpoint format",
@@ -533,11 +535,16 @@ def test_checkpoint_meta_declares_exactly_the_keys_every_writer_emits(
     assert sorted(set(stages)) == ["finetune", "pretrain"] and len(paths) == 8
 
 
+def _load_tool(name: str):
+    """The module ``tools/{name}.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def _load_cli_gate():
-    spec = importlib.util.spec_from_file_location("cli_gate", CLI_GATE)
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
-    return gate
+    return _load_tool("cli_gate")
 
 
 def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
@@ -549,9 +556,7 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
 
 
 def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
-    spec = importlib.util.spec_from_file_location("read_path_profile", ROOT / "tools" / "read_path_profile.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool("read_path_profile")
     assert tool.main(["--patients", "12", "--scans", "3", "--features", "4", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "cohort 12 x 3 x 4, best of 1 calls"
@@ -563,21 +568,62 @@ def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
 
 
 def test_the_step_profile_prints_every_stage_of_every_loop(capsys):
-    spec = importlib.util.spec_from_file_location("step_profile", ROOT / "tools" / "step_profile.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    args = ["--patients", "12", "--scans", "3", "--features", "4", "--runs", "1,2", "--repeat", "1"]
+    """It records the loops' calls at their ``training`` bindings (``encode``, ``classify_pairs``, ...) by name."""
+    tool = _load_tool("step_profile")
+    args = ["--patients", "20", "--scans", "3", "--features", "4", "--runs", "1,2", "--repeat", "1"]
     assert tool.main(args) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == [
-        "cohort 12 x 3 x 4, µs per step, best of 5 x 1 rounds", "", "| loop | stage | S = 1 | S = 2 |", "|---|---|---:|---:|"
+        "cohort 20 x 3 x 4, µs per step, best of 5 x 1 rounds", "", "| loop | stage | S = 1 | S = 2 |", "|---|---|---:|---:|"
     ]
     rows = [line.strip("|").split(" | ") for line in lines[4:]]
     stages = ["forward", "loss forward", "loss backward", "backward", "Adam", "step", "validation"]
     loops = ["pre-training, `mse`", "pre-training, `mse+cl`", "pre-training, `mse+wcl`",
              "fine-tuning, frozen", "fine-tuning, unfrozen"]
     assert [(row[0].strip(), row[1]) for row in rows] == [(loop, stage) for loop in loops for stage in stages]
-    assert all(float(value) > 0 for row in rows for value in row[2:])
+    assert all(0 < float(value) < math.inf for row in rows for value in row[2:])
+
+
+def test_the_stack_profile_prints_both_stack_tables_with_each_ratio_to_its_runs_one_after_another(capsys):
+    tool = _load_tool("stack_profile")
+    args = ["--patients", "20", "--scans", "3", "--features", "4", "--pretrain-epochs", "1", "--finetune-epochs", "1",
+            "--pretrain-runs", "2,3", "--finetune-runs", "2", "--rounds", "1"]
+    assert tool.main(args) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    cohort = "cohort 20 x 3 x 4, median of 1 rounds"
+    assert blocks[0] == f"pre-training, 1 epochs, {cohort}" and blocks[2] == f"fine-tuning, 1 epochs, {cohort}"
+    for text, head, rows, sizes in (
+        (blocks[1], "mode", ["`mse`", "`mse+cl`", "`mse+wcl`"], [1, 2, 3]),
+        (blocks[3].rstrip("\n"), "encoder", ["frozen", "unfrozen"], [1, 2]),
+    ):
+        lines = text.split("\n")
+        assert lines[:2] == [
+            f"| {head} | S = 1 | " + " | ".join(f"S = {s}, stacked" for s in sizes[1:]) + " |", "|---|" + "---|" * len(sizes)
+        ]
+        cells = [line.strip("| ").split(" | ") for line in lines[2:]]
+        assert [row[0] for row in cells] == rows
+        for row in cells:
+            one = float(row[1].removesuffix(" ms"))
+            assert 0 < one < math.inf
+            for s, cell in zip(sizes[1:], row[2:]):
+                ms, ratio = cell.removesuffix("×)").split(" ms (")
+                ms, ratio = float(ms), float(ratio)
+                # the printed ms are rounded to 0.05 either way, and the ratio to 0.005
+                assert 0 < ms < math.inf
+                assert (ms - 0.05) / (s * (one + 0.05)) - 0.005 <= ratio <= (ms + 0.05) / (s * (one - 0.05)) + 0.005
+
+
+def test_every_mutant_row_edits_current_code_and_names_collected_tests():
+    """The mutation table cannot go stale; no mutant runs here (``python tools/mutants.py`` runs them)."""
+    tool = _load_tool("mutants")
+    mutants = tool.MUTANTS
+    assert len({m.name for m in mutants}) == len(mutants)
+    counts = {m.name: (ROOT / m.file).read_text(encoding="utf-8").count(m.old) for m in mutants}
+    assert {name: n for name, n in counts.items() if n != 1} == {}
+    tests = {t for m in mutants for t in m.tests}
+    collected = tool.pytest_run(ROOT, sorted(tests), "--collect-only")
+    assert collected.returncode == 0, collected.stdout[-2000:]
+    assert {line for line in collected.stdout.splitlines() if "::" in line} == tests
 
 
 def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from hscl.model import (
     encode,
     init_classifier_head,
     init_encoder,
+    init_regression_head,
     mlp_forward,
     predict_classes,
 )
@@ -45,6 +46,7 @@ from hscl.training import (
     TrainConfig,
     adam_step,
     checkpoint_bytes,
+    classifier_from_checkpoint,
     cosine_lr,
     embed_pairs,
     encoder_from_checkpoint,
@@ -422,7 +424,7 @@ def _separable_pairs(ck, n=60, margin=0.5, seed=4):
     xp, xn, labels = [], [], []
     while len(labels) < n:
         a, b = rng.normal(size=f), rng.normal(size=f)
-        u = encode(encoder, np.stack([a, b])).data
+        u = encode(encoder, np.stack([a, b]))
         score = float(np.concatenate([u[0], u[1]]) @ readout)
         if abs(score) < margin:
             continue  # keep a separation margin between the classes
@@ -461,10 +463,8 @@ def test_finetune_reaches_full_accuracy_on_separable_pairs():
     cfg = TrainConfig(epochs=200, seed=2, lr=0.01, freeze_encoder=True)
     result = finetune(pre.best, xp, xn, labels, xp, xn, labels, cfg)
     encoder = encoder_from_checkpoint(result.best)
-    from hscl.training import classifier_from_checkpoint
-
     cls = classifier_from_checkpoint(result.best)
-    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn))
     report = compute_metrics(predict_classes(logits), labels)
     assert report.accuracy == 100.0
 
@@ -485,7 +485,7 @@ def test_untrained_classifier_near_chance_on_balanced_pairs():
     n = 300
     xp, xn = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
     labels = np.arange(n) % 3
-    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn)).data
+    logits = classify_pairs(cls, *embed_pairs(encoder, xp, xn))
     report = compute_metrics(predict_classes(logits), labels)
     assert abs(report.accuracy - 100.0 / 3.0) <= 5.0
 
@@ -885,8 +885,7 @@ def test_a_run_with_no_finite_validation_score_keeps_its_final_checkpoint_as_bes
         )
 
 
-def test_training_loops_build_no_graph_for_validation(monkeypatch):
-    """The trained tensors take no gradient inside the loops; the public initialisers' still do."""
+def test_validation_in_the_loops_gets_plain_arrays_from_the_network_calls(monkeypatch):
     seen = []
     for name in ("predict_hs", "classify_pairs"):
         def recorded(*args, _original=getattr(training, name)):
@@ -899,9 +898,22 @@ def test_training_loops_build_no_graph_for_validation(monkeypatch):
     xp, xn, labels = _separable_pairs(pre.best, n=20)
     finetune(pre.best, xp, xn, labels, xp[:10], xn[:10], labels[:10], TrainConfig(epochs=2, seed=1))
     assert len(seen) == 4
-    assert not any(t.requires_grad or t._backward is not None for t in seen)
-    assert all(p.requires_grad for p in init_encoder([5, 8, 4], 0, DEFAULT_ACTIVATION).trainable())
-    assert all(p.requires_grad for p in init_classifier_head(4, 0, DEFAULT_CLS_HIDDEN).trainable())
+    assert all(type(out) is np.ndarray and out.dtype == np.float64 for out in seen)
+
+
+def test_initialised_and_restored_networks_hold_float64_arrays():
+    pre = _pretrained_toy(f=5)
+    fine = finetune(pre.best, *_separable_pairs(pre.best, n=12) * 2, TrainConfig(epochs=1, seed=1)).best
+    nets = [
+        init_encoder([5, 8, 4], 0, DEFAULT_ACTIVATION),
+        init_regression_head(4, 0),
+        init_classifier_head(4, 0, DEFAULT_CLS_HIDDEN),
+        encoder_from_checkpoint(pre.best),
+        encoder_from_checkpoint(fine),
+        classifier_from_checkpoint(fine),
+    ]
+    for net in nets:
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in (*net.weights, *net.biases))
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -973,4 +985,4 @@ def test_run_pretrain_emits_best_and_final():
     assert 0 <= result.best_epoch < cfg.epochs
     enc = encoder_from_checkpoint(result.best)
     x, _ = prepared.regression["test"]
-    assert encode(enc, x).data.shape == (len(x), 4)
+    assert encode(enc, x).shape == (len(x), 4)

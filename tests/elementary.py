@@ -226,12 +226,14 @@ def as_leaves(net):
 
 
 def _network(net, x: np.ndarray, call: tuple):
-    """``x`` through ``net`` by ``model``'s checked array pass: its output, its leaves and their gradient map.
+    """``x`` through ``net``, a network of Tensors (``as_leaves`` makes one), by ``model``'s checked array pass.
+
+    It gives the output, the network's Tensors and their gradient map.
 
     The map takes the output's gradient and whether the input needs one, and
     gives fresh gradients of the input (or None) and of every leaf.
     """
-    params = [p if isinstance(p, Tensor) else Tensor(p, requires_grad=True) for p in (*net.weights, *net.biases)]
+    params = [*net.weights, *net.biases]
     n = len(net.weights)
     arrays = type(net)(net.widths, net.activation, [p.data for p in params[:n]], [p.data for p in params[n:]])
     activations = net.activations()

@@ -266,7 +266,7 @@ def test_contrastive_graph_size_does_not_grow_with_batch(kind):
 
 def test_frozen_finetune_step_graph_size_does_not_grow_with_batch():
     rng = np.random.default_rng(14)
-    cls = init_classifier_head(4, seed=0)
+    cls = el.as_leaves(init_classifier_head(4, seed=0))
     sizes = {}
     for b in (8, 16):
         logits = el.classify_pairs(cls, rng.normal(size=(b, 4)), rng.normal(size=(b, 4)))

@@ -3,14 +3,13 @@
 A row names a file, the exact ``old`` text in it (found exactly once), the
 ``new`` text that replaces it, and the test ids that must fail on the edited
 tree. Each run works on a copy of the tree in a temporary directory. The
-tool first runs every chosen row's tests on a clean copy, where they must
-pass. Then, per mutant, it copies the tree again, applies the edit there,
-runs ``pytest -x -q`` on the row's tests and reports the mutant killed (some
-test failed) or survived. It exits non-zero if the clean run failed or any
-mutant survived. The working tree is never edited. Run from the root of a checkout:
+tool first runs every row's tests on a clean copy, where they must pass.
+Then, per mutant, it copies the tree again, applies the edit there, runs
+``pytest -x -q`` on the row's tests and reports the mutant killed (some test
+failed) or survived. It exits non-zero if the clean run failed or any mutant
+survived. The working tree is never edited. Run from the root of a checkout:
 
-    python tools/mutants.py                # every row
-    python tools/mutants.py NAME [NAME..]  # the named rows
+    python tools/mutants.py
 
 A row whose code goes is replaced by one that watches the new code, not
 deleted, so each check keeps a defect it is shown to catch.
@@ -140,22 +139,18 @@ def run_on_copy(tests, mutant: Mutant | None = None) -> subprocess.CompletedProc
         return pytest_run(copy, tests, "-x")
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    rows = [m for m in MUTANTS if not names or m.name in names]
-    if unknown := set(names) - {m.name for m in MUTANTS}:
-        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
-    clean = run_on_copy(sorted({t for m in rows for t in m.tests}))
+def main() -> int:
+    clean = run_on_copy(sorted({t for m in MUTANTS for t in m.tests}))
     if clean.returncode != 0:
         print(clean.stdout[-2000:], end="")
         print("the named tests fail on a copy of the clean tree")
         return 1
     survived = 0
-    for mutant in rows:
+    for mutant in MUTANTS:
         dead = run_on_copy(mutant.tests, mutant).returncode != 0
         survived += not dead
         print(f"{'killed  ' if dead else 'SURVIVED'}  {mutant.name}")
-    print(f"{len(rows) - survived} of {len(rows)} mutants killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 

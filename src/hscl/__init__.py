@@ -5,6 +5,7 @@ batch members mined by label distance, then trains a 3-way classifier that
 reads consecutive-scan embedding pairs as improved / same / deteriorated.
 """
 
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
     NormalizationStats,
     PatientSeries,
@@ -48,15 +49,12 @@ from .model import (
 from .tensor import Tensor, backward, grad_check
 from .training import (
     AdamState,
-    Checkpoint,
     TrainConfig,
     adam_step,
     cosine_lr,
     embed_pairs,
     finetune,
-    load_checkpoint,
     pretrain,
-    save_checkpoint,
 )
 
 __version__ = "0.1.0"

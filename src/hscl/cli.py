@@ -18,6 +18,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+from .checkpoint import check_meta, fits_type, load_checkpoint, meta_value, save_checkpoint
 from .data import LABEL_MODES, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import (
     CheckpointError,
@@ -44,16 +45,7 @@ from .pipeline import (
     run_pretrain,
     spread_for_checkpoint,
 )
-from .training import (
-    HISTORY_KEYS,
-    TrainConfig,
-    check_meta,
-    fits_type,
-    load_checkpoint,
-    meta_value,
-    save_checkpoint,
-    write_trace,
-)
+from .training import HISTORY_KEYS, TrainConfig, write_trace
 
 # Options named differently from the field or parameter they set.
 _FIELD_NAMES = {

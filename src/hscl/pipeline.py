@@ -16,6 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import (
+    Checkpoint,
+    classifier_from_checkpoint,
+    encoder_from_checkpoint,
+    meta_value,
+    save_checkpoint,
+)
 from .data import (
     DEFAULT_FRACTIONS,
     DEFAULT_TAU,
@@ -43,19 +50,14 @@ from .model import (
     predict_classes,
 )
 from .training import (
-    Checkpoint,
     FinetuneResult,
     PretrainResult,
     TrainConfig,
-    classifier_from_checkpoint,
     embed_pairs,
-    encoder_from_checkpoint,
     finetune,
     finetune_runs,
-    meta_value,
     pretrain,
     pretrain_runs,
-    save_checkpoint,
 )
 
 SPLITS = ("train", "val", "test")
@@ -150,7 +152,7 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
 def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) -> Prepared:
     """Rebuild the exact split/stats a checkpoint was trained with from its ``data`` metadata.
 
-    Each value is read through ``training.meta_value``, so a missing or bad
+    Each value is read through ``checkpoint.meta_value``, so a missing or bad
     one raises ``CheckpointIntegrityError`` naming it.
     """
 

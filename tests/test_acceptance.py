@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hscl.cli import main
+from hscl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from hscl.data import categorize_sf, split_patients
 from hscl.losses import (
     LossConfig,
@@ -27,14 +28,7 @@ from hscl.losses import (
 )
 from hscl.model import init_encoder, init_regression_head
 from hscl.tensor import Tensor, grad_check
-from hscl.training import (
-    Checkpoint,
-    TrainConfig,
-    load_checkpoint,
-    parse_trace,
-    pretrain,
-    save_checkpoint,
-)
+from hscl.training import TrainConfig, parse_trace, pretrain
 
 import elementary as el
 from oracles import (

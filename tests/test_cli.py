@@ -15,6 +15,14 @@ import pytest
 
 from hscl import cli
 from hscl.cli import main
+from hscl.checkpoint import (
+    Checkpoint,
+    checkpoint_bytes,
+    classifier_from_checkpoint,
+    encoder_from_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hscl.data import (
     DEFAULT_FRACTIONS,
     PatientSeries,
@@ -26,17 +34,7 @@ from hscl.data import (
 )
 from hscl.errors import TrainingAbort
 from hscl.model import classify_pairs
-from hscl.training import (
-    Checkpoint,
-    TrainConfig,
-    checkpoint_bytes,
-    classifier_from_checkpoint,
-    embed_pairs,
-    encoder_from_checkpoint,
-    load_checkpoint,
-    parse_trace,
-    save_checkpoint,
-)
+from hscl.training import TrainConfig, embed_pairs, parse_trace
 
 import hscl.errors
 import hscl.pipeline

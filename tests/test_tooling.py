@@ -17,7 +17,7 @@ option rejects NaN and infinity with exit 2, as every float field of the
 library's configs does with ``ConfigError``, and every option with choices
 rejects a config-file value outside them with exit 2.
 
-``training.CHECKPOINT_META`` declares exactly the metadata keys the writers
+``checkpoint.CHECKPOINT_META`` declares exactly the metadata keys the writers
 emit, so a new key cannot go unchecked on restore.
 
 The CLI gate (tools/cli_gate.py), which hashes every output of every
@@ -46,6 +46,7 @@ import numpy as np
 import pytest
 
 from hscl import cli
+from hscl.checkpoint import CHECKPOINT_META, FINETUNE_META, check_meta, load_checkpoint
 from hscl.data import SyntheticSpec, load_dataset
 from hscl.errors import ConfigError, HsclError
 from hscl.losses import LossConfig, mine_batch
@@ -57,20 +58,13 @@ from hscl.pipeline import (
     spread_for_checkpoint,
 )
 from hscl.tensor import Tensor
-from hscl.training import (
-    CHECKPOINT_META,
-    FINETUNE_META,
-    TrainConfig,
-    check_meta,
-    finetune,
-    load_checkpoint,
-    pretrain,
-)
+from hscl.training import TrainConfig, finetune, pretrain
 
 from elementary import pairwise_similarity
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 CLI_GATE = ROOT / "tools" / "cli_gate.py"
 
 
@@ -194,7 +188,7 @@ OWNERSHIP = (
     ("only the autodiff API builds or walks a graph", {"node", "backward", "Tensor"}, {"tensor", "losses"}),
     ("only tensor rebinds a tensor's array", {".data="}, {"tensor"}),
     (
-        "only training knows the checkpoint format",
+        "only checkpoint knows the checkpoint format",
         {
             "CHECKPOINT_MAGIC",
             "CHECKPOINT_VERSION",
@@ -204,7 +198,7 @@ OWNERSHIP = (
             "zlib",
             "checkpoint metadata",
         },
-        {"training"},
+        {"checkpoint"},
     ),
 )
 
@@ -299,16 +293,41 @@ def test_each_decision_is_named_only_by_the_modules_the_ownership_table_allows(r
     assert offenders == []
 
 
+def _workload_reads() -> set[tuple[str, str]]:
+    """Each (module, name) that perfbench/workloads.py reads as ``hs.<module>.<name>``."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    return {
+        (n.value.attr, n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+        and isinstance(n.value.value, ast.Name) and n.value.value.id == "hs"
+    }
+
+
 def test_an_import_a_module_never_uses_is_one_the_tracer_binds_there():
-    bound = {}
-    for stem, attr, _ in _load_tracing().BINDINGS:
-        bound.setdefault(stem, set()).add(attr)
+    """Or one the benchmark's workloads read there, as ``hs.training.checkpoint_bytes``."""
+    reached = {(stem, attr) for stem, attr, _ in _load_tracing().BINDINGS} | _workload_reads()
     offenders = [
-        f"{stem} imports {sorted(stray)} but never uses them, and tracing.BINDINGS does not bind them there"
+        f"{stem} imports {sorted(stray)} but never uses them, and perfbench neither binds nor reads them there"
         for stem, m in _library_modules().items()
-        if (stray := m.imports.keys() - m.used - bound.get(stem, set()))
+        if (stray := {name for name in m.imports.keys() - m.used if (stem, name) not in reached})
     ]
     assert offenders == []
+
+
+def test_checkpoint_sits_below_the_loops_and_every_other_module_hands_out_its_objects():
+    """``hscl.checkpoint`` imports none of the modules that train or run; the names they pass on are its own."""
+    from hscl import checkpoint, training
+    import hscl
+
+    imports = _library_modules()["checkpoint"].imports.values()  # also ``from . import training``
+    imported = {part for _, source, name in imports for part in f"{source}.{name}".split(".")}
+    assert imported & {"training", "pipeline", "cli"} == set()
+    for module, name in (
+        (training, "save_checkpoint"), (training, "load_checkpoint"), (training, "checkpoint_bytes"),
+        (hscl, "Checkpoint"), (hscl, "save_checkpoint"), (hscl, "load_checkpoint"),
+    ):
+        assert getattr(module, name) is getattr(checkpoint, name), f"{module.__name__}.{name}"
 
 
 def test_every_public_name_has_a_library_user_or_a_declared_reason():
@@ -552,7 +571,7 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
     first = gate.run_gate(ROOT / "src", tmp_path / "a")
     assert first == gate.run_gate(ROOT / "src", tmp_path / "b")
     commands = [line.split()[0] for line in first if " exit=" in line]
-    assert len(set(commands)) == 43 and len(first) > 2 * len(commands)
+    assert len(set(commands)) == 54 and len(first) > 2 * len(commands)
 
 
 def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
@@ -635,7 +654,7 @@ def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, mon
 
     monkeypatch.setattr(hscl.cli, "main", main)
     results = [line for line in gate.run_gate(ROOT / "src", tmp_path) if " exit=" in line]
-    assert len(results) == 43
+    assert len(results) == 54
     assert results[0] == (
         f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
     )

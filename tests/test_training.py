@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 from hscl import losses, model, training
+from hscl.checkpoint import (
+    Checkpoint,
+    checkpoint_bytes,
+    classifier_from_checkpoint,
+    encoder_from_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hscl.data import SyntheticSpec, generate_synthetic
 from hscl.errors import (
     CheckpointIntegrityError,
@@ -42,20 +50,14 @@ from hscl.pipeline import (
 from hscl.tensor import Tensor
 from hscl.training import (
     AdamState,
-    Checkpoint,
     TrainConfig,
     adam_step,
-    checkpoint_bytes,
-    classifier_from_checkpoint,
     cosine_lr,
     embed_pairs,
-    encoder_from_checkpoint,
     finetune,
     finetune_runs,
-    load_checkpoint,
     pretrain,
     pretrain_runs,
-    save_checkpoint,
 )
 
 import oracles

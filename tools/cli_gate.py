@@ -28,7 +28,15 @@ loader reads through ``csv.reader``; then compare, with one seed and one epoch,
 on a larger cohort (over two of the loader's reads of 128 Ki characters), on its
 spreadsheet copy and on a copy whose lines end in a lone ``\\r``, so that both
 of the loader's paths, ``np.loadtxt`` blocks and ``csv.reader`` rows, read a
-file in several pieces. Then the parser's own
+file in several pieces. Then restores of checkpoints the gate cannot use:
+eval on a pretrain checkpoint and finetune on a finetune one (exit 2), and,
+on copies of the gate's own checkpoints, each fault a restore must name
+(exit 1): a truncated file, a bad magic, an unknown version and a flipped
+payload byte, made on the raw bytes; then a missing metadata key, a
+metadata value of the wrong type, a missing tensor, a tensor of the wrong
+shape and a non-finite tensor, made on the ``hscl.Checkpoint`` that the
+top-level ``hscl.load_checkpoint`` gives and saved with
+``hscl.save_checkpoint``, which older trees export too. Then the parser's own
 texts: ``--help``, each ``<command> --help``, an unknown command, no command,
 a missing required flag and an unrecognized flag, each recorded with the
 exit code argparse gives it. Argparse wraps its help to the terminal width
@@ -114,6 +122,64 @@ def _crlf_cohorts(hscl, out: Path) -> None:
     (out / "large_cr.csv").write_bytes((out / "large.csv").read_bytes().replace(b"\n", b"\r"))
 
 
+# the gate's checkpoints that the restores read, and that the fault copies are made from
+PRETRAINED, TUNED = "pretrain-mse+cl-cos/pretrain_best.ckpt", "finetune-frozen/finetune_best.ckpt"
+# each fault a restore must name, and the command that restores its copy (eval reads a finetune copy)
+FAULTS = {
+    "truncated": "finetune", "bad-magic": "finetune", "unknown-version": "finetune", "flipped-byte": "finetune",
+    "missing-key": "eval", "wrong-type": "finetune", "missing-tensor": "analyze", "wrong-shape": "eval",
+    "non-finite": "finetune",
+}
+
+
+def _fault_copies(hscl, out: Path) -> None:
+    """Write ``faults/<fault>.ckpt`` for each of ``FAULTS``: a pretrain copy, or a finetune one for eval.
+
+    A tree that made no checkpoint gets no copies, and its restores record the error it gives.
+    """
+    if not ((out / PRETRAINED).exists() and (out / TUNED).exists()):
+        return
+    faults = out / "faults"
+    faults.mkdir()
+    raw = (out / PRETRAINED).read_bytes()
+    flipped = bytearray(raw)
+    flipped[-5] ^= 0xFF  # the last payload byte, before the CRC32
+    for name, blob in (
+        ("truncated", raw[:15]),
+        ("bad-magic", b"XXXX" + raw[4:]),
+        ("unknown-version", raw[:4] + (2).to_bytes(4, "little") + raw[8:]),
+        ("flipped-byte", bytes(flipped)),
+    ):
+        (faults / f"{name}.ckpt").write_bytes(blob)
+
+    edits = {}
+    ck = edits["missing-key"] = hscl.load_checkpoint(out / TUNED)
+    del ck.meta["data"]["tau"]
+    ck = edits["wrong-type"] = hscl.load_checkpoint(out / PRETRAINED)
+    ck.meta["model"]["widths"] = ",".join(map(str, ck.meta["model"]["widths"]))
+    ck = edits["missing-tensor"] = hscl.load_checkpoint(out / PRETRAINED)
+    del ck.tensors["encoder.b0"]
+    ck = edits["wrong-shape"] = hscl.load_checkpoint(out / TUNED)
+    ck.tensors["cls.b0"] = ck.tensors["cls.b0"][:5]
+    ck = edits["non-finite"] = hscl.load_checkpoint(out / PRETRAINED)
+    ck.tensors["encoder.w0"][0, 0] = float("nan")
+    for name, ck in edits.items():
+        hscl.save_checkpoint(ck, faults / f"{name}.ckpt")
+
+
+def _fault_commands(out: Path) -> list[tuple[str, list[str]]]:
+    data = str(out / "data.csv")
+
+    def restore(command: str, ckpt: str, name: str, *flags: str) -> tuple[str, list[str]]:
+        return name, [command, "--data", data, "--checkpoint", str(out / ckpt), *flags, "--out", str(out / name)]
+
+    return [
+        restore("eval", PRETRAINED, "eval-pretrain-checkpoint"),
+        restore("finetune", TUNED, "finetune-finetune-checkpoint"),
+        *(restore(command, f"faults/{fault}.ckpt", f"restore-{fault}") for fault, command in FAULTS.items()),
+    ]
+
+
 def _commands(out: Path) -> list[tuple[str, list[str]]]:
     data, sf, crlf = str(out / "data.csv"), str(out / "sf.csv"), str(out / "data_crlf.csv")
     bad, bad_test = str(out / "sf_non_positive.csv"), str(out / "sf_non_positive_test.csv")
@@ -132,7 +198,7 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
             "--finetune-epochs", epochs, "--hidden", HIDDEN, *flags, "--out", str(out / name),
         ]
 
-    ckpt, tuned = "pretrain-mse+cl-cos/pretrain_best.ckpt", "finetune-frozen/finetune_best.ckpt"
+    ckpt, tuned = PRETRAINED, TUNED
     bin_ckpt, bin_tuned = "pretrain-bin/pretrain_best.ckpt", "finetune-bin/finetune_best.ckpt"
     return [
         ("gen-data", [
@@ -182,8 +248,21 @@ def run_gate(src: Path, out: Path) -> list[str]:
         raise SystemExit(f"cli_gate: {out} is not empty")
     _sf_cohorts(hscl, out)
     _crlf_cohorts(hscl, out)
+    results = _run(hscl, _commands(out), out)
+    _fault_copies(hscl, out)
+    results += _run(hscl, _fault_commands(out), out)
+    files = [
+        f"{_sha(p.read_bytes())}  {p.relative_to(out).as_posix()}"
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    ]
+    return files + results
+
+
+def _run(hscl, commands: list[tuple[str, list[str]]], out: Path) -> list[str]:
+    """Each command's manifest line: its name, exit code and the hashes of its stdout and stderr."""
     results = []
-    for name, argv in _commands(out):
+    for name, argv in commands:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -195,12 +274,7 @@ def run_gate(src: Path, out: Path) -> list[str]:
                 stderr = io.StringIO(f"{type(exc).__name__}: {exc}")
         texts = [t.getvalue().replace(str(out), "<out>").encode("utf-8") for t in (stdout, stderr)]
         results.append(f"{name} exit={code} stdout={_sha(texts[0])} stderr={_sha(texts[1])}")
-    files = [
-        f"{_sha(p.read_bytes())}  {p.relative_to(out).as_posix()}"
-        for p in sorted(out.rglob("*"))
-        if p.is_file()
-    ]
-    return files + results
+    return results
 
 
 def main(argv=None) -> int:

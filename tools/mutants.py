@@ -39,7 +39,16 @@ class Mutant(NamedTuple):
 
 _ARRAY_CALL = "tests/test_model.py::test_each_network_call_returns_the_plain_array_of_the_mlp_pass"
 _FLOAT64_NETS = "tests/test_training.py::test_initialised_and_restored_networks_hold_float64_arrays"
-_GRAPH_ROW = "tests/test_tooling.py::test_each_decision_is_named_only_by_the_modules_the_ownership_table_allows[graph]"
+_OWNED = "tests/test_tooling.py::test_each_decision_is_named_only_by_the_modules_the_ownership_table_allows"
+_GRAPH_ROW = f"{_OWNED}[graph]"
+_CHECKPOINT_ROW = f"{_OWNED}[checkpoint]"
+_STRAY_IMPORT = "tests/test_tooling.py::test_an_import_a_module_never_uses_is_one_the_tracer_binds_there"
+_PUBLIC_NAMES = "tests/test_tooling.py::test_every_public_name_has_a_library_user_or_a_declared_reason"
+_LAYERING = "tests/test_tooling.py::test_checkpoint_sits_below_the_loops_and_every_other_module_hands_out_its_objects"
+_UNPARSEABLE = "tests/test_training.py::test_checkpoint_unparseable_body_with_a_valid_checksum"
+_NOT_UTF8_LINE = "tests/test_data.py::test_a_byte_that_is_not_utf8_is_named_by_its_line_in_a_file_and_in_a_stream[1]"
+_PIPE = "tests/test_data.py::test_load_dataset_reads_a_pipe_as_the_file_it_streams[64]"
+_PIECES = "tests/test_dataset_io.py::test_reader_rows_are_the_csv_reader_rows_of_the_text_in_any_pieces"
 
 MUTANTS = (
     Mutant(
@@ -77,9 +86,103 @@ MUTANTS = (
         (_FLOAT64_NETS,),
     ),
     Mutant(
-        "a restored network holds float32 arrays", "src/hscl/training.py",
+        "a restored network holds float32 arrays", "src/hscl/checkpoint.py",
         "np.array(ck.tensors[name], dtype=np.float64)", "np.array(ck.tensors[name], dtype=np.float32)",
         (_FLOAT64_NETS,),
+    ),
+    Mutant(
+        "the loader skips the checksum compare", "src/hscl/checkpoint.py",
+        "if zlib.crc32(body) & 0xFFFFFFFF != crc:", "if False:",
+        ("tests/test_training.py::test_checkpoint_corrupt_payload", "tests/test_cli.py::test_corrupt_checkpoint_exits_1"),
+    ),
+    Mutant(
+        "the loader reads an unknown newer version", "src/hscl/checkpoint.py",
+        "if version != CHECKPOINT_VERSION:", "if version < CHECKPOINT_VERSION:",
+        ("tests/test_training.py::test_checkpoint_version_error_names_both",),
+    ),
+    Mutant(
+        "the loader ignores bytes after the last tensor", "src/hscl/checkpoint.py",
+        "if offset != len(body):", "if offset > len(body):",
+        (f"{_UNPARSEABLE}[trailing-byte]",),
+    ),
+    Mutant(
+        "a tensor given twice keeps its last copy", "src/hscl/checkpoint.py",
+        "if name in tensors:", "if False:",
+        (f"{_UNPARSEABLE}[name-twice]",),
+    ),
+    Mutant(
+        "meta_value takes a value of any type", "src/hscl/checkpoint.py",
+        "if not check(value):", "if False:",
+        ("tests/test_cli.py::test_corrupt_checkpoint_exits_1",),
+    ),
+    Mutant(
+        "check_meta asks a pretrain checkpoint for the finetune-only keys", "src/hscl/checkpoint.py",
+        'if stage == "finetune" or key not in FINETUNE_META:', "if True:",
+        ("tests/test_tooling.py::test_checkpoint_meta_declares_exactly_the_keys_every_writer_emits",),
+    ),
+    Mutant(
+        "checkpoint reaches up into training", "src/hscl/checkpoint.py",
+        '    # older version-1 checkpoints also carry a "pooling" key',
+        '    from .training import TrainConfig  # noqa: F401\n    # older version-1 checkpoints also carry a "pooling" key',
+        (_LAYERING,),
+    ),
+    Mutant(
+        "training stops handing out checkpoint_bytes", "src/hscl/training.py",
+        "    checkpoint_bytes,\n", "",
+        (_LAYERING,),
+    ),
+    Mutant(
+        "pipeline imports the metadata table", "src/hscl/pipeline.py",
+        "from .checkpoint import (\n    Checkpoint,\n", "from .checkpoint import (\n    CHECKPOINT_META,\n    Checkpoint,\n",
+        (_CHECKPOINT_ROW,),
+    ),
+    Mutant(
+        "metrics names zlib", "src/hscl/metrics.py",
+        "from .data import LABEL_NAMES\n", "import zlib\n\nfrom .data import LABEL_NAMES\n",
+        (_CHECKPOINT_ROW,),
+    ),
+    Mutant(
+        "pipeline says checkpoint metadata", "src/hscl/pipeline.py",
+        "a checkpoint was trained with from its ``data`` metadata.",
+        "a checkpoint was trained with from its checkpoint metadata.",
+        (_CHECKPOINT_ROW,),
+    ),
+    Mutant(
+        "metrics imports a module it never uses", "src/hscl/metrics.py",
+        "from dataclasses import dataclass, field\n", "import os\nfrom dataclasses import dataclass, field\n",
+        (_STRAY_IMPORT,),
+    ),
+    Mutant(
+        "training imports a name it never uses", "src/hscl/training.py",
+        "from .losses import (\n", "from .losses import (\n    MODES,\n",
+        (_STRAY_IMPORT,),
+    ),
+    Mutant(
+        "data gains a public function no module calls", "src/hscl/data.py",
+        "def check_fractions(", "def pair_count(pairs) -> int:\n    return len(pairs)\n\n\ndef check_fractions(",
+        (_PUBLIC_NAMES,),
+    ),
+    Mutant(
+        "training gains a public constant no module reads", "src/hscl/training.py",
+        "# seed-stream tags so the different random uses never collide\n",
+        "DEFAULT_PATIENCE = 5\n\n# seed-stream tags so the different random uses never collide\n",
+        (_PUBLIC_NAMES,),
+    ),
+    Mutant(
+        "training calls a name declared unused", "src/hscl/training.py",
+        "# seed-stream tags so the different random uses never collide\n",
+        "_GRADIENTS = loss_gradients\n\n# seed-stream tags so the different random uses never collide\n",
+        (_PUBLIC_NAMES,),
+    ),
+    Mutant(
+        "a declared unused name goes private", "src/hscl/training.py",
+        "def parse_trace(", "def _parse_trace(",
+        (_PUBLIC_NAMES,),
+    ),
+    Mutant(
+        "model stores to an array's data", "src/hscl/model.py",
+        "biases.append(np.zeros(fan_out))", "biases.append(np.zeros(fan_out))\n        biases[-1].data = biases[-1].data",
+        (f"{_OWNED}[data-store]",),
     ),
     Mutant(
         "model names Tensor again", "src/hscl/model.py",
@@ -112,6 +215,86 @@ MUTANTS = (
         "the loader keeps a byte-order mark", "src/hscl/data.py",
         'carry = fh.read(1).removeprefix("\\ufeff")', "carry = fh.read(1)",
         ("tests/test_dataset_io.py::test_load_matches_the_per_scalar_loader[bom]",),
+    ),
+    Mutant(
+        "the loader reads the text as utf-8-sig", "src/hscl/data.py",
+        '_TEXT_MODE = {"encoding": "utf-8",', '_TEXT_MODE = {"encoding": "utf-8-sig",',
+        ("tests/test_dataset_io.py::test_a_file_of_a_cut_byte_order_mark_is_not_utf8[1-byte]",),
+    ),
+    Mutant(
+        "a character read after a closing \\r is dropped", "src/hscl/data.py",
+        'if (carry := fh.read(1)) == "\\n":\n                text, carry = text + carry, ""',
+        'if fh.read(1) == "\\n":\n                text = text + "\\n"',
+        (f"{_PIECES}[quoted id with lone cr]",),
+    ),
+    Mutant(
+        "a piece is not read on to its line end", "src/hscl/data.py",
+        "text += fh.readline()", 'text += ""',
+        (_NOT_UTF8_LINE,),
+    ),
+    Mutant(
+        "the csv path's pieces are not checked for bytes that are not UTF-8", "src/hscl/data.py",
+        "checked = _checked(chain([text], texts), n_rows, path)", "checked = chain([text], texts)",
+        (_NOT_UTF8_LINE,),
+    ),
+    Mutant(
+        "the csv path's line count starts one late", "src/hscl/data.py",
+        "_checked(chain([text], texts), n_rows, path)", "_checked(chain([text], texts), n_rows + 1, path)",
+        (_NOT_UTF8_LINE,),
+    ),
+    Mutant(
+        "the csv path counts one line end too many per piece", "src/hscl/data.py",
+        'newlines += text.count("\\n")', 'newlines += text.count("\\n") + 1',
+        (_NOT_UTF8_LINE,),
+    ),
+    Mutant(
+        "a byte that is not UTF-8 is named one line early", "src/hscl/data.py",
+        'line = newlines + text.count("\\n", 0, bad.start()) + 1', 'line = newlines + text.count("\\n", 0, bad.start())',
+        (_NOT_UTF8_LINE,),
+    ),
+    Mutant(
+        "plain pieces are not counted", "src/hscl/data.py",
+        "n_rows += len(lines)", "n_rows += 0",
+        (_PIPE,),
+    ),
+    Mutant(
+        "plain pieces are not checked for bytes that are not UTF-8", "src/hscl/data.py",
+        "                _check_utf8(text, n_rows, path)\n", "",
+        (_PIPE,),
+    ),
+    Mutant(
+        "a plain piece keeps the empty string after its last \\n", "src/hscl/data.py",
+        "if not lines[-1]:  # the piece ends its last line\n                lines.pop()",
+        "if not lines[-1]:  # the piece ends its last line\n                pass",
+        (f"{_PIECES}[blank lines]",),
+    ),
+    Mutant(
+        "the plain path's long-line bound lets a line at the limit pass", "src/hscl/data.py",
+        "if len(text) - len(lines) < limit or", "if len(text) - len(lines) <= limit or",
+        ("tests/test_dataset_io.py::test_a_last_line_over_the_limit_without_a_line_end_is_a_field_over_the_limit[1]",),
+    ),
+    Mutant(
+        "plain pieces skip the field-size limit", "src/hscl/data.py",
+        "if len(text) - len(lines) < limit or max(map(len, lines)) <= limit:", "if True:",
+        ("tests/test_dataset_io.py::test_a_last_line_over_the_limit_without_a_line_end_is_a_field_over_the_limit[64]",),
+    ),
+    Mutant(
+        "a row fault is raised before the rest of the file is read", "src/hscl/data.py",
+        "            for _ in blocks:  # a fault of the file itself, later in it, is reported first\n                pass\n", "",
+        ("tests/test_dataset_io.py::test_a_late_fault_of_the_file_beats_an_earlier_bad_row[not utf-8-64]",),
+    ),
+    Mutant(
+        "a csv.Error is raised before the rest of the file is checked", "src/hscl/data.py",
+        "        for _ in checked:  # bytes that are not UTF-8, later in the file, are reported first\n            pass\n", "",
+        ("tests/test_dataset_io.py::test_non_utf8_bytes_beat_an_earlier_over_limit_field",),
+    ),
+    Mutant(
+        "save_dataset writes records it has not checked", "src/hscl/data.py",
+        "    _check_records(records, columns)\n", "",
+        (
+            "tests/test_dataset_io.py::test_save_rejects_a_record_of_another_width_before_writing",
+            "tests/test_dataset_io.py::test_save_rejects_a_non_finite_record_before_writing[nan-score]",
+        ),
     ),
 )
 

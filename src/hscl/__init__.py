@@ -17,16 +17,7 @@ from .data import (
     save_dataset,
     split_patients,
 )
-from .losses import (
-    LossConfig,
-    MiningResult,
-    cl_loss,
-    combined_loss,
-    cross_entropy,
-    mine_batch,
-    mse_loss,
-    wcl_loss,
-)
+from .losses import LossConfig, MiningResult, cross_entropy, mine_batch
 from .metrics import (
     MetricsReport,
     SpreadProfile,
@@ -46,7 +37,7 @@ from .model import (
     init_regression_head,
     predict_hs,
 )
-from .tensor import Tensor, backward, grad_check
+from .tensor import Tensor, backward
 from .training import (
     AdamState,
     TrainConfig,

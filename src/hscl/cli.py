@@ -115,9 +115,13 @@ def _merge(args: argparse.Namespace) -> dict:
     if config_path:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
+        if not os.path.isfile(config_path):
+            raise ConfigError(f"config file {config_path}: not a regular file")
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
+            except UnicodeDecodeError:
+                raise ConfigError(f"config file {config_path}: not UTF-8 text") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {config_path}: invalid JSON: {exc}") from None
         if not isinstance(loaded, dict):

@@ -28,21 +28,21 @@ The masks, ``K`` and the wcl constant depend on the labels alone. ``K``
 and the constant are all a loss reads of the masks, and they are held in
 ``ContrastTargets``: a training loop builds them for a whole epoch of
 batches at once with ``contrast_targets`` and hands each step its batch's
-slice. ``cl_loss``, ``wcl_loss`` and ``combined_loss_terms`` take the
-batch's ``MiningResult`` and build its targets first. Every contrastive
-loss is then computed one way, from the tensor core's array functions.
+slice. ``combined_loss_terms`` takes the batch's ``MiningResult`` and builds
+its targets first. Every contrastive loss is then computed one way, from the
+tensor core's array functions.
 
 The combined loss is one pair of array functions, as the tensor core's are:
 ``combined_loss_forward`` gives the terms and what the gradient needs, and
 ``combined_loss_backward`` maps the total's gradient to the predictions'
 and the embeddings'. The pre-training step calls the pair and builds no
-graph. ``combined_loss_terms`` wraps it for the ``Tensor`` API: each term is
-one node wired straight to the embeddings and the predictions, and the
-total's node calls the pair's backward, so ``backward`` walks 3 nodes for
-the total. The tests rebuild the same values and gradients from a chain of
-7 (cl) or 9 (wcl) graph ops. ``mse_loss`` and ``cross_entropy`` are one
-node each over the tensor core's squared-error and softmax cross-entropy
-pairs, which the fine-tuning step calls directly.
+graph. ``combined_loss_terms`` is the one graph form of the pair: each term
+(the total, the mse term and the contrastive term) is one node wired
+straight to the embeddings and the predictions, and the total's node calls
+the pair's backward, so ``backward`` walks 3 nodes for the total. The tests
+rebuild the same values and gradients from a chain of 7 (cl) or 9 (wcl)
+graph ops. ``cross_entropy`` is one node over the tensor core's softmax
+cross-entropy pair, which the fine-tuning step calls directly.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
     """Mine (..., B) batches of scores and build their ``K`` and wcl constants at once.
 
     Each batch along the leading axes gets the ``K`` and constant that
-    ``cl_loss``/``wcl_loss`` build from the masks of ``mine_batch``;
+    ``combined_loss_terms`` builds from the masks of ``mine_batch``;
     ``ContrastTargets.batch`` hands one step its slice for
     ``combined_loss_forward``.
     """
@@ -219,60 +219,36 @@ def contrast_targets(hs, config: LossConfig) -> ContrastTargets:
     return _targets(mine_batch(scores), scores if config.weighted else None, config.eps)
 
 
-def mse_loss(y, y_pred: Tensor) -> Tensor:
-    """Summed squared error (no mean normalization); (S, B) predictions give (S,) sums."""
-    loss, diff = squared_error_sum_forward(_mse_target(y, y_pred), y_pred.data)
-    return node(loss, (y_pred,), lambda g: (squared_error_sum_backward(g, diff),))
-
-
 def _mse_target(y, y_pred: Tensor) -> np.ndarray:
-    """``y`` as the float64 target of ``y_pred``, after ``mse_loss``'s checks."""
+    """``y`` as the float64 target of ``y_pred``, after ``combined_loss_terms``' checks."""
     target = np.asarray(y, dtype=np.float64)
     if y_pred.data.ndim not in (1, 2) or target.shape != y_pred.shape:
-        raise ShapeError(f"mse_loss: target shape {target.shape} != prediction shape {y_pred.shape}")
+        raise ShapeError(f"combined_loss_terms: target shape {target.shape} != prediction shape {y_pred.shape}")
     if target.shape[-1] < 1:
-        raise ShapeError("mse_loss: need at least one element")
+        raise ShapeError("combined_loss_terms: need at least one element")
     return target
 
 
-def cl_loss(embeddings: Tensor, mining: MiningResult, config: LossConfig) -> Tensor:
-    """Unweighted contrastive loss over the mined pairs."""
-    return _contrastive_node(embeddings, _mined_targets(embeddings, mining, None, config, False), config)
+def _mined_targets(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> ContrastTargets:
+    """``mining`` as the targets of ``config``'s contrastive term, after ``combined_loss_terms``' checks.
 
-
-def wcl_loss(embeddings: Tensor, mining: MiningResult, hs, config: LossConfig) -> Tensor:
-    """Contrastive loss with each pair's term scaled by its label distance.
-
-    Negative pairs contribute log(sim * (d_ij + eps)); positive pairs
-    contribute -log(sim) / (d_ij + eps). ``hs`` must be on the normalized
-    scale so that eps is comparable across datasets.
+    ``hs`` weights the pairs in mode ``mse+wcl``, where it must be on the
+    normalized scale so that eps is comparable across datasets.
     """
-    return _contrastive_node(embeddings, _mined_targets(embeddings, mining, hs, config, True), config)
-
-
-def _mined_targets(
-    embeddings: Tensor, mining: MiningResult, hs, config: LossConfig, weighted: bool
-) -> ContrastTargets:
-    """``mining`` as the targets of ``wcl_loss`` (weighted) or ``cl_loss``, after that function's checks."""
-    name = "wcl_loss" if weighted else "cl_loss"
     if embeddings.data.ndim not in (2, 3):
-        raise ShapeError(f"{name}: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}")
+        raise ShapeError(f"combined_loss_terms: expected (B, D) or (S, B, D) embeddings, got shape {embeddings.shape}")
     rows = embeddings.shape[:-1]
     if mining.positive.shape != rows + rows[-1:]:
         raise ShapeError(
-            f"{name}: mining masks {mining.positive.shape} do not fit embeddings of shape {embeddings.shape}"
+            f"combined_loss_terms: mining masks {mining.positive.shape} do not fit embeddings of shape "
+            f"{embeddings.shape}"
         )
-    if not weighted:
+    if not config.weighted:
         return _targets(mining, None, config.eps)
     scores = np.asarray(hs, dtype=np.float64)
-    if scores.shape != embeddings.shape[:-1]:
-        raise ShapeError(f"{name}: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
+    if scores.shape != rows:
+        raise ShapeError(f"combined_loss_terms: got {scores.shape} scores for embeddings of shape {embeddings.shape}")
     return _targets(mining, scores, config.eps)
-
-
-def _contrastive_node(embeddings: Tensor, targets: ContrastTargets, config: LossConfig) -> Tensor:
-    con, con_grad = _contrastive_term(embeddings.data, targets, config)
-    return node(con, (embeddings,), lambda g: (con_grad(g),))
 
 
 def _contrastive_term(e: np.ndarray, targets: ContrastTargets, config: LossConfig):
@@ -332,7 +308,9 @@ def combined_loss_terms(
     With alpha == 0 or plain MSE mode the total *is* the MSE tensor, so the
     resulting graph and gradients are bit-identical to pure MSE training.
     ``mining`` is the batch's ``mine_batch`` result, turned into its
-    ``ContrastTargets`` with ``hs`` as ``cl_loss``/``wcl_loss`` do.
+    ``ContrastTargets``; in mode ``mse+wcl`` the scores ``hs`` weight each
+    pair: a negative pair contributes log(sim * (d_ij + eps)), a positive
+    pair -log(sim) / (d_ij + eps).
 
     The terms come from ``combined_loss_forward``, one node each: ``total``
     has the parents (y_pred, embeddings) and calls
@@ -346,8 +324,8 @@ def combined_loss_terms(
     e = targets = None
     if config.needs_mining:
         if embeddings is None or mining is None:
-            raise ConfigError(f"combined_loss: mode {config.mode!r} needs embeddings and a mining result")
-        targets = _mined_targets(embeddings, mining, hs, config, config.weighted)
+            raise ConfigError(f"combined_loss_terms: mode {config.mode!r} needs embeddings and a mining result")
+        targets = _mined_targets(embeddings, mining, hs, config)
         e = embeddings.data
     (total, mse, con), saved = combined_loss_forward(target, y_pred.data, e, targets, config)
     if con is None:
@@ -359,11 +337,6 @@ def combined_loss_terms(
         node(mse, (y_pred,), lambda g: (squared_error_sum_backward(g, diff),)),
         node(con, (embeddings,), lambda g: (con_grad(g),)),
     )
-
-
-def combined_loss(y, y_pred, embeddings, mining, hs, config: LossConfig) -> Tensor:
-    total, _, _ = combined_loss_terms(y, y_pred, embeddings, mining, hs, config)
-    return total
 
 
 def onehot_labels(labels, n_classes: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with eager reverse-mode automatic differentiation.
+"""The forward/backward array pairs the library trains with, and their graph form.
 
 The core holds the losses the library differentiates: the squared-error
 and cross-entropy losses and the contrastive term, each as a pair of plain
@@ -16,16 +16,17 @@ Everything is float64 and single-threaded; gradients accumulate in a fixed
 reverse-topological order, so identical graphs always produce bit-identical
 values and gradients.
 
-The library calls the pairs directly and builds no graph; networks hold
-arrays and run through ``model.mlp_forward``/``mlp_backward``. The public
-autodiff calls of ``losses`` wrap the pairs in graph nodes, one node per
-call (a whole loss term), because walking a node costs more Python time than
-the small numpy arrays it carries; the graph forms of the network calls live
-in the test tree. This graph API stays public until the benchmark's tracer
-stops binding its calls. ``node``
-makes such a node from a value, its parents and a function that gives each
-parent's gradient; its closure calls the backward function, so the gradient
-checks of a call test the code that the loops run without it.
+The pairs are the core the library runs: every training step calls them
+directly and builds no graph. ``Tensor``, ``node`` and ``backward`` are
+its graph form, kept for the losses the benchmark's tracer binds:
+``losses.combined_loss_terms`` and ``cross_entropy`` wrap the pairs in
+graph nodes, one node per loss term, because walking a node costs more
+Python time than the small numpy arrays it carries. ``node`` makes such a
+node from a value, its parents and a function that gives each parent's
+gradient; its closure calls the backward function, so the tests' gradient
+checks of a term (central differences, ``tests/elementary.grad_check``)
+test the code that the loops run without it. The graph forms of the network
+calls live in the test tree too.
 
 Each pair runs the same numpy operations, in the same order, as the
 equivalent chain of elementary ops (softmax, clamp, log, ...), so values
@@ -66,7 +67,6 @@ from .errors import ConfigError, DomainError, GraphStateError, ShapeError
 __all__ = [
     "Tensor",
     "backward",
-    "grad_check",
     "node",
     "pairwise_similarity_backward",
     "pairwise_similarity_forward",
@@ -276,7 +276,6 @@ def backward(root: Tensor) -> None:
 
     - ``losses.loss_gradients`` and public callers, on whole-model graphs
       built with the test tree's graph forms of the network calls;
-    - ``grad_check``;
     - the tests: their gradient checks, the elementary-op chains and the
       per-step reference loops.
     """
@@ -305,44 +304,6 @@ def backward(root: Tensor) -> None:
             node._backward(node.grad)
             node._spent = True
     root._spent = True
-
-
-# -- numerical gradient checking -----------------------------------------------
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-6) -> float:
-    """Max relative error between ``f``'s analytic gradient and central differences.
-
-    Per coordinate the error is |analytic - numeric| / max(1, |analytic|);
-    the largest over all coordinates of ``point`` is returned. ``f`` must
-    build a fresh scalar graph from its argument on every call.
-    """
-    if not 1e-7 <= h <= 1e-4:
-        raise ValueError(f"grad_check: step {h} outside [1e-7, 1e-4]")
-    base = np.array(point.data, dtype=np.float64)
-
-    probe = Tensor(base.copy(), requires_grad=True)
-    out = f(probe)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ValueError("grad_check: f must return a scalar tensor")
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
-
-    worst = 0.0
-    flat = base.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        f_plus = f(Tensor(base.copy())).item()
-        flat[k] = orig - h
-        f_minus = f(Tensor(base.copy())).item()
-        flat[k] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic.reshape(-1)[k])
-        err = abs(a - numeric) / max(1.0, abs(a))
-        if err > worst:
-            worst = err
-    return worst
 
 
 # -- internals ------------------------------------------------------------------

@@ -28,18 +28,27 @@ requires-grad leaf that shares the array's memory; a network whose weights
 and biases are leaves already (``as_leaves``) keeps them, so a test can read
 their gradients.
 
+``mse_term`` and ``contrastive_term`` pick one term of the library's
+``losses.combined_loss_terms``, the one graph form of its pre-training loss.
+``grad_check`` compares a scalar graph's gradient with central differences.
+
 Python numbers and arrays are taken as constant tensors wherever a tensor
 is expected.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable
+
 import numpy as np
 
 from hscl import model
 from hscl.errors import ConfigError, DomainError, ShapeError
+from hscl.losses import LossConfig, combined_loss_terms
 from hscl.tensor import (
     Tensor,
+    backward,
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
@@ -328,6 +337,58 @@ def weighted_log_sum(x: Tensor, coefficients: np.ndarray, floor: float) -> Tenso
     xd = x.data
     loss, clamped = weighted_log_sum_forward(xd, coefficients, floor)
     return node(loss, (x,), lambda g: (weighted_log_sum_backward(g, xd, coefficients, floor, clamped),))
+
+
+def mse_term(y, y_pred: Tensor) -> Tensor:
+    """The mse term of ``combined_loss_terms`` in mode ``mse``: ``sum((y - y_pred)^2)``."""
+    return combined_loss_terms(y, y_pred, None, None, None, LossConfig())[1]
+
+
+def contrastive_term(embeddings: Tensor, mining, hs, config: LossConfig) -> Tensor:
+    """The contrastive term of ``combined_loss_terms``, weighted by the scores ``hs`` unless they are None.
+
+    ``config`` gives the similarity, eps and sim_floor; its mode becomes
+    ``mse+wcl`` (with ``hs``) or ``mse+cl``, and its alpha 1, so that the
+    term is built. The mse term, of zero predictions, is dropped.
+    """
+    config = replace(config, mode="mse+cl" if hs is None else "mse+wcl", alpha=1.0)
+    zeros = np.zeros(embeddings.shape[:-1])
+    return combined_loss_terms(zeros, Tensor(zeros), embeddings, mining, hs, config)[2]
+
+
+def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-6) -> float:
+    """Max relative error between ``f``'s analytic gradient and central differences.
+
+    Per coordinate the error is |analytic - numeric| / max(1, |analytic|);
+    the largest over all coordinates of ``point`` is returned. ``f`` must
+    build a fresh scalar graph from its argument on every call.
+    """
+    if not 1e-7 <= h <= 1e-4:
+        raise ValueError(f"grad_check: step {h} outside [1e-7, 1e-4]")
+    base = np.array(point.data, dtype=np.float64)
+
+    probe = Tensor(base.copy(), requires_grad=True)
+    out = f(probe)
+    if not isinstance(out, Tensor) or out.data.size != 1:
+        raise ValueError("grad_check: f must return a scalar tensor")
+    backward(out)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
+
+    worst = 0.0
+    flat = base.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        f_plus = f(Tensor(base.copy())).item()
+        flat[k] = orig - h
+        f_minus = f(Tensor(base.copy())).item()
+        flat[k] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = float(analytic.reshape(-1)[k])
+        err = abs(a - numeric) / max(1.0, abs(a))
+        if err > worst:
+            worst = err
+    return worst
 
 
 def _as_tensor(value) -> Tensor:

@@ -17,17 +17,9 @@ import pytest
 from hscl.cli import main
 from hscl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from hscl.data import categorize_sf, split_patients
-from hscl.losses import (
-    LossConfig,
-    cl_loss,
-    combined_loss,
-    cross_entropy,
-    mine_batch,
-    mse_loss,
-    wcl_loss,
-)
+from hscl.losses import LossConfig, combined_loss_terms, cross_entropy, mine_batch
 from hscl.model import init_encoder, init_regression_head
-from hscl.tensor import Tensor, grad_check
+from hscl.tensor import Tensor
 from hscl.training import TrainConfig, parse_trace, pretrain
 
 import elementary as el
@@ -96,14 +88,14 @@ def test_criterion_1_gradient_correctness():
 
     def check(f, point):
         nonlocal checks, worst
-        err = grad_check(f, Tensor(point), 1e-6)
+        err = el.grad_check(f, Tensor(point), 1e-6)
         worst = max(worst, err)
         checks += 1
         assert err < 1e-4, f"gradient error {err}"
 
     for _ in range(16):
         y = rng.normal(size=6)
-        check(lambda t: mse_loss(y, t), rng.normal(size=6))
+        check(lambda t: el.mse_term(y, t), rng.normal(size=6))
 
     for kind in ("cos", "l2"):
         cfg_cl = LossConfig(mode="mse+cl", similarity=kind)
@@ -112,9 +104,9 @@ def test_criterion_1_gradient_correctness():
             hs = rng.uniform(0, 1, size=b)
             mining = mine_batch(hs)
             u = _interior_embeddings(rng, b, d, kind, cfg_cl.sim_floor)
-            check(lambda t: cl_loss(t.reshape((b, d)), mining, cfg_cl), u.reshape(-1))
+            check(lambda t: el.contrastive_term(t.reshape((b, d)), mining, None, cfg_cl), u.reshape(-1))
             check(
-                lambda t: wcl_loss(t.reshape((b, d)), mining, hs, cfg_wcl),
+                lambda t: el.contrastive_term(t.reshape((b, d)), mining, hs, cfg_wcl),
                 u.reshape(-1),
             )
 
@@ -148,7 +140,7 @@ def test_criterion_1_gradient_correctness():
                 hd = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
                 embeddings = el.encode(enc, x)
                 y_hat = el.predict_hs(hd, embeddings)
-                return combined_loss(hs, y_hat, embeddings, mining, hs, cfg)
+                return combined_loss_terms(hs, y_hat, embeddings, mining, hs, cfg)[0]
 
             check(through_encoder, flat)
 
@@ -182,13 +174,13 @@ def test_criterion_2_oracle_equivalence():
         hs = rng.uniform(0, 1, size=b)
         y_pred = rng.normal(size=b)
         mining = mine_batch(hs)
-        worst = max(worst, abs(mse_loss(hs, Tensor(y_pred)).item() - mse_ref(hs, y_pred)))
+        worst = max(worst, abs(el.mse_term(hs, Tensor(y_pred)).item() - mse_ref(hs, y_pred)))
         for kind in ("cos", "l2"):
             cfg = LossConfig(mode="mse+cl", similarity=kind)
-            got = cl_loss(Tensor(u), mining, cfg).item()
+            got = el.contrastive_term(Tensor(u), mining, None, cfg).item()
             worst = max(worst, abs(got - cl_ref(u, mining.positives, mining.negatives, kind)))
             wcfg = LossConfig(mode="mse+wcl", similarity=kind)
-            got = wcl_loss(Tensor(u), mining, hs, wcfg).item()
+            got = el.contrastive_term(Tensor(u), mining, hs, wcfg).item()
             worst = max(
                 worst,
                 abs(got - wcl_ref(u, mining.positives, mining.negatives, hs, wcfg.eps, kind)),
@@ -426,7 +418,8 @@ def test_criterion_9_degeneracies():
     wcl_cfg = LossConfig(mode="mse+wcl", eps=1.0)  # d_ij + eps == 1 for every pair
     cl_cfg = LossConfig(mode="mse+cl", eps=1.0)
     deviation = abs(
-        wcl_loss(Tensor(u), mining, hs, wcl_cfg).item() - cl_loss(Tensor(u), mining, cl_cfg).item()
+        el.contrastive_term(Tensor(u), mining, hs, wcl_cfg).item()
+        - el.contrastive_term(Tensor(u), mining, None, cl_cfg).item()
     )
 
     _report(

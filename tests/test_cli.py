@@ -679,6 +679,23 @@ def test_a_config_file_that_is_missing_or_not_a_json_object_is_a_config_error(tm
         cli._merge(args)
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [("directory", "not a regular file"), ("not-utf8", "not UTF-8 text")],
+    ids=["directory", "not-utf8"],
+)
+def test_a_config_file_that_is_a_directory_or_not_utf8_exits_2_naming_it(tmp_path, capsys, fault, message):
+    config = tmp_path / "cfg.json"
+    if fault == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config file {config}: {message}\n"
+    assert not out.exists()
+
+
 def test_an_empty_path_is_a_config_error():
     with pytest.raises(hscl.errors.ConfigError, match="^dataset path is required$"):
         cli._require_file("", "dataset")

@@ -10,8 +10,6 @@ from hscl.losses import (
     MODES,
     SIMILARITIES,
     LossConfig,
-    cl_loss,
-    combined_loss,
     combined_loss_backward,
     combined_loss_forward,
     combined_loss_terms,
@@ -19,11 +17,9 @@ from hscl.losses import (
     cross_entropy,
     loss_gradients,
     mine_batch,
-    mse_loss,
-    wcl_loss,
 )
 from hscl.model import init_classifier_head
-from hscl.tensor import Tensor, backward, grad_check
+from hscl.tensor import Tensor, backward
 
 import elementary as el
 from elementary import dense, pairwise_similarity
@@ -38,28 +34,28 @@ WCL_CFG = LossConfig(mode="mse+wcl")
 
 def test_mse_zero_on_equal():
     y = np.array([1.0, -2.0, 3.0])
-    assert mse_loss(y, Tensor(y.copy())).item() == 0.0
+    assert el.mse_term(y, Tensor(y.copy())).item() == 0.0
 
 
 def test_mse_hand_value():
-    assert mse_loss([1.0, 3.0], Tensor([0.0, 1.0])).item() == 5.0
+    assert el.mse_term([1.0, 3.0], Tensor([0.0, 1.0])).item() == 5.0
 
 
 def test_mse_matches_scalar_loop():
     rng = np.random.default_rng(0)
     y, y_pred = rng.normal(size=100), rng.normal(size=100)
-    assert abs(mse_loss(y, Tensor(y_pred)).item() - mse_ref(y, y_pred)) < 1e-10
+    assert abs(el.mse_term(y, Tensor(y_pred)).item() - mse_ref(y, y_pred)) < 1e-10
 
 
 def test_mse_length_mismatch():
     with pytest.raises(ShapeError):
-        mse_loss([1.0, 2.0], Tensor([1.0, 2.0, 3.0]))
+        el.mse_term([1.0, 2.0], Tensor([1.0, 2.0, 3.0]))
 
 
 def test_mse_gradient_is_tight():
     rng = np.random.default_rng(20)
     y = rng.normal(size=8)
-    assert grad_check(lambda t: mse_loss(y, t), Tensor(rng.normal(size=8)), 1e-6) < 1e-5
+    assert el.grad_check(lambda t: el.mse_term(y, t), Tensor(rng.normal(size=8)), 1e-6) < 1e-5
 
 
 # -- similarity -------------------------------------------------------------------
@@ -185,7 +181,7 @@ def test_mine_batch_invariants(hs):
 def test_cl_loss_zero_for_identical_embeddings():
     u = np.tile([0.5, -0.2, 0.1], (4, 1))
     mining = mine_batch([1.0, 2.0, 3.0, 4.0])
-    assert abs(cl_loss(Tensor(u), mining, CL_CFG).item()) < 1e-12
+    assert abs(el.contrastive_term(Tensor(u), mining, None, CL_CFG).item()) < 1e-12
 
 
 def test_cl_loss_saturated_pairs_value():
@@ -194,7 +190,7 @@ def test_cl_loss_saturated_pairs_value():
     mining = mine_batch([0.0, 0.0, 1.0, 1.0])
     total_neg_pairs = sum(len(n) for n in mining.negatives)
     expected = total_neg_pairs * math.log(1e-6)
-    assert cl_loss(Tensor(u), mining, CL_CFG).item() == pytest.approx(expected, abs=1e-9)
+    assert el.contrastive_term(Tensor(u), mining, None, CL_CFG).item() == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(-13.8155 * total_neg_pairs, abs=1e-3 * total_neg_pairs)
 
 
@@ -207,7 +203,7 @@ def test_cl_loss_matches_double_loop_oracle(kind):
         hs = rng.normal(size=b)
         mining = mine_batch(hs)
         cfg = LossConfig(mode="mse+cl", similarity=kind)
-        got = cl_loss(Tensor(u), mining, cfg).item()
+        got = el.contrastive_term(Tensor(u), mining, None, cfg).item()
         want = cl_ref(u, mining.positives, mining.negatives, kind)
         assert abs(got - want) < 1e-10
 
@@ -220,9 +216,9 @@ def test_contrastive_losses_reject_a_zero_row_anywhere_with_cosine(row):
     hs = rng.uniform(0, 1, size=6)
     mining = mine_batch(hs)
     with pytest.raises(DomainError, match="zero"):
-        cl_loss(Tensor(u), mining, CL_CFG)
+        el.contrastive_term(Tensor(u), mining, None, CL_CFG)
     with pytest.raises(DomainError, match="zero"):
-        wcl_loss(Tensor(u), mining, hs, WCL_CFG)
+        el.contrastive_term(Tensor(u), mining, hs, WCL_CFG)
 
 
 def test_saturated_batch_has_zero_embedding_gradient():
@@ -232,8 +228,8 @@ def test_saturated_batch_has_zero_embedding_gradient():
     hs = np.array([0.0, 0.0, 1.0, 1.0])
     mining = mine_batch(hs)
     for loss in (
-        lambda e: cl_loss(e, mining, CL_CFG),
-        lambda e: wcl_loss(e, mining, hs, WCL_CFG),
+        lambda e: el.contrastive_term(e, mining, None, CL_CFG),
+        lambda e: el.contrastive_term(e, mining, hs, WCL_CFG),
     ):
         e = Tensor(u.copy(), requires_grad=True)
         backward(loss(e))
@@ -260,7 +256,10 @@ def test_contrastive_graph_size_does_not_grow_with_batch(kind):
         mining = mine_batch(hs)
         cl_cfg = LossConfig(mode="mse+cl", similarity=kind)
         wcl_cfg = LossConfig(mode="mse+wcl", similarity=kind)
-        sizes[b] = (_graph_size(cl_loss(e, mining, cl_cfg)), _graph_size(wcl_loss(e, mining, hs, wcl_cfg)))
+        sizes[b] = (
+            _graph_size(el.contrastive_term(e, mining, None, cl_cfg)),
+            _graph_size(el.contrastive_term(e, mining, hs, wcl_cfg)),
+        )
     assert sizes[8] == sizes[16]
 
 
@@ -282,7 +281,7 @@ def test_wcl_loss_identical_embeddings_value():
     cfg = LossConfig(mode="mse+wcl", eps=1e-2)
     total_neg_pairs = sum(len(n) for n in mining.negatives)
     expected = total_neg_pairs * math.log(1e-2)
-    assert wcl_loss(Tensor(u), mining, hs, cfg).item() == pytest.approx(expected, abs=1e-10)
+    assert el.contrastive_term(Tensor(u), mining, hs, cfg).item() == pytest.approx(expected, abs=1e-10)
 
 
 def test_wcl_reduces_to_cl_when_weights_are_one():
@@ -293,8 +292,8 @@ def test_wcl_reduces_to_cl_when_weights_are_one():
     mining = mine_batch(hs)
     cfg = LossConfig(mode="mse+wcl", eps=1.0)
     assert abs(
-        wcl_loss(Tensor(u), mining, hs, cfg).item()
-        - cl_loss(Tensor(u), mining, cfg).item()
+        el.contrastive_term(Tensor(u), mining, hs, cfg).item()
+        - el.contrastive_term(Tensor(u), mining, None, cfg).item()
     ) < 1e-10
 
 
@@ -307,7 +306,7 @@ def test_wcl_loss_matches_double_loop_oracle(kind):
         hs = rng.uniform(0, 1, size=b)
         mining = mine_batch(hs)
         cfg = LossConfig(mode="mse+wcl", similarity=kind, eps=1e-2)
-        got = wcl_loss(Tensor(u), mining, hs, cfg).item()
+        got = el.contrastive_term(Tensor(u), mining, hs, cfg).item()
         want = wcl_ref(u, mining.positives, mining.negatives, hs, 1e-2, kind)
         assert abs(got - want) < 1e-10
 
@@ -315,7 +314,7 @@ def test_wcl_loss_matches_double_loop_oracle(kind):
 def test_batch_size_mismatch_rejected():
     mining = mine_batch([1.0, 2.0, 3.0])
     with pytest.raises(ShapeError, match="mining"):
-        cl_loss(Tensor(np.ones((4, 2))), mining, CL_CFG)
+        el.contrastive_term(Tensor(np.ones((4, 2))), mining, None, CL_CFG)
 
 
 def test_contrastive_losses_permutation_invariant():
@@ -323,10 +322,10 @@ def test_contrastive_losses_permutation_invariant():
     u = rng.normal(size=(7, 3))
     hs = rng.uniform(0, 1, size=7)
     perm = rng.permutation(7)
-    base_cl = cl_loss(Tensor(u), mine_batch(hs), CL_CFG).item()
-    base_wcl = wcl_loss(Tensor(u), mine_batch(hs), hs, WCL_CFG).item()
-    perm_cl = cl_loss(Tensor(u[perm]), mine_batch(hs[perm]), CL_CFG).item()
-    perm_wcl = wcl_loss(Tensor(u[perm]), mine_batch(hs[perm]), hs[perm], WCL_CFG).item()
+    base_cl = el.contrastive_term(Tensor(u), mine_batch(hs), None, CL_CFG).item()
+    base_wcl = el.contrastive_term(Tensor(u), mine_batch(hs), hs, WCL_CFG).item()
+    perm_cl = el.contrastive_term(Tensor(u[perm]), mine_batch(hs[perm]), None, CL_CFG).item()
+    perm_wcl = el.contrastive_term(Tensor(u[perm]), mine_batch(hs[perm]), hs[perm], WCL_CFG).item()
     assert abs(base_cl - perm_cl) < 1e-10
     assert abs(base_wcl - perm_wcl) < 1e-10
 
@@ -338,12 +337,12 @@ def test_cosine_losses_scale_invariant():
     mining = mine_batch(hs)
     for scale in (0.3, 7.0):
         assert abs(
-            cl_loss(Tensor(u * scale), mining, CL_CFG).item()
-            - cl_loss(Tensor(u), mining, CL_CFG).item()
+            el.contrastive_term(Tensor(u * scale), mining, None, CL_CFG).item()
+            - el.contrastive_term(Tensor(u), mining, None, CL_CFG).item()
         ) < 1e-10
         assert abs(
-            wcl_loss(Tensor(u * scale), mining, hs, WCL_CFG).item()
-            - wcl_loss(Tensor(u), mining, hs, WCL_CFG).item()
+            el.contrastive_term(Tensor(u * scale), mining, hs, WCL_CFG).item()
+            - el.contrastive_term(Tensor(u), mining, hs, WCL_CFG).item()
         ) < 1e-10
 
 
@@ -359,7 +358,7 @@ def test_cl_loss_monotone_in_positive_pair_similarity():
     # hs [0, 10, 1] mines (0,2) as a positive pair for anchors 0 and 2
     mining = mine_batch([0.0, 10.0, 1.0])
     losses = [
-        cl_loss(Tensor(_rotation_batch(theta)), mining, CL_CFG).item()
+        el.contrastive_term(Tensor(_rotation_batch(theta)), mining, None, CL_CFG).item()
         for theta in (1.2, 0.8, 0.4)  # decreasing theta raises sim(u0, u2)
     ]
     assert losses[0] > losses[1] > losses[2]
@@ -369,7 +368,7 @@ def test_cl_loss_monotone_in_negative_pair_similarity():
     # hs [0, 1, 10] mines (0,2) as a negative pair instead
     mining = mine_batch([0.0, 1.0, 10.0])
     losses = [
-        cl_loss(Tensor(_rotation_batch(theta)), mining, CL_CFG).item()
+        el.contrastive_term(Tensor(_rotation_batch(theta)), mining, None, CL_CFG).item()
         for theta in (1.2, 0.8, 0.4)
     ]
     assert losses[0] < losses[1] < losses[2]
@@ -384,10 +383,10 @@ def test_combined_alpha_zero_equals_mse_for_all_modes():
     hs = rng.uniform(0, 1, size=5)
     y_pred = Tensor(rng.normal(size=5))
     mining = mine_batch(hs)
-    want = mse_loss(hs, y_pred).item()
+    want = el.mse_term(hs, y_pred).item()
     for mode in ("mse", "mse+cl", "mse+wcl"):
         cfg = LossConfig(mode=mode, alpha=0.0)
-        got = combined_loss(hs, y_pred, Tensor(u), mining, hs, cfg)
+        got = combined_loss_terms(hs, y_pred, Tensor(u), mining, hs, cfg)[0]
         assert got.item() == want
 
 
@@ -403,7 +402,7 @@ def test_combined_is_sum_of_reference_terms():
     y_pred = rng.normal(size=4)
     mining = mine_batch(hs)
     cfg = LossConfig(mode="mse+cl", alpha=0.5)
-    got = combined_loss(hs, Tensor(y_pred), Tensor(u), mining, hs, cfg).item()
+    got = combined_loss_terms(hs, Tensor(y_pred), Tensor(u), mining, hs, cfg)[0].item()
     want = mse_ref(hs, y_pred) + 0.5 * cl_ref(u, mining.positives, mining.negatives, "cos")
     assert abs(got - want) < 1e-10
 
@@ -419,9 +418,9 @@ def test_combined_gradient_wrt_embeddings():
         cfg = LossConfig(mode=mode)
 
         def f(flat):
-            return combined_loss(hs, y_pred, flat.reshape((b, d)), mining, hs, cfg)
+            return combined_loss_terms(hs, y_pred, flat.reshape((b, d)), mining, hs, cfg)[0]
 
-        assert grad_check(f, Tensor(u.reshape(-1)), 1e-6) < 1e-4
+        assert el.grad_check(f, Tensor(u.reshape(-1)), 1e-6) < 1e-4
 
 
 # -- cross entropy -----------------------------------------------------------------
@@ -461,7 +460,7 @@ def test_cross_entropy_gradient():
     def f(flat):
         return cross_entropy(flat.reshape((4, 3)), labels)
 
-    assert grad_check(f, Tensor(logits.reshape(-1)), 1e-6) < 1e-4
+    assert el.grad_check(f, Tensor(logits.reshape(-1)), 1e-6) < 1e-4
 
 
 # -- loss gradients away from clamp boundaries ---------------------------------------
@@ -496,10 +495,10 @@ def test_contrastive_gradients_match_finite_differences(mode, kind):
     def f(flat):
         emb = flat.reshape((b, d))
         if mode == "mse+wcl":
-            return wcl_loss(emb, mining, hs, cfg)
-        return cl_loss(emb, mining, cfg)
+            return el.contrastive_term(emb, mining, hs, cfg)
+        return el.contrastive_term(emb, mining, None, cfg)
 
-    assert grad_check(f, Tensor(u.reshape(-1)), 1e-6) < 1e-4
+    assert el.grad_check(f, Tensor(u.reshape(-1)), 1e-6) < 1e-4
 
 
 # -- loss_gradients -----------------------------------------------------------------
@@ -595,11 +594,11 @@ def test_combined_loss_terms_with_a_run_axis_match_each_runs_own_call_bitwise(ki
 def test_stacked_losses_reject_masks_of_another_batch():
     mining = mine_batch(np.zeros((2, 5)))
     with pytest.raises(ShapeError, match="mining"):
-        cl_loss(Tensor(np.ones((3, 5, 2))), mining, CL_CFG)
+        el.contrastive_term(Tensor(np.ones((3, 5, 2))), mining, None, CL_CFG)
     with pytest.raises(ShapeError, match="mining"):
         combined_loss_terms(_HS, Tensor(np.zeros(5)), Tensor(np.ones((5, 3))), mining, _HS, CL_CFG)
     with pytest.raises(ShapeError, match="scores"):
-        wcl_loss(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)
+        el.contrastive_term(Tensor(np.ones((2, 5, 2))), mining, np.zeros(10), WCL_CFG)
 
 
 # Each loss takes one run's operands without a run axis, or S runs' with it on all of them.
@@ -609,19 +608,25 @@ _ONE_LAYOUT_CASES = {
         lambda: cross_entropy(Tensor(np.zeros((2, 5, 3))), np.zeros(5, dtype=int)),
         r"cross_entropy: got \(5,\) labels for logits of shape \(2, 5, 3\)",
     ),
-    "mse_loss-target": (
-        lambda: mse_loss(_HS[:, None], Tensor(np.zeros(5))),
-        r"mse_loss: target shape \(5, 1\) != prediction shape \(5,\)",
+    "mse_term-target": (
+        lambda: el.mse_term(_HS[:, None], Tensor(np.zeros(5))),
+        r"combined_loss_terms: target shape \(5, 1\) != prediction shape \(5,\)",
     ),
     "combined_loss_terms-target": (
         lambda: combined_loss_terms(
             _HS[:, None], Tensor(np.zeros(5)), Tensor(np.ones((5, 2))), mine_batch(_HS), _HS, CL_CFG
         ),
-        r"mse_loss: target shape \(5, 1\) != prediction shape \(5,\)",
+        r"combined_loss_terms: target shape \(5, 1\) != prediction shape \(5,\)",
     ),
-    "wcl_loss-scores": (
-        lambda: wcl_loss(Tensor(np.ones((5, 2))), mine_batch(_HS), _HS[:, None], WCL_CFG),
-        r"wcl_loss: got \(5, 1\) scores for embeddings of shape \(5, 2\)",
+    "combined_loss_terms-embeddings": (
+        lambda: combined_loss_terms(
+            _HS, Tensor(np.zeros(5)), Tensor(np.ones((1, 5, 5, 2))), mine_batch(_HS), _HS, CL_CFG
+        ),
+        r"combined_loss_terms: expected \(B, D\) or \(S, B, D\) embeddings, got shape \(1, 5, 5, 2\)",
+    ),
+    "contrastive_term-scores": (
+        lambda: el.contrastive_term(Tensor(np.ones((5, 2))), mine_batch(_HS), _HS[:, None], WCL_CFG),
+        r"combined_loss_terms: got \(5, 1\) scores for embeddings of shape \(5, 2\)",
     ),
 }
 
@@ -652,7 +657,7 @@ def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b
             scores = hs[index]
             mining = mine_batch(scores)
             one = targets.batch(index)
-            # the construction cl_loss/wcl_loss used per batch
+            # the construction combined_loss_terms uses per batch
             if cfg.weighted:
                 weights = np.abs(scores[:, None] - scores[None, :]) + cfg.eps
                 assert np.array_equal(one.coefficients, mining.negative - mining.positive / weights)
@@ -661,7 +666,7 @@ def test_contrast_targets_equal_per_batch_mining_and_loss_construction_bitwise(b
                 assert np.array_equal(one.coefficients, mining.negative.astype(np.float64) - mining.positive)
                 assert one.constant is None
             emb = Tensor(rng.normal(size=(b, 3)))
-            own = wcl_loss(emb, mining, scores, cfg) if cfg.weighted else cl_loss(emb, mining, cfg)
+            own = el.contrastive_term(emb, mining, scores if cfg.weighted else None, cfg)
             (_, _, via), _ = combined_loss_forward(scores, np.zeros(b), emb.data, one, cfg)
             _, _, chain = combined_loss_chain(scores, Tensor(np.zeros(b)), emb, mining, scores, cfg)
             assert np.array_equal(via, own.data) and np.array_equal(via, chain.data)

@@ -16,7 +16,7 @@ from hscl.model import (
     predict_hs,
 )
 from hscl.pipeline import ModelSpec
-from hscl.tensor import Tensor, backward, grad_check
+from hscl.tensor import Tensor, backward
 
 import elementary as el
 from oracles import pack_shapes, unpack_flat
@@ -272,7 +272,7 @@ def test_mean_prediction_gradient_through_encoder():
         rebuilt_head = type(head)(head.widths, head.activation, [pieces[-2]], [pieces[-1]])
         return el.mean(el.predict_hs(rebuilt_head, el.encode(rebuilt, x)))
 
-    assert grad_check(f, Tensor(flat), 1e-6) < 1e-4
+    assert el.grad_check(f, Tensor(flat), 1e-6) < 1e-4
 
 
 def test_encoder_gradients_flow_to_all_parameters():

@@ -9,7 +9,6 @@ from hscl.losses import PROB_FLOOR, onehot_labels
 from hscl.tensor import (
     Tensor,
     backward,
-    grad_check,
     node,
     pairwise_similarity_backward,
     pairwise_similarity_forward,
@@ -81,7 +80,7 @@ def test_backward_cosine_gradient():
     def f(t):
         return el.sum(el.mul(pairwise_similarity(t.reshape((2, 2)), "cos"), pick))
 
-    assert grad_check(f, Tensor([1.0, 0.0, 0.0, 1.0]), 1e-6) < 1e-6
+    assert el.grad_check(f, Tensor([1.0, 0.0, 0.0, 1.0]), 1e-6) < 1e-6
 
 
 def test_backward_seeds_a_non_scalar_root_with_ones():
@@ -212,7 +211,7 @@ def test_pairwise_similarity_gradient_at_interior_points(kind):
         def f(t):
             return el.sum(el.mul(pairwise_similarity(t.reshape((b, d)), kind), weights))
 
-        assert grad_check(f, Tensor(rng.normal(size=b * d)), 1e-6) < 1e-5
+        assert el.grad_check(f, Tensor(rng.normal(size=b * d)), 1e-6) < 1e-5
 
 
 def test_pairwise_similarity_cosine_rejects_any_zero_row():
@@ -250,14 +249,14 @@ def test_mul_scalar_tensor_broadcast():
 
 
 def test_grad_check_quadratic_is_tight():
-    assert grad_check(lambda t: el.sum(el.square(t)), Tensor([1.0, 2.0, 3.0]), 1e-6) < 1e-6
+    assert el.grad_check(lambda t: el.sum(el.square(t)), Tensor([1.0, 2.0, 3.0]), 1e-6) < 1e-6
 
 
 def test_grad_check_rejects_bad_step_and_nonscalar():
     with pytest.raises(ValueError, match="step"):
-        grad_check(el.sum, Tensor([1.0]), 1e-2)
+        el.grad_check(el.sum, Tensor([1.0]), 1e-2)
     with pytest.raises(ValueError, match="scalar"):
-        grad_check(lambda t: el.mul(t, 2.0), Tensor([1.0, 2.0]))
+        el.grad_check(lambda t: el.mul(t, 2.0), Tensor([1.0, 2.0]))
 
 
 def _op_cases(rng):
@@ -363,7 +362,7 @@ def test_every_op_matches_finite_differences():
     checked = 0
     for trial in range(5):
         for f, point in _op_cases(rng) + _pair_cases(pair_rng):
-            err = grad_check(f, Tensor(point), 1e-6)
+            err = el.grad_check(f, Tensor(point), 1e-6)
             assert err < 1e-4, f"trial {trial}: op case failed with error {err}"
             checked += 1
     assert checked >= 100
@@ -452,7 +451,7 @@ def test_dense_gradient_matches_finite_differences(activation):
             (lambda t: dense(Tensor(x), t.reshape((4, 2)), Tensor(b), activation), w),
             (lambda t: dense(Tensor(x), Tensor(w), t, activation), b),
         ):
-            assert grad_check(lambda t: el.sum(el.mul(at(t), upstream)), Tensor(point.reshape(-1)), 1e-6) < 1e-5
+            assert el.grad_check(lambda t: el.sum(el.mul(at(t), upstream)), Tensor(point.reshape(-1)), 1e-6) < 1e-5
 
 
 def test_dense_rejects_an_unknown_activation():

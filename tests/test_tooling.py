@@ -207,13 +207,8 @@ OWNERSHIP = (
 # are not, and each says why it stays public. An op or rule that only the tests
 # call lives in the test tree (``elementary.py``, ``oracles.py``) instead.
 UNUSED_PUBLIC = {
-    "tensor.grad_check": "the autodiff API's gradient check",
     "training.parse_trace": "reads back the trace log a pre-training run writes",
-    "losses.cl_loss": "the autodiff API's contrastive loss",
-    "losses.wcl_loss": "the autodiff API's weighted contrastive loss",
-    "losses.mse_loss": "the autodiff API's regression loss",
-    "losses.cross_entropy": "the autodiff API's classifier loss; perfbench BINDINGS also binds it",
-    "losses.combined_loss": "the autodiff API's pre-training loss",
+    "losses.cross_entropy": "the graph form of the fine-tuning step's loss pair; perfbench BINDINGS also binds it",
     "losses.combined_loss_terms": "the graph form of the array pair a step runs; perfbench BINDINGS also binds it",
     "losses.loss_gradients": "bound only by perfbench BINDINGS; it moves to tests/oracles.py once they drop it",
 }
@@ -571,7 +566,7 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
     first = gate.run_gate(ROOT / "src", tmp_path / "a")
     assert first == gate.run_gate(ROOT / "src", tmp_path / "b")
     commands = [line.split()[0] for line in first if " exit=" in line]
-    assert len(set(commands)) == 54 and len(first) > 2 * len(commands)
+    assert len(set(commands)) == 56 and len(first) > 2 * len(commands)
 
 
 def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
@@ -654,7 +649,7 @@ def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, mon
 
     monkeypatch.setattr(hscl.cli, "main", main)
     results = [line for line in gate.run_gate(ROOT / "src", tmp_path) if " exit=" in line]
-    assert len(results) == 54
+    assert len(results) == 56
     assert results[0] == (
         f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
     )

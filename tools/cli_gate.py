@@ -39,9 +39,10 @@ top-level ``hscl.load_checkpoint`` gives and saved with
 ``hscl.save_checkpoint``, which older trees export too. Then the parser's own
 texts: ``--help``, each ``<command> --help``, an unknown command, no command,
 a missing required flag and an unrecognized flag, each recorded with the
-exit code argparse gives it. Argparse wraps its help to the terminal width
-(``COLUMNS``, else 80 columns when stdout is not a terminal), so compare
-manifests made at the same width.
+exit code argparse gives it. Then gen-data with a ``--config`` it cannot read
+(exit 2): the output directory, and a file whose bytes are not UTF-8.
+Argparse wraps its help to the terminal width (``COLUMNS``, else 80 columns
+when stdout is not a terminal), so compare manifests made at the same width.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def _crlf_cohorts(hscl, out: Path) -> None:
     _spreadsheet_copy(out / "large.csv", out / "large_crlf.csv")
     (out / "large_cr.csv").write_bytes((out / "large.csv").read_bytes().replace(b"\n", b"\r"))
 
+
+CONFIG_NOT_UTF8 = "config_not_utf8.json"  # a --config file whose first bytes are not UTF-8
 
 # the gate's checkpoints that the restores read, and that the fault copies are made from
 PRETRAINED, TUNED = "pretrain-mse+cl-cos/pretrain_best.ckpt", "finetune-frozen/finetune_best.ckpt"
@@ -236,6 +239,8 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         ("no-command", []),
         ("missing-flag", ["eval", "--data", data, "--checkpoint", str(out / tuned)]),
         restore("eval", data, tuned, "unrecognized-flag", "--seed", "1"),
+        *((f"config-{name}", ["gen-data", "--config", str(config), "--out", str(out / "config.csv")])
+          for name, config in (("directory", out), ("not-utf8", out / CONFIG_NOT_UTF8))),
     ]
 
 
@@ -248,6 +253,7 @@ def run_gate(src: Path, out: Path) -> list[str]:
         raise SystemExit(f"cli_gate: {out} is not empty")
     _sf_cohorts(hscl, out)
     _crlf_cohorts(hscl, out)
+    (out / CONFIG_NOT_UTF8).write_bytes(b"\xff\xfe{")
     results = _run(hscl, _commands(out), out)
     _fault_copies(hscl, out)
     results += _run(hscl, _fault_commands(out), out)

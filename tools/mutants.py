@@ -49,6 +49,9 @@ _UNPARSEABLE = "tests/test_training.py::test_checkpoint_unparseable_body_with_a_
 _NOT_UTF8_LINE = "tests/test_data.py::test_a_byte_that_is_not_utf8_is_named_by_its_line_in_a_file_and_in_a_stream[1]"
 _PIPE = "tests/test_data.py::test_load_dataset_reads_a_pipe_as_the_file_it_streams[64]"
 _PIECES = "tests/test_dataset_io.py::test_reader_rows_are_the_csv_reader_rows_of_the_text_in_any_pieces"
+_LAYOUT = "tests/test_losses.py::test_losses_reject_an_operand_of_another_layout"
+_OTHER_BATCH = "tests/test_losses.py::test_stacked_losses_reject_masks_of_another_batch"
+_CONFIG_FILE = "tests/test_cli.py::test_a_config_file_that_is_a_directory_or_not_utf8_exits_2_naming_it"
 
 MUTANTS = (
     Mutant(
@@ -295,6 +298,42 @@ MUTANTS = (
             "tests/test_dataset_io.py::test_save_rejects_a_record_of_another_width_before_writing",
             "tests/test_dataset_io.py::test_save_rejects_a_non_finite_record_before_writing[nan-score]",
         ),
+    ),
+    Mutant(
+        "the target shape check names the deleted mse_loss", "src/hscl/losses.py",
+        'raise ShapeError(f"combined_loss_terms: target shape', 'raise ShapeError(f"mse_loss: target shape',
+        (f"{_LAYOUT}[mse_term-target]", f"{_LAYOUT}[combined_loss_terms-target]"),
+    ),
+    Mutant(
+        "the target shape check takes a target of another layout", "src/hscl/losses.py",
+        "if y_pred.data.ndim not in (1, 2) or target.shape != y_pred.shape:", "if y_pred.data.ndim not in (1, 2):",
+        (f"{_LAYOUT}[mse_term-target]", "tests/test_losses.py::test_mse_length_mismatch"),
+    ),
+    Mutant(
+        "the embeddings check takes a stack of stacks", "src/hscl/losses.py",
+        "if embeddings.data.ndim not in (2, 3):", "if embeddings.data.ndim not in (2, 3, 4):",
+        (f"{_LAYOUT}[combined_loss_terms-embeddings]",),
+    ),
+    Mutant(
+        "the mining-mask check takes the masks of another batch", "src/hscl/losses.py",
+        "if mining.positive.shape != rows + rows[-1:]:", "if False:",
+        ("tests/test_losses.py::test_batch_size_mismatch_rejected", _OTHER_BATCH),
+    ),
+    Mutant(
+        "the scores check names the deleted wcl_loss", "src/hscl/losses.py",
+        'raise ShapeError(f"combined_loss_terms: got {scores.shape} scores',
+        'raise ShapeError(f"wcl_loss: got {scores.shape} scores',
+        (f"{_LAYOUT}[contrastive_term-scores]",),
+    ),
+    Mutant(
+        "a config file that is a directory is opened", "src/hscl/cli.py",
+        "if not os.path.isfile(config_path):", "if False:",
+        (f"{_CONFIG_FILE}[directory]",),
+    ),
+    Mutant(
+        "a config file that is not UTF-8 escapes as a UnicodeDecodeError", "src/hscl/cli.py",
+        "except UnicodeDecodeError:", "except ZeroDivisionError:",
+        (f"{_CONFIG_FILE}[not-utf8]",),
     ),
 )
 

@@ -7,9 +7,8 @@ reads consecutive-scan embedding pairs as improved / same / deteriorated.
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
+    Cohort,
     NormalizationStats,
-    PatientSeries,
-    ScanRecord,
     SyntheticSpec,
     categorize_sf,
     generate_synthetic,

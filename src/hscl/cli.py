@@ -36,6 +36,7 @@ from .pipeline import (
     CompareConfig,
     DataConfig,
     ModelSpec,
+    check_splits,
     evaluate_checkpoint,
     format_report,
     prepare,
@@ -182,12 +183,10 @@ def _restored(args: argparse.Namespace, stage: str | None = None):
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    collection = generate_synthetic(_build(SyntheticSpec, _merge(args)))
-    save_dataset(collection, args.out)
-    n_records = sum(len(s.records) for s in collection)
-    n_pairs = sum(len(s.records) - 1 for s in collection)
-    print(f"records: {n_records}")
-    print(f"pairs: {n_pairs}")
+    cohort = generate_synthetic(_build(SyntheticSpec, _merge(args)))
+    save_dataset(cohort, args.out)
+    print(f"records: {len(cohort.scores)}")
+    print(f"pairs: {len(cohort.scores) - len(cohort.patient_ids)}")
     return 0
 
 
@@ -220,9 +219,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 def cmd_finetune(args: argparse.Namespace) -> int:
     opts = _merge(args)
     pretrained, prepared = _restored(args, "pretrain")
-    for split in ("train", "val"):  # before training: it selects on and reports val metrics
-        if len(prepared.pairs[split][2]) == 0:
-            raise ConfigError(f"finetune: split {split!r} has no pairs")
+    check_splits(prepared, "finetune", ("train", "val"))  # it selects on and reports val metrics
     result = run_finetune(prepared, pretrained, _build(TrainConfig, opts), _build(ModelSpec, opts))
 
     os.makedirs(args.out, exist_ok=True)
@@ -275,7 +272,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     opts = _merge(args)
     data_path = _require_file(args.data, "dataset")
-    collection = load_dataset(data_path)
+    cohort = load_dataset(data_path)
     pre_cfg = _build(
         TrainConfig, opts, epochs=opts["epochs"], loss=_build(LossConfig, opts, mode="mse")
     )
@@ -283,7 +280,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     dcfg = _build(DataConfig, opts)  # this and ModelSpec report their errors before CompareConfig
     model = _build(ModelSpec, opts)
     report = run_comparison(
-        collection,
+        cohort,
         _build(CompareConfig, opts),
         dcfg,
         model,

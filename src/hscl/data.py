@@ -1,8 +1,9 @@
 """Longitudinal scan data: synthetic generation, ingestion, labels, splits.
 
-Each record is one scan: a feature vector plus a scalar health score. Records
-group into per-patient series ordered by sequence index; consecutive records
-form pair examples labeled improved / same / deteriorated. Health scores are
+A cohort is one ``Cohort`` of arrays, one row per scan: a feature vector and
+a scalar health score. Rows are grouped by patient and ordered by sequence
+index; consecutive scans of one patient form pair examples labeled
+improved / same / deteriorated. Health scores are
 min-max normalized with statistics fitted on the training split only, so that
 label distances (and the contrastive eps) live on a consistent [0, 1] scale
 regardless of whether the raw scores are S/F-like (hundreds) or MMSE-like
@@ -19,9 +20,8 @@ import io
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -39,34 +39,74 @@ DEFAULT_TAU = 0.05
 _SF_EDGES = (430.0, 275.0, 180.0)
 
 
-@dataclass
-class ScanRecord:
-    """One scan of one patient: its sequence index, feature vector and health score."""
-
-    patient_id: str
-    seq_index: int
-    features: np.ndarray = field(repr=False)
-    health_score: float
+def _ascending(codes: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """Whether each row after the first comes after the row before it: of a later patient, or of a higher seq_index."""
+    return (codes[1:] > codes[:-1]) | ((codes[1:] == codes[:-1]) & (seq[1:] > seq[:-1]))
 
 
-@dataclass
-class PatientSeries:
-    """One patient's scans, all of that patient, in strictly increasing seq_index order."""
+class Cohort:
+    """Scans of many patients as arrays, one row per scan, grouped by patient and ordered by seq_index.
 
-    patient_id: str
-    records: list[ScanRecord]
+    ``patient_ids`` holds one id per patient, in order of first appearance,
+    and ``scans`` (P,) int64 the number of rows of each; ``seq_index`` (N,)
+    int64, ``scores`` (N,) float64 and ``features`` (N, F) float64 hold the
+    rows, patient by patient.
+    """
 
-    def __post_init__(self) -> None:
-        for rec in self.records:
-            if rec.patient_id != self.patient_id:
-                raise DatasetError(
-                    f"series {self.patient_id}: record belongs to {rec.patient_id}"
-                )
-        indices = [rec.seq_index for rec in self.records]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+    __slots__ = ("patient_ids", "scans", "seq_index", "scores", "features")
+
+    def __init__(self, patient_ids, seq_index, scores, features) -> None:
+        """The cohort of rows given as each row's patient id, seq_index, score and features, in any order.
+
+        Rows are grouped by patient in order of first appearance, each
+        patient's sorted by seq_index. A repeated (patient_id, seq_index),
+        features that are not one (N, F) matrix, and a seq_index that is not a
+        64-bit integer raise ``DatasetError``.
+        """
+        first: dict[str, int] = {}
+        n = len(patient_ids)
+        codes = np.fromiter((first.setdefault(pid, len(first)) for pid in patient_ids), dtype=np.int64, count=n)
+        try:
+            seq = np.asarray(seq_index, dtype=np.int64)
+            values = np.asarray(scores, dtype=np.float64)
+            feats = np.asarray(features, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(f"cohort: rows do not form arrays: {exc}") from None
+        if feats.ndim != 2 or feats.shape[0] != n or seq.shape != (n,) or values.shape != (n,):
             raise DatasetError(
-                f"series {self.patient_id}: seq_index must be strictly increasing, got {indices}"
+                f"cohort: {n} patient ids, {seq.shape} seq_index, {values.shape} scores and "
+                f"{feats.shape} features do not form {n} rows of one features matrix"
             )
+        self.patient_ids = tuple(first)
+        if not _ascending(codes, seq).all():  # rows that come in order, as generated or saved, are not copied
+            order = np.lexsort((seq, codes))
+            codes, seq, values, feats = codes[order], seq[order], values[order], feats[order]
+            repeated = np.flatnonzero(~_ascending(codes, seq))  # sorted, only a repeat is out of order
+            if len(repeated):
+                k = repeated[0]
+                raise DatasetError(
+                    f"cohort: duplicate (patient_id, seq_index) {(self.patient_ids[codes[k]], int(seq[k]))}"
+                )
+        self.scans = np.bincount(codes, minlength=len(first))
+        self.seq_index, self.scores, self.features = seq, values, feats
+
+    def row_patient_ids(self) -> np.ndarray:
+        """Each row's patient id, as an (N,) object array."""
+        return np.repeat(np.array(self.patient_ids, dtype=object), self.scans)
+
+    def pair_index(self) -> np.ndarray:
+        """The row of every scan that is not its patient's last: ``(prev, prev + 1)`` are the consecutive scan pairs."""
+        not_last = np.ones(len(self.scores), dtype=bool)
+        not_last[np.cumsum(self.scans) - 1] = False
+        return np.flatnonzero(not_last)
+
+    def patients(self, positions: np.ndarray) -> Cohort:
+        """The cohort of the patients at ``positions``, in that order."""
+        starts = np.cumsum(self.scans) - self.scans
+        lengths = self.scans[positions]
+        # row j of the new cohort is row j of the old one, shifted by its patient's old start less its new one
+        rows = np.arange(lengths.sum()) + np.repeat(starts[positions] - (np.cumsum(lengths) - lengths), lengths)
+        return Cohort(self.row_patient_ids()[rows], self.seq_index[rows], self.scores[rows], self.features[rows])
 
 
 @dataclass
@@ -102,17 +142,11 @@ def categorize_sf(sf: float) -> int:
     return int(_sf_bins(np.asarray(sf)))
 
 
-def records_of(collection: list[PatientSeries]) -> list[ScanRecord]:
-    return [rec for series in collection for rec in series.records]
-
-
-def fit_normalization(
-    records: list[ScanRecord], higher_is_better: bool = True
-) -> NormalizationStats:
-    if not records:
+def fit_normalization(scores: np.ndarray, higher_is_better: bool = True) -> NormalizationStats:
+    """The min-max scale of ``scores``; of equal extremes, such as 0.0 and -0.0, the first is taken, as ``min`` takes it."""
+    if len(scores) == 0:
         raise ConfigError("fit_normalization: no records")
-    scores = [rec.health_score for rec in records]
-    return NormalizationStats(min(scores), max(scores), higher_is_better)
+    return NormalizationStats(float(scores[np.argmin(scores)]), float(scores[np.argmax(scores)]), higher_is_better)
 
 
 @dataclass
@@ -163,7 +197,7 @@ class SyntheticSpec:
 _GEN_CHUNK_DRAWS = 1 << 15
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
+def generate_synthetic(spec: SyntheticSpec) -> Cohort:
     """Deterministic synthetic cohort; same spec (incl. seed) gives identical data.
 
     Built as whole arrays, to the bit what drawing one patient and one scan
@@ -172,8 +206,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
     the walk runs once per scan over the chunk, and the readout and mixing
     are stacked products that run each scan's dot and gemv. A chunk holds
     about ``_GEN_CHUNK_DRAWS`` draws, so the transient arrays stay that size
-    however wide or large the cohort. Each record's features are a row view
-    of one (P, T, F) array; its health score is a Python float.
+    however wide or large the cohort.
     """
     rng = np.random.default_rng(spec.seed)
     readout = rng.normal(size=spec.latent_dim)
@@ -210,12 +243,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[PatientSeries]:
         scores[lo : lo + n] = (spec.hs_center + spec.hs_scale * np.matmul(z[:, None, :], readout)).reshape(n, n_scans)
 
     width = len(str(n_patients - 1))
-    collection = []
-    for p, (feats, hs) in enumerate(zip(features, scores)):
-        pid = f"p{p:0{width}d}"
-        records = [ScanRecord(pid, t, f, h) for t, (f, h) in enumerate(zip(feats, hs.tolist()))]
-        collection.append(PatientSeries(pid, records))
-    return collection
+    pids = np.repeat(np.array([f"p{p:0{width}d}" for p in range(n_patients)], dtype=object), n_scans)
+    seq = np.tile(np.arange(n_scans), n_patients)
+    return Cohort(pids, seq, scores.reshape(-1), features.reshape(n_patients * n_scans, n_feat))
 
 
 _HEADER = ["patient_id", "seq_index", "health_score"]
@@ -232,6 +262,8 @@ _NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 _TEXT_MODE = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
 # the characters _TEXT_MODE reads a byte that is not UTF-8 as
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+# the largest seq_index: a Cohort holds them as int64
+_SEQ_MAX = 2**63 - 1
 
 
 def _csv_field(value) -> str:
@@ -245,79 +277,39 @@ def _csv_field(value) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _features(rec: ScanRecord) -> np.ndarray:
-    """The record's features as the flat float64 vector that is written."""
-    return np.asarray(rec.features, dtype=np.float64).reshape(-1)
+def save_dataset(cohort: Cohort, path) -> None:
+    """Write ``cohort`` as a dataset file that ``load_dataset`` reads back to the bit.
 
-
-def _check_record(rec: ScanRecord, columns: list[str]) -> None:
-    """Raise the first fault of one record: a width other than ``columns``', then a value that is not finite."""
-    feats = _features(rec)
-    if feats.shape[0] != len(columns) - 3:
-        raise DatasetError(
-            f"save_dataset: record {rec.patient_id}/{rec.seq_index} has "
-            f"{feats.shape[0]} features, expected {len(columns) - 3}"
-        )
-    row = [float(rec.health_score), *feats.tolist()]
-    if not all(map(math.isfinite, row)):  # load_dataset would reject it
+    A score or feature that is not finite raises ``DatasetError`` naming the
+    first row that holds one, before the file is opened. Then
+    ``_BLOCK_ROWS`` rows at a time are formatted and written, so only one
+    block's text is alive, not the file's: under tracemalloc, saving a
+    400 x 6 x 32 cohort (a 1.51 MiB file) peaks at 0.66 MiB, where holding
+    the whole text peaked at 4.72 MiB.
+    """
+    n = len(cohort.scores)
+    if n == 0:
+        raise DatasetError("save_dataset: no records")
+    columns = _HEADER + [f"f{i}" for i in range(cohort.features.shape[1])]
+    finite = np.isfinite(cohort.scores) & np.isfinite(cohort.features).all(axis=1)
+    if not finite.all():  # load_dataset would reject it
+        k = int(np.argmin(finite))
+        row = [float(cohort.scores[k]), *cohort.features[k].tolist()]
         bad = ", ".join(f"{name}={v!r}" for name, v in zip(columns[2:], row) if not math.isfinite(v))
         raise DatasetError(
-            f"save_dataset: record {rec.patient_id}/{rec.seq_index} has a non-finite value: {bad}"
+            f"save_dataset: record {cohort.row_patient_ids()[k]}/{cohort.seq_index[k]} has a non-finite value: {bad}"
         )
-
-
-def _block_is_fine(block: list[ScanRecord], n_features: int) -> bool:
-    """Whether the records of ``block``, stacked as one array, have ``n_features`` features and only finite values.
-
-    False too where the features do not stack as one (n, ``n_features``)
-    matrix, or a value has no float: the record checks then decide.
-    """
-    try:
-        feats = np.array([rec.features for rec in block], dtype=np.float64)
-        scores = np.array([float(rec.health_score) for rec in block])
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return feats.shape == (len(block), n_features) and bool(np.isfinite(feats).all() and np.isfinite(scores).all())
-
-
-def _check_records(records: list[ScanRecord], columns: list[str]) -> None:
-    """Raise the first fault of ``records``, in record order; a block of them at a time is checked as one array."""
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start : start + _BLOCK_ROWS]
-        if not _block_is_fine(block, len(columns) - 3):
-            for rec in block:
-                _check_record(rec, columns)
-
-
-def save_dataset(collection: list[PatientSeries], path) -> None:
-    """Write ``collection`` as a dataset file that ``load_dataset`` reads back to the bit.
-
-    The width is the first record's number of features, flattened. Every
-    record is checked before the file is opened, in record order, and the
-    first fault raises ``DatasetError``: a record of another width, then a
-    score or feature that is not finite. Then ``_BLOCK_ROWS`` rows at a time
-    are formatted and written, so only one block's text is alive, not the
-    file's: under tracemalloc, saving a 400 x 6 x 32 cohort (a 1.51 MiB file)
-    peaks at 0.56 MiB, where holding the whole text peaked at 4.72 MiB.
-    """
-    records = records_of(collection)
-    if not records:
-        raise DatasetError("save_dataset: no records")
-    columns = _HEADER + [f"f{i}" for i in range(_features(records[0]).shape[0])]
-    _check_records(records, columns)
-    quoted: dict[str, str] = {}
+    quoted = np.repeat(np.array([_csv_field(pid) for pid in cohort.patient_ids], dtype=object), cohort.scans)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(records), _BLOCK_ROWS):
-            lines = []
-            for rec in records[start : start + _BLOCK_ROWS]:
-                pid = quoted.get(rec.patient_id)
-                if pid is None:
-                    pid = quoted[rec.patient_id] = _csv_field(rec.patient_id)
-                # repr of the Python floats: the shortest text that reads back to the same bits
-                values = ",".join(map(repr, [float(rec.health_score), *_features(rec).tolist()]))
-                lines.append(f"{pid},{rec.seq_index},{values}\n")
-            fh.write("".join(lines))
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            # repr of the Python floats: the shortest text that reads back to the same bits
+            values = np.column_stack((cohort.scores[block], cohort.features[block])).tolist()
+            fh.write("".join(
+                f"{pid},{seq},{','.join(map(repr, row))}\n"
+                for pid, seq, row in zip(quoted[block], cohort.seq_index[block].tolist(), values)
+            ))
 
 
 def _texts(fh) -> Iterator[str]:
@@ -476,6 +468,8 @@ def _row_error(row: list[str], width: int, seen: set) -> str | None:
         return f"seq_index {row[1]!r} is not an integer"
     if seq < 0:
         return f"seq_index must be non-negative, got {seq}"
+    if seq > _SEQ_MAX:
+        return f"seq_index must be at most 2**63 - 1, got {seq}"
     try:
         values = [float(v) for v in row[2:]]
     except ValueError:
@@ -505,6 +499,7 @@ def _accepted(pids, seq_texts, values: np.ndarray, seen: set):
     keys = set(zip(pids, seqs))  # hashed once: the set checks below reuse the hashes
     if (
         min(seqs) < 0
+        or max(seqs) > _SEQ_MAX
         or not np.isfinite(values).all()
         or len(keys) != len(seqs)
         or not seen.isdisjoint(keys)
@@ -558,7 +553,7 @@ def _parse_block(rows: list[list[str]], width: int, seen: set):
     return _accepted([row[0] for row in body], [row[1] for row in body], values, seen)
 
 
-def load_dataset(path) -> list[PatientSeries]:
+def load_dataset(path) -> Cohort:
     r"""Parse and validate a UTF-8 dataset file; raises DatasetError naming the line.
 
     The file is read in one pass, as UTF-8 text, in pieces of whole lines:
@@ -589,16 +584,17 @@ def load_dataset(path) -> list[PatientSeries]:
     each is: bytes that are not UTF-8 first, then a field longer than
     ``csv.field_size_limit()`` or another ``csv.Error``. Else a bad header,
     or the first bad row, raises, with the first of its faults in this
-    order: field count, empty patient_id, seq_index not an integer or
-    negative, a value not numeric or not finite, a duplicate (patient_id,
-    seq_index). Each record's features are a row view of one (N, F) matrix;
-    its health score is a Python float.
+    order: field count, empty patient_id, seq_index not an integer,
+    negative or above 2**63 - 1, a value not numeric or not finite, a
+    duplicate (patient_id, seq_index). The rows are returned as a ``Cohort``.
 
     Only one piece of text and one block of rows are alive at a time: under
-    tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks 0.10
-    MiB above the records it returns, and 0.58 MiB for its ``\r\n`` copy and
-    for its lone-``\r`` copy, read through ``csv.reader``; holding the whole
-    text peaked 2.34 MiB above them.
+    tracemalloc, loading a 400 x 6 x 32 cohort (a 1.51 MiB file) peaks at
+    1.48 MiB, 0.74 MiB of it the cohort it returns, and at 1.95 MiB for its
+    ``\r\n`` copy and for its lone-``\r`` copy, read through ``csv.reader``.
+    Most of the rest is the blocks' values and their concatenation, alive
+    at once. Holding the whole text peaked 2.34 MiB above the records built
+    from it.
     """
     with open(path, **_TEXT_MODE) as fh:
         blocks = _blocks(_runs(fh, path))
@@ -640,24 +636,12 @@ def load_dataset(path) -> list[PatientSeries]:
             for _ in blocks:  # a fault of the file itself, later in it, is reported first
                 pass
             raise DatasetError(f"{path}: {fault}")
-    del seen  # a key per row: freed before the records are built
+    del seen  # a key per row: freed before the cohort is built
     if not pids:
         raise DatasetError(f"{path}: no records")
     values = np.concatenate(parts)
     del parts
-    return _collection(pids, seqs, values)
-
-
-def _collection(pids: list[str], seqs: list[int], values: np.ndarray) -> list[PatientSeries]:
-    """The series of the rows (patient_id, seq_index, values), in order of first appearance, each by seq_index.
-
-    Row k's record holds ``values[k, 0]`` as its score, a Python float, and
-    the row view ``values[k, 1:]`` as its features.
-    """
-    by_patient: dict[str, list[ScanRecord]] = {}
-    for pid, rec in zip(pids, map(ScanRecord, pids, seqs, values[:, 1:], values[:, 0].tolist())):
-        by_patient.setdefault(pid, []).append(rec)
-    return [PatientSeries(pid, sorted(recs, key=attrgetter("seq_index"))) for pid, recs in by_patient.items()]
+    return Cohort(pids, seqs, values[:, 0], values[:, 1:])
 
 
 def check_fractions(fractions, where: str) -> None:
@@ -669,13 +653,13 @@ def check_fractions(fractions, where: str) -> None:
 
 
 def split_patients(
-    collection: list[PatientSeries],
+    cohort: Cohort,
     fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
     seed: int = 0,
-) -> tuple[list[PatientSeries], list[PatientSeries], list[PatientSeries]]:
+) -> tuple[Cohort, Cohort, Cohort]:
     """Patient-level train/val/test split with largest-remainder rounding."""
     check_fractions(fractions, "split_patients")
-    n = len(collection)
+    n = len(cohort.patient_ids)
     raw = [n * f for f in fractions]
     counts = [int(math.floor(r)) for r in raw]
     leftover = n - sum(counts)
@@ -686,42 +670,8 @@ def split_patients(
         if frac > 0 and count == 0:
             raise ConfigError(f"split_patients: {name} split received zero patients")
     order = np.random.default_rng(seed).permutation(n)
-    shuffled = [collection[i] for i in order]
-    train = shuffled[: counts[0]]
-    val = shuffled[counts[0] : counts[0] + counts[1]]
-    test = shuffled[counts[0] + counts[1] :]
-    return train, val, test
-
-
-def series_arrays(
-    collection: list[PatientSeries], n_features: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, health scores, prev) of the records of ``collection``, in ``records_of`` order.
-
-    ``features`` is an (N, F) float64 matrix of every record's features
-    flattened, as ``save_dataset`` writes them, and (0, n_features) for no
-    records; features of more than one flattened width raise ``DatasetError``.
-    ``prev`` holds the position of every record that is not the last of its
-    patient, so ``(prev, prev + 1)`` are the consecutive scan pairs within
-    each patient, patient by patient.
-    """
-    records = records_of(collection)
-    if records:
-        try:
-            x = np.array([r.features for r in records], dtype=np.float64)
-        except ValueError:  # shapes differ: the flat vectors must still be of one width
-            try:
-                x = np.stack([_features(r) for r in records])
-            except ValueError as exc:
-                raise DatasetError(f"series_arrays: record features do not form one matrix: {exc}") from None
-        x = x.reshape(len(records), math.prod(x.shape[1:]))
-    else:
-        x = np.zeros((0, n_features))
-    scores = np.array([r.health_score for r in records], dtype=np.float64)
-    lengths = np.array([len(series.records) for series in collection], dtype=np.int64)
-    not_last = np.ones(len(records), dtype=bool)
-    not_last[np.cumsum(lengths)[lengths > 0] - 1] = False
-    return x, scores, np.flatnonzero(not_last)
+    train, val, test = np.split(order, [counts[0], counts[0] + counts[1]])
+    return cohort.patients(train), cohort.patients(val), cohort.patients(test)
 
 
 def pair_labels(

@@ -27,13 +27,11 @@ from .data import (
     DEFAULT_FRACTIONS,
     DEFAULT_TAU,
     LABEL_MODES,
+    Cohort,
     NormalizationStats,
-    PatientSeries,
     check_fractions,
     fit_normalization,
     pair_labels,
-    records_of,
-    series_arrays,
     split_patients,
 )
 from .errors import ConfigError, DomainError, HsclError
@@ -117,26 +115,16 @@ def _labels(prev_hs: np.ndarray, next_hs: np.ndarray, stats: NormalizationStats 
         raise ConfigError(str(exc)) from None
 
 
-def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Prepared:
-    train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
-    train_records = records_of(train_s)
-    stats = fit_normalization(train_records, dcfg.higher_is_better)
-    n_features = np.size(train_records[0].features)
-    series = {"train": train_s, "val": val_s, "test": test_s}
-    # per split: one features matrix, the scores, and the pairs as (prev, prev + 1)
-    # positions; an empty split or pair list gives (0, n_features) arrays
-    arrays, regression = {}, {}
-    for name, split in series.items():
-        x, hs, _ = arrays[name] = series_arrays(split, n_features)
+def prepare(cohort: Cohort, seed: int, dcfg: DataConfig) -> Prepared:
+    splits = dict(zip(SPLITS, split_patients(cohort, dcfg.fractions, seed)))
+    stats = fit_normalization(splits["train"].scores, dcfg.higher_is_better)
+    # per split: its features matrix, the normalized scores, and the pairs at rows
+    # (prev, prev + 1); an empty split or pair list gives (0, F) arrays
+    regression, pairs = {}, {}
+    for name, split in splits.items():
+        x, hs, prev = split.features, split.scores, split.pair_index()
         regression[name] = (x, stats.normalize_array(hs))
-    pairs = {
-        name: (
-            x[prev],
-            x[prev + 1],
-            _labels(hs[prev], hs[prev + 1], stats, dcfg),
-        )
-        for name, (x, hs, prev) in arrays.items()
-    }
+        pairs[name] = (x[prev], x[prev + 1], _labels(hs[prev], hs[prev + 1], stats, dcfg))
     data_meta = {
         "hs_min": float(stats.hs_min),
         "hs_max": float(stats.hs_max),
@@ -149,7 +137,7 @@ def prepare(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Pre
     return Prepared(stats, regression, pairs, data_meta)
 
 
-def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) -> Prepared:
+def prepared_from_meta(cohort: Cohort, data_meta: dict | None) -> Prepared:
     """Rebuild the exact split/stats a checkpoint was trained with from its ``data`` metadata.
 
     Each value is read through ``checkpoint.meta_value``, so a missing or bad
@@ -165,7 +153,7 @@ def prepared_from_meta(collection: list[PatientSeries], data_meta: dict | None) 
         tau=value("tau"),
         higher_is_better=value("higher_is_better"),
     )
-    prepared = prepare(collection, value("split_seed"), dcfg)
+    prepared = prepare(cohort, value("split_seed"), dcfg)
     for key in ("hs_min", "hs_max"):
         if abs(getattr(prepared.stats, key) - value(key)) > 1e-9:
             raise ConfigError(
@@ -222,6 +210,17 @@ def run_finetune(
     return finetune(
         pretrained, xp_tr, xn_tr, y_tr, xp_val, xn_val, y_val, config, cls_hidden=model.cls_hidden
     )
+
+
+def check_splits(prepared: Prepared, where: str, splits: tuple[str, ...]) -> None:
+    """Raise ``ConfigError`` naming the first of ``splits`` with no scan pair.
+
+    Run before training, so that a run whose data a later stage would reject
+    spends none. A split with a pair has the 2 scans the spread analysis needs.
+    """
+    for split in splits:
+        if len(prepared.pairs[split][2]) == 0:
+            raise ConfigError(f"{where}: split {split!r} has no pairs")
 
 
 def evaluate_checkpoint(prepared: Prepared, ck: Checkpoint, split: str = "test") -> MetricsReport:
@@ -288,7 +287,7 @@ class CompareConfig:
 
 
 def run_comparison(
-    collection: list[PatientSeries],
+    cohort: Cohort,
     compare: CompareConfig,
     dcfg: DataConfig,
     model: ModelSpec,
@@ -305,9 +304,11 @@ def run_comparison(
     bit-identical to training it alone. Evaluation, the spread analysis and
     checkpoint writes then run seed by seed, in seed order.
 
-    In ``bin`` label mode, a pair score the S/F bins reject (``pair_labels``'
-    error) raises ``ConfigError`` before any seed runs, since every seed
-    would fail on it alike. A stage failure the library reports (an
+    A zero fraction, which leaves a split every seed reads empty, and in
+    ``bin`` label mode a pair score the S/F bins reject (``pair_labels``'
+    error), raise ``ConfigError`` before any seed runs, since every seed
+    would fail on it alike. A seed whose train, val or test split has no
+    pairs fails before any pre-training (``check_splits``). A stage failure the library reports (an
     ``HsclError``: bad input, a diverged run, a checkpoint error) aborts that
     seed, the reason is recorded and the sweep continues. When a group of
     several seeds fails, each of its seeds is retrained as a group of one, so
@@ -316,16 +317,20 @@ def run_comparison(
     report dict; when ``out_dir`` is given, writes report.json, report.txt,
     and per-run checkpoints beneath it.
     """
+    for split, fraction in zip(SPLITS, dcfg.fractions):
+        if fraction == 0:
+            raise ConfigError(f"run_comparison: the {split} fraction is 0; every seed needs {split} pairs")
     if dcfg.label_mode == "bin":  # a bin label does not depend on the split: check every pair once
-        _, hs, prev = series_arrays(collection, 0)  # the width shapes only an empty feature matrix
-        _labels(hs[prev], hs[prev + 1], None, dcfg)
+        prev = cohort.pair_index()
+        _labels(cohort.scores[prev], cohort.scores[prev + 1], None, dcfg)
 
     errors: dict[int, str] = {}
     prepared: dict[int, Prepared] = {}
     groups: dict[tuple[int, ...], list[int]] = {}
     for seed in compare.seeds:
         try:
-            prepared[seed] = _prepare_seed(collection, seed, dcfg)
+            prepared[seed] = prepare(cohort, seed, dcfg)
+            check_splits(prepared[seed], "run_comparison", SPLITS)
         except HsclError as exc:
             errors[seed] = _error_text(exc)
             continue
@@ -380,13 +385,6 @@ def run_comparison(
 
 def _error_text(exc: HsclError) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _prepare_seed(collection: list[PatientSeries], seed: int, dcfg: DataConfig) -> Prepared:
-    prepared = prepare(collection, seed, dcfg)
-    if len(prepared.pairs["train"][2]) == 0:  # checked before any mode spends a pre-training
-        raise ConfigError("finetune: no training pairs")
-    return prepared
 
 
 def _split_sizes(prepared: Prepared) -> tuple[int, ...]:

@@ -31,8 +31,10 @@ is the cohort generator as it was, one ``rng.normal`` call per draw and one
 matrix-vector product per scan. ``save_dataset_ref`` is
 the CSV writer as it was, one numpy scalar at a time; ``load_dataset_ref`` is the
 loader as it was, one ``csv.reader`` row and one ``float()`` at a time; and
-``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one record and
+``prepare_arrays_ref`` builds ``prepare``'s arrays as it did, one scan and
 one ``change_label_ref`` per pair (with ``regression_arrays``/``pair_arrays``).
+They hold a cohort as lists of ``Scan`` tuples (``scans_of``) and hand the
+library a ``Cohort`` built from such lists (``cohort_of``).
 ``change_label_ref``, ``categorize_sf_ref``, ``normalize_ref`` and
 ``make_pairs_ref`` state the pair-and-label rules one scalar at a time, as
 the reference for ``data.pair_labels``: they raise its errors, with its
@@ -45,6 +47,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +59,8 @@ from hscl.data import (
     IMPROVED,
     LABEL_MODES,
     SAME,
-    PatientSeries,
-    ScanRecord,
-    fit_normalization,
-    records_of,
+    Cohort,
+    NormalizationStats,
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
@@ -569,6 +570,40 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
     return results
 
 
+class Scan(NamedTuple):
+    """One scan as the oracles hold it: its patient, seq_index, (F,) features and score."""
+
+    patient_id: str
+    seq_index: int
+    features: np.ndarray
+    score: float
+
+
+def scans_of(cohort: Cohort) -> list[list[Scan]]:
+    """Each patient's scans of ``cohort``, one ``Scan`` of Python scalars and a row copy at a time."""
+    series, row = [], 0
+    for pid, n in zip(cohort.patient_ids, cohort.scans.tolist()):
+        series.append([
+            Scan(pid, int(cohort.seq_index[k]), np.array(cohort.features[k]), float(cohort.scores[k]))
+            for k in range(row, row + n)
+        ])
+        row += n
+    return series
+
+
+def cohort_of(scans: list[Scan], n_features: int = 0) -> Cohort:
+    """The ``Cohort`` of ``scans``, given patient by patient in order; (0, ``n_features``) features for none."""
+    if not scans:
+        return Cohort([], [], [], np.zeros((0, n_features)))
+    pids, seqs, feats, scores = zip(*scans)
+    return Cohort(pids, seqs, scores, np.stack(feats))
+
+
+def first_scans(cohort: Cohort, keep) -> Cohort:
+    """``cohort`` with only patient k's first ``keep(k)`` scans."""
+    return cohort_of([scan for k, scans in enumerate(scans_of(cohort)) for scan in scans[: keep(k)]])
+
+
 def generate_synthetic_ref(spec):
     """The synthetic cohort one patient and one scan at a time: per scan a ``rng.normal`` call per draw and ``mixing @ z``."""
     rng = np.random.default_rng(spec.seed)
@@ -578,40 +613,36 @@ def generate_synthetic_ref(spec):
     mixing, _ = np.linalg.qr(rng.normal(size=(spec.n_features, spec.latent_dim)))
 
     width = len(str(spec.n_patients - 1))
-    collection = []
+    scans = []
     for p in range(spec.n_patients):
         pid = f"p{p:0{width}d}"
         z = rng.normal(scale=spec.base_scale, size=spec.latent_dim)
         drift = rng.normal(scale=spec.drift_scale, size=spec.latent_dim)
-        records = []
         for t in range(spec.scans_per_patient):
             if t > 0:
                 z = z + drift + rng.normal(scale=spec.step_scale, size=spec.latent_dim)
             score = spec.hs_center + spec.hs_scale * float(readout @ z)
             feats = mixing @ z + spec.noise * rng.normal(size=spec.n_features)
-            records.append(ScanRecord(pid, t, feats, score))
-        collection.append(PatientSeries(pid, records))
-    return collection
+            scans.append(Scan(pid, t, feats, score))
+    return cohort_of(scans)
 
 
-def save_dataset_ref(collection, path) -> None:
-    """The dataset CSV writer with one ``repr(float(v))`` per numpy scalar and one ``writerow`` per record."""
-    n_features = np.asarray(collection[0].records[0].features, dtype=np.float64).size
-    header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(n_features)]
+def save_dataset_ref(cohort, path) -> None:
+    """The dataset CSV writer with one ``repr(float(v))`` per numpy scalar and one ``writerow`` per scan."""
+    header = ["patient_id", "seq_index", "health_score"] + [f"f{i}" for i in range(cohort.features.shape[1])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for series in collection:
-            for rec in series.records:
-                feats = np.asarray(rec.features, dtype=np.float64).reshape(-1)
+        for series in scans_of(cohort):
+            for scan in series:
                 writer.writerow(
-                    [rec.patient_id, rec.seq_index, repr(float(rec.health_score))]
-                    + [repr(float(v)) for v in feats]
+                    [scan.patient_id, scan.seq_index, repr(float(scan.score))]
+                    + [repr(float(v)) for v in scan.features]
                 )
 
 
 def load_dataset_ref(path):
-    """The dataset loader with the whole file in memory, one ``csv.reader`` row, one ``float()`` per value and one array per record.
+    """The dataset loader with the whole file in memory, one ``csv.reader`` row, one ``float()`` per value and one array per row.
 
     The file is decoded whole, then read into rows whole, so bytes that are
     not UTF-8 anywhere raise first (naming their physical line), then a
@@ -645,7 +676,7 @@ def load_dataset_ref(path):
     n_features = len(feature_names)
 
     seen: set[tuple[str, int]] = set()
-    by_patient: dict[str, list[ScanRecord]] = {}
+    by_patient: dict[str, list[Scan]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -662,6 +693,8 @@ def load_dataset_ref(path):
             raise DatasetError(f"{path}: line {lineno}: seq_index {row[1]!r} is not an integer") from None
         if seq < 0:
             raise DatasetError(f"{path}: line {lineno}: seq_index must be non-negative, got {seq}")
+        if seq >= 2**63:
+            raise DatasetError(f"{path}: line {lineno}: seq_index must be at most 2**63 - 1, got {seq}")
         try:
             values = [float(v) for v in row[2:]]
         except ValueError:
@@ -672,15 +705,10 @@ def load_dataset_ref(path):
         if key in seen:
             raise DatasetError(f"{path}: line {lineno}: duplicate (patient_id, seq_index) {key}")
         seen.add(key)
-        by_patient.setdefault(pid, []).append(
-            ScanRecord(pid, seq, np.asarray(values[1:], dtype=np.float64), values[0])
-        )
+        by_patient.setdefault(pid, []).append(Scan(pid, seq, np.asarray(values[1:], dtype=np.float64), values[0]))
     if not by_patient:
         raise DatasetError(f"{path}: no records")
-    return [
-        PatientSeries(pid, sorted(recs, key=lambda r: r.seq_index))
-        for pid, recs in by_patient.items()
-    ]
+    return cohort_of([scan for scans in by_patient.values() for scan in sorted(scans, key=lambda s: s.seq_index)])
 
 
 _SF_EDGES = (430.0, 275.0, 180.0)
@@ -738,26 +766,21 @@ def change_label_ref(prev_hs, next_hs, stats=None, mode="bin", tau=DEFAULT_TAU):
 
 @dataclass
 class PairExample:
-    prev: ScanRecord
-    next: ScanRecord
+    prev: Scan
+    next: Scan
     label: int
 
 
-def make_pairs_ref(collection, stats=None, mode="bin", tau=DEFAULT_TAU):
-    """One labeled example per consecutive scan pair within each patient."""
+def make_pairs_ref(series, stats=None, mode="bin", tau=DEFAULT_TAU):
+    """One labeled example per consecutive scan pair within each patient's list of ``Scan``."""
     if mode not in LABEL_MODES:
         raise ConfigError(f"pair_labels: unknown label mode {mode!r}")
     pairs = []
-    for series in collection:
-        for prev, nxt in zip(series.records, series.records[1:]):
-            label = change_label_ref(prev.health_score, nxt.health_score, stats, mode, tau)
+    for scans in series:
+        for prev, nxt in zip(scans, scans[1:]):
+            label = change_label_ref(prev.score, nxt.score, stats, mode, tau)
             pairs.append(PairExample(prev, nxt, label))
     return pairs
-
-
-def normalize_hs(records, stats):
-    """Copies of ``records`` with health scores mapped (and clamped) to [0, 1]."""
-    return [replace(rec, health_score=normalize_ref(stats, rec.health_score)) for rec in records]
 
 
 def _feature_matrix(rows, n_features):
@@ -767,10 +790,10 @@ def _feature_matrix(rows, n_features):
     return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
 
 
-def regression_arrays(records, stats, n_features):
-    """Feature matrix and normalized score vector for pre-training; empty for no records."""
-    x = _feature_matrix([r.features for r in records], n_features)
-    y = np.array([normalize_ref(stats, r.health_score) for r in records], dtype=np.float64)
+def regression_arrays(scans, stats, n_features):
+    """Feature matrix and normalized score vector for pre-training; empty for no scans."""
+    x = _feature_matrix([s.features for s in scans], n_features)
+    y = np.array([normalize_ref(stats, s.score) for s in scans], dtype=np.float64)
     return x, y
 
 
@@ -782,18 +805,24 @@ def pair_arrays(pairs, n_features):
     return xp, xn, labels
 
 
-def prepare_arrays_ref(collection, seed, dcfg):
-    """(regression, pairs) of ``prepare``: split -> one record and one ``change_label_ref`` per pair.
+def prepare_arrays_ref(cohort, seed, dcfg):
+    """(regression, pairs) of ``prepare``: split -> one scan and one ``change_label_ref`` per pair.
 
-    A score the labels reject is bad input: its ``DomainError`` is raised as a ``ConfigError``.
+    The training split's min and max are Python's ``min`` and ``max`` of its
+    scores. A score the labels reject is bad input: its ``DomainError`` is
+    raised as a ``ConfigError``.
     """
-    train_s, val_s, test_s = split_patients(collection, dcfg.fractions, seed)
-    train_records = records_of(train_s)
-    stats = fit_normalization(train_records, dcfg.higher_is_better)
-    n_features = len(train_records[0].features)
-    series = {"train": train_s, "val": val_s, "test": test_s}
+    series = {
+        name: scans_of(split)
+        for name, split in zip(("train", "val", "test"), split_patients(cohort, dcfg.fractions, seed))
+    }
+    train_scores = [scan.score for scans in series["train"] for scan in scans]
+    if not train_scores:
+        raise ConfigError("fit_normalization: no records")
+    stats = NormalizationStats(min(train_scores), max(train_scores), dcfg.higher_is_better)
+    n_features = cohort.features.shape[1]
     regression = {
-        name: regression_arrays(records_of(split), stats, n_features)
+        name: regression_arrays([scan for scans in split for scan in scans], stats, n_features)
         for name, split in series.items()
     }
     try:

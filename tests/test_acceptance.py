@@ -349,7 +349,7 @@ def test_criterion_7_compare_is_byte_deterministic(tmp_path):
 
 
 def test_criterion_8_data_layer_properties(tmp_path):
-    from hscl.data import PatientSeries, ScanRecord
+    from hscl.data import Cohort
     from hscl.errors import ConfigError
 
     rng = np.random.default_rng(808)
@@ -359,15 +359,12 @@ def test_criterion_8_data_layer_properties(tmp_path):
         f_train = float(rng.uniform(0.2, 0.6))
         f_val = float(rng.uniform(0.15, (1.0 - f_train) - 0.05))
         fractions = (f_train, f_val, 1.0 - f_train - f_val)
-        patients = [
-            PatientSeries(f"p{i}", [ScanRecord(f"p{i}", 0, np.zeros(1), float(i))])
-            for i in range(n)
-        ]
+        patients = Cohort([f"p{i}" for i in range(n)], np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.float64), np.zeros((n, 1)))
         try:
             train, val, test = split_patients(patients, fractions, seed=int(rng.integers(0, 2**31)))
         except ConfigError:
             continue  # a positive-fraction split got zero patients
-        ids = [s.patient_id for split in (train, val, test) for s in split]
+        ids = [pid for split in (train, val, test) for pid in split.patient_ids]
         assert len(ids) == n and len(set(ids)) == n, "patient leaked across splits"
         checked += 1
 

@@ -25,7 +25,6 @@ from hscl.checkpoint import (
 )
 from hscl.data import (
     DEFAULT_FRACTIONS,
-    PatientSeries,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -38,6 +37,8 @@ from hscl.training import TrainConfig, embed_pairs, parse_trace
 
 import hscl.errors
 import hscl.pipeline
+
+from oracles import first_scans
 
 
 def test_gen_data_reports_counts(tmp_path, capsys):
@@ -929,11 +930,12 @@ def test_a_restore_in_bin_label_mode_of_a_non_positive_score_exits_2(tiny_datase
     assert main(["pretrain", *train, "--hidden", "8,4", "--label-mode", "bin", "--out", str(tmp_path / "pre")]) == 0
     pretrained = str(tmp_path / "pre" / "pretrain_best.ckpt")
     assert main(["finetune", *train, "--checkpoint", pretrained, "--out", str(tmp_path / "fin")]) == 0
-    collection = load_dataset(tiny_dataset)
-    _, _, test = split_patients(collection, DEFAULT_FRACTIONS, 1)
-    test[0].records[0].health_score = -0.5  # the training split, and so the checkpoint's stats, are untouched
+    cohort = load_dataset(tiny_dataset)
+    _, _, test = split_patients(cohort, DEFAULT_FRACTIONS, 1)
+    # the first scan of a test patient: the training split, and so the checkpoint's stats, are untouched
+    cohort.scores[cohort.row_patient_ids().tolist().index(test.patient_ids[0])] = -0.5
     data = tmp_path / "non_positive_test.csv"
-    save_dataset(collection, data)
+    save_dataset(cohort, data)
     capsys.readouterr()
     for command, ckpt in (
         ("finetune", pretrained),
@@ -1008,22 +1010,18 @@ def test_a_diverged_seed_in_a_stack_fails_alone_and_spares_the_others(tiny_datas
 def uneven_dataset(tmp_path_factory):
     """Patients with 3 or 4 scans, so different seeds split into different sizes."""
     spec = SyntheticSpec(n_patients=12, scans_per_patient=4, n_features=5, seed=3)
-    collection = [
-        PatientSeries(s.patient_id, s.records[: 4 if k % 2 else 3])
-        for k, s in enumerate(generate_synthetic(spec))
-    ]
     path = tmp_path_factory.mktemp("uneven") / "uneven.csv"
-    save_dataset(collection, path)
+    save_dataset(first_scans(generate_synthetic(spec), lambda k: 4 if k % 2 else 3), path)
     return path
 
 
 def test_compare_stacks_seeds_of_equal_split_sizes_and_matches_every_seed_alone(
     uneven_dataset, tmp_path, monkeypatch
 ):
-    collection = load_dataset(uneven_dataset)
+    cohort = load_dataset(uneven_dataset)
     groups: dict[tuple, list[int]] = {}
     for seed in range(6):
-        prepared = hscl.pipeline.prepare(collection, seed, hscl.pipeline.DataConfig())
+        prepared = hscl.pipeline.prepare(cohort, seed, hscl.pipeline.DataConfig())
         groups.setdefault(hscl.pipeline._split_sizes(prepared), []).append(seed)
     assert list(groups.values()) == [[0, 5], [1, 2], [3], [4]]
 
@@ -1052,7 +1050,7 @@ def single_scan_dataset(tmp_path_factory):
     """Every patient has one scan, so no split has a consecutive pair."""
     spec = SyntheticSpec(n_patients=30, scans_per_patient=2, n_features=5, seed=3)
     path = tmp_path_factory.mktemp("single") / "single.csv"
-    save_dataset([PatientSeries(s.patient_id, s.records[:1]) for s in generate_synthetic(spec)], path)
+    save_dataset(first_scans(generate_synthetic(spec), lambda k: 1), path)
     return path
 
 
@@ -1112,9 +1110,8 @@ def test_a_cohort_without_pairs_pretrains_and_finetune_exits_2(single_scan_datas
     assert not fine.exists()
 
 
-def test_compare_records_a_split_without_pairs_as_a_failed_seed(
-    single_scan_dataset, tmp_path, capsys, monkeypatch
-):
+def _count_pretrained_seeds(monkeypatch) -> list[int]:
+    """The seeds of every pre-training run, as they start."""
     real, calls = hscl.pipeline.run_pretrain_runs, []
 
     def counted(prepareds, model, config, seeds):
@@ -1122,25 +1119,62 @@ def test_compare_records_a_split_without_pairs_as_a_failed_seed(
         return real(prepareds, model, config, seeds)
 
     monkeypatch.setattr(hscl.pipeline, "run_pretrain_runs", counted)
-    out = tmp_path / "cmp"
-    rc = main(
+    return calls
+
+
+def _compare_once(data, out, seeds: str, *flags: str) -> int:
+    return main(
         [
-            "compare",
-            "--data", str(single_scan_dataset),
-            "--out", str(out),
-            "--seeds", "0,1",
-            "--modes", "mse",
-            "--epochs", "1",
-            "--finetune-epochs", "1",
-            "--hidden", "8,4",
+            "compare", "--data", str(data), "--out", str(out), "--seeds", seeds, "--modes", "mse",
+            "--epochs", "1", "--finetune-epochs", "1", "--hidden", "8,4", *flags,
         ]
     )
-    assert rc == 1
+
+
+def test_compare_records_a_split_without_pairs_as_a_failed_seed(
+    single_scan_dataset, tmp_path, capsys, monkeypatch
+):
+    calls = _count_pretrained_seeds(monkeypatch)
+    out = tmp_path / "cmp"
+    assert _compare_once(single_scan_dataset, out, "0,1") == 1
     assert "every seed failed" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     for seed in ("0", "1"):
-        assert report["per_seed"][seed] == {"error": "ConfigError: finetune: no training pairs"}
+        assert report["per_seed"][seed] == {"error": "ConfigError: run_comparison: split 'train' has no pairs"}
     assert calls == []  # the missing pairs are found before any pre-training
+
+
+def test_compare_with_a_zero_fraction_exits_2_before_any_seed(tiny_dataset, tmp_path, capsys, monkeypatch):
+    """Every seed's test split would be empty and its evaluation fail alike, so none pre-trains."""
+    calls = _count_pretrained_seeds(monkeypatch)
+    for fractions, split in (("0.7,0.3,0", "test"), ("0.7,0,0.3", "val"), ("0,0.5,0.5", "train")):
+        out = tmp_path / split
+        assert _compare_once(tiny_dataset, out, "0,1", "--fractions", fractions) == 2
+        assert capsys.readouterr() == ("", f"error: run_comparison: the {split} fraction is 0; every seed needs {split} pairs\n")
+        assert not out.exists()
+    assert calls == []
+
+
+def test_compare_fails_a_seed_whose_val_split_has_no_pairs_as_finetune_does(tiny_dataset, tmp_path, capsys, monkeypatch):
+    """Each val patient of split seed 1 keeps one scan: finetune exits 2 before training, and compare fails the seed alike."""
+    cohort = load_dataset(tiny_dataset)
+    _, val, _ = split_patients(cohort, DEFAULT_FRACTIONS, 1)
+    data = tmp_path / "val_single.csv"
+    save_dataset(first_scans(cohort, lambda k: 1 if cohort.patient_ids[k] in val.patient_ids else 3), data)
+    train = ["--data", str(data), "--epochs", "1", "--seed", "1"]
+    assert main(["pretrain", *train, "--hidden", "8,4", "--out", str(tmp_path / "pre")]) == 0
+    pretrained = str(tmp_path / "pre" / "pretrain_best.ckpt")
+    capsys.readouterr()
+    assert main(["finetune", *train, "--checkpoint", pretrained, "--out", str(tmp_path / "fin")]) == 2
+    assert capsys.readouterr() == ("", "error: finetune: split 'val' has no pairs\n")
+
+    calls = _count_pretrained_seeds(monkeypatch)
+    out = tmp_path / "cmp"
+    assert _compare_once(data, out, "1") == 1
+    assert "every seed failed" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["per_seed"]["1"] == {"error": "ConfigError: run_comparison: split 'val' has no pairs"}
+    assert calls == []
 
 
 @pytest.mark.parametrize("pooling", ["mean", "last"])

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import threading
@@ -7,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hscl.data as data_mod
@@ -16,25 +15,32 @@ from hscl.data import (
     DETERIORATED,
     IMPROVED,
     SAME,
+    Cohort,
     NormalizationStats,
-    PatientSeries,
-    ScanRecord,
     SyntheticSpec,
     categorize_sf,
     fit_normalization,
     generate_synthetic,
     load_dataset,
     pair_labels,
-    records_of,
     save_dataset,
-    series_arrays,
     split_patients,
 )
 from hscl.errors import ConfigError, DatasetError, DomainError
-from hscl.pipeline import CompareConfig, DataConfig, ModelSpec, prepare, run_comparison
-from hscl.training import TrainConfig
+from hscl.pipeline import DataConfig, prepare
 
-from oracles import generate_synthetic_ref, load_dataset_ref, normalize_hs, pair_arrays, regression_arrays, save_dataset_ref
+from oracles import (
+    Scan,
+    cohort_of,
+    first_scans,
+    generate_synthetic_ref,
+    load_dataset_ref,
+    normalize_ref,
+    pair_arrays,
+    regression_arrays,
+    save_dataset_ref,
+    scans_of,
+)
 
 
 # -- S/F binning --------------------------------------------------------------
@@ -129,15 +135,10 @@ def test_pair_labels_raise_on_the_first_bad_pair(prev, nxt, mode, message):
 # -- normalization -----------------------------------------------------------------
 
 
-def _record(pid, seq, hs, feats=(0.0,)):
-    return ScanRecord(pid, seq, np.asarray(feats, dtype=np.float64), hs)
-
-
 def test_normalize_endpoints_and_midpoint():
     stats = NormalizationStats(10.0, 20.0)
-    records = [_record("a", 0, 10.0), _record("a", 1, 20.0), _record("a", 2, 15.0)]
     assert stats.normalize_array(np.array([10.0, 20.0, 15.0])).tolist() == [0.0, 1.0, 0.5]
-    assert [r.health_score for r in normalize_hs(records, stats)] == [0.0, 1.0, 0.5]
+    assert [normalize_ref(stats, v) for v in (10.0, 20.0, 15.0)] == [0.0, 1.0, 0.5]
 
 
 def test_normalize_clamps_out_of_range():
@@ -149,6 +150,18 @@ def test_normalize_degenerate_stats_rejected():
     stats = NormalizationStats(5.0, 5.0)
     with pytest.raises(ConfigError, match="degenerate"):
         stats.normalize_array(np.array([5.0]))
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=40))
+@example([0.0, -0.0, 1.0])
+@example([-1.0, -0.0, 0.0])
+@settings(max_examples=200, deadline=None)
+def test_fit_normalization_takes_python_s_min_and_max_signed_zero_included(scores):
+    """Of equal extremes the first is taken, as ``min`` and ``max`` take it: the stats go into checkpoint metadata."""
+    stats = fit_normalization(np.array(scores))
+    assert type(stats.hs_min) is float and type(stats.hs_max) is float
+    assert np.float64(stats.hs_min).tobytes() == np.float64(min(scores)).tobytes()
+    assert np.float64(stats.hs_max).tobytes() == np.float64(max(scores)).tobytes()
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -192,51 +205,42 @@ def test_generator_matches_the_one_scan_at_a_time_oracle_bit_for_bit(kwargs, see
     monkeypatch.setattr(data_mod, "_GEN_CHUNK_DRAWS", chunk_draws)
     spec = SyntheticSpec(seed=seed, **kwargs)
     got, want = generate_synthetic(spec), generate_synthetic_ref(spec)
-    assert [s.patient_id for s in got] == [s.patient_id for s in want]
-    records, expected = records_of(got), records_of(want)
-    assert [(r.patient_id, r.seq_index) for r in records] == [(r.patient_id, r.seq_index) for r in expected]
-    for rec, ref in zip(records, expected):
-        assert type(rec.health_score) is float and type(rec.seq_index) is int
-        assert np.float64(rec.health_score).tobytes() == np.float64(ref.health_score).tobytes()
-        assert rec.features.dtype == np.float64 and rec.features.shape == (spec.n_features,)
-        assert rec.features.tobytes() == ref.features.tobytes()
-    base = records[0].features.base  # every record's features are a row of one matrix
-    assert base is not None and base.size == len(records) * spec.n_features
-    assert all(rec.features.base is base and rec.features.flags.c_contiguous for rec in records)
+    n = spec.n_patients * spec.scans_per_patient
+    assert _cohort_bits(got) == _cohort_bits(want)
+    assert got.features.shape == (n, spec.n_features) and got.features.flags.c_contiguous
+    assert got.scans.tolist() == [spec.scans_per_patient] * spec.n_patients
 
 
 @pytest.mark.parametrize("shape", [(400, 2, 512), (4000, 6, 32)])
 def test_generator_transients_stay_a_chunk_however_wide_or_large_the_cohort(shape):
-    """Above its records the generator peaks at about one chunk of draws (whole-cohort arrays: 3.0 and 1.7 MiB)."""
+    """Above its cohort the generator peaks at about one chunk of draws (whole-cohort arrays: 3.0 and 1.7 MiB)."""
     n_patients, n_scans, n_features = shape
     spec = SyntheticSpec(n_patients=n_patients, scans_per_patient=n_scans, n_features=n_features)
     tracemalloc.start()
     try:
-        collection = generate_synthetic(spec)
+        cohort = generate_synthetic(spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held > 3 * 2**20  # the features alone
     assert peak - held < 2**20, (held, peak)
-    del collection
+    del cohort
 
 
 def test_generator_noiseless_scores_linearly_recoverable():
     spec = SyntheticSpec(n_patients=20, scans_per_patient=3, noise=0.0, seed=1)
-    records = records_of(generate_synthetic(spec))
-    x = np.stack([r.features for r in records])
-    y = np.array([r.health_score for r in records])
+    cohort = generate_synthetic(spec)
+    x, y = cohort.features, cohort.scores
     design = np.hstack([x, np.ones((len(x), 1))])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     assert np.max(np.abs(design @ coef - y)) < 1e-8
 
 
 def test_generator_coarse_over_fine_variance():
-    collection = generate_synthetic(SyntheticSpec())
+    cohort = generate_synthetic(SyntheticSpec())
     patient_means = []
     within_vars = []
-    for series in collection:
-        scores = np.array([r.health_score for r in series.records])
+    for scores in np.split(cohort.scores, np.cumsum(cohort.scans)[:-1]):
         patient_means.append(scores.mean())
         within_vars.append(scores.var())
     ratio = np.var(patient_means) / np.mean(within_vars)
@@ -309,37 +313,32 @@ def test_load_rejects_duplicates_and_nonfinite(tmp_path):
 
 def test_roundtrip_preserves_values(tmp_path):
     spec = SyntheticSpec(n_patients=3, scans_per_patient=4, n_features=5, seed=9)
-    collection = generate_synthetic(spec)
+    cohort = generate_synthetic(spec)
     path = tmp_path / "data.csv"
-    save_dataset(collection, path)
+    save_dataset(cohort, path)
     loaded = load_dataset(path)
-    assert len(loaded) == 3
-    assert sum(len(s.records) for s in loaded) == 12
-    original = {(r.patient_id, r.seq_index): r for r in records_of(collection)}
-    for rec in records_of(loaded):
-        ref = original[(rec.patient_id, rec.seq_index)]
-        assert rec.health_score == ref.health_score
-        assert np.array_equal(rec.features, ref.features)
+    assert len(loaded.patient_ids) == 3
+    assert len(loaded.scores) == 12
+    assert _cohort_bits(loaded) == _cohort_bits(cohort)
 
 
 def test_save_dataset_writes_the_bytes_of_the_per_scalar_writer(tmp_path):
-    collection = generate_synthetic(SyntheticSpec(n_patients=4, scans_per_patient=3, n_features=6, seed=11))
+    cohort = generate_synthetic(SyntheticSpec(n_patients=4, scans_per_patient=3, n_features=6, seed=11))
     odd = 'p "7", west'  # the csv writer quotes it
     feats = [np.array([-0.0, 1e-300, 1.0 / 3.0, 5.0, -2.5e20, 0.1]), np.arange(6.0) * 0.7]
-    collection.append(PatientSeries(odd, [ScanRecord(odd, t, f, 3.25 - t) for t, f in enumerate(feats)]))
+    scans = [scan for series in scans_of(cohort) for scan in series]
+    cohort = cohort_of(scans + [Scan(odd, t, f, 3.25 - t) for t, f in enumerate(feats)])
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    save_dataset(collection, ours)
-    save_dataset_ref(collection, ref)
+    save_dataset(cohort, ours)
+    save_dataset_ref(cohort, ref)
     assert ours.read_bytes() == ref.read_bytes()
     assert b'"p ""7"", west"' in ours.read_bytes()
 
 
-def _record_bits(collection: list[PatientSeries]) -> list:
-    return [
-        (series.patient_id, rec.patient_id, rec.seq_index, rec.health_score.hex(), np.asarray(rec.features).tobytes())
-        for series in collection
-        for rec in series.records
-    ]
+def _cohort_bits(cohort: Cohort) -> tuple:
+    """Every array of ``cohort`` with its dtype and shape, in a form that compares to the bit."""
+    arrays = (cohort.scans, cohort.seq_index, cohort.scores, cohort.features)
+    return (cohort.patient_ids, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 
 def test_a_block_whose_values_np_loadtxt_refuses_is_read_by_the_float_rows(tmp_path):
@@ -362,8 +361,8 @@ def test_a_block_whose_values_np_loadtxt_refuses_is_read_by_the_float_rows(tmp_p
     ):
         loaded = load_dataset(path)
     assert (loadtxt.call_count, parse_block.call_count) == (3, 2)
-    assert _record_bits(loaded) == _record_bits(load_dataset_ref(path))
-    assert [rec.health_score for rec in loaded[2].records] == [20.5, 12.0, 20.5, 20.5]
+    assert _cohort_bits(loaded) == _cohort_bits(load_dataset_ref(path))
+    assert loaded.patient_ids[2] == "p2" and loaded.scores[8:].tolist() == [20.5, 12.0, 20.5, 20.5]
 
 
 class _ReadOnce(io.RawIOBase):
@@ -421,7 +420,7 @@ def test_load_dataset_reads_a_pipe_as_the_file_it_streams(chunk_bytes, tmp_path)
     save_dataset(generate_synthetic(SyntheticSpec(n_patients=6, scans_per_patient=3, n_features=3, seed=4)), file)
     data = file.read_bytes()
     with mock.patch.object(data_mod, "_CHUNK_CHARS", chunk_bytes):
-        assert _record_bits(_load_through_fifo(data, tmp_path / "clean.fifo")) == _record_bits(load_dataset(file))
+        assert _cohort_bits(_load_through_fifo(data, tmp_path / "clean.fifo")) == _cohort_bits(load_dataset(file))
         lines = data.split(b"\n")
         lines[14] = lines[14].replace(b",", b"\xff,", 1)
         file.write_bytes(b"\n".join(lines))
@@ -435,27 +434,50 @@ def test_load_dataset_reads_a_pipe_as_the_file_it_streams(chunk_bytes, tmp_path)
 
 
 def _patients(n):
-    return [
-        PatientSeries(f"p{i}", [_record(f"p{i}", 0, float(i)), _record(f"p{i}", 1, float(i) + 1)])
-        for i in range(n)
-    ]
+    """A cohort of ``n`` patients ``p0`` ... of two scans each."""
+    return Cohort(
+        [f"p{i}" for i in range(n) for _ in range(2)],
+        [0, 1] * n,
+        [float(i + t) for i in range(n) for t in range(2)],
+        np.zeros((2 * n, 1)),
+    )
 
 
 def test_split_all_train():
     train, val, test = split_patients(_patients(10), (1.0, 0.0, 0.0), seed=0)
-    assert len(train) == 10 and not val and not test
+    assert len(train.patient_ids) == 10 and not val.patient_ids and not test.patient_ids
+    assert val.features.shape == test.features.shape == (0, 1)
 
 
 def test_split_same_seed_identical():
     a = split_patients(_patients(30), seed=4)
     b = split_patients(_patients(30), seed=4)
     for sa, sb in zip(a, b):
-        assert [s.patient_id for s in sa] == [s.patient_id for s in sb]
+        assert sa.patient_ids == sb.patient_ids
+
+
+def test_split_takes_each_patient_s_rows_in_the_seeded_permutation_s_order():
+    cohort = _rows_cohort(["b,1,2.0,0.5", "a,0,1.0,0.25", "b,0,3.0,0.75", "c,4,4.0,1.0", "a,2,5.0,1.5"])
+    order = np.random.default_rng(9).permutation(3)
+    train, val, test = split_patients(cohort, (1 / 3, 1 / 3, 1 / 3), seed=9)
+    assert [train.patient_ids, val.patient_ids, test.patient_ids] == [(cohort.patient_ids[i],) for i in order]
+    rows = {"b": ([0, 1], [3.0, 2.0]), "a": ([0, 2], [1.0, 5.0]), "c": ([4], [4.0])}
+    for split in (train, val, test):
+        assert (split.seq_index.tolist(), split.scores.tolist()) == rows[split.patient_ids[0]]
+
+
+def _rows_cohort(rows: list[str]) -> Cohort:
+    """The cohort of ``patient_id,seq_index,score,f0`` rows, given to the constructor in this order."""
+    fields = [row.split(",") for row in rows]
+    return Cohort(
+        [f[0] for f in fields], [int(f[1]) for f in fields], [float(f[2]) for f in fields],
+        [[float(f[3])] for f in fields],
+    )
 
 
 def test_split_largest_remainder_counts():
     train, val, test = split_patients(_patients(100), (0.543, 0.247, 0.210), seed=1)
-    assert (len(train), len(val), len(test)) == (54, 25, 21)
+    assert (len(train.patient_ids), len(val.patient_ids), len(test.patient_ids)) == (54, 25, 21)
 
 
 def test_split_zero_patient_split_rejected():
@@ -489,46 +511,75 @@ def test_split_patient_level_disjoint(n, seed, f_train, f_val):
         train, val, test = split_patients(_patients(n), (f_train, f_val, f_test), seed=seed)
     except ConfigError:
         return  # a positive-fraction split got zero patients; rejection is the contract
-    ids = [s.patient_id for split in (train, val, test) for s in split]
+    ids = [pid for split in (train, val, test) for pid in split.patient_ids]
     assert len(ids) == n
     assert len(set(ids)) == n
+    assert sum(len(split.scores) for split in (train, val, test)) == 2 * n
 
 
-# -- pairs -------------------------------------------------------------------------
+# -- the cohort and its pairs ---------------------------------------------------------
 
 
-def test_series_arrays_pair_counts():
-    two = PatientSeries("a", [_record("a", 0, 300.0), _record("a", 1, 310.0)])
-    five = PatientSeries(
-        "b", [_record("b", t, 300.0 + t) for t in range(5)]
-    )
-    assert len(series_arrays([two], 1)[2]) == 1
-    assert len(series_arrays([five], 1)[2]) == 4
+def test_cohort_groups_rows_by_first_appearance_and_sorts_each_patient_by_seq_index():
+    cohort = _rows_cohort(["b,7,1.0,0.1", "a,3,2.0,0.2", "b,2,3.0,0.3", "a,0,4.0,0.4", "b,5,5.0,0.5"])
+    assert cohort.patient_ids == ("b", "a")
+    assert cohort.scans.tolist() == [3, 2] and cohort.scans.dtype == np.int64
+    assert cohort.seq_index.tolist() == [2, 5, 7, 0, 3] and cohort.seq_index.dtype == np.int64
+    assert cohort.scores.tolist() == [3.0, 5.0, 1.0, 4.0, 2.0] and cohort.scores.dtype == np.float64
+    assert cohort.features[:, 0].tolist() == [0.3, 0.5, 0.1, 0.4, 0.2] and cohort.features.dtype == np.float64
+    assert cohort.row_patient_ids().tolist() == ["b", "b", "b", "a", "a"]
 
 
-def test_series_arrays_pairs_labels_and_order():
-    series = PatientSeries(
-        "a",
-        [_record("a", 0, 200.0), _record("a", 1, 300.0), _record("a", 2, 150.0)],
-    )
-    _, hs, prev = series_arrays([series], 1)
+@pytest.mark.parametrize(
+    "pids, seqs, repeated",
+    [
+        (["a", "b", "a"], [1, 0, 1], "('a', 1)"),
+        (["a", "a"], [4, 4], "('a', 4)"),
+        (["b", "a", "a", "b", "b"], [0, 3, 1, 2, 0], "('b', 0)"),
+    ],
+    ids=["apart", "adjacent", "unsorted"],
+)
+def test_cohort_rejects_a_repeated_patient_and_seq_index(pids, seqs, repeated):
+    with pytest.raises(DatasetError) as exc:
+        Cohort(pids, seqs, np.zeros(len(pids)), np.zeros((len(pids), 2)))
+    assert str(exc.value) == f"cohort: duplicate (patient_id, seq_index) {repeated}"
+
+
+@pytest.mark.parametrize(
+    "features",
+    [np.zeros(3), np.zeros((3, 2, 1)), np.zeros((2, 2)), [[1.0, 2.0], [3.0], [4.0, 5.0]]],
+    ids=["flat", "3-D", "too-few-rows", "ragged"],
+)
+def test_features_that_do_not_stack_are_bad_input(features):
+    """Features that are not one (N, F) matrix of the N rows raise ``DatasetError`` when the cohort is built."""
+    with pytest.raises(DatasetError, match="^cohort: "):
+        Cohort(["a", "a", "b"], [0, 1, 0], [1.0, 2.0, 3.0], features)
+
+
+def test_cohort_rejects_a_seq_index_that_is_not_int64():
+    with pytest.raises(DatasetError, match="^cohort: rows do not form arrays"):
+        Cohort(["a"], [2**63], [1.0], [[1.0]])
+
+
+def test_pair_index_counts():
+    cohort = Cohort(["a"] * 2 + ["b"] * 5 + ["c"], [0, 1, *range(5), 0], np.arange(8.0), np.zeros((8, 1)))
+    assert cohort.pair_index().tolist() == [0, 2, 3, 4, 5]
+
+
+def test_pair_index_pairs_labels_and_order():
+    cohort = _rows_cohort(["a,2,150.0,0", "a,0,200.0,0", "a,1,300.0,0"])
+    prev = cohort.pair_index()
+    hs = cohort.scores
     assert pair_labels(hs[prev], hs[prev + 1], None, mode="bin").tolist() == [IMPROVED, DETERIORATED]
-    assert series.records[prev[0]].seq_index == 0 and series.records[prev[0] + 1].seq_index == 1
+    assert cohort.seq_index[prev].tolist() == [0, 1] and cohort.seq_index[prev + 1].tolist() == [1, 2]
 
 
 def test_default_synthetic_pairs_cover_all_classes():
-    collection = generate_synthetic(SyntheticSpec())
-    stats = fit_normalization(records_of(collection))
-    _, hs, prev = series_arrays(collection, 12)
+    cohort = generate_synthetic(SyntheticSpec())
+    stats = fit_normalization(cohort.scores)
+    prev, hs = cohort.pair_index(), cohort.scores
     labels = set(pair_labels(hs[prev], hs[prev + 1], stats, mode="threshold").tolist())
     assert labels == {IMPROVED, SAME, DETERIORATED}
-
-
-def test_series_validates_ordering():
-    with pytest.raises(DatasetError, match="strictly increasing"):
-        PatientSeries("a", [_record("a", 1, 1.0), _record("a", 0, 2.0)])
-    with pytest.raises(DatasetError, match="belongs to"):
-        PatientSeries("a", [_record("b", 0, 1.0)])
 
 
 # -- arrays of empty splits ------------------------------------------------------------
@@ -544,8 +595,8 @@ def test_no_records_or_pairs_give_zero_row_arrays_of_the_feature_width():
 
 
 def test_prepare_gives_zero_row_arrays_for_an_empty_split():
-    collection = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=5, seed=3))
-    prepared = prepare(collection, 0, DataConfig(fractions=(0.8, 0.2, 0.0)))
+    cohort = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=5, seed=3))
+    prepared = prepare(cohort, 0, DataConfig(fractions=(0.8, 0.2, 0.0)))
     x, y = prepared.regression["test"]
     assert x.shape == (0, 5) and y.shape == (0,)
     xp, xn, labels = prepared.pairs["test"]
@@ -555,65 +606,19 @@ def test_prepare_gives_zero_row_arrays_for_an_empty_split():
 
 def test_prepare_gives_zero_row_pair_arrays_for_single_scan_patients():
     spec = SyntheticSpec(n_patients=30, scans_per_patient=2, n_features=5, seed=3)
-    single = [PatientSeries(s.patient_id, s.records[:1]) for s in generate_synthetic(spec)]
+    single = first_scans(generate_synthetic(spec), lambda k: 1)
     prepared = prepare(single, 0, DataConfig())
     for split, patients in zip(("train", "val", "test"), split_patients(single, DEFAULT_FRACTIONS, 0)):
         x, _ = prepared.regression[split]
-        assert x.shape == (len(patients), 5)
+        assert x.shape == (len(patients.patient_ids), 5)
         xp, xn, labels = prepared.pairs[split]
         assert xp.shape == xn.shape == (0, 5) and labels.shape == (0,)
 
 
-# each record's features, given the (3,) float64 vector and the record's seq_index, in another form
-FEATURE_FORMS = {
-    "column": lambda f, t: f.reshape(3, 1),
-    "row": lambda f, t: f.reshape(1, 3),
-    "mixed": lambda f, t: f.reshape((3, 1) if t % 2 == 0 else (3,)),
-    "list": lambda f, t: f.tolist(),
-    "float32": lambda f, t: f.astype(np.float32),
-    "int64": lambda f, t: np.round(f * 1000).astype(np.int64),
-    "list-float32-int64": lambda f, t: (f.tolist(), f.astype(np.float32), np.round(f * 1000).astype(np.int64))[t % 3],
-}
-
-
-@pytest.mark.parametrize("form", list(FEATURE_FORMS.values()), ids=list(FEATURE_FORMS))
-def test_prepare_flattens_features_as_its_saved_and_loaded_copy(form, tmp_path):
-    """Every array of ``prepare``, bit for bit, whatever the features' shape, container and dtype; the empty test split takes the flattened width too."""
-    spec = SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=3, seed=3)
-    reshaped = [
-        PatientSeries(s.patient_id, [dataclasses.replace(r, features=form(r.features, r.seq_index)) for r in s.records])
-        for s in generate_synthetic(spec)
-    ]
-    path = tmp_path / "cohort.csv"
-    save_dataset(reshaped, path)
-    dcfg = DataConfig(fractions=(0.8, 0.2, 0.0))
-    ours, loaded = prepare(reshaped, 0, dcfg), prepare(load_dataset(path), 0, dcfg)
-    for split in ("train", "val", "test"):
-        arrays = ours.regression[split] + ours.pairs[split]
-        expected = loaded.regression[split] + loaded.pairs[split]
-        for a, b in zip(arrays, expected, strict=True):
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert ours.regression["test"][0].shape == (0, 3)
-
-
 def test_fitting_or_saving_no_records_raises(tmp_path):
     with pytest.raises(ConfigError, match="^fit_normalization: no records$"):
-        fit_normalization([])
+        fit_normalization(np.zeros(0))
     path = tmp_path / "empty.csv"
-    for collection in ([], [PatientSeries("p0", [])]):
-        with pytest.raises(DatasetError, match="^save_dataset: no records$"):
-            save_dataset(collection, path)
+    with pytest.raises(DatasetError, match="^save_dataset: no records$"):
+        save_dataset(Cohort([], [], [], np.zeros((0, 2))), path)
     assert not path.exists()
-
-
-def test_features_that_do_not_stack_are_bad_input():
-    """``prepare`` raises ``DatasetError``, so ``run_comparison`` records it as each seed's failure."""
-    collection = generate_synthetic(SyntheticSpec(n_patients=12, scans_per_patient=3, n_features=3, seed=3))
-    odd = collection[5].records[1]
-    collection[5].records[1] = dataclasses.replace(odd, features=np.zeros(4))
-    message = "series_arrays: record features do not form one matrix"
-    with pytest.raises(DatasetError, match=message):
-        prepare(collection, 0, DataConfig())
-    configs = (DataConfig(), ModelSpec(hidden=(4,)), TrainConfig(epochs=1), TrainConfig(epochs=1))
-    report = run_comparison(collection, CompareConfig(seeds=(0, 1), modes=("mse",)), *configs)
-    assert all(entry["error"].startswith(f"DatasetError: {message}") for entry in report["per_seed"].values())

@@ -1,6 +1,6 @@
 """The chunked dataset reader, the block writer and ``prepare``'s whole-array pass, against the per-scalar oracles.
 
-``load_dataset`` must give what ``oracles.load_dataset_ref`` gives (records
+``load_dataset`` must give what ``oracles.load_dataset_ref`` gives (a cohort
 equal to the bit, or the same error type and message), ``save_dataset`` the
 bytes of ``oracles.save_dataset_ref``, and ``prepare`` the arrays of
 ``oracles.prepare_arrays_ref``.
@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 
 import hscl.data
 from hscl.data import (
+    Cohort,
     NormalizationStats,
-    PatientSeries,
-    ScanRecord,
     SyntheticSpec,
     _row,
     _runs,
@@ -40,6 +39,7 @@ from hscl.pipeline import DataConfig, prepare
 from oracles import (
     categorize_sf_ref,
     change_label_ref,
+    first_scans,
     load_dataset_ref,
     normalize_ref,
     prepare_arrays_ref,
@@ -54,30 +54,13 @@ def _bits(value) -> bytes:
 
 
 def _outcome(loader, path):
-    """What ``loader(path)`` gives, in a form that compares to the bit: records or (error type, message)."""
+    """What ``loader(path)`` gives, in a form that compares to the bit: the cohort's arrays or (error type, message)."""
     try:
-        collection = loader(path)
+        cohort = loader(path)
     except Exception as exc:  # the type is part of the outcome
         return (type(exc), str(exc))
-    return [
-        (
-            series.patient_id,
-            [
-                (
-                    rec.patient_id,
-                    type(rec.seq_index),
-                    rec.seq_index,
-                    type(rec.health_score),
-                    _bits(rec.health_score),
-                    rec.features.dtype,
-                    rec.features.shape,
-                    rec.features.tobytes(),
-                )
-                for rec in series.records
-            ],
-        )
-        for series in collection
-    ]
+    arrays = (cohort.scans, cohort.seq_index, cohort.scores, cohort.features)
+    return [cohort.patient_ids, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays)]
 
 
 def _many_rows(n, fault_at=None, fault="p9,0,x,1.0,2.0"):
@@ -111,7 +94,7 @@ CORPUS = {
     "float forms": HEADER + "p0,0,-0,5e-324,1e308\np0,1,-1.7976931348623157e308,.5,1.\n",
     "unsorted and interleaved": HEADER + "b,2,1,1,1\na,0,2,2,2\nb,0,3,3,3\na,1,4,4,4\nb,1,5,5,5\n",
     "nul and unicode ids": HEADER + "p\x00,0,1,2,3\né x,0,1,2,3\n",
-    "huge seq_index": HEADER + "p0,123456789012345678901234567890,1,2,3\n",
+    "largest seq_index": HEADER + "p0,9223372036854775807,1,2,3\n",
     "many rows": _many_rows(700),
     "bom": "\ufeff" + HEADER + "p0,0,5.0,1.0,2.0\n",
     "bom and crlf": "\ufeff" + HEADER.replace("\n", "\r\n") + "p0,0,5.0,1.0,2.0\r\n",
@@ -131,6 +114,8 @@ CORPUS = {
     "seq not an integer": HEADER + "p0,zero,5.0,1.0,2.0\n",
     "seq a float": HEADER + "p0,1.0,5.0,1.0,2.0\n",
     "seq negative": HEADER + "p0,-1,5.0,1.0,2.0\n",
+    "huge seq_index": HEADER + "p0,123456789012345678901234567890,1,2,3\n",
+    "seq_index over int64": HEADER + "p0,0,1,2,3\np0,9223372036854775808,1,2,3\n",
     "non-numeric": HEADER + "p0,0,5.0,one,2.0\n",
     "hex value": HEADER + "p0,0,5.0,0x1,2.0\n",
     "empty value": HEADER + "p0,0,5.0,,2.0\n",
@@ -191,14 +176,14 @@ def test_corpus_covers_every_loader_message(tmp_path):
     }
 
 
-def test_records_are_row_views_of_one_matrix(tmp_path):
+def test_a_loaded_cohort_is_int64_and_float64_arrays_of_its_rows(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(CORPUS["many rows"], encoding="utf-8")
-    records = [rec for series in load_dataset(path) for rec in series.records]
-    base = records[0].features.base
-    assert base is not None and base.shape == (700, 3)
-    assert all(rec.features.base is base and rec.features.flags.c_contiguous for rec in records)
-    assert all(type(rec.health_score) is float for rec in records)
+    cohort = load_dataset(path)
+    assert cohort.patient_ids == tuple(f"p{i}" for i in range(117)) and cohort.scans.sum() == 700
+    assert cohort.seq_index.dtype == np.int64 and cohort.seq_index.shape == (700,)
+    assert cohort.scores.dtype == np.float64 and cohort.scores.shape == (700,)
+    assert cohort.features.dtype == np.float64 and cohort.features.shape == (700, 2)
 
 
 def _text_file(data: bytes) -> io.TextIOWrapper:
@@ -282,7 +267,7 @@ def test_a_field_over_the_csv_size_limit_names_its_line_on_both_tokenisers(quote
     # a field of exactly the limit is fine
     long_id = "x" * limit
     path.write_text(HEADER + f"{pid},0,5.0,1.0,2.0\n{long_id},0,5.0,1.0,2.0\n", encoding="utf-8")
-    assert load_dataset(path)[1].patient_id == long_id
+    assert load_dataset(path).patient_ids[1] == long_id
 
 
 # -- chunk edges and the precedence of file faults --------------------------------------
@@ -460,11 +445,11 @@ def test_a_file_of_a_cut_byte_order_mark_is_not_utf8(data, tmp_path):
 
 def test_save_and_load_hold_less_than_the_file_at_once(tmp_path):
     """Neither holds the file's text whole: each peaks below the file size, whatever its line ends (the whole-text code: 3.1x and 1.6x)."""
-    collection = generate_synthetic(SyntheticSpec(n_patients=400, scans_per_patient=6, n_features=32, seed=0))
+    cohort = generate_synthetic(SyntheticSpec(n_patients=400, scans_per_patient=6, n_features=32, seed=0))
     path = tmp_path / "cohort.csv"
     tracemalloc.start()
     try:
-        save_dataset(collection, path)
+        save_dataset(cohort, path)
         save_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -480,7 +465,7 @@ def test_save_and_load_hold_less_than_the_file_at_once(tmp_path):
             held, load_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(series.records) for series in loaded) == 2400
+        assert len(loaded.scores) == 2400
         assert load_peak - held < size, line_end
         del loaded
 
@@ -494,7 +479,7 @@ def test_a_saved_cohort_is_read_by_np_loadtxt_block_by_block(tmp_path):
         mock.patch.object(hscl.data, "_parse_block", wraps=hscl.data._parse_block) as parse_block,
     ):
         loaded = load_dataset(path)
-    assert sum(len(series.records) for series in loaded) == 2400
+    assert len(loaded.scores) == 2400
     assert (loadtxt.call_count, parse_block.call_count) == (math.ceil(2400 / hscl.data._BLOCK_ROWS), 0)
     assert _outcome(lambda _: loaded, path) == _outcome(load_dataset_ref, path)
 
@@ -553,59 +538,32 @@ patient_ids = st.text(
 )
 @settings(max_examples=60, deadline=None)
 def test_save_then_load_is_exact_to_the_bit(pids, n_scans, n_features, data, tmp_path_factory):
-    collection = [
-        PatientSeries(
-            pid,
-            [
-                ScanRecord(pid, 2 * t, np.array(data.draw(st.lists(finite, min_size=n_features, max_size=n_features))), data.draw(finite))
-                for t in range(n_scans)
-            ],
-        )
-        for pid in pids
-    ]
+    n = len(pids) * n_scans
+    cohort = Cohort(
+        [pid for pid in pids for _ in range(n_scans)],
+        [2 * t for _ in pids for t in range(n_scans)],
+        data.draw(st.lists(finite, min_size=n, max_size=n)),
+        data.draw(st.lists(st.lists(finite, min_size=n_features, max_size=n_features), min_size=n, max_size=n)),
+    )
     folder = tmp_path_factory.mktemp("roundtrip")
     ours, ref = folder / "ours.csv", folder / "ref.csv"
-    save_dataset(collection, ours)
-    save_dataset_ref(collection, ref)
+    save_dataset(cohort, ours)
+    save_dataset_ref(cohort, ref)
     if not any("\r" in pid for pid in pids):  # the old writer left a "\r" unquoted (see below)
         assert ours.read_bytes() == ref.read_bytes()
-    assert _outcome(load_dataset, ours) == _outcome(lambda _: collection, ours)
+    assert _outcome(load_dataset, ours) == _outcome(lambda _: cohort, ours)
 
 
 def test_save_quotes_a_patient_id_holding_a_carriage_return(tmp_path):
-    collection = [PatientSeries(pid, [ScanRecord(pid, 0, np.array([1.5]), 2.0)]) for pid in ("a\rb", "c\r")]
+    cohort = Cohort(["a\rb", "c\r"], [0, 0], [2.0, 2.0], [[1.5], [1.5]])
     path = tmp_path / "data.csv"
-    save_dataset(collection, path)
+    save_dataset(cohort, path)
     assert path.read_bytes() == b'patient_id,seq_index,health_score,f0\n"a\rb",0,2.0,1.5\n"c\r",0,2.0,1.5\n'
-    assert [s.patient_id for s in load_dataset(path)] == ["a\rb", "c\r"]
+    assert load_dataset(path).patient_ids == ("a\rb", "c\r")
     # the per-scalar writer wrote them bare, so they read back as line ends
-    save_dataset_ref(collection, path)
+    save_dataset_ref(cohort, path)
     with pytest.raises(DatasetError, match="line 2: expected 4 fields, got 1"):
         load_dataset(path)
-
-
-def test_save_takes_every_record_s_width_from_its_flattened_features(tmp_path):
-    """A first record whose features are a list, or shaped (2, 1), has 2 features, as any later record would."""
-    later = ScanRecord("p", 1, np.array([0.25, 4.0]), 6.0)
-    expected = tmp_path / "arrays.csv"
-    save_dataset([PatientSeries("p", [ScanRecord("p", 0, np.array([1.5, -2.0]), 3.0), later])], expected)
-    assert expected.read_bytes().startswith(b"patient_id,seq_index,health_score,f0,f1\n")
-    for first in ([1.5, -2.0], np.array([[1.5], [-2.0]])):
-        path = tmp_path / "data.csv"
-        save_dataset([PatientSeries("p", [ScanRecord("p", 0, first, 3.0), later])], path)
-        assert path.read_bytes() == expected.read_bytes()
-    wide = ScanRecord("p", 1, np.zeros(3), 6.0)
-    with pytest.raises(DatasetError, match=r"record p/1 has 3 features, expected 2"):
-        save_dataset([PatientSeries("p", [ScanRecord("p", 0, [1.5, -2.0], 3.0), wide])], path)
-
-
-def test_save_rejects_a_record_of_another_width_before_writing(tmp_path):
-    collection = generate_synthetic(SyntheticSpec(n_patients=3, scans_per_patient=2, n_features=4, seed=1))
-    collection[1].records[1].features = np.zeros(3)
-    path = tmp_path / "data.csv"
-    with pytest.raises(DatasetError, match=r"record p1/1 has 3 features, expected 4"):
-        save_dataset(collection, path)
-    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -619,13 +577,13 @@ def test_save_rejects_a_record_of_another_width_before_writing(tmp_path):
 )
 def test_save_rejects_a_non_finite_record_before_writing(tmp_path, score, feature, named):
     """``load_dataset`` rejects a non-finite value, so ``save_dataset`` does not write one."""
-    collection = generate_synthetic(SyntheticSpec(n_patients=3, scans_per_patient=2, n_features=4, seed=1))
-    rec = collection[1].records[1]
-    rec.health_score = score
-    rec.features[2] = feature
+    cohort = generate_synthetic(SyntheticSpec(n_patients=3, scans_per_patient=2, n_features=4, seed=1))
+    cohort.scores[3] = score  # p1/1, the second scan of the second patient
+    cohort.features[3, 2] = feature
+    cohort.scores[5] = cohort.features[4, 0] = math.nan  # a later row's faults are not named
     path = tmp_path / "data.csv"
     with pytest.raises(DatasetError) as exc:
-        save_dataset(collection, path)
+        save_dataset(cohort, path)
     assert str(exc.value) == f"save_dataset: record p1/1 has a non-finite value: {named}"
     assert not path.exists()
 
@@ -635,14 +593,14 @@ def test_save_rejects_a_non_finite_record_before_writing(tmp_path, score, featur
 
 def _sf_cohort(**kw):
     """A cohort whose scores read as S/F ratios, all positive and spread over the clinical bins."""
-    collection = generate_synthetic(SyntheticSpec(hs_center=300.0, hs_scale=40.0, **kw))
-    assert all(rec.health_score > 0 for series in collection for rec in series.records)
-    return collection
+    cohort = generate_synthetic(SyntheticSpec(hs_center=300.0, hs_scale=40.0, **kw))
+    assert (cohort.scores > 0).all()
+    return cohort
 
 
-def _assert_prepare_matches_the_reference(collection, seed, dcfg):
-    prepared = prepare(collection, seed, dcfg)
-    regression, pairs = prepare_arrays_ref(collection, seed, dcfg)
+def _assert_prepare_matches_the_reference(cohort, seed, dcfg):
+    prepared = prepare(cohort, seed, dcfg)
+    regression, pairs = prepare_arrays_ref(cohort, seed, dcfg)
     for split in ("train", "val", "test"):
         for ours, ref in zip(
             (*prepared.regression[split], *prepared.pairs[split]), (*regression[split], *pairs[split])
@@ -655,18 +613,18 @@ def _assert_prepare_matches_the_reference(collection, seed, dcfg):
 @pytest.mark.parametrize("higher_is_better", [True, False])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_prepare_matches_the_per_record_reference(label_mode, higher_is_better, seed):
-    collection = _sf_cohort(n_patients=40, scans_per_patient=5, n_features=6, seed=seed + 2)
+    cohort = _sf_cohort(n_patients=40, scans_per_patient=5, n_features=6, seed=seed + 2)
     dcfg = DataConfig(label_mode=label_mode, higher_is_better=higher_is_better, tau=0.03)
-    _assert_prepare_matches_the_reference(collection, seed, dcfg)
+    _assert_prepare_matches_the_reference(cohort, seed, dcfg)
 
 
 @pytest.mark.parametrize("label_mode", ["threshold", "bin"])
 def test_prepare_matches_the_reference_on_empty_splits_and_single_scan_patients(label_mode):
-    collection = _sf_cohort(n_patients=30, scans_per_patient=3, n_features=4, seed=9)
+    cohort = _sf_cohort(n_patients=30, scans_per_patient=3, n_features=4, seed=9)
     # uneven series: single-scan patients among longer ones
-    collection = [PatientSeries(s.patient_id, s.records[: 1 + i % 3]) for i, s in enumerate(collection)]
-    _assert_prepare_matches_the_reference(collection, 1, DataConfig(fractions=(0.8, 0.2, 0.0), label_mode=label_mode))
-    single = [PatientSeries(s.patient_id, s.records[:1]) for s in collection]
+    uneven = first_scans(cohort, lambda k: 1 + k % 3)
+    _assert_prepare_matches_the_reference(uneven, 1, DataConfig(fractions=(0.8, 0.2, 0.0), label_mode=label_mode))
+    single = first_scans(cohort, lambda k: 1)
     _assert_prepare_matches_the_reference(single, 2, DataConfig(label_mode=label_mode))
 
 
@@ -697,17 +655,16 @@ def _raised(fn):
     ],
 )
 def test_prepare_raises_the_reference_errors(scores, label_mode, error):
-    collection = _sf_cohort(n_patients=12, scans_per_patient=3, n_features=3, seed=1)
-    for series in collection:
-        for rec in series.records:
-            if not scores:
-                rec.health_score = 250.0
-            rec.health_score = scores.get((rec.patient_id, rec.seq_index), rec.health_score)
+    cohort = _sf_cohort(n_patients=12, scans_per_patient=3, n_features=3, seed=1)
+    if not scores:
+        cohort.scores[:] = 250.0
+    for k, key in enumerate(zip(cohort.row_patient_ids(), cohort.seq_index.tolist())):
+        cohort.scores[k] = scores.get(key, cohort.scores[k])
     for seed in range(4):
         dcfg = DataConfig(label_mode=label_mode)
-        ours = _raised(lambda: prepare(collection, seed, dcfg))
+        ours = _raised(lambda: prepare(cohort, seed, dcfg))
         assert ours is not None and ours[0] is error
-        assert ours == _raised(lambda: prepare_arrays_ref(collection, seed, dcfg))
+        assert ours == _raised(lambda: prepare_arrays_ref(cohort, seed, dcfg))
 
 
 @given(st.lists(st.tuples(finite, finite), max_size=8), st.booleans(), st.sampled_from([0.0, 0.05, 0.5]))

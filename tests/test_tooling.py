@@ -566,7 +566,7 @@ def test_the_cli_gate_gives_the_same_manifest_twice(tmp_path):
     first = gate.run_gate(ROOT / "src", tmp_path / "a")
     assert first == gate.run_gate(ROOT / "src", tmp_path / "b")
     commands = [line.split()[0] for line in first if " exit=" in line]
-    assert len(set(commands)) == 56 and len(first) > 2 * len(commands)
+    assert len(set(commands)) == 57 and len(first) > 2 * len(commands)
 
 
 def test_the_read_path_profile_times_every_stage_of_a_plain_file(capsys):
@@ -649,7 +649,7 @@ def test_the_cli_gate_records_an_unmapped_exception_as_a_traceback(tmp_path, mon
 
     monkeypatch.setattr(hscl.cli, "main", main)
     results = [line for line in gate.run_gate(ROOT / "src", tmp_path) if " exit=" in line]
-    assert len(results) == 56
+    assert len(results) == 57
     assert results[0] == (
         f"gen-data exit=traceback stdout={gate._sha(b'')} stderr={gate._sha(b'KeyError: ' + repr('gen-data').encode())}"
     )

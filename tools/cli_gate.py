@@ -10,6 +10,9 @@ change moved any CLI output:
     python tools/cli_gate.py --src src --out /tmp/gate-new > new.txt
     diff old.txt new.txt
 
+The gate builds its S/F cohorts through ``hscl.data.Cohort``, so it runs on
+trees that have one; for an older tree, run that tree's own gate.
+
 The commands run in this process, through the ``hscl.cli.main`` of the tree
 at --src; one that raises past ``main`` is recorded as ``exit=traceback``,
 its stderr hash being that of the exception's type name and message. They are: gen-data, also
@@ -17,7 +20,8 @@ at the generator's edges (101 patients, whose ids take three digits; two scans; 
 dimension equal to the feature count; no noise); pretrain for each loss mode x {cos, l2};
 frozen and unfrozen finetune; eval on every split; analyze with and without
 the sample-size cap warning; compare in threshold mode, also with one seed
-(each mode pre-trains a stack of one run) and with an unfrozen encoder; and
+(each mode pre-trains a stack of one run), with an unfrozen encoder and with a
+zero test fraction (exit 2: every seed would fail its evaluation); and
 in bin mode, on an S/F-scaled cohort (gen-data's scores may be non-positive), compare,
 pretrain and finetune, then pretrain, finetune, eval, analyze and compare on
 copies that hold one non-positive score (for the restores, in a test-split
@@ -89,16 +93,17 @@ def _sf_cohorts(hscl, out: Path) -> None:
         n_patients=PATIENTS, scans_per_patient=SCANS_PER_PATIENT, n_features=FEATURES,
         seed=3, hs_center=300.0, hs_scale=40.0,
     )
-    collection = hscl.data.generate_synthetic(spec)
-    if not all(rec.health_score > 0 for series in collection for rec in series.records):
+    cohort = hscl.data.generate_synthetic(spec)
+    if not (cohort.scores > 0).all():
         raise SystemExit("cli_gate: the S/F cohort holds a non-positive score")
-    hscl.data.save_dataset(collection, out / "sf.csv")
-    _, _, test = hscl.data.split_patients(collection, hscl.pipeline.DataConfig().fractions, 1)
-    for name, series in (("sf_non_positive.csv", collection[0]), ("sf_non_positive_test.csv", test[0])):
-        record = series.records[0]
-        score, record.health_score = record.health_score, NON_POSITIVE
-        hscl.data.save_dataset(collection, out / name)
-        record.health_score = score
+    hscl.data.save_dataset(cohort, out / "sf.csv")
+    _, _, test = hscl.data.split_patients(cohort, hscl.pipeline.DataConfig().fractions, 1)
+    rows = cohort.row_patient_ids().tolist()
+    for name, pid in (("sf_non_positive.csv", cohort.patient_ids[0]), ("sf_non_positive_test.csv", test.patient_ids[0])):
+        scores = cohort.scores.copy()
+        scores[rows.index(pid)] = NON_POSITIVE  # the patient's first scan
+        copy = hscl.data.Cohort(rows, cohort.seq_index, scores, cohort.features)
+        hscl.data.save_dataset(copy, out / name)
 
 
 def _spreadsheet_copy(path: Path, copy: Path) -> None:
@@ -221,6 +226,7 @@ def _commands(out: Path) -> list[tuple[str, list[str]]]:
         compare(data, "compare-threshold"),
         compare(data, "compare-one-seed", seeds="0"),
         compare(data, "compare-unfrozen", "--no-freeze-encoder"),
+        compare(data, "compare-no-test-split", "--fractions", "0.7,0.3,0"),
         compare(sf, "compare-bin", *bin_mode),
         pretrain(sf, "pretrain-bin", *bin_mode),
         restore("finetune", sf, bin_ckpt, "finetune-bin", *train),

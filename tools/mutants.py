@@ -52,6 +52,9 @@ _PIECES = "tests/test_dataset_io.py::test_reader_rows_are_the_csv_reader_rows_of
 _LAYOUT = "tests/test_losses.py::test_losses_reject_an_operand_of_another_layout"
 _OTHER_BATCH = "tests/test_losses.py::test_stacked_losses_reject_masks_of_another_batch"
 _CONFIG_FILE = "tests/test_cli.py::test_a_config_file_that_is_a_directory_or_not_utf8_exits_2_naming_it"
+_NON_FINITE = "tests/test_dataset_io.py::test_save_rejects_a_non_finite_record_before_writing"
+_REPEATED = "tests/test_data.py::test_cohort_rejects_a_repeated_patient_and_seq_index"
+_GROUPED = "tests/test_data.py::test_cohort_groups_rows_by_first_appearance_and_sorts_each_patient_by_seq_index"
 
 MUTANTS = (
     Mutant(
@@ -292,12 +295,60 @@ MUTANTS = (
         ("tests/test_dataset_io.py::test_non_utf8_bytes_beat_an_earlier_over_limit_field",),
     ),
     Mutant(
-        "save_dataset writes records it has not checked", "src/hscl/data.py",
-        "    _check_records(records, columns)\n", "",
-        (
-            "tests/test_dataset_io.py::test_save_rejects_a_record_of_another_width_before_writing",
-            "tests/test_dataset_io.py::test_save_rejects_a_non_finite_record_before_writing[nan-score]",
-        ),
+        "save_dataset writes rows it has not checked", "src/hscl/data.py",
+        "    if not finite.all():  # load_dataset would reject it\n", "    if False:\n",
+        (f"{_NON_FINITE}[nan-score]", f"{_NON_FINITE}[inf-feature]"),
+    ),
+    Mutant(
+        "save_dataset checks the scores but not the features", "src/hscl/data.py",
+        "finite = np.isfinite(cohort.scores) & np.isfinite(cohort.features).all(axis=1)",
+        "finite = np.isfinite(cohort.scores)",
+        (f"{_NON_FINITE}[inf-feature]",),
+    ),
+    Mutant(
+        "save_dataset names the last row that is not finite", "src/hscl/data.py",
+        "k = int(np.argmin(finite))", "k = len(finite) - 1 - int(np.argmin(finite[::-1]))",
+        (f"{_NON_FINITE}[nan-score]",),
+    ),
+    Mutant(
+        "the cohort takes a repeated (patient_id, seq_index) in rows out of order", "src/hscl/data.py",
+        "            if len(repeated):\n", "            if False:\n",
+        (f"{_REPEATED}[apart]", f"{_REPEATED}[unsorted]"),
+    ),
+    Mutant(
+        "the cohort takes a repeated seq_index in rows in order", "src/hscl/data.py",
+        "(seq[1:] > seq[:-1])", "(seq[1:] >= seq[:-1])",
+        (f"{_REPEATED}[adjacent]",),
+    ),
+    Mutant(
+        "the cohort keeps its rows in the order given", "src/hscl/data.py",
+        "if not _ascending(codes, seq).all():", "if False:",
+        (_GROUPED, "tests/test_dataset_io.py::test_load_matches_the_per_scalar_loader[unsorted and interleaved]"),
+    ),
+    Mutant(
+        "the cohort groups each patient's scans but leaves them out of seq_index order", "src/hscl/data.py",
+        "order = np.lexsort((seq, codes))", 'order = np.argsort(codes, kind="stable")',
+        (_GROUPED,),
+    ),
+    Mutant(
+        "the min-max stats take numpy's pick of equal signed zeros", "src/hscl/data.py",
+        "float(scores[np.argmin(scores)])", "float(scores.min())",
+        ("tests/test_data.py::test_fit_normalization_takes_python_s_min_and_max_signed_zero_included",),
+    ),
+    Mutant(
+        "compare trains a seed without val or test pairs", "src/hscl/pipeline.py",
+        'check_splits(prepared[seed], "run_comparison", SPLITS)', 'check_splits(prepared[seed], "run_comparison", ("train",))',
+        ("tests/test_cli.py::test_compare_fails_a_seed_whose_val_split_has_no_pairs_as_finetune_does",),
+    ),
+    Mutant(
+        "compare runs every seed on a zero fraction", "src/hscl/pipeline.py",
+        "        if fraction == 0:\n", "        if False:\n",
+        ("tests/test_cli.py::test_compare_with_a_zero_fraction_exits_2_before_any_seed",),
+    ),
+    Mutant(
+        "finetune trains without val pairs", "src/hscl/cli.py",
+        'check_splits(prepared, "finetune", ("train", "val"))', 'check_splits(prepared, "finetune", ("train",))',
+        ("tests/test_cli.py::test_finetune_with_an_empty_val_split_exits_2_before_training",),
     ),
     Mutant(
         "the target shape check names the deleted mse_loss", "src/hscl/losses.py",

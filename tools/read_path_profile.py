@@ -9,7 +9,7 @@ prints one line per stage to stdout, in milliseconds, best of --repeat calls:
   Python's text layer reads and decodes, checked and cut into lines;
 - np.loadtxt: the loader's ``np.loadtxt`` calls on each block's value texts;
 - row checks: ``data._parse_lines`` on each block, its ``np.loadtxt`` call answered with the parsed values;
-- record build: ``data._collection``, the records and series of the parsed rows;
+- record build: the ``data.Cohort`` constructor on the parsed rows, as ``load_dataset`` calls it;
 - load_dataset: the whole load;
 - prepare: ``pipeline.prepare`` of the loaded cohort with the checkpoint's split;
 - cli eval and cli analyze: each command in this process, load included.
@@ -108,7 +108,7 @@ def profile(patients: int, scans: int, features: int, repeat: int, workdir: Path
         "read and split": best_ms(read_and_split, repeat),
         "np.loadtxt": best_ms(loadtxt, repeat),
         "row checks": best_ms(row_checks, repeat),
-        "record build": best_ms(lambda: data._collection(pids, seqs, values), repeat),
+        "record build": best_ms(lambda: data.Cohort(pids, seqs, values[:, 0], values[:, 1:]), repeat),
         "load_dataset": best_ms(lambda: data.load_dataset(path), repeat),
         "prepare": best_ms(lambda: prepare(loaded, 0, DataConfig()), repeat),
         "cli eval": best_ms(lambda: _silently(["eval", "--data", str(path), "--checkpoint",

@@ -190,20 +190,6 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
     return config.eta_min + (config.lr - config.eta_min) * (1.0 + cos) / 2.0
 
 
-def _snapshot(
-    params: dict[str, np.ndarray], trained: list[str], state: AdamState, meta: dict, run: int
-) -> Checkpoint:
-    """Checkpoint of run ``run``: its slice of each named (S, ...) parameter and of their Adam moments.
-
-    ``trained`` names the tensors ``state`` holds, in its order.
-    """
-    tensors = {name: a[run].copy() for name, a in params.items()}
-    for name, m, v in zip(trained, state.views(state.m), state.views(state.v)):
-        tensors[f"adam.m.{name}"] = m[run].copy()
-        tensors[f"adam.v.{name}"] = v[run].copy()
-    return Checkpoint(tensors, meta)
-
-
 def _sub_seed(seed: int, *stream: int) -> int:
     return int(np.random.SeedSequence([seed, *stream]).generate_state(1)[0])
 
@@ -363,11 +349,11 @@ class _Runs:
             for i in range(len(models[0].weights)):
                 per_run[_tensor_name(prefix, "w", i)] = [m.weights[i] for m in models]
                 per_run[_tensor_name(prefix, "b", i)] = [m.biases[i] for m in models]
-        self.trained = [name for name in per_run if name.split(".")[0] in trained]  # "{prefix}.…"
-        self.state = AdamState([(len(seeds), *per_run[name][0].shape) for name in self.trained])
-        flat = dict(zip(self.trained, self.state.views(self.state.flat)))
+        names = [name for name in per_run if name.split(".")[0] in trained]  # "{prefix}.…"
+        self.state = AdamState([(len(seeds), *per_run[name][0].shape) for name in names])
+        flat = dict(zip(names, self.state.views(self.state.flat)))
         self.params = {name: np.stack(arrays, out=flat.get(name)) for name, arrays in per_run.items()}
-        self.grads = dict(zip(self.trained, self.state.views(self.state.grad)))
+        self.grads = dict(zip(names, self.state.views(self.state.grad)))
         self.metas = [  # each run's metadata after its stage, epoch and Adam step
             {"model": model, "train": asdict(replace(config, seed=s)), **e} for s, e in zip(seeds, extras)
         ]
@@ -398,8 +384,9 @@ class _Runs:
         return step, layers
 
     def snapshot(self, epoch: int, s: int) -> Checkpoint:
+        """Run ``s``'s checkpoint: a copy of its slice of each named parameter, and its metadata."""
         meta = {"stage": self.stage, "epoch": epoch, "adam_step": self.state.step, **self.metas[s]}
-        return _snapshot(self.params, self.trained, self.state, meta, s)
+        return Checkpoint({name: a[s].copy() for name, a in self.params.items()}, meta)
 
     def add(self, epoch: int, batch: int, *terms: np.ndarray | None) -> None:
         """Keep one step's loss terms, each an (S,) array (a scalar for one run); ``None`` is zeros."""

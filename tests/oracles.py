@@ -53,6 +53,7 @@ import numpy as np
 
 import elementary as el
 from hscl import losses, training
+from hscl.checkpoint import Checkpoint
 from hscl.data import (
     DEFAULT_TAU,
     DETERIORATED,
@@ -427,7 +428,7 @@ def pretrain_runs_ref(x_train, y_train, x_val, y_val, config, hidden, activation
             "train": asdict(replace(config, seed=seeds[s])),
             "data": data_metas[s] or {},
         }
-        return t._snapshot(runs.params, runs.trained, state, meta, s)
+        return Checkpoint({name: a[s].copy() for name, a in runs.params.items()}, meta)
 
     traces = [[] for _ in seeds]
     best, best_epoch, best_val = [None] * n_runs, [-1] * n_runs, [math.inf] * n_runs
@@ -526,7 +527,7 @@ def finetune_runs_ref(pretrained, xp_train, xn_train, y_train, xp_val, xn_val, y
             "pretrain_train": pretrained[s].meta.get("train"),
             "data": pretrained[s].meta.get("data", {}),
         }
-        return t._snapshot(runs.params, runs.trained, state, meta, s)
+        return Checkpoint({name: a[s].copy() for name, a in runs.params.items()}, meta)
 
     histories = [[] for _ in seeds]
     best, best_epoch, best_f1 = [None] * n_runs, [-1] * n_runs, [-math.inf] * n_runs

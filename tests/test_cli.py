@@ -191,20 +191,20 @@ _REG_TENSORS = {"reg.w": (4, 1), "reg.b": (1,)}
 _CLS_TENSORS = {"cls.w0": (8, 32), "cls.b0": (32,), "cls.w1": (32, 3), "cls.b1": (3,)}
 
 
-def _with_adam(tensors: dict) -> dict:
-    return {**tensors, **{f"adam.{m}.{name}": shape for m in ("m", "v") for name, shape in tensors.items()}}
-
-
 def test_checkpoint_tensor_names_and_shapes(tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path):
-    """The names a checkpoint stores, spelled out: the Adam moments are those of the trained tensors only."""
-    unfrozen = tmp_path / "unfrozen"
+    """The names a checkpoint stores, spelled out: the networks a restore reads, and nothing else."""
+    unfrozen, swept = tmp_path / "unfrozen", tmp_path / "compare"
     pretrained = tiny_pretrained / "pretrain_best.ckpt"
     argv = ["--data", str(tiny_dataset), "--checkpoint", str(pretrained), "--epochs", "1", "--no-freeze-encoder"]
     assert main(["finetune", *argv, "--out", str(unfrozen)]) == 0
+    assert _compare_small(tiny_dataset, swept, "0", "mse+cl") == 0
+    pretrain_shapes, finetune_shapes = {**_ENCODER_TENSORS, **_REG_TENSORS}, {**_ENCODER_TENSORS, **_CLS_TENSORS}
     expected = {
-        pretrained: _with_adam({**_ENCODER_TENSORS, **_REG_TENSORS}),
-        tiny_finetuned / "finetune_best.ckpt": {**_ENCODER_TENSORS, **_with_adam(_CLS_TENSORS)},
-        unfrozen / "finetune_best.ckpt": _with_adam({**_ENCODER_TENSORS, **_CLS_TENSORS}),
+        pretrained: pretrain_shapes,
+        tiny_finetuned / "finetune_best.ckpt": finetune_shapes,
+        unfrozen / "finetune_best.ckpt": finetune_shapes,
+        swept / "seed0" / "mse+cl" / "pretrain_best.ckpt": pretrain_shapes,
+        swept / "seed0" / "mse+cl" / "finetune_best.ckpt": finetune_shapes,
     }
     for path, shapes in expected.items():
         assert {name: t.shape for name, t in load_checkpoint(path).tensors.items()} == shapes, path
@@ -1206,6 +1206,46 @@ def test_checkpoint_with_old_pooling_key_evaluates_identically(
         assert main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(path), "--out", str(out)]) == 0
         metrics.append(((out / "metrics.json").read_bytes(), (out / "metrics.txt").read_bytes()))
     assert metrics[0] == metrics[1]
+
+
+def _with_moments(ck: Checkpoint, trained: tuple[str, ...]) -> Checkpoint:
+    """``ck`` as checkpoints were written before the Adam moments left them: with an
+    ``adam.m.<name>`` and an ``adam.v.<name>`` tensor for each tensor of the ``trained`` networks."""
+    rng = np.random.default_rng(0)
+    tensors = dict(ck.tensors)
+    for name, t in ck.tensors.items():
+        if name.split(".")[0] in trained:
+            tensors[f"adam.m.{name}"] = rng.normal(size=t.shape)
+            tensors[f"adam.v.{name}"] = rng.normal(size=t.shape) ** 2
+    return Checkpoint(tensors, ck.meta)
+
+
+def _files(path: Path) -> dict[str, bytes]:
+    """The bytes of the file ``path``, or of each file under the directory ``path``, by relative name."""
+    if path.is_file():
+        return {"": path.read_bytes()}
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval", "analyze"])
+def test_a_checkpoint_that_still_holds_adam_moments_restores_as_the_one_without(
+    tiny_dataset, tiny_pretrained, tiny_finetuned, tmp_path, capsys, command
+):
+    """Older checkpoints hold the moments of every trained tensor; a restore reads the networks alone."""
+    if command == "eval":
+        plain, trained, flags = load_checkpoint(tiny_finetuned / "finetune_best.ckpt"), ("cls",), []
+    else:
+        plain, trained = load_checkpoint(tiny_pretrained / "pretrain_best.ckpt"), ("encoder", "reg")
+        flags = ["--epochs", "2"] if command == "finetune" else []
+    ckpt, out = tmp_path / "in.ckpt", tmp_path / ("profile.tsv" if command == "analyze" else "out")
+    results = []
+    for k, ck in enumerate((plain, _with_moments(plain, trained))):
+        save_checkpoint(ck, ckpt)
+        rc = main([command, "--data", str(tiny_dataset), "--checkpoint", str(ckpt), *flags, "--out", str(out)])
+        results.append((rc, capsys.readouterr(), _files(out.rename(tmp_path / f"run{k}"))))
+    assert {name for name in load_checkpoint(ckpt).tensors if name.startswith("adam.")}
+    assert results[0][0] == 0 and results[0][2]
+    assert results[1] == results[0]
 
 
 def _with_line_3(dataset, tmp_path, line: bytes) -> Path:

@@ -55,6 +55,8 @@ _CONFIG_FILE = "tests/test_cli.py::test_a_config_file_that_is_a_directory_or_not
 _NON_FINITE = "tests/test_dataset_io.py::test_save_rejects_a_non_finite_record_before_writing"
 _REPEATED = "tests/test_data.py::test_cohort_rejects_a_repeated_patient_and_seq_index"
 _GROUPED = "tests/test_data.py::test_cohort_groups_rows_by_first_appearance_and_sorts_each_patient_by_seq_index"
+_TENSOR_NAMES = "tests/test_cli.py::test_checkpoint_tensor_names_and_shapes"
+_OLD_MOMENTS = "tests/test_cli.py::test_a_checkpoint_that_still_holds_adam_moments_restores_as_the_one_without"
 
 MUTANTS = (
     Mutant(
@@ -95,6 +97,27 @@ MUTANTS = (
         "a restored network holds float32 arrays", "src/hscl/checkpoint.py",
         "np.array(ck.tensors[name], dtype=np.float64)", "np.array(ck.tensors[name], dtype=np.float32)",
         (_FLOAT64_NETS,),
+    ),
+    Mutant(
+        "a restore reads a tensor's stored first moment in its place", "src/hscl/checkpoint.py",
+        "np.array(ck.tensors[name], dtype=np.float64)",
+        'np.array(ck.tensors.get(f"adam.m.{name}", ck.tensors[name]), dtype=np.float64)',
+        (f"{_OLD_MOMENTS}[eval]", f"{_OLD_MOMENTS}[analyze]"),
+    ),
+    Mutant(
+        "the loader refuses a tensor no restore reads", "src/hscl/checkpoint.py",
+        'raise CheckpointIntegrityError(f"{path}: tensor {name!r} given twice")',
+        'raise CheckpointIntegrityError(f"{path}: tensor {name!r} given twice")\n'
+        '        if name.startswith("adam."):\n'
+        '            raise CheckpointIntegrityError(f"{path}: unknown tensor {name!r}")',
+        (f"{_OLD_MOMENTS}[finetune]",),
+    ),
+    Mutant(
+        "a snapshot writes one Adam moment back", "src/hscl/training.py",
+        "return Checkpoint({name: a[s].copy() for name, a in self.params.items()}, meta)",
+        "moment = {f\"adam.m.{n}\": m[s].copy() for n, m in zip(self.grads, self.state.views(self.state.m))}\n"
+        "        return Checkpoint({name: a[s].copy() for name, a in self.params.items()} | dict(list(moment.items())[:1]), meta)",
+        (_TENSOR_NAMES,),
     ),
     Mutant(
         "the loader skips the checksum compare", "src/hscl/checkpoint.py",
